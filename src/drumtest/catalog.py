@@ -27,18 +27,6 @@ def binary_universe(alternatives=("x", "y", "z"), periods=(1, 2)) -> ChoiceUnive
                           {t: menus for t in periods})
 
 
-def full_menu_universe(alternatives, periods, min_size=1) -> ChoiceUniverse:
-    """All menus of size >= min_size, sorted by (size, item order)."""
-    alts = tuple(alternatives)
-    subsets = []
-    for size in range(min_size, len(alts) + 1):
-        subsets.extend(itertools.combinations(alts, size))
-    menus = tuple(Menu(k + 1, s) for k, s in enumerate(subsets))
-    return ChoiceUniverse(tuple(periods),
-                          {t: alts for t in periods},
-                          {t: menus for t in periods})
-
-
 # --- demand geometries ------------------------------------------------------
 
 def simple_budgets(periods=(1, 2)) -> dict:
@@ -76,17 +64,6 @@ DEMAND3X3_INDEX_MAPS = {
 
 
 # --- published inequality tables -------------------------------------------
-
-# triangle conditions for binary menus on {x, y, z}; columns follow the row
-# order of the binary type matrix: (x|xy, y|xy, x|xz, z|xz, y|yz, z|yz)
-H_BINARY_3 = np.array([
-    [1, 0, -1, 0, 1, 0],
-    [-1, 0, 1, 0, 0, 1],
-    [0, 1, 1, 0, -1, 0],
-    [0, -1, 0, 1, 1, 0],
-    [1, 0, 0, 1, 0, -1],
-    [0, 1, 0, -1, 0, 1],
-], dtype=int)
 
 # complete facet table of the two-budget setup over
 # (x_{1|1}, x_{2|1}, x_{1|2}, x_{2|2})

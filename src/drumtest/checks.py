@@ -7,6 +7,7 @@ revealed-path-dominance, and the sequence-sum audit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .geometry import Budget, Patch, _cell_constraints
 from .model import ChoiceUniverse, StochasticChoiceFunction
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
                               kron_inequalities, pair_vector, projection_ops, reduce_H,
-                              static_row_labels, virtual_universe)
+                              static_row_labels, validate_replication, virtual_universe)
 
 ALGEBRA_TOL = 1e-12
 ESTIMATE_TOL = 1e-9
@@ -478,10 +479,18 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
     uni = rho.universe
     reductions = [reduced_static_labels(uni, t) for t in uni.periods]
     H_stars = [reduce_H(H, kept, dropped) for H, (kept, dropped) in zip(H_list, reductions)]
+    validate_replication(k, len(H_stars))
+    bases = [np.asarray(H_star.full(), dtype=float) for H_star in H_stars]
+    # size the system from the factor shapes before building anything dense;
+    # Gamma has the Kronecker system's columns and no more rows, so the
+    # guard bounds it too
+    rows = math.prod(base.shape[0] ** kt for base, kt in zip(bases, k))
+    cols = math.prod(base.shape[1] ** kt for base, kt in zip(bases, k))
+    if rows * cols > entry_guard:
+        raise SizeError("hierarchy system exceeds the size guard; lower k")
     ops = projection_ops(H_stars, k)
     blocks = []
-    for H_star, kt in zip(H_stars, k):
-        base = np.asarray(H_star.full(), dtype=float)
+    for base, kt in zip(bases, k):
         block = base
         for _ in range(kt - 1):
             block = np.kron(block, base)
@@ -490,8 +499,6 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
     for b in blocks[1:]:
         big = np.kron(big, b)
     Gamma = ops.Gamma_float()
-    if big.shape[0] * big.shape[1] > entry_guard:
-        raise SizeError("hierarchy system exceeds the size guard; lower k")
     rho_star = pair_vector(rho, [list(kept) for kept, _ in reductions])
     res = linprog(np.zeros(Gamma.shape[1]), A_ub=-big, b_ub=np.zeros(big.shape[0]),
                   A_eq=Gamma, b_eq=rho_star, bounds=[(None, None)] * Gamma.shape[1],

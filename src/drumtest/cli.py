@@ -163,11 +163,7 @@ def _demand_geometry(universe, budgets):
     have been produced under the same convention (drum matrices emits them)."""
     patches, dominance = {}, {}
     for t, blist in budgets.items():
-        maps = _catalog_maps(blist)
-        try:
-            patches[t], dominance[t] = compute_patches(blist, index_maps=maps)
-        except Exception:
-            patches[t], dominance[t] = compute_patches(blist)
+        patches[t], dominance[t] = compute_patches(blist, index_maps=_catalog_maps(blist))
         labels = {p.label for p in patches[t] if not p.is_intersection}
         if universe is not None and set(universe.alternatives[t]) != labels:
             raise DrumError(f"period {t}: budget patches do not match the universe; "

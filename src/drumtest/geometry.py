@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import linprog
@@ -40,6 +43,7 @@ class Budget:
     expenditure: object
 
     def __post_init__(self):
+        object.__setattr__(self, "prices", tuple(self.prices))
         if len(self.prices) < 2:
             raise SchemaError("need at least 2 goods")
         if any(p <= 0 for p in self.prices):
@@ -64,16 +68,29 @@ class Patch:
 
     ``sign_vector`` maps every other same-period budget index to its
     position; ``on_budgets`` lists all budgets whose hyperplane contains the
-    cell (more than one only for intersection patches).
+    cell (more than one only for intersection patches). Patches are
+    immutable: the sign vector is a read-only mapping and the representative
+    a read-only array, so memoised arrangements can be shared.
     """
 
     period: object
     budget: int
     index: int
-    sign_vector: dict
+    sign_vector: Mapping
     representative: np.ndarray
     is_intersection: bool
     on_budgets: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "sign_vector", MappingProxyType(dict(self.sign_vector)))
+        point = np.array(self.representative, dtype=float)
+        point.setflags(write=False)
+        object.__setattr__(self, "representative", point)
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; rebuild from a plain dict
+        return (Patch, (self.period, self.budget, self.index, dict(self.sign_vector),
+                        self.representative, self.is_intersection, self.on_budgets))
 
     @property
     def label(self) -> tuple:
@@ -133,8 +150,25 @@ def compute_patches(budgets: list, index_maps: dict | None = None):
     (above before below, other budgets in ascending index order) otherwise.
 
     Returns (patches, dominance) where dominance is a list of
-    (dominant_label, dominated_label) pairs over open patches.
+    (dominant_label, dominated_label) pairs over open patches. Each
+    arrangement is solved once: results are memoised on the budgets and the
+    index maps, and every call gets fresh lists of the shared immutable
+    patches. A call whose arrangement needed the conservative dominance
+    fallback warns every time.
     """
+    frozen_maps = (frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
+                   if index_maps else None)
+    patches, dominance, conservative = _arrangement(tuple(budgets), frozen_maps)
+    if conservative:
+        warnings.warn("dominance used the conservative representative check; "
+                      "pairs are sufficient-only", stacklevel=2)
+    return list(patches), list(dominance)
+
+
+@lru_cache(maxsize=32)
+def _arrangement(budgets: tuple, frozen_maps):
+    """(patches, dominance pairs, conservative flag) of one arrangement."""
+    index_maps = {j: dict(m) for j, m in frozen_maps} if frozen_maps else None
     if not budgets:
         raise SchemaError("no budgets supplied")
     K = budgets[0].num_goods
@@ -210,8 +244,8 @@ def compute_patches(budgets: list, index_maps: dict | None = None):
             patches.append(Patch(budget.period, budget.index, next_index[budget.index],
                                  signs, point, True, tuple(sorted(on_set))))
 
-    dominance = _dominance_pairs(by_index, open_cells)
-    return patches, dominance
+    dominance, exact = _dominance_pairs(by_index, open_cells)
+    return tuple(patches), tuple(dominance), not exact
 
 
 def _cell_constraints(budget: Budget, others: list, signs: dict):
@@ -349,10 +383,7 @@ def _dominance_pairs(by_index: dict, open_cells: dict):
             verdict = _dominates_conservative(dom, sub)
         if verdict:
             pairs.append((dom.label, sub.label))
-    if not exact:
-        warnings.warn("dominance used the conservative representative check; "
-                      "pairs are sufficient-only", stacklevel=3)
-    return pairs
+    return pairs, exact
 
 
 def enumerate_demand_types(patches: list, budgets: list):

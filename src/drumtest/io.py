@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix
 
 from .errors import SchemaError
 from .geometry import Budget
-from .model import ChoiceUniverse, Menu, PanelDataset, PanelRecord, StochasticChoiceFunction
+from .model import ChoiceUniverse, Menu, PanelDataset, StochasticChoiceFunction
 
 
 def _coerce(value):
@@ -89,18 +89,23 @@ def write_panel(panel: PanelDataset, universe: ChoiceUniverse, path):
 
 
 def read_panel(path) -> PanelDataset:
-    records = []
+    """Panel columns straight from the file; quantities are read when the
+    file has ``q_*`` columns, with a NaN row where the first is blank."""
+    agent, period, menu, choice, quantity = [], [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         q_cols = [c for c in reader.fieldnames or [] if c.startswith("q_")]
         for row in reader:
-            quantity = None
-            if q_cols and row[q_cols[0]] != "":
-                quantity = tuple(float(row[c]) for c in q_cols)
-            records.append(PanelRecord(_coerce(row["agent_id"]), _coerce(row["period"]),
-                                       int(row["menu_id"]), _coerce(row["choice_id"]),
-                                       quantity))
-    return PanelDataset(tuple(records))
+            agent.append(_coerce(row["agent_id"]))
+            period.append(_coerce(row["period"]))
+            menu.append(int(row["menu_id"]))
+            choice.append(_coerce(row["choice_id"]))
+            if q_cols:
+                quantity.append([float(row[c]) for c in q_cols] if row[q_cols[0]] != ""
+                                else [np.nan] * len(q_cols))
+    quantity = np.array(quantity, dtype=float)
+    has_q = quantity.ndim == 2 and not np.isnan(quantity[:, 0]).all()
+    return PanelDataset.from_columns(agent, period, menu, choice, quantity if has_q else None)
 
 
 def write_rho(rho: StochasticChoiceFunction, path):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -192,16 +193,6 @@ class StochasticChoiceFunction:
         idx = self.universe.choice_paths(menu_path).index(tuple(choice_path))
         return float(np.asarray(self.probs[menu_path])[idx])
 
-    def flatten(self):
-        """Stacked vector over observed menu paths (sorted) and the canonical
-        choice-path order, plus the matching (menu_path, choice_path) labels."""
-        vec, labels = [], []
-        for path in self.observed_paths:
-            arr = np.asarray(self.probs[path], dtype=float)
-            vec.extend(arr.tolist())
-            labels.extend((path, cp) for cp in self.universe.choice_paths(path))
-        return np.array(vec), labels
-
     def fractions(self, menu_path: tuple):
         """Exact per-path probabilities when integer tallies are available."""
         if not self.choice_counts or menu_path not in self.choice_counts:
@@ -220,56 +211,215 @@ class PanelRecord:
     quantity: tuple | None = None
 
 
-@dataclass(frozen=True)
 class PanelDataset:
-    """One record per (agent, period); agents must cover every period."""
+    """One record per (agent, period), held as numpy columns.
 
-    records: tuple
+    ``agent``, ``period`` and ``menu`` are read-only 1-d columns of equal
+    length; columns of plain integers are int64, anything else (strings,
+    tuples) is stored as objects. Choices are held as integer
+    ``choice_codes`` into the tuple ``choice_ids``, so tallies never hash
+    an item id per record; ``choice`` gives them back as a column.
+    ``quantity`` is None or a read-only (n, K) float array of point-level
+    demands with a NaN row for every record that carries none. ``records``
+    is a derived view with one ``PanelRecord`` per row. Agents must cover
+    every period, which ``estimate_rho`` checks.
+    """
 
-    def by_agent(self, universe: ChoiceUniverse) -> dict:
-        grouped = {}
-        for rec in self.records:
-            grouped.setdefault(rec.agent_id, {})
-            if rec.period in grouped[rec.agent_id]:
-                raise RejectedRecordError(
-                    f"agent {rec.agent_id} has duplicate records for period {rec.period}")
-            grouped[rec.agent_id][rec.period] = rec
-        for agent, per_period in grouped.items():
-            missing = set(universe.periods) - set(per_period)
-            if missing:
-                raise RejectedRecordError(f"agent {agent} is missing periods {sorted(map(str, missing))}")
-            extra = set(per_period) - set(universe.periods)
-            if extra:
-                raise RejectedRecordError(f"agent {agent} has unknown periods {sorted(map(str, extra))}")
-        return grouped
+    def __init__(self, records=()):
+        records = tuple(records)
+        self._set_columns([r.agent_id for r in records], [r.period for r in records],
+                          [r.menu_id for r in records], [r.choice_id for r in records],
+                          _quantity_matrix([r.quantity for r in records]))
+
+    @classmethod
+    def from_columns(cls, agent, period, menu, choice, quantity=None,
+                     choice_ids=None) -> "PanelDataset":
+        """Panel straight from column data, without a record per row. With
+        ``choice_ids``, ``choice`` holds integer codes into it."""
+        panel = cls.__new__(cls)
+        panel._set_columns(agent, period, menu, choice, quantity, choice_ids)
+        return panel
+
+    def _set_columns(self, agent, period, menu, choice, quantity, choice_ids=None):
+        self.agent, self.period, self.menu = _column(agent), _column(period), _column(menu)
+        if choice_ids is None:
+            codes, choice_ids = _codes(_column(choice))
+        else:
+            codes = np.array(choice, dtype=np.intp)
+            if codes.ndim != 1 or (len(codes) and not 0 <= codes.min() <= codes.max()
+                                   < len(choice_ids)):
+                raise SchemaError("choice codes must index choice_ids")
+        codes.setflags(write=False)
+        self.choice_codes, self.choice_ids = codes, tuple(choice_ids)
+        n = len(self.agent)
+        if any(len(col) != n for col in (self.period, self.menu, self.choice_codes)):
+            raise SchemaError("panel columns differ in length")
+        if quantity is not None:
+            quantity = np.array(quantity, dtype=float)
+            if quantity.ndim != 2 or quantity.shape[0] != n:
+                raise SchemaError("quantity must have one row per record")
+            quantity.setflags(write=False)
+        self.quantity = quantity
+
+    def __len__(self) -> int:
+        return len(self.agent)
+
+    def __eq__(self, other):
+        if not isinstance(other, PanelDataset):
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self):
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"PanelDataset(records={self.records!r})"
+
+    @property
+    def choice(self) -> np.ndarray:
+        ids = np.fromiter(self.choice_ids, dtype=object, count=len(self.choice_ids))
+        return _column(ids[self.choice_codes])
+
+    @cached_property
+    def records(self) -> tuple:
+        if self.quantity is None:
+            quantities = [None] * len(self)
+        else:
+            quantities = [None if np.isnan(row).all() else tuple(row.tolist())
+                          for row in self.quantity]
+        return tuple(PanelRecord(*fields) for fields in
+                     zip(self.agent.tolist(), self.period.tolist(), self.menu.tolist(),
+                         self.choice.tolist(), quantities))
+
+
+def _column(values) -> np.ndarray:
+    """Read-only 1-d column: int64 when every value is a plain integer,
+    objects otherwise."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        col = values.astype(np.int64)
+    else:
+        items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        col = None
+        if all(type(v) is int for v in items):
+            try:
+                col = np.array(items, dtype=np.int64)
+            except OverflowError:
+                pass
+        if col is None:
+            col = np.fromiter(items, dtype=object, count=len(items))
+    if col.ndim != 1:
+        raise SchemaError("panel columns must be one-dimensional")
+    col.setflags(write=False)
+    return col
+
+
+def _quantity_matrix(quantities: list):
+    """(n, K) float array with NaN rows for missing vectors, or None."""
+    given = [q for q in quantities if q is not None]
+    if not given:
+        return None
+    widths = {len(q) for q in given}
+    if len(widths) != 1:
+        raise SchemaError("quantity vectors differ in length")
+    out = np.full((len(quantities), widths.pop()), np.nan)
+    for row, q in enumerate(quantities):
+        if q is not None:
+            out[row] = q
+    return out
+
+
+def _codes(column: np.ndarray):
+    """(codes, values): each row's index into the distinct values of a
+    column. Integer values come sorted, objects in first-seen order."""
+    if column.dtype == object:
+        items = column.tolist()
+        values = list(dict.fromkeys(items))
+        lookup = {v: i for i, v in enumerate(values)}
+        return np.fromiter(map(lookup.__getitem__, items), dtype=np.intp,
+                           count=len(items)), values
+    values, codes = np.unique(column, return_inverse=True)
+    return codes.reshape(-1), values.tolist()
+
+
+def _agent_grid(panel: PanelDataset, universe: ChoiceUniverse):
+    """Row of each agent's record per universe period, as an (agents,
+    periods) array, and the period position of every record.
+
+    Raises RejectedRecordError when an agent has two records for one period,
+    lacks a period or has a period the universe does not declare.
+    """
+    agent_codes, agents = _codes(panel.agent)
+    period_codes, period_values = _codes(panel.period)
+    slot = {t: k for k, t in enumerate(universe.periods)}
+    period_pos = np.array([slot.get(t, -1) for t in period_values], dtype=np.intp)[period_codes]
+    T = len(slot)
+    known = period_pos >= 0
+    cells = agent_codes * T + period_pos
+    filled = np.bincount(cells[known], minlength=len(agents) * T)
+    if known.all() and (filled == 1).all():
+        grid = np.empty(len(agents) * T, dtype=np.intp)
+        grid[cells] = np.arange(len(panel))
+        return grid.reshape(-1, T), period_pos
+    repeated = np.flatnonzero(known & (filled[np.where(known, cells, 0)] > 1))
+    if repeated.size:
+        row = repeated[0]
+        raise RejectedRecordError(f"agent {panel.agent[row]} has duplicate records "
+                                  f"for period {panel.period[row]}")
+    bad = (filled.reshape(-1, T) == 0).any(axis=1)
+    bad[agent_codes[~known]] = True
+    code = agent_codes[np.flatnonzero(bad[agent_codes])[0]]
+    seen = set(panel.period[agent_codes == code].tolist())
+    missing = set(universe.periods) - seen
+    if missing:
+        raise RejectedRecordError(f"agent {agents[code]} is missing periods "
+                                  f"{sorted(map(str, missing))}")
+    raise RejectedRecordError(f"agent {agents[code]} has unknown periods "
+                              f"{sorted(map(str, seen - set(universe.periods)))}")
 
 
 def estimate_rho(panel: PanelDataset, universe: ChoiceUniverse) -> StochasticChoiceFunction:
     """Sample frequencies of choice paths per observed menu path.
 
-    Menu paths never observed are absent from the output rather than
+    Each distinct (period, menu, choice) is resolved to a menu position
+    once; agents are then tallied per menu path with one bincount. Menu
+    paths never observed are absent from the output rather than
     zero-filled.
     """
-    grouped = panel.by_agent(universe)
-    tallies = {}
-    for agent, per_period in grouped.items():
-        menu_path, choice_path = [], []
-        for t in universe.periods:
-            rec = per_period[t]
-            menu = universe.menu(t, rec.menu_id)
-            menu_path.append(rec.menu_id)
-            choice_path.append(_resolve_choice(menu, rec.choice_id))
-        menu_path, choice_path = tuple(menu_path), tuple(choice_path)
-        vec = tallies.setdefault(menu_path, {})
-        vec[choice_path] = vec.get(choice_path, 0) + 1
+    grid, period_pos = _agent_grid(panel, universe)
+    menu_codes, menu_ids = _codes(panel.menu)
+    n_menus, n_choices = len(menu_ids), len(panel.choice_ids)
+    key = (period_pos * n_menus + menu_codes) * n_choices + panel.choice_codes
+    triples, inverse = np.unique(key, return_inverse=True)
+    position = np.empty(len(triples), dtype=np.intp)
+    size = np.empty(len(triples), dtype=np.intp)
+    for k, triple in enumerate(triples.tolist()):
+        rest, c = divmod(triple, n_choices)
+        t, m = divmod(rest, n_menus)
+        menu = universe.menu(universe.periods[t], menu_ids[m])
+        position[k] = _resolve_choice(menu, panel.choice_ids[c]) - 1
+        size[k] = menu.size
+    inverse = inverse.reshape(-1)
+    position, size = position[inverse][grid], size[inverse][grid]
+    # per agent: menu path code and choice-path index, period 1 slowest
+    path = np.zeros(len(grid), dtype=np.intp)
+    cell = np.zeros(len(grid), dtype=np.intp)
+    for k in range(grid.shape[1]):
+        path = np.unique(path * n_menus + menu_codes[grid[:, k]],
+                         return_inverse=True)[1].reshape(-1)
+        cell = cell * size[:, k] + position[:, k]
+    n_paths = int(path.max()) + 1 if len(path) else 0
+    width = int(np.prod(size.max(axis=0))) if len(path) else 0
+    table = np.bincount(path * width + cell, minlength=n_paths * width).reshape(n_paths, width)
+    agent_of = np.empty(n_paths, dtype=np.intp)
+    agent_of[path] = np.arange(len(grid))
     probs, counts, choice_counts = {}, {}, {}
-    for path, tally in tallies.items():
-        order = universe.choice_paths(path)
-        raw = np.array([tally.get(cp, 0) for cp in order], dtype=int)
+    for p, agent in enumerate(agent_of.tolist()):
+        menu_path = tuple(menu_ids[c] for c in menu_codes[grid[agent]].tolist())
+        raw = table[p, :len(universe.choice_paths(menu_path))].copy()
         total = int(raw.sum())
-        probs[path] = raw / total
-        counts[path] = total
-        choice_counts[path] = raw
+        probs[menu_path] = raw / total
+        counts[menu_path] = total
+        choice_counts[menu_path] = raw
     return StochasticChoiceFunction(universe, probs, counts, choice_counts)
 
 

@@ -124,9 +124,6 @@ class ProjectionOperator:
     gammas: dict
     Gamma: np.ndarray
 
-    def gamma_float(self, t) -> np.ndarray:
-        return self.gammas[t].astype(float)
-
     def Gamma_float(self) -> np.ndarray:
         return self.Gamma.astype(float)
 
@@ -511,18 +508,24 @@ def _gamma(phi: tuple, k: int) -> np.ndarray:
     return total / k
 
 
+def validate_replication(k: tuple, periods: int) -> None:
+    """Check the per-period replication counts: one per period, k_1 = 1,
+    every k_t >= 1."""
+    if len(k) != periods:
+        raise ParameterError("k must have one entry per period")
+    if k[0] != 1:
+        raise ParameterError("the first period is never replicated: k_1 must be 1")
+    if any(kt < 1 for kt in k):
+        raise ParameterError("replication counts must be >= 1")
+
+
 def projection_ops(H_star_list: list, k: tuple) -> ProjectionOperator:
     """Facet-average vectors and replication-averaging operators.
 
     ``H_star_list`` holds the reduced per-period H-matrices (facet rows plus
     nonnegativity); ``k`` the per-period replication counts with k_1 = 1.
     """
-    if len(k) != len(H_star_list):
-        raise ParameterError("k must have one entry per period")
-    if k[0] != 1:
-        raise ParameterError("the first period is never replicated: k_1 must be 1")
-    if any(kt < 1 for kt in k):
-        raise ParameterError("replication counts must be >= 1")
+    validate_replication(k, len(H_star_list))
     phi, gammas = {}, {}
     blocks = []
     for pos, (H, kt) in enumerate(zip(H_star_list, k)):

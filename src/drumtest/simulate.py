@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .errors import ParameterError
-from .geometry import demand_universe
+from .errors import GeometryError, ParameterError
+from .geometry import ABOVE, compute_patches, demand_universe
 from .inference import TestConfig, run_test
-from .model import PanelDataset, PanelRecord, estimate_rho
+from .model import PanelDataset, estimate_rho
 from .representations import build_static_A, enumerate_orders, kron_dynamic
 
 BINARY_MARGINALS = {
@@ -57,8 +57,7 @@ def build_universe(dgp: DgpSpec):
     """Universe (and budgets where applicable) the generator samples on."""
     if dgp.kind.startswith("cobb"):
         budgets = catalog.simple_budgets(dgp.periods())
-        uni, patches, dominance = demand_universe(budgets, dgp.periods(),
-                                                  index_maps=catalog.SIMPLE_INDEX_MAPS)
+        uni, _, _ = demand_universe(budgets, dgp.periods(), index_maps=catalog.SIMPLE_INDEX_MAPS)
         return uni, budgets
     if dgp.kind.startswith("binary"):
         uni = catalog.binary_universe(("l1", "l2", "l3"), dgp.periods())
@@ -83,78 +82,126 @@ def observed_menu_paths(dgp: DgpSpec, universe):
 def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     """Draw a panel with ``agents_per_path`` agents on every menu path.
 
-    Returns (panel, universe). Budget indices double as menu ids; demand
-    choices are recorded as patch positions within the faced budget.
+    Returns (panel, universe). Agents are numbered from 1 in path order and
+    the panel runs agent by agent, period by period. Budget indices double
+    as menu ids; a demand choice is the open patch whose sign vector against
+    the period's other budgets matches the demand point.
     """
     rng = np.random.default_rng(seed)
     universe, budgets = build_universe(dgp)
     paths = observed_menu_paths(dgp, universe)
-    records = []
-    agent = 0
+    T = universe.num_periods
+    menus = np.repeat(np.array(paths, dtype=np.int64).reshape(-1, T), agents_per_path, axis=0)
+    quantity = None
     if dgp.kind.startswith("cobb"):
-        walk = dgp.kind == "cobb-douglas-walk"
-        persistence = dgp.params.get("persistence", 0.9)
-        sd = dgp.params.get("innovation_sd", 5.0)
-        corr = dgp.params.get("correlation", 0.5)
-        prices = {t: {b.index: b.p() for b in budgets[t]} for t in universe.periods}
-        for path in paths:
-            for _ in range(agents_per_path):
-                agent += 1
-                if walk:
-                    a1 = rng.uniform()
-                    a2 = min(max(persistence * a1 + rng.normal(0.0, sd), 0.0), 1.0)
-                    alphas = (a1, a2)
-                else:
-                    cov = np.array([[1.0, corr], [corr, 1.0]])
-                    eps = rng.multivariate_normal(np.zeros(2), cov)
-                    alphas = tuple(np.arctan(e) / np.pi + 0.5 for e in eps)
-                for t, j, alpha in zip(universe.periods, path, alphas):
-                    p = prices[t][j]
-                    y = np.array([alpha / p[0], (1 - alpha) / p[1]])
-                    other = next(i for i in prices[t] if i != j)
-                    above = float(prices[t][other] @ y) > 1.0
-                    menu = universe.menu(t, j)
-                    # patch 1 of the steep budget is above the other budget;
-                    # patch 1 of the flat budget is below it
-                    if j == 1:
-                        pos = 1 if above else 2
-                    else:
-                        pos = 2 if above else 1
-                    records.append(PanelRecord(agent, t, j, menu.items[pos - 1],
-                                               tuple(y.tolist())))
+        shares = _draw_shares(dgp, rng, len(paths), agents_per_path)
+        positions, quantity = _demand_choices(universe, budgets, menus, shares)
     elif dgp.kind.startswith("binary"):
         marg = dgp.params.get("marginals")
         if marg is None:
             marg = BINARY_MARGINALS[dgp.kind]
         marg = np.asarray(marg, dtype=float)
-        first = {}
-        for menu in universe.menus[universe.periods[0]]:
-            base = 2 * (menu.index - 1)
-            first[menu.index] = marg[base]
-        for path in paths:
-            for _ in range(agents_per_path):
-                agent += 1
-                for t, j in zip(universe.periods, path):
-                    menu = universe.menu(t, j)
-                    pick = 0 if rng.uniform() < first[j] else 1
-                    records.append(PanelRecord(agent, t, j, menu.items[pick]))
+        # probability of the first item, by menu id
+        first = np.zeros(max(universe.menu_indices(universe.periods[0])) + 1)
+        for j in universe.menu_indices(universe.periods[0]):
+            first[j] = marg[2 * (j - 1)]
+        u = rng.uniform(size=menus.shape)
+        positions = (u >= first[menus]).astype(np.intp)
     elif dgp.kind == "order-mixture":
         profiles = dgp.params["profiles"]
         weights = np.asarray(dgp.params["weights"], dtype=float)
         weights = weights / weights.sum()
-        for path in paths:
-            draws = rng.choice(len(profiles), size=agents_per_path, p=weights)
-            for d in draws:
-                agent += 1
-                profile = profiles[d]
-                for t, j, ranking in zip(universe.periods, path, profile):
-                    menu = universe.menu(t, j)
-                    pos_of = {a: k for k, a in enumerate(ranking)}
-                    best = min(menu.items, key=lambda a: pos_of[a])
-                    records.append(PanelRecord(agent, t, j, best))
+        draws = rng.choice(len(profiles), size=len(menus), p=weights)
+        positions = np.empty(menus.shape, dtype=np.intp)
+        for k, t in enumerate(universe.periods):
+            for menu in universe.menus[t]:
+                rows = menus[:, k] == menu.index
+                positions[rows, k] = _best_positions(menu, [p[k] for p in profiles])[draws[rows]]
     else:
         raise ParameterError(f"unknown DGP kind {dgp.kind!r}")
-    return PanelDataset(tuple(records)), universe
+    n = len(menus)
+    choice, choice_ids = _chosen_items(universe, menus, positions)
+    panel = PanelDataset.from_columns(
+        np.repeat(np.arange(1, n + 1), T), list(universe.periods) * n, menus.reshape(-1),
+        choice.reshape(-1), None if quantity is None else quantity.reshape(n * T, -1),
+        choice_ids=choice_ids)
+    return panel, universe
+
+
+def _draw_shares(dgp: DgpSpec, rng, n_paths: int, agents_per_path: int) -> np.ndarray:
+    """Cobb-Douglas share of the first good, (agents, 2), agents in path order."""
+    if dgp.kind == "cobb-douglas-walk":
+        persistence = dgp.params.get("persistence", 0.9)
+        sd = dgp.params.get("innovation_sd", 5.0)
+        # random() draws the same doubles as uniform(0, 1), at a third of
+        # the call cost; each agent's uniform and normal draws interleave
+        uniform, normal = rng.random, rng.normal
+        first, second = [], []
+        for _ in range(n_paths * agents_per_path):
+            a1 = uniform()
+            first.append(a1)
+            second.append(min(max(persistence * a1 + normal(0.0, sd), 0.0), 1.0))
+        return np.column_stack([first, second])
+    corr = dgp.params.get("correlation", 0.5)
+    cov = np.array([[1.0, corr], [corr, 1.0]])
+    # one draw per path: the covariance transform of a one-row draw can
+    # differ in the last bit from the same row inside a larger draw
+    eps = np.concatenate([rng.multivariate_normal(np.zeros(2), cov, size=agents_per_path)
+                          for _ in range(n_paths)])
+    return np.arctan(eps) / np.pi + 0.5
+
+
+def _demand_choices(universe, budgets, menus, shares):
+    """(positions, quantity): the 0-based patch position in its menu of each
+    agent's demand point per period, and the points, (agents, periods, 2).
+
+    A point lying exactly on another budget line (probability zero) counts
+    as below it.
+    """
+    positions = np.empty(menus.shape, dtype=np.intp)
+    quantity = np.empty(menus.shape + (2,))
+    for k, t in enumerate(universe.periods):
+        patches, _ = compute_patches(budgets[t], index_maps=catalog.SIMPLE_INDEX_MAPS)
+        for budget in budgets[t]:
+            rows = menus[:, k] == budget.index
+            a, p, w = shares[rows, k], budget.p(), budget.w()
+            y = np.column_stack([a * w / p[0], (1 - a) * w / p[1]])
+            others = [b for b in budgets[t] if b.index != budget.index]
+            signs = np.column_stack([np.where(y @ o.p() > o.w(), 1, -1) for o in others])
+            own = [pt for pt in patches if pt.budget == budget.index and not pt.is_intersection]
+            table = np.array([[1 if pt.sign_vector[o.index] == ABOVE else -1 for o in others]
+                              for pt in own])
+            match = (signs[:, None, :] == table[None, :, :]).all(axis=2)
+            if not match.any(axis=1).all():
+                raise GeometryError(f"a demand point on budget {budget.index} matches no patch")
+            menu = universe.menu(t, budget.index)
+            pos = np.array([menu.position(pt.label) - 1 for pt in own])
+            positions[rows, k] = pos[match.argmax(axis=1)]
+            quantity[rows, k] = y
+    return positions, quantity
+
+
+def _best_positions(menu, rankings) -> np.ndarray:
+    """0-based position in ``menu`` of the best item under each ranking."""
+    best = []
+    for ranking in rankings:
+        pos_of = {a: r for r, a in enumerate(ranking)}
+        best.append(min(range(menu.size), key=lambda i: pos_of[menu.items[i]]))
+    return np.array(best, dtype=np.intp)
+
+
+def _chosen_items(universe, menus, positions):
+    """(codes, ids): chosen items (agents, periods) as codes into the
+    universe's item ids, from menu ids and 0-based positions."""
+    ids = tuple(dict.fromkeys(item for t in universe.periods for menu in universe.menus[t]
+                              for item in menu.items))
+    code_of = {item: c for c, item in enumerate(ids)}
+    out = np.empty(menus.shape, dtype=np.intp)
+    for k, t in enumerate(universe.periods):
+        for menu in universe.menus[t]:
+            rows = menus[:, k] == menu.index
+            out[rows, k] = np.array([code_of[i] for i in menu.items])[positions[rows, k]]
+    return out, ids
 
 
 def type_matrix_for(dgp: DgpSpec, universe):

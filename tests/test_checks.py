@@ -13,7 +13,7 @@ from drumtest.checks import (adsrp_audit, bm_extension_feasible, check_H,
                              cone_membership, dominance_from_universe, hierarchy_feasible,
                              reduced_static_labels, unique_recovery)
 from drumtest.doubledesc import _rref, convert_V_to_H
-from drumtest.errors import GeometryError
+from drumtest.errors import GeometryError, ParameterError, SizeError
 from drumtest.geometry import compute_patches
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders,
@@ -291,6 +291,33 @@ class TestBmExtension:
 class TestHierarchy:
     def _H_list(self, uni):
         return [catalog_H("binary", uni, t) for t in uni.periods]
+
+    def test_size_guard_builds_nothing_dense(self, monkeypatch):
+        from drumtest import checks
+        uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
+        rho = StochasticChoiceFunction(uni, {p: np.full(8, 1 / 8)
+                                             for p in itertools.permutations((1, 2, 3))})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense build before the size guard")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(checks, "projection_ops", refuse)
+        with pytest.raises(SizeError,
+                           match=r"^hierarchy system exceeds the size guard; lower k$"):
+            hierarchy_feasible(rho, self._H_list(uni), (1, 2, 2))
+
+    @pytest.mark.parametrize("k, message", [
+        ((2, 1, 1), "k_1 must be 1"),
+        ((1, 0, 5), "must be >= 1"),
+        ((1, 5), "one entry per period"),
+    ])
+    def test_malformed_k_rejected_before_size_guard(self, k, message):
+        uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
+        rho = StochasticChoiceFunction(uni, {p: np.full(8, 1 / 8)
+                                             for p in itertools.permutations((1, 2, 3))})
+        with pytest.raises(ParameterError, match=message):
+            hierarchy_feasible(rho, self._H_list(uni), k, entry_guard=1)
 
     def test_all_ones_matches_reduced_kron_check(self, binary_uni_T2):
         uni = binary_uni_T2

@@ -1,6 +1,8 @@
 """Budget-arrangement geometry: patches, dominance, normalization, types."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +91,57 @@ class TestComputePatches:
     def test_one_good_rejected(self):
         with pytest.raises(SchemaError):
             Budget(1, 1, (1,), 1)
+
+
+class TestArrangementMemo:
+    def test_cache_hits_share_no_mutable_state(self):
+        budgets = catalog.simple_budgets((1,))[1]
+        patches, dominance = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        n_patches, pairs = len(patches), list(dominance)
+        patches.clear()
+        dominance.clear()
+        again, dominance = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        assert len(again) == n_patches and dominance == pairs
+        with pytest.raises(TypeError):
+            again[0].sign_vector[2] = BELOW
+        with pytest.raises(ValueError):
+            again[0].representative[0] = 9.0
+        assert again[0].sign_vector == {2: ABOVE}
+
+    def test_patches_pickle_and_deepcopy(self):
+        budgets = catalog.simple_budgets((1,))[1]
+        patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        for copy_of in (lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy):
+            for patch, back in zip(patches, copy_of(patches)):
+                assert back.label == patch.label
+                assert back.sign_vector == patch.sign_vector
+                assert np.array_equal(back.representative, patch.representative)
+                assert (back.is_intersection, back.on_budgets) == \
+                    (patch.is_intersection, patch.on_budgets)
+                with pytest.raises(TypeError):
+                    back.sign_vector[2] = BELOW
+
+    def test_numbering_is_keyed_on_the_index_maps(self):
+        budgets = catalog.simple_budgets((1,))[1]
+        mapped, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        swapped = {1: {(1,): 2, (-1,): 1}, 2: catalog.SIMPLE_INDEX_MAPS[2]}
+        other, _ = compute_patches(budgets, index_maps=swapped)
+        first = {p.label: dict(p.sign_vector) for p in mapped if not p.is_intersection}
+        second = {p.label: dict(p.sign_vector) for p in other if not p.is_intersection}
+        assert first[(1, 1)] == second[(1, 2)] == {2: ABOVE}
+
+    def test_conservative_fallback_warns_on_every_call(self, monkeypatch):
+        from drumtest import geometry
+        monkeypatch.setattr(geometry, "_dominates_exact", lambda *args: None)
+        geometry._arrangement.cache_clear()
+        budgets = catalog.simple_budgets((1,))[1]
+        try:
+            for _ in range(2):
+                with pytest.warns(UserWarning, match="conservative"):
+                    compute_patches(budgets)
+            assert geometry._arrangement.cache_info().hits == 1
+        finally:
+            geometry._arrangement.cache_clear()
 
 
 class TestDominance:

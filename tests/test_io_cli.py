@@ -4,13 +4,14 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from drumtest import catalog, io
 from drumtest.cli import main
-from drumtest.geometry import demand_universe
+from drumtest.geometry import Budget, demand_universe
 from drumtest.model import estimate_rho
 from drumtest.simulate import DgpSpec, simulate
 
@@ -180,6 +181,18 @@ class TestCli:
                      "--config", str(tmp_path / "conf"),
                      "--out", str(panel_path)])
         assert code == 0
+
+    def test_non_distinct_budgets_exit_1_with_message(self, simple_setup, tmp_path, capsys):
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        twins = {t: [Budget(t, j, (Fraction(2), Fraction(1)), Fraction(1)) for j in (1, 2)]
+                 for t in (1, 2)}
+        io.write_budgets(twins, tmp_path / "budgets.csv")
+        code = main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"),
+                     "--budgets", str(tmp_path / "budgets.csv"), "--checks", "stability"])
+        assert code == 1
+        assert "budgets must be pairwise distinct" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path):
         code = main(["check", "--input", str(tmp_path / "missing.csv"),

@@ -98,6 +98,70 @@ class TestEstimateRho:
             assert sum(fracs) == 1
 
 
+class TestColumnPanel:
+    """Panels built from columns go through the same checks and tally."""
+
+    def test_column_and_record_panels_agree(self, simple_setup):
+        uni = simple_setup["universe"]
+        rows = [(1, 1, 1, (1, 1)), (1, 2, 2, (2, 2)), (2, 1, 1, (1, 2)), (2, 2, 2, (2, 2)),
+                (3, 2, 1, (1, 1)), (3, 1, 2, (2, 1))]
+        by_records = _panel(rows)
+        by_columns = PanelDataset.from_columns(*zip(*rows))
+        coded = PanelDataset.from_columns([r[0] for r in rows], [r[1] for r in rows],
+                                          [r[2] for r in rows], [0, 3, 1, 3, 0, 2],
+                                          choice_ids=[(1, 1), (1, 2), (2, 1), (2, 2)])
+        assert by_columns.records == by_records.records == coded.records
+        want = estimate_rho(by_records, uni).choice_counts
+        for panel in (by_columns, coded):
+            got = estimate_rho(panel, uni).choice_counts
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[p], want[p]) for p in want)
+
+    def test_sparse_integer_ids(self, simple_setup):
+        """Agent ids far apart and out of order tally like any others."""
+        uni = simple_setup["universe"]
+        rows = [(10**15, 1, 1, (1, 1)), (10**15, 2, 2, (2, 2)), (7, 1, 2, (2, 1)),
+                (7, 2, 1, (1, 2))]
+        rho = estimate_rho(PanelDataset.from_columns(*zip(*rows)), uni)
+        assert rho.counts == {(1, 2): 1, (2, 1): 1}
+        assert list(rho.choice_counts[(1, 2)]) == [0, 1, 0, 0]
+        assert list(rho.choice_counts[(2, 1)]) == [0, 1, 0, 0]
+
+    def test_equality_follows_records(self):
+        rows = [(1, 1, 1, (1, 1)), (1, 2, 2, (2, 2))]
+        panel = PanelDataset.from_columns(*zip(*rows))
+        same = _panel(rows)
+        assert panel == same and hash(panel) == hash(same)
+        assert panel != _panel(rows[:1])
+        assert repr(panel).startswith("PanelDataset(records=(PanelRecord(")
+
+    def test_columns_are_read_only(self):
+        panel = PanelDataset.from_columns([1], [1], [1], ["x"])
+        with pytest.raises(ValueError):
+            panel.agent[0] = 2
+
+    def test_duplicate_period_rejected(self, simple_setup):
+        panel = PanelDataset.from_columns([1, 1, 1], [1, 1, 2], [1, 1, 1],
+                                          [(1, 1), (1, 2), (1, 1)])
+        with pytest.raises(RejectedRecordError, match="agent 1 has duplicate records for period 1"):
+            estimate_rho(panel, simple_setup["universe"])
+
+    def test_missing_period_rejected(self, simple_setup):
+        panel = PanelDataset.from_columns([1, 1, 2], [1, 2, 2], [1, 1, 1],
+                                          [(1, 1), (1, 1), (1, 1)])
+        with pytest.raises(RejectedRecordError, match=r"agent 2 is missing periods \['1'\]"):
+            estimate_rho(panel, simple_setup["universe"])
+
+    def test_unknown_period_rejected(self, simple_setup):
+        panel = PanelDataset.from_columns(["a"] * 3, [1, 2, 7], [1, 1, 1], [(1, 1)] * 3)
+        with pytest.raises(RejectedRecordError, match=r"agent a has unknown periods \['7'\]"):
+            estimate_rho(panel, simple_setup["universe"])
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(SchemaError, match="differ in length"):
+            PanelDataset.from_columns([1, 2], [1], [1, 1], ["x", "y"])
+
+
 class TestMarginalConditionalSlice:
     def test_table9_marginals(self, table9_rho):
         rep = marginal_conditional_slice(table9_rho, 1)

@@ -5,10 +5,117 @@ import itertools
 import numpy as np
 import pytest
 
+from drumtest import catalog
 from drumtest.errors import ParameterError
-from drumtest.model import estimate_rho
+from drumtest.model import PanelDataset, PanelRecord, estimate_rho
 from drumtest.simulate import (BINARY_MARGINALS, DgpSpec, build_universe,
                                observed_menu_paths, run_experiment, simulate)
+
+
+def reference_simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
+    """The scalar generator that drew one agent and one record at a time,
+    frozen as the reference the columnar ``simulate`` must reproduce draw
+    for draw."""
+    rng = np.random.default_rng(seed)
+    universe, budgets = build_universe(dgp)
+    paths = observed_menu_paths(dgp, universe)
+    records = []
+    agent = 0
+    if dgp.kind.startswith("cobb"):
+        walk = dgp.kind == "cobb-douglas-walk"
+        persistence = dgp.params.get("persistence", 0.9)
+        sd = dgp.params.get("innovation_sd", 5.0)
+        corr = dgp.params.get("correlation", 0.5)
+        prices = {t: {b.index: b.p() for b in budgets[t]} for t in universe.periods}
+        for path in paths:
+            for _ in range(agents_per_path):
+                agent += 1
+                if walk:
+                    a1 = rng.uniform()
+                    a2 = min(max(persistence * a1 + rng.normal(0.0, sd), 0.0), 1.0)
+                    alphas = (a1, a2)
+                else:
+                    cov = np.array([[1.0, corr], [corr, 1.0]])
+                    eps = rng.multivariate_normal(np.zeros(2), cov)
+                    alphas = tuple(np.arctan(e) / np.pi + 0.5 for e in eps)
+                for t, j, alpha in zip(universe.periods, path, alphas):
+                    p = prices[t][j]
+                    y = np.array([alpha / p[0], (1 - alpha) / p[1]])
+                    other = next(i for i in prices[t] if i != j)
+                    above = float(prices[t][other] @ y) > 1.0
+                    menu = universe.menu(t, j)
+                    if j == 1:
+                        pos = 1 if above else 2
+                    else:
+                        pos = 2 if above else 1
+                    records.append(PanelRecord(agent, t, j, menu.items[pos - 1],
+                                               tuple(y.tolist())))
+    elif dgp.kind.startswith("binary"):
+        marg = dgp.params.get("marginals")
+        if marg is None:
+            marg = BINARY_MARGINALS[dgp.kind]
+        marg = np.asarray(marg, dtype=float)
+        first = {menu.index: marg[2 * (menu.index - 1)]
+                 for menu in universe.menus[universe.periods[0]]}
+        for path in paths:
+            for _ in range(agents_per_path):
+                agent += 1
+                for t, j in zip(universe.periods, path):
+                    menu = universe.menu(t, j)
+                    pick = 0 if rng.uniform() < first[j] else 1
+                    records.append(PanelRecord(agent, t, j, menu.items[pick]))
+    else:
+        profiles = dgp.params["profiles"]
+        weights = np.asarray(dgp.params["weights"], dtype=float)
+        weights = weights / weights.sum()
+        for path in paths:
+            draws = rng.choice(len(profiles), size=agents_per_path, p=weights)
+            for d in draws:
+                agent += 1
+                for t, j, ranking in zip(universe.periods, path, profiles[d]):
+                    menu = universe.menu(t, j)
+                    pos_of = {a: k for k, a in enumerate(ranking)}
+                    records.append(PanelRecord(agent, t, j, min(menu.items,
+                                                                key=lambda a: pos_of[a])))
+    return PanelDataset(tuple(records)), universe
+
+
+def _order_mixture():
+    uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
+    orders = list(itertools.permutations(("l1", "l2", "l3")))
+    rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
+    return DgpSpec("order-mixture", {"universe": uni,
+                                     "profiles": [(r, r, r) for r in orders] + [rotation],
+                                     "weights": [0.14] * 6 + [0.16],
+                                     "menu_paths": sorted(itertools.permutations((1, 2, 3)))})
+
+
+EQUIVALENCE_DGPS = [DgpSpec("cobb-douglas-walk"), DgpSpec("cobb-douglas-gaussian-copula"),
+                    DgpSpec("binary1"), DgpSpec("binary2"), DgpSpec("binary3"),
+                    _order_mixture()]
+
+
+class TestMatchesScalarReference:
+    """The columnar generator draws the same stream as the scalar one."""
+
+    @pytest.mark.parametrize("dgp", EQUIVALENCE_DGPS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("agents", [1, 40])
+    def test_same_records_and_counts(self, dgp, seed, agents):
+        panel, uni = simulate(dgp, agents, seed=seed)
+        ref, _ = reference_simulate(dgp, agents, seed=seed)
+        assert len(panel.records) == len(ref.records)
+        for got, want in zip(panel.records, ref.records):
+            assert (got.agent_id, got.period, got.menu_id, got.choice_id) == \
+                (want.agent_id, want.period, want.menu_id, want.choice_id)
+            if want.quantity is None:
+                assert got.quantity is None
+            else:
+                assert np.allclose(got.quantity, want.quantity, rtol=0, atol=1e-12)
+        rho, rho_ref = estimate_rho(panel, uni), estimate_rho(ref, uni)
+        assert rho.choice_counts.keys() == rho_ref.choice_counts.keys()
+        for path, counts in rho_ref.choice_counts.items():
+            assert np.array_equal(rho.choice_counts[path], counts)
 
 
 class TestDemandDgps:

@@ -15,11 +15,11 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 
 from .errors import GeometryError, SchemaError, SizeError, SolverError
-from .geometry import Budget, Patch, _cell_constraints
+from .geometry import Patch, _cell_constraints
 from .model import ChoiceUniverse, StochasticChoiceFunction
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
-                              kron_inequalities, pair_vector, projection_ops, reduce_H,
-                              static_row_labels, validate_replication, virtual_universe)
+                              pair_vector, projection_ops, reduce_H, validate_replication,
+                              virtual_universe)
 
 ALGEBRA_TOL = 1e-12
 ESTIMATE_TOL = 1e-9
@@ -57,6 +57,30 @@ def _plain(v):
 
 # --- stability ------------------------------------------------------------------
 
+def stability_groups(universe: ChoiceUniverse, paths):
+    """Groups of menu paths that differ only in one period's menu.
+
+    Yields ``(t_pos, off_menus, group, classes)`` for every group of two or
+    more paths (in the given order) that share the menus ``off_menus`` off
+    position ``t_pos``. ``classes`` maps each off-period choice, in order of
+    first appearance, to one list per path of the choice-path positions that
+    carry it; stability equates the class sums across the group.
+    """
+    for t_pos in range(universe.num_periods):
+        groups = {}
+        for path in paths:
+            groups.setdefault(path[:t_pos] + path[t_pos + 1:], []).append(path)
+        for off_menus, group in groups.items():
+            if len(group) < 2:
+                continue
+            classes = {}
+            for g, path in enumerate(group):
+                for pos, cp in enumerate(universe.choice_paths(path)):
+                    oc = cp[:t_pos] + cp[t_pos + 1:]
+                    classes.setdefault(oc, [[] for _ in group])[g].append(pos)
+            yield t_pos, off_menus, group, classes
+
+
 def check_stability(rho: StochasticChoiceFunction, tol: float = ESTIMATE_TOL) -> CheckReport:
     """Marginal invariance: summing out the period-t choice must not depend
     on the period-t menu, holding the rest of the path fixed."""
@@ -64,32 +88,24 @@ def check_stability(rho: StochasticChoiceFunction, tol: float = ESTIMATE_TOL) ->
     worst = 0.0
     violations = []
     testable = False
-    for t_pos, t in enumerate(uni.periods):
-        groups = {}
-        for path in rho.observed_paths:
-            off = tuple(v for k, v in enumerate(path) if k != t_pos)
-            groups.setdefault(off, []).append(path)
-        for off_menus, paths in groups.items():
-            if len(paths) < 2:
-                continue
-            testable = True
-            margins = {}
-            for path in paths:
-                order = uni.choice_paths(path)
-                arr = np.asarray(rho.probs[path], dtype=float)
-                for cp, p in zip(order, arr):
-                    off_choice = tuple(v for k, v in enumerate(cp) if k != t_pos)
-                    key = (path[t_pos], off_choice)
-                    margins[key] = margins.get(key, 0.0) + p
-            off_choices = {key[1] for key in margins}
-            for oc in off_choices:
-                vals = [(jt, margins.get((jt, oc), 0.0)) for jt in (p[t_pos] for p in paths)]
-                for (j1, v1), (j2, v2) in itertools.combinations(vals, 2):
-                    gap = abs(v1 - v2)
-                    if gap > worst:
-                        worst = gap
-                    if gap > tol:
-                        violations.append((t, off_menus, oc, j1, j2, v1 - v2))
+    for t_pos, off_menus, group, classes in stability_groups(uni, rho.observed_paths):
+        testable = True
+        arrs = [np.asarray(rho.probs[path], dtype=float) for path in group]
+        # a set grown one key at a time, as this check always used, keeps the
+        # order of the violation list
+        for oc in {oc for oc in classes}:
+            vals = []
+            for path, arr, positions in zip(group, arrs, classes[oc]):
+                margin = 0.0
+                for pos in positions:
+                    margin += arr[pos]
+                vals.append((path[t_pos], margin))
+            for (j1, v1), (j2, v2) in itertools.combinations(vals, 2):
+                gap = abs(v1 - v2)
+                if gap > worst:
+                    worst = gap
+                if gap > tol:
+                    violations.append((uni.periods[t_pos], off_menus, oc, j1, j2, v1 - v2))
     if not testable:
         return CheckReport("stability", True, 0.0, vacuous=True,
                            diagnostics={"note": "no menu variation off any period"})
@@ -122,6 +138,67 @@ def dominance_from_universe(universe: ChoiceUniverse) -> dict:
     return out
 
 
+def iterated_differences(universe: ChoiceUniverse, dominance: dict, paths):
+    """Every signed iterated difference along dominant replacements over an
+    increasing period subsequence, the unreplaced periods held fixed.
+
+    Yields ``(subseq, combo, off_menu, off_choice, terms)``: the replaced
+    positions, their replacement pairs, the menus and choices of the other
+    positions, and the ``(sign, menu_path, choice_path)`` summands, or None
+    when a menu path is not among ``paths`` (a skipped combination).
+    """
+    periods = universe.periods
+    n = len(periods)
+    present = {path: set(universe.choice_paths(path)) for path in paths}
+    t_positions = [k for k, t in enumerate(periods) if dominance.get(t)]
+    for size in range(1, len(t_positions) + 1):
+        for subseq in itertools.combinations(t_positions, size):
+            subsets = list(itertools.chain.from_iterable(
+                itertools.combinations(subseq, m) for m in range(size + 1)))
+            for combo in itertools.product(*[dominance[periods[k]] for k in subseq]):
+                base_menu = {k: pair[1][0] for k, pair in zip(subseq, combo)}
+                base_choice = {k: pair[1][1] for k, pair in zip(subseq, combo)}
+                repl_menu = {k: pair[0][0] for k, pair in zip(subseq, combo)}
+                repl_choice = {k: pair[0][1] for k, pair in zip(subseq, combo)}
+                off = [k for k in range(n) if k not in subseq]
+                for off_menu, off_choice in _off_combinations(universe, paths, off, base_menu):
+                    terms = []
+                    for S in subsets:
+                        menu_path = tuple(
+                            repl_menu[k] if k in S else base_menu.get(k, off_menu.get(k))
+                            for k in range(n))
+                        cp = tuple(
+                            repl_choice[k] if k in S else base_choice.get(k, off_choice.get(k))
+                            for k in range(n))
+                        if cp not in present.get(menu_path, ()):
+                            terms = None
+                            break
+                        terms.append(((-1) ** (size - len(S)), menu_path, cp))
+                    yield subseq, combo, off_menu, off_choice, terms
+
+
+def _off_combinations(universe: ChoiceUniverse, paths, off_positions, base_menu):
+    """(menu, choice) assignments for the unreplaced periods, read from the
+    paths compatible with the base menus."""
+    if not off_positions:
+        return [({}, {})]
+    combos = []
+    seen_menu = set()
+    for path in paths:
+        if any(path[k] != j for k, j in base_menu.items()):
+            continue
+        off_menu = {k: path[k] for k in off_positions}
+        key = tuple(sorted(off_menu.items()))
+        if key in seen_menu:
+            continue
+        seen_menu.add(key)
+        ranges = [range(1, universe.menu(universe.periods[k], off_menu[k]).size + 1)
+                  for k in off_positions]
+        for choice in itertools.product(*ranges):
+            combos.append((off_menu, dict(zip(off_positions, choice))))
+    return combos
+
+
 def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None = None,
                          tol: float = ESTIMATE_TOL) -> CheckReport:
     """Signed iterated differences along dominant replacements over every
@@ -144,69 +221,24 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
     violations = []
     skipped = 0
     evaluated = 0
-    t_positions = [k for k, t in enumerate(periods) if dominance.get(t)]
-    for size in range(1, len(t_positions) + 1):
-        for subseq in itertools.combinations(t_positions, size):
-            pair_choices = [dominance[periods[k]] for k in subseq]
-            for combo in itertools.product(*pair_choices):
-                base_menu = {k: pair[1][0] for k, pair in zip(subseq, combo)}
-                base_choice = {k: pair[1][1] for k, pair in zip(subseq, combo)}
-                repl_menu = {k: pair[0][0] for k, pair in zip(subseq, combo)}
-                repl_choice = {k: pair[0][1] for k, pair in zip(subseq, combo)}
-                off = [k for k in range(len(periods)) if k not in subseq]
-                off_combos = _off_combinations(rho, off, base_menu)
-                for off_menu, off_choice in off_combos:
-                    value = 0.0
-                    ok = True
-                    for S in itertools.chain.from_iterable(
-                            itertools.combinations(subseq, m) for m in range(size + 1)):
-                        menu_path = tuple(
-                            repl_menu[k] if k in S else base_menu.get(k, off_menu.get(k))
-                            for k in range(len(periods)))
-                        cp = tuple(
-                            repl_choice[k] if k in S else base_choice.get(k, off_choice.get(k))
-                            for k in range(len(periods)))
-                        sign = (-1) ** (size - len(S))
-                        if menu_path not in lookup or cp not in lookup[menu_path]:
-                            ok = False
-                            break
-                        value += sign * lookup[menu_path][cp]
-                    if not ok:
-                        skipped += 1
-                        continue
-                    evaluated += 1
-                    if value < worst:
-                        worst = value
-                    if value < -tol:
-                        violations.append((tuple(periods[k] for k in subseq), combo,
-                                           tuple(sorted(off_menu.items())),
-                                           tuple(sorted(off_choice.items())), value))
+    for subseq, combo, off_menu, off_choice, terms in iterated_differences(
+            uni, dominance, rho.observed_paths):
+        if terms is None:
+            skipped += 1
+            continue
+        evaluated += 1
+        value = 0.0
+        for sign, menu_path, cp in terms:
+            value += sign * lookup[menu_path][cp]
+        if value < worst:
+            worst = value
+        if value < -tol:
+            violations.append((tuple(periods[k] for k in subseq), combo,
+                               tuple(sorted(off_menu.items())),
+                               tuple(sorted(off_choice.items())), value))
     return CheckReport("d-monotonicity", worst >= -tol, worst, tuple(violations),
                        {"tolerance": tol, "evaluated": evaluated, "skipped": skipped},
                        vacuous=(evaluated == 0))
-
-
-def _off_combinations(rho: StochasticChoiceFunction, off_positions, base_menu):
-    """(menu, choice) assignments for the unreplaced periods, read from the
-    observed paths compatible with the base menus."""
-    uni = rho.universe
-    combos = []
-    seen_menu = set()
-    for path in rho.observed_paths:
-        if any(path[k] != j for k, j in base_menu.items()):
-            continue
-        off_menu = {k: path[k] for k in off_positions}
-        key = tuple(sorted(off_menu.items()))
-        if key in seen_menu:
-            continue
-        seen_menu.add(key)
-        sizes = {k: uni.menu(uni.periods[k], off_menu[k]).size for k in off_positions}
-        ranges = [range(1, sizes[k] + 1) for k in off_positions]
-        for choice in itertools.product(*ranges):
-            combos.append((off_menu, dict(zip(off_positions, choice))))
-    if not off_positions:
-        combos = [({}, {})]
-    return combos
 
 
 # --- linear inequality systems -----------------------------------------------------

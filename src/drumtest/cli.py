@@ -11,14 +11,12 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
-
-import numpy as np
 
 from . import catalog, io
 from .checks import (bm_extension_feasible, check_H, check_d_monotonicity, check_sarpd,
-                     check_stability, cone_membership, dominance_from_universe,
-                     hierarchy_feasible)
+                     check_stability, cone_membership, hierarchy_feasible)
 from .counterfactuals import CounterfactualProblem, bound_functional, kron_counterfactual_cone
 from .errors import DrumError, ModelRejectedError
 from .geometry import Budget, compute_patches, demand_universe
@@ -101,6 +99,13 @@ def build_parser():
     e.add_argument("--alpha", type=float, default=0.05)
     _add_common(e)
     return ap
+
+
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser ``main`` uses, built once per process; parsing leaves it
+    unchanged, so calls cannot leak options into each other."""
+    return build_parser()
 
 
 _DGPS = {
@@ -294,7 +299,7 @@ def _cmd_bounds(args) -> int:
     cross = kron_counterfactual_cone(problem)
     doc = {"lower": report.lower, "upper": report.upper,
            "cross_check_lower": cross.lower, "cross_check_upper": cross.upper,
-           "diagnostics": report.diagnostics}
+           "diagnostics": report.diagnostics, "cross_check_diagnostics": cross.diagnostics}
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text)
@@ -329,7 +334,7 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if getattr(args, "config", None):
         overrides = _load_config(args.config)

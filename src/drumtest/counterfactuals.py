@@ -7,21 +7,29 @@ monotonicity on the extended window. Bounds are the extreme values of the
 patch-weighted functional over that polytope, conditionally on an observed
 path or marginally. A mixture-side formulation of the same bounds serves
 as an independent cross-check.
+
+The constraint matrices of both formulations depend only on the geometry,
+so they are compiled once per geometry into a ``CounterfactualModel``; a
+solve fills the observed distribution into the right-hand side and the
+functional into the objective.
 """
 
 from __future__ import annotations
 
-import itertools
+import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .checks import cone_membership, dominance_from_universe
+from .checks import (cone_membership, dominance_from_universe, iterated_differences,
+                     rho_vector_for, stability_groups)
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
-from .geometry import compute_patches, demand_universe, enumerate_demand_types
-from .model import StochasticChoiceFunction
-from .representations import build_static_A, kron_dynamic
+from .geometry import demand_universe, enumerate_demand_types, freeze_index_maps
+from .model import ChoiceUniverse, StochasticChoiceFunction
+from .representations import TypeMatrix, build_static_A, kron_dynamic
 
 NEW_PERIOD = "next"
 
@@ -53,35 +61,6 @@ class CounterfactualProblem:
                 raise SchemaError(f"g bounds crossed on patch {key}")
 
 
-def _extended_layout(problem: CounterfactualProblem):
-    """Extended universe over observed periods plus the new one, the patch
-    arrangements, and the variable index over extended paths."""
-    rho = problem.rho
-    uni = rho.universe
-    combined = dict(problem.budgets)
-    combined[NEW_PERIOD] = [b for b in problem.new_budgets]
-    periods = tuple(uni.periods) + (NEW_PERIOD,)
-    ext, patches, dominance = demand_universe(combined, periods,
-                                              index_maps=problem.index_maps)
-    for t in uni.periods:
-        if ext.menus[t] != uni.menus[t]:
-            raise SchemaError("observed universe does not match the supplied budgets; "
-                              "build it with demand_universe on the same budgets")
-        if len(uni.menus[t]) != 2 or any(m.size != 2 for m in uni.menus[t]):
-            raise GeometryError("counterfactual bounds cover the two-budget setup")
-    new_menus = ext.menus[NEW_PERIOD]
-    if len(new_menus) != 2 or any(m.size != 2 for m in new_menus):
-        raise GeometryError("next-period budgets must cross: two patches per budget")
-
-    var_index = {}
-    for path in rho.observed_paths:
-        for menu in new_menus:
-            ext_path = tuple(path) + (menu.index,)
-            for cp in ext.choice_paths(ext_path):
-                var_index[(ext_path, cp)] = len(var_index)
-    return ext, patches, var_index
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     lower: float
@@ -92,250 +71,230 @@ class BoundsReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _monotonicity_rows(ext, var_index: dict):
-    """All iterated-difference rows over the extended window; feasible
-    extensions must make each row nonnegative."""
-    dominance = dominance_from_universe(ext)
-    periods = ext.periods
-    observed_ext = sorted({path for path, _ in var_index})
-    lookup = set(var_index)
-    rows = []
-    t_positions = [k for k, t in enumerate(periods) if dominance.get(t)]
-    for size in range(1, len(t_positions) + 1):
-        for subseq in itertools.combinations(t_positions, size):
-            for combo in itertools.product(*[dominance[periods[k]] for k in subseq]):
-                base_menu = {k: pair[1][0] for k, pair in zip(subseq, combo)}
-                base_choice = {k: pair[1][1] for k, pair in zip(subseq, combo)}
-                repl_menu = {k: pair[0][0] for k, pair in zip(subseq, combo)}
-                repl_choice = {k: pair[0][1] for k, pair in zip(subseq, combo)}
-                off = [k for k in range(len(periods)) if k not in subseq]
-                seen_off = set()
-                for path in observed_ext:
-                    if any(path[k] != j for k, j in base_menu.items()):
-                        continue
-                    off_menu = {k: path[k] for k in off}
-                    key = tuple(sorted(off_menu.items()))
-                    if key in seen_off:
-                        continue
-                    seen_off.add(key)
-                    ranges = [range(1, ext.menu(periods[k], off_menu[k]).size + 1)
-                              for k in off]
-                    for off_choice_vals in itertools.product(*ranges):
-                        off_choice = dict(zip(off, off_choice_vals))
-                        row = {}
-                        ok = True
-                        for S in itertools.chain.from_iterable(
-                                itertools.combinations(subseq, m)
-                                for m in range(size + 1)):
-                            menu_path = tuple(
-                                repl_menu[k] if k in S else base_menu.get(k, off_menu.get(k))
-                                for k in range(len(periods)))
-                            cp = tuple(
-                                repl_choice[k] if k in S
-                                else base_choice.get(k, off_choice.get(k))
-                                for k in range(len(periods)))
-                            if (menu_path, cp) not in lookup:
-                                ok = False
-                                break
-                            sign = (-1) ** (size - len(S))
-                            idx = var_index[(menu_path, cp)]
-                            row[idx] = row.get(idx, 0.0) + sign
-                        if ok and row:
-                            rows.append(row)
-    return rows
+@dataclass(frozen=True)
+class CounterfactualModel:
+    """Fixed structure of both bounding LPs for one geometry; arrays are
+    read-only.
+
+    ``universe`` is the extended universe and ``var_index`` maps its paths
+    over the observed menu paths to extension-LP columns. ``A_eq`` holds the
+    marginal rows, whose right-hand side is the flattened observed
+    distribution at ``marginal_rows``, then the stability rows; ``A_ub`` the
+    negated monotonicity rows. ``observed`` and ``new_static`` are the
+    observed-window and new-period type matrices; ``mixture_A_eq`` is
+    ``observed`` with the new-period type index summed out.
+    """
+
+    universe: ChoiceUniverse
+    var_index: MappingProxyType
+    A_eq: np.ndarray
+    A_ub: np.ndarray
+    marginal_rows: np.ndarray
+    observed: TypeMatrix
+    new_static: TypeMatrix
+    mixture_A_eq: np.ndarray
+    geometry_warnings: tuple
 
 
-def _stability_rows(ext, var_index: dict):
-    """Equality rows: period-t margins agree across period-t menus for every
-    fixed off-t configuration present among the extended paths."""
-    observed_ext = sorted({path for path, _ in var_index})
-    rows = []
-    for t_pos in range(len(ext.periods)):
-        groups = {}
-        for path in observed_ext:
-            off = tuple(v for k, v in enumerate(path) if k != t_pos)
-            groups.setdefault(off, []).append(path)
-        for off_menus, paths in groups.items():
-            if len(paths) < 2:
-                continue
-            base = paths[0]
-            base_order = ext.choice_paths(base)
-            off_choices = sorted({tuple(v for k, v in enumerate(cp) if k != t_pos)
-                                  for cp in base_order})
-            for other in paths[1:]:
-                other_order = ext.choice_paths(other)
-                for oc in off_choices:
-                    row = {}
-                    for cp in base_order:
-                        if tuple(v for k, v in enumerate(cp) if k != t_pos) == oc:
-                            idx = var_index[(base, cp)]
-                            row[idx] = row.get(idx, 0.0) + 1.0
-                    for cp in other_order:
-                        if tuple(v for k, v in enumerate(cp) if k != t_pos) == oc:
-                            idx = var_index[(other, cp)]
-                            row[idx] = row.get(idx, 0.0) - 1.0
-                    rows.append(row)
-    return rows
+@lru_cache(maxsize=16)
+def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
+             frozen_maps) -> CounterfactualModel:
+    """Build the model of one geometry: ``budgets`` pairs each observed
+    period with its budget tuple, ``paths`` are the observed menu paths."""
+    periods = tuple(t for t, _ in budgets)
+    observed_budgets = {t: list(blist) for t, blist in budgets}
+    index_maps = {j: dict(m) for j, m in frozen_maps} if frozen_maps else None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        observed_uni, _, _ = demand_universe(observed_budgets, periods, index_maps=index_maps)
+        ext, patches, _ = demand_universe({**observed_budgets, NEW_PERIOD: list(new_budgets)},
+                                          periods + (NEW_PERIOD,), index_maps=index_maps)
+    for t in periods:
+        if len(ext.menus[t]) != 2 or any(m.size != 2 for m in ext.menus[t]):
+            raise GeometryError("counterfactual bounds cover the two-budget setup")
+    new_menus = ext.menus[NEW_PERIOD]
+    if len(new_menus) != 2 or any(m.size != 2 for m in new_menus):
+        raise GeometryError("next-period budgets must cross: two patches per budget")
+
+    ext_paths = [tuple(path) + (menu.index,) for path in paths for menu in new_menus]
+    var_index = {}
+    for ext_path in ext_paths:
+        for cp in ext.choice_paths(ext_path):
+            var_index[(ext_path, cp)] = len(var_index)
+    n = len(var_index)
+
+    statics = [build_static_A(observed_uni, t,
+                              enumerate_demand_types(patches[t], observed_budgets[t])[0])
+               for t in periods]
+    observed = kron_dynamic(statics, paths, observed_uni)
+    observed_row = {label: r for r, label in enumerate(observed.row_labels)}
+
+    # marginal rows: summing out the new-period choice reproduces rho
+    eq_rows, marginal_rows = [], []
+    for path in paths:
+        for menu in new_menus:
+            ext_path = tuple(path) + (menu.index,)
+            for cp in observed_uni.choice_paths(path):
+                eq_rows.append({var_index[(ext_path, cp + (i,))]: 1.0
+                                for i in range(1, menu.size + 1)})
+                marginal_rows.append(observed_row[(path, cp)])
+    # stability rows: each class sum of a path equals the group's first path's
+    for _, _, group, classes in stability_groups(ext, ext_paths):
+        base_cps = ext.choice_paths(group[0])
+        for g, other in enumerate(group[1:], 1):
+            other_cps = ext.choice_paths(other)
+            for oc in sorted(classes):
+                row = {var_index[(group[0], base_cps[pos])]: 1.0 for pos in classes[oc][0]}
+                row.update({var_index[(other, other_cps[pos])]: -1.0
+                            for pos in classes[oc][g]})
+                eq_rows.append(row)
+    A_eq = np.zeros((len(eq_rows), n))
+    for r, row in enumerate(eq_rows):
+        A_eq[r, list(row)] = list(row.values())
+    mono = [terms for *_, terms in iterated_differences(ext, dominance_from_universe(ext),
+                                                         ext_paths) if terms is not None]
+    M = np.zeros((len(mono), n))
+    for r, terms in enumerate(mono):
+        for sign, menu_path, cp in terms:
+            M[r, var_index[(menu_path, cp)]] += sign
+
+    new_types, _ = enumerate_demand_types(patches[NEW_PERIOD], list(new_budgets))
+    new_static = build_static_A(ext, NEW_PERIOD, new_types)
+    mixture_A_eq = np.kron(observed.dense().astype(float),
+                           np.ones((1, len(new_static.col_labels))))
+    A_ub, marginal_rows = -M, np.array(marginal_rows, dtype=int)
+    for a in (A_eq, A_ub, marginal_rows, observed.matrix, new_static.matrix, mixture_A_eq):
+        a.flags.writeable = False
+    return CounterfactualModel(ext, MappingProxyType(var_index), A_eq, A_ub, marginal_rows,
+                               observed, new_static, mixture_A_eq,
+                               tuple(dict.fromkeys(str(w.message) for w in caught)))
 
 
-def _to_matrix(rows, n):
-    M = np.zeros((len(rows), n))
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            M[r, c] = v
-    return M
+def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
+    """The compiled model of the problem's geometry, checked against the
+    problem's observed universe on every call."""
+    uni = problem.rho.universe
+    model = _compile(tuple((t, tuple(problem.budgets[t])) for t in uni.periods),
+                     tuple(problem.new_budgets), tuple(problem.rho.observed_paths),
+                     freeze_index_maps(problem.index_maps))
+    for message in model.geometry_warnings:
+        warnings.warn(message, stacklevel=3)
+    for t in uni.periods:
+        if model.universe.menus[t] != uni.menus[t]:
+            raise SchemaError("observed universe does not match the supplied budgets; "
+                              "build it with demand_universe on the same budgets")
+    return model
+
+
+def _target_menu(problem: CounterfactualProblem, model: CounterfactualModel):
+    """The next-period budget the functional applies to, and its menu."""
+    target = problem.target_budget
+    if target is None:
+        target = min(m.index for m in model.universe.menus[NEW_PERIOD])
+    return target, model.universe.menu(NEW_PERIOD, target)
+
+
+def _averaged_paths(problem: CounterfactualProblem, rho: StochasticChoiceFunction):
+    """The observed (menu path, choice path) pairs the functional averages
+    over and their mass: the conditioning path, or all choice paths of the
+    first observed menu path (mass 1) for the marginal bound."""
+    if problem.condition is None:
+        ref = tuple(rho.observed_paths[0])
+        return [(ref, tuple(cp)) for cp in rho.universe.choice_paths(ref)], 1.0
+    cond_path, cond_cp = map(tuple, problem.condition)
+    if cond_path not in rho.probs:
+        raise SchemaError(f"conditioning path {cond_path} not observed")
+    mass = rho.prob(cond_path, cond_cp)
+    if mass <= 1e-12:
+        raise ParameterError("conditioning path has zero mass; "
+                             "the conditional bound is undefined")
+    return [(cond_path, cond_cp)], mass
+
+
+def _bound_pair(c_lo, c_hi, infeasible: str, **constraints):
+    """Minimum of ``c_lo`` and maximum of ``c_hi`` over the nonnegative
+    solutions of ``constraints``, with per-LP solver diagnostics."""
+    res_lo = linprog(c_lo, bounds=(0, None), method="highs", **constraints)
+    if res_lo.status == 2:
+        raise ModelRejectedError(infeasible)
+    res_hi = linprog(-c_hi, bounds=(0, None), method="highs", **constraints)
+    if res_lo.status != 0 or res_hi.status != 0:
+        raise ModelRejectedError(f"bounding LP failed: {res_lo.message} / {res_hi.message}")
+    solver = {side: {"status": int(res.status), "message": res.message, "nit": int(res.nit)}
+              for side, res in (("lower", res_lo), ("upper", res_hi))}
+    return res_lo, res_hi, solver
 
 
 def bound_functional(problem: CounterfactualProblem,
                      project_onto_cone: bool = False) -> BoundsReport:
     """Extreme values of the expected functional over all feasible
     extensions; conditional when a conditioning path is given."""
-    rho = problem.rho
-    if project_onto_cone:
-        rho = _projected(problem)
-    ext, patches, var_index = _extended_layout(problem)
+    model = _model_for(problem)
+    rho = _projected(problem, model) if project_onto_cone else problem.rho
+    target, new_menu = _target_menu(problem, model)
+    cells, mass = _averaged_paths(problem, rho)
+    var_index = model.var_index
     n = len(var_index)
-    uni = rho.universe
-
-    eq_rows, eq_b = [], []
-    new_menus = ext.menus[NEW_PERIOD]
-    for path in rho.observed_paths:
-        order = uni.choice_paths(path)
-        arr = np.asarray(rho.probs[path], dtype=float)
-        for menu in new_menus:
-            ext_path = tuple(path) + (menu.index,)
-            for cp, val in zip(order, arr):
-                row = {var_index[(ext_path, tuple(cp) + (i,))]: 1.0
-                       for i in range(1, menu.size + 1)}
-                eq_rows.append(row)
-                eq_b.append(float(val))
-    for row in _stability_rows(ext, var_index):
-        eq_rows.append(row)
-        eq_b.append(0.0)
-    mono = _monotonicity_rows(ext, var_index)
-
-    A_eq = _to_matrix(eq_rows, n)
-    b_eq = np.array(eq_b)
-    A_ub = -_to_matrix(mono, n)
-    b_ub = np.zeros(len(mono))
-
-    target = problem.target_budget
-    if target is None:
-        target = min(m.index for m in new_menus)
-    new_menu = ext.menu(NEW_PERIOD, target)
+    b_eq = np.zeros(model.A_eq.shape[0])
+    b_eq[:len(model.marginal_rows)] = rho_vector_for(model.observed, rho)[model.marginal_rows]
 
     def objective(g_map):
         c = np.zeros(n)
-        if problem.condition is not None:
-            cond_path, cond_cp = map(tuple, problem.condition)
-            if cond_path not in rho.probs:
-                raise SchemaError(f"conditioning path {cond_path} not observed")
-            mass = rho.prob(cond_path, cond_cp)
-            if mass <= 1e-12:
-                raise ParameterError("conditioning path has zero mass; "
-                                     "the conditional bound is undefined")
-            ext_path = cond_path + (target,)
+        for path, cp in cells:
             for i in range(1, new_menu.size + 1):
-                c[var_index[(ext_path, cond_cp + (i,))]] = g_map[new_menu.items[i - 1]] / mass
-        else:
-            ref_path = tuple(rho.observed_paths[0])
-            ext_path = ref_path + (target,)
-            for cp in uni.choice_paths(ref_path):
-                for i in range(1, new_menu.size + 1):
-                    c[var_index[(ext_path, tuple(cp) + (i,))]] = g_map[new_menu.items[i - 1]]
+                c[var_index[(path + (target,), cp + (i,))]] = g_map[new_menu.items[i - 1]] / mass
         return c
 
-    c_lo = objective(problem.g_lower)
-    res_lo = linprog(c_lo, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                     bounds=[(0, None)] * n, method="highs")
-    if res_lo.status == 2:
-        raise ModelRejectedError("no extension satisfies monotonicity and stability; "
-                                 "the observed distribution is inconsistent")
-    c_hi = objective(problem.g_upper)
-    res_hi = linprog(-c_hi, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                     bounds=[(0, None)] * n, method="highs")
-    if res_lo.status != 0 or res_hi.status != 0:
-        raise ModelRejectedError(f"bounding LP failed: {res_lo.message} / {res_hi.message}")
+    res_lo, res_hi, solver = _bound_pair(
+        objective(problem.g_lower), objective(problem.g_upper),
+        "no extension satisfies monotonicity and stability; "
+        "the observed distribution is inconsistent",
+        A_ub=model.A_ub, b_ub=np.zeros(model.A_ub.shape[0]), A_eq=model.A_eq, b_eq=b_eq)
     return BoundsReport(float(res_lo.fun), float(-res_hi.fun), res_lo.x, res_hi.x,
                         "optimal",
-                        {"variables": n, "monotonicity_rows": len(mono),
-                         "equality_rows": len(eq_b), "target_budget": target})
+                        {"variables": n, "monotonicity_rows": model.A_ub.shape[0],
+                         "equality_rows": len(b_eq), "inequality_rows": model.A_ub.shape[0],
+                         "target_budget": target, "solver": solver})
 
 
 def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
     """The same bounds through the mixture side: weights over extended type
     profiles that marginalize to the observed distribution."""
+    model = _model_for(problem)
     rho = problem.rho
-    uni = rho.universe
-    ext, patches, var_index = _extended_layout(problem)
-
-    statics = []
-    for t in uni.periods:
-        types, _ = enumerate_demand_types(patches[t], problem.budgets[t])
-        statics.append(build_static_A(uni, t, types))
-    new_types, _ = enumerate_demand_types(patches[NEW_PERIOD], problem.new_budgets)
-    new_static = build_static_A(ext, NEW_PERIOD, new_types)
-
-    A_obs = kron_dynamic(statics, rho.observed_paths, uni)
-    C_T = len(A_obs.col_labels)
-    C_new = len(new_static.col_labels)
-    n = C_T * C_new
-
-    obs_dense = A_obs.dense().astype(float)
-    vec = np.concatenate([np.asarray(rho.probs[p], dtype=float)
-                          for p in sorted(rho.observed_paths)])
-    # marginalizing out the new-period type index reproduces the observed rows
-    A_eq = np.kron(obs_dense, np.ones((1, C_new)))
-    b_eq = vec
-
-    target = problem.target_budget
-    if target is None:
-        target = min(m.index for m in ext.menus[NEW_PERIOD])
-    new_menu = ext.menu(NEW_PERIOD, target)
-    new_dense = new_static.dense().astype(float)
-    new_rows = {lab: r for r, lab in enumerate(new_static.row_labels)}
-    obs_row_index = {lab: r for r, lab in enumerate(A_obs.row_labels)}
+    target, new_menu = _target_menu(problem, model)
+    cells, mass = _averaged_paths(problem, rho)
+    obs_dense = model.observed.dense().astype(float)
+    new_dense = model.new_static.dense().astype(float)
+    obs_row = np.sum([obs_dense[model.observed.row_labels.index(cell)] for cell in cells],
+                     axis=0)
 
     def objective(g_map):
-        g_row = np.zeros(C_new)
+        g_row = np.zeros(new_dense.shape[1])
         for i in range(1, new_menu.size + 1):
-            g_row += g_map[new_menu.items[i - 1]] * new_dense[new_rows[(target, i)]]
-        if problem.condition is not None:
-            cond_path, cond_cp = map(tuple, problem.condition)
-            mass = rho.prob(cond_path, cond_cp)
-            if mass <= 1e-12:
-                raise ParameterError("conditioning path has zero mass")
-            obs_row = obs_dense[obs_row_index[(cond_path, cond_cp)]]
-            return np.kron(obs_row, g_row) / mass
-        ref = tuple(rho.observed_paths[0])
-        obs_row = np.sum([obs_dense[obs_row_index[(ref, cp)]]
-                          for cp in uni.choice_paths(ref)], axis=0)
-        return np.kron(obs_row, g_row)
+            row = model.new_static.row_labels.index((target, i))
+            g_row += g_map[new_menu.items[i - 1]] * new_dense[row]
+        return np.kron(obs_row, g_row) / mass
 
-    c_lo = objective(problem.g_lower)
-    res_lo = linprog(c_lo, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n, method="highs")
-    if res_lo.status == 2:
-        raise ModelRejectedError("observed distribution is outside the type cone")
-    c_hi = objective(problem.g_upper)
-    res_hi = linprog(-c_hi, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n, method="highs")
-    if res_lo.status != 0 or res_hi.status != 0:
-        raise ModelRejectedError(f"bounding LP failed: {res_lo.message} / {res_hi.message}")
+    A_eq = model.mixture_A_eq
+    res_lo, res_hi, solver = _bound_pair(
+        objective(problem.g_lower), objective(problem.g_upper),
+        "observed distribution is outside the type cone",
+        A_eq=A_eq, b_eq=rho_vector_for(model.observed, rho))
     return BoundsReport(float(res_lo.fun), float(-res_hi.fun), res_lo.x, res_hi.x,
-                        "optimal", {"types": n, "route": "mixture"})
+                        "optimal",
+                        {"types": A_eq.shape[1], "route": "mixture",
+                         "variables": A_eq.shape[1], "equality_rows": A_eq.shape[0],
+                         "inequality_rows": 0, "target_budget": target, "solver": solver})
 
 
-def _projected(problem: CounterfactualProblem) -> StochasticChoiceFunction:
+def _projected(problem: CounterfactualProblem,
+               model: CounterfactualModel) -> StochasticChoiceFunction:
     """Replace the observed distribution by its cone projection."""
     rho = problem.rho
     uni = rho.universe
-    statics = []
-    for t in uni.periods:
-        patches, _ = compute_patches(problem.budgets[t], index_maps=problem.index_maps)
-        types, _ = enumerate_demand_types(patches, problem.budgets[t])
-        statics.append(build_static_A(uni, t, types))
-    A = kron_dynamic(statics, rho.observed_paths, uni)
-    _, weights, _ = cone_membership(rho, A)
-    fitted = A.dense().astype(float) @ weights
+    _, weights, _ = cone_membership(rho, model.observed)
+    fitted = model.observed.dense().astype(float) @ weights
     probs = {}
     pos = 0
     for path in sorted(rho.observed_paths):

@@ -156,13 +156,18 @@ def compute_patches(budgets: list, index_maps: dict | None = None):
     patches. A call whose arrangement needed the conservative dominance
     fallback warns every time.
     """
-    frozen_maps = (frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
-                   if index_maps else None)
-    patches, dominance, conservative = _arrangement(tuple(budgets), frozen_maps)
+    patches, dominance, conservative = _arrangement(tuple(budgets), freeze_index_maps(index_maps))
     if conservative:
         warnings.warn("dominance used the conservative representative check; "
                       "pairs are sufficient-only", stacklevel=2)
     return list(patches), list(dominance)
+
+
+def freeze_index_maps(index_maps: dict | None):
+    """Hashable form of patch index maps, for memo keys; None stays None."""
+    if not index_maps:
+        return None
+    return frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
 
 
 @lru_cache(maxsize=32)

@@ -5,14 +5,14 @@ variant."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import log, sqrt
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ParameterError, SchemaError
-from .model import PanelDataset, StochasticChoiceFunction, estimate_rho
+from .model import PanelDataset, estimate_rho
 from .representations import TypeMatrix, build_static_A, enumerate_orders, kron_dynamic
 
 
@@ -189,13 +189,13 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
 
 def _bootstrap_chunk(args, seeds):
     WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
+    pvals = [_normalized(vec[start:stop]) for _, start, stop in blocks]
     out = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         star = np.empty_like(vec)
-        for (path, start, stop), n in zip(blocks, counts):
-            draw = rng.multinomial(n, _normalized(vec[start:stop]))
-            star[start:stop] = draw / n
+        for (_, start, stop), n, p in zip(blocks, counts, pvals):
+            star[start:stop] = rng.multinomial(n, p) / n
         recentered = star - vec + eta
         _, j = _projection_stat(WA, sqrt_w * (recentered - shift))
         out[i] = N * j

@@ -13,7 +13,7 @@ Canonical orderings, used everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -1,17 +1,22 @@
 """Counterfactual bounds: extension LPs and the mixture-side cross-check."""
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from drumtest import catalog
+from drumtest import catalog, counterfactuals
+from drumtest.checks import check_d_monotonicity, check_stability, dominance_from_universe
 from drumtest.counterfactuals import (CounterfactualProblem, bound_functional,
                                       kron_counterfactual_cone)
-from drumtest.errors import ModelRejectedError, ParameterError
+from drumtest.errors import ModelRejectedError, ParameterError, SchemaError
 from drumtest.geometry import Budget, compute_patches, demand_universe, enumerate_demand_types
-from drumtest.model import StochasticChoiceFunction
+from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import build_static_A, kron_dynamic
 
 from conftest import rho_from_weights
@@ -159,3 +164,333 @@ class TestBoundFunctional:
             b1 = bound_functional(p1)
             assert b1.lower <= b2.lower + 1e-8
             assert b2.upper <= b1.upper + 1e-8
+
+
+# --- the compiled model against a frozen copy of the per-call row builders ----------
+
+def _legacy_layout(problem):
+    rho = problem.rho
+    combined = dict(problem.budgets)
+    combined["next"] = list(problem.new_budgets)
+    ext, patches, _ = demand_universe(combined, tuple(rho.universe.periods) + ("next",),
+                                      index_maps=problem.index_maps)
+    var_index = {}
+    for path in rho.observed_paths:
+        for menu in ext.menus["next"]:
+            ext_path = tuple(path) + (menu.index,)
+            for cp in ext.choice_paths(ext_path):
+                var_index[(ext_path, cp)] = len(var_index)
+    return ext, patches, var_index
+
+
+def _legacy_monotonicity_rows(ext, var_index):
+    dominance = dominance_from_universe(ext)
+    periods = ext.periods
+    observed_ext = sorted({path for path, _ in var_index})
+    lookup = set(var_index)
+    rows = []
+    t_positions = [k for k, t in enumerate(periods) if dominance.get(t)]
+    for size in range(1, len(t_positions) + 1):
+        for subseq in itertools.combinations(t_positions, size):
+            for combo in itertools.product(*[dominance[periods[k]] for k in subseq]):
+                base_menu = {k: pair[1][0] for k, pair in zip(subseq, combo)}
+                base_choice = {k: pair[1][1] for k, pair in zip(subseq, combo)}
+                repl_menu = {k: pair[0][0] for k, pair in zip(subseq, combo)}
+                repl_choice = {k: pair[0][1] for k, pair in zip(subseq, combo)}
+                off = [k for k in range(len(periods)) if k not in subseq]
+                seen_off = set()
+                for path in observed_ext:
+                    if any(path[k] != j for k, j in base_menu.items()):
+                        continue
+                    off_menu = {k: path[k] for k in off}
+                    key = tuple(sorted(off_menu.items()))
+                    if key in seen_off:
+                        continue
+                    seen_off.add(key)
+                    ranges = [range(1, ext.menu(periods[k], off_menu[k]).size + 1)
+                              for k in off]
+                    for off_choice_vals in itertools.product(*ranges):
+                        off_choice = dict(zip(off, off_choice_vals))
+                        row = {}
+                        ok = True
+                        for S in itertools.chain.from_iterable(
+                                itertools.combinations(subseq, m) for m in range(size + 1)):
+                            menu_path = tuple(
+                                repl_menu[k] if k in S else base_menu.get(k, off_menu.get(k))
+                                for k in range(len(periods)))
+                            cp = tuple(
+                                repl_choice[k] if k in S
+                                else base_choice.get(k, off_choice.get(k))
+                                for k in range(len(periods)))
+                            if (menu_path, cp) not in lookup:
+                                ok = False
+                                break
+                            idx = var_index[(menu_path, cp)]
+                            row[idx] = row.get(idx, 0.0) + (-1) ** (size - len(S))
+                        if ok and row:
+                            rows.append(row)
+    return rows
+
+
+def _legacy_stability_rows(ext, var_index):
+    observed_ext = sorted({path for path, _ in var_index})
+    rows = []
+    for t_pos in range(len(ext.periods)):
+        groups = {}
+        for path in observed_ext:
+            groups.setdefault(tuple(v for k, v in enumerate(path) if k != t_pos),
+                              []).append(path)
+        for paths in groups.values():
+            if len(paths) < 2:
+                continue
+            base = paths[0]
+            base_order = ext.choice_paths(base)
+            off_choices = sorted({tuple(v for k, v in enumerate(cp) if k != t_pos)
+                                  for cp in base_order})
+            for other in paths[1:]:
+                for oc in off_choices:
+                    row = {}
+                    for sign, path in ((1.0, base), (-1.0, other)):
+                        for cp in ext.choice_paths(path):
+                            if tuple(v for k, v in enumerate(cp) if k != t_pos) == oc:
+                                idx = var_index[(path, cp)]
+                                row[idx] = row.get(idx, 0.0) + sign
+                    rows.append(row)
+    return rows
+
+
+def _legacy_to_matrix(rows, n):
+    M = np.zeros((len(rows), n))
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            M[r, c] = v
+    return M
+
+
+def _legacy_extension_lp(problem):
+    rho = problem.rho
+    uni = rho.universe
+    ext, _, var_index = _legacy_layout(problem)
+    n = len(var_index)
+    eq_rows, eq_b = [], []
+    for path in rho.observed_paths:
+        arr = np.asarray(rho.probs[path], dtype=float)
+        for menu in ext.menus["next"]:
+            ext_path = tuple(path) + (menu.index,)
+            for cp, val in zip(uni.choice_paths(path), arr):
+                eq_rows.append({var_index[(ext_path, tuple(cp) + (i,))]: 1.0
+                                for i in range(1, menu.size + 1)})
+                eq_b.append(float(val))
+    for row in _legacy_stability_rows(ext, var_index):
+        eq_rows.append(row)
+        eq_b.append(0.0)
+    mono = _legacy_monotonicity_rows(ext, var_index)
+    target = problem.target_budget
+    new_menu = ext.menu("next", target)
+
+    def objective(g_map):
+        c = np.zeros(n)
+        if problem.condition is not None:
+            cond_path, cond_cp = map(tuple, problem.condition)
+            mass = rho.prob(cond_path, cond_cp)
+            for i in range(1, new_menu.size + 1):
+                c[var_index[(cond_path + (target,), cond_cp + (i,))]] = \
+                    g_map[new_menu.items[i - 1]] / mass
+        else:
+            ref_path = tuple(rho.observed_paths[0])
+            for cp in uni.choice_paths(ref_path):
+                for i in range(1, new_menu.size + 1):
+                    c[var_index[(ref_path + (target,), tuple(cp) + (i,))]] = \
+                        g_map[new_menu.items[i - 1]]
+        return c
+
+    return {"c": [objective(problem.g_lower), -objective(problem.g_upper)],
+            "A_ub": -_legacy_to_matrix(mono, n), "b_ub": np.zeros(len(mono)),
+            "A_eq": _legacy_to_matrix(eq_rows, n), "b_eq": np.array(eq_b)}
+
+
+def _legacy_mixture_lp(problem):
+    rho = problem.rho
+    uni = rho.universe
+    ext, patches, _ = _legacy_layout(problem)
+    statics = [build_static_A(uni, t, enumerate_demand_types(patches[t], problem.budgets[t])[0])
+               for t in uni.periods]
+    new_static = build_static_A(
+        ext, "next", enumerate_demand_types(patches["next"], problem.new_budgets)[0])
+    A_obs = kron_dynamic(statics, rho.observed_paths, uni)
+    obs_dense = A_obs.dense().astype(float)
+    vec = np.concatenate([np.asarray(rho.probs[p], dtype=float)
+                          for p in sorted(rho.observed_paths)])
+    target = problem.target_budget
+    new_menu = ext.menu("next", target)
+    new_dense = new_static.dense().astype(float)
+    new_rows = {lab: r for r, lab in enumerate(new_static.row_labels)}
+    obs_row_index = {lab: r for r, lab in enumerate(A_obs.row_labels)}
+
+    def objective(g_map):
+        g_row = np.zeros(len(new_static.col_labels))
+        for i in range(1, new_menu.size + 1):
+            g_row += g_map[new_menu.items[i - 1]] * new_dense[new_rows[(target, i)]]
+        if problem.condition is not None:
+            cond_path, cond_cp = map(tuple, problem.condition)
+            mass = rho.prob(cond_path, cond_cp)
+            return np.kron(obs_dense[obs_row_index[(cond_path, cond_cp)]], g_row) / mass
+        ref = tuple(rho.observed_paths[0])
+        obs_row = np.sum([obs_dense[obs_row_index[(ref, cp)]]
+                          for cp in uni.choice_paths(ref)], axis=0)
+        return np.kron(obs_row, g_row)
+
+    return {"c": [objective(problem.g_lower), -objective(problem.g_upper)],
+            "A_eq": np.kron(obs_dense, np.ones((1, len(new_static.col_labels)))),
+            "b_eq": vec}
+
+
+def _recorded_linprog(monkeypatch):
+    """Route counterfactuals.linprog through a recorder of its arguments."""
+    calls = []
+    real = counterfactuals.linprog
+
+    def recorder(c, **kwargs):
+        calls.append((np.array(c), kwargs))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(counterfactuals, "linprog", recorder)
+    return calls
+
+
+def _solve_legacy(lp):
+    n = lp["A_eq"].shape[1]
+    kwargs = {k: lp[k] for k in ("A_ub", "b_ub", "A_eq", "b_eq") if k in lp}
+    results = [linprog(c, bounds=[(0, None)] * n, method="highs", **kwargs) for c in lp["c"]]
+    return float(results[0].fun), float(-results[1].fun)
+
+
+@pytest.mark.parametrize("target", [1, 2])
+@pytest.mark.parametrize("conditional", [False, True])
+def test_model_solves_the_frozen_lps(simple_setup, monkeypatch, target, conditional):
+    rng = np.random.default_rng(40 + target)
+    labels = _patch_labels()
+    for _ in range(3):
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"],
+                               rng.dirichlet(np.ones(9)))
+        lo = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
+        hi = {lbl: lo[lbl] + float(v) for lbl, v in zip(labels, rng.random(4))}
+        condition = ((1, 2), (2, 1)) if conditional else None
+        problem = _problem(rho, simple_setup["budgets"], lo, hi, target_budget=target,
+                           condition=condition)
+        for route, legacy in ((bound_functional, _legacy_extension_lp),
+                              (kron_counterfactual_cone, _legacy_mixture_lp)):
+            calls = _recorded_linprog(monkeypatch)
+            report = route(problem)
+            frozen = legacy(problem)
+            assert len(calls) == 2
+            for (c, kwargs), c_frozen in zip(calls, frozen["c"]):
+                assert np.array_equal(c, c_frozen)
+                assert kwargs["bounds"] == (0, None)
+                assert set(kwargs) - {"bounds", "method"} == set(frozen) - {"c"}
+                for key in set(frozen) - {"c"}:
+                    assert kwargs[key].shape == frozen[key].shape
+                    assert np.array_equal(kwargs[key], frozen[key]), key
+            assert (report.lower, report.upper) == _solve_legacy(frozen)
+
+
+class TestModelCache:
+    def _problem(self, simple_setup, seed, **kw):
+        rng = np.random.default_rng(seed)
+        labels = _patch_labels()
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"],
+                               rng.dirichlet(np.ones(9)))
+        g = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
+        return _problem(rho, simple_setup["budgets"], g, g, target_budget=1, **kw)
+
+    def test_model_arrays_are_read_only(self, simple_setup):
+        problem = self._problem(simple_setup, 0)
+        model = counterfactuals._model_for(problem)
+        arrays = [model.A_eq, model.A_ub, model.marginal_rows, model.observed.matrix,
+                  model.new_static.matrix, model.mixture_A_eq]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1
+        with pytest.raises(TypeError):
+            model.var_index[("x", "y")] = 0
+        assert counterfactuals._model_for(problem) is model
+
+    def test_hits_give_each_problem_its_own_bounds(self, simple_setup):
+        problems = [self._problem(simple_setup, 1),
+                    self._problem(simple_setup, 2),
+                    self._problem(simple_setup, 3, condition=((2, 1), (1, 2))),
+                    self._problem(simple_setup, 3, condition=((1, 1), (2, 2)))]
+        counterfactuals._compile.cache_clear()
+        warm = [(bound_functional(p), kron_counterfactual_cone(p)) for p in problems]
+        # one miss, then every solve is a hit
+        assert counterfactuals._compile.cache_info().misses == 1
+        for p, (a, b) in zip(problems, warm):
+            assert (a.lower, a.upper) == _solve_legacy(_legacy_extension_lp(p))
+            assert (b.lower, b.upper) == _solve_legacy(_legacy_mixture_lp(p))
+            counterfactuals._compile.cache_clear()
+            cold = bound_functional(p)
+            assert (cold.lower, cold.upper) == (a.lower, a.upper)
+
+    def test_mismatched_universe_raises_on_a_hit(self, simple_setup):
+        problem = self._problem(simple_setup, 4)
+        bound_functional(problem)
+        uni = simple_setup["universe"]
+        # same menu paths and sizes, but the patches are listed in another order
+        menus = {t: tuple(Menu(m.index, m.items[::-1]) for m in uni.menus[t])
+                 for t in uni.periods}
+        swapped = ChoiceUniverse(uni.periods, uni.alternatives, menus)
+        rho = StochasticChoiceFunction(swapped, dict(problem.rho.probs))
+        mismatched = _problem(rho, simple_setup["budgets"], problem.g_lower, problem.g_upper)
+        hits = counterfactuals._compile.cache_info().hits
+        for route in (bound_functional, kron_counterfactual_cone):
+            with pytest.raises(SchemaError, match="does not match the supplied budgets"):
+                route(mismatched)
+        assert counterfactuals._compile.cache_info().hits == hits + 2
+
+
+    def test_geometry_warnings_repeat_on_a_hit(self, simple_setup, monkeypatch):
+        real = counterfactuals.demand_universe
+
+        def warning_universe(*args, **kwargs):
+            warnings.warn("dominance used the conservative representative check")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counterfactuals, "demand_universe", warning_universe)
+        counterfactuals._compile.cache_clear()
+        try:
+            problem = self._problem(simple_setup, 5)
+            for _ in range(2):
+                with pytest.warns(UserWarning, match="conservative") as caught:
+                    kron_counterfactual_cone(problem)
+                assert len(caught) == 1
+            assert counterfactuals._compile.cache_info().hits == 1
+        finally:
+            counterfactuals._compile.cache_clear()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), concentration=st.floats(0.1, 5.0),
+       target=st.sampled_from([1, 2]), conditional=st.booleans())
+def test_mixtures_pass_checks_and_routes_agree(simple_setup, seed, concentration, target,
+                                               conditional):
+    rng = np.random.default_rng(seed)
+    rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"],
+                           rng.dirichlet(np.full(9, concentration)))
+    assert check_stability(rho).passed
+    assert check_d_monotonicity(rho).passed
+    labels = _patch_labels()
+    lo = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
+    hi = {lbl: lo[lbl] + float(v) for lbl, v in zip(labels, rng.random(4))}
+    condition = None
+    if conditional:
+        path = (1, 2)
+        cp = simple_setup["universe"].choice_paths(path)[int(np.argmax(rho.probs[path]))]
+        condition = (path, cp)
+    problem = _problem(rho, simple_setup["budgets"], lo, hi, target_budget=target,
+                       condition=condition)
+    a = bound_functional(problem)
+    b = kron_counterfactual_cone(problem)
+    assert a.lower <= a.upper + 1e-9
+    assert a.lower == pytest.approx(b.lower, abs=1e-7)
+    assert a.upper == pytest.approx(b.upper, abs=1e-7)

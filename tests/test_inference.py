@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from drumtest import catalog
+from drumtest import catalog, inference
 from drumtest.errors import ParameterError, SchemaError
 from drumtest.inference import TestConfig, TestReport, run_test, run_test_eu
 from drumtest.model import PanelDataset, PanelRecord, estimate_rho
@@ -100,6 +100,36 @@ class TestRunTest:
             TestConfig(reps=0)
         with pytest.raises(ParameterError):
             TestConfig(weights="nonsense")
+
+
+def _per_replicate_bootstrap_chunk(args, seeds):
+    """The bootstrap loop as it was before the multinomial probabilities were
+    computed once per chunk: normalized again for every replicate."""
+    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
+    out = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        star = np.empty_like(vec)
+        for (path, start, stop), n in zip(blocks, counts):
+            draw = rng.multinomial(n, inference._normalized(vec[start:stop]))
+            star[start:stop] = draw / n
+        recentered = star - vec + eta
+        _, j = inference._projection_stat(WA, sqrt_w * (recentered - shift))
+        out[i] = N * j
+    return out
+
+
+def test_bootstrap_matches_per_replicate_loop(binary_app, monkeypatch):
+    uni, A = binary_app
+    panel, _ = simulate(DgpSpec("binary3"), 20, seed=6)
+    rho = estimate_rho(panel, uni)
+    config = TestConfig(reps=99, seed=13)
+    hoisted = run_test(rho, A, config)
+    monkeypatch.setattr(inference, "_bootstrap_chunk", _per_replicate_bootstrap_chunk)
+    reference = run_test(rho, A, config)
+    assert hoisted.critical_value == reference.critical_value
+    assert hoisted.p_value == reference.p_value
+    assert hoisted.statistic == reference.statistic
 
 
 class TestRunTestEu:

@@ -194,6 +194,51 @@ class TestCli:
         assert code == 1
         assert "budgets must be pairwise distinct" in capsys.readouterr().err
 
+    def test_consecutive_calls_share_no_options(self, simple_setup, tmp_path, capsys):
+        """main parses every call with one parser; nothing one call sets
+        reaches the next."""
+        from drumtest.cli import build_parser
+        assert build_parser() is not build_parser()
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        base = ["check", "--input", str(tmp_path / "rho.csv"),
+                "--universe", str(tmp_path / "universe.json"),
+                "--budgets", str(tmp_path / "budgets.csv")]
+        assert main(base + ["--checks", "stability"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"stability"}
+        assert main(base) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"stability", "dmono", "cone"}
+        report = tmp_path / "report.json"
+        (tmp_path / "conf").write_text(f"report={report}\n")
+        assert main(base + ["--config", str(tmp_path / "conf")]) == 0
+        assert set(json.loads(report.read_text())) == {"stability", "dmono", "cone"}
+        report.unlink()
+        capsys.readouterr()
+        assert main(base + ["--checks", "dmono"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"dmono"}
+        assert not report.exists()
+
+    def test_bounds_reports_solver_diagnostics(self, simple_setup, tmp_path, capsys):
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                        "1,1,0.1,0.9\n1,2,0.2,0.3\n2,1,0,1\n2,2,0,1\n")
+        code = main(["bounds", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"),
+                     "--budgets", str(tmp_path / "budgets.csv"),
+                     "--new-budget", "2,1;1,2", "--g", str(tmp_path / "g.csv")])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("diagnostics", "cross_check_diagnostics"):
+            diag = doc[key]
+            assert {"variables", "equality_rows", "inequality_rows"} <= set(diag)
+            for side in ("lower", "upper"):
+                assert diag["solver"][side]["status"] == 0
+                assert diag["solver"][side]["nit"] >= 0
+                assert "Optimal" in diag["solver"][side]["message"]
+        assert doc["diagnostics"]["inequality_rows"] == doc["diagnostics"]["monotonicity_rows"]
+        assert doc["cross_check_diagnostics"]["route"] == "mixture"
+
     def test_error_exit_code(self, tmp_path):
         code = main(["check", "--input", str(tmp_path / "missing.csv"),
                      "--universe", str(tmp_path / "missing.json")])

@@ -10,16 +10,17 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog, nnls
 
 from .errors import GeometryError, SchemaError, SizeError, SolverError
-from .geometry import Patch, _cell_constraints
-from .model import ChoiceUniverse, StochasticChoiceFunction
+from .geometry import _cell_constraints
+from .model import ChoiceUniverse, StochasticChoiceFunction, freeze_universe, thaw_universe
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
-                              pair_vector, projection_ops, reduce_H, validate_replication,
-                              virtual_universe)
+                              pair_vector, projection_ops, reduce_H, static_row_labels,
+                              validate_replication, virtual_universe)
 
 ALGEBRA_TOL = 1e-12
 ESTIMATE_TOL = 1e-9
@@ -393,23 +394,81 @@ def unique_recovery(rho: StochasticChoiceFunction, tol: float = 1e-10):
 
 # --- Block-Marschak extension ---------------------------------------------------------
 
+@dataclass(frozen=True)
+class BmModel:
+    """Fixed LP of the Block-Marschak extension for one virtual universe and
+    set of observed menu paths; arrays are read-only.
+
+    ``A_eq`` holds the simplex rows (right-hand side 1), the agreement rows
+    at ``agreement``, whose right-hand side is the observed distribution
+    flattened path by path, and the stability rows (0); ``b_eq`` carries the
+    1s and 0s. ``witness_columns`` lists each virtual menu path with the
+    columns of its choice paths.
+    """
+
+    c: np.ndarray
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    A_eq: np.ndarray
+    b_eq: np.ndarray
+    agreement: slice
+    bounds: np.ndarray
+    witness_columns: tuple
+
+
 def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_000_000):
     """Existence of an agreeing, monotonicity-consistent extension of rho to
     full menu variation satisfying the alternating-sum system.
 
     One period solves the static system; longer windows use the per-period
     Kronecker system plus stability, which characterizes consistency when
-    every period's static mixture is unique (up to three alternatives).
+    every period's static mixture is unique (up to three alternatives). The
+    LP is compiled once per virtual universe and observed menu paths; the
+    size guard runs on every call before anything is built.
     """
     uni = rho.universe
     vuni = virtual_universe(uni)
-    pair_lists = full_pair_lists(vuni)
-    dims = [len(p) for p in pair_lists]
-    n_vars = int(np.prod(dims))
-    H_blocks = [np.asarray(bm_matrix(vuni, t).full(), dtype=float) for t in vuni.periods]
-    n_ineq = int(np.prod([h.shape[0] for h in H_blocks]))
+    # the per-period system stacks the alternating-sum rows over nonnegativity
+    dims = [len(static_row_labels(vuni, t)) for t in vuni.periods]
+    n_vars = math.prod(dims)
+    n_ineq = math.prod(2 * d for d in dims)
     if n_ineq * n_vars > entry_guard:
         raise SizeError("Block-Marschak system exceeds the size guard")
+    paths = tuple(rho.observed_paths)
+    model = _compile_bm(freeze_universe(vuni), paths)
+    b_eq = model.b_eq.copy()
+    if paths:
+        b_eq[model.agreement] = np.concatenate([np.asarray(rho.probs[path], dtype=float)
+                                                for path in paths])
+    res = linprog(model.c, A_ub=model.A_ub, b_ub=model.b_ub, A_eq=model.A_eq, b_eq=b_eq,
+                  bounds=model.bounds, method="highs")
+    solver = solver_diagnostics(res)
+    if res.status not in (0, 2):
+        raise SolverError(f"extension LP returned status {res.status}: {res.message}",
+                          {"solver": solver, "variables": n_vars})
+    feasible = res.status == 0
+    witness = None
+    if feasible:
+        probs = {}
+        for menu_path, cols in model.witness_columns:
+            v = np.clip(res.x[cols], 0.0, None)
+            probs[menu_path] = v / v.sum()
+        witness = StochasticChoiceFunction(vuni, probs)
+    report = CheckReport("bm-extension", feasible, 0.0 if feasible else 1.0,
+                         diagnostics={"status": int(res.status), "variables": n_vars,
+                                      "inequality_rows": int(model.A_ub.shape[0]),
+                                      "solver": solver})
+    return feasible, witness, report
+
+
+@lru_cache(maxsize=16)
+def _compile_bm(frozen_vuni: tuple, paths: tuple) -> BmModel:
+    """Build the extension LP of one virtual universe (frozen) and tuple of
+    observed menu paths."""
+    vuni = thaw_universe(frozen_vuni)
+    pair_lists = full_pair_lists(vuni)
+    n_vars = math.prod(len(p) for p in pair_lists)
+    H_blocks = [np.asarray(bm_matrix(vuni, t).full(), dtype=float) for t in vuni.periods]
     big = H_blocks[0]
     for h in H_blocks[1:]:
         big = np.kron(big, h)
@@ -419,21 +478,25 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
 
     # simplex per virtual menu path
     menu_lists = [[m.index for m in vuni.menus[t]] for t in vuni.periods]
+    witness_columns = []
     for menu_path in itertools.product(*menu_lists):
+        cols = [var_index[tuple(zip(menu_path, cp))] for cp in vuni.choice_paths(menu_path)]
         row = np.zeros(n_vars)
-        for cp in vuni.choice_paths(menu_path):
-            row[var_index[tuple(zip(menu_path, cp))]] = 1.0
+        row[cols] = 1.0
         A_eq.append(row)
         b_eq.append(1.0)
+        witness_columns.append((menu_path, np.array(cols)))
 
-    # agreement with the observed distribution
-    for path in rho.observed_paths:
-        arr = np.asarray(rho.probs[path], dtype=float)
-        for cp, val in zip(uni.choice_paths(path), arr):
+    # agreement with the observed distribution (observed menus keep their
+    # indices in the virtual universe, so their choice paths are the same)
+    start = len(A_eq)
+    for path in paths:
+        for cp in vuni.choice_paths(path):
             row = np.zeros(n_vars)
             row[var_index[tuple(zip(path, cp))]] = 1.0
             A_eq.append(row)
-            b_eq.append(float(val))
+            b_eq.append(0.0)
+    agreement = slice(start, len(A_eq))
 
     # stability across virtual menus (needed beyond one period)
     if vuni.num_periods > 1:
@@ -463,24 +526,13 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
             if combo[t_pos] in dominated:
                 upper[k] = 0.0
 
-    res = linprog(np.zeros(n_vars), A_ub=-big, b_ub=np.zeros(big.shape[0]),
-                  A_eq=np.array(A_eq), b_eq=np.array(b_eq),
-                  bounds=list(zip(np.zeros(n_vars), upper)), method="highs")
-    feasible = res.status == 0
-    if res.status not in (0, 2):
-        raise SolverError(f"extension LP returned status {res.status}: {res.message}")
-    witness = None
-    if feasible:
-        probs = {}
-        for menu_path in itertools.product(*menu_lists):
-            vals = [res.x[var_index[tuple(zip(menu_path, cp))]]
-                    for cp in vuni.choice_paths(menu_path)]
-            probs[menu_path] = np.clip(np.array(vals), 0.0, None)
-        witness = StochasticChoiceFunction(vuni, {p: v / v.sum() for p, v in probs.items()})
-    report = CheckReport("bm-extension", feasible, 0.0 if feasible else 1.0,
-                         diagnostics={"status": int(res.status), "variables": n_vars,
-                                      "inequality_rows": int(big.shape[0])})
-    return feasible, witness, report
+    model = BmModel(np.zeros(n_vars), -big, np.zeros(big.shape[0]), np.array(A_eq),
+                    np.array(b_eq), agreement, np.column_stack([np.zeros(n_vars), upper]),
+                    tuple(witness_columns))
+    for a in (model.c, model.A_ub, model.b_ub, model.A_eq, model.b_eq, model.bounds,
+              *(cols for _, cols in witness_columns)):
+        a.flags.writeable = False
+    return model
 
 
 def _iu_dominated_pairs(universe: ChoiceUniverse, t) -> set:
@@ -497,7 +549,25 @@ def _iu_dominated_pairs(universe: ChoiceUniverse, t) -> set:
     return dominated
 
 
+def solver_diagnostics(res) -> dict:
+    """Status, message and HiGHS iteration count of one LP."""
+    return {"status": int(res.status), "message": res.message, "nit": int(res.nit)}
+
+
 # --- projection hierarchy ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HierarchyModel:
+    """Fixed LP of one hierarchy level, read-only: ``A_ub`` is the negated
+    Kronecker product of the replicated reduced H-matrices, ``A_eq`` the
+    averaging operator Gamma; the reduced observed vector fills ``b_eq``."""
+
+    c: np.ndarray
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    A_eq: np.ndarray
+    bounds: np.ndarray
+
 
 def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
                        entry_guard: int = 5_000_000):
@@ -506,23 +576,49 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
     Feasibility of {Gamma z = rho*, (kron of replicated reduced H) z >= 0} is
     necessary for consistency at every k; infeasibility is a rejection
     certificate. With k = all ones the system pins z = rho* and reduces to
-    the reduced Kronecker H-check.
+    the reduced Kronecker H-check. The LP is compiled once per reduced
+    system and k; validation and the size guard run on every call first.
     """
     uni = rho.universe
     reductions = [reduced_static_labels(uni, t) for t in uni.periods]
     H_stars = [reduce_H(H, kept, dropped) for H, (kept, dropped) in zip(H_list, reductions)]
     validate_replication(k, len(H_stars))
-    bases = [np.asarray(H_star.full(), dtype=float) for H_star in H_stars]
     # size the system from the factor shapes before building anything dense;
     # Gamma has the Kronecker system's columns and no more rows, so the
     # guard bounds it too
-    rows = math.prod(base.shape[0] ** kt for base, kt in zip(bases, k))
-    cols = math.prod(base.shape[1] ** kt for base, kt in zip(bases, k))
+    shapes = [np.shape(H_star.rows) for H_star in H_stars]
+    rows = math.prod(r ** kt for (r, _), kt in zip(shapes, k))
+    cols = math.prod(c ** kt for (_, c), kt in zip(shapes, k))
     if rows * cols > entry_guard:
         raise SizeError("hierarchy system exceeds the size guard; lower k")
+    frozen = tuple((H.kind, tuple(map(tuple, H.rows.tolist())), H.col_labels) for H in H_stars)
+    model = _compile_hierarchy(frozen, tuple(k))
+    rho_star = pair_vector(rho, [list(kept) for kept, _ in reductions])
+    res = linprog(model.c, A_ub=model.A_ub, b_ub=model.b_ub, A_eq=model.A_eq, b_eq=rho_star,
+                  bounds=model.bounds, method="highs")
+    solver = solver_diagnostics(res)
+    n_vars = int(model.A_eq.shape[1])
+    if res.status not in (0, 2):
+        raise SolverError(f"hierarchy LP returned status {res.status}: {res.message}",
+                          {"solver": solver, "k": tuple(k), "variables": n_vars})
+    feasible = res.status == 0
+    report = CheckReport("hierarchy", feasible, 0.0 if feasible else 1.0,
+                         diagnostics={"k": tuple(k), "variables": n_vars,
+                                      "inequality_rows": int(model.A_ub.shape[0]),
+                                      "solver": solver})
+    return feasible, (res.x if feasible else None), report
+
+
+@lru_cache(maxsize=16)
+def _compile_hierarchy(reduced: tuple, k: tuple) -> HierarchyModel:
+    """Build the level-k LP of the reduced systems ``reduced``, each frozen
+    as (kind, rows, column labels)."""
+    H_stars = [InequalityMatrix(kind, np.array(rows, dtype=int), labels)
+               for kind, rows, labels in reduced]
     ops = projection_ops(H_stars, k)
     blocks = []
-    for base, kt in zip(bases, k):
+    for H_star, kt in zip(H_stars, k):
+        base = np.asarray(H_star.full(), dtype=float)
         block = base
         for _ in range(kt - 1):
             block = np.kron(block, base)
@@ -531,17 +627,12 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
     for b in blocks[1:]:
         big = np.kron(big, b)
     Gamma = ops.Gamma_float()
-    rho_star = pair_vector(rho, [list(kept) for kept, _ in reductions])
-    res = linprog(np.zeros(Gamma.shape[1]), A_ub=-big, b_ub=np.zeros(big.shape[0]),
-                  A_eq=Gamma, b_eq=rho_star, bounds=[(None, None)] * Gamma.shape[1],
-                  method="highs")
-    if res.status not in (0, 2):
-        raise SolverError(f"hierarchy LP returned status {res.status}: {res.message}")
-    feasible = res.status == 0
-    report = CheckReport("hierarchy", feasible, 0.0 if feasible else 1.0,
-                         diagnostics={"k": tuple(k), "variables": int(Gamma.shape[1]),
-                                      "inequality_rows": int(big.shape[0])})
-    return feasible, (res.x if feasible else None), report
+    n = Gamma.shape[1]
+    model = HierarchyModel(np.zeros(n), -big, np.zeros(big.shape[0]), Gamma,
+                           np.tile([-np.inf, np.inf], (n, 1)))
+    for a in (model.c, model.A_ub, model.b_ub, model.A_eq, model.bounds):
+        a.flags.writeable = False
+    return model
 
 
 def reduced_static_labels(universe: ChoiceUniverse, t):
@@ -561,6 +652,17 @@ def reduced_static_labels(universe: ChoiceUniverse, t):
 
 # --- revealed path dominance ---------------------------------------------------------
 
+@dataclass(frozen=True)
+class SarpdModel:
+    """Revealed path dominance of one geometry: ``marked[n]`` lists the
+    (position, choice path) pairs of the n-th observed menu path whose cells
+    carry a revealed-preference cycle; ``cells`` counts the distinct cells
+    on observed choice paths."""
+
+    marked: tuple
+    cells: int
+
+
 def check_sarpd(rho: StochasticChoiceFunction, budgets_by_period: dict,
                 patches_by_period: dict, tol: float = ESTIMATE_TOL) -> CheckReport:
     """Mass on choice paths whose patches contain a revealed-preference cycle.
@@ -568,28 +670,62 @@ def check_sarpd(rho: StochasticChoiceFunction, budgets_by_period: dict,
     The weak relation runs from a chosen patch to every patch reachable in
     its budget (minimum expenditure at the chooser's prices no larger than
     its wealth); any directed cycle over distinct cells marks the path, and
-    under constant utility marked paths must carry zero probability.
+    under constant utility marked paths must carry zero probability. Which
+    paths are marked depends only on the geometry, so it is compiled once
+    per universe, budgets, patches and observed menu paths; a call sums the
+    marked masses.
     """
     uni = rho.universe
-    patch_by_label = {t: {p.label: p for p in patches_by_period[t]} for t in patches_by_period}
-    budget_by_index = {t: {b.index: b for b in budgets_by_period[t]} for t in budgets_by_period}
+    periods = uni.periods
+    paths = tuple(rho.observed_paths)
+    model = _compile_sarpd(
+        freeze_universe(uni),
+        tuple(tuple(budgets_by_period[t]) for t in periods),
+        tuple(tuple((p.label, tuple(sorted(p.sign_vector.items())))
+                    for p in patches_by_period[t]) for t in periods),
+        paths)
+    cyclic_mass = 0.0
+    cyclic_paths = []
+    for path, marked in zip(paths, model.marked):
+        arr = np.asarray(rho.probs[path], dtype=float)
+        for pos, cp in marked:
+            mass = arr[pos]
+            cyclic_mass += float(mass)
+            if mass > tol:
+                cyclic_paths.append((path, cp, float(mass)))
+    return CheckReport("sarpd", cyclic_mass <= tol, cyclic_mass, tuple(cyclic_paths),
+                       {"tolerance": tol, "cyclic_mass": cyclic_mass, "cells": model.cells,
+                        "cyclic_choice_paths": sum(len(m) for m in model.marked)})
+
+
+@lru_cache(maxsize=16)
+def _compile_sarpd(frozen_uni: tuple, budgets: tuple, patches: tuple,
+                   paths: tuple) -> SarpdModel:
+    """Mark the cyclic choice paths of one geometry: ``budgets`` and
+    ``patches`` hold per period the budget tuple and the patches as (label,
+    sorted sign vector)."""
+    uni = thaw_universe(frozen_uni)
+    patch_by_label = {t: {label: dict(signs) for label, signs in period_patches}
+                      for t, period_patches in zip(uni.periods, patches)}
+    budget_by_index = {t: {b.index: b for b in blist} for t, blist in zip(uni.periods, budgets)}
+    budgets_by_period = dict(zip(uni.periods, budgets))
     min_cache = {}
 
-    def geom_key(t, patch: Patch):
-        own = budget_by_index[t][patch.budget]
+    def geom_key(t, label):
+        own = budget_by_index[t][label[0]]
         own_key = (tuple(own.prices), own.expenditure)
         signs = tuple(sorted(((tuple(budget_by_index[t][j].prices),
                                budget_by_index[t][j].expenditure), s)
-                             for j, s in patch.sign_vector.items()))
+                             for j, s in patch_by_label[t][label].items()))
         return (own_key, signs)
 
-    def min_spend(t_cell, patch: Patch, prices_key):
-        key = (geom_key(t_cell, patch), prices_key)
+    def min_spend(t_cell, label, prices_key):
+        key = (geom_key(t_cell, label), prices_key)
         if key in min_cache:
             return min_cache[key]
-        own = budget_by_index[t_cell][patch.budget]
-        others = [b for b in budgets_by_period[t_cell] if b.index != patch.budget]
-        A_eq, b_eq, A_ub, b_ub = _cell_constraints(own, others, patch.sign_vector)
+        own = budget_by_index[t_cell][label[0]]
+        others = [b for b in budgets_by_period[t_cell] if b.index != label[0]]
+        A_eq, b_eq, A_ub, b_ub = _cell_constraints(own, others, patch_by_label[t_cell][label])
         p = np.array(prices_key[0], dtype=float)
         res = linprog(p, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                       bounds=[(None, None)] * own.num_goods, method="highs")
@@ -597,47 +733,46 @@ def check_sarpd(rho: StochasticChoiceFunction, budgets_by_period: dict,
         min_cache[key] = val
         return val
 
-    cyclic_mass = 0.0
-    cyclic_paths = []
-    for path in rho.observed_paths:
-        order = uni.choice_paths(path)
-        arr = np.asarray(rho.probs[path], dtype=float)
-        for cp, mass in zip(order, arr):
+    marked_by_path = []
+    all_cells = set()
+    for path in paths:
+        marked = []
+        for pos, cp in enumerate(uni.choice_paths(path)):
             cells = []
             for t, j, i in zip(uni.periods, path, cp):
-                patch = patch_by_label[t][(j, i)]
-                cells.append((t, patch))
-            keys = [geom_key(t, p) for t, p in cells]
+                if (j, i) not in patch_by_label[t]:
+                    raise SchemaError(f"choice ({j}, {i}) in period {t} is not a patch of "
+                                      "the supplied geometry")
+                cells.append((t, (j, i)))
             uniq = {}
-            for (t, p), key in zip(cells, keys):
-                uniq[key] = (t, p)
+            for t, label in cells:
+                uniq[geom_key(t, label)] = (t, label)
+            all_cells.update(uniq)
             if len(uniq) < 2:
                 continue
             nodes = list(uniq)
             adj = {a: set() for a in nodes}
             for a in nodes:
-                t_a, p_a = uniq[a]
-                own = budget_by_index[t_a][p_a.budget]
+                t_a, label_a = uniq[a]
+                own = budget_by_index[t_a][label_a[0]]
                 w_a = own.w()
                 prices_key = (tuple(float(v) for v in own.prices), float(own.expenditure))
                 for b in nodes:
                     if a == b:
                         continue
-                    t_b, p_b = uniq[b]
-                    other = budget_by_index[t_b][p_b.budget]
+                    t_b, label_b = uniq[b]
+                    other = budget_by_index[t_b][label_b[0]]
                     same_budget = (tuple(float(v) for v in other.prices),
                                    float(other.expenditure)) == prices_key
                     # a reachable point must exist inside the open cell:
                     # strictly cheaper somewhere, or expenditure-tied on the
                     # same hyperplane
-                    if same_budget or min_spend(t_b, p_b, prices_key) < w_a - 1e-9:
+                    if same_budget or min_spend(t_b, label_b, prices_key) < w_a - 1e-9:
                         adj[a].add(b)
             if _has_cycle(nodes, adj):
-                cyclic_mass += float(mass)
-                if mass > tol:
-                    cyclic_paths.append((path, cp, float(mass)))
-    return CheckReport("sarpd", cyclic_mass <= tol, cyclic_mass, tuple(cyclic_paths),
-                       {"tolerance": tol, "cyclic_mass": cyclic_mass})
+                marked.append((pos, cp))
+        marked_by_path.append(tuple(marked))
+    return SarpdModel(tuple(marked_by_path), len(all_cells))
 
 
 def _has_cycle(nodes, adj) -> bool:

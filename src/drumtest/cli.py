@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: matrices, check, test, bounds, simulate, experiment. Exit
-codes: 0 completed, 2 model rejected (check/test), 1 error.
+codes: 0 completed, 2 model rejected (check/test), 1 error. An error prints
+its exception class, message and diagnostics; ``--debug`` raises it with
+its traceback instead.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ def _add_common(p):
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="key=value file merged into options")
+    p.add_argument("--debug", action="store_true",
+                   help="raise errors with their traceback instead of exiting")
 
 
 def build_parser():
@@ -349,10 +353,16 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ModelRejectedError as exc:
+        if args.debug:
+            raise
         print(f"model rejected: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # input, schema, or solver failure: exit 1
-        print(f"error: {exc}", file=sys.stderr)
+        if args.debug:
+            raise
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if getattr(exc, "diagnostics", None):
+            print("diagnostics: " + json.dumps(exc.diagnostics, default=str), file=sys.stderr)
         return 1
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
-                     rho_vector_for, stability_groups)
+                     rho_vector_for, solver_diagnostics, stability_groups)
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
 from .geometry import demand_universe, enumerate_demand_types, freeze_index_maps
 from .model import ChoiceUniverse, StochasticChoiceFunction
@@ -220,8 +220,7 @@ def _bound_pair(c_lo, c_hi, infeasible: str, **constraints):
     res_hi = linprog(-c_hi, bounds=(0, None), method="highs", **constraints)
     if res_lo.status != 0 or res_hi.status != 0:
         raise ModelRejectedError(f"bounding LP failed: {res_lo.message} / {res_hi.message}")
-    solver = {side: {"status": int(res.status), "message": res.message, "nit": int(res.nit)}
-              for side, res in (("lower", res_lo), ("upper", res_hi))}
+    solver = {"lower": solver_diagnostics(res_lo), "upper": solver_diagnostics(res_hi)}
     return res_lo, res_hi, solver
 
 

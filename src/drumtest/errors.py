@@ -2,7 +2,12 @@
 
 
 class DrumError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``diagnostics`` holds what the
+    failing step knew (sizes, solver status), empty when it has nothing."""
+
+    def __init__(self, message="", diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class SchemaError(DrumError):
@@ -27,10 +32,6 @@ class GeometryError(DrumError):
 
 class SolverError(DrumError):
     """An LP/QP solver failed to reach the required accuracy."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class ModelRejectedError(DrumError):

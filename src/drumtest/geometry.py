@@ -105,31 +105,15 @@ def _cell_program(budget: Budget, others: list, signs: dict, strict: bool):
     scaled by the price norm so it is comparable across budgets.
     """
     K = budget.num_goods
+    A_eq, b_eq, A_ub, b_ub = _sign_rows(budget, others, signs)
     c = np.zeros(K + 1)
     c[-1] = -1.0
-    A_eq = [np.append(budget.p(), 0.0)]
-    b_eq = [budget.w()]
-    A_ub, b_ub = [], []
-    for other in others:
-        s = signs[other.index]
-        row = np.append(other.p(), 0.0)
-        if s == ON:
-            A_eq.append(row)
-            b_eq.append(other.w())
-        elif s == ABOVE:
-            r = -row.copy()
-            r[-1] = np.linalg.norm(other.p()) if strict else 0.0
-            A_ub.append(r)
-            b_ub.append(-other.w())
-        else:
-            r = row.copy()
-            r[-1] = np.linalg.norm(other.p()) if strict else 0.0
-            A_ub.append(r)
-            b_ub.append(other.w())
-    A_ub.append(np.append(np.zeros(K), 1.0))
-    b_ub.append(1.0)
-    res = linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(A_eq), b_eq=np.array(b_eq),
+    # the slack column: each strict row's price norm (|-p| = |p|), then the
+    # cap on the margin
+    slack = [np.linalg.norm(row) if strict else 0.0 for row in A_ub]
+    A_ub = np.vstack([np.column_stack([A_ub, slack]), np.append(np.zeros(K), 1.0)])
+    res = linprog(c, A_ub=A_ub, b_ub=np.append(b_ub, 1.0),
+                  A_eq=np.column_stack([A_eq, np.zeros(len(A_eq))]), b_eq=b_eq,
                   bounds=[(0, None)] * K + [(None, None)], method="highs")
     if res.status != 0:
         return None, None
@@ -253,8 +237,11 @@ def _arrangement(budgets: tuple, frozen_maps):
     return tuple(patches), tuple(dominance), not exact
 
 
-def _cell_constraints(budget: Budget, others: list, signs: dict):
-    """(A_eq, b_eq, A_ub, b_ub) describing the closure of a cell."""
+def _sign_rows(budget: Budget, others: list, signs: dict):
+    """(A_eq, b_eq, A_ub, b_ub) of a sign cell on a budget: the budget
+    hyperplane and every 'on' budget as equalities, then one row per strict
+    sign ('above' as -p.y <= -w, 'below' as p.y <= w) in the order of
+    ``others``."""
     A_eq = [budget.p()]
     b_eq = [budget.w()]
     A_ub, b_ub = [], []
@@ -270,12 +257,16 @@ def _cell_constraints(budget: Budget, others: list, signs: dict):
             A_ub.append(other.p())
             b_ub.append(other.w())
     K = budget.num_goods
-    for k in range(K):
-        row = np.zeros(K)
-        row[k] = -1.0
-        A_ub.append(row)
-        b_ub.append(0.0)
-    return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
+    return (np.array(A_eq), np.array(b_eq), np.array(A_ub).reshape(len(A_ub), K),
+            np.array(b_ub))
+
+
+def _cell_constraints(budget: Budget, others: list, signs: dict):
+    """(A_eq, b_eq, A_ub, b_ub) describing the closure of a cell: the sign
+    rows, then nonnegativity of every good."""
+    A_eq, b_eq, A_ub, b_ub = _sign_rows(budget, others, signs)
+    K = budget.num_goods
+    return A_eq, b_eq, np.vstack([A_ub, np.diag(np.full(K, -1.0))]), np.append(b_ub, np.zeros(K))
 
 
 def _cell_vertices(budget: Budget, others: list, signs: dict, cap: int = 5000):

@@ -125,6 +125,23 @@ class ChoiceUniverse:
         return tuple(out)
 
 
+def freeze_universe(universe: ChoiceUniverse) -> tuple:
+    """Hashable form of a universe, for memo keys; ``thaw_universe`` inverts
+    it."""
+    periods = universe.periods
+    return (periods,
+            tuple(tuple(universe.alternatives[t]) for t in periods),
+            tuple(tuple(universe.menus[t]) for t in periods),
+            tuple(tuple((frozenset(dom), frozenset(sub))
+                        for dom, sub in universe.primitive_order[t]) for t in periods))
+
+
+def thaw_universe(frozen: tuple) -> ChoiceUniverse:
+    periods, alternatives, menus, order = frozen
+    return ChoiceUniverse(periods, dict(zip(periods, alternatives)), dict(zip(periods, menus)),
+                          dict(zip(periods, order)))
+
+
 def _order_has_cycle(pairs, alternatives) -> bool:
     """Cycle test for the declared partial order under transitive closure.
 

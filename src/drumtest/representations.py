@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -153,7 +154,14 @@ def enumerate_orders(universe: ChoiceUniverse, t, eu_filter: dict | None = None)
 
 def _eu_consistent(order: LinearOrder, lotteries: dict, margin_tol: float = 1e-9) -> bool:
     """Strict feasibility of u with u.l decreasing along the ranking."""
-    mats = [np.array([float(v) for v in lotteries[a]]) for a in order.ranking]
+    return _eu_rankable(tuple(tuple(lotteries[a]) for a in order.ranking), margin_tol)
+
+
+@lru_cache(maxsize=1024)
+def _eu_rankable(ranked: tuple, margin_tol: float) -> bool:
+    """The EU filter LP for lotteries listed best to worst; each distinct
+    ranking is solved once per process."""
+    mats = [np.array([float(v) for v in lottery]) for lottery in ranked]
     n_prizes = len(mats[0])
     c = np.zeros(n_prizes + 1)
     c[-1] = -1.0

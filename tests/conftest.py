@@ -36,6 +36,32 @@ def simple_setup():
             "dominance": dominance, "types": types, "statics": statics, "AT": AT}
 
 
+def legacy_cell_constraints(budget, others, signs):
+    """Closure constraints of a sign cell as built before the shared
+    sign-row builder: the reference the geometry and check LPs are held to."""
+    A_eq = [budget.p()]
+    b_eq = [budget.w()]
+    A_ub, b_ub = [], []
+    for other in others:
+        s = signs[other.index]
+        if s == "on":
+            A_eq.append(other.p())
+            b_eq.append(other.w())
+        elif s == "above":
+            A_ub.append(-other.p())
+            b_ub.append(-other.w())
+        else:
+            A_ub.append(other.p())
+            b_ub.append(other.w())
+    K = budget.num_goods
+    for k in range(K):
+        row = np.zeros(K)
+        row[k] = -1.0
+        A_ub.append(row)
+        b_ub.append(0.0)
+    return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
+
+
 def rho_from_matrix(uni, M):
     """4x4 layout over pairs (1,1),(1,2),(2,1),(2,2) -> stochastic function."""
     probs = {}

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from drumtest import catalog
+from drumtest import catalog, geometry
 from drumtest.errors import SchemaError
-from drumtest.geometry import (ABOVE, BELOW, Budget, classify_point, compute_patches,
+from drumtest.geometry import (ABOVE, BELOW, ON, Budget, classify_point, compute_patches,
                                demand_universe, enumerate_demand_types, normalize_dradm)
 from drumtest.model import PanelDataset, PanelRecord
+
+from conftest import legacy_cell_constraints
 
 
 class TestComputePatches:
@@ -142,6 +144,78 @@ class TestArrangementMemo:
             assert geometry._arrangement.cache_info().hits == 1
         finally:
             geometry._arrangement.cache_clear()
+
+
+def _legacy_cell_program_lp(budget, others, signs, strict):
+    """The sign-cell LP as it was built before the shared sign-row builder."""
+    K = budget.num_goods
+    c = np.zeros(K + 1)
+    c[-1] = -1.0
+    A_eq = [np.append(budget.p(), 0.0)]
+    b_eq = [budget.w()]
+    A_ub, b_ub = [], []
+    for other in others:
+        s = signs[other.index]
+        row = np.append(other.p(), 0.0)
+        if s == ON:
+            A_eq.append(row)
+            b_eq.append(other.w())
+        elif s == ABOVE:
+            r = -row.copy()
+            r[-1] = np.linalg.norm(other.p()) if strict else 0.0
+            A_ub.append(r)
+            b_ub.append(-other.w())
+        else:
+            r = row.copy()
+            r[-1] = np.linalg.norm(other.p()) if strict else 0.0
+            A_ub.append(r)
+            b_ub.append(other.w())
+    A_ub.append(np.append(np.zeros(K), 1.0))
+    b_ub.append(1.0)
+    return {"c": c, "A_ub": np.array(A_ub), "b_ub": np.array(b_ub), "A_eq": np.array(A_eq),
+            "b_eq": np.array(b_eq), "bounds": [(0, None)] * K + [(None, None)]}
+
+
+SIGN_ROW_ARRANGEMENTS = {
+    "simple": catalog.simple_budgets((1,))[1],
+    "demand3x3": catalog.demand3x3_budgets((1,))[1],
+    "three-lines": [Budget(1, 1, (Fraction(1), Fraction(1)), Fraction(1)),
+                    Budget(1, 2, (Fraction(2), Fraction(1)), Fraction(3, 2)),
+                    Budget(1, 3, (Fraction(1), Fraction(3)), Fraction(2))],
+    "single": [Budget(1, 1, (Fraction(1), Fraction(2)), Fraction(1))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_ROW_ARRANGEMENTS))
+def test_cell_lps_keep_rows_order_and_bounds(name, monkeypatch):
+    """The sign-cell LPs and the cell closures built from the shared sign
+    rows equal, bit for bit, the ones built before it, for every sign
+    vector with and without 'on' entries, strict or not."""
+    budgets = SIGN_ROW_ARRANGEMENTS[name]
+    recorded = []
+
+    def record(c, **kwargs):
+        recorded.append(dict(kwargs, c=c))
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", record)
+    for budget in budgets:
+        others = [b for b in budgets if b.index != budget.index]
+        for combo in itertools.product((ABOVE, ON, BELOW), repeat=len(others)):
+            signs = dict(zip([b.index for b in others], combo))
+            for strict in (True, False):
+                recorded.clear()
+                geometry._cell_program(budget, others, signs, strict)
+                old = _legacy_cell_program_lp(budget, others, signs, strict)
+                (new,) = recorded
+                for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
+                    assert np.asarray(new[key]).shape == old[key].shape, key
+                    assert np.asarray(new[key]).tobytes() == old[key].tobytes(), key
+                assert new["bounds"] == old["bounds"]
+                assert new["method"] == "highs"
+            for a, b in zip(geometry._cell_constraints(budget, others, signs),
+                            legacy_cell_constraints(budget, others, signs)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDominance:

@@ -239,6 +239,51 @@ class TestCli:
         assert doc["diagnostics"]["inequality_rows"] == doc["diagnostics"]["monotonicity_rows"]
         assert doc["cross_check_diagnostics"]["route"] == "mixture"
 
+    def test_solver_error_prints_class_and_diagnostics(self, simple_setup, tmp_path, capsys,
+                                                       monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        from drumtest import checks
+        from drumtest.errors import SolverError
+
+        def failing(c, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties", nit=7, x=None)
+
+        monkeypatch.setattr(checks, "linprog", failing)
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        argv = ["check", "--input", str(tmp_path / "rho.csv"),
+                "--universe", str(tmp_path / "universe.json"), "--checks", "hierarchy"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: SolverError: hierarchy LP returned status 4" in err
+        diagnostics = json.loads(err.split("diagnostics: ", 1)[1])
+        assert diagnostics["solver"] == {"status": 4, "message": "numerical difficulties",
+                                         "nit": 7}
+        assert diagnostics["variables"] == 27
+        with pytest.raises(SolverError) as info:
+            main(argv + ["--debug"])
+        assert info.value.diagnostics["solver"]["status"] == 4
+
+    def test_schema_error_prints_class(self, simple_setup, tmp_path, capsys):
+        from drumtest.errors import SchemaError
+
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        rho_csv = tmp_path / "rho.csv"
+        lines = rho_csv.read_text().splitlines()
+        fields = lines[1].split(",")
+        lines[1] = ",".join(fields[:2] + ["2.0"] + fields[3:])
+        rho_csv.write_text("\n".join(lines) + "\n")
+        argv = ["check", "--input", str(rho_csv), "--universe", str(tmp_path / "universe.json"),
+                "--checks", "stability"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError: menu path (1, 1): probabilities")
+        assert "diagnostics" not in err
+        with pytest.raises(SchemaError, match="probabilities outside"):
+            main(argv + ["--debug"])
+
     def test_error_exit_code(self, tmp_path):
         code = main(["check", "--input", str(tmp_path / "missing.csv"),
                      "--universe", str(tmp_path / "missing.json")])

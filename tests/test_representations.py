@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from drumtest import catalog
+from scipy.optimize import linprog
+
+from drumtest import catalog, representations
 from drumtest.errors import GeometryError, ParameterError, SchemaError, SizeError
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import (InequalityMatrix, LinearOrder, TypeMatrix, bm_matrix,
@@ -100,6 +102,44 @@ class TestEnumerateOrders:
         uni = catalog.binary_universe(("l1", "l2", "l3"), (1,))
         orders = enumerate_orders(uni, 1, eu_filter=catalog.application_lotteries())
         assert sorted(o.ranking for o in orders) == [("l1", "l3", "l2"), ("l2", "l3", "l1")]
+
+    def test_eu_filter_memo_keeps_verdicts(self, monkeypatch):
+        """Each distinct ranking's LP is solved once per process, and the
+        memoised verdicts equal a fresh solve of the same LP."""
+        def fresh_verdict(order, lotteries, margin_tol=1e-9):
+            mats = [np.array([float(v) for v in lotteries[a]]) for a in order.ranking]
+            n = len(mats[0])
+            A_ub = [np.append(-(b - w), 1.0) for b, w in zip(mats, mats[1:])]
+            A_ub.append(np.append(np.zeros(n), 1.0))
+            res = linprog(np.append(np.zeros(n), -1.0), A_ub=np.array(A_ub),
+                          b_ub=np.append(np.zeros(len(mats) - 1), 1.0),
+                          bounds=[(-1, 1)] * n + [(None, None)], method="highs")
+            return res.status == 0 and res.x[-1] > margin_tol
+
+        rng = np.random.default_rng(0)
+        cases = [catalog.application_lotteries()]
+        for _ in range(3):
+            cases.append({a: tuple(Fraction(int(v), 8) for v in rng.multinomial(8, [0.25] * 4))
+                          for a in ("l1", "l2", "l3")})
+        uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(representations, "linprog", counting)
+        representations._eu_rankable.cache_clear()
+        for lotteries in cases:
+            orders = enumerate_orders(uni, 1)
+            expected = [o for o in orders if fresh_verdict(o, lotteries)]
+            before = len(calls)
+            assert enumerate_orders(uni, 1, eu_filter=lotteries) == expected
+            assert len(calls) - before <= len(orders)
+            before = len(calls)
+            assert enumerate_orders(uni, 2, eu_filter=lotteries) == \
+                [LinearOrder(2, o.ranking) for o in expected]
+            assert len(calls) == before
 
 
 class TestBuildStaticA:

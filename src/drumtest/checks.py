@@ -300,15 +300,25 @@ def nnls_projection(A: np.ndarray, b: np.ndarray, kkt_tol: float = KKT_TOL):
         x, rnorm = nnls(A, b)
     except RuntimeError as exc:
         raise SolverError(f"nonnegative least squares failed: {exc}") from exc
+    return x, float(rnorm), nnls_certificate(A, x, b, kkt_tol)
+
+
+def nnls_certificate(A: np.ndarray, x: np.ndarray, b: np.ndarray, kkt_tol: float = KKT_TOL):
+    """KKT residual of a nonnegative least-squares solution x of min ||Ax - b||:
+    the worst negative gradient entry and the worst gradient entry on the
+    support. ``x`` and ``b`` may hold one problem per column, which certifies
+    them all in one pass and gives one residual per column. Raises
+    SolverError when a residual exceeds the accuracy tolerance."""
     g = A.T @ (A @ x - b)
-    active = x > 1e-12
-    kkt = max(0.0, float(-g.min())) if len(g) else 0.0
-    if active.any():
-        kkt = max(kkt, float(np.abs(g[active]).max()))
-    if kkt > kkt_tol * max(1.0, float(np.abs(b).max())) * 100:
+    negative = 0.0 - np.min(g, axis=0, initial=0.0)
+    kkt = np.maximum(negative, np.max(np.abs(g, out=g), axis=0, initial=0.0, where=x > 1e-12))
+    limit = kkt_tol * np.maximum(1.0, np.max(np.abs(b), axis=0)) * 100
+    if np.any(kkt > limit):
+        worst = int(np.argmax(kkt - limit))
         raise SolverError("cone projection did not reach the required accuracy",
-                          {"kkt_residual": kkt})
-    return x, float(rnorm), kkt
+                          {"kkt_residual": float(np.ravel(kkt)[worst]),
+                           "kkt_limit": float(np.ravel(limit)[worst])})
+    return kkt if kkt.ndim else float(kkt)
 
 
 def cone_membership(rho, A: TypeMatrix, tol: float = FEASIBILITY_TOL):
@@ -453,7 +463,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
         for menu_path, cols in model.witness_columns:
             v = np.clip(res.x[cols], 0.0, None)
             probs[menu_path] = v / v.sum()
-        witness = StochasticChoiceFunction(vuni, probs)
+        witness = StochasticChoiceFunction._trusted(vuni, probs)
     report = CheckReport("bm-extension", feasible, 0.0 if feasible else 1.0,
                          diagnostics={"status": int(res.status), "variables": n_vars,
                                       "inequality_rows": int(model.A_ub.shape[0]),

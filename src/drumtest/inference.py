@@ -6,11 +6,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from math import log, sqrt
 
 import numpy as np
 from scipy.optimize import nnls
 
+from .checks import nnls_certificate
 from .errors import ParameterError, SchemaError
 from .model import PanelDataset, estimate_rho
 from .representations import TypeMatrix, build_static_A, enumerate_orders, kron_dynamic
@@ -26,6 +28,13 @@ class TestConfig:
     estimated inverse binomial variances by default; ``weights='identity'``
     makes the statistic a plain squared cone distance but has too little
     small-sample power to reproduce the published rejection rates.
+
+    ``critical_value=False`` asks for the verdict and the p-value only. The
+    bootstrap then skips the projection of every replicate whose exact upper
+    bound (its residual at the recentring solution) cannot reach the observed
+    statistic; such a replicate cannot count toward the p-value, so the
+    p-value and the verdict are those of the full bootstrap, but the report's
+    critical value is NaN.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -37,6 +46,7 @@ class TestConfig:
     weights: str = "inverse-variance"
     seed: int = 0
     n_jobs: int = 1
+    critical_value: bool = True
 
     def __post_init__(self):
         if self.reps < 1:
@@ -145,13 +155,16 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
         sqrt_w = np.ones(len(vec))
     WA = dense * sqrt_w[:, None]
 
-    _, j_min = _projection_stat(WA, sqrt_w * vec)
+    b_point = sqrt_w * vec
+    x_point, j_min = _projection_stat(WA, b_point)
     statistic = N * j_min
 
     n_cols = dense.shape[1]
     lower = np.full(n_cols, tau / n_cols)
     shift = dense @ lower
-    mu, _ = _projection_stat(WA, sqrt_w * (vec - shift))
+    b_mu = sqrt_w * (vec - shift)
+    mu, _ = _projection_stat(WA, b_mu)
+    kkt = max(nnls_certificate(WA, x_point, b_point), nnls_certificate(WA, mu, b_mu))
     nu_tau = mu + lower
     # the bootstrap recenters at the exact tightened-cone point; pulling it
     # back onto the simplex would park it off the tightened cone and bias
@@ -167,38 +180,77 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
     seed_seq = np.random.SeedSequence(config.seed)
     child_seeds = seed_seq.spawn(config.reps)
     args = (WA, sqrt_w, vec, eta, shift, blocks, counts, N)
+    chunk_fn = _bootstrap_chunk
+    if not config.critical_value:
+        # mu >= 0 is feasible for every replicate's projection, so the
+        # residual at the recentring fit WA mu bounds each J* from above
+        chunk_fn = partial(_bootstrap_chunk, screen=(WA @ mu, statistic))
     if config.n_jobs > 1:
         chunks = np.array_split(np.arange(config.reps), config.n_jobs)
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-            futures = [pool.submit(_bootstrap_chunk, args,
-                                   [child_seeds[i] for i in chunk])
+            futures = [pool.submit(chunk_fn, args, [child_seeds[i] for i in chunk])
                        for chunk in chunks if len(chunk)]
-            stats = np.concatenate([f.result() for f in futures])
+            parts = [f.result() for f in futures]
     else:
-        stats = _bootstrap_chunk(args, child_seeds)
+        parts = [chunk_fn(args, child_seeds)]
+    # rows: J* per replicate, then its projection's KKT residual (a chunk
+    # may report J* alone); NaN marks a screened replicate
+    rows = np.atleast_2d(np.concatenate(parts, axis=-1))
+    stats, kkt_boot = rows[0], rows[1:]
+    solved = ~np.isnan(stats)
+    kkt = float(np.max(kkt_boot[~np.isnan(kkt_boot)], initial=kkt))
 
     p_value = (1 + int(np.sum(stats >= statistic - 1e-12))) / (config.reps + 1)
-    k = int(np.ceil((1 - config.alpha) * (config.reps + 1))) - 1
-    critical = float(np.sort(stats)[min(k, config.reps - 1)])
+    critical = float("nan")
+    if config.critical_value:
+        k = int(np.ceil((1 - config.alpha) * (config.reps + 1))) - 1
+        critical = float(np.sort(stats)[min(k, config.reps - 1)])
     return TestReport(statistic, critical, p_value, p_value <= config.alpha,
                       nu_tau, eta_report,
                       {"N": N, "tau": tau, "path_sizes": counts.tolist(),
                        "weights": config.weights, "reps": config.reps,
-                       "unequal_path_sizes": bool(len(set(counts.tolist())) > 1)})
+                       "unequal_path_sizes": bool(len(set(counts.tolist())) > 1),
+                       "nnls_solves": 2 + int(solved.sum()),
+                       "screened_replicates": int(config.reps - solved.sum()),
+                       "critical_value_computed": bool(config.critical_value),
+                       "kkt_residual_max": kkt})
 
 
-def _bootstrap_chunk(args, seeds):
+def _bootstrap_chunk(args, seeds, screen=None):
+    """Bootstrap statistics J* for the given replicate seeds, with the KKT
+    residual of each replicate's projection: a (2, len(seeds)) array.
+
+    With ``screen = (fit, statistic)``, ``fit`` the recentring fit, a
+    replicate whose upper bound N * ||b - fit||^2 falls below the statistic
+    by more than the float margins is not projected, and both its entries
+    are NaN; it could not have counted toward the p-value. Every replicate
+    draws from its own seed either way, and all draws come first, so the
+    bounds take one pass.
+    """
     WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
     pvals = [_normalized(vec[start:stop]) for _, start, stop in blocks]
-    out = np.empty(len(seeds))
+    B = np.empty((len(seeds), len(vec)))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         star = np.empty_like(vec)
         for (_, start, stop), n, p in zip(blocks, counts, pvals):
             star[start:stop] = rng.multinomial(n, p) / n
         recentered = star - vec + eta
-        _, j = _projection_stat(WA, sqrt_w * (recentered - shift))
-        out[i] = N * j
+        B[i] = sqrt_w * (recentered - shift)
+    todo = np.arange(len(seeds))
+    if screen is not None:
+        fit, statistic = screen
+        R = B - fit
+        bound = N * np.einsum("ij,ij->i", R, R)
+        todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= statistic - 1e-12)
+    out = np.full((2, len(seeds)), np.nan)
+    X = np.empty((len(todo), WA.shape[1]))
+    for k, i in enumerate(todo):
+        X[k], j = _projection_stat(WA, B[i])
+        out[0, i] = N * j
+    # one pass over all solutions; per replicate it would cost as much as a
+    # small projection
+    out[1, todo] = nnls_certificate(WA, X.T, B[todo].T)
     return out
 
 

@@ -202,6 +202,14 @@ class StochasticChoiceFunction:
             if abs(arr.sum() - 1.0) > PROB_TOL:
                 raise SchemaError(f"menu path {path}: probabilities sum to {arr.sum()}, not 1")
 
+    @classmethod
+    def _trusted(cls, universe, probs):
+        """Build without validation, for vectors the caller has just built
+        clipped to [0, 1] and normalised over the universe's choice paths."""
+        self = object.__new__(cls)
+        self.__dict__.update(universe=universe, probs=probs, counts=None, choice_counts=None)
+        return self
+
     @property
     def observed_paths(self) -> list:
         return sorted(self.probs)

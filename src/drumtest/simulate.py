@@ -244,24 +244,33 @@ class ExperimentReport:
 
 
 def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.ndarray:
+    """Per sim: (reject, statistic, NNLS solves, screened replicates).
+
+    Only verdicts are read, so the bootstrap skips the replicates that cannot
+    reach the statistic and computes no critical value."""
     universe, _ = build_universe(dgp)
     A = type_matrix_for(dgp, universe)
     agents = agents_per_path_for(dgp, n)
-    rejects = np.empty(len(sim_seeds), dtype=bool)
+    out = np.empty((len(sim_seeds), 4))
     for i, seed in enumerate(sim_seeds):
         panel_seed, boot_seed = seed.spawn(2)
         panel, _ = simulate(dgp, agents, panel_seed)
         rho = estimate_rho(panel, universe)
-        config = TestConfig(reps=reps, alpha=alpha,
+        config = TestConfig(reps=reps, alpha=alpha, critical_value=False,
                             seed=int(boot_seed.generate_state(1, np.uint64)[0]))
         report = run_test(rho, A, config)
-        rejects[i] = report.reject
-    return rejects
+        out[i] = (report.reject, report.statistic, report.diagnostics["nnls_solves"],
+                  report.diagnostics["screened_replicates"])
+    return out
 
 
 def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
                    seed: int = 0, alpha: float = 0.05, n_jobs: int = 1) -> ExperimentReport:
-    """Rejection rates of the cone test per generator and sample size."""
+    """Rejection rates of the cone test per generator and sample size.
+
+    Each entry also counts the cell's NNLS solves and screened bootstrap
+    replicates and gives its mean statistic; no critical values are
+    computed."""
     entries = []
     master = np.random.SeedSequence(seed)
     for dgp in dgps:
@@ -275,12 +284,16 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
                     futures = [pool.submit(_run_sims, dgp, n,
                                            [sim_seeds[i] for i in chunk], reps, alpha)
                                for chunk in chunks if len(chunk)]
-                    rejects = np.concatenate([f.result() for f in futures])
+                    per_sim = np.concatenate([f.result() for f in futures])
             else:
-                rejects = _run_sims(dgp, n, sim_seeds, reps, alpha)
+                per_sim = _run_sims(dgp, n, sim_seeds, reps, alpha)
+            rejects, statistics, solves, screened = per_sim.T
             entries.append({
                 "dgp": dgp.kind, "N": n, "sims": sims, "reps": reps,
                 "rejection_rate": float(rejects.mean()),
                 "seconds": time.perf_counter() - t0,
+                "nnls_solves": int(solves.sum()),
+                "screened_replicates": int(screened.sum()),
+                "mean_statistic": float(statistics.mean()),
             })
     return ExperimentReport(tuple(entries))

@@ -386,6 +386,20 @@ def test_bm_extension_matches_frozen_copy(geometries, recorded, name, seed):
     _compare_bm(rho, recorded)
 
 
+@pytest.mark.parametrize("name", ["simple1", "binary1", "binary2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bm_witness_equals_a_validated_build(geometries, name, seed):
+    feasible, witness, _ = bm_extension_feasible(_mixture(geometries[name], seed))
+    assert feasible
+    validated = StochasticChoiceFunction(witness.universe, witness.probs)
+    assert validated.universe == witness.universe
+    assert validated.counts is witness.counts is None
+    assert validated.choice_counts is witness.choice_counts is None
+    assert list(validated.probs) == list(witness.probs)
+    for path, vec in validated.probs.items():
+        assert witness.probs[path].tobytes() == vec.tobytes()
+
+
 @pytest.mark.parametrize("table", ["table5_rho", "table9_rho"])
 def test_published_tables_match_frozen_copies(geometries, recorded, request, table):
     rho = request.getfixturevalue(table)

@@ -1,0 +1,220 @@
+"""Exact bootstrap screening: with ``critical_value=False`` the bootstrap
+skips the replicates whose upper bound cannot reach the statistic, and the
+statistic, p-value and verdict stay those of the full bootstrap."""
+
+import importlib
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+
+from drumtest import catalog, inference
+from drumtest.cli import main
+from drumtest.errors import SolverError
+from drumtest.inference import TestConfig, run_test
+from drumtest.model import estimate_rho
+from drumtest.simulate import (DgpSpec, agents_per_path_for, build_universe, run_experiment,
+                               simulate, type_matrix_for)
+
+
+def _order_mixture():
+    uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
+    profiles = [(("l1", "l2", "l3"),) * 3, (("l3", "l2", "l1"),) * 3,
+                (("l2", "l3", "l1"), ("l1", "l3", "l2"), ("l3", "l1", "l2"))]
+    paths = sorted(itertools.permutations(uni.menu_indices(1)))
+    return DgpSpec("order-mixture", {"universe": uni, "profiles": profiles,
+                                     "weights": [0.5, 0.3, 0.2], "menu_paths": paths})
+
+
+# the package namespace exports the function ``simulate`` under the module's name
+sim = importlib.import_module("drumtest.simulate")
+
+# (DGP, reported sample size); each kind of generator once
+DGPS = [(DgpSpec("cobb-douglas-walk"), 50), (DgpSpec("cobb-douglas-gaussian-copula"), 50),
+        (DgpSpec("binary1"), 10), (DgpSpec("binary2"), 60), (DgpSpec("binary3"), 40),
+        (_order_mixture(), 30)]
+DGP_IDS = [dgp.kind for dgp, _ in DGPS]
+
+
+def _rho_and_A(dgp, n, seed):
+    universe, _ = build_universe(dgp)
+    panel, _ = simulate(dgp, agents_per_path_for(dgp, n), seed=seed)
+    return estimate_rho(panel, universe), type_matrix_for(dgp, universe)
+
+
+def _same_verdict(screened, full):
+    assert screened.statistic == full.statistic
+    assert screened.p_value == full.p_value
+    assert screened.reject == full.reject
+
+
+@pytest.mark.parametrize("dgp,n", DGPS, ids=DGP_IDS)
+def test_screened_test_matches_full_bootstrap(dgp, n):
+    for seed in range(3):
+        rho, A = _rho_and_A(dgp, n, seed)
+        full = run_test(rho, A, TestConfig(reps=99, seed=seed))
+        screened = run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
+        _same_verdict(screened, full)
+        assert math.isnan(screened.critical_value)
+        assert not math.isnan(full.critical_value)
+        assert full.diagnostics["critical_value_computed"]
+        assert not screened.diagnostics["critical_value_computed"]
+        assert full.diagnostics["nnls_solves"] == 2 + 99
+        assert full.diagnostics["screened_replicates"] == 0
+        skipped = screened.diagnostics["screened_replicates"]
+        assert screened.diagnostics["nnls_solves"] == 2 + 99 - skipped
+        for report in (full, screened):
+            assert 0 <= report.diagnostics["kkt_residual_max"] < 1e-8
+            assert json.dumps(report.to_dict())
+
+
+def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
+    """Every replicate the screen skips has a full projection value below the
+    statistic, and every replicate it keeps has the full value bit for bit."""
+    real = inference._bootstrap_chunk
+    calls = []
+
+    def spy(args, seeds, screen=None):
+        out = real(args, seeds, screen=screen)
+        calls.append((args, seeds, screen, out))
+        return out
+
+    monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
+    skipped = 0
+    for dgp, n in DGPS:
+        for seed in range(2):
+            rho, A = _rho_and_A(dgp, n, 10 + seed)
+            run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
+    for args, seeds, (fit, statistic), out in calls:
+        full = real(args, seeds)
+        gone = np.isnan(out[0])
+        skipped += int(gone.sum())
+        assert np.all(full[0][gone] < statistic - 1e-12)
+        assert full[0][~gone].tobytes() == out[0][~gone].tobytes()
+        assert np.array_equal(np.isnan(out[1]), gone)
+        assert np.all(out[1][~gone] < 1e-8)
+    assert skipped > 0
+
+
+def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
+    seen = []
+    real = inference._bootstrap_chunk
+
+    def spy(*args, **kwargs):
+        seen.append((len(args[0]), kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
+    rho, A = _rho_and_A(DgpSpec("binary1"), 10, 0)
+    run_test(rho, A, TestConfig(reps=19, seed=0))
+    assert seen == [(8, {})]
+
+
+@pytest.mark.parametrize("critical_value", [True, False])
+def test_deterministic_across_workers(critical_value):
+    rho, A = _rho_and_A(DgpSpec("binary1"), 10, 3)
+    reports = [run_test(rho, A, TestConfig(reps=99, seed=4, n_jobs=jobs,
+                                           critical_value=critical_value))
+               for jobs in (1, 2)]
+    one, two = reports
+    _same_verdict(one, two)
+    assert one.critical_value == two.critical_value or (
+        math.isnan(one.critical_value) and math.isnan(two.critical_value))
+    # the KKT residuals are certified per chunk, so they may differ in the
+    # last bits between chunkings; they stay far below the tolerance
+    kkt = [r.diagnostics.pop("kkt_residual_max") for r in reports]
+    assert max(kkt) < 1e-8
+    assert one.diagnostics == two.diagnostics
+
+
+def test_experiment_rates_match_unscreened(monkeypatch):
+    """run_experiment screens; forcing full bootstraps gives the same rates,
+    statistics and verdicts, with every replicate solved."""
+    dgps, Ns = [DgpSpec("binary1"), DgpSpec("cobb-douglas-walk")], [10]
+    kwargs = dict(sims=4, reps=49, seed=5)
+    screened = run_experiment(dgps, Ns, **kwargs)
+    full_config = TestConfig
+
+    def unscreened(**config):
+        return full_config(**{**config, "critical_value": True})
+
+    monkeypatch.setattr(sim, "TestConfig", unscreened)
+    full = run_experiment(dgps, Ns, **kwargs)
+    for s, f in zip(screened.entries, full.entries):
+        assert s["rejection_rate"] == f["rejection_rate"]
+        assert s["mean_statistic"] == f["mean_statistic"]
+        assert f["screened_replicates"] == 0
+        assert f["nnls_solves"] == 4 * (49 + 2)
+        assert s["nnls_solves"] + s["screened_replicates"] == f["nnls_solves"]
+    assert screened.entries[0]["screened_replicates"] > 0
+    assert screened.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
+
+
+def test_experiment_deterministic_across_workers():
+    kwargs = dict(sims=3, reps=19, seed=2)
+    one = run_experiment([DgpSpec("binary1")], [10], n_jobs=1, **kwargs)
+    two = run_experiment([DgpSpec("binary1")], [10], n_jobs=2, **kwargs)
+    for a, b in zip(one.entries, two.entries):
+        assert {k: v for k, v in a.items() if k != "seconds"} == \
+            {k: v for k, v in b.items() if k != "seconds"}
+
+
+def _reference_chunk(args, seeds):
+    """The bootstrap loop before screening and certification: every
+    replicate projected, statistics only."""
+    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
+    pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
+    out = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        star = np.empty_like(vec)
+        for (_, start, stop), n, p in zip(blocks, counts, pvals):
+            star[start:stop] = rng.multinomial(n, p) / n
+        recentered = star - vec + eta
+        _, j = inference._projection_stat(WA, sqrt_w * (recentered - shift))
+        out[i] = N * j
+    return out
+
+
+NEW_DIAGNOSTICS = {"nnls_solves", "screened_replicates", "critical_value_computed",
+                   "kkt_residual_max"}
+
+
+def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
+    panel_path = tmp_path / "panel.csv"
+    main(["simulate", "--dgp", "binary1", "--n", "12", "--seed", "4", "--out", str(panel_path)])
+    argv = ["test", "--panel", str(panel_path),
+            "--universe", str(panel_path.with_suffix(".universe.json")),
+            "--reps", "49", "--seed", "1"]
+    capsys.readouterr()
+    codes, docs = [], []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(inference, "_bootstrap_chunk", _reference_chunk)
+        codes.append(main(argv))
+        docs.append(json.loads(capsys.readouterr().out))
+    new, old = docs
+    assert codes[0] == codes[1] == 2
+    for key in ("statistic", "critical_value", "p_value", "reject"):
+        assert new[key] == old[key]
+    assert NEW_DIAGNOSTICS <= set(new["diagnostics"])
+    assert new["diagnostics"]["critical_value_computed"] is True
+    assert new["diagnostics"]["screened_replicates"] == 0
+    assert {k: v for k, v in new["diagnostics"].items() if k not in NEW_DIAGNOSTICS} == \
+        {k: v for k, v in old["diagnostics"].items() if k not in NEW_DIAGNOSTICS}
+
+
+def test_failed_certificate_raises(monkeypatch):
+    """A projection off its KKT conditions raises with its residual."""
+    rho, A = _rho_and_A(DgpSpec("binary3"), 40, 0)
+
+    def off_target(WA, b):
+        x, j = inference.nnls(WA, b)
+        return x + 0.5, j * j
+
+    monkeypatch.setattr(inference, "_projection_stat", off_target)
+    with pytest.raises(SolverError) as err:
+        run_test(rho, A, TestConfig(reps=9, seed=0))
+    assert err.value.diagnostics["kkt_residual"] > err.value.diagnostics["kkt_limit"]

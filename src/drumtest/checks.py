@@ -13,10 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import Bounds, nnls
 
 from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import _cell_constraints
+from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, freeze_universe, thaw_universe
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
                               pair_vector, projection_ops, reduce_H, static_row_labels,
@@ -409,20 +410,17 @@ class BmModel:
     """Fixed LP of the Block-Marschak extension for one virtual universe and
     set of observed menu paths; arrays are read-only.
 
-    ``A_eq`` holds the simplex rows (right-hand side 1), the agreement rows
-    at ``agreement``, whose right-hand side is the observed distribution
-    flattened path by path, and the stability rows (0); ``b_eq`` carries the
-    1s and 0s. ``witness_columns`` lists each virtual menu path with the
-    columns of its choice paths.
+    ``lp`` holds the negated alternating-sum rows (right-hand side 0), then
+    the simplex rows (1), the agreement rows at ``agreement``, whose
+    right-hand side is the observed distribution flattened path by path,
+    and the stability rows (0); ``b_eq`` carries the 1s and 0s of the
+    equality rows. ``witness_columns`` lists each virtual menu path with
+    the columns of its choice paths.
     """
 
-    c: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
-    A_eq: np.ndarray
+    lp: LinearProgram
     b_eq: np.ndarray
     agreement: slice
-    bounds: np.ndarray
     witness_columns: tuple
 
 
@@ -450,8 +448,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
     if paths:
         b_eq[model.agreement] = np.concatenate([np.asarray(rho.probs[path], dtype=float)
                                                 for path in paths])
-    res = linprog(model.c, A_ub=model.A_ub, b_ub=model.b_ub, A_eq=model.A_eq, b_eq=b_eq,
-                  bounds=model.bounds, method="highs")
+    res = solve(model.lp, np.zeros(n_vars), b_eq=b_eq)
     solver = solver_diagnostics(res)
     if res.status not in (0, 2):
         raise SolverError(f"extension LP returned status {res.status}: {res.message}",
@@ -466,7 +463,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
         witness = StochasticChoiceFunction._trusted(vuni, probs)
     report = CheckReport("bm-extension", feasible, 0.0 if feasible else 1.0,
                          diagnostics={"status": int(res.status), "variables": n_vars,
-                                      "inequality_rows": int(model.A_ub.shape[0]),
+                                      "inequality_rows": model.lp.n_ub,
                                       "solver": solver})
     return feasible, witness, report
 
@@ -536,11 +533,9 @@ def _compile_bm(frozen_vuni: tuple, paths: tuple) -> BmModel:
             if combo[t_pos] in dominated:
                 upper[k] = 0.0
 
-    model = BmModel(np.zeros(n_vars), -big, np.zeros(big.shape[0]), np.array(A_eq),
-                    np.array(b_eq), agreement, np.column_stack([np.zeros(n_vars), upper]),
-                    tuple(witness_columns))
-    for a in (model.c, model.A_ub, model.b_ub, model.A_eq, model.b_eq, model.bounds,
-              *(cols for _, cols in witness_columns)):
+    model = BmModel(compile_lp(-big, np.array(A_eq), Bounds(0.0, upper)), np.array(b_eq),
+                    agreement, tuple(witness_columns))
+    for a in (model.b_eq, *(cols for _, cols in witness_columns)):
         a.flags.writeable = False
     return model
 
@@ -559,25 +554,7 @@ def _iu_dominated_pairs(universe: ChoiceUniverse, t) -> set:
     return dominated
 
 
-def solver_diagnostics(res) -> dict:
-    """Status, message and HiGHS iteration count of one LP."""
-    return {"status": int(res.status), "message": res.message, "nit": int(res.nit)}
-
-
 # --- projection hierarchy ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HierarchyModel:
-    """Fixed LP of one hierarchy level, read-only: ``A_ub`` is the negated
-    Kronecker product of the replicated reduced H-matrices, ``A_eq`` the
-    averaging operator Gamma; the reduced observed vector fills ``b_eq``."""
-
-    c: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
-    A_eq: np.ndarray
-    bounds: np.ndarray
-
 
 def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
                        entry_guard: int = 5_000_000):
@@ -602,27 +579,29 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
     if rows * cols > entry_guard:
         raise SizeError("hierarchy system exceeds the size guard; lower k")
     frozen = tuple((H.kind, tuple(map(tuple, H.rows.tolist())), H.col_labels) for H in H_stars)
-    model = _compile_hierarchy(frozen, tuple(k))
+    lp = _compile_hierarchy(frozen, tuple(k))
     rho_star = pair_vector(rho, [list(kept) for kept, _ in reductions])
-    res = linprog(model.c, A_ub=model.A_ub, b_ub=model.b_ub, A_eq=model.A_eq, b_eq=rho_star,
-                  bounds=model.bounds, method="highs")
+    n_vars = int(lp.A.shape[1])
+    res = solve(lp, np.zeros(n_vars), b_eq=rho_star)
     solver = solver_diagnostics(res)
-    n_vars = int(model.A_eq.shape[1])
     if res.status not in (0, 2):
         raise SolverError(f"hierarchy LP returned status {res.status}: {res.message}",
                           {"solver": solver, "k": tuple(k), "variables": n_vars})
     feasible = res.status == 0
     report = CheckReport("hierarchy", feasible, 0.0 if feasible else 1.0,
                          diagnostics={"k": tuple(k), "variables": n_vars,
-                                      "inequality_rows": int(model.A_ub.shape[0]),
+                                      "inequality_rows": lp.n_ub,
                                       "solver": solver})
     return feasible, (res.x if feasible else None), report
 
 
 @lru_cache(maxsize=16)
-def _compile_hierarchy(reduced: tuple, k: tuple) -> HierarchyModel:
+def _compile_hierarchy(reduced: tuple, k: tuple) -> LinearProgram:
     """Build the level-k LP of the reduced systems ``reduced``, each frozen
-    as (kind, rows, column labels)."""
+    as (kind, rows, column labels): the negated Kronecker product of the
+    replicated reduced H-matrices as inequality rows, the averaging
+    operator Gamma as equality rows (the reduced observed vector fills
+    their right-hand side), free variables."""
     H_stars = [InequalityMatrix(kind, np.array(rows, dtype=int), labels)
                for kind, rows, labels in reduced]
     ops = projection_ops(H_stars, k)
@@ -636,13 +615,7 @@ def _compile_hierarchy(reduced: tuple, k: tuple) -> HierarchyModel:
     big = blocks[0]
     for b in blocks[1:]:
         big = np.kron(big, b)
-    Gamma = ops.Gamma_float()
-    n = Gamma.shape[1]
-    model = HierarchyModel(np.zeros(n), -big, np.zeros(big.shape[0]), Gamma,
-                           np.tile([-np.inf, np.inf], (n, 1)))
-    for a in (model.c, model.A_ub, model.b_ub, model.A_eq, model.bounds):
-        a.flags.writeable = False
-    return model
+    return compile_lp(-big, ops.Gamma_float(), Bounds(-np.inf, np.inf))
 
 
 def reduced_static_labels(universe: ChoiceUniverse, t):
@@ -737,8 +710,7 @@ def _compile_sarpd(frozen_uni: tuple, budgets: tuple, patches: tuple,
         others = [b for b in budgets_by_period[t_cell] if b.index != label[0]]
         A_eq, b_eq, A_ub, b_ub = _cell_constraints(own, others, patch_by_label[t_cell][label])
         p = np.array(prices_key[0], dtype=float)
-        res = linprog(p, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=[(None, None)] * own.num_goods, method="highs")
+        res = solve(compile_lp(A_ub, A_eq, Bounds(-np.inf, np.inf)), p, b_ub, b_eq)
         val = res.fun if res.status == 0 else np.inf
         min_cache[key] = val
         return val

@@ -12,6 +12,8 @@ import argparse
 import itertools
 import json
 import sys
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -167,17 +169,26 @@ def _catalog_maps(budgets_t):
 
 
 def _demand_geometry(universe, budgets):
-    """Patches and per-period dominance rebuilt from the budgets, using the
-    catalog numbering when the shape matches. The rho/universe files must
-    have been produced under the same convention (drum matrices emits them)."""
+    """Patches, per-period dominance and the distinct warnings of the
+    geometry, rebuilt from the budgets, using the catalog numbering when the
+    shape matches. The warnings are raised again as well. The rho/universe
+    files must have been produced under the same convention (drum matrices
+    emits them)."""
     patches, dominance = {}, {}
-    for t, blist in budgets.items():
-        patches[t], dominance[t] = compute_patches(blist, index_maps=_catalog_maps(blist))
-        labels = {p.label for p in patches[t] if not p.is_intersection}
-        if universe is not None and set(universe.alternatives[t]) != labels:
-            raise DrumError(f"period {t}: budget patches do not match the universe; "
-                            "rebuild universe.json from these budgets")
-    return patches, dominance
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for t, blist in budgets.items():
+            patches[t], dominance[t] = compute_patches(blist, index_maps=_catalog_maps(blist))
+            labels = {p.label for p in patches[t] if not p.is_intersection}
+            if universe is not None and set(universe.alternatives[t]) != labels:
+                raise DrumError(f"period {t}: budget patches do not match the universe; "
+                                "rebuild universe.json from these budgets")
+    distinct = {}
+    for w in caught:
+        distinct.setdefault(str(w.message), w.message)
+    for message in distinct.values():
+        warnings.warn(message, stacklevel=2)
+    return patches, dominance, tuple(distinct)
 
 
 def _statics_for(universe, budgets, patches=None):
@@ -214,7 +225,7 @@ def _cmd_check(args) -> int:
     reports = {}
     patches = dominance = None
     if budgets:
-        patches, dominance = _demand_geometry(uni, budgets)
+        patches, dominance, geometry_warnings = _demand_geometry(uni, budgets)
     for name in wanted:
         if name == "stability":
             reports[name] = check_stability(rho, tol=args.tolerance)
@@ -222,8 +233,11 @@ def _cmd_check(args) -> int:
             # demand patch labels are (budget, index) pairs, which is the
             # replacement-pair format the check expects
             pairs = dict(dominance) if dominance is not None else None
-            reports[name] = check_d_monotonicity(rho, dominance=pairs,
-                                                 tol=args.tolerance)
+            report = check_d_monotonicity(rho, dominance=pairs, tol=args.tolerance)
+            if budgets:
+                report = replace(report, diagnostics={**report.diagnostics,
+                                                      "geometry_warnings": geometry_warnings})
+            reports[name] = report
         elif name == "hrep":
             kinds = [_catalog_kind(uni, t) for t in uni.periods]
             if any(k is None for k in kinds):

@@ -22,12 +22,12 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
-                     rho_vector_for, solver_diagnostics, stability_groups)
+                     rho_vector_for, stability_groups)
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
 from .geometry import demand_universe, enumerate_demand_types, freeze_index_maps
+from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction
 from .representations import TypeMatrix, build_static_A, kron_dynamic
 
@@ -77,22 +77,22 @@ class CounterfactualModel:
     read-only.
 
     ``universe`` is the extended universe and ``var_index`` maps its paths
-    over the observed menu paths to extension-LP columns. ``A_eq`` holds the
-    marginal rows, whose right-hand side is the flattened observed
-    distribution at ``marginal_rows``, then the stability rows; ``A_ub`` the
-    negated monotonicity rows. ``observed`` and ``new_static`` are the
-    observed-window and new-period type matrices; ``mixture_A_eq`` is
-    ``observed`` with the new-period type index summed out.
+    over the observed menu paths to extension-LP columns. ``extension``
+    holds the negated monotonicity rows, then the marginal equality rows,
+    whose right-hand side is the flattened observed distribution at
+    ``marginal_rows``, then the stability rows. ``observed`` and
+    ``new_static`` are the observed-window and new-period type matrices;
+    ``mixture`` has the equality rows of ``observed`` with the new-period
+    type index summed out. Both LPs keep x >= 0.
     """
 
     universe: ChoiceUniverse
     var_index: MappingProxyType
-    A_eq: np.ndarray
-    A_ub: np.ndarray
+    extension: LinearProgram
     marginal_rows: np.ndarray
     observed: TypeMatrix
     new_static: TypeMatrix
-    mixture_A_eq: np.ndarray
+    mixture: LinearProgram
     geometry_warnings: tuple
 
 
@@ -162,11 +162,12 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
     new_static = build_static_A(ext, NEW_PERIOD, new_types)
     mixture_A_eq = np.kron(observed.dense().astype(float),
                            np.ones((1, len(new_static.col_labels))))
-    A_ub, marginal_rows = -M, np.array(marginal_rows, dtype=int)
-    for a in (A_eq, A_ub, marginal_rows, observed.matrix, new_static.matrix, mixture_A_eq):
+    marginal_rows = np.array(marginal_rows, dtype=int)
+    for a in (marginal_rows, observed.matrix, new_static.matrix):
         a.flags.writeable = False
-    return CounterfactualModel(ext, MappingProxyType(var_index), A_eq, A_ub, marginal_rows,
-                               observed, new_static, mixture_A_eq,
+    return CounterfactualModel(ext, MappingProxyType(var_index), compile_lp(-M, A_eq),
+                               marginal_rows, observed, new_static,
+                               compile_lp(None, mixture_A_eq),
                                tuple(dict.fromkeys(str(w.message) for w in caught)))
 
 
@@ -211,13 +212,14 @@ def _averaged_paths(problem: CounterfactualProblem, rho: StochasticChoiceFunctio
     return [(cond_path, cond_cp)], mass
 
 
-def _bound_pair(c_lo, c_hi, infeasible: str, **constraints):
-    """Minimum of ``c_lo`` and maximum of ``c_hi`` over the nonnegative
-    solutions of ``constraints``, with per-LP solver diagnostics."""
-    res_lo = linprog(c_lo, bounds=(0, None), method="highs", **constraints)
+def _bound_pair(lp: LinearProgram, b_eq, c_lo, c_hi, infeasible: str):
+    """Minimum of ``c_lo`` and maximum of ``c_hi`` over ``lp`` with equality
+    right-hand side ``b_eq``, with per-LP solver diagnostics."""
+    lp = lp.with_rhs(b_eq=b_eq)
+    res_lo = solve(lp, c_lo)
     if res_lo.status == 2:
         raise ModelRejectedError(infeasible)
-    res_hi = linprog(-c_hi, bounds=(0, None), method="highs", **constraints)
+    res_hi = solve(lp, -c_hi)
     if res_lo.status != 0 or res_hi.status != 0:
         raise ModelRejectedError(f"bounding LP failed: {res_lo.message} / {res_hi.message}")
     solver = {"lower": solver_diagnostics(res_lo), "upper": solver_diagnostics(res_hi)}
@@ -234,7 +236,8 @@ def bound_functional(problem: CounterfactualProblem,
     cells, mass = _averaged_paths(problem, rho)
     var_index = model.var_index
     n = len(var_index)
-    b_eq = np.zeros(model.A_eq.shape[0])
+    lp = model.extension
+    b_eq = np.zeros(lp.A.shape[0] - lp.n_ub)
     b_eq[:len(model.marginal_rows)] = rho_vector_for(model.observed, rho)[model.marginal_rows]
 
     def objective(g_map):
@@ -245,15 +248,15 @@ def bound_functional(problem: CounterfactualProblem,
         return c
 
     res_lo, res_hi, solver = _bound_pair(
-        objective(problem.g_lower), objective(problem.g_upper),
+        lp, b_eq, objective(problem.g_lower), objective(problem.g_upper),
         "no extension satisfies monotonicity and stability; "
-        "the observed distribution is inconsistent",
-        A_ub=model.A_ub, b_ub=np.zeros(model.A_ub.shape[0]), A_eq=model.A_eq, b_eq=b_eq)
+        "the observed distribution is inconsistent")
     return BoundsReport(float(res_lo.fun), float(-res_hi.fun), res_lo.x, res_hi.x,
                         "optimal",
-                        {"variables": n, "monotonicity_rows": model.A_ub.shape[0],
-                         "equality_rows": len(b_eq), "inequality_rows": model.A_ub.shape[0],
-                         "target_budget": target, "solver": solver})
+                        {"variables": n, "monotonicity_rows": lp.n_ub,
+                         "equality_rows": len(b_eq), "inequality_rows": lp.n_ub,
+                         "target_budget": target, "solver": solver,
+                         "geometry_warnings": model.geometry_warnings})
 
 
 def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
@@ -275,16 +278,16 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
             g_row += g_map[new_menu.items[i - 1]] * new_dense[row]
         return np.kron(obs_row, g_row) / mass
 
-    A_eq = model.mixture_A_eq
+    rows, types = model.mixture.A.shape
     res_lo, res_hi, solver = _bound_pair(
-        objective(problem.g_lower), objective(problem.g_upper),
-        "observed distribution is outside the type cone",
-        A_eq=A_eq, b_eq=rho_vector_for(model.observed, rho))
+        model.mixture, rho_vector_for(model.observed, rho), objective(problem.g_lower),
+        objective(problem.g_upper), "observed distribution is outside the type cone")
     return BoundsReport(float(res_lo.fun), float(-res_hi.fun), res_lo.x, res_hi.x,
                         "optimal",
-                        {"types": A_eq.shape[1], "route": "mixture",
-                         "variables": A_eq.shape[1], "equality_rows": A_eq.shape[0],
-                         "inequality_rows": 0, "target_budget": target, "solver": solver})
+                        {"types": types, "route": "mixture", "variables": types,
+                         "equality_rows": rows, "inequality_rows": 0,
+                         "target_budget": target, "solver": solver,
+                         "geometry_warnings": model.geometry_warnings})
 
 
 def _projected(problem: CounterfactualProblem,

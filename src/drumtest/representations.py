@@ -18,10 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds
 
 from . import catalog
 from .errors import GeometryError, ParameterError, SchemaError, SizeError
+from .lp import compile_lp, solve
 from .model import ChoiceUniverse, Menu, StochasticChoiceFunction
 
 DENSE_ENTRY_GUARD = 100_000_000
@@ -172,8 +173,9 @@ def _eu_rankable(ranked: tuple, margin_tol: float) -> bool:
         b_ub.append(0.0)
     A_ub.append(np.append(np.zeros(n_prizes), 1.0))
     b_ub.append(1.0)
-    res = linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                  bounds=[(-1, 1)] * n_prizes + [(None, None)], method="highs")
+    bounds = Bounds(np.append(np.full(n_prizes, -1.0), -np.inf),
+                    np.append(np.ones(n_prizes), np.inf))
+    res = solve(compile_lp(np.array(A_ub), None, bounds), c, np.array(b_ub))
     return res.status == 0 and res.x[-1] > margin_tol
 
 
@@ -230,19 +232,16 @@ def kron_dynamic(statics: list, observed_paths, universe: ChoiceUniverse) -> Typ
     if n_rows * n_cols > DENSE_ENTRY_GUARD:
         raise SizeError(
             f"{n_rows}x{n_cols} exceeds the size guard; use the H-route instead")
-    row_maps = [{lab: r for r, lab in enumerate(a.row_labels)} for a in statics]
-    mats = [a.dense() for a in statics]
-    rows, labels = [], []
-    for path in observed_paths:
-        for cp in universe.choice_paths(path):
-            vecs = [mats[k][row_maps[k][(path[k], cp[k])]] for k in range(len(statics))]
-            row = vecs[0]
-            for v in vecs[1:]:
-                row = np.kron(row, v)
-            rows.append(row.astype(np.int8))
-            labels.append((path, cp))
+    labels = [(path, cp) for path in observed_paths for cp in universe.choice_paths(path)]
+    # each row is the Kronecker product of one static row per period, so
+    # gather those rows and multiply them out one period at a time
+    rows = np.ones((len(labels), 1), dtype=np.int8)
+    for k, a in enumerate(statics):
+        row_map = {lab: r for r, lab in enumerate(a.row_labels)}
+        picked = a.dense().astype(np.int8)[[row_map[(path[k], cp[k])] for path, cp in labels]]
+        rows = (rows[:, :, None] * picked[:, None, :]).reshape(len(labels), -1)
     col_labels = tuple(itertools.product(*[a.col_labels for a in statics]))
-    return TypeMatrix(np.array(rows, dtype=np.int8), tuple(labels), col_labels)
+    return TypeMatrix(rows, tuple(labels), col_labels)
 
 
 # --- row reduction -----------------------------------------------------------

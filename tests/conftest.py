@@ -116,3 +116,20 @@ def demand3x3_setup():
     A = build_static_A(uni, 1, types)
     return {"budgets": budgets, "universe": uni, "patches": patches,
             "dominance": dominance, "types": types, "A": A}
+
+
+def solve_recorder(log):
+    """A stand-in for ``drumtest.lp.solve`` that logs each LP as HiGHS
+    receives it (the stored matrix densified, the row bounds filled) and
+    then solves it."""
+    from drumtest.lp import solve
+
+    def record(lp, c, b_ub=None, b_eq=None):
+        filled = lp.with_rhs(b_ub, b_eq)
+        dense = filled.A.toarray()
+        log.append({"c": np.array(c, dtype=float), "A_ub": dense[:lp.n_ub],
+                    "b_ub": filled.upper[:lp.n_ub], "A_eq": dense[lp.n_ub:],
+                    "b_eq": filled.lower[lp.n_ub:],
+                    "bounds": np.column_stack([lp.bounds.lb, lp.bounds.ub]), "lp": lp})
+        return solve(lp, c, b_ub, b_eq)
+    return record

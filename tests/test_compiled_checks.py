@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from drumtest import catalog, checks
 from drumtest.checks import bm_extension_feasible, check_sarpd, hierarchy_feasible
@@ -23,7 +24,7 @@ from drumtest.representations import (build_static_A, bm_matrix, catalog_H, enum
                                       projection_ops, reduce_H, validate_replication,
                                       virtual_universe)
 
-from conftest import legacy_cell_constraints, rho_from_weights
+from conftest import legacy_cell_constraints, rho_from_weights, solve_recorder
 
 # --- frozen copies of the per-call constructions ---------------------------------------
 
@@ -223,14 +224,25 @@ def _clean_bounds(bounds, n):
     return arr
 
 
-def _recorder(log):
+def _rows_as_solved(A, n):
+    """A dense constraint block as linprog hands it to HiGHS: through CSC,
+    which keeps no zero, so -0.0 reads 0.0; None is a block of no rows."""
+    if A is None:
+        return np.zeros((0, n))
+    return csc_array(np.asarray(A, dtype=float)).toarray()
+
+
+def _linprog_recorder(log):
+    """Logs each LP a frozen copy hands scipy's linprog, then solves it."""
     def record(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, method=None):
         c = np.asarray(c, dtype=float)
-        log.append({"c": c.copy(), "A_ub": np.array(A_ub, dtype=float),
-                    "b_ub": np.array(b_ub, dtype=float), "A_eq": np.array(A_eq, dtype=float),
-                    "b_eq": np.array(b_eq, dtype=float),
-                    "bounds": _clean_bounds(bounds, len(c)), "method": method,
-                    "raw": (A_ub, A_eq, bounds)})
+        n = len(c)
+        log.append({"c": c.copy(), "A_ub": _rows_as_solved(A_ub, n),
+                    "b_ub": np.array([] if b_ub is None else b_ub, dtype=float),
+                    "A_eq": _rows_as_solved(A_eq, n),
+                    "b_eq": np.array([] if b_eq is None else b_eq, dtype=float),
+                    "bounds": _clean_bounds(bounds, n)})
+        assert method == "highs"
         return optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                                 bounds=bounds, method=method)
     return record
@@ -238,11 +250,11 @@ def _recorder(log):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Two logs: the LPs the library solves and the LPs the frozen copies
-    solve."""
+    """Two logs: the LPs the library solves through ``lp.solve`` and the
+    LPs the frozen copies solve through scipy's linprog."""
     new, old = [], []
-    monkeypatch.setattr(checks, "linprog", _recorder(new))
-    monkeypatch.setattr(sys.modules[__name__], "linprog", _recorder(old))
+    monkeypatch.setattr(checks, "solve", solve_recorder(new))
+    monkeypatch.setattr(sys.modules[__name__], "linprog", _linprog_recorder(old))
     return new, old
 
 
@@ -252,7 +264,6 @@ def _assert_same_lps(new, old):
         for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
             assert a[key].shape == b[key].shape, key
             assert a[key].tobytes() == b[key].tobytes(), key
-        assert a["method"] == b["method"]
 
 
 def _assert_same_report(new, old):
@@ -447,6 +458,9 @@ def test_dirichlet_mixtures_match_frozen_copies(geometries, seed, concentration,
 # --- diagnostics -------------------------------------------------------------------------
 
 
+OPTIMAL = "Optimization terminated successfully. (HiGHS Status 7: Optimal)"
+
+
 def test_lp_checks_report_solver_diagnostics(geometries):
     geom = geometries["binary2"]
     rho = _mixture(geom, 0)
@@ -454,8 +468,7 @@ def test_lp_checks_report_solver_diagnostics(geometries):
     _, _, hier = hierarchy_feasible(rho, _catalog_H_list(geom["universe"], "binary"), (1, 2))
     for report in (bm, hier):
         solver = report.diagnostics["solver"]
-        assert solver["status"] == 0 and solver["nit"] >= 0
-        assert "Optimal" in solver["message"]
+        assert solver == {"status": 0, "message": OPTIMAL}
         assert {"variables", "inequality_rows"} <= set(report.diagnostics)
         assert report.to_dict()["diagnostics"]["solver"] == solver
     assert hier.diagnostics["variables"] == 64
@@ -467,17 +480,19 @@ def test_lp_checks_report_solver_diagnostics(geometries):
 class TestCompiledCaches:
     def test_arrays_handed_to_the_solver_are_read_only(self, geometries, monkeypatch):
         log = []
-        monkeypatch.setattr(checks, "linprog", _recorder(log))
+        monkeypatch.setattr(checks, "solve", solve_recorder(log))
         geom = geometries["binary2"]
         rho = _mixture(geom, 3)
         bm_extension_feasible(rho)
         hierarchy_feasible(rho, _catalog_H_list(geom["universe"], "binary"), (1, 2))
         assert len(log) == 2
         for entry in log:
-            for array in entry["raw"]:
+            lp = entry["lp"]
+            for array in (lp.A.data, lp.A.indices, lp.A.indptr, lp.lower, lp.upper,
+                          lp.bounds.lb, lp.bounds.ub):
                 assert isinstance(array, np.ndarray) and not array.flags.writeable
                 with pytest.raises(ValueError):
-                    array[0] = 1.0
+                    array[0] = 1
 
     def test_two_geometries_alternate_without_crosstalk(self, geometries):
         _clear_caches()

@@ -19,7 +19,7 @@ from drumtest.geometry import Budget, compute_patches, demand_universe, enumerat
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import build_static_A, kron_dynamic
 
-from conftest import rho_from_weights
+from conftest import rho_from_weights, solve_recorder
 
 
 def _new_budgets():
@@ -345,16 +345,10 @@ def _legacy_mixture_lp(problem):
             "b_eq": vec}
 
 
-def _recorded_linprog(monkeypatch):
-    """Route counterfactuals.linprog through a recorder of its arguments."""
+def _recorded_solves(monkeypatch):
+    """Route counterfactuals.solve through a recorder of the LPs it solves."""
     calls = []
-    real = counterfactuals.linprog
-
-    def recorder(c, **kwargs):
-        calls.append((np.array(c), kwargs))
-        return real(c, **kwargs)
-
-    monkeypatch.setattr(counterfactuals, "linprog", recorder)
+    monkeypatch.setattr(counterfactuals, "solve", solve_recorder(calls))
     return calls
 
 
@@ -380,17 +374,19 @@ def test_model_solves_the_frozen_lps(simple_setup, monkeypatch, target, conditio
                            condition=condition)
         for route, legacy in ((bound_functional, _legacy_extension_lp),
                               (kron_counterfactual_cone, _legacy_mixture_lp)):
-            calls = _recorded_linprog(monkeypatch)
+            calls = _recorded_solves(monkeypatch)
             report = route(problem)
             frozen = legacy(problem)
             assert len(calls) == 2
-            for (c, kwargs), c_frozen in zip(calls, frozen["c"]):
-                assert np.array_equal(c, c_frozen)
-                assert kwargs["bounds"] == (0, None)
-                assert set(kwargs) - {"bounds", "method"} == set(frozen) - {"c"}
-                for key in set(frozen) - {"c"}:
-                    assert kwargs[key].shape == frozen[key].shape
-                    assert np.array_equal(kwargs[key], frozen[key]), key
+            for lp, c_frozen in zip(calls, frozen["c"]):
+                assert np.array_equal(lp["c"], c_frozen)
+                assert np.array_equal(lp["bounds"], np.tile([0.0, np.inf], (len(c_frozen), 1)))
+                for key in ("A_ub", "b_ub", "A_eq", "b_eq"):
+                    if key not in frozen:  # the mixture route has no inequality rows
+                        assert len(lp[key]) == 0, key
+                        continue
+                    assert lp[key].shape == frozen[key].shape
+                    assert np.array_equal(lp[key], frozen[key]), key
             assert (report.lower, report.upper) == _solve_legacy(frozen)
 
 
@@ -406,8 +402,10 @@ class TestModelCache:
     def test_model_arrays_are_read_only(self, simple_setup):
         problem = self._problem(simple_setup, 0)
         model = counterfactuals._model_for(problem)
-        arrays = [model.A_eq, model.A_ub, model.marginal_rows, model.observed.matrix,
-                  model.new_static.matrix, model.mixture_A_eq]
+        arrays = [model.marginal_rows, model.observed.matrix, model.new_static.matrix]
+        for lp in (model.extension, model.mixture):
+            arrays += [lp.A.data, lp.A.indices, lp.A.indptr, lp.lower, lp.upper,
+                       lp.bounds.lb, lp.bounds.ub]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -233,11 +233,60 @@ class TestCli:
             diag = doc[key]
             assert {"variables", "equality_rows", "inequality_rows"} <= set(diag)
             for side in ("lower", "upper"):
-                assert diag["solver"][side]["status"] == 0
-                assert diag["solver"][side]["nit"] >= 0
-                assert "Optimal" in diag["solver"][side]["message"]
+                assert diag["solver"][side] == {
+                    "status": 0,
+                    "message": "Optimization terminated successfully. (HiGHS Status 7: Optimal)"}
         assert doc["diagnostics"]["inequality_rows"] == doc["diagnostics"]["monotonicity_rows"]
         assert doc["cross_check_diagnostics"]["route"] == "mixture"
+
+    def test_geometry_warnings_reach_the_reports(self, simple_setup, tmp_path, capsys,
+                                                 monkeypatch):
+        """A conservative dominance fallback still warns, and the dmono
+        report of ``drum check`` and both bound reports carry its message."""
+        from drumtest import counterfactuals, geometry
+
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                        "1,1,0.1,0.9\n1,2,0.2,0.3\n2,1,0,1\n2,2,0,1\n")
+        common = ["--input", str(tmp_path / "rho.csv"),
+                  "--universe", str(tmp_path / "universe.json"),
+                  "--budgets", str(tmp_path / "budgets.csv")]
+        check = ["check", *common, "--checks", "stability,dmono"]
+        bounds = ["bounds", *common, "--new-budget", "2,1;1,2", "--g", str(tmp_path / "g.csv")]
+
+        def run(argv):
+            code = main(argv)
+            assert code in (0, 2)
+            return json.loads(capsys.readouterr().out)
+
+        def clear():
+            geometry._arrangement.cache_clear()
+            counterfactuals._compile.cache_clear()
+
+        clear()
+        try:
+            quiet = run(check)
+            assert quiet["dmono"]["diagnostics"]["geometry_warnings"] == []
+            assert "geometry_warnings" not in quiet["stability"]["diagnostics"]
+            doc = run(bounds)
+            for key in ("diagnostics", "cross_check_diagnostics"):
+                assert doc[key]["geometry_warnings"] == []
+
+            monkeypatch.setattr(geometry, "_dominates_exact", lambda *args: None)
+            clear()
+            for _ in range(2):  # a miss, then a memoised hit
+                with pytest.warns(UserWarning, match="conservative") as caught:
+                    loud = run(check)
+                assert len(caught) == 1
+                messages = loud["dmono"]["diagnostics"]["geometry_warnings"]
+                assert messages == [str(caught[0].message)]
+                with pytest.warns(UserWarning, match="conservative"):
+                    doc = run(bounds)
+                for key in ("diagnostics", "cross_check_diagnostics"):
+                    assert doc[key]["geometry_warnings"] == messages
+        finally:
+            clear()
 
     def test_solver_error_prints_class_and_diagnostics(self, simple_setup, tmp_path, capsys,
                                                        monkeypatch):
@@ -246,10 +295,10 @@ class TestCli:
         from drumtest import checks
         from drumtest.errors import SolverError
 
-        def failing(c, **kwargs):
-            return OptimizeResult(status=4, message="numerical difficulties", nit=7, x=None)
+        def failing(lp, c, b_ub=None, b_eq=None):
+            return OptimizeResult(status=4, message="numerical difficulties", x=None)
 
-        monkeypatch.setattr(checks, "linprog", failing)
+        monkeypatch.setattr(checks, "solve", failing)
         rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
         _write_simple_inputs(tmp_path, rho)
         argv = ["check", "--input", str(tmp_path / "rho.csv"),
@@ -258,8 +307,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: SolverError: hierarchy LP returned status 4" in err
         diagnostics = json.loads(err.split("diagnostics: ", 1)[1])
-        assert diagnostics["solver"] == {"status": 4, "message": "numerical difficulties",
-                                         "nit": 7}
+        assert diagnostics["solver"] == {"status": 4, "message": "numerical difficulties"}
         assert diagnostics["variables"] == 27
         with pytest.raises(SolverError) as info:
             main(argv + ["--debug"])

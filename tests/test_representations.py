@@ -10,6 +10,8 @@ from scipy.optimize import linprog
 
 from drumtest import catalog, representations
 from drumtest.errors import GeometryError, ParameterError, SchemaError, SizeError
+from drumtest.geometry import demand_universe, enumerate_demand_types
+from drumtest.lp import solve
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import (InequalityMatrix, LinearOrder, TypeMatrix, bm_matrix,
                                       build_static_A, catalog_H, drum_bm_values,
@@ -126,9 +128,9 @@ class TestEnumerateOrders:
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return linprog(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(representations, "linprog", counting)
+        monkeypatch.setattr(representations, "solve", counting)
         representations._eu_rankable.cache_clear()
         for lotteries in cases:
             orders = enumerate_orders(uni, 1)
@@ -162,6 +164,40 @@ class TestBuildStaticA:
     def test_adding_up_validated(self):
         with pytest.raises(SchemaError, match="adding-up"):
             TypeMatrix(np.array([[1], [1]], dtype=np.int8), ((1, 1), (1, 2)), ("c",))
+
+
+def _legacy_kron_dynamic(statics, observed_paths, universe):
+    """kron_dynamic as a per-row loop of np.kron calls, before the rows were
+    gathered and multiplied out per period: (matrix, row labels)."""
+    row_maps = [{lab: r for r, lab in enumerate(a.row_labels)} for a in statics]
+    mats = [a.dense() for a in statics]
+    rows, labels = [], []
+    for path in sorted(tuple(p) for p in observed_paths):
+        for cp in universe.choice_paths(path):
+            vecs = [mats[k][row_maps[k][(path[k], cp[k])]] for k in range(len(statics))]
+            row = vecs[0]
+            for v in vecs[1:]:
+                row = np.kron(row, v)
+            rows.append(row.astype(np.int8))
+            labels.append((path, cp))
+    return np.array(rows, dtype=np.int8), tuple(labels)
+
+
+def _kron_cases():
+    for T in (1, 2, 3):
+        periods = tuple(range(1, T + 1))
+        budgets = catalog.simple_budgets(periods)
+        uni, patches, _ = demand_universe(budgets, periods, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        statics = [build_static_A(uni, t, enumerate_demand_types(patches[t], budgets[t])[0])
+                   for t in periods]
+        yield f"simple{T}", uni, statics
+        uni = catalog.binary_universe(periods=periods)
+        yield f"binary{T}", uni, [build_static_A(uni, t, enumerate_orders(uni, t))
+                                  for t in periods]
+    budgets = catalog.demand3x3_budgets((1,))
+    uni, patches, _ = demand_universe(budgets, (1,), index_maps=catalog.DEMAND3X3_INDEX_MAPS)
+    yield "demand3x3", uni, [build_static_A(uni, 1,
+                                            enumerate_demand_types(patches[1], budgets[1])[0])]
 
 
 class TestKronDynamic:
@@ -201,6 +237,21 @@ class TestKronDynamic:
             v1 = d1m[d1[(path[0], cp[0])], A1.col_labels.index(c1)]
             v2 = d2m[d1[(path[1], cp[1])], A2.col_labels.index(c2)]
             assert dense[r, c] == v1 * v2
+
+    @pytest.mark.parametrize("uni,statics", [pytest.param(uni, statics, id=name)
+                                             for name, uni, statics in _kron_cases()])
+    def test_matches_the_per_row_kron_loop(self, uni, statics):
+        all_paths = sorted(itertools.product(*[uni.menu_indices(t) for t in uni.periods]))
+        # every path, and a shuffled strict subset
+        rng = np.random.default_rng(len(all_paths))
+        keep = rng.permutation(len(all_paths))[:max(1, len(all_paths) // 2)]
+        subset = [all_paths[i] for i in keep]
+        for paths in (all_paths, subset):
+            new = kron_dynamic(statics, paths, uni)
+            matrix, labels = _legacy_kron_dynamic(statics, paths, uni)
+            assert new.matrix.dtype == np.int8 and new.matrix.shape == matrix.shape
+            assert new.matrix.tobytes() == matrix.tobytes()
+            assert new.row_labels == labels
 
     def test_size_guard(self, binary_uni_T1):
         A = build_static_A(binary_uni_T1, 1, enumerate_orders(binary_uni_T1, 1))

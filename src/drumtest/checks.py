@@ -9,16 +9,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.optimize import Bounds, nnls
 
+from .doubledesc import _invert
 from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import _cell_constraints
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
-from .model import ChoiceUniverse, StochasticChoiceFunction, freeze_universe, thaw_universe
+from .model import (ChoiceUniverse, StochasticChoiceFunction, freeze_universe, rho_vector,
+                    thaw_universe)
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
                               pair_vector, projection_ops, reduce_H, static_row_labels,
                               validate_replication, virtual_universe)
@@ -245,27 +246,12 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
 
 # --- linear inequality systems -----------------------------------------------------
 
-def _pair_lists_from_labels(labels) -> list:
-    first = labels[0]
-    if isinstance(first[0], tuple):
-        n_slots = len(first)
-        lists = []
-        for slot in range(n_slots):
-            seen, ordered = set(), []
-            for lab in labels:
-                if lab[slot] not in seen:
-                    seen.add(lab[slot])
-                    ordered.append(lab[slot])
-            lists.append(ordered)
-        return lists
-    return [list(labels)]
-
-
 def check_H(rho, H: InequalityMatrix, tol: float = ESTIMATE_TOL) -> CheckReport:
-    """Minimum of H v over the assembled vector; passes when >= -tol."""
+    """Minimum of H v over the assembled vector; passes when >= -tol. A
+    stochastic choice function is gathered at H's ``(menu_path,
+    choice_path)`` column labels."""
     if isinstance(rho, StochasticChoiceFunction):
-        pair_lists = _pair_lists_from_labels(H.col_labels)
-        vec = pair_vector(rho, pair_lists)
+        vec = rho_vector(rho, H.col_labels)
     else:
         vec = np.asarray(rho, dtype=float)
         if vec.shape[0] != len(H.col_labels):
@@ -278,22 +264,6 @@ def check_H(rho, H: InequalityMatrix, tol: float = ESTIMATE_TOL) -> CheckReport:
 
 
 # --- cone membership ------------------------------------------------------------------
-
-def rho_vector_for(A: TypeMatrix, rho: StochasticChoiceFunction) -> np.ndarray:
-    """Flatten rho into A's row order; every A row must be an observed path."""
-    uni = rho.universe
-    cache = {}
-    out = np.empty(len(A.row_labels))
-    for k, (path, cp) in enumerate(A.row_labels):
-        if path not in cache:
-            if path not in rho.probs:
-                raise SchemaError(f"menu path {path} in A is not observed in rho")
-            order = {c: i for i, c in enumerate(uni.choice_paths(path))}
-            cache[path] = (order, np.asarray(rho.probs[path], dtype=float))
-        order, vec = cache[path]
-        out[k] = vec[order[cp]]
-    return out
-
 
 def nnls_projection(A: np.ndarray, b: np.ndarray, kkt_tol: float = KKT_TOL):
     """Nonnegative least squares with a KKT-residual certificate."""
@@ -329,7 +299,7 @@ def cone_membership(rho, A: TypeMatrix, tol: float = FEASIBILITY_TOL):
     """
     dense = A.dense().astype(float)
     if isinstance(rho, StochasticChoiceFunction):
-        b = rho_vector_for(A, rho)
+        b = rho_vector(rho, A.row_labels)
     else:
         b = np.asarray(rho, dtype=float)
         if b.shape[0] != dense.shape[0]:
@@ -352,27 +322,11 @@ SIMPLE_A = np.array([[1, 1, 0],
 
 def simple_recovery_matrix() -> np.ndarray:
     """Exact left inverse (A'A)^{-1}A' of the one-period simple-setup matrix."""
-    A = [[Fraction(int(v)) for v in row] for row in SIMPLE_A]
+    A = SIMPLE_A.tolist()
     AtA = [[sum(A[r][i] * A[r][j] for r in range(4)) for j in range(3)] for i in range(3)]
-    inv = _frac_inv(AtA)
+    inv = _invert(AtA)
     H = [[sum(inv[i][k] * A[r][k] for k in range(3)) for r in range(4)] for i in range(3)]
     return np.array([[float(v) for v in row] for row in H])
-
-
-def _frac_inv(M):
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def unique_recovery(rho: StochasticChoiceFunction, tol: float = 1e-10):
@@ -387,16 +341,10 @@ def unique_recovery(rho: StochasticChoiceFunction, tol: float = 1e-10):
         menus = uni.menus[t]
         if len(menus) != 2 or any(m.size != 2 for m in menus):
             raise GeometryError("unique recovery needs 2 budgets with 2 patches each")
-    H1 = simple_recovery_matrix()
-    H = H1
-    for _ in range(uni.num_periods - 1):
-        H = np.kron(H, H1)
+    H = reduce(np.kron, [simple_recovery_matrix()] * uni.num_periods)
     vec = pair_vector(rho, full_pair_lists(uni))
     nu = H @ vec
-    A = SIMPLE_A.astype(float)
-    AT = A
-    for _ in range(uni.num_periods - 1):
-        AT = np.kron(AT, A)
+    AT = reduce(np.kron, [SIMPLE_A.astype(float)] * uni.num_periods)
     residual = float(np.abs(AT @ nu - vec).max())
     diagnostics = {"min_weight": float(nu.min()), "reconstruction_residual": residual,
                    "tolerance": tol}
@@ -412,15 +360,16 @@ class BmModel:
 
     ``lp`` holds the negated alternating-sum rows (right-hand side 0), then
     the simplex rows (1), the agreement rows at ``agreement``, whose
-    right-hand side is the observed distribution flattened path by path,
-    and the stability rows (0); ``b_eq`` carries the 1s and 0s of the
-    equality rows. ``witness_columns`` lists each virtual menu path with
-    the columns of its choice paths.
+    right-hand side is the observed distribution gathered at
+    ``agreement_labels``, and the stability rows (0); ``b_eq`` carries the
+    1s and 0s of the equality rows. ``witness_columns`` lists each virtual
+    menu path with the columns of its choice paths.
     """
 
     lp: LinearProgram
     b_eq: np.ndarray
     agreement: slice
+    agreement_labels: tuple
     witness_columns: tuple
 
 
@@ -445,9 +394,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
     paths = tuple(rho.observed_paths)
     model = _compile_bm(freeze_universe(vuni), paths)
     b_eq = model.b_eq.copy()
-    if paths:
-        b_eq[model.agreement] = np.concatenate([np.asarray(rho.probs[path], dtype=float)
-                                                for path in paths])
+    b_eq[model.agreement] = rho_vector(rho, model.agreement_labels)
     res = solve(model.lp, np.zeros(n_vars), b_eq=b_eq)
     solver = solver_diagnostics(res)
     if res.status not in (0, 2):
@@ -475,10 +422,8 @@ def _compile_bm(frozen_vuni: tuple, paths: tuple) -> BmModel:
     vuni = thaw_universe(frozen_vuni)
     pair_lists = full_pair_lists(vuni)
     n_vars = math.prod(len(p) for p in pair_lists)
-    H_blocks = [np.asarray(bm_matrix(vuni, t).full(), dtype=float) for t in vuni.periods]
-    big = H_blocks[0]
-    for h in H_blocks[1:]:
-        big = np.kron(big, h)
+    big = reduce(np.kron, [np.asarray(bm_matrix(vuni, t).full(), dtype=float)
+                           for t in vuni.periods])
 
     var_index = {combo: k for k, combo in enumerate(itertools.product(*pair_lists))}
     A_eq, b_eq = [], []
@@ -497,12 +442,12 @@ def _compile_bm(frozen_vuni: tuple, paths: tuple) -> BmModel:
     # agreement with the observed distribution (observed menus keep their
     # indices in the virtual universe, so their choice paths are the same)
     start = len(A_eq)
-    for path in paths:
-        for cp in vuni.choice_paths(path):
-            row = np.zeros(n_vars)
-            row[var_index[tuple(zip(path, cp))]] = 1.0
-            A_eq.append(row)
-            b_eq.append(0.0)
+    agreement_labels = tuple((path, cp) for path in paths for cp in vuni.choice_paths(path))
+    for path, cp in agreement_labels:
+        row = np.zeros(n_vars)
+        row[var_index[tuple(zip(path, cp))]] = 1.0
+        A_eq.append(row)
+        b_eq.append(0.0)
     agreement = slice(start, len(A_eq))
 
     # stability across virtual menus (needed beyond one period)
@@ -534,7 +479,7 @@ def _compile_bm(frozen_vuni: tuple, paths: tuple) -> BmModel:
                 upper[k] = 0.0
 
     model = BmModel(compile_lp(-big, np.array(A_eq), Bounds(0.0, upper)), np.array(b_eq),
-                    agreement, tuple(witness_columns))
+                    agreement, agreement_labels, tuple(witness_columns))
     for a in (model.b_eq, *(cols for _, cols in witness_columns)):
         a.flags.writeable = False
     return model
@@ -605,16 +550,8 @@ def _compile_hierarchy(reduced: tuple, k: tuple) -> LinearProgram:
     H_stars = [InequalityMatrix(kind, np.array(rows, dtype=int), labels)
                for kind, rows, labels in reduced]
     ops = projection_ops(H_stars, k)
-    blocks = []
-    for H_star, kt in zip(H_stars, k):
-        base = np.asarray(H_star.full(), dtype=float)
-        block = base
-        for _ in range(kt - 1):
-            block = np.kron(block, base)
-        blocks.append(block)
-    big = blocks[0]
-    for b in blocks[1:]:
-        big = np.kron(big, b)
+    big = reduce(np.kron, [reduce(np.kron, [np.asarray(H_star.full(), dtype=float)] * kt)
+                           for H_star, kt in zip(H_stars, k)])
     return compile_lp(-big, ops.Gamma_float(), Bounds(-np.inf, np.inf))
 
 
@@ -788,7 +725,7 @@ def adsrp_audit(rho: StochasticChoiceFunction, A: TypeMatrix, max_len: int = 8) 
     probability exceeds the best single type's score; a positive gap
     disproves consistency, absence at bounded length proves nothing."""
     dense = A.dense().astype(float)
-    vec = rho_vector_for(A, rho)
+    vec = rho_vector(rho, A.row_labels)
     n = len(vec)
 
     def score(counts):

@@ -23,7 +23,7 @@ from .checks import (bm_extension_feasible, check_H, check_d_monotonicity, check
                      check_stability, cone_membership, hierarchy_feasible)
 from .counterfactuals import CounterfactualProblem, bound_functional, kron_counterfactual_cone
 from .errors import DrumError, ModelRejectedError
-from .geometry import Budget, compute_patches, demand_universe
+from .geometry import Budget, compute_patches, demand_universe, enumerate_demand_types
 from .inference import TestConfig, run_test, run_test_eu
 from .model import estimate_rho
 from .representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
@@ -126,25 +126,22 @@ _DGPS = {
 def _cmd_matrices(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
+    periods = tuple(range(1, args.T + 1))
     if args.geometry == "binary3":
-        uni = catalog.binary_universe(periods=tuple(range(1, args.T + 1)))
-        statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
-        H = catalog_H("binary", uni, uni.periods[0])
+        uni = catalog.binary_universe(periods=periods)
+        budgets = patches = None
+        kind = "binary"
     else:
         if args.geometry == "simple":
-            budgets = catalog.simple_budgets(tuple(range(1, args.T + 1)))
+            budgets = catalog.simple_budgets(periods)
             maps = catalog.SIMPLE_INDEX_MAPS
         else:
-            budgets = catalog.demand3x3_budgets(tuple(range(1, args.T + 1)))
+            budgets = catalog.demand3x3_budgets(periods)
             maps = catalog.DEMAND3X3_INDEX_MAPS
-        uni, patches, dominance = demand_universe(budgets, tuple(sorted(budgets)), maps)
-        from .geometry import enumerate_demand_types
-        statics = []
-        for t in uni.periods:
-            types, _ = enumerate_demand_types(patches[t], budgets[t])
-            statics.append(build_static_A(uni, t, types))
-        H = catalog_H(args.geometry if args.geometry != "simple" else "simple",
-                      uni, uni.periods[0])
+        uni, patches, _ = demand_universe(budgets, periods, maps)
+        kind = args.geometry
+    statics = _statics_for(uni, budgets, patches)
+    H = catalog_H(kind, uni, uni.periods[0])
     io.export_matrix(statics[0].dense(), statics[0].row_labels, statics[0].col_labels,
                      out / f"A_static_{args.geometry}")
     paths = sorted(itertools.product(*[uni.menu_indices(t) for t in uni.periods]))
@@ -194,7 +191,6 @@ def _demand_geometry(universe, budgets):
 def _statics_for(universe, budgets, patches=None):
     """Per-period type matrices: SARP-filtered patch tuples when budgets are
     supplied, linear orders otherwise."""
-    from .geometry import enumerate_demand_types
     statics = []
     for t in universe.periods:
         if budgets and t in budgets:

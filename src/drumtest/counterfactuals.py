@@ -24,11 +24,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
-                     rho_vector_for, stability_groups)
+                     stability_groups)
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
 from .geometry import demand_universe, enumerate_demand_types, freeze_index_maps
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
-from .model import ChoiceUniverse, StochasticChoiceFunction
+from .model import ChoiceUniverse, StochasticChoiceFunction, path_blocks, rho_vector
 from .representations import TypeMatrix, build_static_A, kron_dynamic
 
 NEW_PERIOD = "next"
@@ -238,7 +238,8 @@ def bound_functional(problem: CounterfactualProblem,
     n = len(var_index)
     lp = model.extension
     b_eq = np.zeros(lp.A.shape[0] - lp.n_ub)
-    b_eq[:len(model.marginal_rows)] = rho_vector_for(model.observed, rho)[model.marginal_rows]
+    observed = rho_vector(rho, model.observed.row_labels)
+    b_eq[:len(model.marginal_rows)] = observed[model.marginal_rows]
 
     def objective(g_map):
         c = np.zeros(n)
@@ -280,7 +281,7 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
 
     rows, types = model.mixture.A.shape
     res_lo, res_hi, solver = _bound_pair(
-        model.mixture, rho_vector_for(model.observed, rho), objective(problem.g_lower),
+        model.mixture, rho_vector(rho, model.observed.row_labels), objective(problem.g_lower),
         objective(problem.g_upper), "observed distribution is outside the type cone")
     return BoundsReport(float(res_lo.fun), float(-res_hi.fun), res_lo.x, res_hi.x,
                         "optimal",
@@ -294,14 +295,8 @@ def _projected(problem: CounterfactualProblem,
                model: CounterfactualModel) -> StochasticChoiceFunction:
     """Replace the observed distribution by its cone projection."""
     rho = problem.rho
-    uni = rho.universe
     _, weights, _ = cone_membership(rho, model.observed)
-    fitted = model.observed.dense().astype(float) @ weights
-    probs = {}
-    pos = 0
-    for path in sorted(rho.observed_paths):
-        k = len(uni.choice_paths(path))
-        block = np.clip(fitted[pos:pos + k], 0.0, None)
-        probs[path] = block / block.sum()
-        pos += k
-    return StochasticChoiceFunction(uni, probs, rho.counts, None)
+    fitted = np.clip(model.observed.dense().astype(float) @ weights, 0.0, None)
+    blocks = path_blocks(rho.universe, rho.observed_paths, fitted)
+    probs = {path: block / block.sum() for path, block in blocks.items()}
+    return StochasticChoiceFunction(rho.universe, probs, rho.counts, None)

@@ -14,7 +14,7 @@ from scipy.optimize import nnls
 
 from .checks import nnls_certificate
 from .errors import ParameterError, SchemaError
-from .model import PanelDataset, estimate_rho
+from .model import PanelDataset, estimate_rho, rho_vector
 from .representations import TypeMatrix, build_static_A, enumerate_orders, kron_dynamic
 
 
@@ -123,22 +123,18 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
 
     dense = A.dense().astype(float)
     blocks = _blocks_from_labels(A.row_labels)
-    vec = np.empty(len(A.row_labels))
     counts = []
     for path, start, stop in blocks:
         if path not in rho.probs:
             raise SchemaError(f"menu path {path} in A is not observed")
-        order = rho.universe.choice_paths(path)
-        arr = np.asarray(rho.probs[path], dtype=float)
-        expect = [lab for lab in A.row_labels[start:stop]]
-        got = [(path, cp) for cp in order]
-        if expect != got:
+        if list(A.row_labels[start:stop]) != [(path, cp)
+                                              for cp in rho.universe.choice_paths(path)]:
             raise SchemaError("A rows are not in the canonical path order")
-        vec[start:stop] = arr
         n = rho.counts.get(path)
         if not n:
             raise SchemaError(f"menu path {path} has no recorded sample size")
         counts.append(n)
+    vec = rho_vector(rho, A.row_labels)
     counts = np.array(counts, dtype=int)
     N = int(counts.min())
 

@@ -11,7 +11,12 @@ Index conventions used everywhere in the package:
   1-based position,
 * choice paths within a menu path are enumerated with the period-1 index
   varying slowest (row-major), which matches the Kronecker-product row order
-  of the type matrices.
+  of the type matrices;
+* a flat vector over ``rho`` is labelled by ``(menu_path, choice_path)``
+  pairs. ``rho_vector`` gathers ``rho`` at any such labels and
+  ``path_blocks`` splits a path-major vector (menu paths in turn, each in
+  canonical choice-path order) back into per-path blocks: these two are the
+  one place the layout between ``rho`` and the flat vectors lives.
 """
 
 from __future__ import annotations
@@ -225,6 +230,42 @@ class StochasticChoiceFunction:
         tallies = self.choice_counts[menu_path]
         total = int(sum(tallies))
         return [Fraction(int(c), total) for c in tallies]
+
+
+def rho_vector(rho: StochasticChoiceFunction, labels) -> np.ndarray:
+    """``rho`` gathered at ``(menu_path, choice_path)`` labels, in the
+    labels' order.
+
+    Raises SchemaError when a label's menu path is not observed.
+    """
+    out = np.empty(len(labels))
+    index = {}
+    for k, (path, cp) in enumerate(labels):
+        if path not in index:
+            if path not in rho.probs:
+                raise SchemaError(f"menu path {path} is not observed in rho")
+            index[path] = ({c: i for i, c in enumerate(rho.universe.choice_paths(path))},
+                           np.asarray(rho.probs[path], dtype=float))
+        position, probs = index[path]
+        out[k] = probs[position[cp]]
+    return out
+
+
+def path_blocks(universe: ChoiceUniverse, paths, vec) -> dict:
+    """Inverse of ``rho_vector`` on a path-major vector: each menu path's
+    block of ``vec`` (a view), for ``paths`` in the given order.
+
+    Raises SchemaError when the blocks do not cover ``vec`` exactly.
+    """
+    blocks, start = {}, 0
+    for path in paths:
+        stop = start + len(universe.choice_paths(path))
+        blocks[path] = vec[start:stop]
+        start = stop
+    if start != len(vec):
+        raise SchemaError(f"a vector of {len(vec)} entries does not split into "
+                          f"{start} entries over the menu paths")
+    return blocks
 
 
 @dataclass(frozen=True)

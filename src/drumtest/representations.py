@@ -8,6 +8,11 @@ Canonical orderings, used everywhere:
   (demand types in lexicographic order of their patch tuples);
 * dynamic spaces: Kronecker products with the period-1 factor slowest, so a
   path entry sits at the product index of its per-period (menu, item) pairs.
+  Every dynamic row or column space is labelled in one format,
+  ``(menu_path, choice_path)``: ``TypeMatrix.row_labels`` of ``kron_dynamic``,
+  ``convert_V_to_H`` columns and ``kron_inequalities`` columns (through
+  ``kron_labels``) alike, so ``model.rho_vector`` flattens ``rho`` against
+  any of them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.optimize import Bounds
@@ -23,7 +28,7 @@ from scipy.optimize import Bounds
 from . import catalog
 from .errors import GeometryError, ParameterError, SchemaError, SizeError
 from .lp import compile_lp, solve
-from .model import ChoiceUniverse, Menu, StochasticChoiceFunction
+from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, rho_vector
 
 DENSE_ENTRY_GUARD = 100_000_000
 
@@ -361,38 +366,24 @@ def catalog_H(kind: str, universe: ChoiceUniverse, t) -> InequalityMatrix:
 
 def kron_inequalities(H_list: list) -> InequalityMatrix:
     """Kronecker product of per-period full H-matrices; the column space is
-    the product of the per-period row spaces, period 1 slowest."""
-    mats = [np.asarray(H.full()) for H in H_list]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    labels = tuple(itertools.product(*[H.col_labels for H in H_list]))
+    the product of the per-period row spaces, period 1 slowest, labelled by
+    ``kron_labels``."""
+    out = reduce(np.kron, [np.asarray(H.full()) for H in H_list])
+    labels = kron_labels([H.col_labels for H in H_list])
     kinds = "x".join(H.kind for H in H_list)
     return InequalityMatrix(f"kron({kinds})", out, labels, include_nonneg=False)
 
 
-def pair_vector(rho: StochasticChoiceFunction, pair_lists: list) -> np.ndarray:
-    """Flatten a stochastic choice function into the Kronecker pair order.
+def kron_labels(pair_lists) -> tuple:
+    """``(menu_path, choice_path)`` labels of the product of per-period
+    ``(menu, item-position)`` pair lists, period 1 slowest."""
+    return tuple(tuple(zip(*combo)) for combo in itertools.product(*pair_lists))
 
-    ``pair_lists[t]`` enumerates period t's (menu, item-position) pairs; the
-    output index runs over their product with period 1 slowest. Every menu
-    path in the product must be observed.
-    """
-    uni = rho.universe
-    cache = {}
-    out = np.empty(int(np.prod([len(p) for p in pair_lists])))
-    for flat, combo in enumerate(itertools.product(*pair_lists)):
-        menu_path = tuple(p[0] for p in combo)
-        cp = tuple(p[1] for p in combo)
-        if menu_path not in cache:
-            if menu_path not in rho.probs:
-                raise SchemaError(f"menu path {menu_path} not observed; "
-                                  "the H-route needs full menu-path coverage")
-            order = {c: k for k, c in enumerate(uni.choice_paths(menu_path))}
-            cache[menu_path] = (order, np.asarray(rho.probs[menu_path], dtype=float))
-        order, vec = cache[menu_path]
-        out[flat] = vec[order[cp]]
-    return out
+
+def pair_vector(rho: StochasticChoiceFunction, pair_lists: list) -> np.ndarray:
+    """``rho`` flattened in the Kronecker order of ``pair_lists``; every menu
+    path in the product must be observed."""
+    return rho_vector(rho, kron_labels(pair_lists))
 
 
 def full_pair_lists(universe: ChoiceUniverse) -> list:
@@ -483,36 +474,15 @@ def _phi_from_rows(rows: np.ndarray) -> tuple:
     return tuple(Fraction(s, n) for s in sums)
 
 
-def _frac_eye(d: int) -> np.ndarray:
-    eye = np.full((d, d), Fraction(0), dtype=object)
-    for i in range(d):
-        eye[i, i] = Fraction(1)
-    return eye
-
-
-def _frac_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i * b.shape[0]:(i + 1) * b.shape[0],
-                j * b.shape[1]:(j + 1) * b.shape[1]] = a[i, j] * b
-    return out
-
-
 def _gamma(phi: tuple, k: int) -> np.ndarray:
-    d = len(phi)
+    """Exact average over the k copies of a period of the maps that keep one
+    copy and contract the others with ``phi``; the identity at k = 1. The
+    leading Fraction 1 makes every entry a Fraction."""
+    one = np.array([[Fraction(1)]], dtype=object)
     phi_row = np.array([list(phi)], dtype=object)
-    eye = _frac_eye(d)
-    total = None
-    for j in range(1, k + 1):
-        term = np.array([[Fraction(1)]], dtype=object)
-        for _ in range(j - 1):
-            term = _frac_kron(term, phi_row)
-        term = _frac_kron(term, eye)
-        for _ in range(k - j):
-            term = _frac_kron(term, phi_row)
-        total = term if total is None else total + term
-    return total / k
+    eye = np.eye(len(phi), dtype=int).astype(object)
+    return sum(reduce(np.kron, [one] + [phi_row] * (j - 1) + [eye] + [phi_row] * (k - j))
+               for j in range(1, k + 1)) / k
 
 
 def validate_replication(k: tuple, periods: int) -> None:
@@ -534,17 +504,8 @@ def projection_ops(H_star_list: list, k: tuple) -> ProjectionOperator:
     """
     validate_replication(k, len(H_star_list))
     phi, gammas = {}, {}
-    blocks = []
     for pos, (H, kt) in enumerate(zip(H_star_list, k)):
-        rows = np.asarray(H.full())
-        phi[pos] = _phi_from_rows(rows)
-        if pos == 0:
-            block = _frac_eye(rows.shape[1])
-        else:
-            block = _gamma(phi[pos], kt)
-        gammas[pos] = block
-        blocks.append(block)
-    Gamma = blocks[0]
-    for b in blocks[1:]:
-        Gamma = _frac_kron(Gamma, b)
+        phi[pos] = _phi_from_rows(np.asarray(H.full()))
+        gammas[pos] = _gamma(phi[pos], kt)
+    Gamma = reduce(np.kron, gammas.values())
     return ProjectionOperator(tuple(k), phi, gammas, Gamma)

@@ -5,7 +5,7 @@ import pytest
 
 from drumtest import catalog
 from drumtest.geometry import compute_patches, demand_universe, enumerate_demand_types
-from drumtest.model import StochasticChoiceFunction
+from drumtest.model import StochasticChoiceFunction, path_blocks
 from drumtest.representations import build_static_A, enumerate_orders, kron_dynamic
 
 SIMPLE_PAIRS = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -79,14 +79,8 @@ def rho_from_matrix(uni, M):
 def rho_from_weights(uni, AT, nu):
     """Mixture weights (summing to 1) -> stochastic function on all paths."""
     fitted = AT.dense().astype(float) @ np.asarray(nu, dtype=float)
-    probs = {}
-    pos = 0
     paths = sorted({p for p, _ in AT.row_labels})
-    for path in paths:
-        k = len(uni.choice_paths(path))
-        probs[path] = fitted[pos:pos + k]
-        pos += k
-    return StochasticChoiceFunction(uni, probs)
+    return StochasticChoiceFunction(uni, path_blocks(uni, paths, fitted))
 
 
 @pytest.fixture(scope="session")

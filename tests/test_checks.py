@@ -2,9 +2,12 @@
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from drumtest import catalog
@@ -14,8 +17,8 @@ from drumtest.checks import (adsrp_audit, bm_extension_feasible, check_H,
                              reduced_static_labels, unique_recovery)
 from drumtest.doubledesc import _rref, convert_V_to_H
 from drumtest.errors import GeometryError, ParameterError, SizeError
-from drumtest.geometry import compute_patches
-from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
+from drumtest.geometry import compute_patches, demand_universe, enumerate_demand_types
+from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction, rho_vector
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders,
                                       kron_dynamic, kron_inequalities, pair_vector,
                                       reduce_H, virtual_universe)
@@ -130,6 +133,61 @@ class TestCheckH:
         from drumtest.errors import SchemaError
         with pytest.raises(SchemaError):
             check_H(np.zeros(3), self._kron_H(simple_setup))
+
+
+@lru_cache(maxsize=None)
+def _v_to_h_geometry(name):
+    """Universe, dynamic type matrix over all menu paths and its exact facet
+    system for one desk-scale geometry."""
+    if name == "binary1":
+        uni = catalog.binary_universe(periods=(1,))
+        statics = [build_static_A(uni, 1, enumerate_orders(uni, 1))]
+    else:
+        kind, T = name[:-1], int(name[-1])
+        periods = tuple(range(1, T + 1))
+        if kind == "simple":
+            budgets, maps = catalog.simple_budgets(periods), catalog.SIMPLE_INDEX_MAPS
+        else:
+            budgets, maps = catalog.demand3x3_budgets(periods), catalog.DEMAND3X3_INDEX_MAPS
+        uni, patches, _ = demand_universe(budgets, periods, index_maps=maps)
+        statics = [build_static_A(uni, t, enumerate_demand_types(patches[t], budgets[t])[0])
+                   for t in periods]
+    paths = sorted(itertools.product(*[uni.menu_indices(t) for t in uni.periods]))
+    A = kron_dynamic(statics, paths, uni)
+    return uni, A, convert_V_to_H(A)
+
+
+class TestFacetSystemAgreement:
+    """The exact facet system of a dynamic type matrix, read against rho, the
+    same system against the flattened vector, and cone membership agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["simple1", "simple2", "binary1", "demand3x31"]),
+           seed=st.integers(0, 2**32 - 1),
+           concentration=st.sampled_from([0.2, 1.0, 5.0]))
+    def test_mixtures_pass_all_three(self, name, seed, concentration):
+        uni, A, H = _v_to_h_geometry(name)
+        nu = np.random.default_rng(seed).dirichlet(np.full(A.shape[1], concentration))
+        rho = rho_from_weights(uni, A, nu)
+        assert check_H(rho, H).passed
+        assert check_H(rho_vector(rho, A.row_labels), H).passed
+        assert cone_membership(rho, A)[2].passed
+
+    @pytest.mark.parametrize("table", ["table5_rho", "table9_rho"])
+    def test_published_tables_fail_all_three(self, request, table):
+        rho = request.getfixturevalue(table)
+        _, A, H = _v_to_h_geometry("simple2")
+        assert not check_H(rho, H).passed
+        assert not check_H(rho_vector(rho, A.row_labels), H).passed
+        assert not cone_membership(rho, A)[2].passed
+
+    def test_seeded_simple_T2_mixture_passes(self):
+        """A facet system computed from the dynamic matrix is labelled by its
+        (menu path, choice path) rows; reading those labels as per-period
+        pairs scrambled rho and rejected every mixture."""
+        uni, A, H = _v_to_h_geometry("simple2")
+        rho = rho_from_weights(uni, A, np.random.default_rng(0).dirichlet(np.ones(9)))
+        assert check_H(rho, H).passed
 
 
 class TestConeMembership:

@@ -139,13 +139,15 @@ class TestCli:
                      "--checks", "stability,dmono"])
         assert code == 2
 
-    def test_matrices_command(self, tmp_path):
-        code = main(["matrices", "--geometry", "simple", "--T", "2",
+    @pytest.mark.parametrize("geometry", ["simple", "binary3", "demand3x3"])
+    def test_matrices_command(self, tmp_path, geometry):
+        code = main(["matrices", "--geometry", geometry, "--T", "2",
                      "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "A_static_simple.mtx").exists()
-        assert (tmp_path / "A_dynamic_simple_T2.csv").exists()
-        assert (tmp_path / "H_simple.mtx").exists()
+        assert (tmp_path / f"A_static_{geometry}.mtx").exists()
+        assert (tmp_path / f"A_dynamic_{geometry}_T2.csv").exists()
+        assert (tmp_path / f"H_{geometry}.mtx").exists()
+        assert (tmp_path / f"universe_{geometry}.json").exists()
 
     def test_bounds_command(self, simple_setup, tmp_path):
         rng = np.random.default_rng(2)

@@ -482,6 +482,99 @@ class TestProjectionOps:
             projection_ops([H_star, H_star], (2, 2))
 
 
+def _legacy_frac_eye(d):
+    eye = np.full((d, d), Fraction(0), dtype=object)
+    for i in range(d):
+        eye[i, i] = Fraction(1)
+    return eye
+
+
+def _legacy_frac_kron(a, b):
+    out = np.empty((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), dtype=object)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            out[i * b.shape[0]:(i + 1) * b.shape[0],
+                j * b.shape[1]:(j + 1) * b.shape[1]] = a[i, j] * b
+    return out
+
+
+def _legacy_gamma(phi, k):
+    d = len(phi)
+    phi_row = np.array([list(phi)], dtype=object)
+    eye = _legacy_frac_eye(d)
+    total = None
+    for j in range(1, k + 1):
+        term = np.array([[Fraction(1)]], dtype=object)
+        for _ in range(j - 1):
+            term = _legacy_frac_kron(term, phi_row)
+        term = _legacy_frac_kron(term, eye)
+        for _ in range(k - j):
+            term = _legacy_frac_kron(term, phi_row)
+        total = term if total is None else total + term
+    return total / k
+
+
+def _legacy_Gamma(H_star_list, k):
+    blocks = []
+    for pos, (H, kt) in enumerate(zip(H_star_list, k)):
+        rows = np.asarray(H.full())
+        if pos == 0:
+            blocks.append(_legacy_frac_eye(rows.shape[1]))
+        else:
+            blocks.append(_legacy_gamma(representations._phi_from_rows(rows), kt))
+    Gamma = blocks[0]
+    for b in blocks[1:]:
+        Gamma = _legacy_frac_kron(Gamma, b)
+    return Gamma
+
+
+def _legacy_frac_inv(M):
+    n = len(M)
+    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [v / scale for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+class TestExactRational:
+    """numpy's Kronecker product and the double-description inverse against
+    frozen copies of the Fraction helpers they replaced."""
+
+    def _reduced(self, uni, kind):
+        kept, dropped = reduced_static_labels(uni, 1)
+        return reduce_H(catalog_H(kind, uni, 1), kept, dropped)
+
+    @pytest.mark.parametrize("kind", ["simple", "binary"])
+    @pytest.mark.parametrize("k", [(1, 2), (1, 3), (1, 2, 2)])
+    def test_gamma_matches_frozen_fraction_kron(self, kind, k, simple_setup, binary_uni_T1):
+        uni = simple_setup["universe"] if kind == "simple" else binary_uni_T1
+        H_star = self._reduced(uni, kind)
+        ops = projection_ops([H_star] * len(k), k)
+        old = _legacy_Gamma([H_star] * len(k), k)
+        assert ops.Gamma.shape == old.shape and np.array_equal(ops.Gamma, old)
+        assert all(type(v) is Fraction for v in ops.Gamma.ravel())
+        for pos, kt in enumerate(k[1:], 1):
+            assert np.array_equal(ops.gammas[pos], _legacy_gamma(ops.phi[pos], kt))
+            assert all(type(v) is Fraction for v in ops.gammas[pos].ravel())
+
+    def test_recovery_matrix_unchanged(self):
+        from drumtest.checks import SIMPLE_A, simple_recovery_matrix
+        A = [[Fraction(int(v)) for v in row] for row in SIMPLE_A]
+        AtA = [[sum(A[r][i] * A[r][j] for r in range(4)) for j in range(3)] for i in range(3)]
+        inv = _legacy_frac_inv(AtA)
+        H = [[sum(inv[i][k] * A[r][k] for k in range(3)) for r in range(4)] for i in range(3)]
+        old = np.array([[float(v) for v in row] for row in H])
+        assert simple_recovery_matrix().tobytes() == old.tobytes()
+
+
 class TestKronInequalities:
     def test_dynamic_triangle_instance_present(self, binary_uni_T2):
         """The published second-period triangle instance with the first
@@ -491,21 +584,19 @@ class TestKronInequalities:
         H2 = catalog_H("binary", binary_uni_T2, 2)
         K = kron_inequalities([H1, H2])
         labels = list(K.col_labels)
-        # columns: pairs ((j1,i1),(j2,i2)); target row:
+        # columns: ((j1, j2), (i1, i2)) path labels; target row:
         # + (z|{x,z} ; x|{x,z}) + (z|{x,z} ; z|{y,z}) - (z|{x,z} ; x|{x,y})
         want = np.zeros(len(labels))
         want[labels.index(((2, 2), (2, 1)))] = 1
-        want[labels.index(((2, 2), (3, 2)))] = 1
-        want[labels.index(((2, 2), (1, 1)))] = -1
+        want[labels.index(((2, 3), (2, 2)))] = 1
+        want[labels.index(((2, 1), (2, 1)))] = -1
         rows = np.asarray(K.full(), float)
         assert any(np.array_equal(r, want) for r in rows)
         statics = [build_static_A(binary_uni_T2, t, enumerate_orders(binary_uni_T2, t))
                    for t in (1, 2)]
         AT = kron_dynamic(statics, sorted(itertools.product((1, 2, 3), repeat=2)),
                           binary_uni_T2)
-        # reorder the dynamic matrix rows into the Kronecker pair order
-        pair_lists = [list(static_row_labels(binary_uni_T2, t)) for t in (1, 2)]
+        # the dynamic matrix rows carry the same labels, so reorder them by K's
         row_of = {lab: r for r, lab in enumerate(AT.row_labels)}
-        perm = [row_of[((p1[0], p2[0]), (p1[1], p2[1]))]
-                for p1, p2 in itertools.product(*pair_lists)]
+        perm = [row_of[lab] for lab in K.col_labels]
         assert (rows @ AT.dense().astype(float)[perm]).min() >= 0

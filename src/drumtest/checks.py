@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.optimize import Bounds, nnls
+from scipy.optimize import Bounds, lsq_linear, nnls
 
 from .doubledesc import _invert
 from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import _cell_constraints
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
-from .model import (ChoiceUniverse, StochasticChoiceFunction, freeze_universe, rho_vector,
-                    thaw_universe)
+from .model import ChoiceUniverse, StochasticChoiceFunction, rho_vector
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
                               pair_vector, projection_ops, reduce_H, static_row_labels,
                               validate_replication, virtual_universe)
@@ -266,30 +265,58 @@ def check_H(rho, H: InequalityMatrix, tol: float = ESTIMATE_TOL) -> CheckReport:
 # --- cone membership ------------------------------------------------------------------
 
 def nnls_projection(A: np.ndarray, b: np.ndarray, kkt_tol: float = KKT_TOL):
-    """Nonnegative least squares with a KKT-residual certificate."""
+    """Nonnegative least squares with a KKT-residual certificate: (x,
+    residual norm, KKT residual)."""
+    x, rnorm = nnls_solve(A, b)
+    return certify_nnls(A, x, b, rnorm, kkt_tol)
+
+
+def nnls_solve(A: np.ndarray, b: np.ndarray):
+    """(x, ||Ax - b||) minimising ||Ax - b|| over x >= 0, by scipy's
+    active-set ``nnls``; the package's one call of it."""
     try:
         x, rnorm = nnls(A, b)
     except RuntimeError as exc:
         raise SolverError(f"nonnegative least squares failed: {exc}") from exc
-    return x, float(rnorm), nnls_certificate(A, x, b, kkt_tol)
+    return x, float(rnorm)
 
 
-def nnls_certificate(A: np.ndarray, x: np.ndarray, b: np.ndarray, kkt_tol: float = KKT_TOL):
-    """KKT residual of a nonnegative least-squares solution x of min ||Ax - b||:
-    the worst negative gradient entry and the worst gradient entry on the
-    support. ``x`` and ``b`` may hold one problem per column, which certifies
-    them all in one pass and gives one residual per column. Raises
-    SolverError when a residual exceeds the accuracy tolerance."""
+def certify_nnls(A: np.ndarray, x: np.ndarray, b: np.ndarray, rnorm, kkt_tol: float = KKT_TOL):
+    """Certify nonnegative least-squares solutions x of min ||Ax - b|| with
+    residual norms ``rnorm`` by their KKT residual: the worst negative
+    gradient entry and the worst gradient entry on the support. ``x`` and
+    ``b`` may hold one problem per column, which certifies them all in one
+    pass.
+
+    A problem whose residual exceeds the accuracy tolerance is solved again
+    alone by bounded-variable least squares, and its solution and residual
+    norm are replaced by the re-solve's. Returns (x, rnorm, KKT residuals);
+    raises SolverError when a re-solve fails the check too."""
+    kkt, limit = _kkt_residual(A, x, b, kkt_tol)
+    failed = np.flatnonzero(kkt > limit)
+    if not failed.size:
+        return x, rnorm, (kkt if kkt.ndim else float(kkt))
+    X, B = x.reshape(len(x), -1).copy(), b.reshape(len(b), -1)
+    rnorm, kkt, limit = np.array(rnorm, dtype=float).reshape(-1), np.ravel(kkt), np.ravel(limit)
+    for k in failed:
+        X[:, k] = lsq_linear(A, B[:, k], bounds=(0, np.inf), method="bvls").x
+        rnorm[k] = np.linalg.norm(A @ X[:, k] - B[:, k])
+        kkt[k] = _kkt_residual(A, X[:, k], B[:, k], kkt_tol)[0]
+    worst = int(np.argmax(kkt - limit))
+    if kkt[worst] > limit[worst]:
+        raise SolverError("cone projection did not reach the required accuracy",
+                          {"kkt_residual": float(kkt[worst]), "kkt_limit": float(limit[worst])})
+    if x.ndim == 1:
+        return X[:, 0], float(rnorm[0]), float(kkt[0])
+    return X, rnorm, kkt
+
+
+def _kkt_residual(A, x, b, kkt_tol):
+    """(KKT residual, accuracy limit) of NNLS solutions, per column of x."""
     g = A.T @ (A @ x - b)
     negative = 0.0 - np.min(g, axis=0, initial=0.0)
     kkt = np.maximum(negative, np.max(np.abs(g, out=g), axis=0, initial=0.0, where=x > 1e-12))
-    limit = kkt_tol * np.maximum(1.0, np.max(np.abs(b), axis=0)) * 100
-    if np.any(kkt > limit):
-        worst = int(np.argmax(kkt - limit))
-        raise SolverError("cone projection did not reach the required accuracy",
-                          {"kkt_residual": float(np.ravel(kkt)[worst]),
-                           "kkt_limit": float(np.ravel(limit)[worst])})
-    return kkt if kkt.ndim else float(kkt)
+    return kkt, kkt_tol * np.maximum(1.0, np.max(np.abs(b), axis=0)) * 100
 
 
 def cone_membership(rho, A: TypeMatrix, tol: float = FEASIBILITY_TOL):
@@ -392,7 +419,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
     if n_ineq * n_vars > entry_guard:
         raise SizeError("Block-Marschak system exceeds the size guard")
     paths = tuple(rho.observed_paths)
-    model = _compile_bm(freeze_universe(vuni), paths)
+    model = _compile_bm(vuni, paths)
     b_eq = model.b_eq.copy()
     b_eq[model.agreement] = rho_vector(rho, model.agreement_labels)
     res = solve(model.lp, np.zeros(n_vars), b_eq=b_eq)
@@ -416,10 +443,9 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
 
 
 @lru_cache(maxsize=16)
-def _compile_bm(frozen_vuni: tuple, paths: tuple) -> BmModel:
-    """Build the extension LP of one virtual universe (frozen) and tuple of
-    observed menu paths."""
-    vuni = thaw_universe(frozen_vuni)
+def _compile_bm(vuni: ChoiceUniverse, paths: tuple) -> BmModel:
+    """Build the extension LP of one virtual universe and tuple of observed
+    menu paths."""
     pair_lists = full_pair_lists(vuni)
     n_vars = math.prod(len(p) for p in pair_lists)
     big = reduce(np.kron, [np.asarray(bm_matrix(vuni, t).full(), dtype=float)
@@ -523,8 +549,7 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
     cols = math.prod(c ** kt for (_, c), kt in zip(shapes, k))
     if rows * cols > entry_guard:
         raise SizeError("hierarchy system exceeds the size guard; lower k")
-    frozen = tuple((H.kind, tuple(map(tuple, H.rows.tolist())), H.col_labels) for H in H_stars)
-    lp = _compile_hierarchy(frozen, tuple(k))
+    lp = _compile_hierarchy(tuple(H_stars), tuple(k))
     rho_star = pair_vector(rho, [list(kept) for kept, _ in reductions])
     n_vars = int(lp.A.shape[1])
     res = solve(lp, np.zeros(n_vars), b_eq=rho_star)
@@ -541,14 +566,11 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
 
 
 @lru_cache(maxsize=16)
-def _compile_hierarchy(reduced: tuple, k: tuple) -> LinearProgram:
-    """Build the level-k LP of the reduced systems ``reduced``, each frozen
-    as (kind, rows, column labels): the negated Kronecker product of the
-    replicated reduced H-matrices as inequality rows, the averaging
-    operator Gamma as equality rows (the reduced observed vector fills
-    their right-hand side), free variables."""
-    H_stars = [InequalityMatrix(kind, np.array(rows, dtype=int), labels)
-               for kind, rows, labels in reduced]
+def _compile_hierarchy(H_stars: tuple, k: tuple) -> LinearProgram:
+    """Build the level-k LP of the reduced H-matrices ``H_stars``: the
+    negated Kronecker product of the replicated reduced H-matrices as
+    inequality rows, the averaging operator Gamma as equality rows (the
+    reduced observed vector fills their right-hand side), free variables."""
     ops = projection_ops(H_stars, k)
     big = reduce(np.kron, [reduce(np.kron, [np.asarray(H_star.full(), dtype=float)] * kt)
                            for H_star, kt in zip(H_stars, k)])
@@ -598,12 +620,8 @@ def check_sarpd(rho: StochasticChoiceFunction, budgets_by_period: dict,
     uni = rho.universe
     periods = uni.periods
     paths = tuple(rho.observed_paths)
-    model = _compile_sarpd(
-        freeze_universe(uni),
-        tuple(tuple(budgets_by_period[t]) for t in periods),
-        tuple(tuple((p.label, tuple(sorted(p.sign_vector.items())))
-                    for p in patches_by_period[t]) for t in periods),
-        paths)
+    model = _compile_sarpd(uni, tuple(tuple(budgets_by_period[t]) for t in periods),
+                           tuple(tuple(patches_by_period[t]) for t in periods), paths)
     cyclic_mass = 0.0
     cyclic_paths = []
     for path, marked in zip(paths, model.marked):
@@ -619,13 +637,11 @@ def check_sarpd(rho: StochasticChoiceFunction, budgets_by_period: dict,
 
 
 @lru_cache(maxsize=16)
-def _compile_sarpd(frozen_uni: tuple, budgets: tuple, patches: tuple,
+def _compile_sarpd(uni: ChoiceUniverse, budgets: tuple, patches: tuple,
                    paths: tuple) -> SarpdModel:
     """Mark the cyclic choice paths of one geometry: ``budgets`` and
-    ``patches`` hold per period the budget tuple and the patches as (label,
-    sorted sign vector)."""
-    uni = thaw_universe(frozen_uni)
-    patch_by_label = {t: {label: dict(signs) for label, signs in period_patches}
+    ``patches`` hold per period the budget tuple and the patch tuple."""
+    patch_by_label = {t: {p.label: p.sign_vector for p in period_patches}
                       for t, period_patches in zip(uni.periods, patches)}
     budget_by_index = {t: {b.index: b for b in blist} for t, blist in zip(uni.periods, budgets)}
     budgets_by_period = dict(zip(uni.periods, budgets))

@@ -42,11 +42,17 @@ def _load_config(path):
     return out
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
+_SHARED = {"seed": {"type": int, "default": 0},
+           "threads": {"type": int, "default": 1},
+           "tolerance": {"type": float, "default": 1e-9},
+           "out": {"default": None}}
+
+
+def _add_common(p, *shared):
+    """The named options of ``_SHARED`` that the subcommand reads, then
+    ``--config`` and ``--debug``."""
+    for name in shared:
+        p.add_argument(f"--{name}", **_SHARED[name])
     p.add_argument("--config", default=None, help="key=value file merged into options")
     p.add_argument("--debug", action="store_true",
                    help="raise errors with their traceback instead of exiting")
@@ -59,7 +65,7 @@ def build_parser():
     m = sub.add_parser("matrices", help="emit catalog type and facet matrices")
     m.add_argument("--geometry", choices=["simple", "binary3", "demand3x3"], required=True)
     m.add_argument("--T", type=int, default=1)
-    _add_common(m)
+    _add_common(m, "out")
 
     c = sub.add_parser("check", help="deterministic consistency checks")
     c.add_argument("--input", required=True, help="rho.csv")
@@ -68,7 +74,7 @@ def build_parser():
     c.add_argument("--checks", default="stability,dmono,cone",
                    help="comma list: stability,dmono,hrep,cone,bm,hierarchy,sarpd")
     c.add_argument("--report", default=None)
-    _add_common(c)
+    _add_common(c, "tolerance")
 
     t = sub.add_parser("test", help="bootstrap cone-projection test")
     t.add_argument("--panel", required=True)
@@ -78,7 +84,7 @@ def build_parser():
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--reps", type=int, default=999)
     t.add_argument("--report", default=None)
-    _add_common(t)
+    _add_common(t, "seed", "threads")
 
     b = sub.add_parser("bounds", help="counterfactual bounds for one extra period")
     b.add_argument("--input", required=True, help="rho.csv")
@@ -89,13 +95,13 @@ def build_parser():
     b.add_argument("--g", required=True, help="g.csv with per-patch bounds")
     b.add_argument("--condition", default=None, help="'menu_path:choice_path' e.g. '1|2:1|2'")
     b.add_argument("--target", type=int, default=None)
-    _add_common(b)
+    _add_common(b, "out")
 
     s = sub.add_parser("simulate", help="draw a synthetic panel")
     s.add_argument("--dgp", required=True,
                    choices=["dgp1", "dgp2", "binary1", "binary2", "binary3"])
     s.add_argument("--n", type=int, required=True, help="agents per menu path")
-    _add_common(s)
+    _add_common(s, "seed", "out")
 
     e = sub.add_parser("experiment", help="rejection-rate table over DGPs and sizes")
     e.add_argument("--dgps", required=True, help="comma list of dgp1,dgp2,binary1..binary3")
@@ -103,7 +109,7 @@ def build_parser():
     e.add_argument("--sims", type=int, default=1000)
     e.add_argument("--reps", type=int, default=999)
     e.add_argument("--alpha", type=float, default=0.05)
-    _add_common(e)
+    _add_common(e, "seed", "threads", "out")
     return ap
 
 

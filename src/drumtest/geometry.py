@@ -19,9 +19,10 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds
 
 from .errors import AllocationError, GeometryError, SchemaError
+from .lp import compile_lp, solve
 from .model import (ChoiceUniverse, Menu, PanelDataset, PanelRecord,
                     StochasticChoiceFunction, marginal_conditional_slice)
 
@@ -62,7 +63,7 @@ class Budget:
         return float(self.expenditure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Patch:
     """One cell of the partition, attached to an owning budget.
 
@@ -70,7 +71,8 @@ class Patch:
     position; ``on_budgets`` lists all budgets whose hyperplane contains the
     cell (more than one only for intersection patches). Patches are
     immutable: the sign vector is a read-only mapping and the representative
-    a read-only array, so memoised arrangements can be shared.
+    a read-only array, so memoised arrangements can be shared. Patches
+    compare and hash by value, the representative by its bytes.
     """
 
     period: object
@@ -92,6 +94,19 @@ class Patch:
         return (Patch, (self.period, self.budget, self.index, dict(self.sign_vector),
                         self.representative, self.is_intersection, self.on_budgets))
 
+    def _key(self) -> tuple:
+        return (self.period, self.budget, self.index, frozenset(self.sign_vector.items()),
+                self.representative.shape, self.representative.tobytes(),
+                self.is_intersection, self.on_budgets)
+
+    def __eq__(self, other):
+        if not isinstance(other, Patch):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def label(self) -> tuple:
         return (self.budget, self.index)
@@ -112,9 +127,9 @@ def _cell_program(budget: Budget, others: list, signs: dict, strict: bool):
     # cap on the margin
     slack = [np.linalg.norm(row) if strict else 0.0 for row in A_ub]
     A_ub = np.vstack([np.column_stack([A_ub, slack]), np.append(np.zeros(K), 1.0)])
-    res = linprog(c, A_ub=A_ub, b_ub=np.append(b_ub, 1.0),
-                  A_eq=np.column_stack([A_eq, np.zeros(len(A_eq))]), b_eq=b_eq,
-                  bounds=[(0, None)] * K + [(None, None)], method="highs")
+    lp = compile_lp(A_ub, np.column_stack([A_eq, np.zeros(len(A_eq))]),
+                    Bounds(np.append(np.zeros(K), -np.inf), np.inf))
+    res = solve(lp, c, np.append(b_ub, 1.0), b_eq)
     if res.status != 0:
         return None, None
     margin = res.x[-1]
@@ -319,9 +334,8 @@ def _improvement_margin(target: np.ndarray, budget: Budget, others: list, signs:
         ub_rows.append(row)
         b_ub = np.append(b_ub, -target[k])
     eq_rows = [np.append(row, 0.0) for row in A_eq]
-    res = linprog(c, A_ub=np.array(ub_rows), b_ub=b_ub,
-                  A_eq=np.array(eq_rows), b_eq=b_eq,
-                  bounds=[(None, None)] * (K + 1), method="highs")
+    lp = compile_lp(np.array(ub_rows), np.array(eq_rows), Bounds(-np.inf, np.inf))
+    res = solve(lp, c, b_ub, b_eq)
     if res.status != 0:
         return None
     return res.x[-1]
@@ -388,8 +402,16 @@ def enumerate_demand_types(patches: list, budgets: list):
     Tuples are enumerated lexicographically over patch indices; a tuple is
     kept when the revealed-preference digraph on its chosen patches (edge
     from the chooser to every patch lying weakly below its budget, strict
-    when strictly below) has no cycle through a strict edge.
+    when strictly below) has no cycle through a strict edge. Returns (types,
+    budget order). The patches alone decide both, so results are memoised on
+    them, and every call gets fresh lists.
     """
+    types, order = _demand_types(tuple(patches))
+    return list(types), list(order)
+
+
+@lru_cache(maxsize=32)
+def _demand_types(patches: tuple):
     by_budget = {}
     for p in patches:
         if not p.is_intersection:
@@ -401,7 +423,7 @@ def enumerate_demand_types(patches: list, budgets: list):
     for combo in itertools.product(*[by_budget[j] for j in order]):
         if _sarp_consistent(combo):
             types.append(tuple(p.index for p in combo))
-    return types, order
+    return tuple(types), tuple(order)
 
 
 def _sarp_consistent(chosen) -> bool:

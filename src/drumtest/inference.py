@@ -10,9 +10,8 @@ from functools import partial
 from math import log, sqrt
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .checks import nnls_certificate
+from .checks import certify_nnls, nnls_projection, nnls_solve
 from .errors import ParameterError, SchemaError
 from .model import PanelDataset, estimate_rho, rho_vector
 from .representations import TypeMatrix, build_static_A, enumerate_orders, kron_dynamic
@@ -22,9 +21,10 @@ from .representations import TypeMatrix, build_static_A, enumerate_orders, kron_
 class TestConfig:
     """Knobs of the statistical test.
 
-    ``tau_rule='path-size'`` sets the tightening parameter to
-    sqrt(log(M)/M) with M the per-menu-path sample size (the smallest one
-    when paths differ); ``tau`` overrides it directly. Rows are scaled by
+    ``reps`` bootstrap replications, drawn from ``seed``, decide at level
+    ``alpha``; ``n_jobs`` worker processes share them. The tightening
+    parameter is sqrt(log(M)/M) with M the per-menu-path sample size (the
+    smallest one when paths differ); ``tau`` overrides it. Rows are scaled by
     estimated inverse binomial variances by default; ``weights='identity'``
     makes the statistic a plain squared cone distance but has too little
     small-sample power to reproduce the published rejection rates.
@@ -42,7 +42,6 @@ class TestConfig:
     reps: int = 999
     alpha: float = 0.05
     tau: float | None = None
-    tau_rule: str = "path-size"
     weights: str = "inverse-variance"
     seed: int = 0
     n_jobs: int = 1
@@ -94,11 +93,6 @@ def _blocks_from_labels(row_labels):
     return blocks
 
 
-def _projection_stat(WA, Wb):
-    x, rnorm = nnls(WA, Wb)
-    return x, rnorm * rnorm
-
-
 def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
              universe=None) -> TestReport:
     """Scaled squared distance of the estimated path distribution from the
@@ -140,8 +134,6 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
 
     tau = config.tau
     if tau is None:
-        if config.tau_rule != "path-size":
-            raise ParameterError(f"unknown tau rule {config.tau_rule!r}")
         tau = sqrt(log(N) / N) if N > 1 else 0.0
 
     if config.weights == "inverse-variance":
@@ -151,16 +143,14 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
         sqrt_w = np.ones(len(vec))
     WA = dense * sqrt_w[:, None]
 
-    b_point = sqrt_w * vec
-    x_point, j_min = _projection_stat(WA, b_point)
-    statistic = N * j_min
+    _, distance, kkt_point = nnls_projection(WA, sqrt_w * vec)
+    statistic = N * (distance * distance)
 
     n_cols = dense.shape[1]
     lower = np.full(n_cols, tau / n_cols)
     shift = dense @ lower
-    b_mu = sqrt_w * (vec - shift)
-    mu, _ = _projection_stat(WA, b_mu)
-    kkt = max(nnls_certificate(WA, x_point, b_point), nnls_certificate(WA, mu, b_mu))
+    mu, _, kkt_mu = nnls_projection(WA, sqrt_w * (vec - shift))
+    kkt = max(kkt_point, kkt_mu)
     nu_tau = mu + lower
     # the bootstrap recenters at the exact tightened-cone point; pulling it
     # back onto the simplex would park it off the tightened cone and bias
@@ -241,12 +231,13 @@ def _bootstrap_chunk(args, seeds, screen=None):
         todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= statistic - 1e-12)
     out = np.full((2, len(seeds)), np.nan)
     X = np.empty((len(todo), WA.shape[1]))
+    rnorm = np.empty(len(todo))
     for k, i in enumerate(todo):
-        X[k], j = _projection_stat(WA, B[i])
-        out[0, i] = N * j
+        X[k], rnorm[k] = nnls_solve(WA, B[i])
     # one pass over all solutions; per replicate it would cost as much as a
     # small projection
-    out[1, todo] = nnls_certificate(WA, X.T, B[todo].T)
+    _, rnorm, out[1, todo] = certify_nnls(WA, X.T, B[todo].T, rnorm)
+    out[0, todo] = N * (rnorm * rnorm)
     return out
 
 

@@ -41,6 +41,7 @@ class Menu:
     items: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
         if len(self.items) == 0:
             raise SchemaError(f"menu {self.index} is empty")
         if len(set(self.items)) != len(self.items):
@@ -62,8 +63,10 @@ class Menu:
 class ChoiceUniverse:
     """Per-period alternatives, primitive partial order, and menus.
 
-    ``primitive_order[t]`` is a tuple of ``(dominant, dominated)`` pairs of
-    frozensets of alternative ids; singleton sets encode item-level pairs.
+    ``alternatives[t]`` and ``menus[t]`` are tuples; ``primitive_order[t]``
+    is a tuple of ``(dominant, dominated)`` pairs of frozensets of
+    alternative ids, where singleton sets encode item-level pairs. A universe
+    compares and hashes by these values, so it can key a memo.
     """
 
     periods: tuple
@@ -77,16 +80,20 @@ class ChoiceUniverse:
         if len(set(self.periods)) != len(self.periods):
             raise SchemaError("duplicate period labels")
         object.__setattr__(self, "periods", tuple(self.periods))
+        for t in self.periods:
+            if not self.alternatives.get(t):
+                raise SchemaError(f"period {t} has no alternatives")
+            if not self.menus.get(t):
+                raise SchemaError(f"period {t} has no menus")
+        object.__setattr__(self, "alternatives",
+                           {t: tuple(self.alternatives[t]) for t in self.periods})
+        object.__setattr__(self, "menus", {t: tuple(self.menus[t]) for t in self.periods})
         object.__setattr__(self, "primitive_order",
-                           {t: tuple(self.primitive_order.get(t, ()))
+                           {t: tuple((frozenset(dom), frozenset(sub))
+                                     for dom, sub in self.primitive_order.get(t, ()))
                             for t in self.periods})
         for t in self.periods:
-            alts = self.alternatives.get(t)
-            if not alts:
-                raise SchemaError(f"period {t} has no alternatives")
-            menus = self.menus.get(t)
-            if not menus:
-                raise SchemaError(f"period {t} has no menus")
+            alts, menus = self.alternatives[t], self.menus[t]
             seen = set()
             for menu in menus:
                 if menu.index in seen:
@@ -95,11 +102,17 @@ class ChoiceUniverse:
                 unknown = set(menu.items) - set(alts)
                 if unknown:
                     raise SchemaError(f"menu {menu.index} in period {t} has unknown items {unknown}")
-            for dom, sub in self.primitive_order.get(t, ()):
+            for dom, sub in self.primitive_order[t]:
                 if not (set(dom) <= set(alts) and set(sub) <= set(alts)):
                     raise SchemaError(f"primitive-order pair outside X^{t}")
-            if _order_has_cycle(self.primitive_order.get(t, ()), alts):
+            if _order_has_cycle(self.primitive_order[t], alts):
                 raise SchemaError(f"primitive order in period {t} has a cycle")
+
+    def __hash__(self):
+        return hash((self.periods,
+                     *(self.alternatives[t] for t in self.periods),
+                     *(self.menus[t] for t in self.periods),
+                     *(self.primitive_order[t] for t in self.periods)))
 
     @property
     def num_periods(self) -> int:
@@ -128,23 +141,6 @@ class ChoiceUniverse:
                 raise SchemaError(f"choice index {i} outside menu {j} in period {t}")
             out.append(menu.items[i - 1])
         return tuple(out)
-
-
-def freeze_universe(universe: ChoiceUniverse) -> tuple:
-    """Hashable form of a universe, for memo keys; ``thaw_universe`` inverts
-    it."""
-    periods = universe.periods
-    return (periods,
-            tuple(tuple(universe.alternatives[t]) for t in periods),
-            tuple(tuple(universe.menus[t]) for t in periods),
-            tuple(tuple((frozenset(dom), frozenset(sub))
-                        for dom, sub in universe.primitive_order[t]) for t in periods))
-
-
-def thaw_universe(frozen: tuple) -> ChoiceUniverse:
-    periods, alternatives, menus, order = frozen
-    return ChoiceUniverse(periods, dict(zip(periods, alternatives)), dict(zip(periods, menus)),
-                          dict(zip(periods, order)))
 
 
 def _order_has_cycle(pairs, alternatives) -> bool:

@@ -82,19 +82,38 @@ def _menu_key(row_label):
     return first if isinstance(first, tuple) else row_label[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InequalityMatrix:
     """Signed integer rows of one H-representation.
 
-    ``rows`` holds the facet block exactly as published (or computed);
-    ``include_nonneg`` appends coordinate nonnegativity when materializing
-    the full row set.
+    ``rows`` holds the facet block exactly as published (or computed), as a
+    read-only copy; ``include_nonneg`` appends coordinate nonnegativity when
+    materializing the full row set. Matrices compare and hash by value, the
+    rows by their shape, dtype and bytes.
     """
 
     kind: str
     rows: np.ndarray
     col_labels: tuple
     include_nonneg: bool = False
+
+    def __post_init__(self):
+        rows = np.array(self.rows)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "col_labels", tuple(self.col_labels))
+
+    def _key(self) -> tuple:
+        return (self.kind, self.rows.shape, self.rows.dtype.str, self.rows.tobytes(),
+                self.col_labels, self.include_nonneg)
+
+    def __eq__(self, other):
+        if not isinstance(other, InequalityMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def full(self) -> np.ndarray:
         if not self.include_nonneg:
@@ -354,12 +373,12 @@ def catalog_H(kind: str, universe: ChoiceUniverse, t) -> InequalityMatrix:
     if kind == "simple":
         if len(labels) != 4:
             raise GeometryError("simple catalog expects 2 budgets with 2 patches each")
-        return InequalityMatrix("simple-monotone", catalog.H_SIMPLE.copy(), labels,
+        return InequalityMatrix("simple-monotone", catalog.H_SIMPLE, labels,
                                 include_nonneg=False)
     if kind == "demand3x3":
         if len(labels) != 12:
             raise GeometryError("demand3x3 catalog expects 3 budgets with 4 patches each")
-        return InequalityMatrix("demand-3x3", catalog.H_DEMAND3X3.copy(), labels,
+        return InequalityMatrix("demand-3x3", catalog.H_DEMAND3X3, labels,
                                 include_nonneg=True)
     raise GeometryError(f"unknown catalog geometry {kind!r}; use convert_V_to_H")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import catalog
 from .errors import GeometryError, ParameterError
-from .geometry import ABOVE, compute_patches, demand_universe
+from .geometry import ABOVE, compute_patches, demand_universe, enumerate_demand_types
 from .inference import TestConfig, run_test
 from .model import PanelDataset, estimate_rho
 from .representations import build_static_A, enumerate_orders, kron_dynamic
@@ -210,8 +210,10 @@ def type_matrix_for(dgp: DgpSpec, universe):
     statics = []
     for t in universe.periods:
         if dgp.kind.startswith("cobb"):
-            tuples = [tp for tp in itertools.product((1, 2), repeat=2) if tp != (2, 1)]
-            statics.append(build_static_A(universe, t, tuples))
+            budgets = catalog.simple_budgets((t,))[t]
+            patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+            types, _ = enumerate_demand_types(patches, budgets)
+            statics.append(build_static_A(universe, t, types))
         else:
             statics.append(build_static_A(universe, t, enumerate_orders(universe, t)))
     return kron_dynamic(statics, paths, universe)

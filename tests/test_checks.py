@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 from scipy.special import ndtr
 
-from drumtest import catalog
+from drumtest import catalog, checks
 from drumtest.checks import (adsrp_audit, bm_extension_feasible, check_H,
                              check_d_monotonicity, check_sarpd, check_stability,
                              cone_membership, dominance_from_universe, hierarchy_feasible,
@@ -204,6 +205,19 @@ class TestConeMembership:
     def test_table9_outside(self, simple_setup, table9_rho):
         d, _, rep = cone_membership(table9_rho, simple_setup["AT"])
         assert d > 1e-6 and not rep.passed
+
+    def test_a_point_off_its_kkt_conditions_is_solved_again(self, simple_setup, table9_rho,
+                                                            monkeypatch):
+        """An nnls point that fails the KKT check is replaced by its bvls
+        re-solve, and the distance is that residual's norm."""
+        AT = simple_setup["AT"]
+        d_nnls = cone_membership(table9_rho, AT)[0]
+        monkeypatch.setattr(checks, "nnls", lambda A, b: (nnls(A, b)[0] + 0.5, nnls(A, b)[1]))
+        d, nu, rep = cone_membership(table9_rho, AT)
+        b = rho_vector(table9_rho, AT.row_labels)
+        assert d == np.linalg.norm(AT.dense().astype(float) @ nu - b)
+        assert d == pytest.approx(d_nnls, abs=1e-10)
+        assert rep.diagnostics["kkt_residual"] <= checks.KKT_TOL * 100
 
     def test_uniform_weights_recovered_uniquely(self, simple_setup):
         nu = np.full(9, 1 / 9)

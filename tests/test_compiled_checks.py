@@ -14,7 +14,7 @@ from scipy import optimize
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from drumtest import catalog, checks
+from drumtest import catalog, checks, io
 from drumtest.checks import bm_extension_feasible, check_sarpd, hierarchy_feasible
 from drumtest.errors import SchemaError, SizeError
 from drumtest.geometry import demand_universe, enumerate_demand_types
@@ -517,6 +517,20 @@ class TestCompiledCaches:
                 _assert_same_report(bm_extension_feasible(rho)[2], old[2])
         assert checks._compile_hierarchy.cache_info().misses == 2
         assert checks._compile_bm.cache_info().misses == 2
+
+    def test_universes_read_twice_share_one_model(self, geometries, tmp_path):
+        """Two reads of one universe file are equal values, so the second
+        extension check on them meets the model the first compiled."""
+        geom = geometries["binary2"]
+        io.write_universe(geom["universe"], tmp_path / "universe.json")
+        first, second = (io.read_universe(tmp_path / "universe.json") for _ in range(2))
+        assert first is not second and first == second and hash(first) == hash(second)
+        probs = _mixture(geom, 4).probs
+        _clear_caches()
+        reports = [bm_extension_feasible(StochasticChoiceFunction(uni, probs))[2]
+                   for uni in (first, second)]
+        assert checks._compile_bm.cache_info()[:2] == (1, 1)  # (hits, misses)
+        _assert_same_report(*reports)
 
     def test_mismatched_universe_raises_on_a_hit(self, geometries):
         """Budgets, patches and observed menu paths of a compiled geometry

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from drumtest import catalog, geometry
 from drumtest.errors import SchemaError
@@ -15,7 +16,7 @@ from drumtest.geometry import (ABOVE, BELOW, ON, Budget, classify_point, compute
                                demand_universe, enumerate_demand_types, normalize_dradm)
 from drumtest.model import PanelDataset, PanelRecord
 
-from conftest import legacy_cell_constraints
+from conftest import legacy_cell_constraints, solve_recorder
 
 
 class TestComputePatches:
@@ -115,6 +116,7 @@ class TestArrangementMemo:
         patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
         for copy_of in (lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy):
             for patch, back in zip(patches, copy_of(patches)):
+                assert back == patch and hash(back) == hash(patch)
                 assert back.label == patch.label
                 assert back.sign_vector == patch.sign_vector
                 assert np.array_equal(back.representative, patch.representative)
@@ -176,6 +178,16 @@ def _legacy_cell_program_lp(budget, others, signs, strict):
             "b_eq": np.array(b_eq), "bounds": [(0, None)] * K + [(None, None)]}
 
 
+def _as_highs_receives(lp):
+    """A linprog call as HiGHS receives it: constraint blocks through CSC,
+    which keeps no zero, so -0.0 reads 0.0; bounds as an n x 2 array with
+    None as -inf/inf."""
+    bounds = [(-np.inf if lo is None else lo, np.inf if hi is None else hi)
+              for lo, hi in lp["bounds"]]
+    return dict(lp, A_ub=csc_array(lp["A_ub"]).toarray(), A_eq=csc_array(lp["A_eq"]).toarray(),
+                bounds=np.array(bounds, dtype=float))
+
+
 SIGN_ROW_ARRANGEMENTS = {
     "simple": catalog.simple_budgets((1,))[1],
     "demand3x3": catalog.demand3x3_budgets((1,))[1],
@@ -193,12 +205,7 @@ def test_cell_lps_keep_rows_order_and_bounds(name, monkeypatch):
     vector with and without 'on' entries, strict or not."""
     budgets = SIGN_ROW_ARRANGEMENTS[name]
     recorded = []
-
-    def record(c, **kwargs):
-        recorded.append(dict(kwargs, c=c))
-        return linprog(c, **kwargs)
-
-    monkeypatch.setattr(geometry, "linprog", record)
+    monkeypatch.setattr(geometry, "solve", solve_recorder(recorded))
     for budget in budgets:
         others = [b for b in budgets if b.index != budget.index]
         for combo in itertools.product((ABOVE, ON, BELOW), repeat=len(others)):
@@ -206,13 +213,11 @@ def test_cell_lps_keep_rows_order_and_bounds(name, monkeypatch):
             for strict in (True, False):
                 recorded.clear()
                 geometry._cell_program(budget, others, signs, strict)
-                old = _legacy_cell_program_lp(budget, others, signs, strict)
+                old = _as_highs_receives(_legacy_cell_program_lp(budget, others, signs, strict))
                 (new,) = recorded
-                for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
-                    assert np.asarray(new[key]).shape == old[key].shape, key
-                    assert np.asarray(new[key]).tobytes() == old[key].tobytes(), key
-                assert new["bounds"] == old["bounds"]
-                assert new["method"] == "highs"
+                for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
+                    assert new[key].shape == old[key].shape, key
+                    assert new[key].tobytes() == old[key].tobytes(), key
             for a, b in zip(geometry._cell_constraints(budget, others, signs),
                             legacy_cell_constraints(budget, others, signs)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -242,6 +247,17 @@ class TestDominance:
 class TestEnumerateDemandTypes:
     def test_simple_setup_types(self, simple_setup):
         assert simple_setup["types"] == [(1, 1), (1, 2), (2, 2)]
+
+    def test_memoised_on_patch_values_with_fresh_lists(self):
+        budgets = catalog.simple_budgets((1,))[1]
+        patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        geometry._demand_types.cache_clear()
+        types, order = enumerate_demand_types(patches, budgets)
+        types.clear()
+        order.clear()
+        copies = pickle.loads(pickle.dumps(patches))
+        assert enumerate_demand_types(copies, budgets) == ([(1, 1), (1, 2), (2, 2)], [1, 2])
+        assert geometry._demand_types.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_demand3x3_types(self, demand3x3_setup):
         assert len(demand3x3_setup["types"]) == 25

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear, nnls
 
 from drumtest import catalog, inference
+from drumtest.checks import KKT_TOL
 from drumtest.errors import ParameterError, SchemaError
 from drumtest.inference import TestConfig, TestReport, run_test, run_test_eu
 from drumtest.model import PanelDataset, PanelRecord, estimate_rho
@@ -114,8 +116,8 @@ def _per_replicate_bootstrap_chunk(args, seeds):
             draw = rng.multinomial(n, inference._normalized(vec[start:stop]))
             star[start:stop] = draw / n
         recentered = star - vec + eta
-        _, j = inference._projection_stat(WA, sqrt_w * (recentered - shift))
-        out[i] = N * j
+        _, rnorm = nnls(WA, sqrt_w * (recentered - shift))
+        out[i] = N * (rnorm * rnorm)
     return out
 
 
@@ -130,6 +132,58 @@ def test_bootstrap_matches_per_replicate_loop(binary_app, monkeypatch):
     assert hoisted.critical_value == reference.critical_value
     assert hoisted.p_value == reference.p_value
     assert hoisted.statistic == reference.statistic
+
+
+def _kkt(WA, x, b):
+    g = WA.T @ (WA @ x - b)
+    return max(-g.min(initial=0.0), np.abs(g[x > 1e-12]).max(initial=0.0))
+
+
+def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeypatch):
+    """Replicate 37 of this criterion-8-shaped panel (panel seed from
+    SeedSequence((5, 0)), bootstrap seed 5052) gets an nnls point that fails
+    its KKT check on the rank-deficient 48x216 matrix. It is solved again
+    alone by bvls and its J* read off that residual; every other replicate
+    keeps scipy's nnls statistic bit for bit."""
+    uni, A = binary_app
+    orders = list(itertools.permutations(("l1", "l2", "l3")))
+    rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
+    dgp = _order_mixture_dgp(uni, [(r, r, r) for r in orders] + [rotation], [0.14] * 6 + [0.16])
+    panel_seed = int(np.random.SeedSequence((5, 0)).generate_state(1)[0])
+    rho = estimate_rho(simulate(dgp, 356, seed=panel_seed)[0], uni)
+    chunks = []
+
+    def recording(args, seeds):
+        out = chunk(args, seeds)
+        chunks.append((args, seeds, out))
+        return out
+
+    chunk = inference._bootstrap_chunk
+    monkeypatch.setattr(inference, "_bootstrap_chunk", recording)
+    report = run_test(rho, A, TestConfig(reps=199, alpha=0.05, seed=5052))
+    ((args, seeds, out),) = chunks
+    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
+    pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
+    failed = []
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        star = np.empty_like(vec)
+        for (_, start, stop), n, p in zip(blocks, counts, pvals):
+            star[start:stop] = rng.multinomial(n, p) / n
+        b = sqrt_w * (star - vec + eta - shift)
+        x, rnorm = nnls(WA, b)
+        limit = KKT_TOL * max(1.0, np.abs(b).max()) * 100
+        if _kkt(WA, x, b) <= limit:
+            assert out[0, i] == N * (rnorm * rnorm)
+            continue
+        failed.append(i)
+        x = lsq_linear(WA, b, bounds=(0, np.inf), method="bvls").x
+        assert _kkt(WA, x, b) <= limit
+        assert out[0, i] == N * np.linalg.norm(WA @ x - b) ** 2
+        assert out[0, i] == pytest.approx(11.77, abs=0.01)
+    assert failed == [37]
+    assert report.diagnostics["kkt_residual_max"] <= 1e-8
+    assert report.diagnostics["nnls_solves"] == 201
 
 
 class TestRunTestEu:

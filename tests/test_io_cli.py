@@ -339,6 +339,27 @@ class TestCli:
                      "--universe", str(tmp_path / "missing.json")])
         assert code == 1
 
+    REQUIRED = {"matrices": ["--geometry", "simple"],
+                "check": ["--input", "rho.csv", "--universe", "universe.json"],
+                "test": ["--panel", "panel.csv", "--universe", "universe.json"],
+                "bounds": ["--input", "rho.csv", "--universe", "universe.json", "--budgets",
+                           "budgets.csv", "--new-budget", "2,1;1,2", "--g", "g.csv"],
+                "simulate": ["--dgp", "binary1", "--n", "5"],
+                "experiment": ["--dgps", "binary1", "--Ns", "5"]}
+
+    @pytest.mark.parametrize("command,option", [
+        ("matrices", "seed"), ("matrices", "threads"), ("matrices", "tolerance"),
+        ("check", "seed"), ("check", "threads"), ("check", "out"),
+        ("test", "tolerance"), ("test", "out"),
+        ("bounds", "seed"), ("bounds", "threads"), ("bounds", "tolerance"),
+        ("simulate", "threads"), ("simulate", "tolerance"),
+        ("experiment", "tolerance")])
+    def test_an_option_the_subcommand_ignores_is_a_usage_error(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *self.REQUIRED[command], f"--{option}", "1"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --{option} 1" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "drumtest.cli", "--help"],
                              capture_output=True, text=True)

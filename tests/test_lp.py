@@ -109,7 +109,7 @@ def test_an_optimum_off_the_constraints_is_demoted(monkeypatch):
 # --- one entry point -------------------------------------------------------------------
 
 SOLVER_NAMES = {"linprog", "milp"}
-SOLVER_HOMES = {"lp.py", "geometry.py"}  # geometry's memoised cell LPs stay on linprog
+SOLVER_HOMES = {"lp.py"}
 
 
 def _imports(tree):
@@ -126,7 +126,8 @@ def _imports(tree):
 
 def test_every_lp_goes_through_the_entry_point():
     files = sorted(SRC.glob("*.py"))
-    assert {f.name for f in files} >= SOLVER_HOMES | {"checks.py", "counterfactuals.py"}
+    assert {f.name for f in files} >= SOLVER_HOMES | {"checks.py", "counterfactuals.py",
+                                                      "geometry.py"}
     for path in files:
         tree = ast.parse(path.read_text())
         for module, name in _imports(tree):

@@ -39,6 +39,20 @@ class TestUniverseValidation:
             ChoiceUniverse((1,), {1: ("x",)}, {1: (Menu(1, ("x", "z")),)})
 
 
+class TestUniverseValues:
+    def test_universes_compare_and_hash_by_value(self):
+        """Lists and tuples, sets and frozensets build the same universe; a
+        changed order tells two apart."""
+        menus = [Menu(1, ["x", "y"]), Menu(2, ("y", "z"))]
+        built = ChoiceUniverse([1], {1: ["x", "y", "z"]}, {1: menus},
+                               {1: [({"x"}, ("y",))]})
+        same = ChoiceUniverse((1,), {1: ("x", "y", "z")}, {1: tuple(menus)},
+                              {1: ((frozenset({"x"}), frozenset({"y"})),)})
+        assert built == same and hash(built) == hash(same)
+        assert built.alternatives[1] == ("x", "y", "z") and built.menus[1][0].items == ("x", "y")
+        assert built != ChoiceUniverse((1,), {1: ("x", "y", "z")}, {1: tuple(menus)})
+
+
 class TestEstimateRho:
     def test_degenerate_sample(self):
         uni = ChoiceUniverse((1,), {1: ("x", "y")}, {1: (Menu(1, ("x", "y")),)})

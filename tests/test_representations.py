@@ -333,6 +333,24 @@ class TestCatalogH:
         with pytest.raises(GeometryError, match="convert_V_to_H"):
             catalog_H("weird", simple_setup["universe"], 1)
 
+    def test_matrices_compare_and_hash_by_value(self, binary_uni_T1, simple_setup):
+        """Two builds of one H, catalog or reduced, are equal and hash-equal;
+        a change of rows, labels or kind tells them apart, and the rows are
+        read-only."""
+        H = catalog_H("binary", binary_uni_T1, 1)
+        assert H == catalog_H("binary", binary_uni_T1, 1)
+        assert hash(H) == hash(catalog_H("binary", binary_uni_T1, 1))
+        kept, dropped = reduced_static_labels(binary_uni_T1, 1)
+        first, second = reduce_H(H, kept, dropped), reduce_H(H, kept, dropped)
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert H != catalog_H("simple", simple_setup["universe"], 1)
+        assert InequalityMatrix("x", H.rows, H.col_labels) != \
+            InequalityMatrix("x", H.rows[::-1], H.col_labels)
+        assert InequalityMatrix("x", H.rows, H.col_labels) != \
+            InequalityMatrix("y", H.rows, H.col_labels)
+        with pytest.raises(ValueError):
+            H.rows[0, 0] = 7
+
     def test_catalog_rows_valid_on_generators(self, binary_uni_T1, simple_setup,
                                               demand3x3_setup):
         for kind, uni, A in [

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, nnls
 
-from drumtest import catalog, inference
+from drumtest import catalog, checks, inference
 from drumtest.cli import main
 from drumtest.errors import SolverError
 from drumtest.inference import TestConfig, run_test
@@ -173,8 +174,8 @@ def _reference_chunk(args, seeds):
         for (_, start, stop), n, p in zip(blocks, counts, pvals):
             star[start:stop] = rng.multinomial(n, p) / n
         recentered = star - vec + eta
-        _, j = inference._projection_stat(WA, sqrt_w * (recentered - shift))
-        out[i] = N * j
+        _, rnorm = nnls(WA, sqrt_w * (recentered - shift))
+        out[i] = N * (rnorm * rnorm)
     return out
 
 
@@ -207,14 +208,18 @@ def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_certificate_raises(monkeypatch):
-    """A projection off its KKT conditions raises with its residual."""
+    """A projection off its KKT conditions whose bvls re-solve is off them
+    too raises with its residual."""
     rho, A = _rho_and_A(DgpSpec("binary3"), 40, 0)
 
     def off_target(WA, b):
-        x, j = inference.nnls(WA, b)
-        return x + 0.5, j * j
+        x, rnorm = nnls(WA, b)
+        return x + 0.5, rnorm
 
-    monkeypatch.setattr(inference, "_projection_stat", off_target)
+    for module in (checks, inference):
+        monkeypatch.setattr(module, "nnls_solve", off_target)
+    monkeypatch.setattr(checks, "lsq_linear",
+                        lambda WA, b, **options: OptimizeResult(x=off_target(WA, b)[0]))
     with pytest.raises(SolverError) as err:
         run_test(rho, A, TestConfig(reps=9, seed=0))
     assert err.value.diagnostics["kkt_residual"] > err.value.diagnostics["kkt_limit"]

@@ -8,8 +8,9 @@ import pytest
 from drumtest import catalog
 from drumtest.errors import ParameterError
 from drumtest.model import PanelDataset, PanelRecord, estimate_rho
+from drumtest.representations import build_static_A, kron_dynamic
 from drumtest.simulate import (BINARY_MARGINALS, DgpSpec, build_universe,
-                               observed_menu_paths, run_experiment, simulate)
+                               observed_menu_paths, run_experiment, simulate, type_matrix_for)
 
 
 def reference_simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
@@ -151,6 +152,20 @@ class TestDemandDgps:
         panel, uni = simulate(DgpSpec("cobb-douglas-walk"), 15, seed=3)
         rho = estimate_rho(panel, uni)
         assert sorted(rho.counts.values()) == [15] * 4
+
+
+    @pytest.mark.parametrize("kind", ["cobb-douglas-walk", "cobb-douglas-gaussian-copula"])
+    def test_type_matrix_keeps_the_hand_coded_types(self, kind):
+        """The SARP-filtered patch pairs are the ones the generator's matrix
+        was built from by hand: every pair but (2, 1)."""
+        dgp = DgpSpec(kind)
+        universe, _ = build_universe(dgp)
+        statics = [build_static_A(universe, t, [(1, 1), (1, 2), (2, 2)])
+                   for t in universe.periods]
+        reference = kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
+        A = type_matrix_for(dgp, universe)
+        assert (A.row_labels, A.col_labels) == (reference.row_labels, reference.col_labels)
+        assert A.dense().tobytes() == reference.dense().tobytes()
 
 
 class TestBinaryDgps:

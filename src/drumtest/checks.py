@@ -18,7 +18,7 @@ from .doubledesc import _invert
 from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import _cell_constraints
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
-from .model import ChoiceUniverse, StochasticChoiceFunction, rho_vector
+from .model import ChoiceUniverse, StochasticChoiceFunction, _has_cycle, rho_vector
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
                               pair_vector, projection_ops, reduce_H, static_row_labels,
                               validate_replication, virtual_universe)
@@ -708,22 +708,6 @@ def _compile_sarpd(uni: ChoiceUniverse, budgets: tuple, patches: tuple,
                 marked.append((pos, cp))
         marked_by_path.append(tuple(marked))
     return SarpdModel(tuple(marked_by_path), len(all_cells))
-
-
-def _has_cycle(nodes, adj) -> bool:
-    color = {n: 0 for n in nodes}
-
-    def dfs(n):
-        color[n] = 1
-        for m in adj[n]:
-            if color[m] == 1:
-                return True
-            if color[m] == 0 and dfs(m):
-                return True
-        color[n] = 2
-        return False
-
-    return any(dfs(n) for n in nodes if color[n] == 0)
 
 
 # --- sequence-sum audit ------------------------------------------------------------------

@@ -23,11 +23,10 @@ from .checks import (bm_extension_feasible, check_H, check_d_monotonicity, check
                      check_stability, cone_membership, hierarchy_feasible)
 from .counterfactuals import CounterfactualProblem, bound_functional, kron_counterfactual_cone
 from .errors import DrumError, ModelRejectedError
-from .geometry import Budget, compute_patches, demand_universe, enumerate_demand_types
+from .geometry import Budget, compute_patches, demand_universe
 from .inference import TestConfig, run_test, run_test_eu
 from .model import estimate_rho
-from .representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
-                              kron_inequalities)
+from .representations import catalog_H, kron_dynamic, kron_inequalities, static_type_matrix
 from .simulate import DgpSpec, run_experiment, simulate
 
 
@@ -135,18 +134,14 @@ def _cmd_matrices(args) -> int:
     periods = tuple(range(1, args.T + 1))
     if args.geometry == "binary3":
         uni = catalog.binary_universe(periods=periods)
-        budgets = patches = None
+        patches = None
         kind = "binary"
     else:
-        if args.geometry == "simple":
-            budgets = catalog.simple_budgets(periods)
-            maps = catalog.SIMPLE_INDEX_MAPS
-        else:
-            budgets = catalog.demand3x3_budgets(periods)
-            maps = catalog.DEMAND3X3_INDEX_MAPS
-        uni, patches, _ = demand_universe(budgets, periods, maps)
+        budgets = (catalog.simple_budgets if args.geometry == "simple"
+                   else catalog.demand3x3_budgets)(periods)
+        uni, patches, _ = demand_universe(budgets, periods, _catalog_maps(budgets[periods[0]]))
         kind = args.geometry
-    statics = _statics_for(uni, budgets, patches)
+    statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
     H = catalog_H(kind, uni, uni.periods[0])
     io.export_matrix(statics[0].dense(), statics[0].row_labels, statics[0].col_labels,
                      out / f"A_static_{args.geometry}")
@@ -162,7 +157,9 @@ def _cmd_matrices(args) -> int:
 
 
 def _catalog_maps(budgets_t):
-    """Published patch numbering when the budget shape matches a catalog."""
+    """Published patch numbering when the budget shape matches a catalog,
+    else None (the default numbering); the one numbering rule of every
+    subcommand."""
     K = budgets_t[0].num_goods
     if len(budgets_t) == 2 and K == 2:
         return catalog.SIMPLE_INDEX_MAPS
@@ -192,19 +189,6 @@ def _demand_geometry(universe, budgets):
     for message in distinct.values():
         warnings.warn(message, stacklevel=2)
     return patches, dominance, tuple(distinct)
-
-
-def _statics_for(universe, budgets, patches=None):
-    """Per-period type matrices: SARP-filtered patch tuples when budgets are
-    supplied, linear orders otherwise."""
-    statics = []
-    for t in universe.periods:
-        if budgets and t in budgets:
-            types, _ = enumerate_demand_types(patches[t], budgets[t])
-            statics.append(build_static_A(universe, t, types))
-        else:
-            statics.append(build_static_A(universe, t, enumerate_orders(universe, t)))
-    return statics
 
 
 def _catalog_kind(universe, t):
@@ -248,9 +232,8 @@ def _cmd_check(args) -> int:
             H = kron_inequalities([catalog_H(k, uni, t) for k, t in zip(kinds, uni.periods)])
             reports[name] = check_H(rho, H, tol=args.tolerance)
         elif name == "cone":
-            statics = _statics_for(uni, budgets, patches)
-            A = kron_dynamic(statics, rho.observed_paths, uni)
-            _, _, rep = cone_membership(rho, A)
+            statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
+            _, _, rep = cone_membership(rho, kron_dynamic(statics, rho.observed_paths, uni))
             reports[name] = rep
         elif name == "bm":
             _, _, rep = bm_extension_feasible(rho)
@@ -289,9 +272,8 @@ def _cmd_test(args) -> int:
     else:
         budgets = io.read_budgets(args.budgets) if args.budgets else None
         patches = _demand_geometry(uni, budgets)[0] if budgets else None
-        statics = _statics_for(uni, budgets, patches)
-        A = kron_dynamic(statics, rho.observed_paths, uni)
-        report = run_test(rho, A, config)
+        statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
+        report = run_test(rho, kron_dynamic(statics, rho.observed_paths, uni), config)
     text = json.dumps(report.to_dict(), indent=1)
     if args.report:
         Path(args.report).write_text(text)
@@ -312,9 +294,11 @@ def _cmd_bounds(args) -> int:
         mp, cp = args.condition.split(":")
         condition = (tuple(int(v) for v in mp.split("|")),
                      tuple(int(v) for v in cp.split("|")))
+    # the numbering check and test read these files under, applied to every
+    # period of the extended window
     problem = CounterfactualProblem(rho, budgets, new_budgets, g_lower, g_upper,
                                     target_budget=args.target, condition=condition,
-                                    index_maps=catalog.SIMPLE_INDEX_MAPS)
+                                    index_maps=_catalog_maps(budgets[uni.periods[0]]))
     report = bound_functional(problem)
     cross = kron_counterfactual_cone(problem)
     doc = {"lower": report.lower, "upper": report.upper,

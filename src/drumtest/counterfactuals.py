@@ -26,10 +26,10 @@ import numpy as np
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
                      stability_groups)
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
-from .geometry import demand_universe, enumerate_demand_types, freeze_index_maps
+from .geometry import demand_universe, freeze_index_maps
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, path_blocks, rho_vector
-from .representations import TypeMatrix, build_static_A, kron_dynamic
+from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 
 NEW_PERIOD = "next"
 
@@ -123,10 +123,8 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
             var_index[(ext_path, cp)] = len(var_index)
     n = len(var_index)
 
-    statics = [build_static_A(observed_uni, t,
-                              enumerate_demand_types(patches[t], observed_budgets[t])[0])
-               for t in periods]
-    observed = kron_dynamic(statics, paths, observed_uni)
+    observed = kron_dynamic([static_type_matrix(observed_uni, t, patches) for t in periods],
+                            paths, observed_uni)
     observed_row = {label: r for r, label in enumerate(observed.row_labels)}
 
     # marginal rows: summing out the new-period choice reproduces rho
@@ -158,8 +156,7 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
         for sign, menu_path, cp in terms:
             M[r, var_index[(menu_path, cp)]] += sign
 
-    new_types, _ = enumerate_demand_types(patches[NEW_PERIOD], list(new_budgets))
-    new_static = build_static_A(ext, NEW_PERIOD, new_types)
+    new_static = static_type_matrix(ext, NEW_PERIOD, patches)
     mixture_A_eq = np.kron(observed.dense().astype(float),
                            np.ones((1, len(new_static.col_labels))))
     marginal_rows = np.array(marginal_rows, dtype=int)

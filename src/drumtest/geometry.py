@@ -396,15 +396,15 @@ def _dominance_pairs(by_index: dict, open_cells: dict):
     return pairs, exact
 
 
-def enumerate_demand_types(patches: list, budgets: list):
+def enumerate_demand_types(patches: list, budgets: list | None = None):
     """All SARP-consistent assignments of one open patch per budget.
 
     Tuples are enumerated lexicographically over patch indices; a tuple is
     kept when the revealed-preference digraph on its chosen patches (edge
     from the chooser to every patch lying weakly below its budget, strict
     when strictly below) has no cycle through a strict edge. Returns (types,
-    budget order). The patches alone decide both, so results are memoised on
-    them, and every call gets fresh lists.
+    budget order). The patches alone decide both, so ``budgets`` is ignored,
+    results are memoised on the patches, and every call gets fresh lists.
     """
     types, order = _demand_types(tuple(patches))
     return list(types), list(order)
@@ -636,14 +636,13 @@ def pool(rho: StochasticChoiceFunction, budgets_by_period: dict,
 
     # static mixture check on the pooled cross-section
     from .checks import cone_membership
-    from .representations import build_static_A
+    from .representations import static_type_matrix
     alternatives = tuple(p.label for p in sorted(open_pooled, key=lambda p: p.label))
     menus = tuple(Menu(b.index, tuple(p.label for p in sorted(open_pooled, key=lambda p: p.index)
                                       if p.budget == b.index))
                   for b in pooled_budgets)
     pool_uni = ChoiceUniverse(("pool",), {"pool": alternatives}, {"pool": menus})
-    types, _ = enumerate_demand_types(pooled_patches, pooled_budgets)
-    A = build_static_A(pool_uni, "pool", types)
+    A = static_type_matrix(pool_uni, "pool", {"pool": pooled_patches})
     vec = np.concatenate([masses[owner[b.index]] for b in pooled_budgets])
     distance, _, _ = cone_membership(vec, A, tol=1e-8)
     return PooledReport(masses, pooled_labels, splits, distance <= 1e-8, distance)

@@ -14,7 +14,7 @@ import numpy as np
 from .checks import certify_nnls, nnls_projection, nnls_solve
 from .errors import ParameterError, SchemaError
 from .model import PanelDataset, estimate_rho, rho_vector
-from .representations import TypeMatrix, build_static_A, enumerate_orders, kron_dynamic
+from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 
 
 @dataclass(frozen=True)
@@ -165,24 +165,14 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
 
     seed_seq = np.random.SeedSequence(config.seed)
     child_seeds = seed_seq.spawn(config.reps)
-    args = (WA, sqrt_w, vec, eta, shift, blocks, counts, N)
-    chunk_fn = _bootstrap_chunk
+    chunk_fn = partial(_bootstrap_chunk, (WA, sqrt_w, vec, eta, shift, blocks, counts, N))
     if not config.critical_value:
         # mu >= 0 is feasible for every replicate's projection, so the
         # residual at the recentring fit WA mu bounds each J* from above
-        chunk_fn = partial(_bootstrap_chunk, screen=(WA @ mu, statistic))
-    if config.n_jobs > 1:
-        chunks = np.array_split(np.arange(config.reps), config.n_jobs)
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-            futures = [pool.submit(chunk_fn, args, [child_seeds[i] for i in chunk])
-                       for chunk in chunks if len(chunk)]
-            parts = [f.result() for f in futures]
-    else:
-        parts = [chunk_fn(args, child_seeds)]
-    # rows: J* per replicate, then its projection's KKT residual (a chunk
-    # may report J* alone); NaN marks a screened replicate
-    rows = np.atleast_2d(np.concatenate(parts, axis=-1))
-    stats, kkt_boot = rows[0], rows[1:]
+        chunk_fn = partial(chunk_fn, screen=(WA @ mu, statistic))
+    # rows: J* per replicate, then its projection's KKT residual; NaN marks
+    # a screened replicate
+    stats, kkt_boot = np.concatenate(chunked_map(chunk_fn, child_seeds, config.n_jobs), axis=1)
     solved = ~np.isnan(stats)
     kkt = float(np.max(kkt_boot[~np.isnan(kkt_boot)], initial=kkt))
 
@@ -200,6 +190,17 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
                        "screened_replicates": int(config.reps - solved.sum()),
                        "critical_value_computed": bool(config.critical_value),
                        "kkt_residual_max": kkt})
+
+
+def chunked_map(fn, items, n_jobs: int) -> list:
+    """``fn`` of contiguous chunks of ``items``, one chunk per worker process,
+    in chunk order; one call on all items when ``n_jobs`` is at most 1."""
+    if n_jobs <= 1:
+        return [fn(items)]
+    chunks = [chunk for chunk in np.array_split(np.arange(len(items)), n_jobs) if len(chunk)]
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        futures = [pool.submit(fn, [items[i] for i in chunk]) for chunk in chunks]
+        return [f.result() for f in futures]
 
 
 def _bootstrap_chunk(args, seeds, screen=None):
@@ -252,13 +253,7 @@ def run_test_eu(panel, universe, lotteries: dict, config: TestConfig = TestConfi
     with expected utility over the supplied lotteries."""
     if rho is None:
         rho = estimate_rho(panel, universe)
-    statics = []
-    for t in universe.periods:
-        orders = enumerate_orders(universe, t, eu_filter=lotteries)
-        if not orders:
-            raise ParameterError("no ranking is consistent with expected utility; "
-                                 "the restricted model is degenerate")
-        statics.append(build_static_A(universe, t, orders))
+    statics = [static_type_matrix(universe, t, eu_filter=lotteries) for t in universe.periods]
     A = kron_dynamic(statics, rho.observed_paths, universe)
     report = run_test(rho, A, config)
     report.diagnostics["eu_orders_per_period"] = [len(s.col_labels) for s in statics]

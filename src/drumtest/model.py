@@ -153,28 +153,29 @@ def _order_has_cycle(pairs, alternatives) -> bool:
     of the bipartite expansion linking every dominant element to every
     dominated element, which is exact for singleton pairs.
     """
-    edges = set()
+    adjacency = {a: set() for a in alternatives}
     for dom, sub in pairs:
         for a in dom:
-            for b in sub:
-                edges.add((a, b))
-    adjacency = {a: set() for a in alternatives}
-    for a, b in edges:
-        adjacency[a].add(b)
-    visiting, done = set(), set()
+            adjacency[a].update(sub)
+    return _has_cycle(alternatives, adjacency)
 
-    def dfs(node):
-        visiting.add(node)
-        for nxt in adjacency[node]:
-            if nxt in visiting:
+
+def _has_cycle(nodes, adj) -> bool:
+    """Whether the digraph with successor sets ``adj`` over ``nodes`` has a
+    directed cycle (depth-first search)."""
+    color = {n: 0 for n in nodes}
+
+    def dfs(n):
+        color[n] = 1
+        for m in adj[n]:
+            if color[m] == 1:
                 return True
-            if nxt not in done and dfs(nxt):
+            if color[m] == 0 and dfs(m):
                 return True
-        visiting.discard(node)
-        done.add(node)
+        color[n] = 2
         return False
 
-    return any(dfs(a) for a in alternatives if a not in done)
+    return any(dfs(n) for n in nodes if color[n] == 0)
 
 
 @dataclass(frozen=True)

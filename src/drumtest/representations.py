@@ -27,6 +27,7 @@ from scipy.optimize import Bounds
 
 from . import catalog
 from .errors import GeometryError, ParameterError, SchemaError, SizeError
+from .geometry import enumerate_demand_types
 from .lp import compile_lp, solve
 from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, rho_vector
 
@@ -243,6 +244,22 @@ def build_static_A(universe: ChoiceUniverse, t, types) -> TypeMatrix:
         cols.append(col)
         col_labels.append(label)
     return TypeMatrix(np.column_stack(cols).astype(np.int8), labels, tuple(col_labels))
+
+
+def static_type_matrix(universe: ChoiceUniverse, t, patches: dict | None = None,
+                       eu_filter: dict | None = None) -> TypeMatrix:
+    """The period's type matrix, the one rule for its static types: the
+    SARP-consistent demand types of ``patches[t]`` when ``patches`` has the
+    period, else the linear extensions of its primitive order that
+    ``eu_filter`` admits (all of them without a filter)."""
+    if patches and t in patches:
+        types, _ = enumerate_demand_types(patches[t])
+    else:
+        types = enumerate_orders(universe, t, eu_filter=eu_filter)
+        if not types:
+            raise ParameterError("no ranking is consistent with expected utility; "
+                                 "the restricted model is degenerate")
+    return build_static_A(universe, t, types)
 
 
 def kron_dynamic(statics: list, observed_paths, universe: ChoiceUniverse) -> TypeMatrix:

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import catalog
 from .errors import GeometryError, ParameterError
-from .geometry import ABOVE, compute_patches, demand_universe, enumerate_demand_types
-from .inference import TestConfig, run_test
+from .geometry import ABOVE, compute_patches, demand_universe
+from .inference import TestConfig, chunked_map, run_test
 from .model import PanelDataset, estimate_rho
-from .representations import build_static_A, enumerate_orders, kron_dynamic
+from .representations import kron_dynamic, static_type_matrix
 
 BINARY_MARGINALS = {
     "binary1": np.array([1, 4, 4, 1, 1, 4]) / 5.0,
@@ -160,8 +160,9 @@ def _demand_choices(universe, budgets, menus, shares):
     """
     positions = np.empty(menus.shape, dtype=np.intp)
     quantity = np.empty(menus.shape + (2,))
+    patches_by_period = _demand_patches(budgets)
     for k, t in enumerate(universe.periods):
-        patches, _ = compute_patches(budgets[t], index_maps=catalog.SIMPLE_INDEX_MAPS)
+        patches = patches_by_period[t]
         for budget in budgets[t]:
             rows = menus[:, k] == budget.index
             a, p, w = shares[rows, k], budget.p(), budget.w()
@@ -204,19 +205,20 @@ def _chosen_items(universe, menus, positions):
     return out, ids
 
 
+def _demand_patches(budgets: dict) -> dict:
+    """Patches by period of a demand generator's budgets, in the catalog
+    numbering its universe uses."""
+    return {t: compute_patches(blist, index_maps=catalog.SIMPLE_INDEX_MAPS)[0]
+            for t, blist in budgets.items()}
+
+
 def type_matrix_for(dgp: DgpSpec, universe):
-    """Restricted type matrix matching the generator's observed paths."""
-    paths = observed_menu_paths(dgp, universe)
-    statics = []
-    for t in universe.periods:
-        if dgp.kind.startswith("cobb"):
-            budgets = catalog.simple_budgets((t,))[t]
-            patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
-            types, _ = enumerate_demand_types(patches, budgets)
-            statics.append(build_static_A(universe, t, types))
-        else:
-            statics.append(build_static_A(universe, t, enumerate_orders(universe, t)))
-    return kron_dynamic(statics, paths, universe)
+    """Restricted type matrix matching the generator's observed paths; a
+    demand generator's periods take the demand types of its own patches."""
+    _, budgets = build_universe(dgp)
+    patches = _demand_patches(budgets) if budgets else None
+    statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
+    return kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
 
 
 def agents_per_path_for(dgp: DgpSpec, n: int) -> int:
@@ -279,16 +281,8 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
         for n in Ns:
             t0 = time.perf_counter()
             cell = master.spawn(1)[0]
-            sim_seeds = cell.spawn(sims)
-            if n_jobs > 1:
-                chunks = np.array_split(np.arange(sims), n_jobs)
-                with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                    futures = [pool.submit(_run_sims, dgp, n,
-                                           [sim_seeds[i] for i in chunk], reps, alpha)
-                               for chunk in chunks if len(chunk)]
-                    per_sim = np.concatenate([f.result() for f in futures])
-            else:
-                per_sim = _run_sims(dgp, n, sim_seeds, reps, alpha)
+            run = partial(_run_sims, dgp, n, reps=reps, alpha=alpha)
+            per_sim = np.concatenate(chunked_map(run, cell.spawn(sims), n_jobs))
             rejects, statistics, solves, screened = per_sim.T
             entries.append({
                 "dgp": dgp.kind, "N": n, "sims": sims, "reps": reps,

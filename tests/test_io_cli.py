@@ -11,8 +11,11 @@ import pytest
 
 from drumtest import catalog, io
 from drumtest.cli import main
-from drumtest.geometry import Budget, demand_universe
+from drumtest.counterfactuals import CounterfactualProblem, bound_functional
+from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
 from drumtest.model import estimate_rho
+from drumtest.representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
+                                      static_type_matrix)
 from drumtest.simulate import DgpSpec, simulate
 
 from conftest import rho_from_weights
@@ -83,6 +86,36 @@ def _write_simple_inputs(tmp_path, rho):
     io.write_universe(uni, tmp_path / "universe.json")
     io.write_rho(rho, tmp_path / "rho.csv")
     io.write_budgets(catalog.simple_budgets((1, 2)), tmp_path / "budgets.csv")
+
+
+def _legacy_matrices(geometry, T, out):
+    """The files ``drum matrices`` wrote when it chose each period's types
+    and its patch numbering by hand."""
+    out.mkdir(parents=True)
+    periods = tuple(range(1, T + 1))
+    if geometry == "binary3":
+        uni = catalog.binary_universe(periods=periods)
+        statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in periods]
+        kind = "binary"
+    else:
+        if geometry == "simple":
+            budgets, maps = catalog.simple_budgets(periods), catalog.SIMPLE_INDEX_MAPS
+        else:
+            budgets, maps = catalog.demand3x3_budgets(periods), catalog.DEMAND3X3_INDEX_MAPS
+        uni, patches, _ = demand_universe(budgets, periods, maps)
+        statics = [build_static_A(uni, t, enumerate_demand_types(patches[t], budgets[t])[0])
+                   for t in periods]
+        kind = geometry
+    H = catalog_H(kind, uni, 1)
+    io.export_matrix(statics[0].dense(), statics[0].row_labels, statics[0].col_labels,
+                     out / f"A_static_{geometry}")
+    A_T = kron_dynamic(statics, sorted(itertools.product(*[uni.menu_indices(t) for t in periods])),
+                       uni)
+    io.export_matrix(A_T.dense(), A_T.row_labels, A_T.col_labels,
+                     out / f"A_dynamic_{geometry}_T{T}")
+    io.export_matrix(H.full(), [f"row{k}" for k in range(len(H.full()))], H.col_labels,
+                     out / f"H_{geometry}")
+    io.write_universe(uni, out / f"universe_{geometry}.json")
 
 
 class TestCli:
@@ -168,6 +201,57 @@ class TestCli:
         doc = json.loads((tmp_path / "bounds.json").read_text())
         assert doc["lower"] <= doc["upper"]
         assert doc["lower"] == pytest.approx(doc["cross_check_lower"], abs=1e-7)
+
+    @pytest.mark.parametrize("geometry", ["simple", "binary3", "demand3x3"])
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_matrices_files_keep_their_bytes(self, tmp_path, geometry, T):
+        assert main(["matrices", "--geometry", geometry, "--T", str(T),
+                     "--out", str(tmp_path / "cli")]) == 0
+        _legacy_matrices(geometry, T, tmp_path / "legacy")
+        written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "legacy").iterdir())
+        for name in written:
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "legacy" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_bounds_reads_patches_in_the_check_numbering(self, tmp_path, goods):
+        """``drum bounds`` numbers patches like ``drum check``: the published
+        maps on two goods, the default numbering otherwise. On the same files
+        the checks pass and the bounds are the library's under that
+        numbering."""
+        if goods == 2:
+            prices, maps = [(2, 1), (1, 2)], catalog.SIMPLE_INDEX_MAPS
+        else:
+            prices, maps = [(2, 1, 1), (1, 2, 1)], None
+        budgets = {t: [Budget(t, j + 1, tuple(map(Fraction, p)), Fraction(1))
+                       for j, p in enumerate(prices)] for t in (1, 2)}
+        uni, patches, _ = demand_universe(budgets, (1, 2), index_maps=maps)
+        A = kron_dynamic([static_type_matrix(uni, t, patches) for t in uni.periods],
+                         sorted(itertools.product((1, 2), repeat=2)), uni)
+        rho = rho_from_weights(uni, A, np.random.default_rng(5).dirichlet(np.ones(A.shape[1])))
+        io.write_universe(uni, tmp_path / "universe.json")
+        io.write_rho(rho, tmp_path / "rho.csv")
+        io.write_budgets(budgets, tmp_path / "budgets.csv")
+        lower = {(1, 1): 0.1, (1, 2): 0.4, (2, 1): 0.2, (2, 2): 0.7}
+        upper = {key: lo + 0.25 for key, lo in lower.items()}
+        (tmp_path / "g.csv").write_text("\n".join(
+            ["budget_id,patch_id,g_lower,g_upper"]
+            + [f"{j},{i},{lower[j, i]},{upper[j, i]}" for j, i in lower]))
+        files = ["--input", str(tmp_path / "rho.csv"),
+                 "--universe", str(tmp_path / "universe.json"),
+                 "--budgets", str(tmp_path / "budgets.csv")]
+        assert main(["check", *files, "--checks", "stability,dmono,cone"]) == 0
+        new_budget = ";".join(",".join(map(str, p)) for p in prices)
+        assert main(["bounds", *files, "--new-budget", new_budget, "--g", str(tmp_path / "g.csv"),
+                     "--out", str(tmp_path / "bounds.json")]) == 0
+        doc = json.loads((tmp_path / "bounds.json").read_text())
+        new_budgets = [Budget("next", j + 1, tuple(map(Fraction, p)), Fraction(1))
+                       for j, p in enumerate(prices)]
+        report = bound_functional(CounterfactualProblem(
+            io.read_rho(tmp_path / "rho.csv", uni), budgets, new_budgets, lower, upper,
+            index_maps=maps))
+        assert (doc["lower"], doc["upper"]) == (report.lower, report.upper)
 
     def test_experiment_command(self, tmp_path):
         code = main(["experiment", "--dgps", "binary3", "--Ns", "10",

@@ -18,7 +18,7 @@ from drumtest.representations import (InequalityMatrix, LinearOrder, TypeMatrix,
                                       enumerate_orders, full_pair_lists, kron_dynamic,
                                       kron_inequalities, pair_vector, projection_ops,
                                       reduce_H, reduce_star, static_row_labels,
-                                      virtual_universe)
+                                      static_type_matrix, virtual_universe)
 from drumtest.checks import reduced_static_labels
 
 TABLE_A_BINARY = np.array([
@@ -164,6 +164,54 @@ class TestBuildStaticA:
     def test_adding_up_validated(self):
         with pytest.raises(SchemaError, match="adding-up"):
             TypeMatrix(np.array([[1], [1]], dtype=np.int8), ((1, 1), (1, 2)), ("c",))
+
+
+def _type_rule_cases():
+    """(name, universe, patches, EU filter, hand-built per-period matrices)."""
+    for T in (1, 2):
+        periods = tuple(range(1, T + 1))
+        budgets = catalog.simple_budgets(periods)
+        uni, patches, _ = demand_universe(budgets, periods, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        yield f"simple{T}", uni, patches, None, [
+            build_static_A(uni, t, enumerate_demand_types(patches[t], budgets[t])[0])
+            for t in periods]
+    budgets = catalog.demand3x3_budgets((1,))
+    uni, patches, _ = demand_universe(budgets, (1,), index_maps=catalog.DEMAND3X3_INDEX_MAPS)
+    yield "demand3x3", uni, patches, None, [
+        build_static_A(uni, 1, enumerate_demand_types(patches[1], budgets[1])[0])]
+    for T in (1, 2, 3):
+        uni = catalog.binary_universe(periods=tuple(range(1, T + 1)))
+        yield f"binary{T}", uni, None, None, [build_static_A(uni, t, enumerate_orders(uni, t))
+                                              for t in uni.periods]
+    uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2))
+    lotteries = catalog.application_lotteries()
+    yield "binary-eu", uni, None, lotteries, [
+        build_static_A(uni, t, enumerate_orders(uni, t, eu_filter=lotteries))
+        for t in uni.periods]
+
+
+class TestStaticTypeMatrix:
+    @pytest.mark.parametrize("case", list(_type_rule_cases()), ids=lambda case: case[0])
+    def test_matches_the_hand_built_matrices(self, case):
+        _, uni, patches, eu_filter, expected = case
+        for t, want in zip(uni.periods, expected):
+            got = static_type_matrix(uni, t, patches, eu_filter=eu_filter)
+            assert got.matrix.dtype == want.matrix.dtype
+            assert got.dense().tobytes() == want.dense().tobytes()
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+
+    def test_a_period_missing_from_the_patches_takes_linear_orders(self, simple_setup):
+        uni = simple_setup["universe"]
+        A = static_type_matrix(uni, 2, {1: simple_setup["patches"][1]})
+        want = build_static_A(uni, 2, enumerate_orders(uni, 2))
+        assert A.dense().tobytes() == want.dense().tobytes()
+        assert A.col_labels == want.col_labels
+
+    def test_no_admitted_ranking_raises(self):
+        uni = catalog.binary_universe(("l1", "l2", "l3"), (1,))
+        same = {a: (Fraction(1, 2), Fraction(1, 2)) for a in ("l1", "l2", "l3")}
+        with pytest.raises(ParameterError, match="no ranking is consistent"):
+            static_type_matrix(uni, 1, eu_filter=same)
 
 
 def _legacy_kron_dynamic(statics, observed_paths, universe):

@@ -164,7 +164,7 @@ def test_experiment_deterministic_across_workers():
 
 def _reference_chunk(args, seeds):
     """The bootstrap loop before screening and certification: every
-    replicate projected, statistics only."""
+    replicate projected, statistics only (the KKT row is NaN)."""
     WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     out = np.empty(len(seeds))
@@ -176,7 +176,7 @@ def _reference_chunk(args, seeds):
         recentered = star - vec + eta
         _, rnorm = nnls(WA, sqrt_w * (recentered - shift))
         out[i] = N * (rnorm * rnorm)
-    return out
+    return np.vstack([out, np.full(len(seeds), np.nan)])
 
 
 NEW_DIAGNOSTICS = {"nnls_solves", "screened_replicates", "critical_value_computed",

@@ -7,8 +7,9 @@ import pytest
 
 from drumtest import catalog
 from drumtest.errors import ParameterError
+from drumtest.geometry import compute_patches, enumerate_demand_types
 from drumtest.model import PanelDataset, PanelRecord, estimate_rho
-from drumtest.representations import build_static_A, kron_dynamic
+from drumtest.representations import build_static_A, enumerate_orders, kron_dynamic
 from drumtest.simulate import (BINARY_MARGINALS, DgpSpec, build_universe,
                                observed_menu_paths, run_experiment, simulate, type_matrix_for)
 
@@ -166,6 +167,39 @@ class TestDemandDgps:
         A = type_matrix_for(dgp, universe)
         assert (A.row_labels, A.col_labels) == (reference.row_labels, reference.col_labels)
         assert A.dense().tobytes() == reference.dense().tobytes()
+
+    @pytest.mark.parametrize("kind", ["cobb-douglas-walk", "cobb-douglas-gaussian-copula",
+                                      "binary1", "binary2", "binary3", "order-mixture"])
+    def test_type_matrix_keeps_its_bytes(self, kind):
+        """Every generator's matrix equals the one its per-period loop built
+        before the type rule moved into ``static_type_matrix``."""
+        params = {}
+        if kind == "order-mixture":
+            uni = catalog.binary_universe(("a", "b", "c"), (1, 2))
+            params = {"universe": uni, "profiles": [(("a", "b", "c"), ("c", "b", "a"))],
+                      "weights": [1.0], "menu_paths": [(1, 2), (3, 3)]}
+        dgp = DgpSpec(kind, params)
+        universe, _ = build_universe(dgp)
+        reference = _legacy_type_matrix_for(dgp, universe)
+        A = type_matrix_for(dgp, universe)
+        assert (A.row_labels, A.col_labels) == (reference.row_labels, reference.col_labels)
+        assert A.matrix.dtype == reference.matrix.dtype
+        assert A.dense().tobytes() == reference.dense().tobytes()
+
+
+def _legacy_type_matrix_for(dgp, universe):
+    """type_matrix_for as a per-period loop that chose each period's types
+    itself and rebuilt the demand budgets one period at a time."""
+    statics = []
+    for t in universe.periods:
+        if dgp.kind.startswith("cobb"):
+            budgets = catalog.simple_budgets((t,))[t]
+            patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+            types, _ = enumerate_demand_types(patches, budgets)
+            statics.append(build_static_A(universe, t, types))
+        else:
+            statics.append(build_static_A(universe, t, enumerate_orders(universe, t)))
+    return kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
 
 
 class TestBinaryDgps:

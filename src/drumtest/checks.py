@@ -23,7 +23,6 @@ from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair
                               pair_vector, projection_ops, reduce_H, static_row_labels,
                               validate_replication, virtual_universe)
 
-ALGEBRA_TOL = 1e-12
 ESTIMATE_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
 KKT_TOL = 1e-10
@@ -273,7 +272,10 @@ def nnls_projection(A: np.ndarray, b: np.ndarray, kkt_tol: float = KKT_TOL):
 
 def nnls_solve(A: np.ndarray, b: np.ndarray):
     """(x, ||Ax - b||) minimising ||Ax - b|| over x >= 0, by scipy's
-    active-set ``nnls``; the package's one call of it."""
+    active-set ``nnls``; the package's one call of it. A matrix without
+    columns has only x = 0 (scipy would abort the process on it)."""
+    if not A.shape[1]:
+        return np.zeros(0), float(np.linalg.norm(b))
     try:
         x, rnorm = nnls(A, b)
     except RuntimeError as exc:

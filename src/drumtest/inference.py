@@ -11,10 +11,16 @@ from math import log, sqrt
 
 import numpy as np
 
-from .checks import certify_nnls, nnls_projection, nnls_solve
-from .errors import ParameterError, SchemaError
+from .checks import KKT_TOL, _kkt_residual, certify_nnls, nnls_projection, nnls_solve
+from .errors import ParameterError, SchemaError, SolverError
 from .model import PanelDataset, estimate_rho, rho_vector
 from .representations import TypeMatrix, kron_dynamic, static_type_matrix
+
+# routes of a bootstrap projection: solved on the full matrix, certified on
+# the working set, solved again on the full matrix after the working set
+FULL, WORKING_SET, FULL_AGAIN = 0, 1, 2
+# replicates solved on the full matrix to find a wide matrix's working set
+PILOT_REPLICATES = 20
 
 
 @dataclass(frozen=True)
@@ -170,9 +176,19 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
         # mu >= 0 is feasible for every replicate's projection, so the
         # residual at the recentring fit WA mu bounds each J* from above
         chunk_fn = partial(chunk_fn, screen=(WA @ mu, statistic))
-    # rows: J* per replicate, then its projection's KKT residual; NaN marks
-    # a screened replicate
-    stats, kkt_boot = np.concatenate(chunked_map(chunk_fn, child_seeds, config.n_jobs), axis=1)
+    results, columns = [], np.empty(0, dtype=int)
+    if WA.shape[1] > WA.shape[0] and config.reps > PILOT_REPLICATES:
+        # a wide matrix has far more columns than any projection uses: the
+        # pilot replicates' supports, frozen before the split so that every
+        # chunking solves on the same columns, carry most later replicates
+        results.append(chunk_fn(child_seeds[:PILOT_REPLICATES]))
+        columns = np.flatnonzero(results[0][1] | (mu > 0))
+        chunk_fn = partial(chunk_fn, columns=columns)
+        child_seeds = child_seeds[PILOT_REPLICATES:]
+    results += chunked_map(chunk_fn, child_seeds, config.n_jobs)
+    # rows: J* per replicate, its projection's KKT residual and its route;
+    # NaN marks a screened replicate
+    stats, kkt_boot, route = np.concatenate([out for out, _ in results], axis=1)
     solved = ~np.isnan(stats)
     kkt = float(np.max(kkt_boot[~np.isnan(kkt_boot)], initial=kkt))
 
@@ -189,7 +205,10 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
                        "nnls_solves": 2 + int(solved.sum()),
                        "screened_replicates": int(config.reps - solved.sum()),
                        "critical_value_computed": bool(config.critical_value),
-                       "kkt_residual_max": kkt})
+                       "kkt_residual_max": kkt,
+                       "working_set_columns": len(columns),
+                       "working_set_certified": int(np.sum(route == WORKING_SET)),
+                       "working_set_full_solves": int(np.sum(route == FULL_AGAIN))})
 
 
 def chunked_map(fn, items, n_jobs: int) -> list:
@@ -203,14 +222,16 @@ def chunked_map(fn, items, n_jobs: int) -> list:
         return [f.result() for f in futures]
 
 
-def _bootstrap_chunk(args, seeds, screen=None):
+def _bootstrap_chunk(args, seeds, columns=None, screen=None):
     """Bootstrap statistics J* for the given replicate seeds, with the KKT
-    residual of each replicate's projection: a (2, len(seeds)) array.
+    residual and the route of each replicate's projection (see ``_project``):
+    a (3, len(seeds)) array, and a mask of the type columns that carry
+    weight in any of the chunk's projections.
 
     With ``screen = (fit, statistic)``, ``fit`` the recentring fit, a
     replicate whose upper bound N * ||b - fit||^2 falls below the statistic
-    by more than the float margins is not projected, and both its entries
-    are NaN; it could not have counted toward the p-value. Every replicate
+    by more than the float margins is not projected, and its entries are
+    NaN; it could not have counted toward the p-value. Every replicate
     draws from its own seed either way, and all draws come first, so the
     bounds take one pass.
     """
@@ -230,16 +251,41 @@ def _bootstrap_chunk(args, seeds, screen=None):
         R = B - fit
         bound = N * np.einsum("ij,ij->i", R, R)
         todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= statistic - 1e-12)
-    out = np.full((2, len(seeds)), np.nan)
-    X = np.empty((len(todo), WA.shape[1]))
-    rnorm = np.empty(len(todo))
-    for k, i in enumerate(todo):
-        X[k], rnorm[k] = nnls_solve(WA, B[i])
-    # one pass over all solutions; per replicate it would cost as much as a
-    # small projection
-    _, rnorm, out[1, todo] = certify_nnls(WA, X.T, B[todo].T, rnorm)
+    out = np.full((3, len(seeds)), np.nan)
+    X, rnorm, out[1, todo], out[2, todo] = _project(WA, B[todo], columns)
     out[0, todo] = N * (rnorm * rnorm)
-    return out
+    return out, np.any(X > 0, axis=1)
+
+
+def _project(WA, B, columns=None):
+    """NNLS projections of the rows of ``B`` onto the cone of ``WA``, all
+    certified on the full ``WA``: (solutions, one per column; residual
+    norms; KKT residuals; routes).
+
+    With ``columns``, a working set, each problem is solved on
+    ``WA[:, columns]`` alone and its solution embedded in all columns. One
+    whose KKT conditions hold on the full matrix is its optimum (Lawson and
+    Hanson's active-set argument); one that fails them, or whose sub-solve
+    raises, is solved again on the full matrix. ``certify_nnls``'s bvls
+    re-solve stays the last resort."""
+    X = np.zeros((WA.shape[1], len(B)))
+    rnorm = np.empty(len(B))
+    route = np.full(len(B), FULL)
+    if columns is not None:
+        sub = WA[:, columns]
+        for k, b in enumerate(B):
+            try:
+                X[columns, k], rnorm[k] = nnls_solve(sub, b)
+                route[k] = WORKING_SET
+            except SolverError:
+                route[k] = FULL_AGAIN
+        # one pass over all solutions; per replicate it would cost as much
+        # as a small projection
+        kkt, limit = _kkt_residual(WA, X, B.T, KKT_TOL)
+        route[(route == WORKING_SET) & (kkt > limit)] = FULL_AGAIN
+    for k in np.flatnonzero(route != WORKING_SET):
+        X[:, k], rnorm[k] = nnls_solve(WA, B[k])
+    return (*certify_nnls(WA, X, B.T, rnorm), route)
 
 
 def _normalized(block):

@@ -247,15 +247,20 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+# the counts of a test report that run_experiment sums per cell
+SUMMED_DIAGNOSTICS = ("nnls_solves", "screened_replicates", "working_set_certified",
+                      "working_set_full_solves")
+
+
 def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.ndarray:
-    """Per sim: (reject, statistic, NNLS solves, screened replicates).
+    """Per sim: (reject, statistic, then the SUMMED_DIAGNOSTICS counts).
 
     Only verdicts are read, so the bootstrap skips the replicates that cannot
     reach the statistic and computes no critical value."""
     universe, _ = build_universe(dgp)
     A = type_matrix_for(dgp, universe)
     agents = agents_per_path_for(dgp, n)
-    out = np.empty((len(sim_seeds), 4))
+    out = np.empty((len(sim_seeds), 2 + len(SUMMED_DIAGNOSTICS)))
     for i, seed in enumerate(sim_seeds):
         panel_seed, boot_seed = seed.spawn(2)
         panel, _ = simulate(dgp, agents, panel_seed)
@@ -263,8 +268,8 @@ def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.nd
         config = TestConfig(reps=reps, alpha=alpha, critical_value=False,
                             seed=int(boot_seed.generate_state(1, np.uint64)[0]))
         report = run_test(rho, A, config)
-        out[i] = (report.reject, report.statistic, report.diagnostics["nnls_solves"],
-                  report.diagnostics["screened_replicates"])
+        out[i] = (report.reject, report.statistic,
+                  *(report.diagnostics[key] for key in SUMMED_DIAGNOSTICS))
     return out
 
 
@@ -272,9 +277,9 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
                    seed: int = 0, alpha: float = 0.05, n_jobs: int = 1) -> ExperimentReport:
     """Rejection rates of the cone test per generator and sample size.
 
-    Each entry also counts the cell's NNLS solves and screened bootstrap
-    replicates and gives its mean statistic; no critical values are
-    computed."""
+    Each entry also sums the cell's NNLS solves, screened bootstrap
+    replicates and working-set routes (SUMMED_DIAGNOSTICS) and gives its
+    mean statistic; no critical values are computed."""
     entries = []
     master = np.random.SeedSequence(seed)
     for dgp in dgps:
@@ -283,13 +288,12 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
             cell = master.spawn(1)[0]
             run = partial(_run_sims, dgp, n, reps=reps, alpha=alpha)
             per_sim = np.concatenate(chunked_map(run, cell.spawn(sims), n_jobs))
-            rejects, statistics, solves, screened = per_sim.T
+            rejects, statistics, *counts = per_sim.T
             entries.append({
                 "dgp": dgp.kind, "N": n, "sims": sims, "reps": reps,
                 "rejection_rate": float(rejects.mean()),
                 "seconds": time.perf_counter() - t0,
-                "nnls_solves": int(solves.sum()),
-                "screened_replicates": int(screened.sum()),
+                **{key: int(c.sum()) for key, c in zip(SUMMED_DIAGNOSTICS, counts)},
                 "mean_statistic": float(statistics.mean()),
             })
     return ExperimentReport(tuple(entries))

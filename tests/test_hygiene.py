@@ -1,12 +1,16 @@
-"""Source hygiene: every import in the package modules is used."""
+"""Source hygiene: every import in the package modules is used, and every
+module-level constant of the package is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "drumtest"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "drumtest"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a package constant may be read
+READERS = sorted(p for part in ("src", "tests", "bench") for p in (ROOT / part).rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -32,3 +36,38 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "import itertools\nfrom fractions import Fraction\nimport numpy as np\nnp.ones(1)\n"
     assert _unused_imports(source) == [(1, "itertools"), (2, "Fraction")]
+
+
+def _constants(source: str) -> list:
+    """(line, name) of the UPPER_CASE names the module binds at top level."""
+    found = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            names = target.elts if isinstance(target, ast.Tuple) else [target]
+            found += [(node.lineno, n.id) for n in names
+                      if isinstance(n, ast.Name) and n.id.isupper()]
+    return found
+
+
+def _reads(source: str) -> set:
+    """Names the source reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_module_constant_is_read():
+    read = set().union(*(_reads(path.read_text()) for path in READERS))
+    unread = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+              for line, name in _constants(path.read_text()) if name not in read]
+    assert unread == []
+
+
+def test_scan_finds_an_unread_constant():
+    source = ("import math\nLIMIT = 1\nUSED, SPARE = 2, 3\nTYPED: int = 4\nlower = 5\n"
+              "print(USED + math.TYPED)\n")
+    assert _constants(source) == [(2, "LIMIT"), (3, "USED"), (3, "SPARE"), (4, "TYPED")]
+    read = _reads(source)
+    assert [name for _, name in _constants(source) if name not in read] == ["LIMIT", "SPARE"]

@@ -104,10 +104,11 @@ class TestRunTest:
             TestConfig(weights="nonsense")
 
 
-def _per_replicate_bootstrap_chunk(args, seeds):
+def _per_replicate_bootstrap_chunk(args, seeds, columns=None):
     """The bootstrap loop as it was before the multinomial probabilities were
-    computed once per chunk: normalized again for every replicate. It
-    certifies nothing, so its KKT row is NaN."""
+    computed once per chunk: normalized again for every replicate, every
+    replicate on the full matrix whatever the working set. It certifies
+    nothing, so its KKT row is NaN, and it reports no columns."""
     WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
     out = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
@@ -119,7 +120,8 @@ def _per_replicate_bootstrap_chunk(args, seeds):
         recentered = star - vec + eta
         _, rnorm = nnls(WA, sqrt_w * (recentered - shift))
         out[i] = N * (rnorm * rnorm)
-    return np.vstack([out, np.full(len(seeds), np.nan)])
+    route = np.full(len(seeds), inference.FULL)
+    return np.vstack([out, np.full(len(seeds), np.nan), route]), np.zeros(WA.shape[1], bool)
 
 
 def test_bootstrap_matches_per_replicate_loop(binary_app, monkeypatch):
@@ -130,8 +132,11 @@ def test_bootstrap_matches_per_replicate_loop(binary_app, monkeypatch):
     hoisted = run_test(rho, A, config)
     monkeypatch.setattr(inference, "_bootstrap_chunk", _per_replicate_bootstrap_chunk)
     reference = run_test(rho, A, config)
-    assert hoisted.critical_value == reference.critical_value
+    assert hoisted.diagnostics["working_set_certified"] > 0
+    # a J* certified on the working set is the full optimum up to rounding
+    assert hoisted.critical_value == pytest.approx(reference.critical_value, rel=1e-12)
     assert hoisted.p_value == reference.p_value
+    assert hoisted.reject == reference.reject
     assert hoisted.statistic == reference.statistic
 
 
@@ -142,10 +147,12 @@ def _kkt(WA, x, b):
 
 def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeypatch):
     """Replicate 37 of this criterion-8-shaped panel (panel seed from
-    SeedSequence((5, 0)), bootstrap seed 5052) gets an nnls point that fails
-    its KKT check on the rank-deficient 48x216 matrix. It is solved again
-    alone by bvls and its J* read off that residual; every other replicate
-    keeps scipy's nnls statistic bit for bit."""
+    SeedSequence((5, 0)), bootstrap seed 5052) gets a full-matrix nnls point
+    that fails its KKT check on the rank-deficient 48x216 matrix. It still
+    ends with a passing certificate and bvls's J*; every other replicate
+    solved on the full matrix (the pilot and the working-set fallbacks)
+    keeps scipy's nnls statistic bit for bit, and one certified on the
+    working set agrees with it to rounding."""
     uni, A = binary_app
     orders = list(itertools.permutations(("l1", "l2", "l3")))
     rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
@@ -154,18 +161,22 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     rho = estimate_rho(simulate(dgp, 356, seed=panel_seed)[0], uni)
     chunks = []
 
-    def recording(args, seeds):
-        out = chunk(args, seeds)
+    def recording(args, seeds, columns=None):
+        out = chunk(args, seeds, columns)
         chunks.append((args, seeds, out))
         return out
 
     chunk = inference._bootstrap_chunk
     monkeypatch.setattr(inference, "_bootstrap_chunk", recording)
     report = run_test(rho, A, TestConfig(reps=199, alpha=0.05, seed=5052))
-    ((args, seeds, out),) = chunks
+    assert [len(seeds) for _, seeds, _ in chunks] == [inference.PILOT_REPLICATES,
+                                                      199 - inference.PILOT_REPLICATES]
+    args = chunks[0][0]
     WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     failed = []
+    seeds = [seed for _, chunk_seeds, _ in chunks for seed in chunk_seeds]
+    stats, _, route = np.concatenate([out for _, _, (out, _) in chunks], axis=1)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         star = np.empty_like(vec)
@@ -175,14 +186,18 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
         x, rnorm = nnls(WA, b)
         limit = KKT_TOL * max(1.0, np.abs(b).max()) * 100
         if _kkt(WA, x, b) <= limit:
-            assert out[0, i] == N * (rnorm * rnorm)
+            if route[i] == inference.WORKING_SET:
+                assert stats[i] == pytest.approx(N * (rnorm * rnorm), rel=1e-12)
+            else:
+                assert stats[i] == N * (rnorm * rnorm)
             continue
         failed.append(i)
         x = lsq_linear(WA, b, bounds=(0, np.inf), method="bvls").x
         assert _kkt(WA, x, b) <= limit
-        assert out[0, i] == N * np.linalg.norm(WA @ x - b) ** 2
-        assert out[0, i] == pytest.approx(11.77, abs=0.01)
+        assert stats[i] == pytest.approx(N * np.linalg.norm(WA @ x - b) ** 2, rel=1e-12)
+        assert stats[i] == pytest.approx(11.77, abs=0.01)
     assert failed == [37]
+    assert report.diagnostics["working_set_certified"] == np.sum(route == inference.WORKING_SET)
     assert report.diagnostics["kkt_residual_max"] <= 1e-8
     assert report.diagnostics["nnls_solves"] == 201
 

@@ -73,14 +73,15 @@ def test_screened_test_matches_full_bootstrap(dgp, n):
 
 def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
     """Every replicate the screen skips has a full projection value below the
-    statistic, and every replicate it keeps has the full value bit for bit."""
+    statistic, and every replicate it keeps has the full value bit for bit,
+    both projected with the same working set."""
     real = inference._bootstrap_chunk
     calls = []
 
-    def spy(args, seeds, screen=None):
-        out = real(args, seeds, screen=screen)
-        calls.append((args, seeds, screen, out))
-        return out
+    def spy(args, seeds, columns=None, screen=None):
+        out, used = real(args, seeds, columns, screen=screen)
+        calls.append((args, seeds, columns, screen, out))
+        return out, used
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
     skipped = 0
@@ -88,29 +89,33 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
         for seed in range(2):
             rho, A = _rho_and_A(dgp, n, 10 + seed)
             run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
-    for args, seeds, (fit, statistic), out in calls:
-        full = real(args, seeds)
+    for args, seeds, columns, (fit, statistic), out in calls:
+        full, _ = real(args, seeds, columns)
         gone = np.isnan(out[0])
         skipped += int(gone.sum())
         assert np.all(full[0][gone] < statistic - 1e-12)
         assert full[0][~gone].tobytes() == out[0][~gone].tobytes()
         assert np.array_equal(np.isnan(out[1]), gone)
         assert np.all(out[1][~gone] < 1e-8)
+        assert full[2][~gone].tobytes() == out[2][~gone].tobytes()
     assert skipped > 0
+    assert any(columns is not None for _, _, columns, _, _ in calls)
 
 
 def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
+    """No screen is passed; on the wide binary matrix the pilot chunk runs
+    on the full matrix and the rest on the working set."""
     seen = []
     real = inference._bootstrap_chunk
 
     def spy(*args, **kwargs):
-        seen.append((len(args[0]), kwargs))
+        seen.append((len(args[0]), sorted(kwargs)))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
     rho, A = _rho_and_A(DgpSpec("binary1"), 10, 0)
-    run_test(rho, A, TestConfig(reps=19, seed=0))
-    assert seen == [(8, {})]
+    run_test(rho, A, TestConfig(reps=49, seed=0))
+    assert seen == [(8, []), (8, ["columns"])]
 
 
 @pytest.mark.parametrize("critical_value", [True, False])
@@ -162,9 +167,10 @@ def test_experiment_deterministic_across_workers():
             {k: v for k, v in b.items() if k != "seconds"}
 
 
-def _reference_chunk(args, seeds):
-    """The bootstrap loop before screening and certification: every
-    replicate projected, statistics only (the KKT row is NaN)."""
+def _reference_chunk(args, seeds, columns=None):
+    """The bootstrap loop before screening, certification and working sets:
+    every replicate projected on the full matrix, statistics only (the KKT
+    row is NaN, and no columns are reported)."""
     WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     out = np.empty(len(seeds))
@@ -176,11 +182,13 @@ def _reference_chunk(args, seeds):
         recentered = star - vec + eta
         _, rnorm = nnls(WA, sqrt_w * (recentered - shift))
         out[i] = N * (rnorm * rnorm)
-    return np.vstack([out, np.full(len(seeds), np.nan)])
+    route = np.full(len(seeds), inference.FULL)
+    return np.vstack([out, np.full(len(seeds), np.nan), route]), np.zeros(WA.shape[1], bool)
 
 
 NEW_DIAGNOSTICS = {"nnls_solves", "screened_replicates", "critical_value_computed",
-                   "kkt_residual_max"}
+                   "kkt_residual_max", "working_set_columns", "working_set_certified",
+                   "working_set_full_solves"}
 
 
 def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
@@ -198,8 +206,11 @@ def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
         docs.append(json.loads(capsys.readouterr().out))
     new, old = docs
     assert codes[0] == codes[1] == 2
-    for key in ("statistic", "critical_value", "p_value", "reject"):
+    for key in ("statistic", "p_value", "reject"):
         assert new[key] == old[key]
+    # a J* certified on the working set is the full optimum up to rounding
+    assert new["critical_value"] == pytest.approx(old["critical_value"], rel=1e-12)
+    assert new["diagnostics"]["working_set_certified"] > 0
     assert NEW_DIAGNOSTICS <= set(new["diagnostics"])
     assert new["diagnostics"]["critical_value_computed"] is True
     assert new["diagnostics"]["screened_replicates"] == 0

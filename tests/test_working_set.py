@@ -1,0 +1,195 @@
+"""Working-set projections of the bootstrap: on a wide type matrix each
+replicate after the pilot is solved on the pilot's columns, certified on the
+full matrix and solved again there when the certificate fails. J* is the
+full projection's up to rounding, so p-values and verdicts do not move."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drumtest import inference
+from drumtest.checks import KKT_TOL, _kkt_residual, certify_nnls, nnls_projection, nnls_solve
+from drumtest.errors import SolverError
+from drumtest.inference import TestConfig, run_test
+from drumtest.model import estimate_rho
+from drumtest.simulate import (DgpSpec, agents_per_path_for, build_universe, run_experiment,
+                               simulate, type_matrix_for)
+
+
+def _rho_and_A(dgp, n, seed):
+    universe, _ = build_universe(dgp)
+    panel, _ = simulate(dgp, agents_per_path_for(dgp, n), seed=seed)
+    return estimate_rho(panel, universe), type_matrix_for(dgp, universe)
+
+
+@pytest.fixture(scope="module")
+def binary3_matrix():
+    dgp = DgpSpec("binary3")
+    universe, _ = build_universe(dgp)
+    dense = type_matrix_for(dgp, universe).dense().astype(float)
+    assert dense.shape == (48, 216)
+    return dense
+
+
+def _problem(dense, seed, noise):
+    """A row-weighted binary3 matrix and a right-hand side near its cone."""
+    rng = np.random.default_rng(seed)
+    WA = dense * rng.uniform(1.0, 10.0, size=len(dense))[:, None]
+    weights = rng.exponential(size=dense.shape[1]) * (rng.random(dense.shape[1]) < 0.1)
+    return WA, WA @ weights + noise * rng.standard_normal(len(dense))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.01, 3.0),
+       kind=st.sampled_from(["empty", "misses the support", "all", "random"]))
+def test_working_set_projection_is_the_full_projection(binary3_matrix, seed, noise, kind):
+    WA, b = _problem(binary3_matrix, seed, noise)
+    x_full, rnorm_full, _ = nnls_projection(WA, b)
+    rng = np.random.default_rng(seed + 1)
+    n = WA.shape[1]
+    columns = {"empty": np.empty(0, dtype=int),
+               "all": np.arange(n),
+               "random": np.flatnonzero(rng.random(n) < 0.5)}.get(kind)
+    if columns is None:
+        support = np.flatnonzero(x_full > 0)
+        dropped = rng.choice(support, size=(len(support) + 1) // 2, replace=False)
+        columns = np.setdiff1d(np.arange(n), dropped)
+    X, rnorm, kkt, route = inference._project(WA, b[None], columns)
+    x = X[:, 0]
+    assert rnorm[0] ** 2 == pytest.approx(rnorm_full ** 2, rel=1e-12)
+    assert np.all(x >= 0)
+    residual, limit = _kkt_residual(WA, x, b, KKT_TOL)
+    assert residual <= limit
+    assert kkt[0] <= limit
+    assert route[0] in (inference.WORKING_SET, inference.FULL_AGAIN)
+    if route[0] == inference.WORKING_SET:
+        outside = np.setdiff1d(np.arange(n), columns)
+        assert np.all(x[outside] == 0)
+
+
+def test_a_sub_solve_that_raises_falls_back_to_the_full_matrix(binary3_matrix, monkeypatch):
+    WA, _ = _problem(binary3_matrix, 0, 0.5)
+    B = np.stack([_problem(binary3_matrix, seed, 0.5)[1] for seed in range(5)])
+
+    def raising_on_sub_matrices(A, b):
+        if A.shape[1] < WA.shape[1]:
+            raise SolverError("nonnegative least squares failed: test")
+        return nnls_solve(A, b)
+
+    monkeypatch.setattr(inference, "nnls_solve", raising_on_sub_matrices)
+    X, rnorm, kkt, route = inference._project(WA, B, np.arange(100))
+    assert np.all(route == inference.FULL_AGAIN)
+    for k, b in enumerate(B):
+        assert rnorm[k] == nnls_projection(WA, b)[1]
+
+
+def test_run_test_survives_sub_solves_that_raise(monkeypatch):
+    rho, A = _rho_and_A(DgpSpec("binary3"), 40, 1)
+    config = TestConfig(reps=49, seed=3)
+    reference = run_test(rho, A, config)
+    n = A.dense().shape[1]
+
+    def raising_on_sub_matrices(M, b):
+        if M.shape[1] < n:
+            raise SolverError("nonnegative least squares failed: test")
+        return nnls_solve(M, b)
+
+    monkeypatch.setattr(inference, "nnls_solve", raising_on_sub_matrices)
+    report = run_test(rho, A, config)
+    assert report.diagnostics["working_set_certified"] == 0
+    assert report.diagnostics["working_set_full_solves"] == 49 - inference.PILOT_REPLICATES
+    assert report.statistic == reference.statistic
+    assert report.p_value == reference.p_value
+    assert report.critical_value == pytest.approx(reference.critical_value, rel=1e-12)
+
+
+def test_a_matrix_without_columns_has_the_zero_solution():
+    b = np.array([3.0, -4.0])
+    x, rnorm = nnls_solve(np.zeros((2, 0)), b)
+    assert x.shape == (0,)
+    assert rnorm == 5.0
+
+
+def _frozen_bootstrap_chunk(args, seeds, columns=None, screen=None):
+    """The bootstrap chunk before working sets, changed only in its
+    signature and its return: ``columns`` is ignored, every replicate is
+    solved on the full matrix, and its route row reads FULL."""
+    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
+    pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
+    B = np.empty((len(seeds), len(vec)))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        star = np.empty_like(vec)
+        for (_, start, stop), n, p in zip(blocks, counts, pvals):
+            star[start:stop] = rng.multinomial(n, p) / n
+        recentered = star - vec + eta
+        B[i] = sqrt_w * (recentered - shift)
+    todo = np.arange(len(seeds))
+    if screen is not None:
+        fit, statistic = screen
+        R = B - fit
+        bound = N * np.einsum("ij,ij->i", R, R)
+        todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= statistic - 1e-12)
+    out = np.full((3, len(seeds)), np.nan)
+    X = np.empty((len(todo), WA.shape[1]))
+    rnorm = np.empty(len(todo))
+    for k, i in enumerate(todo):
+        X[k], rnorm[k] = nnls_solve(WA, B[i])
+    X, rnorm, out[1, todo] = certify_nnls(WA, X.T, B[todo].T, rnorm)
+    out[0, todo] = N * (rnorm * rnorm)
+    out[2, todo] = inference.FULL
+    return out, np.any(X > 0, axis=1)
+
+
+# every DGP of the Monte Carlo table, at a criterion-7 sample size
+TABLE_DGPS = [("cobb-douglas-walk", 500), ("cobb-douglas-gaussian-copula", 500),
+              ("binary1", 175), ("binary3", 350)]
+
+
+@pytest.mark.parametrize("kind,n", TABLE_DGPS, ids=[kind for kind, _ in TABLE_DGPS])
+@pytest.mark.parametrize("critical_value", [True, False])
+def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, monkeypatch):
+    wide = kind.startswith("binary")
+    for seed in range(2):
+        rho, A = _rho_and_A(DgpSpec(kind), n, 20 + seed)
+        config = TestConfig(reps=199, seed=seed, critical_value=critical_value)
+        with monkeypatch.context() as patched:
+            patched.setattr(inference, "_bootstrap_chunk", _frozen_bootstrap_chunk)
+            frozen = run_test(rho, A, config)
+        routed = run_test(rho, A, config)
+        assert routed.statistic == frozen.statistic
+        assert routed.p_value == frozen.p_value
+        assert routed.reject == frozen.reject
+        assert routed.diagnostics["nnls_solves"] == frozen.diagnostics["nnls_solves"]
+        if critical_value:
+            assert routed.critical_value == pytest.approx(frozen.critical_value, rel=1e-12)
+        else:
+            assert math.isnan(routed.critical_value) and math.isnan(frozen.critical_value)
+        diagnostics = routed.diagnostics
+        if wide:
+            assert diagnostics["working_set_columns"] > 0
+        else:
+            assert routed.critical_value == frozen.critical_value or not critical_value
+            assert diagnostics["working_set_columns"] == 0
+            assert diagnostics["working_set_certified"] == 0
+            assert diagnostics["working_set_full_solves"] == 0
+        # the pilot is solved in full; every later projected replicate is
+        # certified on the working set or solved again on the full matrix
+        later = diagnostics["working_set_certified"] + diagnostics["working_set_full_solves"]
+        assert later <= diagnostics["nnls_solves"] - 2
+        if wide and critical_value:
+            assert later == 199 - inference.PILOT_REPLICATES
+
+
+def test_experiment_cells_sum_the_working_set_routes():
+    report = run_experiment([DgpSpec("binary3"), DgpSpec("cobb-douglas-walk")], [20],
+                            sims=2, reps=29, seed=1)
+    binary, walk = report.entries
+    assert binary["working_set_certified"] > 0
+    assert binary["working_set_certified"] + binary["working_set_full_solves"] <= \
+        binary["nnls_solves"] - 2 * 2
+    assert walk["working_set_certified"] == walk["working_set_full_solves"] == 0
+    assert report.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"

@@ -19,9 +19,10 @@ from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import _cell_constraints
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, _has_cycle, rho_vector
-from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
-                              pair_vector, projection_ops, reduce_H, static_row_labels,
-                              validate_replication, virtual_universe)
+from .representations import (TypeMatrix, bm_matrix, full_pair_lists, kron_apply,
+                              kron_system, pair_vector, projection_ops, reduce_H,
+                              reduced_labels, static_row_labels, validate_replication,
+                              virtual_universe)
 
 ESTIMATE_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
@@ -244,21 +245,23 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
 
 # --- linear inequality systems -----------------------------------------------------
 
-def check_H(rho, H: InequalityMatrix, tol: float = ESTIMATE_TOL) -> CheckReport:
-    """Minimum of H v over the assembled vector; passes when >= -tol. A
-    stochastic choice function is gathered at H's ``(menu_path,
-    choice_path)`` column labels."""
+def check_H(rho, H, tol: float = ESTIMATE_TOL) -> CheckReport:
+    """Minimum of H v over the assembled vector; passes when >= -tol. ``H`` is
+    one InequalityMatrix or a list of per-period ones, applied factor by factor
+    as their Kronecker product; ``rho`` is gathered at the system's labels."""
+    factors, labels, kind = kron_system(H)
     if isinstance(rho, StochasticChoiceFunction):
-        vec = rho_vector(rho, H.col_labels)
+        vec = rho_vector(rho, labels)
     else:
         vec = np.asarray(rho, dtype=float)
-        if vec.shape[0] != len(H.col_labels):
+        if vec.shape[0] != len(labels):
             raise SchemaError("vector length does not match the H column space")
-    vals = np.asarray(H.full(), dtype=float) @ vec
+    vals = kron_apply(factors, vec)
     worst = float(vals.min()) if len(vals) else 0.0
     violations = tuple(int(i) for i in np.nonzero(vals < -tol)[0][:50])
     return CheckReport("h-representation", worst >= -tol, min(worst, 0.0), violations,
-                       {"tolerance": tol, "min_row_value": worst, "kind": H.kind})
+                       {"tolerance": tol, "min_row_value": worst, "kind": kind,
+                        "inequality_rows": len(vals), "columns": len(labels)})
 
 
 # --- cone membership ------------------------------------------------------------------
@@ -362,19 +365,17 @@ def unique_recovery(rho: StochasticChoiceFunction, tol: float = 1e-10):
     """Closed-form mixture recovery for the two-budget setup.
 
     Applies the Kronecker power of the exact one-period left inverse to the
-    full path vector; valid (nonnegative, reproducing rho) exactly when rho
-    is stable and dominance-monotone.
+    full path vector, factor by factor; valid (nonnegative, reproducing rho)
+    exactly when rho is stable and dominance-monotone.
     """
     uni = rho.universe
     for t in uni.periods:
         menus = uni.menus[t]
         if len(menus) != 2 or any(m.size != 2 for m in menus):
             raise GeometryError("unique recovery needs 2 budgets with 2 patches each")
-    H = reduce(np.kron, [simple_recovery_matrix()] * uni.num_periods)
     vec = pair_vector(rho, full_pair_lists(uni))
-    nu = H @ vec
-    AT = reduce(np.kron, [SIMPLE_A.astype(float)] * uni.num_periods)
-    residual = float(np.abs(AT @ nu - vec).max())
+    nu = kron_apply([simple_recovery_matrix()] * uni.num_periods, vec)
+    residual = float(np.abs(kron_apply([SIMPLE_A] * uni.num_periods, nu) - vec).max())
     diagnostics = {"min_weight": float(nu.min()), "reconstruction_residual": residual,
                    "tolerance": tol}
     return nu, diagnostics
@@ -574,24 +575,14 @@ def _compile_hierarchy(H_stars: tuple, k: tuple) -> LinearProgram:
     inequality rows, the averaging operator Gamma as equality rows (the
     reduced observed vector fills their right-hand side), free variables."""
     ops = projection_ops(H_stars, k)
-    big = reduce(np.kron, [reduce(np.kron, [np.asarray(H_star.full(), dtype=float)] * kt)
-                           for H_star, kt in zip(H_stars, k)])
+    big = reduce(np.kron, [np.asarray(H_star.full(), dtype=float)
+                           for H_star, kt in zip(H_stars, k) for _ in range(kt)])
     return compile_lp(-big, ops.Gamma_float(), Bounds(-np.inf, np.inf))
 
 
 def reduced_static_labels(universe: ChoiceUniverse, t):
-    """Kept/dropped static labels: the last item of every non-first menu is
-    dropped."""
-    kept, dropped = [], []
-    menus = universe.menus[t]
-    for pos, menu in enumerate(menus):
-        labels = [(menu.index, i) for i in range(1, menu.size + 1)]
-        if pos == 0:
-            kept.extend(labels)
-        else:
-            kept.extend(labels[:-1])
-            dropped.append(labels[-1])
-    return tuple(kept), tuple(dropped)
+    """Kept/dropped static labels of the period (``reduced_labels``)."""
+    return reduced_labels(static_row_labels(universe, t))
 
 
 # --- revealed path dominance ---------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import DrumError, ModelRejectedError
 from .geometry import Budget, compute_patches, demand_universe
 from .inference import TestConfig, run_test, run_test_eu
 from .model import estimate_rho
-from .representations import catalog_H, kron_dynamic, kron_inequalities, static_type_matrix
+from .representations import catalog_H, kron_dynamic, static_type_matrix
 from .simulate import DgpSpec, run_experiment, simulate
 
 
@@ -229,8 +229,8 @@ def _cmd_check(args) -> int:
             if any(k is None for k in kinds):
                 raise DrumError("no catalog H-matrix matches this geometry; "
                                 "use the library convert_V_to_H")
-            H = kron_inequalities([catalog_H(k, uni, t) for k, t in zip(kinds, uni.periods)])
-            reports[name] = check_H(rho, H, tol=args.tolerance)
+            H_list = [catalog_H(k, uni, t) for k, t in zip(kinds, uni.periods)]
+            reports[name] = check_H(rho, H_list, tol=args.tolerance)
         elif name == "cone":
             statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
             _, _, rep = cone_membership(rho, kron_dynamic(statics, rho.observed_paths, uni))

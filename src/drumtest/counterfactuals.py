@@ -103,12 +103,11 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
     period with its budget tuple, ``paths`` are the observed menu paths."""
     periods = tuple(t for t, _ in budgets)
     observed_budgets = {t: list(blist) for t, blist in budgets}
-    index_maps = {j: dict(m) for j, m in frozen_maps} if frozen_maps else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        observed_uni, _, _ = demand_universe(observed_budgets, periods, index_maps=index_maps)
+        observed_uni, _, _ = demand_universe(observed_budgets, periods, index_maps=frozen_maps)
         ext, patches, _ = demand_universe({**observed_budgets, NEW_PERIOD: list(new_budgets)},
-                                          periods + (NEW_PERIOD,), index_maps=index_maps)
+                                          periods + (NEW_PERIOD,), index_maps=frozen_maps)
     for t in periods:
         if len(ext.menus[t]) != 2 or any(m.size != 2 for m in ext.menus[t]):
             raise GeometryError("counterfactual bounds cover the two-budget setup")
@@ -157,8 +156,8 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
             M[r, var_index[(menu_path, cp)]] += sign
 
     new_static = static_type_matrix(ext, NEW_PERIOD, patches)
-    mixture_A_eq = np.kron(observed.dense().astype(float),
-                           np.ones((1, len(new_static.col_labels))))
+    mixture_A_eq = np.repeat(observed.dense().astype(float), len(new_static.col_labels),
+                             axis=1)
     marginal_rows = np.array(marginal_rows, dtype=int)
     for a in (marginal_rows, observed.matrix, new_static.matrix):
         a.flags.writeable = False

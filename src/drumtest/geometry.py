@@ -163,9 +163,11 @@ def compute_patches(budgets: list, index_maps: dict | None = None):
 
 
 def freeze_index_maps(index_maps: dict | None):
-    """Hashable form of patch index maps, for memo keys; None stays None."""
+    """Hashable form of patch index maps, for memo keys; None and frozen forms pass through."""
     if not index_maps:
         return None
+    if isinstance(index_maps, frozenset):
+        return index_maps
     return frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
 
 

@@ -18,6 +18,7 @@ Canonical orderings, used everywhere:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -61,9 +62,9 @@ class TypeMatrix:
         if m.size and m.size <= 1_000_000:
             groups = {}
             for r, lab in enumerate(self.row_labels):
-                groups.setdefault(_menu_key(lab), []).append(r)
+                groups.setdefault(lab[0], []).append(r)
             for key, rows in groups.items():
-                sums = np.asarray(m[rows, :]).sum(axis=0)
+                sums = m[rows, :].sum(axis=0)
                 if not np.all(sums == 1):
                     raise SchemaError(f"adding-up fails in menu group {key}")
 
@@ -72,15 +73,7 @@ class TypeMatrix:
         return self.matrix.shape
 
     def dense(self) -> np.ndarray:
-        if hasattr(self.matrix, "toarray"):
-            return self.matrix.toarray()
         return np.asarray(self.matrix)
-
-
-def _menu_key(row_label):
-    """Menu grouping key of a row label: (j,) static or the menu path."""
-    first = row_label[0]
-    return first if isinstance(first, tuple) else row_label[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,42 +287,32 @@ def reduce_star(A: TypeMatrix):
     k-th row of G carries +1 on the first menu's rows and -1 on the kept rows
     of the (k+1)-th menu.
     """
-    menu_order, groups = [], {}
-    for r, lab in enumerate(A.row_labels):
-        j = lab[0]
-        if j not in groups:
-            groups[j] = []
-            menu_order.append(j)
-        groups[j].append(r)
-    kept, dropped = [], []
-    for pos, j in enumerate(menu_order):
-        rows = groups[j]
-        if pos == 0:
-            kept.extend(rows)
-        else:
-            kept.extend(rows[:-1])
-            dropped.append(rows[-1])
-    kept_sorted = sorted(kept)
+    kept_labels, dropped_labels = reduced_labels(A.row_labels)
+    row_of = {lab: r for r, lab in enumerate(A.row_labels)}
+    kept = sorted(row_of[lab] for lab in kept_labels)
+    dropped = [row_of[lab] for lab in dropped_labels]
     dense = A.dense()
-    star = _RowBlock(dense[kept_sorted, :], tuple(A.row_labels[r] for r in kept_sorted),
-                     A.col_labels)
-    if dropped:
-        minus_mat = dense[dropped, :]
-    else:
-        minus_mat = np.zeros((0, dense.shape[1]), dtype=np.int8)
-    kept_pos = {r: k for k, r in enumerate(kept_sorted)}
-    G = np.zeros((len(dropped), len(kept_sorted)), dtype=int)
-    first_rows = groups[menu_order[0]]
-    for grow, j in enumerate(menu_order[1:]):
-        for r in first_rows:
-            G[grow, kept_pos[r]] = 1
-        for r in groups[j][:-1]:
-            G[grow, kept_pos[r]] = -1
-    reduction = ReducedSystem(star.row_labels,
-                              tuple(A.row_labels[r] for r in dropped),
-                              tuple(kept_sorted), tuple(dropped), G)
-    minus = _RowBlock(minus_mat, tuple(A.row_labels[r] for r in dropped), A.col_labels)
+    star = _RowBlock(dense[kept, :], tuple(A.row_labels[r] for r in kept), A.col_labels)
+    minus = _RowBlock(dense[dropped, :], dropped_labels, A.col_labels)
+    G = np.zeros((len(dropped), len(kept)), dtype=int)
+    for grow, (j, _) in enumerate(dropped_labels):
+        for k, lab in enumerate(star.row_labels):
+            G[grow, k] = (lab[0] == kept_labels[0][0]) - (lab[0] == j)
+    reduction = ReducedSystem(star.row_labels, dropped_labels, tuple(kept), tuple(dropped), G)
     return star, minus, G, reduction
+
+
+def reduced_labels(row_labels) -> tuple:
+    """(kept, dropped) row labels under the one reduction rule: the last item
+    of every menu (a label's first entry) but the first is dropped."""
+    menus = {}
+    for lab in row_labels:
+        menus.setdefault(lab[0], []).append(lab)
+    kept, dropped = [], []
+    for pos, items in enumerate(menus.values()):
+        kept.extend(items[:-1] if pos else items)
+        dropped.extend(items[-1:] if pos else ())
+    return tuple(kept), tuple(dropped)
 
 
 @dataclass(frozen=True)
@@ -400,14 +383,40 @@ def catalog_H(kind: str, universe: ChoiceUniverse, t) -> InequalityMatrix:
     raise GeometryError(f"unknown catalog geometry {kind!r}; use convert_V_to_H")
 
 
+def kron_system(H) -> tuple:
+    """(full factors, column labels, kind) of one H-matrix or of a per-period Kronecker list."""
+    if isinstance(H, InequalityMatrix):
+        return [H.full()], H.col_labels, H.kind
+    H = list(H)
+    kinds = "x".join(H_t.kind for H_t in H)
+    return ([H_t.full() for H_t in H], kron_labels([H_t.col_labels for H_t in H]),
+            f"kron({kinds})")
+
+
 def kron_inequalities(H_list: list) -> InequalityMatrix:
-    """Kronecker product of per-period full H-matrices; the column space is
-    the product of the per-period row spaces, period 1 slowest, labelled by
-    ``kron_labels``."""
-    out = reduce(np.kron, [np.asarray(H.full()) for H in H_list])
-    labels = kron_labels([H.col_labels for H in H_list])
-    kinds = "x".join(H.kind for H in H_list)
-    return InequalityMatrix(f"kron({kinds})", out, labels, include_nonneg=False)
+    """Kronecker product of per-period full H-matrices, materialised; the
+    column space is the product of the per-period row spaces, period 1
+    slowest, labelled by ``kron_labels``. Raises SizeError before allocating
+    more than ``DENSE_ENTRY_GUARD`` entries; ``check_H`` takes the factors."""
+    factors, labels, kind = kron_system(H_list)
+    if math.prod(F.size for F in factors) > DENSE_ENTRY_GUARD:
+        raise SizeError("Kronecker inequality system exceeds the size guard; "
+                        "pass the factors to check_H instead")
+    return InequalityMatrix(kind, reduce(np.kron, factors), labels, include_nonneg=False)
+
+
+def kron_apply(factors, x) -> np.ndarray:
+    """``reduce(np.kron, factors) @ x`` without building the product, one
+    factor per axis of ``x`` (laid out with period 1 slowest)."""
+    tensor = np.asarray(x).reshape([np.shape(F)[1] for F in factors])
+    for axis, F in enumerate(factors):
+        tensor = kron_axis(F, tensor, axis)
+    return tensor.reshape(-1)
+
+
+def kron_axis(F, tensor, axis: int) -> np.ndarray:
+    """``F`` applied along one axis of ``tensor``: one step of ``kron_apply``."""
+    return np.moveaxis(np.tensordot(F, tensor, axes=([1], [axis])), 0, axis)
 
 
 def kron_labels(pair_lists) -> tuple:
@@ -496,8 +505,7 @@ def drum_bm_values(rho_bar: StochasticChoiceFunction):
     levels = {}
     current = tensor
     for t_pos in range(T - 1, -1, -1):
-        current = np.moveaxis(np.tensordot(mats[t_pos], current, axes=([1], [t_pos])),
-                              0, t_pos)
+        current = kron_axis(mats[t_pos], current, t_pos)
         levels[uni.periods[t_pos]] = current
     return levels, pair_lists
 

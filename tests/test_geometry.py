@@ -134,6 +134,22 @@ class TestArrangementMemo:
         second = {p.label: dict(p.sign_vector) for p in other if not p.is_intersection}
         assert first[(1, 1)] == second[(1, 2)] == {2: ABOVE}
 
+    def test_frozen_index_maps_share_the_dict_entry(self):
+        """Index maps as a dict and in their frozen form key one arrangement:
+        freezing a frozen form returns it unchanged."""
+        budgets = catalog.simple_budgets((1,))[1]
+        frozen = geometry.freeze_index_maps(catalog.SIMPLE_INDEX_MAPS)
+        assert geometry.freeze_index_maps(frozen) is frozen
+        geometry._arrangement.cache_clear()
+        try:
+            by_dict, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+            by_frozen, _ = compute_patches(budgets, index_maps=frozen)
+            info = geometry._arrangement.cache_info()
+            assert (info.currsize, info.hits) == (1, 1)
+            assert by_frozen == by_dict
+        finally:
+            geometry._arrangement.cache_clear()
+
     def test_conservative_fallback_warns_on_every_call(self, monkeypatch):
         from drumtest import geometry
         monkeypatch.setattr(geometry, "_dominates_exact", lambda *args: None)

@@ -1,5 +1,6 @@
-"""Source hygiene: every import in the package modules is used, and every
-module-level constant of the package is read somewhere."""
+"""Source hygiene: every import in the package modules is used, every
+module-level constant of the package is read somewhere, and dense Kronecker
+products are built only at the known sites."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,52 @@ def test_scan_finds_an_unread_constant():
     assert _constants(source) == [(2, "LIMIT"), (3, "USED"), (3, "SPARE"), (4, "TYPED")]
     read = _reads(source)
     assert [name for _, name in _constants(source) if name not in read] == ["LIMIT", "SPARE"]
+
+
+# The functions of the package that build a Kronecker product densely. Each
+# sits behind a size guard or builds exact or vector-sized arrays; a product
+# that is only multiplied by a vector goes through representations.kron_apply.
+KRON_SITES = [
+    ("checks.py", "_compile_bm"),
+    ("checks.py", "_compile_hierarchy"),
+    ("counterfactuals.py", "kron_counterfactual_cone.objective"),
+    ("representations.py", "_gamma"),
+    ("representations.py", "kron_inequalities"),
+    ("representations.py", "projection_ops"),
+]
+
+
+def _kron_sites(source: str) -> set:
+    """Dotted names of the functions and classes whose own code (nested
+    definitions apart) names ``kron``, bare or as an attribute; module-level
+    code counts as ``<module>``."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "kron") or \
+                    (isinstance(child, ast.Name) and child.id == "kron"):
+                sites.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_dense_kronecker_products_stay_at_their_sites():
+    found = sorted((path.name, site) for path in MODULES for site in _kron_sites(path.read_text()))
+    assert found == KRON_SITES
+
+
+def test_scan_finds_every_kron_site():
+    source = ("import numpy as np\nfrom functools import reduce\nfrom numpy import kron\n"
+              "TOP = np.kron([1], [1])\n"
+              "def dense(fs):\n    return reduce(np.kron, fs)\n"
+              "def outer(a):\n    b = a + 1\n"
+              "    def inner(c):\n        return kron(b, c)\n    return inner\n"
+              "class Op:\n    def build(self):\n        return np.kron(self.a, self.a)\n"
+              "def clean(x):\n    return np.dot(x, x) + kron_apply(x)\n")
+    assert _kron_sites(source) == {"<module>", "dense", "outer.inner", "Op.build"}

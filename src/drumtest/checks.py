@@ -266,11 +266,11 @@ def check_H(rho, H, tol: float = ESTIMATE_TOL) -> CheckReport:
 
 # --- cone membership ------------------------------------------------------------------
 
-def nnls_projection(A: np.ndarray, b: np.ndarray, kkt_tol: float = KKT_TOL):
+def nnls_projection(A: np.ndarray, b: np.ndarray):
     """Nonnegative least squares with a KKT-residual certificate: (x,
     residual norm, KKT residual)."""
     x, rnorm = nnls_solve(A, b)
-    return certify_nnls(A, x, b, rnorm, kkt_tol)
+    return certify_nnls(A, x, b, rnorm)
 
 
 def nnls_solve(A: np.ndarray, b: np.ndarray):
@@ -286,7 +286,7 @@ def nnls_solve(A: np.ndarray, b: np.ndarray):
     return x, float(rnorm)
 
 
-def certify_nnls(A: np.ndarray, x: np.ndarray, b: np.ndarray, rnorm, kkt_tol: float = KKT_TOL):
+def certify_nnls(A: np.ndarray, x: np.ndarray, b: np.ndarray, rnorm):
     """Certify nonnegative least-squares solutions x of min ||Ax - b|| with
     residual norms ``rnorm`` by their KKT residual: the worst negative
     gradient entry and the worst gradient entry on the support. ``x`` and
@@ -297,7 +297,7 @@ def certify_nnls(A: np.ndarray, x: np.ndarray, b: np.ndarray, rnorm, kkt_tol: fl
     alone by bounded-variable least squares, and its solution and residual
     norm are replaced by the re-solve's. Returns (x, rnorm, KKT residuals);
     raises SolverError when a re-solve fails the check too."""
-    kkt, limit = _kkt_residual(A, x, b, kkt_tol)
+    kkt, limit = _kkt_residual(A, x, b, KKT_TOL)
     failed = np.flatnonzero(kkt > limit)
     if not failed.size:
         return x, rnorm, (kkt if kkt.ndim else float(kkt))
@@ -306,7 +306,7 @@ def certify_nnls(A: np.ndarray, x: np.ndarray, b: np.ndarray, rnorm, kkt_tol: fl
     for k in failed:
         X[:, k] = lsq_linear(A, B[:, k], bounds=(0, np.inf), method="bvls").x
         rnorm[k] = np.linalg.norm(A @ X[:, k] - B[:, k])
-        kkt[k] = _kkt_residual(A, X[:, k], B[:, k], kkt_tol)[0]
+        kkt[k] = _kkt_residual(A, X[:, k], B[:, k], KKT_TOL)[0]
     worst = int(np.argmax(kkt - limit))
     if kkt[worst] > limit[worst]:
         raise SolverError("cone projection did not reach the required accuracy",
@@ -448,67 +448,52 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
 @lru_cache(maxsize=16)
 def _compile_bm(vuni: ChoiceUniverse, paths: tuple) -> BmModel:
     """Build the extension LP of one virtual universe and tuple of observed
-    menu paths."""
+    menu paths. A dynamic type is a product of static ones, so every block
+    is a Kronecker product of per-period factors over
+    ``full_pair_lists(vuni)``, period 1 slowest; ``member[t]`` has one row
+    per menu of period t marking that menu's (menu, position) pairs."""
     pair_lists = full_pair_lists(vuni)
-    n_vars = math.prod(len(p) for p in pair_lists)
+    dims = [len(p) for p in pair_lists]
+    n_vars = math.prod(dims)
     big = reduce(np.kron, [np.asarray(bm_matrix(vuni, t).full(), dtype=float)
                            for t in vuni.periods])
+    member = [np.array([[float(j == menu) for j, _ in pairs] for menu in vuni.menu_indices(t)])
+              for t, pairs in zip(vuni.periods, pair_lists)]
 
-    var_index = {combo: k for k, combo in enumerate(itertools.product(*pair_lists))}
-    A_eq, b_eq = [], []
-
-    # simplex per virtual menu path
-    menu_lists = [[m.index for m in vuni.menus[t]] for t in vuni.periods]
-    witness_columns = []
-    for menu_path in itertools.product(*menu_lists):
-        cols = [var_index[tuple(zip(menu_path, cp))] for cp in vuni.choice_paths(menu_path)]
-        row = np.zeros(n_vars)
-        row[cols] = 1.0
-        A_eq.append(row)
-        b_eq.append(1.0)
-        witness_columns.append((menu_path, np.array(cols)))
+    # simplex per virtual menu path, in itertools.product order
+    simplex = reduce(np.kron, member)
+    menu_paths = itertools.product(*[vuni.menu_indices(t) for t in vuni.periods])
+    witness_columns = tuple((path, np.flatnonzero(row)) for path, row in zip(menu_paths, simplex))
 
     # agreement with the observed distribution (observed menus keep their
     # indices in the virtual universe, so their choice paths are the same)
-    start = len(A_eq)
+    columns = dict(witness_columns)
+    agreement_rows = np.eye(n_vars)[np.concatenate([columns[path] for path in paths])]
     agreement_labels = tuple((path, cp) for path in paths for cp in vuni.choice_paths(path))
-    for path, cp in agreement_labels:
-        row = np.zeros(n_vars)
-        row[var_index[tuple(zip(path, cp))]] = 1.0
-        A_eq.append(row)
-        b_eq.append(0.0)
-    agreement = slice(start, len(A_eq))
+    agreement = slice(len(simplex), len(simplex) + len(agreement_rows))
 
-    # stability across virtual menus (needed beyond one period)
+    # stability across virtual menus (needed beyond one period): each menu's
+    # period-t marginal equals the first menu's, every other pair held fixed
+    blocks = [simplex, agreement_rows]
     if vuni.num_periods > 1:
-        for t_pos, t in enumerate(vuni.periods):
-            menus = vuni.menus[t]
-            first = menus[0]
-            off_lists = [pl for k, pl in enumerate(pair_lists) if k != t_pos]
-            for menu in menus[1:]:
-                for off in itertools.product(*off_lists):
-                    row = np.zeros(n_vars)
-                    for i in range(1, menu.size + 1):
-                        combo = list(off)
-                        combo.insert(t_pos, (menu.index, i))
-                        row[var_index[tuple(combo)]] += 1.0
-                    for i in range(1, first.size + 1):
-                        combo = list(off)
-                        combo.insert(t_pos, (first.index, i))
-                        row[var_index[tuple(combo)]] -= 1.0
-                    A_eq.append(row)
-                    b_eq.append(0.0)
+        for t_pos, m in enumerate(member):
+            rows = np.kron(m[1:] - m[0], np.eye(n_vars // dims[t_pos]))
+            # the product's columns run (period t, other periods); move the
+            # period-t axis into place
+            rest = dims[:t_pos] + dims[t_pos + 1:]
+            rows = np.moveaxis(rows.reshape(len(rows), dims[t_pos], *rest), 1, 1 + t_pos)
+            blocks.append(rows.reshape(-1, n_vars))
+    A_eq = np.vstack(blocks)
+    b_eq = np.zeros(len(A_eq))
+    b_eq[:len(simplex)] = 1.0
 
     # monotonicity zeros from the primitive order
-    upper = np.ones(n_vars)
-    for t_pos, t in enumerate(vuni.periods):
-        dominated = _iu_dominated_pairs(vuni, t)
-        for k, combo in enumerate(itertools.product(*pair_lists)):
-            if combo[t_pos] in dominated:
-                upper[k] = 0.0
+    dominated = [_iu_dominated_pairs(vuni, t) for t in vuni.periods]
+    upper = reduce(np.kron, [np.array([pair not in d for pair in pairs], dtype=float)
+                             for pairs, d in zip(pair_lists, dominated)])
 
-    model = BmModel(compile_lp(-big, np.array(A_eq), Bounds(0.0, upper)), np.array(b_eq),
-                    agreement, agreement_labels, tuple(witness_columns))
+    model = BmModel(compile_lp(-big, A_eq, Bounds(0.0, upper)), b_eq,
+                    agreement, agreement_labels, witness_columns)
     for a in (model.b_eq, *(cols for _, cols in witness_columns)):
         a.flags.writeable = False
     return model

@@ -268,7 +268,7 @@ def _cmd_test(args) -> int:
                         n_jobs=args.threads)
     if args.eu:
         lotteries = io.read_lotteries(args.eu)
-        report = run_test_eu(panel, uni, lotteries, config, rho=rho)
+        report = run_test_eu(rho, lotteries, config)
     else:
         budgets = io.read_budgets(args.budgets) if args.budgets else None
         patches = _demand_geometry(uni, budgets)[0] if budgets else None

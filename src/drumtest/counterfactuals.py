@@ -124,18 +124,14 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
 
     observed = kron_dynamic([static_type_matrix(observed_uni, t, patches) for t in periods],
                             paths, observed_uni)
-    observed_row = {label: r for r, label in enumerate(observed.row_labels)}
 
-    # marginal rows: summing out the new-period choice reproduces rho
-    eq_rows, marginal_rows = [], []
-    for path in paths:
-        for menu in new_menus:
-            ext_path = tuple(path) + (menu.index,)
-            for cp in observed_uni.choice_paths(path):
-                eq_rows.append({var_index[(ext_path, cp + (i,))]: 1.0
-                                for i in range(1, menu.size + 1)})
-                marginal_rows.append(observed_row[(path, cp)])
+    # marginal rows: summing out the new-period choice (two patches per
+    # budget, checked above) reproduces rho, at each path's block of it
+    marginal = np.repeat(np.eye(n // 2), 2, axis=1)
+    blocks = path_blocks(observed_uni, sorted(paths), np.arange(len(observed.row_labels)))
+    marginal_rows = np.concatenate([blocks[path] for path in paths for _ in new_menus])
     # stability rows: each class sum of a path equals the group's first path's
+    stability = []
     for _, _, group, classes in stability_groups(ext, ext_paths):
         base_cps = ext.choice_paths(group[0])
         for g, other in enumerate(group[1:], 1):
@@ -144,9 +140,9 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
                 row = {var_index[(group[0], base_cps[pos])]: 1.0 for pos in classes[oc][0]}
                 row.update({var_index[(other, other_cps[pos])]: -1.0
                             for pos in classes[oc][g]})
-                eq_rows.append(row)
-    A_eq = np.zeros((len(eq_rows), n))
-    for r, row in enumerate(eq_rows):
+                stability.append(row)
+    A_eq = np.vstack([marginal, np.zeros((len(stability), n))])
+    for r, row in enumerate(stability, len(marginal)):
         A_eq[r, list(row)] = list(row.values())
     mono = [terms for *_, terms in iterated_differences(ext, dominance_from_universe(ext),
                                                          ext_paths) if terms is not None]
@@ -158,7 +154,6 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
     new_static = static_type_matrix(ext, NEW_PERIOD, patches)
     mixture_A_eq = np.repeat(observed.dense().astype(float), len(new_static.col_labels),
                              axis=1)
-    marginal_rows = np.array(marginal_rows, dtype=int)
     for a in (marginal_rows, observed.matrix, new_static.matrix):
         a.flags.writeable = False
     return CounterfactualModel(ext, MappingProxyType(var_index), compile_lp(-M, A_eq),

@@ -32,6 +32,8 @@ _SIGN_NUM = {ABOVE: 1, ON: 0, BELOW: -1}
 MARGIN_TOL = 1e-9
 REPRESENTATIVE_MARGIN = 1e-8
 VERTEX_TOL = 1e-9
+# a cell whose vertices need more candidate bases than this is not enumerated
+VERTEX_BASES_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,7 @@ def _cell_constraints(budget: Budget, others: list, signs: dict):
     return A_eq, b_eq, np.vstack([A_ub, np.diag(np.full(K, -1.0))]), np.append(b_ub, np.zeros(K))
 
 
-def _cell_vertices(budget: Budget, others: list, signs: dict, cap: int = 5000):
+def _cell_vertices(budget: Budget, others: list, signs: dict):
     """Vertices of the closure of a cell, or None when enumeration is too big.
 
     On the budget hyperplane the cell is a (K-1)-polytope, so vertices
@@ -302,7 +304,7 @@ def _cell_vertices(budget: Budget, others: list, signs: dict, cap: int = 5000):
     if need < 0:
         return None
     combos = list(itertools.combinations(range(len(b_ub)), need))
-    if len(combos) > cap:
+    if len(combos) > VERTEX_BASES_CAP:
         return None
     verts = []
     for combo in combos:

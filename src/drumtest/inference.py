@@ -13,7 +13,7 @@ import numpy as np
 
 from .checks import KKT_TOL, _kkt_residual, certify_nnls, nnls_projection, nnls_solve
 from .errors import ParameterError, SchemaError, SolverError
-from .model import PanelDataset, estimate_rho, rho_vector
+from .model import rho_vector
 from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 
 # routes of a bootstrap projection: solved on the full matrix, certified on
@@ -30,10 +30,8 @@ class TestConfig:
     ``reps`` bootstrap replications, drawn from ``seed``, decide at level
     ``alpha``; ``n_jobs`` worker processes share them. The tightening
     parameter is sqrt(log(M)/M) with M the per-menu-path sample size (the
-    smallest one when paths differ); ``tau`` overrides it. Rows are scaled by
-    estimated inverse binomial variances by default; ``weights='identity'``
-    makes the statistic a plain squared cone distance but has too little
-    small-sample power to reproduce the published rejection rates.
+    smallest one when paths differ). Rows are scaled by estimated inverse
+    binomial variances.
 
     ``critical_value=False`` asks for the verdict and the p-value only. The
     bootstrap then skips the projection of every replicate whose exact upper
@@ -47,8 +45,6 @@ class TestConfig:
 
     reps: int = 999
     alpha: float = 0.05
-    tau: float | None = None
-    weights: str = "inverse-variance"
     seed: int = 0
     n_jobs: int = 1
     critical_value: bool = True
@@ -58,10 +54,6 @@ class TestConfig:
             raise ParameterError("need at least one bootstrap replication")
         if not 0 < self.alpha < 1:
             raise ParameterError("alpha must be inside (0,1)")
-        if self.tau is not None and self.tau < 0:
-            raise ParameterError("tau must be nonnegative")
-        if self.weights not in ("identity", "inverse-variance"):
-            raise ParameterError(f"unknown weight rule {self.weights!r}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +91,7 @@ def _blocks_from_labels(row_labels):
     return blocks
 
 
-def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
-             universe=None) -> TestReport:
+def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestReport:
     """Scaled squared distance of the estimated path distribution from the
     type cone, with bootstrap critical values.
 
@@ -112,12 +103,6 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
     constraint set is what keeps the procedure valid at kinks); the p-value
     is (1 + #{J* >= J}) / (R + 1).
     """
-    if isinstance(data, PanelDataset):
-        if universe is None:
-            raise SchemaError("estimating from a panel needs the universe")
-        rho = estimate_rho(data, universe)
-    else:
-        rho = data
     if not rho.counts:
         raise SchemaError("the test needs per-menu-path sample sizes")
 
@@ -138,15 +123,9 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
     counts = np.array(counts, dtype=int)
     N = int(counts.min())
 
-    tau = config.tau
-    if tau is None:
-        tau = sqrt(log(N) / N) if N > 1 else 0.0
-
-    if config.weights == "inverse-variance":
-        var = np.maximum(vec * (1 - vec), 1e-4)
-        sqrt_w = 1.0 / np.sqrt(var)
-    else:
-        sqrt_w = np.ones(len(vec))
+    tau = sqrt(log(N) / N) if N > 1 else 0.0
+    var = np.maximum(vec * (1 - vec), 1e-4)
+    sqrt_w = 1.0 / np.sqrt(var)
     WA = dense * sqrt_w[:, None]
 
     _, distance, kkt_point = nnls_projection(WA, sqrt_w * vec)
@@ -200,7 +179,7 @@ def run_test(data, A: TypeMatrix, config: TestConfig = TestConfig(),
     return TestReport(statistic, critical, p_value, p_value <= config.alpha,
                       nu_tau, eta_report,
                       {"N": N, "tau": tau, "path_sizes": counts.tolist(),
-                       "weights": config.weights, "reps": config.reps,
+                       "weights": "inverse-variance", "reps": config.reps,
                        "unequal_path_sizes": bool(len(set(counts.tolist())) > 1),
                        "nnls_solves": 2 + int(solved.sum()),
                        "screened_replicates": int(config.reps - solved.sum()),
@@ -293,12 +272,10 @@ def _normalized(block):
     return block / s if s > 0 else np.full_like(block, 1.0 / len(block))
 
 
-def run_test_eu(panel, universe, lotteries: dict, config: TestConfig = TestConfig(),
-                rho=None) -> TestReport:
+def run_test_eu(rho, lotteries: dict, config: TestConfig = TestConfig()) -> TestReport:
     """The same test with the type matrix restricted to rankings consistent
     with expected utility over the supplied lotteries."""
-    if rho is None:
-        rho = estimate_rho(panel, universe)
+    universe = rho.universe
     statics = [static_type_matrix(universe, t, eu_filter=lotteries) for t in universe.periods]
     A = kron_dynamic(statics, rho.observed_paths, universe)
     report = run_test(rho, A, config)

@@ -231,13 +231,21 @@ class StochasticChoiceFunction:
 
 def rho_vector(rho: StochasticChoiceFunction, labels) -> np.ndarray:
     """``rho`` gathered at ``(menu_path, choice_path)`` labels, in the
-    labels' order.
+    labels' order. On a one-period ``rho`` a static ``(menu, item)`` label
+    reads as ``((menu,), (item,))``.
 
-    Raises SchemaError when a label's menu path is not observed.
+    Raises SchemaError when a label's menu path is not observed, or on a
+    static label of a longer ``rho``.
     """
     out = np.empty(len(labels))
     index = {}
     for k, (path, cp) in enumerate(labels):
+        if not isinstance(path, tuple):
+            if rho.universe.num_periods != 1:
+                raise SchemaError(f"label {(path, cp)!r} is a one-period (menu, item) label; "
+                                  f"a {rho.universe.num_periods}-period rho is gathered at "
+                                  "(menu_path, choice_path) labels")
+            path, cp = (path,), (cp,)
         if path not in index:
             if path not in rho.probs:
                 raise SchemaError(f"menu path {path} is not observed in rho")

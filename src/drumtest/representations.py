@@ -33,6 +33,8 @@ from .lp import compile_lp, solve
 from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, rho_vector
 
 DENSE_ENTRY_GUARD = 100_000_000
+# the strict utility gap an expected-utility ranking must admit
+EU_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,13 +173,13 @@ def enumerate_orders(universe: ChoiceUniverse, t, eu_filter: dict | None = None)
     return orders
 
 
-def _eu_consistent(order: LinearOrder, lotteries: dict, margin_tol: float = 1e-9) -> bool:
+def _eu_consistent(order: LinearOrder, lotteries: dict) -> bool:
     """Strict feasibility of u with u.l decreasing along the ranking."""
-    return _eu_rankable(tuple(tuple(lotteries[a]) for a in order.ranking), margin_tol)
+    return _eu_rankable(tuple(tuple(lotteries[a]) for a in order.ranking))
 
 
 @lru_cache(maxsize=1024)
-def _eu_rankable(ranked: tuple, margin_tol: float) -> bool:
+def _eu_rankable(ranked: tuple) -> bool:
     """The EU filter LP for lotteries listed best to worst; each distinct
     ranking is solved once per process."""
     mats = [np.array([float(v) for v in lottery]) for lottery in ranked]
@@ -194,7 +196,7 @@ def _eu_rankable(ranked: tuple, margin_tol: float) -> bool:
     bounds = Bounds(np.append(np.full(n_prizes, -1.0), -np.inf),
                     np.append(np.ones(n_prizes), np.inf))
     res = solve(compile_lp(np.array(A_ub), None, bounds), c, np.array(b_ub))
-    return res.status == 0 and res.x[-1] > margin_tol
+    return res.status == 0 and res.x[-1] > EU_MARGIN
 
 
 # --- static and dynamic type matrices ---------------------------------------

@@ -311,8 +311,7 @@ class TestCriterion8ApplicationShape:
             rho = estimate_rho(panel, uni)
             plain = run_test(rho, A, TestConfig(reps=199, seed=s, n_jobs=N_JOBS))
             plain_no_reject += not plain.reject
-            eu = run_test_eu(panel, uni, lotteries,
-                             TestConfig(reps=199, seed=s, n_jobs=N_JOBS), rho=rho)
+            eu = run_test_eu(rho, lotteries, TestConfig(reps=199, seed=s, n_jobs=N_JOBS))
             eu_reject += eu.reject
         _report(8, plain_no_reject >= 45 and eu_reject >= 45,
                 f"cycle share {share:.3f}; no-reject {plain_no_reject}/50; "

@@ -298,10 +298,23 @@ def geometries():
     out = {"simple1": simple1, "simple2": simple2, "demand3x3": d3}
     for T in (1, 2):
         uni = catalog.binary_universe(periods=tuple(range(1, T + 1)))
-        statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
-        paths = sorted(itertools.product(uni.menu_indices(1), repeat=T))
-        out[f"binary{T}"] = {"universe": uni, "AT": kron_dynamic(statics, paths, uni)}
+        out[f"binary{T}"] = _binary(uni, sorted(itertools.product(uni.menu_indices(1), repeat=T)))
+    # x over z declared in both periods gives the extension LP zero upper
+    # bounds; both binary T=2 universes also on 6 and on 3 of the 9 menu paths
+    plain = out["binary2"]["universe"]
+    ordered = ChoiceUniverse(plain.periods, plain.alternatives, plain.menus,
+                             {t: [({"x"}, {"z"})] for t in plain.periods})
+    paths = sorted(itertools.product(plain.menu_indices(1), repeat=2))
+    out["binary2_ordered"] = _binary(ordered, paths)
+    for name, uni in (("binary2", plain), ("binary2_ordered", ordered)):
+        out[f"{name}_6of9"] = _binary(uni, paths[:6])
+        out[f"{name}_3of9"] = _binary(uni, paths[::4])
     return out
+
+
+def _binary(uni, paths):
+    statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
+    return {"universe": uni, "AT": kron_dynamic(statics, paths, uni)}
 
 
 def _mixture(geom, seed, concentration=1.0):
@@ -388,7 +401,9 @@ def test_hierarchy_matches_frozen_copy(geometries, recorded, name, kind, k, seed
     _compare_hierarchy(rho, H_list, k, recorded)   # hit
 
 
-@pytest.mark.parametrize("name", ["simple1", "binary1", "binary2"])
+@pytest.mark.parametrize("name", ["simple1", "binary1", "binary2", "binary2_ordered",
+                                  "binary2_6of9", "binary2_3of9", "binary2_ordered_6of9",
+                                  "binary2_ordered_3of9"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bm_extension_matches_frozen_copy(geometries, recorded, name, seed):
     rho = _mixture(geometries[name], seed)

@@ -370,24 +370,29 @@ def test_model_solves_the_frozen_lps(simple_setup, monkeypatch, target, conditio
         lo = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
         hi = {lbl: lo[lbl] + float(v) for lbl, v in zip(labels, rng.random(4))}
         condition = ((1, 2), (2, 1)) if conditional else None
-        problem = _problem(rho, simple_setup["budgets"], lo, hi, target_budget=target,
-                           condition=condition)
-        for route, legacy in ((bound_functional, _legacy_extension_lp),
-                              (kron_counterfactual_cone, _legacy_mixture_lp)):
-            calls = _recorded_solves(monkeypatch)
-            report = route(problem)
-            frozen = legacy(problem)
-            assert len(calls) == 2
-            for lp, c_frozen in zip(calls, frozen["c"]):
-                assert np.array_equal(lp["c"], c_frozen)
-                assert np.array_equal(lp["bounds"], np.tile([0.0, np.inf], (len(c_frozen), 1)))
-                for key in ("A_ub", "b_ub", "A_eq", "b_eq"):
-                    if key not in frozen:  # the mixture route has no inequality rows
-                        assert len(lp[key]) == 0, key
-                        continue
-                    assert lp[key].shape == frozen[key].shape
-                    assert np.array_equal(lp[key], frozen[key]), key
-            assert (report.lower, report.upper) == _solve_legacy(frozen)
+        # all four menu paths, and three of them
+        three = StochasticChoiceFunction(rho.universe, {p: v for p, v in rho.probs.items()
+                                                        if p != (2, 2)})
+        for observed in (rho, three):
+            problem = _problem(observed, simple_setup["budgets"], lo, hi, target_budget=target,
+                               condition=condition)
+            for route, legacy in ((bound_functional, _legacy_extension_lp),
+                                  (kron_counterfactual_cone, _legacy_mixture_lp)):
+                calls = _recorded_solves(monkeypatch)
+                report = route(problem)
+                frozen = legacy(problem)
+                assert len(calls) == 2
+                for lp, c_frozen in zip(calls, frozen["c"]):
+                    assert np.array_equal(lp["c"], c_frozen)
+                    assert np.array_equal(lp["bounds"],
+                                          np.tile([0.0, np.inf], (len(c_frozen), 1)))
+                    for key in ("A_ub", "b_ub", "A_eq", "b_eq"):
+                        if key not in frozen:  # the mixture route has no inequality rows
+                            assert len(lp[key]) == 0, key
+                            continue
+                        assert lp[key].shape == frozen[key].shape
+                        assert np.array_equal(lp[key], frozen[key]), key
+                assert (report.lower, report.upper) == _solve_legacy(frozen)
 
 
 class TestModelCache:

@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package modules is used, every
-module-level constant of the package is read somewhere, and dense Kronecker
-products are built only at the known sites."""
+module-level constant of the package is read somewhere, every defaulted
+parameter of a private package function is passed somewhere, and dense
+Kronecker products are built only at the known sites."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,96 @@ def test_scan_finds_an_unread_constant():
     assert _constants(source) == [(2, "LIMIT"), (3, "USED"), (3, "SPARE"), (4, "TYPED")]
     read = _reads(source)
     assert [name for _, name in _constants(source) if name not in read] == ["LIMIT", "SPARE"]
+
+
+def _private_defaults(source: str) -> list:
+    """(function, parameter, position) of each defaulted parameter of the
+    private functions the source defines; the position does not count a
+    method's self or cls and is None for a keyword-only parameter."""
+    tree = ast.parse(source)
+    methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)
+               and "staticmethod" not in {getattr(d, "id", None) for d in f.decorator_list}}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                not node.name.startswith("_") or node.name.endswith("__"):
+            continue
+        a = node.args
+        positional = (a.posonlyargs + a.args)[1 if id(node) in methods else 0:]
+        first = len(positional) - len(a.defaults)
+        found += [(node.name, arg.arg, k) for k, arg in enumerate(positional) if k >= first]
+        found += [(node.name, arg.arg, None)
+                  for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+    return found
+
+
+def _callee(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _passed_arguments(source: str) -> set:
+    """(callee, keyword) and (callee, position) of each argument a call in
+    the source passes, and (callee, "*") for a call that unpacks. A call
+    through ``partial``, or of a name bound to one, counts for the wrapped
+    function."""
+    tree = ast.parse(source)
+    aliases = {}  # name: (wrapped function, positional arguments bound)
+
+    def resolve(call):
+        name, args = _callee(call.func), call.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        wrapped, bound = aliases.get(name, (name, 0))
+        return wrapped, bound, args
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and \
+                _callee(node.value.func) == "partial" and node.value.args:
+            wrapped, bound, args = resolve(node.value)
+            for target in node.targets:
+                aliases.setdefault(_callee(target), (wrapped, bound + len(args)))
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, bound, args = resolve(node)
+        if any(isinstance(a, ast.Starred) for a in args) or \
+                any(kw.arg is None for kw in node.keywords):
+            passed.add((name, "*"))
+        passed.update((name, bound + k) for k in range(len(args)))
+        passed.update((name, kw.arg) for kw in node.keywords)
+    return passed
+
+
+def _unpassed(defaults, passed) -> list:
+    return [(fn, arg) for fn, arg, pos in defaults
+            if not {(fn, arg), (fn, pos), (fn, "*")} & passed]
+
+
+def test_every_private_default_is_passed():
+    """A default that no caller overrides is a constant in disguise."""
+    passed = set().union(*(_passed_arguments(path.read_text()) for path in READERS))
+    unpassed = [(path.name, *found) for path in MODULES
+                for found in _unpassed(_private_defaults(path.read_text()), passed)]
+    assert unpassed == []
+
+
+def test_scan_finds_an_unpassed_private_default():
+    source = ("from functools import partial\n"
+              "def _knob(a, b=1, *, c=2, d=3):\n    return a\n"
+              "def _pos(a, b=1):\n    return a\n"
+              "def _splat(a, b=1):\n    return a\n"
+              "def public(a, b=1):\n    return a\n"
+              "class C:\n    def _m(self, a, b=1):\n        return a\n"
+              "    def _n(self, a, b=1):\n        return a\n"
+              "f = partial(_knob, 0)\n"
+              "g = partial(f, c=5)\n"
+              "_pos(1, 2)\n_splat(*xs)\nC()._m(1)\nC()._n(1, 2)\nf(1)\n")
+    defaults = _private_defaults(source)
+    assert defaults == [("_knob", "b", 1), ("_knob", "c", None), ("_knob", "d", None),
+                        ("_pos", "b", 1), ("_splat", "b", 1), ("_m", "b", 1), ("_n", "b", 1)]
+    assert _unpassed(defaults, _passed_arguments(source)) == [("_knob", "d"), ("_m", "b")]
 
 
 # The functions of the package that build a Kronecker product densely. Each

@@ -18,10 +18,11 @@ from drumtest.counterfactuals import CounterfactualProblem
 from drumtest.errors import SchemaError
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
 from drumtest.model import StochasticChoiceFunction, path_blocks, rho_vector
+from drumtest.doubledesc import convert_V_to_H
 from drumtest.representations import (build_static_A, catalog_H, drum_bm_values,
                                       enumerate_orders, full_pair_lists, kron_dynamic,
                                       kron_inequalities, kron_labels, pair_vector,
-                                      virtual_universe)
+                                      static_type_matrix, virtual_universe)
 
 # --- frozen copies of the replaced flatteners and inverses -------------------------------
 
@@ -265,3 +266,36 @@ def test_bm_values_reject_unobserved_virtual_paths():
     with pytest.raises(SchemaError, match="not observed"):
         drum_bm_values(_random_rho(vuni, paths, seed=0))
 
+
+
+# --- one-period static labels ----------------------------------------------------------------
+
+
+def test_one_period_rho_reads_static_labels():
+    """On a one-period rho a static ``(menu, item)`` label is the path label
+    ``((menu,), (item,))``, so a static catalog H, its one-element list, the
+    V-to-H conversion and the static type matrix all check the same vector;
+    a longer rho rejects static labels and names the label format."""
+    uni = catalog.binary_universe(periods=(1,))
+    A = static_type_matrix(uni, 1)
+    paths = [(j,) for j in uni.menu_indices(1)]
+    nu = np.random.default_rng(3).dirichlet(np.ones(A.shape[1]))
+    blocks = path_blocks(uni, paths, A.dense() @ nu)
+    rho = StochasticChoiceFunction(uni, {p: b / b.sum() for p, b in blocks.items()})
+    static = rho_vector(rho, A.row_labels)
+    assert static.tobytes() == pair_vector(rho, [list(A.row_labels)]).tobytes()
+    H = catalog_H("binary", uni, 1)
+    single, listed = check_H(rho, H), check_H(rho, [H])
+    assert single.passed and listed.passed
+    assert single.diagnostics["min_row_value"] == listed.diagnostics["min_row_value"]
+    assert check_H(rho, convert_V_to_H(A)).passed
+    distance, _, report = cone_membership(rho, A)
+    assert report.passed and distance == cone_membership(static, A)[0]
+
+    uni2 = catalog.binary_universe(periods=(1, 2))
+    rho2 = _random_rho(uni2, list(itertools.product(uni2.menu_indices(1), repeat=2)), seed=0)
+    for call in (lambda: check_H(rho2, catalog_H("binary", uni2, 1)),
+                 lambda: cone_membership(rho2, static_type_matrix(uni2, 1)),
+                 lambda: rho_vector(rho2, [(1, 1)])):
+        with pytest.raises(SchemaError, match=r"one-period \(menu, item\) label"):
+            call()

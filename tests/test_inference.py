@@ -78,7 +78,7 @@ class TestRunTest:
     def test_panel_entrypoint_and_report_fields(self, binary_app):
         uni, A = binary_app
         panel, _ = simulate(DgpSpec("binary3"), 20, seed=3)
-        report = run_test(panel, A, TestConfig(reps=49, seed=1), universe=uni)
+        report = run_test(estimate_rho(panel, uni), A, TestConfig(reps=49, seed=1))
         doc = report.to_dict()
         assert set(doc) >= {"statistic", "critical_value", "p_value", "reject"}
         assert 0 <= doc["p_value"] <= 1
@@ -88,20 +88,11 @@ class TestRunTest:
         for k in range(0, len(eta), 8):
             assert eta[k:k + 8].sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_identity_weights_available(self, binary_app):
-        uni, A = binary_app
-        panel, _ = simulate(DgpSpec("binary3"), 20, seed=4)
-        rho = estimate_rho(panel, uni)
-        rep = run_test(rho, A, TestConfig(reps=49, seed=1, weights="identity"))
-        assert rep.diagnostics["weights"] == "identity"
-
     def test_bad_config_rejected(self):
         with pytest.raises(ParameterError):
             TestConfig(alpha=1.5)
         with pytest.raises(ParameterError):
             TestConfig(reps=0)
-        with pytest.raises(ParameterError):
-            TestConfig(weights="nonsense")
 
 
 def _per_replicate_bootstrap_chunk(args, seeds, columns=None):
@@ -208,7 +199,7 @@ class TestRunTestEu:
         profile = (("l1", "l3", "l2"),) * 3  # an expected-utility ranking
         dgp = _order_mixture_dgp(uni, [profile], [1.0])
         panel, _ = simulate(dgp, 40, seed=2)
-        report = run_test_eu(panel, uni, catalog.application_lotteries(),
+        report = run_test_eu(estimate_rho(panel, uni), catalog.application_lotteries(),
                              TestConfig(reps=99, seed=0))
         assert not report.reject
         assert report.diagnostics["eu_orders_per_period"] == [2, 2, 2]
@@ -218,7 +209,7 @@ class TestRunTestEu:
         profile = (("l3", "l1", "l2"),) * 3  # the mixture ranked strictly top
         dgp = _order_mixture_dgp(uni, [profile], [1.0])
         panel, _ = simulate(dgp, 60, seed=3)
-        report = run_test_eu(panel, uni, catalog.application_lotteries(),
+        report = run_test_eu(estimate_rho(panel, uni), catalog.application_lotteries(),
                              TestConfig(reps=99, seed=0))
         assert report.reject
 
@@ -231,8 +222,8 @@ class TestRunTestEu:
         statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
         A = kron_dynamic(statics, rho.observed_paths, uni)
         plain = run_test(rho, A, TestConfig(reps=99, seed=0))
-        eu = run_test_eu(panel, uni, catalog.application_lotteries(),
-                         TestConfig(reps=99, seed=0), rho=rho)
+        eu = run_test_eu(rho, catalog.application_lotteries(),
+                         TestConfig(reps=99, seed=0))
         assert not plain.reject
         assert eu.reject
 
@@ -241,4 +232,4 @@ class TestRunTestEu:
         lotteries = {"l1": (1, 0), "l2": (1, 0)}  # identical lotteries
         panel = PanelDataset((PanelRecord(1, 1, 1, "l1"),))
         with pytest.raises(ParameterError, match="degenerate"):
-            run_test_eu(panel, uni, lotteries, TestConfig(reps=9))
+            run_test_eu(estimate_rho(panel, uni), lotteries, TestConfig(reps=9))

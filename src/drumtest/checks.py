@@ -27,6 +27,9 @@ from .representations import (TypeMatrix, bm_matrix, full_pair_lists, kron_apply
 ESTIMATE_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
 KKT_TOL = 1e-10
+# entries of the largest extension and hierarchy LP systems that may be built
+BM_ENTRY_GUARD = 2_000_000
+HIERARCHY_ENTRY_GUARD = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -146,12 +149,14 @@ def iterated_differences(universe: ChoiceUniverse, dominance: dict, paths):
 
     Yields ``(subseq, combo, off_menu, off_choice, terms)``: the replaced
     positions, their replacement pairs, the menus and choices of the other
-    positions, and the ``(sign, menu_path, choice_path)`` summands, or None
+    positions, and the ``(sign, menu_path, position)`` summands, ``position``
+    the choice path's index in ``universe.choice_paths(menu_path)``, or None
     when a menu path is not among ``paths`` (a skipped combination).
     """
     periods = universe.periods
     n = len(periods)
-    present = {path: set(universe.choice_paths(path)) for path in paths}
+    positions = {path: {cp: k for k, cp in enumerate(universe.choice_paths(path))}
+                 for path in paths}
     t_positions = [k for k, t in enumerate(periods) if dominance.get(t)]
     for size in range(1, len(t_positions) + 1):
         for subseq in itertools.combinations(t_positions, size):
@@ -172,10 +177,11 @@ def iterated_differences(universe: ChoiceUniverse, dominance: dict, paths):
                         cp = tuple(
                             repl_choice[k] if k in S else base_choice.get(k, off_choice.get(k))
                             for k in range(n))
-                        if cp not in present.get(menu_path, ()):
+                        position = positions.get(menu_path, {}).get(cp)
+                        if position is None:
                             terms = None
                             break
-                        terms.append(((-1) ** (size - len(S)), menu_path, cp))
+                        terms.append(((-1) ** (size - len(S)), menu_path, position))
                     yield subseq, combo, off_menu, off_choice, terms
 
 
@@ -213,11 +219,7 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
     uni = rho.universe
     if dominance is None:
         dominance = dominance_from_universe(uni)
-    lookup = {}
-    for path in rho.observed_paths:
-        order = uni.choice_paths(path)
-        arr = np.asarray(rho.probs[path], dtype=float)
-        lookup[path] = dict(zip(order, arr))
+    probs = {path: np.asarray(rho.probs[path], dtype=float) for path in rho.observed_paths}
     periods = uni.periods
     worst = 0.0
     violations = []
@@ -230,8 +232,8 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
             continue
         evaluated += 1
         value = 0.0
-        for sign, menu_path, cp in terms:
-            value += sign * lookup[menu_path][cp]
+        for sign, menu_path, position in terms:
+            value += sign * probs[menu_path][position]
         if value < worst:
             worst = value
         if value < -tol:
@@ -361,7 +363,7 @@ def simple_recovery_matrix() -> np.ndarray:
     return np.array([[float(v) for v in row] for row in H])
 
 
-def unique_recovery(rho: StochasticChoiceFunction, tol: float = 1e-10):
+def unique_recovery(rho: StochasticChoiceFunction):
     """Closed-form mixture recovery for the two-budget setup.
 
     Applies the Kronecker power of the exact one-period left inverse to the
@@ -376,8 +378,7 @@ def unique_recovery(rho: StochasticChoiceFunction, tol: float = 1e-10):
     vec = pair_vector(rho, full_pair_lists(uni))
     nu = kron_apply([simple_recovery_matrix()] * uni.num_periods, vec)
     residual = float(np.abs(kron_apply([SIMPLE_A] * uni.num_periods, nu) - vec).max())
-    diagnostics = {"min_weight": float(nu.min()), "reconstruction_residual": residual,
-                   "tolerance": tol}
+    diagnostics = {"min_weight": float(nu.min()), "reconstruction_residual": residual}
     return nu, diagnostics
 
 
@@ -403,7 +404,7 @@ class BmModel:
     witness_columns: tuple
 
 
-def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_000_000):
+def bm_extension_feasible(rho: StochasticChoiceFunction):
     """Existence of an agreeing, monotonicity-consistent extension of rho to
     full menu variation satisfying the alternating-sum system.
 
@@ -419,7 +420,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction, entry_guard: int = 2_00
     dims = [len(static_row_labels(vuni, t)) for t in vuni.periods]
     n_vars = math.prod(dims)
     n_ineq = math.prod(2 * d for d in dims)
-    if n_ineq * n_vars > entry_guard:
+    if n_ineq * n_vars > BM_ENTRY_GUARD:
         raise SizeError("Block-Marschak system exceeds the size guard")
     paths = tuple(rho.observed_paths)
     model = _compile_bm(vuni, paths)
@@ -515,8 +516,7 @@ def _iu_dominated_pairs(universe: ChoiceUniverse, t) -> set:
 
 # --- projection hierarchy ---------------------------------------------------------------
 
-def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
-                       entry_guard: int = 5_000_000):
+def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple):
     """Level-k feasibility of the replication hierarchy.
 
     Feasibility of {Gamma z = rho*, (kron of replicated reduced H) z >= 0} is
@@ -535,7 +535,7 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple,
     shapes = [np.shape(H_star.rows) for H_star in H_stars]
     rows = math.prod(r ** kt for (r, _), kt in zip(shapes, k))
     cols = math.prod(c ** kt for (_, c), kt in zip(shapes, k))
-    if rows * cols > entry_guard:
+    if rows * cols > HIERARCHY_ENTRY_GUARD:
         raise SizeError("hierarchy system exceeds the size guard; lower k")
     lp = _compile_hierarchy(tuple(H_stars), tuple(k))
     rho_star = pair_vector(rho, [list(kept) for kept, _ in reductions])

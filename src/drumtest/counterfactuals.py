@@ -54,9 +54,10 @@ class CounterfactualProblem:
     index_maps: dict | None = None
 
     def __post_init__(self):
+        unpaired = sorted(self.g_lower.keys() ^ self.g_upper.keys())
+        if unpaired:
+            raise SchemaError(f"patches {unpaired} need both a lower and an upper bound")
         for key, lo in self.g_lower.items():
-            if key not in self.g_upper:
-                raise SchemaError(f"missing upper bound for patch {key}")
             if lo > self.g_upper[key] + 1e-12:
                 raise SchemaError(f"g bounds crossed on patch {key}")
 
@@ -76,8 +77,9 @@ class CounterfactualModel:
     """Fixed structure of both bounding LPs for one geometry; arrays are
     read-only.
 
-    ``universe`` is the extended universe and ``var_index`` maps its paths
-    over the observed menu paths to extension-LP columns. ``extension``
+    ``universe`` is the extended universe and ``columns`` maps each of its
+    paths over the observed menu paths to the extension-LP columns of its
+    choice paths, in ``universe.choice_paths`` order. ``extension``
     holds the negated monotonicity rows, then the marginal equality rows,
     whose right-hand side is the flattened observed distribution at
     ``marginal_rows``, then the stability rows. ``observed`` and
@@ -87,7 +89,7 @@ class CounterfactualModel:
     """
 
     universe: ChoiceUniverse
-    var_index: MappingProxyType
+    columns: MappingProxyType
     extension: LinearProgram
     marginal_rows: np.ndarray
     observed: TypeMatrix
@@ -115,15 +117,12 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
     if len(new_menus) != 2 or any(m.size != 2 for m in new_menus):
         raise GeometryError("next-period budgets must cross: two patches per budget")
 
-    ext_paths = [tuple(path) + (menu.index,) for path in paths for menu in new_menus]
-    var_index = {}
-    for ext_path in ext_paths:
-        for cp in ext.choice_paths(ext_path):
-            var_index[(ext_path, cp)] = len(var_index)
-    n = len(var_index)
-
     observed = kron_dynamic([static_type_matrix(observed_uni, t, patches) for t in periods],
                             paths, observed_uni)
+    # two new menus of two patches each (checked above): four columns per observed row
+    ext_paths = [tuple(path) + (menu.index,) for path in paths for menu in new_menus]
+    n = 4 * len(observed.row_labels)
+    columns = path_blocks(ext, ext_paths, np.arange(n))
 
     # marginal rows: summing out the new-period choice (two patches per
     # budget, checked above) reproduces rho, at each path's block of it
@@ -133,30 +132,26 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
     # stability rows: each class sum of a path equals the group's first path's
     stability = []
     for _, _, group, classes in stability_groups(ext, ext_paths):
-        base_cps = ext.choice_paths(group[0])
         for g, other in enumerate(group[1:], 1):
-            other_cps = ext.choice_paths(other)
             for oc in sorted(classes):
-                row = {var_index[(group[0], base_cps[pos])]: 1.0 for pos in classes[oc][0]}
-                row.update({var_index[(other, other_cps[pos])]: -1.0
-                            for pos in classes[oc][g]})
+                row = np.zeros(n)
+                row[columns[group[0]][classes[oc][0]]] = 1.0
+                row[columns[other][classes[oc][g]]] = -1.0
                 stability.append(row)
-    A_eq = np.vstack([marginal, np.zeros((len(stability), n))])
-    for r, row in enumerate(stability, len(marginal)):
-        A_eq[r, list(row)] = list(row.values())
+    A_eq = np.vstack([marginal, *stability])
     mono = [terms for *_, terms in iterated_differences(ext, dominance_from_universe(ext),
                                                          ext_paths) if terms is not None]
     M = np.zeros((len(mono), n))
     for r, terms in enumerate(mono):
-        for sign, menu_path, cp in terms:
-            M[r, var_index[(menu_path, cp)]] += sign
+        for sign, menu_path, position in terms:
+            M[r, columns[menu_path][position]] += sign
 
     new_static = static_type_matrix(ext, NEW_PERIOD, patches)
     mixture_A_eq = np.repeat(observed.dense().astype(float), len(new_static.col_labels),
                              axis=1)
-    for a in (marginal_rows, observed.matrix, new_static.matrix):
+    for a in (marginal_rows, observed.matrix, new_static.matrix, *columns.values()):
         a.flags.writeable = False
-    return CounterfactualModel(ext, MappingProxyType(var_index), compile_lp(-M, A_eq),
+    return CounterfactualModel(ext, MappingProxyType(columns), compile_lp(-M, A_eq),
                                marginal_rows, observed, new_static,
                                compile_lp(None, mixture_A_eq),
                                tuple(dict.fromkeys(str(w.message) for w in caught)))
@@ -179,28 +174,37 @@ def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
 
 
 def _target_menu(problem: CounterfactualProblem, model: CounterfactualModel):
-    """The next-period budget the functional applies to, and its menu."""
+    """The next-period budget the functional applies to, and its menu, every
+    patch of which needs bounds."""
     target = problem.target_budget
     if target is None:
         target = min(m.index for m in model.universe.menus[NEW_PERIOD])
-    return target, model.universe.menu(NEW_PERIOD, target)
+    menu = model.universe.menu(NEW_PERIOD, target)
+    missing = [item for item in menu.items if item not in problem.g_lower]
+    if missing:
+        raise SchemaError(f"no bounds for next-period patches {missing} of budget {target}")
+    return target, menu
 
 
 def _averaged_paths(problem: CounterfactualProblem, rho: StochasticChoiceFunction):
-    """The observed (menu path, choice path) pairs the functional averages
-    over and their mass: the conditioning path, or all choice paths of the
-    first observed menu path (mass 1) for the marginal bound."""
+    """The observed menu path, the positions of the choice paths the
+    functional averages over and their mass: the conditioning path, or all
+    choice paths of the first observed menu path (mass 1) for the marginal
+    bound."""
     if problem.condition is None:
         ref = tuple(rho.observed_paths[0])
-        return [(ref, tuple(cp)) for cp in rho.universe.choice_paths(ref)], 1.0
+        return ref, np.arange(len(rho.probs[ref])), 1.0
     cond_path, cond_cp = map(tuple, problem.condition)
     if cond_path not in rho.probs:
         raise SchemaError(f"conditioning path {cond_path} not observed")
+    choice_paths = rho.universe.choice_paths(cond_path)
+    if cond_cp not in choice_paths:
+        raise SchemaError(f"{cond_cp} is not a choice path of menu path {cond_path}")
     mass = rho.prob(cond_path, cond_cp)
     if mass <= 1e-12:
         raise ParameterError("conditioning path has zero mass; "
                              "the conditional bound is undefined")
-    return [(cond_path, cond_cp)], mass
+    return cond_path, [choice_paths.index(cond_cp)], mass
 
 
 def _bound_pair(lp: LinearProgram, b_eq, c_lo, c_hi, infeasible: str):
@@ -224,19 +228,18 @@ def bound_functional(problem: CounterfactualProblem,
     model = _model_for(problem)
     rho = _projected(problem, model) if project_onto_cone else problem.rho
     target, new_menu = _target_menu(problem, model)
-    cells, mass = _averaged_paths(problem, rho)
-    var_index = model.var_index
-    n = len(var_index)
+    path, positions, mass = _averaged_paths(problem, rho)
     lp = model.extension
+    n = lp.A.shape[1]
     b_eq = np.zeros(lp.A.shape[0] - lp.n_ub)
     observed = rho_vector(rho, model.observed.row_labels)
     b_eq[:len(model.marginal_rows)] = observed[model.marginal_rows]
 
     def objective(g_map):
         c = np.zeros(n)
-        for path, cp in cells:
-            for i in range(1, new_menu.size + 1):
-                c[var_index[(path + (target,), cp + (i,))]] = g_map[new_menu.items[i - 1]] / mass
+        # the new period is last: a choice path's patches are consecutive
+        c[model.columns[path + (target,)].reshape(-1, new_menu.size)[positions]] = \
+            np.array([g_map[item] for item in new_menu.items]) / mass
         return c
 
     res_lo, res_hi, solver = _bound_pair(
@@ -257,17 +260,17 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
     model = _model_for(problem)
     rho = problem.rho
     target, new_menu = _target_menu(problem, model)
-    cells, mass = _averaged_paths(problem, rho)
+    path, positions, mass = _averaged_paths(problem, rho)
     obs_dense = model.observed.dense().astype(float)
     new_dense = model.new_static.dense().astype(float)
-    obs_row = np.sum([obs_dense[model.observed.row_labels.index(cell)] for cell in cells],
-                     axis=0)
+    obs_row = path_blocks(rho.universe, rho.observed_paths, obs_dense)[path][positions].sum(axis=0)
+    # the new period's rows run menu by menu, two patches each
+    first = 2 * model.universe.menu_indices(NEW_PERIOD).index(target)
 
     def objective(g_map):
         g_row = np.zeros(new_dense.shape[1])
-        for i in range(1, new_menu.size + 1):
-            row = model.new_static.row_labels.index((target, i))
-            g_row += g_map[new_menu.items[i - 1]] * new_dense[row]
+        for i, item in enumerate(new_menu.items):
+            g_row += g_map[item] * new_dense[first + i]
         return np.kron(obs_row, g_row) / mass
 
     rows, types = model.mixture.A.shape

@@ -13,7 +13,7 @@ import numpy as np
 
 from .checks import KKT_TOL, _kkt_residual, certify_nnls, nnls_projection, nnls_solve
 from .errors import ParameterError, SchemaError, SolverError
-from .model import rho_vector
+from .model import path_blocks, rho_vector
 from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 
 # routes of a bootstrap projection: solved on the full matrix, certified on
@@ -79,18 +79,6 @@ class TestReport:
         }
 
 
-def _blocks_from_labels(row_labels):
-    """Contiguous row ranges per menu path, in label order."""
-    blocks, start = [], 0
-    current = row_labels[0][0]
-    for k, (path, _) in enumerate(row_labels):
-        if path != current:
-            blocks.append((current, start, k))
-            current, start = path, k
-    blocks.append((current, start, len(row_labels)))
-    return blocks
-
-
 def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestReport:
     """Scaled squared distance of the estimated path distribution from the
     type cone, with bootstrap critical values.
@@ -107,20 +95,19 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
         raise SchemaError("the test needs per-menu-path sample sizes")
 
     dense = A.dense().astype(float)
-    blocks = _blocks_from_labels(A.row_labels)
-    counts = []
-    for path, start, stop in blocks:
+    paths = list(dict.fromkeys(path for path, _ in A.row_labels))
+    if tuple(A.row_labels) != tuple((path, cp) for path in paths
+                                    for cp in rho.universe.choice_paths(path)):
+        raise SchemaError("A rows are not in the canonical path order")
+    for path in paths:
         if path not in rho.probs:
             raise SchemaError(f"menu path {path} in A is not observed")
-        if list(A.row_labels[start:stop]) != [(path, cp)
-                                              for cp in rho.universe.choice_paths(path)]:
-            raise SchemaError("A rows are not in the canonical path order")
-        n = rho.counts.get(path)
-        if not n:
+        if not rho.counts.get(path):
             raise SchemaError(f"menu path {path} has no recorded sample size")
-        counts.append(n)
     vec = rho_vector(rho, A.row_labels)
-    counts = np.array(counts, dtype=int)
+    blocks = [(path, int(rows[0]), int(rows[-1]) + 1)
+              for path, rows in path_blocks(rho.universe, paths, np.arange(len(vec))).items()]
+    counts = np.array([rho.counts[path] for path in paths], dtype=int)
     N = int(counts.min())
 
     tau = sqrt(log(N) / N) if N > 1 else 0.0

@@ -121,19 +121,25 @@ def write_rho(rho: StochasticChoiceFunction, path):
 
 
 def read_rho(path, universe: ChoiceUniverse) -> StochasticChoiceFunction:
+    """A choice path without a row has probability 0; a repeated row or a
+    choice path that its menu path lacks raises SchemaError."""
     table = {}
     counts = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             menu_path = tuple(int(v) for v in row["menu_path"].split("|"))
             cp = tuple(int(v) for v in row["choice_path"].split("|"))
-            table.setdefault(menu_path, {})[cp] = float(row["prob"])
+            if menu_path not in table:
+                table[menu_path] = dict.fromkeys(universe.choice_paths(menu_path))
+            if cp not in table[menu_path]:
+                raise SchemaError(f"{cp} is not a choice path of menu path {menu_path}")
+            if table[menu_path][cp] is not None:
+                raise SchemaError(f"menu path {menu_path}, choice path {cp} has two rows")
+            table[menu_path][cp] = float(row["prob"])
             if row.get("count"):
                 counts[menu_path] = int(float(row["count"]))
-    probs = {}
-    for menu_path, entries in table.items():
-        order = universe.choice_paths(menu_path)
-        probs[menu_path] = np.array([entries.get(cp, 0.0) for cp in order])
+    probs = {menu_path: np.array([0.0 if p is None else p for p in entries.values()])
+             for menu_path, entries in table.items()}
     return StochasticChoiceFunction(universe, probs, counts or None)
 
 

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+WIDTH, HEIGHT = 640, 320
 
-def rejection_rate_svg(entries, width: int = 640, height: int = 320) -> str:
+
+def rejection_rate_svg(entries) -> str:
     """Bar chart string for a list of experiment entries."""
     n = len(entries)
     if n == 0:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-    margin, base = 40, height - 60
-    bar_w = max(10, (width - 2 * margin) // max(1, n) - 10)
-    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}'>",
-             f"<line x1='{margin}' y1='{base}' x2='{width - margin}' y2='{base}' "
+    margin, base = 40, HEIGHT - 60
+    bar_w = max(10, (WIDTH - 2 * margin) // max(1, n) - 10)
+    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{WIDTH}' height='{HEIGHT}'>",
+             f"<line x1='{margin}' y1='{base}' x2='{WIDTH - margin}' y2='{base}' "
              "stroke='black'/>"]
     for k, e in enumerate(entries):
         rate = float(e["rejection_rate"])

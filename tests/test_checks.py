@@ -384,12 +384,13 @@ class TestHierarchy:
         ((1, 0, 5), "must be >= 1"),
         ((1, 5), "one entry per period"),
     ])
-    def test_malformed_k_rejected_before_size_guard(self, k, message):
+    def test_malformed_k_rejected_before_size_guard(self, k, message, monkeypatch):
         uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
         rho = StochasticChoiceFunction(uni, {p: np.full(8, 1 / 8)
                                              for p in itertools.permutations((1, 2, 3))})
+        monkeypatch.setattr(checks, "HIERARCHY_ENTRY_GUARD", 1)
         with pytest.raises(ParameterError, match=message):
-            hierarchy_feasible(rho, self._H_list(uni), k, entry_guard=1)
+            hierarchy_feasible(rho, self._H_list(uni), k)
 
     def test_all_ones_matches_reduced_kron_check(self, binary_uni_T2):
         uni = binary_uni_T2

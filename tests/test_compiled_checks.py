@@ -578,11 +578,14 @@ class TestCompiledCaches:
         for name in ("_compile_hierarchy", "_compile_bm", "projection_ops", "bm_matrix"):
             monkeypatch.setattr(checks, name, refuse)
         monkeypatch.setattr(checks.np, "kron", refuse)
-        with pytest.raises(SizeError, match="size guard"):
-            hierarchy_feasible(rho, H_list, (1, 2), entry_guard=1000)
+        with monkeypatch.context() as small:
+            small.setattr(checks, "HIERARCHY_ENTRY_GUARD", 1000)
+            small.setattr(checks, "BM_ENTRY_GUARD", 1000)
+            with pytest.raises(SizeError, match="size guard"):
+                hierarchy_feasible(rho, H_list, (1, 2))
+            with pytest.raises(SizeError, match="size guard"):
+                bm_extension_feasible(rho)
         with pytest.raises(SizeError, match="size guard"):
             hierarchy_feasible(rho, H_list, (1, 6))
-        with pytest.raises(SizeError, match="size guard"):
-            bm_extension_feasible(rho, entry_guard=1000)
         with pytest.raises(SizeError, match="size guard"):
             bm_extension_feasible(_mixture(geometries["simple2"], 0))

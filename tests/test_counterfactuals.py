@@ -416,7 +416,7 @@ class TestModelCache:
             with pytest.raises(ValueError):
                 a.flat[0] = 1
         with pytest.raises(TypeError):
-            model.var_index[("x", "y")] = 0
+            model.columns[("x", "y")] = 0
         assert counterfactuals._model_for(problem) is model
 
     def test_hits_give_each_problem_its_own_bounds(self, simple_setup):

@@ -1,7 +1,8 @@
 """Source hygiene: every import in the package modules is used, every
-module-level constant of the package is read somewhere, every defaulted
-parameter of a private package function is passed somewhere, and dense
-Kronecker products are built only at the known sites."""
+module-level constant and every function of the package is read somewhere,
+every defaulted parameter of a private package function is passed
+somewhere, and dense Kronecker products are built only at the known
+sites."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,64 @@ def test_scan_finds_an_unread_constant():
     assert _constants(source) == [(2, "LIMIT"), (3, "USED"), (3, "SPARE"), (4, "TYPED")]
     read = _reads(source)
     assert [name for _, name in _constants(source) if name not in read] == ["LIMIT", "SPARE"]
+
+
+def _functions(source: str) -> list:
+    """(line, name) of the module-level functions the source defines and of
+    the methods, dunders apart, of its module-level classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f.lineno, f.name) for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (f.name.startswith("__") and f.name.endswith("__"))]
+    return found
+
+
+def _function_reads(source: str) -> set:
+    """Names the source reads as ``_reads`` does, plus the names its
+    ``from`` imports bind and the last part of each string passed to a
+    ``setattr``, ``getattr`` or ``delattr`` call (a monkeypatch target)."""
+    read = _reads(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call) and \
+                _callee(node.func) in ("setattr", "getattr", "delattr"):
+            read.update(arg.value.rsplit(".", 1)[-1] for arg in node.args
+                        if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+    return read
+
+
+def test_every_function_is_read():
+    """Code that nothing calls is deleted."""
+    read = set().union(*(_function_reads(path.read_text()) for path in READERS))
+    unread = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+              for line, name in _functions(path.read_text()) if name not in read]
+    assert unread == []
+
+
+def test_scan_finds_an_unread_function():
+    source = ("from pkg import imported\n"
+              "def dead():\n    pass\n"
+              "def called():\n    pass\n"
+              "def patched():\n    pass\n"
+              "def by_path():\n    pass\n"
+              "async def waiting():\n    pass\n"
+              "class C:\n    def __init__(self):\n        self.x = 1\n"
+              "    def method(self):\n        def nested():\n            pass\n"
+              "    def used(self):\n        return self.x\n"
+              "called()\nC().used()\n"
+              "def test(monkeypatch):\n    monkeypatch.setattr(C, 'patched', None)\n"
+              "    monkeypatch.setattr('pkg.mod.by_path', None)\n")
+    assert _functions(source) == [(2, "dead"), (4, "called"), (6, "patched"), (8, "by_path"),
+                                  (10, "waiting"), (15, "method"), (18, "used"), (22, "test")]
+    read = _function_reads(source)
+    assert {"imported", "called", "used", "patched", "by_path"} <= read
+    assert [name for _, name in _functions(source) if name not in read] == \
+        ["dead", "waiting", "method", "test"]
 
 
 def _private_defaults(source: str) -> list:

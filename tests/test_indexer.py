@@ -60,9 +60,21 @@ def _legacy_pair_vector(rho, pair_lists):
     return out
 
 
+def _legacy_blocks_from_labels(row_labels):
+    """Contiguous row ranges per menu path, in label order."""
+    blocks, start = [], 0
+    current = row_labels[0][0]
+    for k, (path, _) in enumerate(row_labels):
+        if path != current:
+            blocks.append((current, start, k))
+            current, start = path, k
+    blocks.append((current, start, len(row_labels)))
+    return blocks
+
+
 def _legacy_run_test_vector(rho, A):
     """The flattening loop of ``run_test``, with its checks."""
-    blocks = inference._blocks_from_labels(A.row_labels)
+    blocks = _legacy_blocks_from_labels(A.row_labels)
     vec = np.empty(len(A.row_labels))
     for path, start, stop in blocks:
         if path not in rho.probs:

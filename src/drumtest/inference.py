@@ -5,6 +5,7 @@ variant."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from math import log, sqrt
@@ -17,8 +18,9 @@ from .model import path_blocks, rho_vector
 from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 
 # routes of a bootstrap projection: solved on the full matrix, certified on
-# the working set, solved again on the full matrix after the working set
-FULL, WORKING_SET, FULL_AGAIN = 0, 1, 2
+# the working set, solved again on the full matrix after the working set, or
+# decided below the statistic by the working-set point's residual
+FULL, WORKING_SET, FULL_AGAIN, BOUNDED = 0, 1, 2, 3
 # replicates solved on the full matrix to find a wide matrix's working set
 PILOT_REPLICATES = 20
 
@@ -33,12 +35,25 @@ class TestConfig:
     smallest one when paths differ). Rows are scaled by estimated inverse
     binomial variances.
 
-    ``critical_value=False`` asks for the verdict and the p-value only. The
-    bootstrap then skips the projection of every replicate whose exact upper
-    bound (its residual at the recentring solution) cannot reach the observed
-    statistic; such a replicate cannot count toward the p-value, so the
-    p-value and the verdict are those of the full bootstrap, but the report's
-    critical value is NaN.
+    ``critical_value=False`` asks for the verdict and the p-value only, and
+    the report's critical value is NaN. The bootstrap then skips the
+    projection of every replicate whose exact upper bound (its residual at
+    the recentring solution, or at a working-set point that failed its
+    certificate) cannot reach the observed statistic; such a replicate
+    cannot count toward the p-value. It also stops drawing replicates once
+    the verdict is decided (Besag and Clifford's curtailed test): at level
+    ``alpha`` the fixed-R test cannot reject once h replicates reach the
+    statistic, h the smallest count with (1 + h)/(R + 1) > alpha. The
+    verdict is then "not reject", as with every replicate, and the p-value
+    is h/L, L the seed-order index of the h-th hit; a test that rejects
+    decides every replicate and keeps the fixed-R p-value. Curtailment is
+    left out when some h/L could reach alpha (h/R <= alpha), so that
+    ``reject`` is always ``p_value <= alpha``. The statistic and the verdict
+    are those of the full bootstrap. The report counts the replicates never
+    drawn (``curtailed_replicates``) and those decided by a working-set point
+    (``working_set_bounded``); ``nnls_solves`` less 2, the screened and the
+    curtailed replicates add up to ``reps``. ``drum test`` keeps the full
+    bootstrap.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -89,7 +104,8 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     point, and recomputes the statistic with the same weights over the
     tightened cone (the parallel shift of the recentering point and the
     constraint set is what keeps the procedure valid at kinks); the p-value
-    is (1 + #{J* >= J}) / (R + 1).
+    is (1 + #{J* >= J}) / (R + 1), or h/L for a verdict-only test curtailed
+    at its h-th hit (see ``TestConfig``).
     """
     if not rho.counts:
         raise SchemaError("the test needs per-menu-path sample sizes")
@@ -135,30 +151,29 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
         if mass > 0:
             eta_report[start:stop] /= mass
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    child_seeds = seed_seq.spawn(config.reps)
+    child_seeds = np.random.SeedSequence(config.seed).spawn(config.reps)
     chunk_fn = partial(_bootstrap_chunk, (WA, sqrt_w, vec, eta, shift, blocks, counts, N))
+    stop = None
     if not config.critical_value:
         # mu >= 0 is feasible for every replicate's projection, so the
         # residual at the recentring fit WA mu bounds each J* from above
         chunk_fn = partial(chunk_fn, screen=(WA @ mu, statistic))
-    results, columns = [], np.empty(0, dtype=int)
-    if WA.shape[1] > WA.shape[0] and config.reps > PILOT_REPLICATES:
-        # a wide matrix has far more columns than any projection uses: the
-        # pilot replicates' supports, frozen before the split so that every
-        # chunking solves on the same columns, carry most later replicates
-        results.append(chunk_fn(child_seeds[:PILOT_REPLICATES]))
-        columns = np.flatnonzero(results[0][1] | (mu > 0))
-        chunk_fn = partial(chunk_fn, columns=columns)
-        child_seeds = child_seeds[PILOT_REPLICATES:]
-    results += chunked_map(chunk_fn, child_seeds, config.n_jobs)
-    # rows: J* per replicate, its projection's KKT residual and its route;
-    # NaN marks a screened replicate
-    stats, kkt_boot, route = np.concatenate([out for out, _ in results], axis=1)
-    solved = ~np.isnan(stats)
+        stop = _stop_count(config.reps, config.alpha)
+    # a wide matrix has far more columns than any projection uses
+    pilot = PILOT_REPLICATES if WA.shape[1] > WA.shape[0] and config.reps > PILOT_REPLICATES else 0
+    out, columns = _bootstrap(chunk_fn, child_seeds, pilot, mu > 0, statistic, stop,
+                              config.n_jobs)
+    # rows: J* per drawn replicate, its projection's KKT residual and its
+    # route; NaN marks a screened replicate, and a bounded one in the J* and
+    # KKT rows
+    stats, kkt_boot, route = out
+    drawn = len(stats)
+    solved = ~np.isnan(route)
     kkt = float(np.max(kkt_boot[~np.isnan(kkt_boot)], initial=kkt))
 
-    p_value = (1 + int(np.sum(stats >= statistic - 1e-12))) / (config.reps + 1)
+    hits = int(np.sum(stats >= statistic - 1e-12))
+    # Besag and Clifford's p-value when drawing stopped at the stop count
+    p_value = stop / drawn if hits == stop else (1 + hits) / (config.reps + 1)
     critical = float("nan")
     if config.critical_value:
         k = int(np.ceil((1 - config.alpha) * (config.reps + 1))) - 1
@@ -169,23 +184,89 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
                        "weights": "inverse-variance", "reps": config.reps,
                        "unequal_path_sizes": bool(len(set(counts.tolist())) > 1),
                        "nnls_solves": 2 + int(solved.sum()),
-                       "screened_replicates": int(config.reps - solved.sum()),
+                       "screened_replicates": int(drawn - solved.sum()),
+                       "curtailed_replicates": config.reps - drawn,
                        "critical_value_computed": bool(config.critical_value),
                        "kkt_residual_max": kkt,
-                       "working_set_columns": len(columns),
+                       "working_set_columns": 0 if columns is None else len(columns),
                        "working_set_certified": int(np.sum(route == WORKING_SET)),
-                       "working_set_full_solves": int(np.sum(route == FULL_AGAIN))})
+                       "working_set_full_solves": int(np.sum(route == FULL_AGAIN)),
+                       "working_set_bounded": int(np.sum(route == BOUNDED))})
+
+
+def _stop_count(reps: int, alpha: float):
+    """The number h of replicates reaching the statistic at which the fixed-R
+    test can no longer reject: the smallest count c with (1 + c)/(R + 1) >
+    alpha, the expression ``reject`` reads. None when a curtailed p-value
+    h/L, L <= R, could be alpha or less, so the test is not curtailed."""
+    h = next(c for c in range(reps + 1) if (1 + c) / (reps + 1) > alpha)
+    return h if h / reps > alpha else None
+
+
+def _bootstrap(chunk_fn, seeds, pilot, recentring_support, statistic, stop, n_jobs):
+    """The rows of ``_bootstrap_chunk`` for the replicates drawn, in seed
+    order, and the working-set columns (None when none were built).
+
+    Without ``stop`` every replicate is drawn. With it, replicates are drawn
+    in rounds of ``stop`` minus the hits so far (J* >= statistic), and
+    drawing ends when the hits reach ``stop``, which can only happen on a
+    round's last replicate. Round boundaries depend on seed order and hits
+    alone, never on ``n_jobs``.
+
+    With ``pilot`` > 0 the first ``pilot`` replicates are solved on the full
+    matrix in this process, in rounds cut at the pilot's end. Their supports
+    and the recentring solution's are then frozen as the working set of
+    every later replicate, before any split over workers, so that every
+    chunking solves on the same columns."""
+    results, columns, drawn, hits = [], None, 0, 0
+    support = np.zeros_like(recentring_support)
+    with _worker_map(n_jobs) as map_chunks:
+        while drawn < len(seeds) and hits != stop:
+            end = len(seeds) if stop is None else min(len(seeds), drawn + stop - hits)
+            if drawn < pilot:
+                end = min(end, pilot)
+                chunks = [chunk_fn(seeds[drawn:end])]
+                support |= chunks[0][1]
+            elif pilot:
+                if columns is None:
+                    columns = np.flatnonzero(support | recentring_support)
+                chunks = map_chunks(partial(chunk_fn, columns=columns), seeds[drawn:end])
+            else:
+                chunks = map_chunks(chunk_fn, seeds[drawn:end])
+            for out, _ in chunks:
+                results.append(out)
+                hits += int(np.sum(out[0] >= statistic - 1e-12))
+            drawn = end
+    return np.concatenate(results, axis=1), columns
+
+
+@contextmanager
+def _worker_map(n_jobs: int):
+    """A map of ``fn`` over contiguous chunks of ``items``, one chunk per
+    worker process of one pool kept for the context, in chunk order; one
+    call on all items when ``n_jobs`` is at most 1."""
+    if n_jobs <= 1:
+        yield lambda fn, items: [fn(items)]
+        return
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        def map_chunks(fn, items):
+            chunks = [chunk for chunk in np.array_split(np.arange(len(items)), n_jobs)
+                      if len(chunk)]
+            futures = [pool.submit(fn, [items[i] for i in chunk]) for chunk in chunks]
+            return [f.result() for f in futures]
+        yield map_chunks
 
 
 def chunked_map(fn, items, n_jobs: int) -> list:
-    """``fn`` of contiguous chunks of ``items``, one chunk per worker process,
-    in chunk order; one call on all items when ``n_jobs`` is at most 1."""
-    if n_jobs <= 1:
-        return [fn(items)]
-    chunks = [chunk for chunk in np.array_split(np.arange(len(items)), n_jobs) if len(chunk)]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [pool.submit(fn, [items[i] for i in chunk]) for chunk in chunks]
-        return [f.result() for f in futures]
+    """``fn`` of contiguous chunks of ``items`` (see ``_worker_map``)."""
+    with _worker_map(n_jobs) as map_chunks:
+        return map_chunks(fn, items)
+
+
+def _below(bound, statistic):
+    """Upper bounds on J* that fall below the statistic by more than the
+    float margins: their replicates cannot count toward the p-value."""
+    return bound * (1 + 1e-9) + 1e-12 < statistic - 1e-12
 
 
 def _bootstrap_chunk(args, seeds, columns=None, screen=None):
@@ -197,9 +278,10 @@ def _bootstrap_chunk(args, seeds, columns=None, screen=None):
     With ``screen = (fit, statistic)``, ``fit`` the recentring fit, a
     replicate whose upper bound N * ||b - fit||^2 falls below the statistic
     by more than the float margins is not projected, and its entries are
-    NaN; it could not have counted toward the p-value. Every replicate
-    draws from its own seed either way, and all draws come first, so the
-    bounds take one pass.
+    NaN; it could not have counted toward the p-value. A working-set point
+    that fails its certificate is held to the same test (route BOUNDED).
+    Every replicate draws from its own seed either way, and all draws come
+    first, so the bounds take one pass.
     """
     WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
     pvals = [_normalized(vec[start:stop]) for _, start, stop in blocks]
@@ -212,18 +294,23 @@ def _bootstrap_chunk(args, seeds, columns=None, screen=None):
         recentered = star - vec + eta
         B[i] = sqrt_w * (recentered - shift)
     todo = np.arange(len(seeds))
+    below = None
     if screen is not None:
         fit, statistic = screen
         R = B - fit
-        bound = N * np.einsum("ij,ij->i", R, R)
-        todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= statistic - 1e-12)
+        todo = np.flatnonzero(~_below(N * np.einsum("ij,ij->i", R, R), statistic))
+
+        def below(squared):
+            return _below(N * squared, statistic)
     out = np.full((3, len(seeds)), np.nan)
-    X, rnorm, out[1, todo], out[2, todo] = _project(WA, B[todo], columns)
+    if not len(todo):
+        return out, np.zeros(WA.shape[1], dtype=bool)
+    X, rnorm, out[1, todo], out[2, todo] = _project(WA, B[todo], columns, below)
     out[0, todo] = N * (rnorm * rnorm)
     return out, np.any(X > 0, axis=1)
 
 
-def _project(WA, B, columns=None):
+def _project(WA, B, columns=None, below=None):
     """NNLS projections of the rows of ``B`` onto the cone of ``WA``, all
     certified on the full ``WA``: (solutions, one per column; residual
     norms; KKT residuals; routes).
@@ -233,9 +320,15 @@ def _project(WA, B, columns=None):
     whose KKT conditions hold on the full matrix is its optimum (Lawson and
     Hanson's active-set argument); one that fails them, or whose sub-solve
     raises, is solved again on the full matrix. ``certify_nnls``'s bvls
-    re-solve stays the last resort."""
+    re-solve stays the last resort.
+
+    A working-set point that fails the certificate is still feasible, so its
+    squared residual norm bounds the projection's from above. With
+    ``below``, a test of squared residual norms, a problem whose bound
+    passes it is not solved again: its route is BOUNDED and its residual
+    norm and KKT residual read NaN."""
     X = np.zeros((WA.shape[1], len(B)))
-    rnorm = np.empty(len(B))
+    rnorm = np.full(len(B), np.nan)
     route = np.full(len(B), FULL)
     if columns is not None:
         sub = WA[:, columns]
@@ -248,10 +341,17 @@ def _project(WA, B, columns=None):
         # one pass over all solutions; per replicate it would cost as much
         # as a small projection
         kkt, limit = _kkt_residual(WA, X, B.T, KKT_TOL)
-        route[(route == WORKING_SET) & (kkt > limit)] = FULL_AGAIN
-    for k in np.flatnonzero(route != WORKING_SET):
+        missed = (route == WORKING_SET) & (kkt > limit)
+        route[missed] = FULL_AGAIN
+        if below is not None:
+            route[missed & below(rnorm * rnorm)] = BOUNDED
+    for k in np.flatnonzero((route == FULL) | (route == FULL_AGAIN)):
         X[:, k], rnorm[k] = nnls_solve(WA, B[k])
-    return (*certify_nnls(WA, X, B.T, rnorm), route)
+    kept = route != BOUNDED
+    kkt = np.full(len(B), np.nan)
+    X[:, kept], rnorm[kept], kkt[kept] = certify_nnls(WA, X[:, kept], B[kept].T, rnorm[kept])
+    rnorm[~kept] = np.nan
+    return X, rnorm, kkt, route
 
 
 def _normalized(block):

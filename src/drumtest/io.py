@@ -121,8 +121,9 @@ def write_rho(rho: StochasticChoiceFunction, path):
 
 
 def read_rho(path, universe: ChoiceUniverse) -> StochasticChoiceFunction:
-    """A choice path without a row has probability 0; a repeated row or a
-    choice path that its menu path lacks raises SchemaError."""
+    """A choice path without a row has probability 0; a repeated row, a
+    choice path that its menu path lacks or rows of one menu path with
+    different counts raise SchemaError."""
     table = {}
     counts = {}
     with open(path, newline="") as fh:
@@ -137,7 +138,10 @@ def read_rho(path, universe: ChoiceUniverse) -> StochasticChoiceFunction:
                 raise SchemaError(f"menu path {menu_path}, choice path {cp} has two rows")
             table[menu_path][cp] = float(row["prob"])
             if row.get("count"):
-                counts[menu_path] = int(float(row["count"]))
+                count = int(float(row["count"]))
+                if counts.setdefault(menu_path, count) != count:
+                    raise SchemaError(f"menu path {menu_path} has rows with counts "
+                                      f"{counts[menu_path]} and {count}")
     probs = {menu_path: np.array([0.0 if p is None else p for p in entries.values()])
              for menu_path, entries in table.items()}
     return StochasticChoiceFunction(universe, probs, counts or None)

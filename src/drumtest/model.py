@@ -199,6 +199,8 @@ class StochasticChoiceFunction:
             if len(vec) != expected:
                 raise SchemaError(f"menu path {path}: expected {expected} entries, got {len(vec)}")
             arr = np.asarray(vec, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise SchemaError(f"menu path {path}: probabilities are not finite")
             if np.any(arr < -PROB_TOL) or np.any(arr > 1 + PROB_TOL):
                 raise SchemaError(f"menu path {path}: probabilities outside [0,1]")
             if abs(arr.sum() - 1.0) > PROB_TOL:

@@ -248,15 +248,16 @@ class ExperimentReport:
 
 
 # the counts of a test report that run_experiment sums per cell
-SUMMED_DIAGNOSTICS = ("nnls_solves", "screened_replicates", "working_set_certified",
-                      "working_set_full_solves")
+SUMMED_DIAGNOSTICS = ("nnls_solves", "screened_replicates", "curtailed_replicates",
+                      "working_set_certified", "working_set_full_solves", "working_set_bounded")
 
 
 def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.ndarray:
     """Per sim: (reject, statistic, then the SUMMED_DIAGNOSTICS counts).
 
     Only verdicts are read, so the bootstrap skips the replicates that cannot
-    reach the statistic and computes no critical value."""
+    reach the statistic, stops once the verdict is decided and computes no
+    critical value."""
     universe, _ = build_universe(dgp)
     A = type_matrix_for(dgp, universe)
     agents = agents_per_path_for(dgp, n)
@@ -277,9 +278,16 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
                    seed: int = 0, alpha: float = 0.05, n_jobs: int = 1) -> ExperimentReport:
     """Rejection rates of the cone test per generator and sample size.
 
-    Each entry also sums the cell's NNLS solves, screened bootstrap
-    replicates and working-set routes (SUMMED_DIAGNOSTICS) and gives its
-    mean statistic; no critical values are computed."""
+    Each sim runs the verdict-only test (``TestConfig(critical_value=False)``):
+    its bootstrap screens the replicates that cannot reach the statistic and
+    stops drawing once ``alpha`` can no longer be met, so a sim that does not
+    reject reports the curtailed p-value h/L. Its verdict and statistic are
+    those of the full bootstrap, so the rejection rates are too. Each entry
+    also sums the cell's NNLS solves, screened, curtailed and working-set
+    bounded replicates and working-set routes (SUMMED_DIAGNOSTICS; per sim,
+    the solves less 2, the screened and the curtailed replicates add up to
+    ``reps``) and gives its mean statistic; no critical values are
+    computed."""
     entries = []
     master = np.random.SeedSequence(seed)
     for dgp in dgps:

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from drumtest import catalog
+from drumtest import catalog, inference
 from drumtest.geometry import compute_patches, demand_universe, enumerate_demand_types
 from drumtest.model import StochasticChoiceFunction, path_blocks
 from drumtest.representations import build_static_A, enumerate_orders, kron_dynamic
@@ -127,3 +128,33 @@ def solve_recorder(log):
                     "bounds": np.column_stack([lp.bounds.lb, lp.bounds.ub]), "lp": lp})
         return solve(lp, c, b_ub, b_eq)
     return record
+
+
+def full_bootstrap(rho, A, config):
+    """``run_test`` with ``config`` but every replicate projected
+    (``critical_value=True``): (its report, its J* in seed order)."""
+    real, seen = inference._bootstrap, []
+
+    def recording(*args, **kwargs):
+        out, columns = real(*args, **kwargs)
+        seen.append(out[0])
+        return out, columns
+
+    inference._bootstrap = recording
+    try:
+        report = inference.run_test(rho, A, dataclasses.replace(config, critical_value=True))
+    finally:
+        inference._bootstrap = real
+    return report, seen[0]
+
+
+def curtailed_p_value(stats, statistic, reps, alpha):
+    """The verdict-only p-value from a full bootstrap's J* in seed order.
+    With h the smallest count c with (1 + c)/(R + 1) > alpha: h/L, L the
+    1-based index of the h-th J* >= J, when there are h such J* and h/R >
+    alpha; otherwise the fixed-R (1 + hits)/(R + 1)."""
+    hits = np.flatnonzero(np.asarray(stats) >= statistic - 1e-12)
+    h = min(c for c in range(reps + 1) if (1 + c) / (reps + 1) > alpha)
+    if h / reps > alpha and len(hits) >= h:
+        return h / (hits[h - 1] + 1)
+    return (1 + len(hits)) / (reps + 1)

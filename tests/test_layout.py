@@ -234,3 +234,21 @@ class TestReadRhoRejects:
         path = self._write(tmp_path, ["1,1,0.3,", "1,2,0.7,", "1,2,0.7,"])
         with pytest.raises(SchemaError, match="has two rows"):
             read_rho(path, uni)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_a_probability_that_is_not_finite(self, tmp_path, bad):
+        uni = catalog.binary_universe(periods=(1,))
+        path = self._write(tmp_path, [f"1,1,{bad},", "1,2,0.7,"])
+        with pytest.raises(SchemaError, match=r"menu path \(1,\): probabilities are not finite"):
+            read_rho(path, uni)
+
+    def test_rows_that_disagree_on_the_count(self, tmp_path):
+        uni = catalog.binary_universe(periods=(1,))
+        path = self._write(tmp_path, ["1,1,0.3,10", "1,2,0.7,99"])
+        with pytest.raises(SchemaError, match=r"menu path \(1,\) has rows with counts 10 and 99"):
+            read_rho(path, uni)
+
+    def test_rows_that_agree_on_the_count(self, tmp_path):
+        uni = catalog.binary_universe(periods=(1,))
+        rho = read_rho(self._write(tmp_path, ["1,1,0.3,10", "1,2,0.7,10"]), uni)
+        assert rho.counts == {(1,): 10}

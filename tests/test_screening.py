@@ -1,6 +1,8 @@
-"""Exact bootstrap screening: with ``critical_value=False`` the bootstrap
-skips the replicates whose upper bound cannot reach the statistic, and the
-statistic, p-value and verdict stay those of the full bootstrap."""
+"""Exact bootstrap screening and curtailment: with ``critical_value=False``
+the bootstrap skips the replicates whose upper bound cannot reach the
+statistic and stops drawing once the verdict is decided. The statistic and
+the verdict stay those of the full bootstrap, and the p-value is the
+curtailed one read off the full bootstrap's J* sequence."""
 
 import importlib
 import itertools
@@ -9,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import curtailed_p_value, full_bootstrap
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, nnls
 
 from drumtest import catalog, checks, inference
@@ -55,17 +60,22 @@ def _same_verdict(screened, full):
 def test_screened_test_matches_full_bootstrap(dgp, n):
     for seed in range(3):
         rho, A = _rho_and_A(dgp, n, seed)
-        full = run_test(rho, A, TestConfig(reps=99, seed=seed))
-        screened = run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
-        _same_verdict(screened, full)
+        config = TestConfig(reps=99, seed=seed, critical_value=False)
+        full, stats = full_bootstrap(rho, A, config)
+        screened = run_test(rho, A, config)
+        assert screened.statistic == full.statistic
+        assert screened.reject == full.reject
+        assert screened.p_value == curtailed_p_value(stats, full.statistic, 99, config.alpha)
         assert math.isnan(screened.critical_value)
         assert not math.isnan(full.critical_value)
         assert full.diagnostics["critical_value_computed"]
         assert not screened.diagnostics["critical_value_computed"]
         assert full.diagnostics["nnls_solves"] == 2 + 99
         assert full.diagnostics["screened_replicates"] == 0
+        assert full.diagnostics["curtailed_replicates"] == 0
         skipped = screened.diagnostics["screened_replicates"]
-        assert screened.diagnostics["nnls_solves"] == 2 + 99 - skipped
+        curtailed = screened.diagnostics["curtailed_replicates"]
+        assert screened.diagnostics["nnls_solves"] == 2 + 99 - skipped - curtailed
         for report in (full, screened):
             assert 0 <= report.diagnostics["kkt_residual_max"] < 1e-8
             assert json.dumps(report.to_dict())
@@ -151,9 +161,10 @@ def test_experiment_rates_match_unscreened(monkeypatch):
     for s, f in zip(screened.entries, full.entries):
         assert s["rejection_rate"] == f["rejection_rate"]
         assert s["mean_statistic"] == f["mean_statistic"]
-        assert f["screened_replicates"] == 0
+        assert f["screened_replicates"] == f["curtailed_replicates"] == 0
         assert f["nnls_solves"] == 4 * (49 + 2)
-        assert s["nnls_solves"] + s["screened_replicates"] == f["nnls_solves"]
+        assert s["nnls_solves"] + s["screened_replicates"] + s["curtailed_replicates"] == \
+            f["nnls_solves"]
     assert screened.entries[0]["screened_replicates"] > 0
     assert screened.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
 
@@ -188,7 +199,7 @@ def _reference_chunk(args, seeds, columns=None):
 
 NEW_DIAGNOSTICS = {"nnls_solves", "screened_replicates", "critical_value_computed",
                    "kkt_residual_max", "working_set_columns", "working_set_certified",
-                   "working_set_full_solves"}
+                   "working_set_full_solves", "curtailed_replicates", "working_set_bounded"}
 
 
 def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
@@ -214,6 +225,8 @@ def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
     assert NEW_DIAGNOSTICS <= set(new["diagnostics"])
     assert new["diagnostics"]["critical_value_computed"] is True
     assert new["diagnostics"]["screened_replicates"] == 0
+    assert new["diagnostics"]["curtailed_replicates"] == 0
+    assert new["diagnostics"]["working_set_bounded"] == 0
     assert {k: v for k, v in new["diagnostics"].items() if k not in NEW_DIAGNOSTICS} == \
         {k: v for k, v in old["diagnostics"].items() if k not in NEW_DIAGNOSTICS}
 
@@ -234,3 +247,64 @@ def test_failed_certificate_raises(monkeypatch):
     with pytest.raises(SolverError) as err:
         run_test(rho, A, TestConfig(reps=9, seed=0))
     assert err.value.diagnostics["kkt_residual"] > err.value.diagnostics["kkt_limit"]
+
+
+# (DGP kind, reported sample size) of the curtailment property: the null
+# binary3 cell, the binary1 cell that nearly always rejects, a demand cell
+CURTAILED_CELLS = [("binary3", 40), ("binary1", 10), ("cobb-douglas-walk", 50)]
+
+
+@pytest.fixture(scope="module")
+def cell_matrices():
+    return {kind: type_matrix_for(DgpSpec(kind), build_universe(DgpSpec(kind))[0])
+            for kind, _ in CURTAILED_CELLS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=st.sampled_from(CURTAILED_CELLS), seed=st.integers(0, 2**16),
+       reps=st.integers(1, 150),
+       alpha=st.one_of(st.sampled_from([0.05, 0.1]), st.floats(0.005, 0.5)))
+def test_curtailed_verdicts_match_the_full_bootstrap(cell_matrices, cell, seed, reps, alpha):
+    kind, n = cell
+    dgp = DgpSpec(kind)
+    panel, _ = simulate(dgp, agents_per_path_for(dgp, n), seed=seed)
+    rho, A = estimate_rho(panel, build_universe(dgp)[0]), cell_matrices[kind]
+    config = TestConfig(reps=reps, alpha=alpha, seed=seed + 1, critical_value=False)
+    full, stats = full_bootstrap(rho, A, config)
+    report = run_test(rho, A, config)
+    assert report.statistic == full.statistic
+    assert report.reject == full.reject
+    assert 1 / (reps + 1) <= report.p_value <= 1
+    assert report.reject == (report.p_value <= alpha)
+    assert report.p_value == curtailed_p_value(stats, full.statistic, reps, alpha)
+    d = report.diagnostics
+    assert d["nnls_solves"] - 2 + d["screened_replicates"] + d["curtailed_replicates"] == reps
+    if report.reject:
+        assert d["curtailed_replicates"] == 0
+        assert report.p_value == full.p_value
+
+
+def test_curtailment_stops_at_the_decisive_hit():
+    """A null binary3 sim at R = 199, alpha = 0.05: ten replicates reach J
+    inside the 20-replicate pilot, so no working set is built and the
+    p-value is 10/L."""
+    rho, A = _rho_and_A(DgpSpec("binary3"), 350, 7)
+    config = TestConfig(reps=199, seed=7, critical_value=False)
+    full, stats = full_bootstrap(rho, A, config)
+    report = run_test(rho, A, config)
+    hits = np.flatnonzero(stats >= full.statistic - 1e-12)
+    assert len(hits) >= 10 and hits[9] < inference.PILOT_REPLICATES
+    assert report.p_value == 10 / (hits[9] + 1)
+    assert report.diagnostics["curtailed_replicates"] == 199 - (hits[9] + 1)
+    assert report.diagnostics["working_set_columns"] == 0
+    assert not report.reject and not full.reject
+
+
+@pytest.mark.parametrize("reps,alpha,h", [(199, 0.05, 10), (99, 0.05, 5), (999, 0.05, 50),
+                                          (19, 0.05, 1), (99, 0.0506, None), (1, 0.05, None),
+                                          (9, 0.01, None)])
+def test_stop_count(reps, alpha, h):
+    """h is the fewest hits at which (1 + h)/(R + 1) > alpha; no curtailment
+    where h/R could fail to exceed alpha (h = 5 at R = 99 gives 5/99 <
+    0.0506) or where nothing can reject (h = 0)."""
+    assert inference._stop_count(reps, alpha) == h

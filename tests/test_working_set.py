@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import curtailed_p_value, full_bootstrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,14 +164,20 @@ def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, m
         assert routed.statistic == frozen.statistic
         assert routed.p_value == frozen.p_value
         assert routed.reject == frozen.reject
+        if not critical_value:
+            full, stats = full_bootstrap(rho, A, config)
+            assert routed.reject == full.reject
+            assert routed.p_value == curtailed_p_value(stats, full.statistic, 199, config.alpha)
         assert routed.diagnostics["nnls_solves"] == frozen.diagnostics["nnls_solves"]
         if critical_value:
             assert routed.critical_value == pytest.approx(frozen.critical_value, rel=1e-12)
         else:
             assert math.isnan(routed.critical_value) and math.isnan(frozen.critical_value)
         diagnostics = routed.diagnostics
+        drawn = 199 - diagnostics["curtailed_replicates"]
         if wide:
-            assert diagnostics["working_set_columns"] > 0
+            # a test curtailed inside the pilot builds no working set
+            assert (diagnostics["working_set_columns"] > 0) == (drawn > inference.PILOT_REPLICATES)
         else:
             assert routed.critical_value == frozen.critical_value or not critical_value
             assert diagnostics["working_set_columns"] == 0
@@ -193,3 +200,45 @@ def test_experiment_cells_sum_the_working_set_routes():
         binary["nnls_solves"] - 2 * 2
     assert walk["working_set_certified"] == walk["working_set_full_solves"] == 0
     assert report.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_bounded_working_set_point_is_feasible_and_above_the_projection(binary3_matrix, seed):
+    """Columns that miss half the support fail the full certificate; with a
+    ``below`` test that accepts every bound, such a problem is decided
+    without the full re-solve, and its feasible working-set point's
+    residual lies above the full projection's. With a test that accepts
+    none, the routes and residuals are those without a test."""
+    WA, b = _problem(binary3_matrix, seed, 1.0)
+    x_full, rnorm_full, _ = nnls_projection(WA, b)
+    support = np.flatnonzero(x_full > 0)
+    columns = np.setdiff1d(np.arange(WA.shape[1]), support[::2])
+    plain = inference._project(WA, b[None], columns)
+    assert plain[3][0] == inference.FULL_AGAIN
+    X, rnorm, kkt, route = inference._project(WA, b[None], columns, lambda sq: sq >= 0)
+    assert route[0] == inference.BOUNDED
+    assert math.isnan(rnorm[0]) and math.isnan(kkt[0])
+    assert np.all(X[:, 0] >= 0) and np.all(X[support[::2], 0] == 0)
+    assert np.linalg.norm(WA @ X[:, 0] - b) >= rnorm_full
+    kept = inference._project(WA, b[None], columns, lambda sq: sq < 0)
+    for got, want in zip(kept, plain):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bounded_replicates_keep_the_verdict():
+    """Binary3 sims whose tests run past the pilot: replicates bounded by
+    their working-set points never hide a hit, and verdicts, statistics and
+    curtailed p-values match the full bootstrap."""
+    bounded = 0
+    for seed in (1, 3):
+        rho, A = _rho_and_A(DgpSpec("binary3"), 350, seed)
+        config = TestConfig(reps=199, seed=seed, critical_value=False)
+        full, stats = full_bootstrap(rho, A, config)
+        report = run_test(rho, A, config)
+        assert report.statistic == full.statistic and report.reject == full.reject
+        assert report.p_value == curtailed_p_value(stats, full.statistic, 199, config.alpha)
+        d = report.diagnostics
+        assert d["working_set_bounded"] <= d["nnls_solves"] - 2 - inference.PILOT_REPLICATES
+        assert d["kkt_residual_max"] < 1e-8
+        bounded += d["working_set_bounded"]
+    assert bounded > 0

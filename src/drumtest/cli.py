@@ -42,7 +42,8 @@ def _load_config(path):
 
 
 _SHARED = {"seed": {"type": int, "default": 0},
-           "threads": {"type": int, "default": 1},
+           "threads": {"type": int, "default": 1, "help": "worker processes over the full "
+                       "bootstrap's post-pilot replicates (test) or the sims (experiment)"},
            "tolerance": {"type": float, "default": 1e-9},
            "out": {"default": None}}
 

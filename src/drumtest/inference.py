@@ -5,8 +5,7 @@ variant."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from math import log, sqrt
 
@@ -30,7 +29,8 @@ class TestConfig:
     """Knobs of the statistical test.
 
     ``reps`` bootstrap replications, drawn from ``seed``, decide at level
-    ``alpha``; ``n_jobs`` worker processes share them. The tightening
+    ``alpha``; ``n_jobs`` processes share the full bootstrap's replicates
+    after the working-set pilot (see ``_bootstrap``). The tightening
     parameter is sqrt(log(M)/M) with M the per-menu-path sample size (the
     smallest one when paths differ). Rows are scaled by estimated inverse
     binomial variances.
@@ -94,6 +94,29 @@ class TestReport:
         }
 
 
+@dataclass(frozen=True)
+class BootstrapPlan:
+    """What every bootstrap replicate of one test shares, built once per
+    test; ``probs`` are the row blocks' multinomial probabilities. ``fit``,
+    the recentring fit ``WA @ mu``, marks and screens the verdict-only route
+    and is None on the full one. The working set ``columns`` and its matrix
+    ``sub = WA[:, columns]`` stay None until the pilot freezes them."""
+
+    WA: np.ndarray
+    sqrt_w: np.ndarray
+    vec: np.ndarray
+    eta: np.ndarray
+    shift: np.ndarray
+    blocks: list
+    counts: np.ndarray
+    N: int
+    probs: list
+    statistic: float
+    fit: np.ndarray | None
+    columns: np.ndarray | None = None
+    sub: np.ndarray | None = None
+
+
 def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestReport:
     """Scaled squared distance of the estimated path distribution from the
     type cone, with bootstrap critical values.
@@ -151,18 +174,16 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
         if mass > 0:
             eta_report[start:stop] /= mass
 
-    child_seeds = np.random.SeedSequence(config.seed).spawn(config.reps)
-    chunk_fn = partial(_bootstrap_chunk, (WA, sqrt_w, vec, eta, shift, blocks, counts, N))
-    stop = None
-    if not config.critical_value:
-        # mu >= 0 is feasible for every replicate's projection, so the
-        # residual at the recentring fit WA mu bounds each J* from above
-        chunk_fn = partial(chunk_fn, screen=(WA @ mu, statistic))
-        stop = _stop_count(config.reps, config.alpha)
+    plan = BootstrapPlan(WA, sqrt_w, vec, eta, shift, blocks, counts, N,
+                         [_normalized(vec[start:stop]) for _, start, stop in blocks], statistic,
+                         # mu >= 0 is feasible for every replicate's projection, so the
+                         # residual at the recentring fit WA mu bounds each J* from above
+                         None if config.critical_value else WA @ mu)
+    stop = None if config.critical_value else _stop_count(config.reps, config.alpha)
     # a wide matrix has far more columns than any projection uses
     pilot = PILOT_REPLICATES if WA.shape[1] > WA.shape[0] and config.reps > PILOT_REPLICATES else 0
-    out, columns = _bootstrap(chunk_fn, child_seeds, pilot, mu > 0, statistic, stop,
-                              config.n_jobs)
+    out, columns = _bootstrap(plan, np.random.SeedSequence(config.seed).spawn(config.reps),
+                              pilot, mu > 0, stop, config.n_jobs)
     # rows: J* per drawn replicate, its projection's KKT residual and its
     # route; NaN marks a screened replicate, and a bounded one in the J* and
     # KKT rows
@@ -203,7 +224,7 @@ def _stop_count(reps: int, alpha: float):
     return h if h / reps > alpha else None
 
 
-def _bootstrap(chunk_fn, seeds, pilot, recentring_support, statistic, stop, n_jobs):
+def _bootstrap(plan, seeds, pilot, support, stop, n_jobs):
     """The rows of ``_bootstrap_chunk`` for the replicates drawn, in seed
     order, and the working-set columns (None when none were built).
 
@@ -211,56 +232,43 @@ def _bootstrap(chunk_fn, seeds, pilot, recentring_support, statistic, stop, n_jo
     in rounds of ``stop`` minus the hits so far (J* >= statistic), and
     drawing ends when the hits reach ``stop``, which can only happen on a
     round's last replicate. Round boundaries depend on seed order and hits
-    alone, never on ``n_jobs``.
+    alone.
 
     With ``pilot`` > 0 the first ``pilot`` replicates are solved on the full
-    matrix in this process, in rounds cut at the pilot's end. Their supports
-    and the recentring solution's are then frozen as the working set of
-    every later replicate, before any split over workers, so that every
-    chunking solves on the same columns."""
-    results, columns, drawn, hits = [], None, 0, 0
-    support = np.zeros_like(recentring_support)
-    with _worker_map(n_jobs) as map_chunks:
-        while drawn < len(seeds) and hits != stop:
-            end = len(seeds) if stop is None else min(len(seeds), drawn + stop - hits)
-            if drawn < pilot:
-                end = min(end, pilot)
-                chunks = [chunk_fn(seeds[drawn:end])]
-                support |= chunks[0][1]
-            elif pilot:
-                if columns is None:
-                    columns = np.flatnonzero(support | recentring_support)
-                chunks = map_chunks(partial(chunk_fn, columns=columns), seeds[drawn:end])
-            else:
-                chunks = map_chunks(chunk_fn, seeds[drawn:end])
-            for out, _ in chunks:
-                results.append(out)
-                hits += int(np.sum(out[0] >= statistic - 1e-12))
-            drawn = end
-    return np.concatenate(results, axis=1), columns
+    matrix, in rounds cut at the pilot's end. Their supports, gathered into
+    ``support`` (the recentring solution's), are then frozen into the plan
+    as the working set of every later replicate, so that every chunking
+    solves on the same columns.
 
-
-@contextmanager
-def _worker_map(n_jobs: int):
-    """A map of ``fn`` over contiguous chunks of ``items``, one chunk per
-    worker process of one pool kept for the context, in chunk order; one
-    call on all items when ``n_jobs`` is at most 1."""
-    if n_jobs <= 1:
-        yield lambda fn, items: [fn(items)]
-        return
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        def map_chunks(fn, items):
-            chunks = [chunk for chunk in np.array_split(np.arange(len(items)), n_jobs)
-                      if len(chunk)]
-            futures = [pool.submit(fn, [items[i] for i in chunk]) for chunk in chunks]
-            return [f.result() for f in futures]
-        yield map_chunks
+    Only the full bootstrap's replicates after the pilot are split over
+    ``n_jobs`` worker processes. A verdict-only round holds at most ``stop``
+    replicates, too few to pay for starting a pool, so it runs here."""
+    results, drawn, hits = [], 0, 0
+    while drawn < len(seeds) and hits != stop:
+        end = len(seeds) if stop is None else min(len(seeds), drawn + stop - hits)
+        if drawn < pilot:
+            end = min(end, pilot)
+        elif pilot and plan.columns is None:
+            columns = np.flatnonzero(support)
+            plan = replace(plan, columns=columns, sub=plan.WA[:, columns])
+        workers = n_jobs if drawn >= pilot and plan.fit is None else 1
+        for out, used in chunked_map(partial(_bootstrap_chunk, plan), seeds[drawn:end], workers):
+            results.append(out)
+            support |= used
+            hits += int(np.sum(out[0] >= plan.statistic - 1e-12))
+        drawn = end
+    return np.concatenate(results, axis=1), plan.columns
 
 
 def chunked_map(fn, items, n_jobs: int) -> list:
-    """``fn`` of contiguous chunks of ``items`` (see ``_worker_map``)."""
-    with _worker_map(n_jobs) as map_chunks:
-        return map_chunks(fn, items)
+    """``fn`` of contiguous chunks of ``items``, one chunk per worker process,
+    in chunk order; one call on all items when ``n_jobs`` is at most 1."""
+    if n_jobs <= 1:
+        return [fn(items)]
+    chunks = [chunk for chunk in np.array_split(np.arange(len(items)), n_jobs) if len(chunk)]
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        futures = [pool.submit(fn, [items[i] for i in chunk]) for chunk in chunks]
+        return [f.result() for f in futures]
 
 
 def _below(bound, statistic):
@@ -269,72 +277,62 @@ def _below(bound, statistic):
     return bound * (1 + 1e-9) + 1e-12 < statistic - 1e-12
 
 
-def _bootstrap_chunk(args, seeds, columns=None, screen=None):
+def _bootstrap_chunk(plan, seeds):
     """Bootstrap statistics J* for the given replicate seeds, with the KKT
     residual and the route of each replicate's projection (see ``_project``):
     a (3, len(seeds)) array, and a mask of the type columns that carry
     weight in any of the chunk's projections.
 
-    With ``screen = (fit, statistic)``, ``fit`` the recentring fit, a
-    replicate whose upper bound N * ||b - fit||^2 falls below the statistic
-    by more than the float margins is not projected, and its entries are
-    NaN; it could not have counted toward the p-value. A working-set point
-    that fails its certificate is held to the same test (route BOUNDED).
-    Every replicate draws from its own seed either way, and all draws come
-    first, so the bounds take one pass.
+    With the plan's recentring ``fit``, a replicate whose upper bound
+    N * ||b - fit||^2 falls below the statistic by more than the float
+    margins is not projected, and its entries are NaN; it could not have
+    counted toward the p-value. Every replicate draws from its own seed
+    either way, and all draws come first, so the bounds take one pass.
     """
-    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
-    pvals = [_normalized(vec[start:stop]) for _, start, stop in blocks]
-    B = np.empty((len(seeds), len(vec)))
+    B = np.empty((len(seeds), len(plan.vec)))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        star = np.empty_like(vec)
-        for (_, start, stop), n, p in zip(blocks, counts, pvals):
+        star = np.empty_like(plan.vec)
+        for (_, start, stop), n, p in zip(plan.blocks, plan.counts, plan.probs):
             star[start:stop] = rng.multinomial(n, p) / n
-        recentered = star - vec + eta
-        B[i] = sqrt_w * (recentered - shift)
+        B[i] = plan.sqrt_w * (star - plan.vec + plan.eta - plan.shift)
     todo = np.arange(len(seeds))
-    below = None
-    if screen is not None:
-        fit, statistic = screen
-        R = B - fit
-        todo = np.flatnonzero(~_below(N * np.einsum("ij,ij->i", R, R), statistic))
-
-        def below(squared):
-            return _below(N * squared, statistic)
+    if plan.fit is not None:
+        R = B - plan.fit
+        todo = np.flatnonzero(~_below(plan.N * np.einsum("ij,ij->i", R, R), plan.statistic))
     out = np.full((3, len(seeds)), np.nan)
     if not len(todo):
-        return out, np.zeros(WA.shape[1], dtype=bool)
-    X, rnorm, out[1, todo], out[2, todo] = _project(WA, B[todo], columns, below)
-    out[0, todo] = N * (rnorm * rnorm)
+        return out, np.zeros(plan.WA.shape[1], dtype=bool)
+    X, rnorm, out[1, todo], out[2, todo] = _project(plan, B[todo])
+    out[0, todo] = plan.N * (rnorm * rnorm)
     return out, np.any(X > 0, axis=1)
 
 
-def _project(WA, B, columns=None, below=None):
-    """NNLS projections of the rows of ``B`` onto the cone of ``WA``, all
-    certified on the full ``WA``: (solutions, one per column; residual
+def _project(plan, B):
+    """NNLS projections of the rows of ``B`` onto the cone of ``plan.WA``,
+    all certified on the full matrix: (solutions, one per column; residual
     norms; KKT residuals; routes).
 
-    With ``columns``, a working set, each problem is solved on
-    ``WA[:, columns]`` alone and its solution embedded in all columns. One
-    whose KKT conditions hold on the full matrix is its optimum (Lawson and
-    Hanson's active-set argument); one that fails them, or whose sub-solve
-    raises, is solved again on the full matrix. ``certify_nnls``'s bvls
-    re-solve stays the last resort.
+    Once the plan has a working set, each problem is solved on ``plan.sub``
+    alone and its solution embedded in all columns. One whose KKT conditions
+    hold on the full matrix is its optimum (Lawson and Hanson's active-set
+    argument); one that fails them, or whose sub-solve raises, is solved
+    again on the full matrix. ``certify_nnls``'s bvls re-solve stays the
+    last resort.
 
     A working-set point that fails the certificate is still feasible, so its
-    squared residual norm bounds the projection's from above. With
-    ``below``, a test of squared residual norms, a problem whose bound
-    passes it is not solved again: its route is BOUNDED and its residual
+    squared residual norm bounds the projection's from above. With the
+    plan's ``fit``, a problem whose bound falls below the statistic
+    (``_below``) is not solved again: its route is BOUNDED and its residual
     norm and KKT residual read NaN."""
+    WA, columns = plan.WA, plan.columns
     X = np.zeros((WA.shape[1], len(B)))
     rnorm = np.full(len(B), np.nan)
     route = np.full(len(B), FULL)
     if columns is not None:
-        sub = WA[:, columns]
         for k, b in enumerate(B):
             try:
-                X[columns, k], rnorm[k] = nnls_solve(sub, b)
+                X[columns, k], rnorm[k] = nnls_solve(plan.sub, b)
                 route[k] = WORKING_SET
             except SolverError:
                 route[k] = FULL_AGAIN
@@ -343,8 +341,8 @@ def _project(WA, B, columns=None, below=None):
         kkt, limit = _kkt_residual(WA, X, B.T, KKT_TOL)
         missed = (route == WORKING_SET) & (kkt > limit)
         route[missed] = FULL_AGAIN
-        if below is not None:
-            route[missed & below(rnorm * rnorm)] = BOUNDED
+        if plan.fit is not None:
+            route[missed & _below(plan.N * (rnorm * rnorm), plan.statistic)] = BOUNDED
     for k in np.flatnonzero((route == FULL) | (route == FULL_AGAIN)):
         X[:, k], rnorm[k] = nnls_solve(WA, B[k])
     kept = route != BOUNDED

@@ -122,9 +122,9 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     n = len(menus)
     choice, choice_ids = _chosen_items(universe, menus, positions)
     panel = PanelDataset.from_columns(
-        np.repeat(np.arange(1, n + 1), T), list(universe.periods) * n, menus.reshape(-1),
-        choice.reshape(-1), None if quantity is None else quantity.reshape(n * T, -1),
-        choice_ids=choice_ids)
+        np.repeat(np.arange(1, n + 1), T), np.tile(np.asarray(universe.periods), n),
+        menus.reshape(-1), choice.reshape(-1),
+        None if quantity is None else quantity.reshape(n * T, -1), choice_ids=choice_ids)
     return panel, universe
 
 

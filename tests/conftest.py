@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from drumtest import catalog, inference
 from drumtest.geometry import compute_patches, demand_universe, enumerate_demand_types
@@ -158,3 +159,23 @@ def curtailed_p_value(stats, statistic, reps, alpha):
     if h / reps > alpha and len(hits) >= h:
         return h / (hits[h - 1] + 1)
     return (1 + len(hits)) / (reps + 1)
+
+
+def reference_chunk(plan, seeds):
+    """The bootstrap chunk before screening, certification and working sets:
+    every replicate drawn from the plan's estimated distribution and
+    projected by scipy's nnls on the full matrix, statistics only (the KKT
+    row is NaN, the route row reads FULL, and no columns are reported)."""
+    pvals = [inference._normalized(plan.vec[start:stop]) for _, start, stop in plan.blocks]
+    out = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        star = np.empty_like(plan.vec)
+        for (_, start, stop), n, p in zip(plan.blocks, plan.counts, pvals):
+            star[start:stop] = rng.multinomial(n, p) / n
+        recentered = star - plan.vec + plan.eta
+        _, rnorm = nnls(plan.WA, plan.sqrt_w * (recentered - plan.shift))
+        out[i] = plan.N * (rnorm * rnorm)
+    route = np.full(len(seeds), inference.FULL)
+    return (np.vstack([out, np.full(len(seeds), np.nan), route]),
+            np.zeros(plan.WA.shape[1], bool))

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import reference_chunk
 from scipy.optimize import lsq_linear, nnls
 
 from drumtest import catalog, inference
@@ -95,33 +96,13 @@ class TestRunTest:
             TestConfig(reps=0)
 
 
-def _per_replicate_bootstrap_chunk(args, seeds, columns=None):
-    """The bootstrap loop as it was before the multinomial probabilities were
-    computed once per chunk: normalized again for every replicate, every
-    replicate on the full matrix whatever the working set. It certifies
-    nothing, so its KKT row is NaN, and it reports no columns."""
-    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
-    out = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        star = np.empty_like(vec)
-        for (path, start, stop), n in zip(blocks, counts):
-            draw = rng.multinomial(n, inference._normalized(vec[start:stop]))
-            star[start:stop] = draw / n
-        recentered = star - vec + eta
-        _, rnorm = nnls(WA, sqrt_w * (recentered - shift))
-        out[i] = N * (rnorm * rnorm)
-    route = np.full(len(seeds), inference.FULL)
-    return np.vstack([out, np.full(len(seeds), np.nan), route]), np.zeros(WA.shape[1], bool)
-
-
 def test_bootstrap_matches_per_replicate_loop(binary_app, monkeypatch):
     uni, A = binary_app
     panel, _ = simulate(DgpSpec("binary3"), 20, seed=6)
     rho = estimate_rho(panel, uni)
     config = TestConfig(reps=99, seed=13)
     hoisted = run_test(rho, A, config)
-    monkeypatch.setattr(inference, "_bootstrap_chunk", _per_replicate_bootstrap_chunk)
+    monkeypatch.setattr(inference, "_bootstrap_chunk", reference_chunk)
     reference = run_test(rho, A, config)
     assert hoisted.diagnostics["working_set_certified"] > 0
     # a J* certified on the working set is the full optimum up to rounding
@@ -152,9 +133,9 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     rho = estimate_rho(simulate(dgp, 356, seed=panel_seed)[0], uni)
     chunks = []
 
-    def recording(args, seeds, columns=None):
-        out = chunk(args, seeds, columns)
-        chunks.append((args, seeds, out))
+    def recording(plan, seeds):
+        out = chunk(plan, seeds)
+        chunks.append((plan, seeds, out))
         return out
 
     chunk = inference._bootstrap_chunk
@@ -162,8 +143,9 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     report = run_test(rho, A, TestConfig(reps=199, alpha=0.05, seed=5052))
     assert [len(seeds) for _, seeds, _ in chunks] == [inference.PILOT_REPLICATES,
                                                       199 - inference.PILOT_REPLICATES]
-    args = chunks[0][0]
-    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
+    plan = chunks[0][0]
+    WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
+    blocks, counts, N = plan.blocks, plan.counts, plan.N
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     failed = []
     seeds = [seed for _, chunk_seeds, _ in chunks for seed in chunk_seeds]

@@ -4,14 +4,16 @@ statistic and stops drawing once the verdict is decided. The statistic and
 the verdict stay those of the full bootstrap, and the p-value is the
 curtailed one read off the full bootstrap's J* sequence."""
 
+import dataclasses
 import importlib
 import itertools
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from conftest import curtailed_p_value, full_bootstrap
+from conftest import curtailed_p_value, full_bootstrap, reference_chunk
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, nnls
@@ -88,9 +90,9 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
     real = inference._bootstrap_chunk
     calls = []
 
-    def spy(args, seeds, columns=None, screen=None):
-        out, used = real(args, seeds, columns, screen=screen)
-        calls.append((args, seeds, columns, screen, out))
+    def spy(plan, seeds):
+        out, used = real(plan, seeds)
+        calls.append((plan, seeds, out))
         return out, used
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
@@ -99,33 +101,34 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
         for seed in range(2):
             rho, A = _rho_and_A(dgp, n, 10 + seed)
             run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
-    for args, seeds, columns, (fit, statistic), out in calls:
-        full, _ = real(args, seeds, columns)
+    for plan, seeds, out in calls:
+        full, _ = real(dataclasses.replace(plan, fit=None), seeds)
         gone = np.isnan(out[0])
         skipped += int(gone.sum())
-        assert np.all(full[0][gone] < statistic - 1e-12)
+        assert np.all(full[0][gone] < plan.statistic - 1e-12)
         assert full[0][~gone].tobytes() == out[0][~gone].tobytes()
         assert np.array_equal(np.isnan(out[1]), gone)
         assert np.all(out[1][~gone] < 1e-8)
         assert full[2][~gone].tobytes() == out[2][~gone].tobytes()
     assert skipped > 0
-    assert any(columns is not None for _, _, columns, _, _ in calls)
+    assert any(plan.columns is not None for plan, _, _ in calls)
 
 
 def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
-    """No screen is passed; on the wide binary matrix the pilot chunk runs
-    on the full matrix and the rest on the working set."""
+    """The plan has no screening fit; on the wide binary matrix the pilot
+    chunk runs without a working set and the rest with one."""
     seen = []
     real = inference._bootstrap_chunk
 
-    def spy(*args, **kwargs):
-        seen.append((len(args[0]), sorted(kwargs)))
-        return real(*args, **kwargs)
+    def spy(plan, seeds):
+        seen.append((len(seeds), plan.fit is None, plan.columns is None, plan.sub is None))
+        return real(plan, seeds)
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
     rho, A = _rho_and_A(DgpSpec("binary1"), 10, 0)
     run_test(rho, A, TestConfig(reps=49, seed=0))
-    assert seen == [(8, []), (8, ["columns"])]
+    assert seen == [(inference.PILOT_REPLICATES, True, True, True),
+                    (49 - inference.PILOT_REPLICATES, True, False, False)]
 
 
 @pytest.mark.parametrize("critical_value", [True, False])
@@ -143,6 +146,59 @@ def test_deterministic_across_workers(critical_value):
     kkt = [r.diagnostics.pop("kkt_residual_max") for r in reports]
     assert max(kkt) < 1e-8
     assert one.diagnostics == two.diagnostics
+
+
+def _refused_pool(max_workers):
+    raise AssertionError("a process pool was opened")
+
+
+def test_verdict_only_rounds_run_in_process(monkeypatch):
+    """A verdict-only round holds at most h replicates, too few to pay for a
+    pool: with two jobs the test opens none and reports what it does with
+    one, KKT residuals included."""
+    rho, A = _rho_and_A(DgpSpec("binary1"), 10, 3)
+    config = TestConfig(reps=99, seed=4, critical_value=False)
+    one = run_test(rho, A, config)
+    monkeypatch.setattr(inference, "ProcessPoolExecutor", _refused_pool)
+    two = run_test(rho, A, dataclasses.replace(config, n_jobs=2))
+    _same_verdict(one, two)
+    assert math.isnan(one.critical_value) and math.isnan(two.critical_value)
+    assert one.diagnostics == two.diagnostics
+    assert one.diagnostics["curtailed_replicates"] < 99 - inference.PILOT_REPLICATES
+
+
+def test_full_bootstrap_pools_the_replicates_after_the_pilot(monkeypatch):
+    """With two jobs the full bootstrap solves the pilot here and hands the
+    other replicates to one pool, split in two contiguous chunks."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.workers, self.submitted = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, items):
+            self.submitted.append(len(items))
+            future = Future()
+            future.set_result(fn(items))
+            return future
+
+    rho, A = _rho_and_A(DgpSpec("binary3"), 40, 0)
+    config = TestConfig(reps=49, seed=0, n_jobs=2)
+    monkeypatch.setattr(inference, "ProcessPoolExecutor", InProcessPool)
+    pooled = run_test(rho, A, config)
+    assert [(pool.workers, pool.submitted) for pool in pools] == [(2, [15, 14])]
+    assert sum(pools[0].submitted) == 49 - inference.PILOT_REPLICATES
+    one = run_test(rho, A, dataclasses.replace(config, n_jobs=1))
+    assert len(pools) == 1
+    _same_verdict(one, pooled)
+    assert one.critical_value == pooled.critical_value
 
 
 def test_experiment_rates_match_unscreened(monkeypatch):
@@ -178,25 +234,6 @@ def test_experiment_deterministic_across_workers():
             {k: v for k, v in b.items() if k != "seconds"}
 
 
-def _reference_chunk(args, seeds, columns=None):
-    """The bootstrap loop before screening, certification and working sets:
-    every replicate projected on the full matrix, statistics only (the KKT
-    row is NaN, and no columns are reported)."""
-    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
-    pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
-    out = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        star = np.empty_like(vec)
-        for (_, start, stop), n, p in zip(blocks, counts, pvals):
-            star[start:stop] = rng.multinomial(n, p) / n
-        recentered = star - vec + eta
-        _, rnorm = nnls(WA, sqrt_w * (recentered - shift))
-        out[i] = N * (rnorm * rnorm)
-    route = np.full(len(seeds), inference.FULL)
-    return np.vstack([out, np.full(len(seeds), np.nan), route]), np.zeros(WA.shape[1], bool)
-
-
 NEW_DIAGNOSTICS = {"nnls_solves", "screened_replicates", "critical_value_computed",
                    "kkt_residual_max", "working_set_columns", "working_set_certified",
                    "working_set_full_solves", "curtailed_replicates", "working_set_bounded"}
@@ -212,7 +249,7 @@ def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
     codes, docs = [], []
     for patch in (False, True):
         if patch:
-            monkeypatch.setattr(inference, "_bootstrap_chunk", _reference_chunk)
+            monkeypatch.setattr(inference, "_bootstrap_chunk", reference_chunk)
         codes.append(main(argv))
         docs.append(json.loads(capsys.readouterr().out))
     new, old = docs

@@ -120,6 +120,22 @@ class TestMatchesScalarReference:
             assert np.array_equal(rho.choice_counts[path], counts)
 
 
+    @pytest.mark.parametrize("dgp", EQUIVALENCE_DGPS, ids=lambda d: d.kind)
+    def test_columns_match_a_list_built_period_column(self, dgp):
+        panel, uni = simulate(dgp, 7, seed=3)
+        n = len(panel.agent) // uni.num_periods
+        listed = PanelDataset.from_columns(panel.agent, list(uni.periods) * n, panel.menu,
+                                           panel.choice_codes, panel.quantity,
+                                           choice_ids=panel.choice_ids)
+        for name in ("agent", "period", "menu", "choice_codes", "quantity"):
+            got, want = getattr(panel, name), getattr(listed, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert panel.choice_ids == listed.choice_ids
+
+
 class TestDemandDgps:
     def test_zero_innovation_walk_is_deterministic(self):
         dgp = DgpSpec("cobb-douglas-walk", {"innovation_sd": 0.0})

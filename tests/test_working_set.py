@@ -3,6 +3,7 @@ replicate after the pilot is solved on the pilot's columns, certified on the
 full matrix and solved again there when the certificate fails. J* is the
 full projection's up to rounding, so p-values and verdicts do not move."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,16 @@ def binary3_matrix():
     return dense
 
 
+def _plan(WA, columns, statistic=None):
+    """A bootstrap plan with what ``_project`` reads: the matrix, the working
+    set ``columns`` and, with ``statistic``, a verdict-only route at N = 1
+    whose working-set bounds are held to that statistic."""
+    unread = dict.fromkeys(f.name for f in dataclasses.fields(inference.BootstrapPlan))
+    fit = None if statistic is None else np.zeros(len(WA))
+    return inference.BootstrapPlan(**{**unread, "WA": WA, "N": 1, "statistic": statistic,
+                                      "fit": fit, "columns": columns, "sub": WA[:, columns]})
+
+
 def _problem(dense, seed, noise):
     """A row-weighted binary3 matrix and a right-hand side near its cone."""
     rng = np.random.default_rng(seed)
@@ -58,7 +69,7 @@ def test_working_set_projection_is_the_full_projection(binary3_matrix, seed, noi
         support = np.flatnonzero(x_full > 0)
         dropped = rng.choice(support, size=(len(support) + 1) // 2, replace=False)
         columns = np.setdiff1d(np.arange(n), dropped)
-    X, rnorm, kkt, route = inference._project(WA, b[None], columns)
+    X, rnorm, kkt, route = inference._project(_plan(WA, columns), b[None])
     x = X[:, 0]
     assert rnorm[0] ** 2 == pytest.approx(rnorm_full ** 2, rel=1e-12)
     assert np.all(x >= 0)
@@ -81,7 +92,7 @@ def test_a_sub_solve_that_raises_falls_back_to_the_full_matrix(binary3_matrix, m
         return nnls_solve(A, b)
 
     monkeypatch.setattr(inference, "nnls_solve", raising_on_sub_matrices)
-    X, rnorm, kkt, route = inference._project(WA, B, np.arange(100))
+    X, rnorm, kkt, route = inference._project(_plan(WA, np.arange(100)), B)
     assert np.all(route == inference.FULL_AGAIN)
     for k, b in enumerate(B):
         assert rnorm[k] == nnls_projection(WA, b)[1]
@@ -114,11 +125,12 @@ def test_a_matrix_without_columns_has_the_zero_solution():
     assert rnorm == 5.0
 
 
-def _frozen_bootstrap_chunk(args, seeds, columns=None, screen=None):
+def _frozen_bootstrap_chunk(plan, seeds):
     """The bootstrap chunk before working sets, changed only in its
-    signature and its return: ``columns`` is ignored, every replicate is
-    solved on the full matrix, and its route row reads FULL."""
-    WA, sqrt_w, vec, eta, shift, blocks, counts, N = args
+    signature and its return: the plan's working set is ignored, every
+    replicate is solved on the full matrix, and its route row reads FULL."""
+    WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
+    blocks, counts, N = plan.blocks, plan.counts, plan.N
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     B = np.empty((len(seeds), len(vec)))
     for i, seed in enumerate(seeds):
@@ -129,11 +141,10 @@ def _frozen_bootstrap_chunk(args, seeds, columns=None, screen=None):
         recentered = star - vec + eta
         B[i] = sqrt_w * (recentered - shift)
     todo = np.arange(len(seeds))
-    if screen is not None:
-        fit, statistic = screen
-        R = B - fit
+    if plan.fit is not None:
+        R = B - plan.fit
         bound = N * np.einsum("ij,ij->i", R, R)
-        todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= statistic - 1e-12)
+        todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= plan.statistic - 1e-12)
     out = np.full((3, len(seeds)), np.nan)
     X = np.empty((len(todo), WA.shape[1]))
     rnorm = np.empty(len(todo))
@@ -204,23 +215,24 @@ def test_experiment_cells_sum_the_working_set_routes():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_bounded_working_set_point_is_feasible_and_above_the_projection(binary3_matrix, seed):
-    """Columns that miss half the support fail the full certificate; with a
-    ``below`` test that accepts every bound, such a problem is decided
-    without the full re-solve, and its feasible working-set point's
-    residual lies above the full projection's. With a test that accepts
-    none, the routes and residuals are those without a test."""
+    """Columns that miss half the support fail the full certificate; on a
+    verdict-only route whose statistic every bound falls below, such a
+    problem is decided without the full re-solve, and its feasible
+    working-set point's residual lies above the full projection's. With a
+    statistic of 0, which no bound falls below, the routes and residuals
+    are those of the full route."""
     WA, b = _problem(binary3_matrix, seed, 1.0)
     x_full, rnorm_full, _ = nnls_projection(WA, b)
     support = np.flatnonzero(x_full > 0)
     columns = np.setdiff1d(np.arange(WA.shape[1]), support[::2])
-    plain = inference._project(WA, b[None], columns)
+    plain = inference._project(_plan(WA, columns), b[None])
     assert plain[3][0] == inference.FULL_AGAIN
-    X, rnorm, kkt, route = inference._project(WA, b[None], columns, lambda sq: sq >= 0)
+    X, rnorm, kkt, route = inference._project(_plan(WA, columns, np.inf), b[None])
     assert route[0] == inference.BOUNDED
     assert math.isnan(rnorm[0]) and math.isnan(kkt[0])
     assert np.all(X[:, 0] >= 0) and np.all(X[support[::2], 0] == 0)
     assert np.linalg.norm(WA @ X[:, 0] - b) >= rnorm_full
-    kept = inference._project(WA, b[None], columns, lambda sq: sq < 0)
+    kept = inference._project(_plan(WA, columns, 0.0), b[None])
     for got, want in zip(kept, plain):
         assert got.tobytes() == want.tobytes()
 
@@ -242,3 +254,37 @@ def test_bounded_replicates_keep_the_verdict():
         assert d["kkt_residual_max"] < 1e-8
         bounded += d["working_set_bounded"]
     assert bounded > 0
+
+
+def test_the_plan_is_built_once_per_test(monkeypatch):
+    """A verdict-only test that rejects decides its 199 replicates in rounds
+    of at most h = 10; the row blocks' multinomial probabilities are still
+    computed once per test. On a binary3 test that runs well past the pilot,
+    every sub-solve of every round gets the same working-set matrix."""
+    real_normalized, real_solve = inference._normalized, inference.nnls_solve
+    normalized, subs = [], []
+
+    def counting(block):
+        normalized.append(len(block))
+        return real_normalized(block)
+
+    def solve(M, b):
+        if M.shape[1] < n_columns:
+            subs.append(M)
+        return real_solve(M, b)
+
+    monkeypatch.setattr(inference, "_normalized", counting)
+    monkeypatch.setattr(inference, "nnls_solve", solve)
+    rho, A = _rho_and_A(DgpSpec("binary1"), 175, 0)
+    n_columns = A.dense().shape[1]
+    report = run_test(rho, A, TestConfig(reps=199, seed=0, critical_value=False))
+    assert report.reject and report.diagnostics["curtailed_replicates"] == 0
+    assert len(normalized) == len(report.diagnostics["path_sizes"])
+
+    rho, A = _rho_and_A(DgpSpec("binary3"), 350, 1)
+    n_columns = A.dense().shape[1]
+    subs.clear()
+    report = run_test(rho, A, TestConfig(reps=199, seed=1, critical_value=False))
+    assert report.diagnostics["curtailed_replicates"] < 199 - 4 * inference.PILOT_REPLICATES
+    assert len(subs) > 10 and all(M is subs[0] for M in subs)
+    assert subs[0].shape[1] == report.diagnostics["working_set_columns"]

@@ -140,7 +140,7 @@ def _cmd_matrices(args) -> int:
     else:
         budgets = (catalog.simple_budgets if args.geometry == "simple"
                    else catalog.demand3x3_budgets)(periods)
-        uni, patches, _ = demand_universe(budgets, periods, _catalog_maps(budgets[periods[0]]))
+        uni, patches, _ = demand_universe(budgets, periods)
         kind = args.geometry
     statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
     H = catalog_H(kind, uni, uni.periods[0])
@@ -157,29 +157,16 @@ def _cmd_matrices(args) -> int:
     return 0
 
 
-def _catalog_maps(budgets_t):
-    """Published patch numbering when the budget shape matches a catalog,
-    else None (the default numbering); the one numbering rule of every
-    subcommand."""
-    K = budgets_t[0].num_goods
-    if len(budgets_t) == 2 and K == 2:
-        return catalog.SIMPLE_INDEX_MAPS
-    if len(budgets_t) == 3 and K == 3:
-        return catalog.DEMAND3X3_INDEX_MAPS
-    return None
-
-
 def _demand_geometry(universe, budgets):
     """Patches, per-period dominance and the distinct warnings of the
-    geometry, rebuilt from the budgets, using the catalog numbering when the
-    shape matches. The warnings are raised again as well. The rho/universe
-    files must have been produced under the same convention (drum matrices
-    emits them)."""
+    geometry, rebuilt from the budgets and numbered by ``compute_patches``'s
+    rule, as ``demand_universe`` and ``drum matrices`` number them. The
+    warnings are raised again as well."""
     patches, dominance = {}, {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for t, blist in budgets.items():
-            patches[t], dominance[t] = compute_patches(blist, index_maps=_catalog_maps(blist))
+            patches[t], dominance[t] = compute_patches(blist)
             labels = {p.label for p in patches[t] if not p.is_intersection}
             if universe is not None and set(universe.alternatives[t]) != labels:
                 raise DrumError(f"period {t}: budget patches do not match the universe; "
@@ -193,14 +180,19 @@ def _demand_geometry(universe, budgets):
 
 
 def _catalog_kind(universe, t):
+    """The published facet table of period ``t``: ``binary`` on all pairs of
+    at most five alternatives, ``simple``/``demand3x3`` on the menus and
+    primitive order ``demand_universe`` builds from that catalog's budgets."""
     menus = universe.menus[t]
     if all(m.size == 2 for m in menus) and len(universe.alternatives[t]) <= 5 \
             and len(menus) == len(universe.alternatives[t]) * (len(universe.alternatives[t]) - 1) // 2:
         return "binary"
-    if len(menus) == 2 and all(m.size == 2 for m in menus):
-        return "simple"
-    if len(menus) == 3 and all(m.size == 4 for m in menus):
-        return "demand3x3"
+    for kind, budgets in (("simple", catalog.simple_budgets),
+                          ("demand3x3", catalog.demand3x3_budgets)):
+        published, _, _ = demand_universe(budgets((t,)), (t,))
+        if published.menus[t] == menus and \
+                set(published.primitive_order[t]) == set(universe.primitive_order.get(t, ())):
+            return kind
     return None
 
 
@@ -213,6 +205,12 @@ def _cmd_check(args) -> int:
     patches = dominance = None
     if budgets:
         patches, dominance, geometry_warnings = _demand_geometry(uni, budgets)
+    if {"hrep", "hierarchy"} & set(wanted):
+        kinds = [_catalog_kind(uni, t) for t in uni.periods]
+        if None in kinds:
+            raise DrumError("no catalog H-matrix matches this geometry; "
+                            "use the library convert_V_to_H")
+        H_list = [catalog_H(k, uni, t) for k, t in zip(kinds, uni.periods)]
     for name in wanted:
         if name == "stability":
             reports[name] = check_stability(rho, tol=args.tolerance)
@@ -226,11 +224,6 @@ def _cmd_check(args) -> int:
                                                       "geometry_warnings": geometry_warnings})
             reports[name] = report
         elif name == "hrep":
-            kinds = [_catalog_kind(uni, t) for t in uni.periods]
-            if any(k is None for k in kinds):
-                raise DrumError("no catalog H-matrix matches this geometry; "
-                                "use the library convert_V_to_H")
-            H_list = [catalog_H(k, uni, t) for k, t in zip(kinds, uni.periods)]
             reports[name] = check_H(rho, H_list, tol=args.tolerance)
         elif name == "cone":
             statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
@@ -240,10 +233,6 @@ def _cmd_check(args) -> int:
             _, _, rep = bm_extension_feasible(rho)
             reports[name] = rep
         elif name == "hierarchy":
-            kinds = [_catalog_kind(uni, t) for t in uni.periods]
-            if any(k is None for k in kinds):
-                raise DrumError("hierarchy needs a catalog H-matrix per period")
-            H_list = [catalog_H(k, uni, t) for k, t in zip(kinds, uni.periods)]
             k_vec = (1,) + (2,) * (uni.num_periods - 1)
             _, _, rep = hierarchy_feasible(rho, H_list, k_vec)
             reports[name] = rep
@@ -295,11 +284,8 @@ def _cmd_bounds(args) -> int:
         mp, cp = args.condition.split(":")
         condition = (tuple(int(v) for v in mp.split("|")),
                      tuple(int(v) for v in cp.split("|")))
-    # the numbering check and test read these files under, applied to every
-    # period of the extended window
     problem = CounterfactualProblem(rho, budgets, new_budgets, g_lower, g_upper,
-                                    target_budget=args.target, condition=condition,
-                                    index_maps=_catalog_maps(budgets[uni.periods[0]]))
+                                    target_budget=args.target, condition=condition)
     report = bound_functional(problem)
     cross = kron_counterfactual_cone(problem)
     doc = {"lower": report.lower, "upper": report.upper,

@@ -26,7 +26,7 @@ import numpy as np
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
                      stability_groups)
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
-from .geometry import demand_universe, freeze_index_maps
+from .geometry import demand_universe
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, path_blocks, rho_vector
 from .representations import TypeMatrix, kron_dynamic, static_type_matrix
@@ -51,7 +51,6 @@ class CounterfactualProblem:
     g_upper: dict
     target_budget: int | None = None
     condition: tuple | None = None  # (menu_path, choice_path)
-    index_maps: dict | None = None
 
     def __post_init__(self):
         unpaired = sorted(self.g_lower.keys() ^ self.g_upper.keys())
@@ -99,17 +98,16 @@ class CounterfactualModel:
 
 
 @lru_cache(maxsize=16)
-def _compile(budgets: tuple, new_budgets: tuple, paths: tuple,
-             frozen_maps) -> CounterfactualModel:
+def _compile(budgets: tuple, new_budgets: tuple, paths: tuple) -> CounterfactualModel:
     """Build the model of one geometry: ``budgets`` pairs each observed
     period with its budget tuple, ``paths`` are the observed menu paths."""
     periods = tuple(t for t, _ in budgets)
     observed_budgets = {t: list(blist) for t, blist in budgets}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        observed_uni, _, _ = demand_universe(observed_budgets, periods, index_maps=frozen_maps)
+        observed_uni, _, _ = demand_universe(observed_budgets, periods)
         ext, patches, _ = demand_universe({**observed_budgets, NEW_PERIOD: list(new_budgets)},
-                                          periods + (NEW_PERIOD,), index_maps=frozen_maps)
+                                          periods + (NEW_PERIOD,))
     for t in periods:
         if len(ext.menus[t]) != 2 or any(m.size != 2 for m in ext.menus[t]):
             raise GeometryError("counterfactual bounds cover the two-budget setup")
@@ -162,8 +160,7 @@ def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
     problem's observed universe on every call."""
     uni = problem.rho.universe
     model = _compile(tuple((t, tuple(problem.budgets[t])) for t in uni.periods),
-                     tuple(problem.new_budgets), tuple(problem.rho.observed_paths),
-                     freeze_index_maps(problem.index_maps))
+                     tuple(problem.new_budgets), tuple(problem.rho.observed_paths))
     for message in model.geometry_warnings:
         warnings.warn(message, stacklevel=3)
     for t in uni.periods:

@@ -143,12 +143,14 @@ def _cell_program(budget: Budget, others: list, signs: dict, strict: bool):
 def compute_patches(budgets: list, index_maps: dict | None = None):
     """Enumerate the patches of one period's budgets and their dominance.
 
-    ``index_maps`` optionally fixes the open-patch numbering per budget as a
-    map {budget_index: {numeric sign tuple over other budgets: patch index}};
-    the catalog geometries use it to match their published numbering. The
-    default numbering sweeps by descending last coordinate of the
-    representative for two goods and sorts sign vectors lexicographically
-    (above before below, other budgets in ascending index order) otherwise.
+    One rule numbers the open patches: budgets equal to
+    ``catalog.demand3x3_budgets`` by index, prices and expenditure (in any
+    period) get ``catalog.DEMAND3X3_INDEX_MAPS``; every other arrangement
+    sweeps by descending last coordinate of the representative for two
+    goods (the published numbering on the catalog two-budget setup) and
+    sorts sign vectors otherwise (above before below, other budgets in
+    ascending index order). ``index_maps`` overrides the rule with a map
+    {budget_index: {numeric sign tuple over other budgets: patch index}}.
 
     Returns (patches, dominance) where dominance is a list of
     (dominant_label, dominated_label) pairs over open patches. Each
@@ -175,8 +177,8 @@ def freeze_index_maps(index_maps: dict | None):
 
 @lru_cache(maxsize=32)
 def _arrangement(budgets: tuple, frozen_maps):
-    """(patches, dominance pairs, conservative flag) of one arrangement."""
-    index_maps = {j: dict(m) for j, m in frozen_maps} if frozen_maps else None
+    """(patches, dominance pairs, conservative flag) of one arrangement,
+    numbered by ``frozen_maps`` or, when None, by the published rule."""
     if not budgets:
         raise SchemaError("no budgets supplied")
     K = budgets[0].num_goods
@@ -190,6 +192,12 @@ def _arrangement(budgets: tuple, frozen_maps):
     by_index = {b.index: b for b in budgets}
     if len(by_index) != len(budgets):
         raise SchemaError("duplicate budget indices")
+    index_maps = {j: dict(m) for j, m in frozen_maps} if frozen_maps else None
+    if index_maps is None:
+        from . import catalog  # catalog imports Budget from this module
+        if {(b.index, b.prices, b.expenditure) for b in budgets} == \
+                {(b.index, b.prices, b.expenditure) for b in catalog.demand3x3_budgets()[1]}:
+            index_maps = catalog.DEMAND3X3_INDEX_MAPS
 
     patches = []
     open_cells = {}
@@ -289,29 +297,23 @@ def _cell_constraints(budget: Budget, others: list, signs: dict):
 
 
 def _cell_vertices(budget: Budget, others: list, signs: dict):
-    """Vertices of the closure of a cell, or None when enumeration is too big.
+    """Vertices of the closure of an open cell, or None when enumeration is too big.
 
-    On the budget hyperplane the cell is a (K-1)-polytope, so vertices
-    activate K-1 of the inequality constraints. Each vertex is returned with
-    a flag marking whether it sits on a foreign-budget boundary (and so lies
-    outside the open cell).
+    On the budget hyperplane, its one equality, the cell is a (K-1)-polytope,
+    so vertices activate K-1 of the inequality constraints. Each vertex is
+    returned with a flag marking whether it sits on a foreign-budget
+    boundary (and so lies outside the open cell).
     """
     A_eq, b_eq, A_ub, b_ub = _cell_constraints(budget, others, signs)
     K = budget.num_goods
     n_sign = len(b_ub) - K  # sign rows precede the orthant rows
-    n_eq = len(b_eq)
-    need = K - n_eq
-    if need < 0:
-        return None
-    combos = list(itertools.combinations(range(len(b_ub)), need))
+    combos = list(itertools.combinations(range(len(b_ub)), K - 1))
     if len(combos) > VERTEX_BASES_CAP:
         return None
     verts = []
     for combo in combos:
-        M = np.vstack([A_eq] + [A_ub[i] for i in combo]) if combo else A_eq
-        rhs = np.concatenate([b_eq, [b_ub[i] for i in combo]]) if combo else b_eq
-        if M.shape[0] != K:
-            continue
+        M = np.vstack([A_eq] + [A_ub[i] for i in combo])
+        rhs = np.concatenate([b_eq, [b_ub[i] for i in combo]])
         try:
             y = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
@@ -457,9 +459,10 @@ def _sarp_consistent(chosen) -> bool:
 def demand_universe(budgets_by_period: dict, periods: tuple, index_maps: dict | None = None):
     """Discretize budget arrangements into a ChoiceUniverse.
 
-    Alternatives are open-patch labels ``(budget, patch_index)``; menus are
-    budgets; the primitive order is the computed patch dominance. Returns
-    (universe, patches_by_period, dominance_by_period).
+    Alternatives are open-patch labels ``(budget, patch_index)``, numbered
+    by ``compute_patches`` (``index_maps`` overrides it in every period);
+    menus are budgets; the primitive order is the computed patch dominance.
+    Returns (universe, patches_by_period, dominance_by_period).
     """
     alternatives, menus, order, patches_all, dominance_all = {}, {}, {}, {}, {}
     for t in periods:
@@ -563,8 +566,7 @@ class PooledReport:
 
 
 def pool(rho: StochasticChoiceFunction, budgets_by_period: dict,
-         allocation: dict | None = None, path_weights: dict | None = None,
-         index_maps: dict | None = None) -> PooledReport:
+         allocation: dict | None = None, path_weights: dict | None = None) -> PooledReport:
     """Pool the panel into one cross-section over the refined patches.
 
     Every budget of every period enters one arrangement; original patches
@@ -596,8 +598,7 @@ def pool(rho: StochasticChoiceFunction, budgets_by_period: dict,
 
     # a pooled cell on budget k refines the original patch whose sign vector
     # it matches on same-period budgets
-    period_patches = {t: compute_patches(budgets_by_period[t], index_maps=index_maps)[0]
-                      for t in periods}
+    period_patches = {t: compute_patches(budgets_by_period[t])[0] for t in periods}
     same_period_idx = {k: [k2 for k2, tj in owner.items()
                            if tj[0] == owner[k][0] and k2 != k] for k in owner}
     original_patch = {}

@@ -33,6 +33,8 @@ from .lp import compile_lp, solve
 from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, rho_vector
 
 DENSE_ENTRY_GUARD = 100_000_000
+# the most permutations enumerate_orders walks: 9! takes about a second
+ORDER_GUARD = math.factorial(9)
 # the strict utility gap an expected-utility ranking must admit
 EU_MARGIN = 1e-9
 
@@ -155,8 +157,13 @@ class ProjectionOperator:
 def enumerate_orders(universe: ChoiceUniverse, t, eu_filter: dict | None = None):
     """All strict total extensions of the period's primitive order, in
     lexicographic order of position words; optionally filtered to rankings
-    admitting a prize-utility vector that strictly rationalizes them."""
+    admitting a prize-utility vector that strictly rationalizes them. Raises
+    ``SizeError`` before walking more than ``ORDER_GUARD`` permutations."""
     alts = universe.alternatives[t]
+    if math.factorial(len(alts)) > ORDER_GUARD:
+        raise SizeError(f"period {t}: {len(alts)} alternatives have {len(alts)}! orderings, "
+                        "over the size guard; on demand data pass --budgets so the period "
+                        "takes the demand types of its patches")
     pairs = universe.primitive_order.get(t, ())
     orders = []
     for perm in itertools.permutations(alts):

@@ -57,7 +57,7 @@ def build_universe(dgp: DgpSpec):
     """Universe (and budgets where applicable) the generator samples on."""
     if dgp.kind.startswith("cobb"):
         budgets = catalog.simple_budgets(dgp.periods())
-        uni, _, _ = demand_universe(budgets, dgp.periods(), index_maps=catalog.SIMPLE_INDEX_MAPS)
+        uni, _, _ = demand_universe(budgets, dgp.periods())
         return uni, budgets
     if dgp.kind.startswith("binary"):
         uni = catalog.binary_universe(("l1", "l2", "l3"), dgp.periods())
@@ -206,10 +206,9 @@ def _chosen_items(universe, menus, positions):
 
 
 def _demand_patches(budgets: dict) -> dict:
-    """Patches by period of a demand generator's budgets, in the catalog
-    numbering its universe uses."""
-    return {t: compute_patches(blist, index_maps=catalog.SIMPLE_INDEX_MAPS)[0]
-            for t, blist in budgets.items()}
+    """Patches by period of a demand generator's budgets, numbered as its
+    universe is (``compute_patches``'s rule)."""
+    return {t: compute_patches(blist)[0] for t, blist in budgets.items()}
 
 
 def type_matrix_for(dgp: DgpSpec, universe):

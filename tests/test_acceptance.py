@@ -361,8 +361,7 @@ class TestCriterion9Counterfactuals:
             lo = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
             hi = {lbl: lo[lbl] + float(v) for lbl, v in zip(labels, rng.random(4))}
             problem = CounterfactualProblem(rho, simple_setup["budgets"],
-                                            self._new_budgets(), lo, hi,
-                                            index_maps=catalog.SIMPLE_INDEX_MAPS)
+                                            self._new_budgets(), lo, hi)
             a = bound_functional(problem)
             b = kron_counterfactual_cone(problem)
             worst = max(worst, abs(a.lower - b.lower), abs(a.upper - b.upper))
@@ -379,8 +378,7 @@ class TestCriterion9Counterfactuals:
             g = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
             problem = CounterfactualProblem(rho, simple_setup["budgets"],
                                             self._new_budgets(), g, g,
-                                            target_budget=1,
-                                            index_maps=catalog.SIMPLE_INDEX_MAPS)
+                                            target_budget=1)
             bounds = bound_functional(problem)
             value = p_next[0] * g[(1, 1)] + p_next[1] * g[(1, 2)]
             inside += bounds.lower - 1e-9 <= value <= bounds.upper + 1e-9
@@ -408,11 +406,9 @@ class TestCriterion9Counterfactuals:
             lo = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
             hi = {lbl: lo[lbl] + 0.5 for lbl in labels}
             b2 = bound_functional(CounterfactualProblem(
-                rho2, simple_setup["budgets"], self._new_budgets(), lo, hi,
-                index_maps=catalog.SIMPLE_INDEX_MAPS))
+                rho2, simple_setup["budgets"], self._new_budgets(), lo, hi))
             b1 = bound_functional(CounterfactualProblem(
-                rho1, budgets1, self._new_budgets(), lo, hi,
-                index_maps=catalog.SIMPLE_INDEX_MAPS))
+                rho1, budgets1, self._new_budgets(), lo, hi))
             ok &= b1.lower <= b2.lower + 1e-8 and b2.upper <= b1.upper + 1e-8
         _report("9c", bool(ok), "bounds weakly tighten with the observation window")
 

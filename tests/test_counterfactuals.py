@@ -28,8 +28,7 @@ def _new_budgets():
 
 
 def _problem(rho, budgets, g_lower, g_upper, **kw):
-    return CounterfactualProblem(rho, budgets, _new_budgets(), g_lower, g_upper,
-                                 index_maps=catalog.SIMPLE_INDEX_MAPS, **kw)
+    return CounterfactualProblem(rho, budgets, _new_budgets(), g_lower, g_upper, **kw)
 
 
 def _patch_labels():
@@ -158,8 +157,7 @@ class TestBoundFunctional:
             g_lo = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
             g_hi = {lbl: g_lo[lbl] + 0.5 for lbl in labels}
             p2 = _problem(rho2, simple_setup["budgets"], g_lo, g_hi)
-            p1 = CounterfactualProblem(rho1, budgets1, _new_budgets(), g_lo, g_hi,
-                                       index_maps=catalog.SIMPLE_INDEX_MAPS)
+            p1 = CounterfactualProblem(rho1, budgets1, _new_budgets(), g_lo, g_hi)
             b2 = bound_functional(p2)
             b1 = bound_functional(p1)
             assert b1.lower <= b2.lower + 1e-8
@@ -172,8 +170,7 @@ def _legacy_layout(problem):
     rho = problem.rho
     combined = dict(problem.budgets)
     combined["next"] = list(problem.new_budgets)
-    ext, patches, _ = demand_universe(combined, tuple(rho.universe.periods) + ("next",),
-                                      index_maps=problem.index_maps)
+    ext, patches, _ = demand_universe(combined, tuple(rho.universe.periods) + ("next",))
     var_index = {}
     for path in rho.observed_paths:
         for menu in ext.menus["next"]:

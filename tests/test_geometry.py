@@ -164,6 +164,45 @@ class TestArrangementMemo:
             geometry._arrangement.cache_clear()
 
 
+class TestPublishedNumbering:
+    """``compute_patches`` numbers patches by one rule when no maps are
+    passed: the published maps on the demand3x3 budgets of any period, the
+    default numbering on every other arrangement."""
+
+    @pytest.mark.parametrize("t", [1, 2, "next"])
+    def test_demand3x3_budgets_get_the_published_numbering(self, t):
+        budgets = catalog.demand3x3_budgets((t,))[t]
+        assert compute_patches(budgets) == \
+            compute_patches(budgets, index_maps=catalog.DEMAND3X3_INDEX_MAPS)
+        assert compute_patches(budgets[::-1]) == \
+            compute_patches(budgets[::-1], index_maps=catalog.DEMAND3X3_INDEX_MAPS)
+
+    def test_other_budgets_get_the_default_numbering(self):
+        """At double the expenditure the arrangement is no longer the
+        catalog's: budget 1 takes the sign-vector order over budgets 2 and
+        3, where the published map swaps the middle two cells."""
+        def signs_by_index(budgets):
+            patches, _ = compute_patches(budgets)
+            return [tuple(p.sign_vector[o] for o in (2, 3)) for p in
+                    sorted((p for p in patches if p.budget == 1 and not p.is_intersection),
+                           key=lambda p: p.index)]
+
+        published = catalog.demand3x3_budgets((1,))[1]
+        doubled = [Budget(1, b.index, b.prices, Fraction(2)) for b in published]
+        assert signs_by_index(doubled) == \
+            [(ABOVE, ABOVE), (ABOVE, BELOW), (BELOW, ABOVE), (BELOW, BELOW)]
+        assert signs_by_index(published) == \
+            [(ABOVE, ABOVE), (BELOW, ABOVE), (ABOVE, BELOW), (BELOW, BELOW)]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_simple_maps_are_the_default_numbering(self, t):
+        """The premise for dropping them from callers: on the catalog
+        two-budget setup the published maps reproduce the default."""
+        budgets = catalog.simple_budgets((t,))[t]
+        assert compute_patches(budgets) == \
+            compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
+
+
 def _legacy_cell_program_lp(budget, others, signs, strict):
     """The sign-cell LP as it was built before the shared sign-row builder."""
     K = budget.num_goods

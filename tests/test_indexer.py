@@ -219,8 +219,7 @@ def _counterfactual_problem(rho, budgets):
     new_budgets = [Budget("next", 1, (Fraction(2), Fraction(1)), Fraction(1)),
                    Budget("next", 2, (Fraction(1), Fraction(2)), Fraction(1))]
     g = {(1, 1): 0.2, (1, 2): 0.8, (2, 1): 0.3, (2, 2): 0.7}
-    return CounterfactualProblem(rho, budgets, new_budgets, g, g,
-                                 index_maps=catalog.SIMPLE_INDEX_MAPS)
+    return CounterfactualProblem(rho, budgets, new_budgets, g, g)
 
 
 @pytest.mark.parametrize("partial", [False, True], ids=["all-paths", "partial-paths"])

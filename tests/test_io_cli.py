@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -216,17 +217,13 @@ class TestCli:
 
     @pytest.mark.parametrize("goods", [2, 3])
     def test_bounds_reads_patches_in_the_check_numbering(self, tmp_path, goods):
-        """``drum bounds`` numbers patches like ``drum check``: the published
-        maps on two goods, the default numbering otherwise. On the same files
-        the checks pass and the bounds are the library's under that
-        numbering."""
-        if goods == 2:
-            prices, maps = [(2, 1), (1, 2)], catalog.SIMPLE_INDEX_MAPS
-        else:
-            prices, maps = [(2, 1, 1), (1, 2, 1)], None
+        """``drum bounds`` numbers patches like ``drum check`` and the
+        library: on the same files the checks pass and the bounds are the
+        library's."""
+        prices = [(2, 1), (1, 2)] if goods == 2 else [(2, 1, 1), (1, 2, 1)]
         budgets = {t: [Budget(t, j + 1, tuple(map(Fraction, p)), Fraction(1))
                        for j, p in enumerate(prices)] for t in (1, 2)}
-        uni, patches, _ = demand_universe(budgets, (1, 2), index_maps=maps)
+        uni, patches, _ = demand_universe(budgets, (1, 2))
         A = kron_dynamic([static_type_matrix(uni, t, patches) for t in uni.periods],
                          sorted(itertools.product((1, 2), repeat=2)), uni)
         rho = rho_from_weights(uni, A, np.random.default_rng(5).dirichlet(np.ones(A.shape[1])))
@@ -249,8 +246,7 @@ class TestCli:
         new_budgets = [Budget("next", j + 1, tuple(map(Fraction, p)), Fraction(1))
                        for j, p in enumerate(prices)]
         report = bound_functional(CounterfactualProblem(
-            io.read_rho(tmp_path / "rho.csv", uni), budgets, new_budgets, lower, upper,
-            index_maps=maps))
+            io.read_rho(tmp_path / "rho.csv", uni), budgets, new_budgets, lower, upper))
         assert (doc["lower"], doc["upper"]) == (report.lower, report.upper)
 
     def test_experiment_command(self, tmp_path):
@@ -449,3 +445,208 @@ class TestCli:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "matrices" in out.stdout
+
+
+def _report_of(rep):
+    """A library check or test report as ``drum`` prints it."""
+    return json.loads(json.dumps(rep.to_dict()))
+
+
+def _swapped_inputs(tmp_path, seed=3):
+    """The two crossing budgets listed as prices (1,2), (2,1), the library's
+    universe over them and an exact mixture of its dynamic types, written as
+    ``drum`` reads them; returns (universe, rho, budgets, argv of the files)."""
+    budgets = {t: [Budget(t, j + 1, tuple(map(Fraction, p)), Fraction(1))
+                   for j, p in enumerate([(1, 2), (2, 1)])] for t in (1, 2)}
+    uni, patches, _ = demand_universe(budgets, (1, 2))
+    A = kron_dynamic([static_type_matrix(uni, t, patches) for t in uni.periods],
+                     sorted(itertools.product((1, 2), repeat=2)), uni)
+    rho = rho_from_weights(uni, A, np.random.default_rng(seed).dirichlet(np.ones(A.shape[1])))
+    io.write_universe(uni, tmp_path / "universe.json")
+    io.write_rho(rho, tmp_path / "rho.csv")
+    io.write_budgets(budgets, tmp_path / "budgets.csv")
+    return uni, io.read_rho(tmp_path / "rho.csv", uni), budgets, [
+        "--input", str(tmp_path / "rho.csv"), "--universe", str(tmp_path / "universe.json")]
+
+
+def _demand3x3_paths(setup):
+    """The demand3x3 universe and its type matrix over the three one-period paths."""
+    uni = setup["universe"]
+    return uni, kron_dynamic([setup["A"]], [(1,), (2,), (3,)], uni)
+
+
+class TestCliNumbering:
+    """Every subcommand numbers patches as ``compute_patches`` does, so
+    files the library writes for any arrangement read back consistently."""
+
+    def test_check_with_budgets_agrees_with_check_without(self, tmp_path, capsys):
+        _, _, _, files = _swapped_inputs(tmp_path)
+        checks = ["--checks", "stability,dmono,cone"]
+        assert main(["check", *files, *checks]) == 0
+        without = json.loads(capsys.readouterr().out)
+        assert main(["check", *files, "--budgets", str(tmp_path / "budgets.csv"), *checks]) == 0
+        with_budgets = json.loads(capsys.readouterr().out)
+        assert {k: v["passed"] for k, v in with_budgets.items()} == \
+            {k: v["passed"] for k, v in without.items()} == \
+            {"stability": True, "dmono": True, "cone": True}
+
+    def test_bounds_are_the_library_bounds(self, tmp_path, capsys):
+        uni, rho, budgets, files = _swapped_inputs(tmp_path)
+        lower = {(1, 1): 0.1, (1, 2): 0.4, (2, 1): 0.2, (2, 2): 0.7}
+        upper = {key: lo + 0.25 for key, lo in lower.items()}
+        (tmp_path / "g.csv").write_text("\n".join(
+            ["budget_id,patch_id,g_lower,g_upper"]
+            + [f"{j},{i},{lower[j, i]},{upper[j, i]}" for j, i in lower]))
+        assert main(["bounds", *files, "--budgets", str(tmp_path / "budgets.csv"),
+                     "--new-budget", "1,2;2,1", "--g", str(tmp_path / "g.csv")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        new_budgets = [Budget("next", j + 1, tuple(map(Fraction, p)), Fraction(1))
+                       for j, p in enumerate([(1, 2), (2, 1)])]
+        report = bound_functional(CounterfactualProblem(rho, budgets, new_budgets, lower, upper))
+        assert (doc["lower"], doc["upper"]) == (report.lower, report.upper)
+
+    @pytest.mark.parametrize("check", ["hrep", "hierarchy"])
+    @pytest.mark.parametrize("with_budgets", [False, True])
+    def test_published_facets_need_the_catalog_universe(self, tmp_path, capsys, check,
+                                                        with_budgets):
+        """The swapped universe has the catalog's menus but not its
+        primitive order, so no published facet table applies to it."""
+        _, _, _, files = _swapped_inputs(tmp_path)
+        if with_budgets:
+            files += ["--budgets", str(tmp_path / "budgets.csv")]
+        assert main(["check", *files, "--checks", check]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: DrumError: no catalog H-matrix matches this geometry")
+
+    def test_demand_types_without_budgets_hit_the_order_guard(self, demand3x3_setup,
+                                                              tmp_path, capsys):
+        """Without budgets the twelve patch labels of demand3x3 would take
+        the linear orders of the primitive order: 12! orderings."""
+        uni, A = _demand3x3_paths(demand3x3_setup)
+        rho = rho_from_weights(uni, A, np.full(A.shape[1], 1 / A.shape[1]))
+        io.write_universe(uni, tmp_path / "universe.json")
+        io.write_rho(rho, tmp_path / "rho.csv")
+        start = time.perf_counter()
+        assert main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: SizeError: period 1: 12 alternatives have 12! orderings")
+        assert "--budgets" in err
+
+
+class TestCliPaths:
+    """Each subcommand path against the library call it wraps."""
+
+    def test_eu_test_matches_run_test_eu(self, tmp_path, capsys):
+        from drumtest.inference import TestConfig, run_test_eu
+        panel_path = tmp_path / "panel.csv"
+        assert main(["simulate", "--dgp", "binary3", "--n", "25", "--seed", "3",
+                     "--out", str(panel_path)]) == 0
+        lotteries = catalog.application_lotteries()
+        (tmp_path / "lotteries.csv").write_text("\n".join(
+            ["alternative_id,prize_1,prize_2,prize_3,prize_4"]
+            + [f"{alt}," + ",".join(map(str, prizes)) for alt, prizes in lotteries.items()]))
+        assert io.read_lotteries(tmp_path / "lotteries.csv") == lotteries
+        capsys.readouterr()
+        universe = panel_path.with_suffix(".universe.json")
+        code = main(["test", "--panel", str(panel_path), "--universe", str(universe),
+                     "--eu", str(tmp_path / "lotteries.csv"), "--reps", "49", "--seed", "1"])
+        doc = json.loads(capsys.readouterr().out)
+        rho = estimate_rho(io.read_panel(panel_path), io.read_universe(universe))
+        report = run_test_eu(rho, lotteries, TestConfig(reps=49, seed=1))
+        assert doc == _report_of(report)
+        assert code == (2 if report.reject else 0)
+
+    def test_bm_check_matches_the_library(self, binary_uni_T2, tmp_path, capsys):
+        from drumtest.checks import bm_extension_feasible
+        statics = [build_static_A(binary_uni_T2, t, enumerate_orders(binary_uni_T2, t))
+                   for t in (1, 2)]
+        A = kron_dynamic(statics, sorted(itertools.product((1, 2, 3), repeat=2)), binary_uni_T2)
+        rho = rho_from_weights(binary_uni_T2, A,
+                               np.random.default_rng(6).dirichlet(np.ones(A.shape[1])))
+        io.write_universe(binary_uni_T2, tmp_path / "universe.json")
+        io.write_rho(rho, tmp_path / "rho.csv")
+        assert main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"), "--checks", "bm"]) == 0
+        rho = io.read_rho(tmp_path / "rho.csv", binary_uni_T2)
+        assert json.loads(capsys.readouterr().out) == {
+            "bm": _report_of(bm_extension_feasible(rho)[2])}
+
+    def test_demand3x3_hrep_matches_the_library(self, demand3x3_setup, tmp_path, capsys):
+        from drumtest.checks import check_H
+        uni, A = _demand3x3_paths(demand3x3_setup)
+        rho = rho_from_weights(uni, A, np.random.default_rng(7).dirichlet(np.ones(A.shape[1])))
+        io.write_universe(uni, tmp_path / "universe.json")
+        io.write_rho(rho, tmp_path / "rho.csv")
+        code = main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"), "--checks", "hrep"])
+        rho = io.read_rho(tmp_path / "rho.csv", uni)
+        report = check_H(rho, [catalog_H("demand3x3", uni, 1)], tol=1e-9)
+        assert json.loads(capsys.readouterr().out) == {"hrep": _report_of(report)}
+        assert report.passed and code == 0
+
+    def test_hierarchy_completes_and_matches_the_library(self, simple_setup, tmp_path,
+                                                          capsys):
+        from drumtest.checks import hierarchy_feasible
+        uni = simple_setup["universe"]
+        rho = rho_from_weights(uni, simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        assert main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"),
+                     "--checks", "hierarchy"]) == 0
+        rho = io.read_rho(tmp_path / "rho.csv", uni)
+        _, _, report = hierarchy_feasible(rho, [catalog_H("simple", uni, t) for t in (1, 2)],
+                                          (1, 2))
+        assert json.loads(capsys.readouterr().out) == {"hierarchy": _report_of(report)}
+
+    def test_conditional_bounds_match_the_library(self, simple_setup, tmp_path, capsys):
+        uni = simple_setup["universe"]
+        rho = rho_from_weights(uni, simple_setup["AT"],
+                               np.random.default_rng(8).dirichlet(np.ones(9)))
+        _write_simple_inputs(tmp_path, rho)
+        (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                        "1,1,0.1,0.9\n1,2,0.2,0.3\n2,1,0,1\n2,2,0,1\n")
+        assert main(["bounds", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"),
+                     "--budgets", str(tmp_path / "budgets.csv"), "--new-budget", "2,1;1,2",
+                     "--g", str(tmp_path / "g.csv"), "--condition", "1|2:2|1",
+                     "--target", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        new_budgets = [Budget("next", j + 1, tuple(map(Fraction, p)), Fraction(1))
+                       for j, p in enumerate([(2, 1), (1, 2)])]
+        g_lower, g_upper = io.read_g(tmp_path / "g.csv")
+        report = bound_functional(CounterfactualProblem(
+            io.read_rho(tmp_path / "rho.csv", uni), simple_setup["budgets"], new_budgets,
+            g_lower, g_upper, target_budget=1, condition=((1, 2), (2, 1))))
+        assert (doc["lower"], doc["upper"]) == (report.lower, report.upper)
+
+    def test_unknown_check_exits_1(self, simple_setup, tmp_path, capsys):
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        assert main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"),
+                     "--checks", "stability,nonesuch"]) == 1
+        assert capsys.readouterr().err == "error: DrumError: unknown check 'nonesuch'\n"
+
+    def test_rejected_model_exits_2(self, simple_setup, table5_rho, tmp_path, capsys):
+        """``drum bounds`` on Table 5 reaches ``main``'s model-rejected exit,
+        where the library raises ``ModelRejectedError``."""
+        from drumtest.errors import ModelRejectedError
+        _write_simple_inputs(tmp_path, table5_rho)
+        (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                        "1,1,0,1\n1,2,0,1\n2,1,0,1\n2,2,0,1\n")
+        argv = ["bounds", "--input", str(tmp_path / "rho.csv"),
+                "--universe", str(tmp_path / "universe.json"),
+                "--budgets", str(tmp_path / "budgets.csv"), "--new-budget", "2,1;1,2",
+                "--g", str(tmp_path / "g.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("model rejected: ")
+        new_budgets = [Budget("next", j + 1, tuple(map(Fraction, p)), Fraction(1))
+                       for j, p in enumerate([(2, 1), (1, 2)])]
+        g_lower, g_upper = io.read_g(tmp_path / "g.csv")
+        with pytest.raises(ModelRejectedError):
+            bound_functional(CounterfactualProblem(table5_rho, simple_setup["budgets"],
+                                                   new_budgets, g_lower, g_upper))
+        with pytest.raises(ModelRejectedError):
+            main(argv + ["--debug"])

@@ -180,7 +180,7 @@ class TestBoundsInputErrors:
     def _problem(self, simple_setup, g_lower, g_upper, **kw):
         rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
         return CounterfactualProblem(rho, simple_setup["budgets"], _new_budgets(), g_lower,
-                                     g_upper, index_maps=catalog.SIMPLE_INDEX_MAPS, **kw)
+                                     g_upper, **kw)
 
     @pytest.mark.parametrize("route", [bound_functional, kron_counterfactual_cone])
     def test_functional_missing_a_target_patch(self, simple_setup, route):

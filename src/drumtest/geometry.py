@@ -159,20 +159,14 @@ def compute_patches(budgets: list, index_maps: dict | None = None):
     patches. A call whose arrangement needed the conservative dominance
     fallback warns every time.
     """
-    patches, dominance, conservative = _arrangement(tuple(budgets), freeze_index_maps(index_maps))
+    # the maps in hashable form key the memo
+    frozen = (frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
+              if index_maps else None)
+    patches, dominance, conservative = _arrangement(tuple(budgets), frozen)
     if conservative:
         warnings.warn("dominance used the conservative representative check; "
                       "pairs are sufficient-only", stacklevel=2)
     return list(patches), list(dominance)
-
-
-def freeze_index_maps(index_maps: dict | None):
-    """Hashable form of patch index maps, for memo keys; None and frozen forms pass through."""
-    if not index_maps:
-        return None
-    if isinstance(index_maps, frozenset):
-        return index_maps
-    return frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
 
 
 @lru_cache(maxsize=32)

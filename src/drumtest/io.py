@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +89,21 @@ def write_panel(panel: PanelDataset, universe: ChoiceUniverse, path):
             w.writerow(row)
 
 
+PANEL_ID_COLUMNS = ("agent_id", "period", "menu_id", "choice_id")
+# deletes every character a plainly integer panel body may hold
+_PLAIN_FIELDS = str.maketrans("", "", "0123456789,\n")
+
+
 def read_panel(path) -> PanelDataset:
     """Panel columns straight from the file; quantities are read when the
-    file has ``q_*`` columns, with a NaN row where the first is blank."""
+    file has ``q_*`` columns, with a NaN row where the first is blank. A
+    file of plain integer fields is parsed in one pass (``_integer_panel``)."""
     agent, period, menu, choice, quantity = [], [], [], [], []
     with open(path, newline="") as fh:
+        columns = _integer_panel(fh.read())
+        if columns is not None:
+            return PanelDataset.from_columns(*columns)
+        fh.seek(0)
         reader = csv.DictReader(fh)
         q_cols = [c for c in reader.fieldnames or [] if c.startswith("q_")]
         for row in reader:
@@ -106,6 +117,30 @@ def read_panel(path) -> PanelDataset:
     quantity = np.array(quantity, dtype=float)
     has_q = quantity.ndim == 2 and not np.isnan(quantity[:, 0]).all()
     return PanelDataset.from_columns(agent, period, menu, choice, quantity if has_q else None)
+
+
+def _integer_panel(text: str):
+    """The id columns (agent, period, menu, choice) of a panel file as int64
+    arrays, or None unless the file is plainly integer: a header of distinct
+    unquoted names that include the four ids and no ``q_*`` column, then
+    rows of one field per name, every field ASCII digits that fit in int64,
+    lines ending in LF or CRLF. Such a file reads the same as through
+    ``csv.DictReader`` with ``_coerce``, which also skips blank lines."""
+    header, _, body = text.partition("\n")
+    names = header.removesuffix("\r").split(",")
+    body = body.replace("\r\n", "\n")
+    if (len(set(names)) != len(names) or not set(PANEL_ID_COLUMNS) <= set(names)
+            or any(name.startswith("q_") for name in names)
+            or not body.strip("\n") or body.translate(_PLAIN_FIELDS)):
+        return None
+    try:
+        values = np.loadtxt(StringIO(body), dtype=np.int64, delimiter=",", comments=None,
+                            ndmin=2)
+    except ValueError:  # ragged rows, empty fields or ids beyond int64
+        return None
+    if values.shape[1] != len(names):
+        return None
+    return tuple(values[:, names.index(name)] for name in PANEL_ID_COLUMNS)
 
 
 def write_rho(rho: StochasticChoiceFunction, path):

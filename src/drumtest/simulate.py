@@ -133,15 +133,18 @@ def _draw_shares(dgp: DgpSpec, rng, n_paths: int, agents_per_path: int) -> np.nd
     if dgp.kind == "cobb-douglas-walk":
         persistence = dgp.params.get("persistence", 0.9)
         sd = dgp.params.get("innovation_sd", 5.0)
-        # random() draws the same doubles as uniform(0, 1), at a third of
-        # the call cost; each agent's uniform and normal draws interleave
-        uniform, normal = rng.random, rng.normal
-        first, second = [], []
+        # random() draws the same doubles as uniform(0, 1) and
+        # standard_normal() the z of normal(0, sd) = 0 + sd z, at a third of
+        # the call cost; each agent's two draws interleave, so only the draws
+        # stay in the loop and the same IEEE operations run on the arrays
+        uniform, normal = rng.random, rng.standard_normal
+        first, z = [], []
         for _ in range(n_paths * agents_per_path):
-            a1 = uniform()
-            first.append(a1)
-            second.append(min(max(persistence * a1 + normal(0.0, sd), 0.0), 1.0))
-        return np.column_stack([first, second])
+            first.append(uniform())
+            z.append(normal())
+        first = np.array(first)
+        return np.column_stack([first, np.clip(persistence * first + (0.0 + sd * np.array(z)),
+                                               0.0, 1.0)])
     corr = dgp.params.get("correlation", 0.5)
     cov = np.array([[1.0, corr], [corr, 1.0]])
     # one draw per path: the covariance transform of a one-row draw can
@@ -248,7 +251,8 @@ class ExperimentReport:
 
 # the counts of a test report that run_experiment sums per cell
 SUMMED_DIAGNOSTICS = ("nnls_solves", "screened_replicates", "curtailed_replicates",
-                      "working_set_certified", "working_set_full_solves", "working_set_bounded")
+                      "bounded_replicates", "working_set_certified", "working_set_full_solves",
+                      "working_set_bounded")
 
 
 def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.ndarray:
@@ -282,10 +286,12 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
     stops drawing once ``alpha`` can no longer be met, so a sim that does not
     reject reports the curtailed p-value h/L. Its verdict and statistic are
     those of the full bootstrap, so the rejection rates are too. Each entry
-    also sums the cell's NNLS solves, screened, curtailed and working-set
-    bounded replicates and working-set routes (SUMMED_DIAGNOSTICS; per sim,
-    the solves less 2, the screened and the curtailed replicates add up to
-    ``reps``) and gives its mean statistic; no critical values are
+    also sums the cell's NNLS solves, screened, curtailed, interval-bounded
+    and working-set bounded replicates and working-set routes
+    (SUMMED_DIAGNOSTICS; per sim, the solves less 2, the screened, the
+    curtailed and the interval-bounded replicates add up to ``reps``; the
+    verdict-only route bounds none by interval) and gives its mean
+    statistic; no critical values are
     computed."""
     entries = []
     master = np.random.SeedSequence(seed)

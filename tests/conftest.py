@@ -133,19 +133,21 @@ def solve_recorder(log):
 
 def full_bootstrap(rho, A, config):
     """``run_test`` with ``config`` but every replicate projected
-    (``critical_value=True``): (its report, its J* in seed order)."""
-    real, seen = inference._bootstrap, []
+    (``critical_value=True`` without the interval stage): (its report, its
+    J* in seed order)."""
+    real, real_stage, seen = inference._bootstrap, inference._interval_stage, []
 
     def recording(*args, **kwargs):
-        out, columns = real(*args, **kwargs)
+        out, plan = real(*args, **kwargs)
         seen.append(out[0])
-        return out, columns
+        return out, plan
 
     inference._bootstrap = recording
+    inference._interval_stage = lambda plan, supports: None
     try:
         report = inference.run_test(rho, A, dataclasses.replace(config, critical_value=True))
     finally:
-        inference._bootstrap = real
+        inference._bootstrap, inference._interval_stage = real, real_stage
     return report, seen[0]
 
 
@@ -162,10 +164,11 @@ def curtailed_p_value(stats, statistic, reps, alpha):
 
 
 def reference_chunk(plan, seeds):
-    """The bootstrap chunk before screening, certification and working sets:
-    every replicate drawn from the plan's estimated distribution and
-    projected by scipy's nnls on the full matrix, statistics only (the KKT
-    row is NaN, the route row reads FULL, and no columns are reported)."""
+    """The bootstrap chunk before screening, certification, working sets and
+    intervals: every replicate drawn from the plan's estimated distribution
+    and projected by scipy's nnls on the full matrix, statistics only (the
+    KKT row is NaN, the route row reads FULL, the upper-bound row repeats
+    J*, and no supports are reported)."""
     pvals = [inference._normalized(plan.vec[start:stop]) for _, start, stop in plan.blocks]
     out = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
@@ -177,5 +180,5 @@ def reference_chunk(plan, seeds):
         _, rnorm = nnls(plan.WA, plan.sqrt_w * (recentered - plan.shift))
         out[i] = plan.N * (rnorm * rnorm)
     route = np.full(len(seeds), inference.FULL)
-    return (np.vstack([out, np.full(len(seeds), np.nan), route]),
-            np.zeros(plan.WA.shape[1], bool))
+    return (np.vstack([out, np.full(len(seeds), np.nan), route, out]),
+            np.zeros((plan.WA.shape[1], len(seeds)), bool))

@@ -134,19 +134,19 @@ class TestArrangementMemo:
         second = {p.label: dict(p.sign_vector) for p in other if not p.is_intersection}
         assert first[(1, 1)] == second[(1, 2)] == {2: ABOVE}
 
-    def test_frozen_index_maps_share_the_dict_entry(self):
-        """Index maps as a dict and in their frozen form key one arrangement:
-        freezing a frozen form returns it unchanged."""
+    def test_equal_index_maps_share_one_entry(self):
+        """Equal index maps key one arrangement, whatever the dict objects
+        and their insertion order: the second call is a memo hit."""
         budgets = catalog.simple_budgets((1,))[1]
-        frozen = geometry.freeze_index_maps(catalog.SIMPLE_INDEX_MAPS)
-        assert geometry.freeze_index_maps(frozen) is frozen
+        reordered = {j: dict(reversed(list(m.items())))
+                     for j, m in reversed(list(catalog.SIMPLE_INDEX_MAPS.items()))}
         geometry._arrangement.cache_clear()
         try:
             by_dict, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
-            by_frozen, _ = compute_patches(budgets, index_maps=frozen)
+            by_copy, _ = compute_patches(budgets, index_maps=reordered)
             info = geometry._arrangement.cache_info()
             assert (info.currsize, info.hits) == (1, 1)
-            assert by_frozen == by_dict
+            assert by_copy == by_dict
         finally:
             geometry._arrangement.cache_clear()
 

@@ -124,7 +124,9 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     ends with a passing certificate and bvls's J*; every other replicate
     solved on the full matrix (the pilot and the working-set fallbacks)
     keeps scipy's nnls statistic bit for bit, and one certified on the
-    working set agrees with it to rounding."""
+    working set agrees with it to rounding. The interval stage is left out,
+    so that every replicate goes down the solve ladder; with it, replicate
+    37 is decided by its interval without a solve."""
     uni, A = binary_app
     orders = list(itertools.permutations(("l1", "l2", "l3")))
     rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
@@ -140,6 +142,7 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
 
     chunk = inference._bootstrap_chunk
     monkeypatch.setattr(inference, "_bootstrap_chunk", recording)
+    monkeypatch.setattr(inference, "_interval_stage", lambda plan, supports: None)
     report = run_test(rho, A, TestConfig(reps=199, alpha=0.05, seed=5052))
     assert [len(seeds) for _, seeds, _ in chunks] == [inference.PILOT_REPLICATES,
                                                       199 - inference.PILOT_REPLICATES]
@@ -149,7 +152,7 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     failed = []
     seeds = [seed for _, chunk_seeds, _ in chunks for seed in chunk_seeds]
-    stats, _, route = np.concatenate([out for _, _, (out, _) in chunks], axis=1)
+    stats, _, route, _ = np.concatenate([out for _, _, (out, _) in chunks], axis=1)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         star = np.empty_like(vec)

@@ -82,6 +82,80 @@ class TestIO:
         assert len(lines) == 5  # header + 4 rows
 
 
+def _read_both(path, monkeypatch):
+    """``read_panel`` of a file as read, and as read with the integer parse
+    turned off (the ``csv.DictReader`` route)."""
+    fast = io.read_panel(path)
+    with monkeypatch.context() as patched:
+        patched.setattr(io, "_integer_panel", lambda text: None)
+        slow = io.read_panel(path)
+    return fast, slow
+
+
+def _same_panel(got, want):
+    for name in ("agent", "period", "menu", "choice_codes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.choice_ids == want.choice_ids
+    assert got.quantity is None and want.quantity is None
+
+
+HEADER = "agent_id,period,menu_id,choice_id"
+# plainly integer panels: the one-pass parse reads each of them
+INTEGER_PANELS = {
+    "lf": HEADER + "\n1,1,2,1\n1,2,1,2\n2,1,2,2\n2,2,3,1\n",
+    "crlf": HEADER + "\r\n1,1,2,1\r\n1,2,1,2\r\n",
+    "no final newline": HEADER + "\n1,1,2,1\n1,2,1,2",
+    "reordered, extra column": "choice_id,extra,menu_id,agent_id,period\n1,9,2,1,1\n2,9,1,1,2\n",
+    "leading zeros, 19 digits": HEADER + "\n007,1,2,1\n9223372036854775807,2,1,3\n",
+    "blank rows": HEADER + "\n1,1,2,1\n\n1,2,1,2\n\n",
+}
+# panels the one-pass parse leaves to csv.DictReader
+OTHER_PANELS = {
+    "quoted": HEADER + '\n"1",1,2,1\n',
+    "quoted header": '"agent_id",period,menu_id,choice_id\n1,1,2,1\n',
+    "sign": HEADER + "\n+1,1,2,1\n",
+    "negative": HEADER + "\n-1,1,2,1\n",
+    "whitespace": HEADER + "\n1, 1,2,1\n",
+    "string id": HEADER + "\na1,1,2,1\n",
+    "float id": HEADER + "\n1.0,1,2,1\n",
+    "ragged": HEADER + "\n1,1,2,1\n1,2,1\n",
+    "empty field": HEADER + "\n1,,2,1\n",
+    "beyond int64": HEADER + "\n9223372036854775808,1,2,1\n",
+    "blank body": HEADER + "\n\n\r\n",
+    "too many fields": HEADER + "\n1,1,2,1,5\n1,2,1,2,5\n",
+    "non-ASCII digit": HEADER + "\n\u0661,1,2,1\n",
+    "quantities": HEADER + ",q_1,q_2\n1,1,2,1,0.5,0.5\n",
+    "header only": HEADER + "\n",
+    "duplicate column": HEADER + ",period\n1,1,2,1,2\n",
+    "missing column": "agent_id,period,menu_id\n1,1,2\n",
+    "lone carriage return": HEADER + "\n1,1,2,1\r1,2,1,2\n",
+}
+
+
+class TestIntegerPanel:
+    @pytest.mark.parametrize("name", INTEGER_PANELS)
+    def test_integer_panels_read_as_through_the_csv_reader(self, name, tmp_path, monkeypatch):
+        text = INTEGER_PANELS[name]
+        assert io._integer_panel(text) is not None
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode())
+        _same_panel(*_read_both(path, monkeypatch))
+
+    @pytest.mark.parametrize("name", OTHER_PANELS)
+    def test_other_panels_take_the_csv_reader(self, name):
+        assert io._integer_panel(OTHER_PANELS[name]) is None
+
+    def test_written_panels_take_the_integer_parse(self, tmp_path, monkeypatch):
+        panel, uni = simulate(DgpSpec("binary3"), 30, seed=2)
+        path = tmp_path / "panel.csv"
+        io.write_panel(panel, uni, path)
+        assert io._integer_panel(path.read_text()) is not None
+        fast, slow = _read_both(path, monkeypatch)
+        _same_panel(fast, slow)
+        assert fast == slow
+
+
 def _write_simple_inputs(tmp_path, rho):
     uni = rho.universe
     io.write_universe(uni, tmp_path / "universe.json")

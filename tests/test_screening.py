@@ -218,9 +218,10 @@ def test_experiment_rates_match_unscreened(monkeypatch):
         assert s["rejection_rate"] == f["rejection_rate"]
         assert s["mean_statistic"] == f["mean_statistic"]
         assert f["screened_replicates"] == f["curtailed_replicates"] == 0
-        assert f["nnls_solves"] == 4 * (49 + 2)
+        assert s["bounded_replicates"] == 0
+        assert f["nnls_solves"] + f["bounded_replicates"] == 4 * (49 + 2)
         assert s["nnls_solves"] + s["screened_replicates"] + s["curtailed_replicates"] == \
-            f["nnls_solves"]
+            f["nnls_solves"] + f["bounded_replicates"]
     assert screened.entries[0]["screened_replicates"] > 0
     assert screened.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
 
@@ -236,7 +237,8 @@ def test_experiment_deterministic_across_workers():
 
 NEW_DIAGNOSTICS = {"nnls_solves", "screened_replicates", "critical_value_computed",
                    "kkt_residual_max", "working_set_columns", "working_set_certified",
-                   "working_set_full_solves", "curtailed_replicates", "working_set_bounded"}
+                   "working_set_full_solves", "curtailed_replicates", "working_set_bounded",
+                   "bounded_replicates"}
 
 
 def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
@@ -258,7 +260,7 @@ def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):
         assert new[key] == old[key]
     # a J* certified on the working set is the full optimum up to rounding
     assert new["critical_value"] == pytest.approx(old["critical_value"], rel=1e-12)
-    assert new["diagnostics"]["working_set_certified"] > 0
+    assert new["diagnostics"]["bounded_replicates"] > 0
     assert NEW_DIAGNOSTICS <= set(new["diagnostics"])
     assert new["diagnostics"]["critical_value_computed"] is True
     assert new["diagnostics"]["screened_replicates"] == 0

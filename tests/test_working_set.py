@@ -111,8 +111,11 @@ def test_run_test_survives_sub_solves_that_raise(monkeypatch):
 
     monkeypatch.setattr(inference, "nnls_solve", raising_on_sub_matrices)
     report = run_test(rho, A, config)
+    # every replicate after the pilot that its interval leaves open is
+    # solved again on the full matrix
     assert report.diagnostics["working_set_certified"] == 0
-    assert report.diagnostics["working_set_full_solves"] == 49 - inference.PILOT_REPLICATES
+    assert report.diagnostics["working_set_full_solves"] + \
+        report.diagnostics["bounded_replicates"] == 49 - inference.PILOT_REPLICATES
     assert report.statistic == reference.statistic
     assert report.p_value == reference.p_value
     assert report.critical_value == pytest.approx(reference.critical_value, rel=1e-12)
@@ -127,8 +130,10 @@ def test_a_matrix_without_columns_has_the_zero_solution():
 
 def _frozen_bootstrap_chunk(plan, seeds):
     """The bootstrap chunk before working sets, changed only in its
-    signature and its return: the plan's working set is ignored, every
-    replicate is solved on the full matrix, and its route row reads FULL."""
+    signature and its return: the plan's working set and interval stage are
+    ignored, every replicate is solved on the full matrix, its route row
+    reads FULL, an upper-bound row repeats J*, and the supports come one
+    column per replicate."""
     WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
     blocks, counts, N = plan.blocks, plan.counts, plan.N
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
@@ -145,15 +150,17 @@ def _frozen_bootstrap_chunk(plan, seeds):
         R = B - plan.fit
         bound = N * np.einsum("ij,ij->i", R, R)
         todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= plan.statistic - 1e-12)
-    out = np.full((3, len(seeds)), np.nan)
+    out = np.full((4, len(seeds)), np.nan)
     X = np.empty((len(todo), WA.shape[1]))
     rnorm = np.empty(len(todo))
     for k, i in enumerate(todo):
         X[k], rnorm[k] = nnls_solve(WA, B[i])
     X, rnorm, out[1, todo] = certify_nnls(WA, X.T, B[todo].T, rnorm)
-    out[0, todo] = N * (rnorm * rnorm)
+    out[0, todo] = out[3, todo] = N * (rnorm * rnorm)
     out[2, todo] = inference.FULL
-    return out, np.any(X > 0, axis=1)
+    supports = np.zeros((WA.shape[1], len(seeds)), dtype=bool)
+    supports[:, todo] = X > 0
+    return out, supports
 
 
 # every DGP of the Monte Carlo table, at a criterion-7 sample size
@@ -179,7 +186,11 @@ def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, m
             full, stats = full_bootstrap(rho, A, config)
             assert routed.reject == full.reject
             assert routed.p_value == curtailed_p_value(stats, full.statistic, 199, config.alpha)
-        assert routed.diagnostics["nnls_solves"] == frozen.diagnostics["nnls_solves"]
+        # the frozen chunk solves every replicate that the interval stage
+        # bounds on the full route
+        assert frozen.diagnostics["bounded_replicates"] == 0
+        assert routed.diagnostics["nnls_solves"] + routed.diagnostics["bounded_replicates"] == \
+            frozen.diagnostics["nnls_solves"]
         if critical_value:
             assert routed.critical_value == pytest.approx(frozen.critical_value, rel=1e-12)
         else:
@@ -199,7 +210,9 @@ def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, m
         later = diagnostics["working_set_certified"] + diagnostics["working_set_full_solves"]
         assert later <= diagnostics["nnls_solves"] - 2
         if wide and critical_value:
-            assert later == 199 - inference.PILOT_REPLICATES
+            assert later + diagnostics["bounded_replicates"] == 199 - inference.PILOT_REPLICATES
+        else:
+            assert diagnostics["bounded_replicates"] == 0
 
 
 def test_experiment_cells_sum_the_working_set_routes():

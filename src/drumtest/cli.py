@@ -42,8 +42,8 @@ def _load_config(path):
 
 
 _SHARED = {"seed": {"type": int, "default": 0},
-           "threads": {"type": int, "default": 1, "help": "worker processes over the full "
-                       "bootstrap's post-pilot replicates (test) or the sims (experiment)"},
+           "threads": {"type": int, "default": 1, "help": "worker processes over the sims "
+                       "(experiment); test runs its bootstrap in one process"},
            "tolerance": {"type": float, "default": 1e-9},
            "out": {"default": None}}
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from math import log, sqrt
 
 import numpy as np
@@ -21,8 +20,12 @@ from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 # decided below the statistic by the working-set point's residual, or decided
 # by its certified interval without a solve
 FULL, WORKING_SET, FULL_AGAIN, BOUNDED, INTERVAL = 0, 1, 2, 3, 4
-# replicates solved on the full matrix to find a wide matrix's working set
-PILOT_REPLICATES = 20
+# replicates per round of a bootstrap on a wide matrix that is not
+# curtailed: each round's solves add faces that bound the later rounds'
+# replicates, and each round costs a pass of bounds and face updates
+ROUND = 50
+# faces whose bounds one pass of ``_intervals`` stacks at a time
+FACE_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -30,38 +33,43 @@ class TestConfig:
     """Knobs of the statistical test.
 
     ``reps`` bootstrap replications, drawn from ``seed``, decide at level
-    ``alpha``; ``n_jobs`` processes share the full bootstrap's replicates
-    after the working-set pilot (see ``_bootstrap``). The tightening
+    ``alpha``. The bootstrap runs in the calling process in rounds (see
+    ``_bootstrap``), so ``n_jobs`` changes neither its work nor its report;
+    only ``run_experiment`` spreads sims over processes. The tightening
     parameter is sqrt(log(M)/M) with M the per-menu-path sample size (the
     smallest one when paths differ). Rows are scaled by estimated inverse
     binomial variances.
 
-    The full bootstrap (``critical_value=True``) on a wide matrix brackets
-    every replicate after the working-set pilot by a certified interval
-    [lo, up] on its J* (``_intervals``). It projects only the replicates
-    whose interval straddles the statistic and those that could hold the
-    critical value's rank, until that order statistic is an exactly solved
-    J*; the others are counted in ``bounded_replicates``. ``nnls_solves``
-    less 2, the screened, the curtailed and the bounded replicates add up to
-    ``reps`` on either route.
+    On a wide matrix every replicate drawn is bracketed by a certified
+    interval [lo, up] on its J* (``_intervals``), on either route, from the
+    faces that the point and recentring projections and the earlier
+    rounds' projections found. Only a replicate whose interval straddles the
+    statistic is projected. The full bootstrap (``critical_value=True``)
+    then also projects those that could hold the critical value's rank,
+    until that order statistic is an exactly solved J*. The replicates left
+    to their intervals are counted in ``bounded_replicates``.
+    ``nnls_solves`` less 2, the screened, the curtailed and the bounded
+    replicates add up to ``reps`` on either route.
 
     ``critical_value=False`` asks for the verdict and the p-value only, and
-    the report's critical value is NaN. The bootstrap then skips the
-    projection of every replicate whose exact upper bound (its residual at
-    the recentring solution, or at a working-set point that failed its
-    certificate) cannot reach the observed statistic; such a replicate
-    cannot count toward the p-value. It also stops drawing replicates once
-    the verdict is decided (Besag and Clifford's curtailed test): at level
-    ``alpha`` the fixed-R test cannot reject once h replicates reach the
-    statistic, h the smallest count with (1 + h)/(R + 1) > alpha. The
-    verdict is then "not reject", as with every replicate, and the p-value
-    is h/L, L the seed-order index of the h-th hit; a test that rejects
-    decides every replicate and keeps the fixed-R p-value. Curtailment is
-    left out when some h/L could reach alpha (h/R <= alpha), so that
-    ``reject`` is always ``p_value <= alpha``. The statistic and the verdict
-    are those of the full bootstrap. The report counts the replicates never
-    drawn (``curtailed_replicates``) and those decided by a working-set point
-    (``working_set_bounded``). ``drum test`` keeps the full bootstrap.
+    the report's critical value is NaN. The bootstrap then first skips,
+    before its interval, every replicate whose exact upper bound (its
+    residual at the recentring solution) cannot reach the observed
+    statistic, and skips the re-solve of one whose working-set point failed
+    its certificate but whose residual there cannot reach it either; such a
+    replicate cannot count toward the p-value. It also stops drawing
+    replicates once the verdict is decided (Besag and Clifford's curtailed
+    test): at level ``alpha`` the fixed-R test cannot reject once h
+    replicates reach the statistic, h the smallest count with (1 + h)/(R +
+    1) > alpha. The verdict is then "not reject", as with every replicate,
+    and the p-value is h/L, L the seed-order index of the h-th hit; a test
+    that rejects decides every replicate and keeps the fixed-R p-value.
+    Curtailment is left out when some h/L could reach alpha (h/R <= alpha),
+    so that ``reject`` is always ``p_value <= alpha``. The statistic and the
+    verdict are those of the full bootstrap. The report counts the
+    replicates never drawn (``curtailed_replicates``) and those decided by a
+    working-set point (``working_set_bounded``). ``drum test`` keeps the
+    full bootstrap.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -104,18 +112,19 @@ class TestReport:
 
 @dataclass(frozen=True)
 class IntervalStage:
-    """What the full bootstrap's interval stage shares (see ``_intervals``):
-    an orthonormal ``basis`` of range(WA); a ``dual`` vector v with WA^T v =
-    1 (1/sqrt_w on the first row block: every type column has one 1 in each
-    block); and per pilot face, a pilot projection's support S padded to a
-    common width, ``sub`` = WA[:, S] with zero padding columns, its
-    pseudo-inverse ``pinv`` and its Gram matrix ``gram``."""
+    """What the interval stage of a bootstrap on a wide matrix shares (see
+    ``_intervals``): an orthonormal ``basis`` of range(WA); a ``dual`` vector
+    v with WA^T v = 1 (1/sqrt_w on the first row block: every type column has
+    one 1 in each block); and the ``faces`` found so far, distinct nonempty
+    projection supports S (one boolean row each), with per face ``sub`` =
+    WA[:, S] and the ``inverse`` of its Gram matrix, zero-padded to the
+    widest face and stacked."""
 
     basis: np.ndarray
     dual: np.ndarray
+    faces: np.ndarray
     sub: np.ndarray
-    pinv: np.ndarray
-    gram: np.ndarray
+    inverse: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,9 +132,10 @@ class BootstrapPlan:
     """What every bootstrap replicate of one test shares, built once per
     test; ``probs`` are the row blocks' multinomial probabilities. ``fit``,
     the recentring fit ``WA @ mu``, marks and screens the verdict-only route
-    and is None on the full one. The working set ``columns`` and its matrix
-    ``sub = WA[:, columns]`` stay None until the pilot freezes them; on the
-    full route the pilot also fixes the ``interval`` stage."""
+    and is None on the full one. On a wide matrix the plan carries the
+    ``interval`` stage, whose faces grow round by round, and the working set
+    ``columns``, the union of the faces, with its matrix ``sub =
+    WA[:, columns]``; all three stay None on a tall one."""
 
     WA: np.ndarray
     sqrt_w: np.ndarray
@@ -154,7 +164,9 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     tightened cone (the parallel shift of the recentering point and the
     constraint set is what keeps the procedure valid at kinks); the p-value
     is (1 + #{J* >= J}) / (R + 1), or h/L for a verdict-only test curtailed
-    at its h-th hit (see ``TestConfig``).
+    at its h-th hit (see ``TestConfig``). On a wide type matrix the
+    interval stage and the working set start from the supports of the point
+    and recentring projections and grow round by round (``_bootstrap``).
     """
     if not rho.counts:
         raise SchemaError("the test needs per-menu-path sample sizes")
@@ -180,7 +192,7 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     sqrt_w = 1.0 / np.sqrt(var)
     WA = dense * sqrt_w[:, None]
 
-    _, distance, kkt_point = nnls_projection(WA, sqrt_w * vec)
+    x_point, distance, kkt_point = nnls_projection(WA, sqrt_w * vec)
     statistic = N * (distance * distance)
 
     n_cols = dense.shape[1]
@@ -205,15 +217,17 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
                          # mu >= 0 is feasible for every replicate's projection, so the
                          # residual at the recentring fit WA mu bounds each J* from above
                          None if config.critical_value else WA @ mu)
+    if WA.shape[1] > WA.shape[0]:
+        # a wide matrix has far more columns than any projection uses; the
+        # supports of the two projections are the first faces
+        plan = _add_faces(replace(plan, interval=_interval_stage(plan, A.range_basis)),
+                          np.column_stack([x_point > 0, mu > 0]))
     stop = None if config.critical_value else _stop_count(config.reps, config.alpha)
-    # a wide matrix has far more columns than any projection uses
-    pilot = PILOT_REPLICATES if WA.shape[1] > WA.shape[0] and config.reps > PILOT_REPLICATES else 0
-    seeds = np.random.SeedSequence(config.seed).spawn(config.reps)
-    out, plan = _bootstrap(plan, seeds, pilot, mu > 0, stop, config.n_jobs)
+    out, plan = _bootstrap(plan, config.seed, config.reps, stop)
     # rank of the critical value among the sorted J*
     rank = min(int(np.ceil((1 - config.alpha) * (config.reps + 1))) - 1, config.reps - 1)
-    if plan.interval is not None:
-        _exact_order_statistic(plan, seeds, out, rank)
+    if config.critical_value and plan.interval is not None:
+        _exact_order_statistic(plan, config.seed, out, rank)
     # rows: J* per drawn replicate (its certified lower bound when its
     # interval decided it), its projection's KKT residual, its route and an
     # upper bound on J*; NaN marks a screened replicate, and a bounded one in
@@ -253,45 +267,40 @@ def _stop_count(reps: int, alpha: float):
     return h if h / reps > alpha else None
 
 
-def _bootstrap(plan, seeds, pilot, support, stop, n_jobs):
+def _bootstrap(plan, seed, reps, stop):
     """The rows of ``_bootstrap_chunk`` for the replicates drawn, in seed
-    order, and the plan as the pilot left it.
+    order, and the plan with the faces their projections found.
 
-    Without ``stop`` every replicate is drawn. With it, replicates are drawn
-    in rounds of ``stop`` minus the hits so far (J* >= statistic), and
-    drawing ends when the hits reach ``stop``, which can only happen on a
-    round's last replicate. Round boundaries depend on seed order and hits
-    alone.
-
-    With ``pilot`` > 0 the first ``pilot`` replicates are solved on the full
-    matrix, in rounds cut at the pilot's end. Their supports, gathered into
-    ``support`` (the recentring solution's), are then frozen into the plan
-    as the working set of every later replicate, so that every chunking
-    solves on the same columns. On the full route (no ``fit``) the pilot's
-    supports also fix the interval stage (``_interval_stage``).
-
-    Only the full bootstrap's replicates after the pilot are split over
-    ``n_jobs`` worker processes. A verdict-only round holds at most ``stop``
-    replicates, too few to pay for starting a pool, so it runs here."""
-    results, faces, drawn, hits = [], [], 0, 0
-    while drawn < len(seeds) and hits != stop:
-        end = len(seeds) if stop is None else min(len(seeds), drawn + stop - hits)
-        if drawn < pilot:
-            end = min(end, pilot)
-        elif pilot and plan.columns is None:
-            columns = np.flatnonzero(support)
-            plan = replace(plan, columns=columns, sub=plan.WA[:, columns])
-            if plan.fit is None:
-                plan = replace(plan, interval=_interval_stage(plan, np.hstack(faces)))
-        workers = n_jobs if drawn >= pilot and plan.fit is None else 1
-        for out, used in chunked_map(partial(_bootstrap_chunk, plan), seeds[drawn:end], workers):
-            results.append(out)
-            support |= used.any(axis=1)
-            if drawn < pilot:
-                faces.append(used)
-            hits += int(np.sum(out[0] >= plan.statistic - 1e-12))
+    Replicates are drawn in seed-order rounds. With ``stop``, a round holds
+    ``stop`` minus the hits so far (J* >= statistic), and drawing ends when
+    the hits reach ``stop``, which can only happen on a round's last
+    replicate. Without it every replicate is drawn: in rounds of
+    ``ROUND`` on a wide matrix, in one round on a tall one. After each round
+    the supports of its projections join the interval stage's faces and the
+    working set (``_add_faces``), so round boundaries, and with them the
+    report, depend on seed order and hits alone. Every round runs in the
+    calling process: one holds too few replicates to pay for starting a
+    pool."""
+    results, drawn, hits = [], 0, 0
+    while drawn < reps and hits != stop:
+        if stop is not None:
+            size = stop - hits
+        else:
+            size = reps if plan.interval is None else ROUND
+        end = min(reps, drawn + size)
+        out, supports = _bootstrap_chunk(plan, _seeds(seed, range(drawn, end)))
+        results.append(out)
+        plan = _add_faces(plan, supports)
+        hits += int(np.sum(out[0] >= plan.statistic - 1e-12))
         drawn = end
     return np.concatenate(results, axis=1), plan
+
+
+def _seeds(seed, indices):
+    """The seeds of the replicates at ``indices``, each built alone: child i
+    of ``SeedSequence(seed).spawn(reps)`` is ``SeedSequence(seed,
+    spawn_key=(i,))``, so a curtailed test builds only those it draws."""
+    return [np.random.SeedSequence(seed, spawn_key=(int(i),)) for i in indices]
 
 
 def chunked_map(fn, items, n_jobs: int) -> list:
@@ -315,15 +324,16 @@ def _bootstrap_chunk(plan, seeds):
     """Bootstrap statistics J* for the given replicate seeds, with the KKT
     residual and the route of each replicate's projection (see ``_project``)
     and an upper bound on J*: a (4, len(seeds)) array; and the supports of
-    the projections, one boolean column per replicate.
+    the projections, one boolean column per replicate (empty for one not
+    projected).
 
     With the plan's recentring ``fit``, a replicate whose upper bound
     N * ||b - fit||^2 falls below the statistic by more than the float
     margins is not projected, and its entries are NaN; it could not have
     counted toward the p-value. With the plan's ``interval`` stage, a
-    replicate whose certified interval [lo, up] lies on one side of the
-    statistic by those margins is not projected either: its route is
-    INTERVAL, its J* entry holds lo and its KKT entry is NaN. Every
+    replicate left by that screen whose certified interval [lo, up] lies on
+    one side of the statistic by those margins is not projected either: its
+    route is INTERVAL, its J* entry holds lo and its KKT entry is NaN. Every
     replicate draws from its own seed either way, and all draws come first,
     so the bounds take one pass.
     """
@@ -333,11 +343,12 @@ def _bootstrap_chunk(plan, seeds):
     if plan.fit is not None:
         R = B - plan.fit
         todo = np.flatnonzero(~_below(plan.N * np.einsum("ij,ij->i", R, R), plan.statistic))
-    elif plan.interval is not None:
-        lo, up = _intervals(plan, B)
+    if plan.interval is not None and len(todo):
+        lo, up = _intervals(plan, B[todo], plan.statistic)
         decided = _below(up, plan.statistic) | _below(plan.statistic, lo)
-        out[0, decided], out[2, decided], out[3, decided] = lo[decided], INTERVAL, up[decided]
-        todo = np.flatnonzero(~decided)
+        rows = todo[decided]
+        out[0, rows], out[2, rows], out[3, rows] = lo[decided], INTERVAL, up[decided]
+        todo = todo[~decided]
     supports = np.zeros((plan.WA.shape[1], len(seeds)), dtype=bool)
     if len(todo):
         X, rnorm, out[1, todo], out[2, todo] = _project(plan, B[todo])
@@ -348,38 +359,84 @@ def _bootstrap_chunk(plan, seeds):
 
 def _draws(plan, seeds):
     """The weighted, recentred right-hand sides of the replicates drawn from
-    ``seeds``, one row each: each draws its path blocks' multinomial
-    frequencies from its own seed."""
-    B = np.empty((len(seeds), len(plan.vec)))
+    ``seeds``, one row each: each draws its path blocks' multinomial counts
+    from its own seed, and the whole batch is turned into frequencies,
+    recentred and weighted by the per-replicate operations in their order,
+    so each row is what one replicate alone gives."""
+    draws = np.empty((len(seeds), len(plan.vec)), dtype=np.int64)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        star = np.empty_like(plan.vec)
         for (_, start, stop), n, p in zip(plan.blocks, plan.counts, plan.probs):
-            star[start:stop] = rng.multinomial(n, p) / n
-        B[i] = plan.sqrt_w * (star - plan.vec + plan.eta - plan.shift)
-    return B
+            draws[i, start:stop] = rng.multinomial(n, p)
+    sizes = np.repeat(plan.counts, [stop - start for _, start, stop in plan.blocks])
+    return plan.sqrt_w * (draws / sizes - plan.vec + plan.eta - plan.shift)
 
 
-def _interval_stage(plan, supports):
-    """The interval stage of a full bootstrap on a wide matrix, built once
-    per test from the pilot's projection ``supports`` (one boolean column
-    per pilot replicate; each distinct one is a face)."""
-    WA = plan.WA
-    U, sv, _ = np.linalg.svd(WA, full_matrices=False)
-    basis = U[:, sv > sv[0] * max(WA.shape) * np.finfo(float).eps]
-    dual = np.zeros(len(WA))
+def _interval_stage(plan, range_basis):
+    """The interval stage of a test on a wide matrix, still without faces:
+    ``range_basis``, an orthonormal basis of range(A) shared by every test
+    on the type matrix A, turns into one of range(WA) = diag(sqrt_w)
+    range(A) by one QR."""
+    basis, _ = np.linalg.qr(plan.sqrt_w[:, None] * range_basis)
+    dual = np.zeros(len(plan.WA))
     _, start, stop = plan.blocks[0]
     dual[start:stop] = 1.0 / plan.sqrt_w[start:stop]
-    faces = np.unique(supports.T, axis=0)
-    width = max(1, int(faces.sum(axis=1).max()))
-    sub = np.zeros((len(faces), len(WA), width))
-    for f, face in enumerate(faces):
-        columns = np.flatnonzero(face)
-        sub[f, :, :len(columns)] = WA[:, columns]
-    return IntervalStage(basis, dual, sub, np.linalg.pinv(sub), sub.transpose(0, 2, 1) @ sub)
+    rows, cols = plan.WA.shape
+    return IntervalStage(basis, dual, np.zeros((0, cols), dtype=bool), np.zeros((0, rows, 0)),
+                         np.zeros((0, 0, 0)))
 
 
-def _intervals(plan, B):
+def _add_faces(plan, supports):
+    """The plan with the nonempty ``supports`` (one boolean column per
+    projection) that its interval stage lacks added as faces, and its
+    working set made their union; the plan itself when it has no stage or
+    no support is new. Only the new faces' inverse Gram matrices are
+    computed; the stacks are padded to the widest face."""
+    stage = plan.interval
+    if stage is None:
+        return plan
+    known = set(map(bytes, np.packbits(stage.faces, axis=1)))
+    keys = [key for key in dict.fromkeys(map(bytes, np.packbits(supports.T, axis=1)))
+            if key not in known and any(key)]
+    if not keys:
+        return plan
+    WA = plan.WA
+    new = np.unpackbits(np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), -1),
+                        axis=1, count=WA.shape[1]).astype(bool)
+    sizes = new.sum(axis=1)
+    width = max(stage.sub.shape[2], int(sizes.max()))
+    sub = np.zeros((len(new), len(WA), width))
+    for f, face in enumerate(new):
+        sub[f, :, :sizes[f]] = WA[:, face]
+    gram = sub.transpose(0, 2, 1) @ sub
+    # a projection's support has independent columns, so S^T S is
+    # invertible and pinv(S) = inv(S^T S) S^T; a unit diagonal on the
+    # padding keeps it invertible and zeroes the padding rows of the
+    # inverse's products. Any x >= 0 bounds J*, so a rough inverse costs
+    # tightness only.
+    padded, diagonal = gram.copy(), np.arange(width)
+    padded[:, diagonal, diagonal] += diagonal >= sizes[:, None]
+    try:
+        inverse = np.linalg.inv(padded)
+    except np.linalg.LinAlgError:
+        inverse = np.linalg.pinv(gram, hermitian=True)
+    faces = np.vstack([stage.faces, new])
+    stage = replace(stage, faces=faces, sub=_stacked(stage.sub, sub),
+                    inverse=_stacked(stage.inverse, inverse))
+    columns = np.flatnonzero(faces.any(axis=0))
+    return replace(plan, interval=stage, columns=columns, sub=WA[:, columns])
+
+
+def _stacked(old, new):
+    """``old`` zero-padded to the trailing shape of ``new``, with ``new``
+    stacked under it."""
+    out = np.zeros((len(old) + len(new),) + new.shape[1:])
+    out[(slice(len(old)),) + tuple(map(slice, old.shape[1:]))] = old
+    out[len(old):] = new
+    return out
+
+
+def _intervals(plan, B, statistic=None):
     """Certified bounds lo <= J* <= up on the bootstrap statistic of each
     row b of ``B``.
 
@@ -389,42 +446,82 @@ def _intervals(plan, B):
     dual-feasible against rounding by subtracting max(0, max WA^T y) times
     the plan's dual vector.
 
-    up, N ||b - WA x||^2 at a feasible x >= 0: per pilot face S, the
-    clipped least-squares point max(pinv(WA_S) b, 0); each replicate keeps
-    its best face, drops the face's columns that the clip zeroed and
-    re-solves its normal equations on the rest, once, keeping the better
-    residual. Any x >= 0 bounds J*, however inexact the solve."""
-    stage, N = plan.interval, plan.N
+    up, N ||b - WA x||^2 at a feasible x >= 0: per face S, a group of
+    faces at a time, the clipped least-squares point max(pinv(WA_S) b, 0),
+    pinv(WA_S) = inv(WA_S^T WA_S) WA_S^T, and each replicate keeps its best
+    face (x = 0 without faces). A replicate whose interval still meets
+    ``statistic`` (every one when it is None) then holds the face's columns
+    that the clip zeroed at 0 and solves least squares on the rest
+    (``_held_at_zero``), twice, the second time also holding the columns
+    the first left at or below 0, and keeps the best residual. Any x >= 0
+    bounds J*, however inexact the solve."""
+    stage, N, n = plan.interval, plan.N, len(B)
     Y = B - (B @ stage.basis) @ stage.basis.T
     Y -= np.maximum(0.0, (Y @ plan.WA).max(axis=1))[:, None] * stage.dual
     by, yy = np.einsum("ij,ij->i", B, Y), np.einsum("ij,ij->i", Y, Y)
-    lo = N * np.divide(by * by, yy, out=np.zeros(len(B)), where=by > 0)
+    lo = N * np.divide(by * by, yy, out=np.zeros(n), where=by > 0)
 
-    best = np.full(len(B), np.inf)
-    face = np.zeros(len(B), dtype=int)
-    X = np.zeros((len(B), stage.sub.shape[2]))
-    for f, (sub, pinv) in enumerate(zip(stage.sub, stage.pinv)):
-        x = np.maximum(pinv @ B.T, 0.0)
-        R = B.T - sub @ x
-        res = np.einsum("rn,rn->n", R, R)
-        better = res < best
-        best[better], face[better], X[better] = res[better], f, x[:, better].T
-    for f in np.unique(face):
-        rows, sub = np.flatnonzero(face == f), stage.sub[f]
-        keep = X[rows] > 0
-        gram = stage.gram[f] * (keep[:, :, None] & keep[:, None, :])
-        gram[:, np.arange(keep.shape[1]), np.arange(keep.shape[1])] += ~keep
-        try:
-            x = np.linalg.solve(gram, ((B[rows] @ sub) * keep)[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            continue  # a face of dependent columns: keep the clipped points
-        R = B[rows] - (np.maximum(x, 0.0) * keep) @ sub.T
-        best[rows] = np.minimum(best[rows], np.einsum("ij,ij->i", R, R))
-    up = N * best
-    return lo, up
+    if not len(stage.faces):
+        return lo, N * np.einsum("ij,ij->i", B, B)
+    best, face = np.full(n, np.inf), np.zeros(n, dtype=int)
+    free = np.zeros((n, stage.sub.shape[2]))
+    # a few faces at a time bounds the face-by-replicate stacks alive
+    for first in range(0, len(stage.faces), FACE_GROUP):
+        sub = stage.sub[first:first + FACE_GROUP]
+        P = stage.inverse[first:first + FACE_GROUP] @ (sub.transpose(0, 2, 1) @ B.T)
+        R = sub @ np.maximum(P, 0.0)
+        R -= B.T
+        res = np.einsum("frn,frn->fn", R, R)
+        pick = np.argmin(res, axis=0)
+        better = np.flatnonzero(res[pick, np.arange(n)] < best)
+        best[better], face[better] = res[pick[better], better], first + pick[better]
+        free[better] = P[pick[better], :, better]
+    rows = np.arange(n)
+    if statistic is not None:
+        rows = np.flatnonzero(~_below(N * best, statistic) & ~_below(statistic, lo))
+    if len(rows):
+        f, free = face[rows], free[rows]
+        real = np.arange(free.shape[1]) < stage.faces[f].sum(axis=1)[:, None]
+        drop = (free <= 0) & real
+        for _ in range(2):
+            x = _held_at_zero(stage.inverse, f, free, drop)
+            if x is None:
+                break  # a face of dependent columns: keep the clipped points
+            # the face's entries, in column order, into all columns
+            full = np.zeros((len(rows), plan.WA.shape[1]))
+            full[stage.faces[f]] = np.maximum(x, 0.0)[real]
+            R = B[rows] - full @ plan.WA.T
+            # fmin: a rough inverse may give NaN, which bounds nothing
+            best[rows] = np.fmin(best[rows], np.einsum("ij,ij->i", R, R))
+            drop |= (x <= 0) & real
+    return lo, N * best
 
 
-def _exact_order_statistic(plan, seeds, out, rank):
+def _held_at_zero(inverse, faces, x, drop):
+    """The least-squares points on ``faces`` (indices into the stacked
+    inverse Gram matrices H) with the ``drop`` coordinates held at 0, from
+    their unconstrained points x: x - H[:, D] H[D, D]^-1 x[D]. None when
+    some H[D, D] is singular."""
+    width = int(drop.sum(axis=1).max())
+    if not width:
+        return x
+    # each row's dropped coordinates first, padded by kept ones that the
+    # identity rows and columns of the block leave out
+    order = np.argsort(~drop, axis=1, kind="stable")[:, :width]
+    k = np.arange(len(x))[:, None]
+    valid = drop[k, order]
+    block = inverse[faces[:, None, None], order[:, :, None], order[:, None, :]]
+    block *= valid[:, :, None] & valid[:, None, :]
+    block[:, np.arange(width), np.arange(width)] += ~valid
+    try:
+        z = np.linalg.solve(block, (x[k, order] * valid)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    # H is symmetric: its columns D are its rows D
+    return x - np.einsum("kdw,kd->kw", inverse[faces[:, None], order], z * valid)
+
+
+def _exact_order_statistic(plan, seed, out, rank):
     """Solve replicates that the interval stage decided, in place in the
     rows of ``out``, until the ``rank``-th smallest J* (0-based) is an
     exactly solved one.
@@ -433,15 +530,24 @@ def _exact_order_statistic(plan, seeds, out, rank):
     and U, the rank-th smallest upper bound; an exact J* is both of its
     bounds. A replicate whose interval lies below L or above U by
     ``_below``'s margins stays on its side of the order statistic whatever
-    its J*, so only those whose interval meets [L, U] are solved, redrawn
-    from their seeds; then L and U are taken again."""
+    its J*, so only those whose interval meets [L, U] are taken, redrawn
+    from their seeds (children of ``seed``): first bounded again, once, with
+    every face of the final plan and the re-solve, then solved if they
+    still meet it; then L and U are taken again."""
     stats, kkt, route, upper = out
+    rebounded = np.zeros(len(stats), dtype=bool)
     while True:
         L, U = np.partition(stats, rank)[rank], np.partition(upper, rank)[rank]
         todo = np.flatnonzero((route == INTERVAL) & ~_below(upper, L) & ~_below(U, stats))
         if not len(todo):
             return
-        _, rnorm, kkt[todo], route[todo] = _project(plan, _draws(plan, [seeds[i] for i in todo]))
+        fresh = todo[~rebounded[todo]]
+        if len(fresh):
+            _, up = _intervals(plan, _draws(plan, _seeds(seed, fresh)))
+            upper[fresh] = np.fmin(upper[fresh], up)
+            rebounded[fresh] = True
+            continue
+        _, rnorm, kkt[todo], route[todo] = _project(plan, _draws(plan, _seeds(seed, todo)))
         stats[todo] = upper[todo] = plan.N * (rnorm * rnorm)
 
 
@@ -450,38 +556,42 @@ def _project(plan, B):
     all certified on the full matrix: (solutions, one per column; residual
     norms; KKT residuals; routes).
 
-    Once the plan has a working set, each problem is solved on ``plan.sub``
-    alone and its solution embedded in all columns. One whose KKT conditions
-    hold on the full matrix is its optimum (Lawson and Hanson's active-set
-    argument); one that fails them, or whose sub-solve raises, is solved
-    again on the full matrix. ``certify_nnls``'s bvls re-solve stays the
-    last resort.
+    With a working set, the problems are taken in turn. Each is solved on
+    the working set's columns alone and its solution embedded in all
+    columns. One whose KKT conditions hold on the full matrix is its
+    optimum (Lawson and Hanson's active-set argument); one that fails them,
+    or whose sub-solve raises, is solved again on the full matrix, and that
+    solution's support joins the working set of the problems after it.
+    ``certify_nnls``'s bvls re-solve stays the last resort.
 
     A working-set point that fails the certificate is still feasible, so its
     squared residual norm bounds the projection's from above. With the
     plan's ``fit``, a problem whose bound falls below the statistic
     (``_below``) is not solved again: its route is BOUNDED and its residual
     norm and KKT residual read NaN."""
-    WA, columns = plan.WA, plan.columns
+    WA, columns, sub = plan.WA, plan.columns, plan.sub
     X = np.zeros((WA.shape[1], len(B)))
     rnorm = np.full(len(B), np.nan)
     route = np.full(len(B), FULL)
-    if columns is not None:
-        for k, b in enumerate(B):
+    for k, b in enumerate(B):
+        if columns is not None:
+            route[k] = FULL_AGAIN
             try:
-                X[columns, k], rnorm[k] = nnls_solve(plan.sub, b)
-                route[k] = WORKING_SET
+                X[columns, k], rnorm[k] = nnls_solve(sub, b)
             except SolverError:
-                route[k] = FULL_AGAIN
-        # one pass over all solutions; per replicate it would cost as much
-        # as a small projection
-        kkt, limit = _kkt_residual(WA, X, B.T, KKT_TOL)
-        missed = (route == WORKING_SET) & (kkt > limit)
-        route[missed] = FULL_AGAIN
-        if plan.fit is not None:
-            route[missed & _below(plan.N * (rnorm * rnorm), plan.statistic)] = BOUNDED
-    for k in np.flatnonzero((route == FULL) | (route == FULL_AGAIN)):
-        X[:, k], rnorm[k] = nnls_solve(WA, B[k])
+                pass
+            else:
+                kkt, limit = _kkt_residual(WA, X[:, k], b, KKT_TOL)
+                if kkt <= limit:
+                    route[k] = WORKING_SET
+                    continue
+                if plan.fit is not None and _below(plan.N * rnorm[k] ** 2, plan.statistic):
+                    route[k] = BOUNDED
+                    continue
+        X[:, k], rnorm[k] = nnls_solve(WA, b)
+        if columns is not None:
+            columns = np.union1d(columns, np.flatnonzero(X[:, k] > 0))
+            sub = WA[:, columns]
     kept = route != BOUNDED
     kkt = np.full(len(B), np.nan)
     X[:, kept], rnorm[kept], kkt[kept] = certify_nnls(WA, X[:, kept], B[kept].T, rnorm[kept])

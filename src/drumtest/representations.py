@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy.optimize import Bounds
@@ -78,6 +78,13 @@ class TypeMatrix:
 
     def dense(self) -> np.ndarray:
         return np.asarray(self.matrix)
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        """An orthonormal basis of the column space, from a thin SVD; built
+        once per matrix, so every test on it shares it."""
+        U, sv, _ = np.linalg.svd(self.dense().astype(float), full_matrices=False)
+        return U[:, sv > sv[0] * max(self.shape) * np.finfo(float).eps]
 
 
 @dataclass(frozen=True, eq=False)

@@ -259,8 +259,9 @@ def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.nd
     """Per sim: (reject, statistic, then the SUMMED_DIAGNOSTICS counts).
 
     Only verdicts are read, so the bootstrap skips the replicates that cannot
-    reach the statistic, stops once the verdict is decided and computes no
-    critical value."""
+    reach the statistic, decides those whose certified interval lies on one
+    side of it without a solve on the wide binary matrices, stops once the
+    verdict is decided and computes no critical value."""
     universe, _ = build_universe(dgp)
     A = type_matrix_for(dgp, universe)
     agents = agents_per_path_for(dgp, n)
@@ -282,16 +283,16 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
     """Rejection rates of the cone test per generator and sample size.
 
     Each sim runs the verdict-only test (``TestConfig(critical_value=False)``):
-    its bootstrap screens the replicates that cannot reach the statistic and
-    stops drawing once ``alpha`` can no longer be met, so a sim that does not
-    reject reports the curtailed p-value h/L. Its verdict and statistic are
-    those of the full bootstrap, so the rejection rates are too. Each entry
-    also sums the cell's NNLS solves, screened, curtailed, interval-bounded
-    and working-set bounded replicates and working-set routes
-    (SUMMED_DIAGNOSTICS; per sim, the solves less 2, the screened, the
-    curtailed and the interval-bounded replicates add up to ``reps``; the
-    verdict-only route bounds none by interval) and gives its mean
-    statistic; no critical values are
+    its bootstrap screens the replicates that cannot reach the statistic,
+    decides by certified interval those on a wide type matrix that lie on
+    one side of it, and stops drawing once ``alpha`` can no longer be met,
+    so a sim that does not reject reports the curtailed p-value h/L. Its
+    verdict and statistic are those of the full bootstrap, so the rejection
+    rates are too. Each entry also sums the cell's NNLS solves, screened,
+    curtailed, interval-bounded and working-set bounded replicates and
+    working-set routes (SUMMED_DIAGNOSTICS; per sim, the solves less 2, the
+    screened, the curtailed and the interval-bounded replicates add up to
+    ``reps``) and gives its mean statistic; no critical values are
     computed."""
     entries = []
     master = np.random.SeedSequence(seed)

@@ -132,9 +132,10 @@ def solve_recorder(log):
 
 
 def full_bootstrap(rho, A, config):
-    """``run_test`` with ``config`` but every replicate projected
-    (``critical_value=True`` without the interval stage): (its report, its
-    J* in seed order)."""
+    """``run_test`` with ``config`` but every replicate projected on the
+    full matrix (``critical_value=True`` without the interval stage, so
+    without faces or a working set, in one round): (its report, its J* in
+    seed order)."""
     real, real_stage, seen = inference._bootstrap, inference._interval_stage, []
 
     def recording(*args, **kwargs):
@@ -143,7 +144,7 @@ def full_bootstrap(rho, A, config):
         return out, plan
 
     inference._bootstrap = recording
-    inference._interval_stage = lambda plan, supports: None
+    inference._interval_stage = lambda plan, range_basis: None
     try:
         report = inference.run_test(rho, A, dataclasses.replace(config, critical_value=True))
     finally:

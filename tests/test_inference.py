@@ -122,11 +122,10 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     SeedSequence((5, 0)), bootstrap seed 5052) gets a full-matrix nnls point
     that fails its KKT check on the rank-deficient 48x216 matrix. It still
     ends with a passing certificate and bvls's J*; every other replicate
-    solved on the full matrix (the pilot and the working-set fallbacks)
-    keeps scipy's nnls statistic bit for bit, and one certified on the
-    working set agrees with it to rounding. The interval stage is left out,
-    so that every replicate goes down the solve ladder; with it, replicate
-    37 is decided by its interval without a solve."""
+    keeps scipy's nnls statistic bit for bit. The interval stage is left
+    out, and with it the faces and the working set, so that every replicate
+    is solved on the full matrix in one round; with it, replicate 37 is
+    decided by its interval without a solve."""
     uni, A = binary_app
     orders = list(itertools.permutations(("l1", "l2", "l3")))
     rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
@@ -142,10 +141,9 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
 
     chunk = inference._bootstrap_chunk
     monkeypatch.setattr(inference, "_bootstrap_chunk", recording)
-    monkeypatch.setattr(inference, "_interval_stage", lambda plan, supports: None)
+    monkeypatch.setattr(inference, "_interval_stage", lambda plan, range_basis: None)
     report = run_test(rho, A, TestConfig(reps=199, alpha=0.05, seed=5052))
-    assert [len(seeds) for _, seeds, _ in chunks] == [inference.PILOT_REPLICATES,
-                                                      199 - inference.PILOT_REPLICATES]
+    assert [len(seeds) for _, seeds, _ in chunks] == [199]
     plan = chunks[0][0]
     WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
     blocks, counts, N = plan.blocks, plan.counts, plan.N
@@ -161,11 +159,9 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
         b = sqrt_w * (star - vec + eta - shift)
         x, rnorm = nnls(WA, b)
         limit = KKT_TOL * max(1.0, np.abs(b).max()) * 100
+        assert route[i] == inference.FULL
         if _kkt(WA, x, b) <= limit:
-            if route[i] == inference.WORKING_SET:
-                assert stats[i] == pytest.approx(N * (rnorm * rnorm), rel=1e-12)
-            else:
-                assert stats[i] == N * (rnorm * rnorm)
+            assert stats[i] == N * (rnorm * rnorm)
             continue
         failed.append(i)
         x = lsq_linear(WA, b, bounds=(0, np.inf), method="bvls").x
@@ -173,9 +169,60 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
         assert stats[i] == pytest.approx(N * np.linalg.norm(WA @ x - b) ** 2, rel=1e-12)
         assert stats[i] == pytest.approx(11.77, abs=0.01)
     assert failed == [37]
-    assert report.diagnostics["working_set_certified"] == np.sum(route == inference.WORKING_SET)
+    assert report.diagnostics["working_set_certified"] == 0
     assert report.diagnostics["kkt_residual_max"] <= 1e-8
     assert report.diagnostics["nnls_solves"] == 201
+
+
+def test_replicate_seeds_are_the_spawned_children():
+    """``_seeds`` builds child i of SeedSequence(seed).spawn(R) alone, with
+    the same state and the same stream, for every i < R and in any order."""
+    for seed in (0, 5052, 2**63 + 11):
+        spawned = np.random.SeedSequence(seed).spawn(199)
+        alone = inference._seeds(seed, range(199))
+        for a, b in zip(spawned, alone):
+            assert np.array_equal(a.generate_state(8), b.generate_state(8))
+            assert np.array_equal(np.random.default_rng(a).random(4),
+                                  np.random.default_rng(b).random(4))
+        picked = inference._seeds(seed, np.array([150, 3, 77]))
+        assert [s.generate_state(2).tolist() for s in picked] == \
+            [spawned[i].generate_state(2).tolist() for i in (150, 3, 77)]
+
+
+def _looped_draws(plan, seeds):
+    """``_draws`` as it was computed before the batch: every replicate's
+    frequencies weighted and recentred inside the loop."""
+    B = np.empty((len(seeds), len(plan.vec)))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        star = np.empty_like(plan.vec)
+        for (_, start, stop), n, p in zip(plan.blocks, plan.counts, plan.probs):
+            star[start:stop] = rng.multinomial(n, p) / n
+        B[i] = plan.sqrt_w * (star - plan.vec + plan.eta - plan.shift)
+    return B
+
+
+@pytest.mark.parametrize("kind,n", [("binary3", 40), ("binary1", 10), ("cobb-douglas-walk", 50)])
+def test_draws_match_the_per_replicate_loop(kind, n, monkeypatch):
+    """The batched weighting and recentring gives the loop's right-hand
+    sides byte for byte, on every round of a full and a verdict-only test."""
+    real, calls = inference._bootstrap_chunk, []
+
+    def spy(plan, seeds):
+        calls.append((plan, seeds))
+        return real(plan, seeds)
+
+    monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
+    dgp = DgpSpec(kind)
+    universe, _ = build_universe(dgp)
+    panel, _ = simulate(dgp, 4 * n if kind.startswith("cobb") else n, seed=2)
+    rho = estimate_rho(panel, universe)
+    for critical_value in (True, False):
+        run_test(rho, type_matrix_for(dgp, universe),
+                 TestConfig(reps=120, seed=9, critical_value=critical_value))
+    assert len(calls) >= 2
+    for plan, seeds in calls:
+        assert inference._draws(plan, seeds).tobytes() == _looped_draws(plan, seeds).tobytes()
 
 
 class TestRunTestEu:

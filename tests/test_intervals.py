@@ -1,15 +1,16 @@
-"""The full bootstrap's interval stage: after the working-set pilot every
-replicate gets a certified interval [lo, up] on its J*, and only those that
-straddle the statistic or could hold the critical value's rank are solved.
-Hits, p-values and verdicts stay those of the bootstrap that projects every
-replicate, and the critical value is an exactly solved J*."""
+"""The bootstrap's interval stage on a wide matrix: every replicate gets a
+certified interval [lo, up] on its J*, from faces that grow with the
+projections made, and only those that straddle the statistic or, on the
+full route, could hold the critical value's rank are solved. Hits, p-values
+and verdicts stay those of the bootstrap that projects every replicate, and
+the critical value is an exactly solved J*."""
 
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from conftest import full_bootstrap
+from conftest import curtailed_p_value, full_bootstrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +31,7 @@ def _binary_matrix(periods):
     paths = sorted(itertools.product(*[uni.menu_indices(t) for t in periods]))
     A = kron_dynamic(statics, paths, uni)
     rows = path_blocks(uni, paths, np.arange(len(A.row_labels)))
-    return A.dense().astype(float), [(path, int(r[0]), int(r[-1]) + 1)
-                                     for path, r in rows.items()]
+    return A, [(path, int(r[0]), int(r[-1]) + 1) for path, r in rows.items()]
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +39,22 @@ def binary_matrices():
     return {T: _binary_matrix(tuple(range(1, T + 1))) for T in (2, 3)}
 
 
-def _interval_plan(dense, blocks, rng, faces):
-    """A full-route plan at N = 7 on ``dense`` with random row weights,
-    whose interval stage is built from the supports of ``faces``
-    projections of points near the cone and from their union, a face of
+def _interval_plan(A, blocks, rng, faces):
+    """A full-route plan at N = 7 on ``A`` with random row weights, whose
+    interval stage holds as faces the supports of ``faces`` projections of
+    points near the cone, added in two batches, and their union, a face of
     dependent columns once it outgrows the rank."""
+    dense = A.dense().astype(float)
     sqrt_w = rng.uniform(1.0, 10.0, size=len(dense))
     WA = dense * sqrt_w[:, None]
     unread = dict.fromkeys(f.name for f in dataclasses.fields(inference.BootstrapPlan))
     plan = inference.BootstrapPlan(**{**unread, "WA": WA, "sqrt_w": sqrt_w, "blocks": blocks,
                                       "N": 7, "fit": None})
+    plan = dataclasses.replace(plan, interval=inference._interval_stage(plan, A.range_basis))
     supports = np.column_stack([nnls_projection(WA, _near_cone(WA, rng, 0.5))[0] > 0
                                 for _ in range(faces)])
-    supports = np.column_stack([supports, supports.any(axis=1)])
-    return dataclasses.replace(plan, interval=inference._interval_stage(plan, supports))
+    plan = inference._add_faces(plan, supports[:, :faces // 2])
+    return inference._add_faces(plan, np.column_stack([supports, supports.any(axis=1)]))
 
 
 def _near_cone(WA, rng, noise):
@@ -72,11 +74,65 @@ def test_intervals_bracket_the_projection(binary_matrices, seed, T, faces, noise
     B = np.stack([_near_cone(WA, rng, noise) for _ in range(8)]
                  + [WA @ rng.exponential(size=WA.shape[1]),
                     noise * rng.standard_normal(len(WA))])
-    lo, up = inference._intervals(plan, B)
     J = np.array([plan.N * nnls_projection(WA, b)[1] ** 2 for b in B])
-    assert np.all(lo >= 0)
-    assert not np.any(inference._below(up, J))
-    assert not np.any(inference._below(J, lo))
+    # re-solved on every row, and on the rows left open by a statistic
+    for statistic in (None, float(np.median(J))):
+        lo, up = inference._intervals(plan, B, statistic)
+        assert np.all(lo >= 0)
+        assert not np.any(inference._below(up, J))
+        assert not np.any(inference._below(J, lo))
+    assert len(plan.interval.faces) == len({face.tobytes() for face in plan.interval.faces})
+    assert np.array_equal(plan.columns, np.flatnonzero(plan.interval.faces.any(axis=0)))
+
+
+@pytest.mark.parametrize("T", [2, 3])
+def test_faces_hold_their_inverse_gram_matrices(binary_matrices, T):
+    """Every face of independent columns keeps WA[:, S] and the inverse of
+    its Gram matrix, zero-padded to the widest face, so that inverse times
+    WA[:, S]^T is its pseudo-inverse; holding coordinates at 0 through the
+    inverse Gram matrix gives the least-squares point on the other
+    columns."""
+    rng = np.random.default_rng(T)
+    plan = _interval_plan(*binary_matrices[T], rng, 12)
+    stage, WA = plan.interval, plan.WA
+    width = stage.sub.shape[2]
+    checked = 0
+    for f, face in enumerate(stage.faces):
+        columns = np.flatnonzero(face)
+        if np.linalg.matrix_rank(WA[:, columns]) < len(columns):
+            continue  # the dependent union
+        checked += 1
+        k = len(columns)
+        assert np.array_equal(stage.sub[f, :, :k], WA[:, columns])
+        assert not stage.sub[f, :, k:].any()
+        assert not stage.inverse[f, :k, k:].any() and not stage.inverse[f, k:, :k].any()
+        pinv = stage.inverse[f] @ stage.sub[f].T
+        assert not pinv[k:].any()
+        assert np.allclose(pinv[:k], np.linalg.pinv(WA[:, columns]), atol=1e-9)
+        b = _near_cone(WA, rng, 1.0)
+        drop = np.zeros(width, dtype=bool)
+        drop[rng.choice(k, size=k // 2, replace=False)] = True
+        held = inference._held_at_zero(stage.inverse, np.array([f]), (pinv @ b)[None],
+                                       drop[None])[0]
+        keep = np.flatnonzero(~drop[:k])
+        want = np.linalg.lstsq(WA[:, columns[keep]], b, rcond=None)[0]
+        assert np.allclose(held[keep], want, atol=1e-8)
+        assert np.allclose(held[:k][drop[:k]], 0.0, atol=1e-9)
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("T", [2, 3])
+def test_range_basis_is_built_once_per_type_matrix(binary_matrices, T):
+    """``TypeMatrix.range_basis`` is an orthonormal basis of the column
+    space, of the matrix's rank, and every test on the matrix reads the one
+    array."""
+    A, _ = binary_matrices[T]
+    U = A.range_basis
+    dense = A.dense().astype(float)
+    assert U.shape == (len(dense), np.linalg.matrix_rank(dense))
+    assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+    assert np.allclose(U @ (U.T @ dense), dense, atol=1e-10)
+    assert A.range_basis is U
 
 
 # (DGP kind, reported sample size): the null binary3 cell of the criterion-7
@@ -139,3 +195,32 @@ def test_the_critical_value_is_an_exact_solve(monkeypatch):
     c = report.critical_value
     assert np.all((upper[~exact] < c) | (stats[~exact] > c))
     assert report.diagnostics["bounded_replicates"] == np.sum(~exact) > 0
+
+
+@pytest.mark.parametrize("kind,n", FULL_ROUTE_CELLS, ids=[f"{k}@{n}" for k, n in FULL_ROUTE_CELLS])
+def test_verdict_only_route_matches_every_replicate_projected(kind, n):
+    """The verdict-only route bounds its replicates by interval too, after
+    the recentring-fit screen: statistic and verdict equal the bootstrap
+    that projects every replicate, and the p-value its curtailed one read
+    off that bootstrap's J*, at one and two jobs. The solves, the screened,
+    the curtailed and the bounded replicates add up to R."""
+    dgp = DgpSpec(kind)
+    universe, _ = build_universe(dgp)
+    A = type_matrix_for(dgp, universe)
+    bounded = 0
+    for seed in range(6):
+        panel, _ = simulate(dgp, agents_per_path_for(dgp, n), seed=200 + seed)
+        rho = estimate_rho(panel, universe)
+        config = TestConfig(reps=199, seed=seed, critical_value=False)
+        full, stats = full_bootstrap(rho, A, config)
+        for jobs in (1, 2):
+            report = run_test(rho, A, dataclasses.replace(config, n_jobs=jobs))
+            assert report.statistic == full.statistic
+            assert report.reject == full.reject
+            assert report.p_value == curtailed_p_value(stats, full.statistic, 199, config.alpha)
+            d = report.diagnostics
+            assert d["nnls_solves"] - 2 + d["screened_replicates"] + \
+                d["curtailed_replicates"] + d["bounded_replicates"] == 199
+            assert d["kkt_residual_max"] < 1e-8
+            bounded += d["bounded_replicates"]
+    assert bounded > 0 or kind == "binary1"

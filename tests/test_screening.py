@@ -9,7 +9,6 @@ import importlib
 import itertools
 import json
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -77,7 +76,8 @@ def test_screened_test_matches_full_bootstrap(dgp, n):
         assert full.diagnostics["curtailed_replicates"] == 0
         skipped = screened.diagnostics["screened_replicates"]
         curtailed = screened.diagnostics["curtailed_replicates"]
-        assert screened.diagnostics["nnls_solves"] == 2 + 99 - skipped - curtailed
+        bounded = screened.diagnostics["bounded_replicates"]
+        assert screened.diagnostics["nnls_solves"] == 2 + 99 - skipped - curtailed - bounded
         for report in (full, screened):
             assert 0 <= report.diagnostics["kkt_residual_max"] < 1e-8
             assert json.dumps(report.to_dict())
@@ -85,8 +85,10 @@ def test_screened_test_matches_full_bootstrap(dgp, n):
 
 def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
     """Every replicate the screen skips has a full projection value below the
-    statistic, and every replicate it keeps has the full value bit for bit,
-    both projected with the same working set."""
+    statistic. Every replicate it keeps has the full value: bit for bit when
+    it was solved on the full matrix, to rounding when it was certified on
+    the working set, and on its certified side of the statistic when its
+    interval decided it."""
     real = inference._bootstrap_chunk
     calls = []
 
@@ -102,21 +104,28 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
             rho, A = _rho_and_A(dgp, n, 10 + seed)
             run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
     for plan, seeds, out in calls:
-        full, _ = real(dataclasses.replace(plan, fit=None), seeds)
+        bare = dataclasses.replace(plan, fit=None, interval=None, columns=None, sub=None)
+        full, _ = real(bare, seeds)
+        # screened, or decided below the statistic by a working-set point
         gone = np.isnan(out[0])
         skipped += int(gone.sum())
         assert np.all(full[0][gone] < plan.statistic - 1e-12)
-        assert full[0][~gone].tobytes() == out[0][~gone].tobytes()
-        assert np.array_equal(np.isnan(out[1]), gone)
-        assert np.all(out[1][~gone] < 1e-8)
-        assert full[2][~gone].tobytes() == out[2][~gone].tobytes()
+        decided = out[2] == inference.INTERVAL
+        assert np.array_equal(np.isnan(out[1]), gone | decided)
+        solved = np.isin(out[2], [inference.FULL, inference.FULL_AGAIN])
+        assert full[0][solved].tobytes() == out[0][solved].tobytes()
+        certified = out[2] == inference.WORKING_SET
+        assert np.allclose(out[0][certified], full[0][certified], rtol=1e-12, atol=0)
+        assert np.all(out[1][solved | certified] < 1e-8)
+        hit = out[0][decided] >= plan.statistic - 1e-12
+        assert np.array_equal(full[0][decided] >= plan.statistic - 1e-12, hit)
     assert skipped > 0
     assert any(plan.columns is not None for plan, _, _ in calls)
 
 
 def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
-    """The plan has no screening fit; on the wide binary matrix the pilot
-    chunk runs without a working set and the rest with one."""
+    """The plan has no screening fit; on the wide binary matrix every round
+    of ROUND replicates, the last one short, runs with a working set."""
     seen = []
     real = inference._bootstrap_chunk
 
@@ -126,9 +135,8 @@ def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
     rho, A = _rho_and_A(DgpSpec("binary1"), 10, 0)
-    run_test(rho, A, TestConfig(reps=49, seed=0))
-    assert seen == [(inference.PILOT_REPLICATES, True, True, True),
-                    (49 - inference.PILOT_REPLICATES, True, False, False)]
+    run_test(rho, A, TestConfig(reps=2 * inference.ROUND + 20, seed=0))
+    assert seen == [(inference.ROUND, True, False, False)] * 2 + [(20, True, False, False)]
 
 
 @pytest.mark.parametrize("critical_value", [True, False])
@@ -164,41 +172,24 @@ def test_verdict_only_rounds_run_in_process(monkeypatch):
     _same_verdict(one, two)
     assert math.isnan(one.critical_value) and math.isnan(two.critical_value)
     assert one.diagnostics == two.diagnostics
-    assert one.diagnostics["curtailed_replicates"] < 99 - inference.PILOT_REPLICATES
+    # the test rejects, so it draws all 99 replicates in 20 rounds of at
+    # most h = 5
+    assert one.reject and one.diagnostics["curtailed_replicates"] == 0
 
 
-def test_full_bootstrap_pools_the_replicates_after_the_pilot(monkeypatch):
-    """With two jobs the full bootstrap solves the pilot here and hands the
-    other replicates to one pool, split in two contiguous chunks."""
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.workers, self.submitted = max_workers, []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, items):
-            self.submitted.append(len(items))
-            future = Future()
-            future.set_result(fn(items))
-            return future
-
+def test_full_bootstrap_rounds_run_in_process(monkeypatch):
+    """The full bootstrap's rounds and its order-statistic solves run here
+    too: with two jobs the test opens no pool and reports what it does with
+    one, critical value included."""
     rho, A = _rho_and_A(DgpSpec("binary3"), 40, 0)
-    config = TestConfig(reps=49, seed=0, n_jobs=2)
-    monkeypatch.setattr(inference, "ProcessPoolExecutor", InProcessPool)
-    pooled = run_test(rho, A, config)
-    assert [(pool.workers, pool.submitted) for pool in pools] == [(2, [15, 14])]
-    assert sum(pools[0].submitted) == 49 - inference.PILOT_REPLICATES
-    one = run_test(rho, A, dataclasses.replace(config, n_jobs=1))
-    assert len(pools) == 1
-    _same_verdict(one, pooled)
-    assert one.critical_value == pooled.critical_value
+    config = TestConfig(reps=2 * inference.ROUND + 9, seed=0)
+    one = run_test(rho, A, config)
+    monkeypatch.setattr(inference, "ProcessPoolExecutor", _refused_pool)
+    two = run_test(rho, A, dataclasses.replace(config, n_jobs=2))
+    _same_verdict(one, two)
+    assert one.critical_value == two.critical_value
+    assert one.diagnostics == two.diagnostics
+    assert one.diagnostics["bounded_replicates"] > 0
 
 
 def test_experiment_rates_match_unscreened(monkeypatch):
@@ -218,10 +209,9 @@ def test_experiment_rates_match_unscreened(monkeypatch):
         assert s["rejection_rate"] == f["rejection_rate"]
         assert s["mean_statistic"] == f["mean_statistic"]
         assert f["screened_replicates"] == f["curtailed_replicates"] == 0
-        assert s["bounded_replicates"] == 0
         assert f["nnls_solves"] + f["bounded_replicates"] == 4 * (49 + 2)
-        assert s["nnls_solves"] + s["screened_replicates"] + s["curtailed_replicates"] == \
-            f["nnls_solves"] + f["bounded_replicates"]
+        assert s["nnls_solves"] + s["screened_replicates"] + s["curtailed_replicates"] + \
+            s["bounded_replicates"] == f["nnls_solves"] + f["bounded_replicates"]
     assert screened.entries[0]["screened_replicates"] > 0
     assert screened.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
 
@@ -317,25 +307,27 @@ def test_curtailed_verdicts_match_the_full_bootstrap(cell_matrices, cell, seed, 
     assert report.reject == (report.p_value <= alpha)
     assert report.p_value == curtailed_p_value(stats, full.statistic, reps, alpha)
     d = report.diagnostics
-    assert d["nnls_solves"] - 2 + d["screened_replicates"] + d["curtailed_replicates"] == reps
+    assert d["nnls_solves"] - 2 + d["screened_replicates"] + d["curtailed_replicates"] + \
+        d["bounded_replicates"] == reps
     if report.reject:
         assert d["curtailed_replicates"] == 0
         assert report.p_value == full.p_value
 
 
 def test_curtailment_stops_at_the_decisive_hit():
-    """A null binary3 sim at R = 199, alpha = 0.05: ten replicates reach J
-    inside the 20-replicate pilot, so no working set is built and the
-    p-value is 10/L."""
+    """A null binary3 sim at R = 199, alpha = 0.05: the tenth replicate to
+    reach J is the L-th drawn, among the first 20, so drawing stops there
+    and the p-value is 10/L; the working set holds the supports found by
+    then."""
     rho, A = _rho_and_A(DgpSpec("binary3"), 350, 7)
     config = TestConfig(reps=199, seed=7, critical_value=False)
     full, stats = full_bootstrap(rho, A, config)
     report = run_test(rho, A, config)
     hits = np.flatnonzero(stats >= full.statistic - 1e-12)
-    assert len(hits) >= 10 and hits[9] < inference.PILOT_REPLICATES
+    assert len(hits) >= 10 and hits[9] < 20
     assert report.p_value == 10 / (hits[9] + 1)
     assert report.diagnostics["curtailed_replicates"] == 199 - (hits[9] + 1)
-    assert report.diagnostics["working_set_columns"] == 0
+    assert report.diagnostics["working_set_columns"] > 0
     assert not report.reject and not full.reject
 
 

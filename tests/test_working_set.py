@@ -1,7 +1,8 @@
 """Working-set projections of the bootstrap: on a wide type matrix each
-replicate after the pilot is solved on the pilot's columns, certified on the
-full matrix and solved again there when the certificate fails. J* is the
-full projection's up to rounding, so p-values and verdicts do not move."""
+projected replicate is solved on the working set, the union of the supports
+found so far, certified on the full matrix and solved again there when the
+certificate fails. J* is the full projection's up to rounding, so p-values
+and verdicts do not move."""
 
 import dataclasses
 import math
@@ -111,11 +112,11 @@ def test_run_test_survives_sub_solves_that_raise(monkeypatch):
 
     monkeypatch.setattr(inference, "nnls_solve", raising_on_sub_matrices)
     report = run_test(rho, A, config)
-    # every replicate after the pilot that its interval leaves open is
-    # solved again on the full matrix
+    # every replicate that its interval leaves open is solved again on the
+    # full matrix
     assert report.diagnostics["working_set_certified"] == 0
     assert report.diagnostics["working_set_full_solves"] + \
-        report.diagnostics["bounded_replicates"] == 49 - inference.PILOT_REPLICATES
+        report.diagnostics["bounded_replicates"] == 49
     assert report.statistic == reference.statistic
     assert report.p_value == reference.p_value
     assert report.critical_value == pytest.approx(reference.critical_value, rel=1e-12)
@@ -196,21 +197,23 @@ def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, m
         else:
             assert math.isnan(routed.critical_value) and math.isnan(frozen.critical_value)
         diagnostics = routed.diagnostics
-        drawn = 199 - diagnostics["curtailed_replicates"]
         if wide:
-            # a test curtailed inside the pilot builds no working set
-            assert (diagnostics["working_set_columns"] > 0) == (drawn > inference.PILOT_REPLICATES)
+            # the two projections' supports seed the working set
+            assert diagnostics["working_set_columns"] > 0
         else:
             assert routed.critical_value == frozen.critical_value or not critical_value
             assert diagnostics["working_set_columns"] == 0
             assert diagnostics["working_set_certified"] == 0
             assert diagnostics["working_set_full_solves"] == 0
-        # the pilot is solved in full; every later projected replicate is
-        # certified on the working set or solved again on the full matrix
-        later = diagnostics["working_set_certified"] + diagnostics["working_set_full_solves"]
-        assert later <= diagnostics["nnls_solves"] - 2
-        if wide and critical_value:
-            assert later + diagnostics["bounded_replicates"] == 199 - inference.PILOT_REPLICATES
+        # on a wide matrix every drawn replicate is screened, decided by its
+        # interval, or projected: certified on the working set, solved again
+        # on the full matrix, or bounded by its working-set point
+        projected = diagnostics["working_set_certified"] + \
+            diagnostics["working_set_full_solves"] + diagnostics["working_set_bounded"]
+        assert projected <= diagnostics["nnls_solves"] - 2
+        if wide:
+            assert projected + diagnostics["bounded_replicates"] + \
+                diagnostics["screened_replicates"] + diagnostics["curtailed_replicates"] == 199
         else:
             assert diagnostics["bounded_replicates"] == 0
 
@@ -251,7 +254,7 @@ def test_a_bounded_working_set_point_is_feasible_and_above_the_projection(binary
 
 
 def test_bounded_replicates_keep_the_verdict():
-    """Binary3 sims whose tests run past the pilot: replicates bounded by
+    """Binary3 sims whose tests run for many rounds: replicates bounded by
     their working-set points never hide a hit, and verdicts, statistics and
     curtailed p-values match the full bootstrap."""
     bounded = 0
@@ -263,7 +266,7 @@ def test_bounded_replicates_keep_the_verdict():
         assert report.statistic == full.statistic and report.reject == full.reject
         assert report.p_value == curtailed_p_value(stats, full.statistic, 199, config.alpha)
         d = report.diagnostics
-        assert d["working_set_bounded"] <= d["nnls_solves"] - 2 - inference.PILOT_REPLICATES
+        assert d["working_set_bounded"] <= d["nnls_solves"] - 2
         assert d["kkt_residual_max"] < 1e-8
         bounded += d["working_set_bounded"]
     assert bounded > 0
@@ -272,8 +275,10 @@ def test_bounded_replicates_keep_the_verdict():
 def test_the_plan_is_built_once_per_test(monkeypatch):
     """A verdict-only test that rejects decides its 199 replicates in rounds
     of at most h = 10; the row blocks' multinomial probabilities are still
-    computed once per test. On a binary3 test that runs well past the pilot,
-    every sub-solve of every round gets the same working-set matrix."""
+    computed once per test. On a binary3 test that runs for many rounds, a
+    working-set matrix is built once per working set: the sub-solves share
+    it until a round adds faces or a full re-solve grows it, and it only
+    grows."""
     real_normalized, real_solve = inference._normalized, inference.nnls_solve
     normalized, subs = [], []
 
@@ -286,8 +291,15 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
             subs.append(M)
         return real_solve(M, b)
 
+    real_chunk, rounds = inference._bootstrap_chunk, []
+
+    def chunk(plan, seeds):
+        rounds.append(len(seeds))
+        return real_chunk(plan, seeds)
+
     monkeypatch.setattr(inference, "_normalized", counting)
     monkeypatch.setattr(inference, "nnls_solve", solve)
+    monkeypatch.setattr(inference, "_bootstrap_chunk", chunk)
     rho, A = _rho_and_A(DgpSpec("binary1"), 175, 0)
     n_columns = A.dense().shape[1]
     report = run_test(rho, A, TestConfig(reps=199, seed=0, critical_value=False))
@@ -297,7 +309,12 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
     rho, A = _rho_and_A(DgpSpec("binary3"), 350, 1)
     n_columns = A.dense().shape[1]
     subs.clear()
-    report = run_test(rho, A, TestConfig(reps=199, seed=1, critical_value=False))
-    assert report.diagnostics["curtailed_replicates"] < 199 - 4 * inference.PILOT_REPLICATES
-    assert len(subs) > 10 and all(M is subs[0] for M in subs)
-    assert subs[0].shape[1] == report.diagnostics["working_set_columns"]
+    rounds.clear()
+    d = run_test(rho, A, TestConfig(reps=199, seed=1, critical_value=False)).diagnostics
+    assert d["curtailed_replicates"] < 199 - 80 and len(subs) > 10
+    assert max(rounds) <= 10 and sum(rounds) == 199 - d["curtailed_replicates"]
+    distinct = [M for k, M in enumerate(subs) if k == 0 or M is not subs[k - 1]]
+    assert len({id(M) for M in distinct}) == len(distinct)
+    assert len(distinct) <= len(rounds) + d["working_set_full_solves"]
+    assert all(a.shape[1] <= b.shape[1] for a, b in zip(distinct, distinct[1:]))
+    assert distinct[-1].shape[1] <= d["working_set_columns"]

@@ -43,7 +43,7 @@ def _load_config(path):
 
 _SHARED = {"seed": {"type": int, "default": 0},
            "threads": {"type": int, "default": 1, "help": "worker processes over the sims "
-                       "(experiment); test runs its bootstrap in one process"},
+                       "(experiment); does nothing for test"},
            "tolerance": {"type": float, "default": 1e-9},
            "out": {"default": None}}
 
@@ -254,8 +254,7 @@ def _cmd_test(args) -> int:
     uni = io.read_universe(args.universe)
     panel = io.read_panel(args.panel)
     rho = estimate_rho(panel, uni)
-    config = TestConfig(reps=args.reps, alpha=args.alpha, seed=args.seed,
-                        n_jobs=args.threads)
+    config = TestConfig(reps=args.reps, alpha=args.alpha, seed=args.seed)
     if args.eu:
         lotteries = io.read_lotteries(args.eu)
         report = run_test_eu(rho, lotteries, config)

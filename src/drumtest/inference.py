@@ -4,7 +4,6 @@ variant."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import log, sqrt
 
@@ -15,14 +14,14 @@ from .errors import ParameterError, SchemaError, SolverError
 from .model import path_blocks, rho_vector
 from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 
-# routes of a bootstrap replicate: solved on the full matrix, certified on
-# the working set, solved again on the full matrix after the working set,
-# decided below the statistic by the working-set point's residual, or decided
-# by its certified interval without a solve
-FULL, WORKING_SET, FULL_AGAIN, BOUNDED, INTERVAL = 0, 1, 2, 3, 4
-# replicates per round of a bootstrap on a wide matrix that is not
-# curtailed: each round's solves add faces that bound the later rounds'
-# replicates, and each round costs a pass of bounds and face updates
+# routes of a bootstrap replicate: certified on the working set, solved
+# again on the full matrix after the working set, decided below the
+# statistic by the working-set point's residual, or decided by its certified
+# interval without a solve
+WORKING_SET, FULL_AGAIN, BOUNDED, INTERVAL = 0, 1, 2, 3
+# replicates per round of a bootstrap that is not curtailed: each round's
+# solves add faces that bound the later rounds' replicates, and each round
+# costs a pass of bounds and face updates
 ROUND = 50
 # faces whose bounds one pass of ``_intervals`` stacks at a time
 FACE_GROUP = 16
@@ -34,22 +33,22 @@ class TestConfig:
 
     ``reps`` bootstrap replications, drawn from ``seed``, decide at level
     ``alpha``. The bootstrap runs in the calling process in rounds (see
-    ``_bootstrap``), so ``n_jobs`` changes neither its work nor its report;
-    only ``run_experiment`` spreads sims over processes. The tightening
-    parameter is sqrt(log(M)/M) with M the per-menu-path sample size (the
-    smallest one when paths differ). Rows are scaled by estimated inverse
-    binomial variances.
+    ``_bootstrap``); only ``run_experiment`` spreads sims over processes. The
+    tightening parameter is sqrt(log(M)/M) with M the per-menu-path sample
+    size (the smallest one when paths differ). Rows are scaled by estimated
+    inverse binomial variances.
 
-    On a wide matrix every replicate drawn is bracketed by a certified
-    interval [lo, up] on its J* (``_intervals``), on either route, from the
-    faces that the point and recentring projections and the earlier
-    rounds' projections found. Only a replicate whose interval straddles the
-    statistic is projected. The full bootstrap (``critical_value=True``)
-    then also projects those that could hold the critical value's rank,
-    until that order statistic is an exactly solved J*. The replicates left
-    to their intervals are counted in ``bounded_replicates``.
-    ``nnls_solves`` less 2, the screened, the curtailed and the bounded
-    replicates add up to ``reps`` on either route.
+    Every replicate drawn is bracketed by a certified interval [lo, up] on
+    its J* (``_intervals``), on either route, from the faces that the point
+    and recentring projections and the earlier rounds' projections found.
+    Only a replicate whose interval straddles the statistic is projected,
+    down the working-set ladder of ``_project``. The full bootstrap
+    (``critical_value=True``) then also projects those that could hold the
+    critical value's rank, until that order statistic is an exactly solved
+    J*. The replicates left to their intervals are counted in
+    ``bounded_replicates``. ``nnls_solves`` less 2, the screened, the
+    curtailed and the bounded replicates add up to ``reps`` on either
+    route.
 
     ``critical_value=False`` asks for the verdict and the p-value only, and
     the report's critical value is NaN. The bootstrap then first skips,
@@ -77,7 +76,6 @@ class TestConfig:
     reps: int = 999
     alpha: float = 0.05
     seed: int = 0
-    n_jobs: int = 1
     critical_value: bool = True
 
     def __post_init__(self):
@@ -111,20 +109,19 @@ class TestReport:
 
 
 @dataclass(frozen=True)
-class IntervalStage:
-    """What the interval stage of a bootstrap on a wide matrix shares (see
-    ``_intervals``): an orthonormal ``basis`` of range(WA); a ``dual`` vector
-    v with WA^T v = 1 (1/sqrt_w on the first row block: every type column has
-    one 1 in each block); and the ``faces`` found so far, distinct nonempty
-    projection supports S (one boolean row each), with per face ``sub`` =
-    WA[:, S] and the ``inverse`` of its Gram matrix, zero-padded to the
-    widest face and stacked."""
+class Faces:
+    """The faces a test's projections have found so far: distinct nonempty
+    projection supports S (one boolean row each in ``supports``), with per
+    face ``sub`` = WA[:, S] and the ``inverse`` of its Gram matrix,
+    zero-padded to the widest face and stacked (read by ``_intervals``); and
+    the working set ``columns``, their union, with its matrix ``working`` =
+    WA[:, columns] (read by ``_project``)."""
 
-    basis: np.ndarray
-    dual: np.ndarray
-    faces: np.ndarray
+    supports: np.ndarray
     sub: np.ndarray
     inverse: np.ndarray
+    columns: np.ndarray
+    working: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,10 @@ class BootstrapPlan:
     """What every bootstrap replicate of one test shares, built once per
     test; ``probs`` are the row blocks' multinomial probabilities. ``fit``,
     the recentring fit ``WA @ mu``, marks and screens the verdict-only route
-    and is None on the full one. On a wide matrix the plan carries the
-    ``interval`` stage, whose faces grow round by round, and the working set
-    ``columns``, the union of the faces, with its matrix ``sub =
-    WA[:, columns]``; all three stay None on a tall one."""
+    and is None on the full one. ``basis``, an orthonormal basis of
+    range(WA), and ``dual``, a vector v with WA^T v = 1, give the intervals'
+    lower bounds (``_intervals``); the ``faces`` grow round by round
+    (``_add_faces``)."""
 
     WA: np.ndarray
     sqrt_w: np.ndarray
@@ -148,9 +145,9 @@ class BootstrapPlan:
     probs: list
     statistic: float
     fit: np.ndarray | None
-    columns: np.ndarray | None = None
-    sub: np.ndarray | None = None
-    interval: IntervalStage | None = None
+    basis: np.ndarray
+    dual: np.ndarray
+    faces: Faces
 
 
 def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestReport:
@@ -164,9 +161,9 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     tightened cone (the parallel shift of the recentering point and the
     constraint set is what keeps the procedure valid at kinks); the p-value
     is (1 + #{J* >= J}) / (R + 1), or h/L for a verdict-only test curtailed
-    at its h-th hit (see ``TestConfig``). On a wide type matrix the
-    interval stage and the working set start from the supports of the point
-    and recentring projections and grow round by round (``_bootstrap``).
+    at its h-th hit (see ``TestConfig``). The faces, and with them the
+    intervals and the working set, start from the supports of the point and
+    recentring projections and grow round by round (``_bootstrap``).
     """
     if not rho.counts:
         raise SchemaError("the test needs per-menu-path sample sizes")
@@ -216,17 +213,15 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
                          [_normalized(vec[start:stop]) for _, start, stop in blocks], statistic,
                          # mu >= 0 is feasible for every replicate's projection, so the
                          # residual at the recentring fit WA mu bounds each J* from above
-                         None if config.critical_value else WA @ mu)
-    if WA.shape[1] > WA.shape[0]:
-        # a wide matrix has far more columns than any projection uses; the
-        # supports of the two projections are the first faces
-        plan = _add_faces(replace(plan, interval=_interval_stage(plan, A.range_basis)),
-                          np.column_stack([x_point > 0, mu > 0]))
+                         None if config.critical_value else WA @ mu,
+                         *_range_and_dual(sqrt_w, blocks, A.range_basis), _no_faces(WA))
+    # the supports of the two projections are the first faces
+    plan = _add_faces(plan, np.column_stack([x_point > 0, mu > 0]))
     stop = None if config.critical_value else _stop_count(config.reps, config.alpha)
     out, plan = _bootstrap(plan, config.seed, config.reps, stop)
     # rank of the critical value among the sorted J*
     rank = min(int(np.ceil((1 - config.alpha) * (config.reps + 1))) - 1, config.reps - 1)
-    if config.critical_value and plan.interval is not None:
+    if config.critical_value:
         _exact_order_statistic(plan, config.seed, out, rank)
     # rows: J* per drawn replicate (its certified lower bound when its
     # interval decided it), its projection's KKT residual, its route and an
@@ -252,7 +247,7 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
                        "curtailed_replicates": config.reps - drawn,
                        "critical_value_computed": bool(config.critical_value),
                        "kkt_residual_max": kkt,
-                       "working_set_columns": 0 if plan.columns is None else len(plan.columns),
+                       "working_set_columns": len(plan.faces.columns),
                        "working_set_certified": int(np.sum(route == WORKING_SET)),
                        "working_set_full_solves": int(np.sum(route == FULL_AGAIN)),
                        "working_set_bounded": int(np.sum(route == BOUNDED))})
@@ -274,20 +269,15 @@ def _bootstrap(plan, seed, reps, stop):
     Replicates are drawn in seed-order rounds. With ``stop``, a round holds
     ``stop`` minus the hits so far (J* >= statistic), and drawing ends when
     the hits reach ``stop``, which can only happen on a round's last
-    replicate. Without it every replicate is drawn: in rounds of
-    ``ROUND`` on a wide matrix, in one round on a tall one. After each round
-    the supports of its projections join the interval stage's faces and the
+    replicate. Without it every replicate is drawn, in rounds of ``ROUND``.
+    After each round the supports of its projections join the faces and the
     working set (``_add_faces``), so round boundaries, and with them the
     report, depend on seed order and hits alone. Every round runs in the
     calling process: one holds too few replicates to pay for starting a
     pool."""
     results, drawn, hits = [], 0, 0
     while drawn < reps and hits != stop:
-        if stop is not None:
-            size = stop - hits
-        else:
-            size = reps if plan.interval is None else ROUND
-        end = min(reps, drawn + size)
+        end = min(reps, drawn + (ROUND if stop is None else stop - hits))
         out, supports = _bootstrap_chunk(plan, _seeds(seed, range(drawn, end)))
         results.append(out)
         plan = _add_faces(plan, supports)
@@ -301,17 +291,6 @@ def _seeds(seed, indices):
     of ``SeedSequence(seed).spawn(reps)`` is ``SeedSequence(seed,
     spawn_key=(i,))``, so a curtailed test builds only those it draws."""
     return [np.random.SeedSequence(seed, spawn_key=(int(i),)) for i in indices]
-
-
-def chunked_map(fn, items, n_jobs: int) -> list:
-    """``fn`` of contiguous chunks of ``items``, one chunk per worker process,
-    in chunk order; one call on all items when ``n_jobs`` is at most 1."""
-    if n_jobs <= 1:
-        return [fn(items)]
-    chunks = [chunk for chunk in np.array_split(np.arange(len(items)), n_jobs) if len(chunk)]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [pool.submit(fn, [items[i] for i in chunk]) for chunk in chunks]
-        return [f.result() for f in futures]
 
 
 def _below(bound, statistic):
@@ -330,12 +309,11 @@ def _bootstrap_chunk(plan, seeds):
     With the plan's recentring ``fit``, a replicate whose upper bound
     N * ||b - fit||^2 falls below the statistic by more than the float
     margins is not projected, and its entries are NaN; it could not have
-    counted toward the p-value. With the plan's ``interval`` stage, a
-    replicate left by that screen whose certified interval [lo, up] lies on
-    one side of the statistic by those margins is not projected either: its
-    route is INTERVAL, its J* entry holds lo and its KKT entry is NaN. Every
-    replicate draws from its own seed either way, and all draws come first,
-    so the bounds take one pass.
+    counted toward the p-value. A replicate left by that screen whose
+    certified interval [lo, up] lies on one side of the statistic by those
+    margins is not projected either: its route is INTERVAL, its J* entry
+    holds lo and its KKT entry is NaN. Every replicate draws from its own
+    seed either way, and all draws come first, so the bounds take one pass.
     """
     B = _draws(plan, seeds)
     out = np.full((4, len(seeds)), np.nan)
@@ -343,12 +321,11 @@ def _bootstrap_chunk(plan, seeds):
     if plan.fit is not None:
         R = B - plan.fit
         todo = np.flatnonzero(~_below(plan.N * np.einsum("ij,ij->i", R, R), plan.statistic))
-    if plan.interval is not None and len(todo):
-        lo, up = _intervals(plan, B[todo], plan.statistic)
-        decided = _below(up, plan.statistic) | _below(plan.statistic, lo)
-        rows = todo[decided]
-        out[0, rows], out[2, rows], out[3, rows] = lo[decided], INTERVAL, up[decided]
-        todo = todo[~decided]
+    lo, up = _intervals(plan, B[todo], plan.statistic)
+    decided = _below(up, plan.statistic) | _below(plan.statistic, lo)
+    rows = todo[decided]
+    out[0, rows], out[2, rows], out[3, rows] = lo[decided], INTERVAL, up[decided]
+    todo = todo[~decided]
     supports = np.zeros((plan.WA.shape[1], len(seeds)), dtype=bool)
     if len(todo):
         X, rnorm, out[1, todo], out[2, todo] = _project(plan, B[todo])
@@ -372,30 +349,34 @@ def _draws(plan, seeds):
     return plan.sqrt_w * (draws / sizes - plan.vec + plan.eta - plan.shift)
 
 
-def _interval_stage(plan, range_basis):
-    """The interval stage of a test on a wide matrix, still without faces:
-    ``range_basis``, an orthonormal basis of range(A) shared by every test
-    on the type matrix A, turns into one of range(WA) = diag(sqrt_w)
-    range(A) by one QR."""
-    basis, _ = np.linalg.qr(plan.sqrt_w[:, None] * range_basis)
-    dual = np.zeros(len(plan.WA))
-    _, start, stop = plan.blocks[0]
-    dual[start:stop] = 1.0 / plan.sqrt_w[start:stop]
-    rows, cols = plan.WA.shape
-    return IntervalStage(basis, dual, np.zeros((0, cols), dtype=bool), np.zeros((0, rows, 0)),
-                         np.zeros((0, 0, 0)))
+def _range_and_dual(sqrt_w, blocks, range_basis):
+    """An orthonormal basis of range(WA) = diag(sqrt_w) range(A), by one QR
+    of ``range_basis``, an orthonormal basis of range(A) shared by every
+    test on the type matrix A; and a dual vector v with WA^T v = 1:
+    1/sqrt_w on the first row block, where every type column has one 1."""
+    basis, _ = np.linalg.qr(sqrt_w[:, None] * range_basis)
+    dual = np.zeros(len(sqrt_w))
+    _, start, stop = blocks[0]
+    dual[start:stop] = 1.0 / sqrt_w[start:stop]
+    return basis, dual
+
+
+def _no_faces(WA):
+    """The faces of a test before any projection: none, and an empty
+    working set."""
+    rows, cols = WA.shape
+    return Faces(np.zeros((0, cols), dtype=bool), np.zeros((0, rows, 0)), np.zeros((0, 0, 0)),
+                 np.zeros(0, dtype=int), WA[:, :0])
 
 
 def _add_faces(plan, supports):
     """The plan with the nonempty ``supports`` (one boolean column per
-    projection) that its interval stage lacks added as faces, and its
-    working set made their union; the plan itself when it has no stage or
-    no support is new. Only the new faces' inverse Gram matrices are
-    computed; the stacks are padded to the widest face."""
-    stage = plan.interval
-    if stage is None:
-        return plan
-    known = set(map(bytes, np.packbits(stage.faces, axis=1)))
+    projection) that its faces lack added as faces, and its working set made
+    their union; the plan itself when no support is new. Only the new faces'
+    inverse Gram matrices are computed; the stacks are padded to the widest
+    face."""
+    faces = plan.faces
+    known = set(map(bytes, np.packbits(faces.supports, axis=1)))
     keys = [key for key in dict.fromkeys(map(bytes, np.packbits(supports.T, axis=1)))
             if key not in known and any(key)]
     if not keys:
@@ -404,7 +385,7 @@ def _add_faces(plan, supports):
     new = np.unpackbits(np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), -1),
                         axis=1, count=WA.shape[1]).astype(bool)
     sizes = new.sum(axis=1)
-    width = max(stage.sub.shape[2], int(sizes.max()))
+    width = max(faces.sub.shape[2], int(sizes.max()))
     sub = np.zeros((len(new), len(WA), width))
     for f, face in enumerate(new):
         sub[f, :, :sizes[f]] = WA[:, face]
@@ -420,11 +401,10 @@ def _add_faces(plan, supports):
         inverse = np.linalg.inv(padded)
     except np.linalg.LinAlgError:
         inverse = np.linalg.pinv(gram, hermitian=True)
-    faces = np.vstack([stage.faces, new])
-    stage = replace(stage, faces=faces, sub=_stacked(stage.sub, sub),
-                    inverse=_stacked(stage.inverse, inverse))
-    columns = np.flatnonzero(faces.any(axis=0))
-    return replace(plan, interval=stage, columns=columns, sub=WA[:, columns])
+    supports = np.vstack([faces.supports, new])
+    columns = np.flatnonzero(supports.any(axis=0))
+    return replace(plan, faces=Faces(supports, _stacked(faces.sub, sub),
+                                     _stacked(faces.inverse, inverse), columns, WA[:, columns]))
 
 
 def _stacked(old, new):
@@ -442,9 +422,9 @@ def _intervals(plan, B, statistic=None):
 
     lo, by weak duality: for y with WA^T y <= 0 and every x >= 0,
     ||b - WA x|| ||y|| >= y^T (b - WA x) >= b^T y, so J* >= N (b^T y)^2 /
-    ||y||^2 when b^T y > 0. y is b less its projection onto range(WA), made
-    dual-feasible against rounding by subtracting max(0, max WA^T y) times
-    the plan's dual vector.
+    ||y||^2 when b^T y > 0. y is b less its projection onto range(WA) (the
+    plan's ``basis``), made dual-feasible against rounding by subtracting
+    max(0, max WA^T y) times the plan's ``dual`` vector.
 
     up, N ||b - WA x||^2 at a feasible x >= 0: per face S, a group of
     faces at a time, the clipped least-squares point max(pinv(WA_S) b, 0),
@@ -455,20 +435,20 @@ def _intervals(plan, B, statistic=None):
     (``_held_at_zero``), twice, the second time also holding the columns
     the first left at or below 0, and keeps the best residual. Any x >= 0
     bounds J*, however inexact the solve."""
-    stage, N, n = plan.interval, plan.N, len(B)
-    Y = B - (B @ stage.basis) @ stage.basis.T
-    Y -= np.maximum(0.0, (Y @ plan.WA).max(axis=1))[:, None] * stage.dual
+    faces, N, n = plan.faces, plan.N, len(B)
+    Y = B - (B @ plan.basis) @ plan.basis.T
+    Y -= np.maximum(0.0, (Y @ plan.WA).max(axis=1))[:, None] * plan.dual
     by, yy = np.einsum("ij,ij->i", B, Y), np.einsum("ij,ij->i", Y, Y)
     lo = N * np.divide(by * by, yy, out=np.zeros(n), where=by > 0)
 
-    if not len(stage.faces):
+    if not len(faces.supports):
         return lo, N * np.einsum("ij,ij->i", B, B)
     best, face = np.full(n, np.inf), np.zeros(n, dtype=int)
-    free = np.zeros((n, stage.sub.shape[2]))
+    free = np.zeros((n, faces.sub.shape[2]))
     # a few faces at a time bounds the face-by-replicate stacks alive
-    for first in range(0, len(stage.faces), FACE_GROUP):
-        sub = stage.sub[first:first + FACE_GROUP]
-        P = stage.inverse[first:first + FACE_GROUP] @ (sub.transpose(0, 2, 1) @ B.T)
+    for first in range(0, len(faces.supports), FACE_GROUP):
+        sub = faces.sub[first:first + FACE_GROUP]
+        P = faces.inverse[first:first + FACE_GROUP] @ (sub.transpose(0, 2, 1) @ B.T)
         R = sub @ np.maximum(P, 0.0)
         R -= B.T
         res = np.einsum("frn,frn->fn", R, R)
@@ -481,15 +461,15 @@ def _intervals(plan, B, statistic=None):
         rows = np.flatnonzero(~_below(N * best, statistic) & ~_below(statistic, lo))
     if len(rows):
         f, free = face[rows], free[rows]
-        real = np.arange(free.shape[1]) < stage.faces[f].sum(axis=1)[:, None]
+        real = np.arange(free.shape[1]) < faces.supports[f].sum(axis=1)[:, None]
         drop = (free <= 0) & real
         for _ in range(2):
-            x = _held_at_zero(stage.inverse, f, free, drop)
+            x = _held_at_zero(faces.inverse, f, free, drop)
             if x is None:
                 break  # a face of dependent columns: keep the clipped points
             # the face's entries, in column order, into all columns
             full = np.zeros((len(rows), plan.WA.shape[1]))
-            full[stage.faces[f]] = np.maximum(x, 0.0)[real]
+            full[faces.supports[f]] = np.maximum(x, 0.0)[real]
             R = B[rows] - full @ plan.WA.T
             # fmin: a rough inverse may give NaN, which bounds nothing
             best[rows] = np.fmin(best[rows], np.einsum("ij,ij->i", R, R))
@@ -556,42 +536,39 @@ def _project(plan, B):
     all certified on the full matrix: (solutions, one per column; residual
     norms; KKT residuals; routes).
 
-    With a working set, the problems are taken in turn. Each is solved on
-    the working set's columns alone and its solution embedded in all
-    columns. One whose KKT conditions hold on the full matrix is its
-    optimum (Lawson and Hanson's active-set argument); one that fails them,
-    or whose sub-solve raises, is solved again on the full matrix, and that
-    solution's support joins the working set of the problems after it.
-    ``certify_nnls``'s bvls re-solve stays the last resort.
+    The problems are taken in turn. Each is solved on the columns of the
+    plan's working set alone and its solution embedded in all columns. One
+    whose KKT conditions hold on the full matrix is its optimum (Lawson and
+    Hanson's active-set argument); one that fails them, or whose sub-solve
+    raises, is solved again on the full matrix, and that solution's support
+    joins the working set of the problems after it. ``certify_nnls``'s
+    bvls re-solve stays the last resort.
 
     A working-set point that fails the certificate is still feasible, so its
     squared residual norm bounds the projection's from above. With the
     plan's ``fit``, a problem whose bound falls below the statistic
     (``_below``) is not solved again: its route is BOUNDED and its residual
     norm and KKT residual read NaN."""
-    WA, columns, sub = plan.WA, plan.columns, plan.sub
+    WA, columns, sub = plan.WA, plan.faces.columns, plan.faces.working
     X = np.zeros((WA.shape[1], len(B)))
     rnorm = np.full(len(B), np.nan)
-    route = np.full(len(B), FULL)
+    route = np.full(len(B), FULL_AGAIN)
     for k, b in enumerate(B):
-        if columns is not None:
-            route[k] = FULL_AGAIN
-            try:
-                X[columns, k], rnorm[k] = nnls_solve(sub, b)
-            except SolverError:
-                pass
-            else:
-                kkt, limit = _kkt_residual(WA, X[:, k], b, KKT_TOL)
-                if kkt <= limit:
-                    route[k] = WORKING_SET
-                    continue
-                if plan.fit is not None and _below(plan.N * rnorm[k] ** 2, plan.statistic):
-                    route[k] = BOUNDED
-                    continue
+        try:
+            X[columns, k], rnorm[k] = nnls_solve(sub, b)
+        except SolverError:
+            pass
+        else:
+            kkt, limit = _kkt_residual(WA, X[:, k], b, KKT_TOL)
+            if kkt <= limit:
+                route[k] = WORKING_SET
+                continue
+            if plan.fit is not None and _below(plan.N * rnorm[k] ** 2, plan.statistic):
+                route[k] = BOUNDED
+                continue
         X[:, k], rnorm[k] = nnls_solve(WA, b)
-        if columns is not None:
-            columns = np.union1d(columns, np.flatnonzero(X[:, k] > 0))
-            sub = WA[:, columns]
+        columns = np.union1d(columns, np.flatnonzero(X[:, k] > 0))
+        sub = WA[:, columns]
     kept = route != BOUNDED
     kkt = np.full(len(B), np.nan)
     X[:, kept], rnorm[kept], kkt[kept] = certify_nnls(WA, X[:, kept], B[kept].T, rnorm[kept])

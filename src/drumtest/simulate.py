@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import catalog
 from .errors import GeometryError, ParameterError
 from .geometry import ABOVE, compute_patches, demand_universe
-from .inference import TestConfig, chunked_map, run_test
+from .inference import TestConfig, run_test
 from .model import PanelDataset, estimate_rho
 from .representations import kron_dynamic, static_type_matrix
 
@@ -260,8 +261,8 @@ def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.nd
 
     Only verdicts are read, so the bootstrap skips the replicates that cannot
     reach the statistic, decides those whose certified interval lies on one
-    side of it without a solve on the wide binary matrices, stops once the
-    verdict is decided and computes no critical value."""
+    side of it without a solve, stops once the verdict is decided and
+    computes no critical value."""
     universe, _ = build_universe(dgp)
     A = type_matrix_for(dgp, universe)
     agents = agents_per_path_for(dgp, n)
@@ -278,14 +279,25 @@ def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.nd
     return out
 
 
+def chunked_map(fn, items, n_jobs: int) -> list:
+    """``fn`` of contiguous chunks of ``items``, one chunk per worker process,
+    in chunk order; one call on all items when ``n_jobs`` is at most 1."""
+    if n_jobs <= 1:
+        return [fn(items)]
+    chunks = [chunk for chunk in np.array_split(np.arange(len(items)), n_jobs) if len(chunk)]
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        futures = [pool.submit(fn, [items[i] for i in chunk]) for chunk in chunks]
+        return [f.result() for f in futures]
+
+
 def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
                    seed: int = 0, alpha: float = 0.05, n_jobs: int = 1) -> ExperimentReport:
     """Rejection rates of the cone test per generator and sample size.
 
     Each sim runs the verdict-only test (``TestConfig(critical_value=False)``):
     its bootstrap screens the replicates that cannot reach the statistic,
-    decides by certified interval those on a wide type matrix that lie on
-    one side of it, and stops drawing once ``alpha`` can no longer be met,
+    decides by certified interval those that lie on one side of it, and
+    stops drawing once ``alpha`` can no longer be met,
     so a sim that does not reject reports the curtailed p-value h/L. Its
     verdict and statistic are those of the full bootstrap, so the rejection
     rates are too. Each entry also sums the cell's NNLS solves, screened,

@@ -133,22 +133,21 @@ def solve_recorder(log):
 
 def full_bootstrap(rho, A, config):
     """``run_test`` with ``config`` but every replicate projected on the
-    full matrix (``critical_value=True`` without the interval stage, so
-    without faces or a working set, in one round): (its report, its J* in
-    seed order)."""
-    real, real_stage, seen = inference._bootstrap, inference._interval_stage, []
+    full matrix (``critical_value=True`` with ``reference_chunk`` for the
+    bootstrap chunk, so without screens, intervals or a working set): (its
+    report, its J* in seed order)."""
+    real_bootstrap, real_chunk, seen = inference._bootstrap, inference._bootstrap_chunk, []
 
     def recording(*args, **kwargs):
-        out, plan = real(*args, **kwargs)
+        out, plan = real_bootstrap(*args, **kwargs)
         seen.append(out[0])
         return out, plan
 
-    inference._bootstrap = recording
-    inference._interval_stage = lambda plan, range_basis: None
+    inference._bootstrap, inference._bootstrap_chunk = recording, reference_chunk
     try:
         report = inference.run_test(rho, A, dataclasses.replace(config, critical_value=True))
     finally:
-        inference._bootstrap, inference._interval_stage = real, real_stage
+        inference._bootstrap, inference._bootstrap_chunk = real_bootstrap, real_chunk
     return report, seen[0]
 
 
@@ -168,8 +167,8 @@ def reference_chunk(plan, seeds):
     """The bootstrap chunk before screening, certification, working sets and
     intervals: every replicate drawn from the plan's estimated distribution
     and projected by scipy's nnls on the full matrix, statistics only (the
-    KKT row is NaN, the route row reads FULL, the upper-bound row repeats
-    J*, and no supports are reported)."""
+    KKT row is NaN, the route row reads FULL_AGAIN, the upper-bound row
+    repeats J*, and no supports are reported)."""
     pvals = [inference._normalized(plan.vec[start:stop]) for _, start, stop in plan.blocks]
     out = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
@@ -180,6 +179,6 @@ def reference_chunk(plan, seeds):
         recentered = star - plan.vec + plan.eta
         _, rnorm = nnls(plan.WA, plan.sqrt_w * (recentered - plan.shift))
         out[i] = plan.N * (rnorm * rnorm)
-    route = np.full(len(seeds), inference.FULL)
+    route = np.full(len(seeds), inference.FULL_AGAIN)
     return (np.vstack([out, np.full(len(seeds), np.nan), route, out]),
             np.zeros((plan.WA.shape[1], len(seeds)), bool))

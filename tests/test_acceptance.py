@@ -309,9 +309,9 @@ class TestCriterion8ApplicationShape:
         for s in range(50):
             panel, _ = simulate(dgp, agents, seed=900_000 + s)
             rho = estimate_rho(panel, uni)
-            plain = run_test(rho, A, TestConfig(reps=199, seed=s, n_jobs=N_JOBS))
+            plain = run_test(rho, A, TestConfig(reps=199, seed=s))
             plain_no_reject += not plain.reject
-            eu = run_test_eu(rho, lotteries, TestConfig(reps=199, seed=s, n_jobs=N_JOBS))
+            eu = run_test_eu(rho, lotteries, TestConfig(reps=199, seed=s))
             eu_reject += eu.reject
         _report(8, plain_no_reject >= 45 and eu_reject >= 45,
                 f"cycle share {share:.3f}; no-reject {plain_no_reject}/50; "

@@ -1,5 +1,6 @@
 """Source hygiene: every import in the package modules is used, every
 module-level constant and every function of the package is read somewhere,
+every field of the package's input dataclasses is read by the package,
 every defaulted parameter of a private package function is passed
 somewhere, and dense Kronecker products are built only at the known
 sites."""
@@ -132,6 +133,56 @@ def test_scan_finds_an_unread_function():
     assert {"imported", "called", "used", "patched", "by_path"} <= read
     assert [name for _, name in _functions(source) if name not in read] == \
         ["dead", "waiting", "method", "test"]
+
+
+# the dataclasses through which callers configure the package
+INPUT_DATACLASSES = [("inference.py", "TestConfig"), ("simulate.py", "DgpSpec"),
+                     ("counterfactuals.py", "CounterfactualProblem")]
+
+
+def _fields(source: str, name: str) -> list:
+    """(line, field) of the annotated fields of the module-level class
+    ``name``."""
+    cls = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return [(node.lineno, node.target.id) for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def _attribute_reads(source: str) -> set:
+    """Attribute names the source loads, outside the bodies of the classes
+    of ``INPUT_DATACLASSES`` (a field read only by its own class's
+    validation changes nothing downstream)."""
+    own = {name for _, name in INPUT_DATACLASSES}
+    read = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name in own:
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                read.add(child.attr)
+            visit(child)
+
+    visit(ast.parse(source))
+    return read
+
+
+def test_every_input_field_is_read():
+    """A field that no package code reads is an option that does nothing."""
+    read = set().union(*(_attribute_reads(path.read_text()) for path in MODULES))
+    unread = [(module, line, f"{cls}.{name}") for module, cls in INPUT_DATACLASSES
+              for line, name in _fields((SRC / module).read_text(), cls) if name not in read]
+    assert unread == []
+
+
+def test_scan_finds_an_unread_field():
+    source = ("class TestConfig:\n    __test__ = False\n    reps: int = 9\n    jobs: int = 1\n"
+              "    seed: int = 0\n    def check(self):\n        return self.jobs + self.seed\n"
+              "def run(config):\n    config.seed = 1\n    return config.reps\n")
+    assert _fields(source, "TestConfig") == [(3, "reps"), (4, "jobs"), (5, "seed")]
+    assert {"reps"} <= _attribute_reads(source)
+    assert not {"jobs", "seed"} & _attribute_reads(source)
 
 
 def _private_defaults(source: str) -> list:

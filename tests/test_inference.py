@@ -1,5 +1,6 @@
 """Bootstrap cone-projection test and its expected-utility restriction."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -48,8 +49,8 @@ class TestRunTest:
         dgp = DgpSpec("binary3")
         panel, _ = simulate(dgp, 30, seed=5)
         rho = estimate_rho(panel, uni)
-        r1 = run_test(rho, A, TestConfig(reps=99, seed=11, n_jobs=1))
-        r2 = run_test(rho, A, TestConfig(reps=99, seed=11, n_jobs=2))
+        r1 = run_test(rho, A, TestConfig(reps=99, seed=11))
+        r2 = run_test(rho, A, TestConfig(reps=99, seed=11))
         assert r1.statistic == r2.statistic
         assert r1.p_value == r2.p_value
         assert r1.critical_value == r2.critical_value
@@ -122,10 +123,10 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     SeedSequence((5, 0)), bootstrap seed 5052) gets a full-matrix nnls point
     that fails its KKT check on the rank-deficient 48x216 matrix. It still
     ends with a passing certificate and bvls's J*; every other replicate
-    keeps scipy's nnls statistic bit for bit. The interval stage is left
-    out, and with it the faces and the working set, so that every replicate
-    is solved on the full matrix in one round; with it, replicate 37 is
-    decided by its interval without a solve."""
+    keeps scipy's nnls statistic bit for bit. ``_project`` is driven with
+    the test's plan and a working set of every column, so that every
+    replicate is solved on the full matrix; in the test itself replicate 37
+    is decided by its interval without a solve."""
     uni, A = binary_app
     orders = list(itertools.permutations(("l1", "l2", "l3")))
     rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
@@ -141,16 +142,22 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
 
     chunk = inference._bootstrap_chunk
     monkeypatch.setattr(inference, "_bootstrap_chunk", recording)
-    monkeypatch.setattr(inference, "_interval_stage", lambda plan, range_basis: None)
     report = run_test(rho, A, TestConfig(reps=199, alpha=0.05, seed=5052))
-    assert [len(seeds) for _, seeds, _ in chunks] == [199]
+    seeds = [seed for _, chunk_seeds, _ in chunks for seed in chunk_seeds]
+    assert len(seeds) == 199
+    tested = np.concatenate([out for _, _, (out, _) in chunks], axis=1)
+    assert tested[2, 37] == inference.INTERVAL
+    assert report.diagnostics["kkt_residual_max"] <= 1e-8
+
     plan = chunks[0][0]
     WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
     blocks, counts, N = plan.blocks, plan.counts, plan.N
+    every = dataclasses.replace(plan.faces, columns=np.arange(WA.shape[1]), working=WA)
+    _, rnorm, kkt, route = inference._project(dataclasses.replace(plan, faces=every),
+                                              inference._draws(plan, seeds))
+    stats = N * (rnorm * rnorm)
     pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     failed = []
-    seeds = [seed for _, chunk_seeds, _ in chunks for seed in chunk_seeds]
-    stats, _, route, _ = np.concatenate([out for _, _, (out, _) in chunks], axis=1)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         star = np.empty_like(vec)
@@ -159,19 +166,20 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
         b = sqrt_w * (star - vec + eta - shift)
         x, rnorm = nnls(WA, b)
         limit = KKT_TOL * max(1.0, np.abs(b).max()) * 100
-        assert route[i] == inference.FULL
+        assert kkt[i] <= limit
         if _kkt(WA, x, b) <= limit:
+            assert route[i] == inference.WORKING_SET
             assert stats[i] == N * (rnorm * rnorm)
             continue
         failed.append(i)
+        # off its KKT conditions on every column, so solved again on the
+        # full matrix and then by bvls
+        assert route[i] == inference.FULL_AGAIN
         x = lsq_linear(WA, b, bounds=(0, np.inf), method="bvls").x
         assert _kkt(WA, x, b) <= limit
         assert stats[i] == pytest.approx(N * np.linalg.norm(WA @ x - b) ** 2, rel=1e-12)
         assert stats[i] == pytest.approx(11.77, abs=0.01)
     assert failed == [37]
-    assert report.diagnostics["working_set_certified"] == 0
-    assert report.diagnostics["kkt_residual_max"] <= 1e-8
-    assert report.diagnostics["nnls_solves"] == 201
 
 
 def test_replicate_seeds_are_the_spawned_children():

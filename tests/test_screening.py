@@ -4,7 +4,7 @@ statistic and stops drawing once the verdict is decided. The statistic and
 the verdict stay those of the full bootstrap, and the p-value is the
 curtailed one read off the full bootstrap's J* sequence."""
 
-import dataclasses
+import concurrent.futures
 import importlib
 import itertools
 import json
@@ -104,15 +104,14 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
             rho, A = _rho_and_A(dgp, n, 10 + seed)
             run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
     for plan, seeds, out in calls:
-        bare = dataclasses.replace(plan, fit=None, interval=None, columns=None, sub=None)
-        full, _ = real(bare, seeds)
+        full, _ = reference_chunk(plan, seeds)
         # screened, or decided below the statistic by a working-set point
         gone = np.isnan(out[0])
         skipped += int(gone.sum())
         assert np.all(full[0][gone] < plan.statistic - 1e-12)
         decided = out[2] == inference.INTERVAL
         assert np.array_equal(np.isnan(out[1]), gone | decided)
-        solved = np.isin(out[2], [inference.FULL, inference.FULL_AGAIN])
+        solved = out[2] == inference.FULL_AGAIN
         assert full[0][solved].tobytes() == out[0][solved].tobytes()
         certified = out[2] == inference.WORKING_SET
         assert np.allclose(out[0][certified], full[0][certified], rtol=1e-12, atol=0)
@@ -120,40 +119,38 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
         hit = out[0][decided] >= plan.statistic - 1e-12
         assert np.array_equal(full[0][decided] >= plan.statistic - 1e-12, hit)
     assert skipped > 0
-    assert any(plan.columns is not None for plan, _, _ in calls)
+    assert all(len(plan.faces.columns) for plan, _, _ in calls)
 
 
 def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
-    """The plan has no screening fit; on the wide binary matrix every round
-    of ROUND replicates, the last one short, runs with a working set."""
+    """The plan has no screening fit; on the wide binary matrix and on a tall
+    demand one every round of ROUND replicates, the last one short, runs
+    with a working set."""
     seen = []
     real = inference._bootstrap_chunk
 
     def spy(plan, seeds):
-        seen.append((len(seeds), plan.fit is None, plan.columns is None, plan.sub is None))
+        seen.append((len(seeds), plan.fit is None, len(plan.faces.columns) > 0))
         return real(plan, seeds)
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
-    rho, A = _rho_and_A(DgpSpec("binary1"), 10, 0)
-    run_test(rho, A, TestConfig(reps=2 * inference.ROUND + 20, seed=0))
-    assert seen == [(inference.ROUND, True, False, False)] * 2 + [(20, True, False, False)]
+    for kind in ("binary1", "cobb-douglas-walk"):
+        seen.clear()
+        rho, A = _rho_and_A(DgpSpec(kind), 10, 0)
+        run_test(rho, A, TestConfig(reps=2 * inference.ROUND + 20, seed=0))
+        assert seen == [(inference.ROUND, True, True)] * 2 + [(20, True, True)]
 
 
 @pytest.mark.parametrize("critical_value", [True, False])
 def test_deterministic_across_workers(critical_value):
     rho, A = _rho_and_A(DgpSpec("binary1"), 10, 3)
-    reports = [run_test(rho, A, TestConfig(reps=99, seed=4, n_jobs=jobs,
-                                           critical_value=critical_value))
-               for jobs in (1, 2)]
-    one, two = reports
+    one, two = [run_test(rho, A, TestConfig(reps=99, seed=4, critical_value=critical_value))
+                for _ in range(2)]
     _same_verdict(one, two)
     assert one.critical_value == two.critical_value or (
         math.isnan(one.critical_value) and math.isnan(two.critical_value))
-    # the KKT residuals are certified per chunk, so they may differ in the
-    # last bits between chunkings; they stay far below the tolerance
-    kkt = [r.diagnostics.pop("kkt_residual_max") for r in reports]
-    assert max(kkt) < 1e-8
     assert one.diagnostics == two.diagnostics
+    assert one.diagnostics["kkt_residual_max"] < 1e-8
 
 
 def _refused_pool(max_workers):
@@ -162,13 +159,13 @@ def _refused_pool(max_workers):
 
 def test_verdict_only_rounds_run_in_process(monkeypatch):
     """A verdict-only round holds at most h replicates, too few to pay for a
-    pool: with two jobs the test opens none and reports what it does with
-    one, KKT residuals included."""
+    pool: the test opens none, and the inference module imports no pool."""
     rho, A = _rho_and_A(DgpSpec("binary1"), 10, 3)
     config = TestConfig(reps=99, seed=4, critical_value=False)
     one = run_test(rho, A, config)
-    monkeypatch.setattr(inference, "ProcessPoolExecutor", _refused_pool)
-    two = run_test(rho, A, dataclasses.replace(config, n_jobs=2))
+    assert not hasattr(inference, "ProcessPoolExecutor")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refused_pool)
+    two = run_test(rho, A, config)
     _same_verdict(one, two)
     assert math.isnan(one.critical_value) and math.isnan(two.critical_value)
     assert one.diagnostics == two.diagnostics
@@ -179,13 +176,13 @@ def test_verdict_only_rounds_run_in_process(monkeypatch):
 
 def test_full_bootstrap_rounds_run_in_process(monkeypatch):
     """The full bootstrap's rounds and its order-statistic solves run here
-    too: with two jobs the test opens no pool and reports what it does with
-    one, critical value included."""
+    too: the test opens no pool and reports what it does without the
+    refusal, critical value included."""
     rho, A = _rho_and_A(DgpSpec("binary3"), 40, 0)
     config = TestConfig(reps=2 * inference.ROUND + 9, seed=0)
     one = run_test(rho, A, config)
-    monkeypatch.setattr(inference, "ProcessPoolExecutor", _refused_pool)
-    two = run_test(rho, A, dataclasses.replace(config, n_jobs=2))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refused_pool)
+    two = run_test(rho, A, config)
     _same_verdict(one, two)
     assert one.critical_value == two.critical_value
     assert one.diagnostics == two.diagnostics

@@ -1,8 +1,8 @@
-"""Working-set projections of the bootstrap: on a wide type matrix each
-projected replicate is solved on the working set, the union of the supports
-found so far, certified on the full matrix and solved again there when the
-certificate fails. J* is the full projection's up to rounding, so p-values
-and verdicts do not move."""
+"""Working-set projections of the bootstrap: each projected replicate is
+solved on the working set, the union of the supports found so far,
+certified on the full matrix and solved again there when the certificate
+fails. J* is the full projection's up to rounding, so p-values and verdicts
+do not move."""
 
 import dataclasses
 import math
@@ -43,8 +43,9 @@ def _plan(WA, columns, statistic=None):
     whose working-set bounds are held to that statistic."""
     unread = dict.fromkeys(f.name for f in dataclasses.fields(inference.BootstrapPlan))
     fit = None if statistic is None else np.zeros(len(WA))
+    faces = dataclasses.replace(inference._no_faces(WA), columns=columns, working=WA[:, columns])
     return inference.BootstrapPlan(**{**unread, "WA": WA, "N": 1, "statistic": statistic,
-                                      "fit": fit, "columns": columns, "sub": WA[:, columns]})
+                                      "fit": fit, "faces": faces})
 
 
 def _problem(dense, seed, noise):
@@ -131,9 +132,9 @@ def test_a_matrix_without_columns_has_the_zero_solution():
 
 def _frozen_bootstrap_chunk(plan, seeds):
     """The bootstrap chunk before working sets, changed only in its
-    signature and its return: the plan's working set and interval stage are
-    ignored, every replicate is solved on the full matrix, its route row
-    reads FULL, an upper-bound row repeats J*, and the supports come one
+    signature and its return: the plan's faces and working set are ignored,
+    every replicate is solved on the full matrix, its route row reads
+    FULL_AGAIN, an upper-bound row repeats J*, and the supports come one
     column per replicate."""
     WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
     blocks, counts, N = plan.blocks, plan.counts, plan.N
@@ -158,7 +159,7 @@ def _frozen_bootstrap_chunk(plan, seeds):
         X[k], rnorm[k] = nnls_solve(WA, B[i])
     X, rnorm, out[1, todo] = certify_nnls(WA, X.T, B[todo].T, rnorm)
     out[0, todo] = out[3, todo] = N * (rnorm * rnorm)
-    out[2, todo] = inference.FULL
+    out[2, todo] = inference.FULL_AGAIN
     supports = np.zeros((WA.shape[1], len(seeds)), dtype=bool)
     supports[:, todo] = X > 0
     return out, supports
@@ -172,7 +173,6 @@ TABLE_DGPS = [("cobb-douglas-walk", 500), ("cobb-douglas-gaussian-copula", 500),
 @pytest.mark.parametrize("kind,n", TABLE_DGPS, ids=[kind for kind, _ in TABLE_DGPS])
 @pytest.mark.parametrize("critical_value", [True, False])
 def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, monkeypatch):
-    wide = kind.startswith("binary")
     for seed in range(2):
         rho, A = _rho_and_A(DgpSpec(kind), n, 20 + seed)
         config = TestConfig(reps=199, seed=seed, critical_value=critical_value)
@@ -197,35 +197,25 @@ def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, m
         else:
             assert math.isnan(routed.critical_value) and math.isnan(frozen.critical_value)
         diagnostics = routed.diagnostics
-        if wide:
-            # the two projections' supports seed the working set
-            assert diagnostics["working_set_columns"] > 0
-        else:
-            assert routed.critical_value == frozen.critical_value or not critical_value
-            assert diagnostics["working_set_columns"] == 0
-            assert diagnostics["working_set_certified"] == 0
-            assert diagnostics["working_set_full_solves"] == 0
-        # on a wide matrix every drawn replicate is screened, decided by its
-        # interval, or projected: certified on the working set, solved again
-        # on the full matrix, or bounded by its working-set point
+        # the two projections' supports seed the working set
+        assert diagnostics["working_set_columns"] > 0
+        # every drawn replicate is screened, decided by its interval, or
+        # projected: certified on the working set, solved again on the full
+        # matrix, or bounded by its working-set point
         projected = diagnostics["working_set_certified"] + \
             diagnostics["working_set_full_solves"] + diagnostics["working_set_bounded"]
         assert projected <= diagnostics["nnls_solves"] - 2
-        if wide:
-            assert projected + diagnostics["bounded_replicates"] + \
-                diagnostics["screened_replicates"] + diagnostics["curtailed_replicates"] == 199
-        else:
-            assert diagnostics["bounded_replicates"] == 0
+        assert projected + diagnostics["bounded_replicates"] + \
+            diagnostics["screened_replicates"] + diagnostics["curtailed_replicates"] == 199
 
 
 def test_experiment_cells_sum_the_working_set_routes():
     report = run_experiment([DgpSpec("binary3"), DgpSpec("cobb-douglas-walk")], [20],
                             sims=2, reps=29, seed=1)
-    binary, walk = report.entries
-    assert binary["working_set_certified"] > 0
-    assert binary["working_set_certified"] + binary["working_set_full_solves"] <= \
-        binary["nnls_solves"] - 2 * 2
-    assert walk["working_set_certified"] == walk["working_set_full_solves"] == 0
+    for cell in report.entries:
+        assert cell["working_set_certified"] > 0
+        assert cell["working_set_certified"] + cell["working_set_full_solves"] <= \
+            cell["nnls_solves"] - 2 * 2
     assert report.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
 
 

@@ -17,7 +17,7 @@ from .representations import (InequalityMatrix, LinearOrder, ProjectionOperator,
                               TypeMatrix, bm_matrix, build_static_A, catalog_H,
                               drum_bm_values, enumerate_orders, kron_dynamic,
                               kron_inequalities, projection_ops, reduce_H, reduce_star)
-from .simulate import DgpSpec, ExperimentReport, run_experiment, simulate
+from .simulate import DgpSpec, ExperimentReport, run_experiment
 
 __version__ = "0.1.0"
 

@@ -218,11 +218,11 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     # the supports of the two projections are the first faces
     plan = _add_faces(plan, np.column_stack([x_point > 0, mu > 0]))
     stop = None if config.critical_value else _stop_count(config.reps, config.alpha)
-    out, plan = _bootstrap(plan, config.seed, config.reps, stop)
+    out, plan, B = _bootstrap(plan, config.seed, config.reps, stop)
     # rank of the critical value among the sorted J*
     rank = min(int(np.ceil((1 - config.alpha) * (config.reps + 1))) - 1, config.reps - 1)
     if config.critical_value:
-        _exact_order_statistic(plan, config.seed, out, rank)
+        _exact_order_statistic(plan, B, out, rank)
     # rows: J* per drawn replicate (its certified lower bound when its
     # interval decided it), its projection's KKT residual, its route and an
     # upper bound on J*; NaN marks a screened replicate, and a bounded one in
@@ -264,7 +264,8 @@ def _stop_count(reps: int, alpha: float):
 
 def _bootstrap(plan, seed, reps, stop):
     """The rows of ``_bootstrap_chunk`` for the replicates drawn, in seed
-    order, and the plan with the faces their projections found.
+    order; the plan with the faces their projections found; and the rows of
+    ``_draws`` that those replicates were drawn as, each drawn once.
 
     Replicates are drawn in seed-order rounds. With ``stop``, a round holds
     ``stop`` minus the hits so far (J* >= statistic), and drawing ends when
@@ -272,18 +273,18 @@ def _bootstrap(plan, seed, reps, stop):
     replicate. Without it every replicate is drawn, in rounds of ``ROUND``.
     After each round the supports of its projections join the faces and the
     working set (``_add_faces``), so round boundaries, and with them the
-    report, depend on seed order and hits alone. Every round runs in the
-    calling process: one holds too few replicates to pay for starting a
-    pool."""
-    results, drawn, hits = [], 0, 0
+    report, depend on seed order and hits alone. Rounds run in the calling
+    process: one holds too few replicates to pay for starting a pool."""
+    results, rows, drawn, hits = [], [], 0, 0
     while drawn < reps and hits != stop:
         end = min(reps, drawn + (ROUND if stop is None else stop - hits))
-        out, supports = _bootstrap_chunk(plan, _seeds(seed, range(drawn, end)))
+        rows.append(_draws(plan, _seeds(seed, range(drawn, end))))
+        out, supports = _bootstrap_chunk(plan, rows[-1])
         results.append(out)
         plan = _add_faces(plan, supports)
         hits += int(np.sum(out[0] >= plan.statistic - 1e-12))
         drawn = end
-    return np.concatenate(results, axis=1), plan
+    return np.concatenate(results, axis=1), plan, np.concatenate(rows)
 
 
 def _seeds(seed, indices):
@@ -299,12 +300,12 @@ def _below(bound, statistic):
     return bound * (1 + 1e-9) + 1e-12 < statistic - 1e-12
 
 
-def _bootstrap_chunk(plan, seeds):
-    """Bootstrap statistics J* for the given replicate seeds, with the KKT
-    residual and the route of each replicate's projection (see ``_project``)
-    and an upper bound on J*: a (4, len(seeds)) array; and the supports of
-    the projections, one boolean column per replicate (empty for one not
-    projected).
+def _bootstrap_chunk(plan, B):
+    """Bootstrap statistics J* for the replicates whose right-hand sides are
+    the rows of ``B`` (see ``_draws``), with the KKT residual and the route
+    of each replicate's projection (see ``_project``) and an upper bound on
+    J*: a (4, len(B)) array; and the supports of the projections, one
+    boolean column per replicate (empty for one not projected).
 
     With the plan's recentring ``fit``, a replicate whose upper bound
     N * ||b - fit||^2 falls below the statistic by more than the float
@@ -312,12 +313,11 @@ def _bootstrap_chunk(plan, seeds):
     counted toward the p-value. A replicate left by that screen whose
     certified interval [lo, up] lies on one side of the statistic by those
     margins is not projected either: its route is INTERVAL, its J* entry
-    holds lo and its KKT entry is NaN. Every replicate draws from its own
-    seed either way, and all draws come first, so the bounds take one pass.
+    holds lo and its KKT entry is NaN. The rows are all drawn before the
+    chunk, so the bounds take one pass.
     """
-    B = _draws(plan, seeds)
-    out = np.full((4, len(seeds)), np.nan)
-    todo = np.arange(len(seeds))
+    out = np.full((4, len(B)), np.nan)
+    todo = np.arange(len(B))
     if plan.fit is not None:
         R = B - plan.fit
         todo = np.flatnonzero(~_below(plan.N * np.einsum("ij,ij->i", R, R), plan.statistic))
@@ -326,7 +326,7 @@ def _bootstrap_chunk(plan, seeds):
     rows = todo[decided]
     out[0, rows], out[2, rows], out[3, rows] = lo[decided], INTERVAL, up[decided]
     todo = todo[~decided]
-    supports = np.zeros((plan.WA.shape[1], len(seeds)), dtype=bool)
+    supports = np.zeros((plan.WA.shape[1], len(B)), dtype=bool)
     if len(todo):
         X, rnorm, out[1, todo], out[2, todo] = _project(plan, B[todo])
         out[0, todo] = out[3, todo] = plan.N * (rnorm * rnorm)
@@ -501,19 +501,19 @@ def _held_at_zero(inverse, faces, x, drop):
     return x - np.einsum("kdw,kd->kw", inverse[faces[:, None], order], z * valid)
 
 
-def _exact_order_statistic(plan, seed, out, rank):
+def _exact_order_statistic(plan, B, out, rank):
     """Solve replicates that the interval stage decided, in place in the
     rows of ``out``, until the ``rank``-th smallest J* (0-based) is an
-    exactly solved one.
+    exactly solved one; ``B`` holds the rows ``_bootstrap`` drew.
 
     That order statistic lies between L, the rank-th smallest lower bound,
     and U, the rank-th smallest upper bound; an exact J* is both of its
     bounds. A replicate whose interval lies below L or above U by
     ``_below``'s margins stays on its side of the order statistic whatever
-    its J*, so only those whose interval meets [L, U] are taken, redrawn
-    from their seeds (children of ``seed``): first bounded again, once, with
-    every face of the final plan and the re-solve, then solved if they
-    still meet it; then L and U are taken again."""
+    its J*, so only those whose interval meets [L, U] are taken, read from
+    their kept rows: first bounded again, once, with every face of the final
+    plan and the re-solve, then solved if they still meet it; then L and U
+    are taken again."""
     stats, kkt, route, upper = out
     rebounded = np.zeros(len(stats), dtype=bool)
     while True:
@@ -523,11 +523,11 @@ def _exact_order_statistic(plan, seed, out, rank):
             return
         fresh = todo[~rebounded[todo]]
         if len(fresh):
-            _, up = _intervals(plan, _draws(plan, _seeds(seed, fresh)))
+            _, up = _intervals(plan, B[fresh])
             upper[fresh] = np.fmin(upper[fresh], up)
             rebounded[fresh] = True
             continue
-        _, rnorm, kkt[todo], route[todo] = _project(plan, _draws(plan, _seeds(seed, todo)))
+        _, rnorm, kkt[todo], route[todo] = _project(plan, B[todo])
         stats[todo] = upper[todo] = plan.N * (rnorm * rnorm)
 
 

@@ -68,7 +68,9 @@ def read_universe(path) -> ChoiceUniverse:
 
 def write_panel(panel: PanelDataset, universe: ChoiceUniverse, path):
     """Header agent_id,period,menu_id,choice_id[,q_1..q_K]; choices are
-    written as 1-based positions within the faced menu."""
+    written as 1-based positions within the faced menu, except where that
+    position is itself an item of the menu: ``estimate_rho`` reads a choice
+    as an item id first, so such a choice is written as its item id."""
     has_q = any(rec.quantity is not None for rec in panel.records)
     n_q = max((len(rec.quantity) for rec in panel.records if rec.quantity), default=0)
     with open(path, "w", newline="") as fh:
@@ -79,10 +81,9 @@ def write_panel(panel: PanelDataset, universe: ChoiceUniverse, path):
         w.writerow(header)
         for rec in panel.records:
             menu = universe.menu(rec.period, rec.menu_id)
-            try:
-                pos = menu.position(rec.choice_id)
-            except SchemaError:
-                pos = rec.choice_id
+            pos = rec.choice_id
+            if pos in menu.items and menu.position(pos) not in menu.items:
+                pos = menu.position(pos)
             row = [rec.agent_id, rec.period, rec.menu_id, pos]
             if has_q:
                 row += list(rec.quantity) if rec.quantity else [""] * n_q

@@ -139,9 +139,9 @@ def full_bootstrap(rho, A, config):
     real_bootstrap, real_chunk, seen = inference._bootstrap, inference._bootstrap_chunk, []
 
     def recording(*args, **kwargs):
-        out, plan = real_bootstrap(*args, **kwargs)
+        out, plan, B = real_bootstrap(*args, **kwargs)
         seen.append(out[0])
-        return out, plan
+        return out, plan, B
 
     inference._bootstrap, inference._bootstrap_chunk = recording, reference_chunk
     try:
@@ -163,22 +163,16 @@ def curtailed_p_value(stats, statistic, reps, alpha):
     return (1 + len(hits)) / (reps + 1)
 
 
-def reference_chunk(plan, seeds):
+def reference_chunk(plan, B):
     """The bootstrap chunk before screening, certification, working sets and
-    intervals: every replicate drawn from the plan's estimated distribution
-    and projected by scipy's nnls on the full matrix, statistics only (the
-    KKT row is NaN, the route row reads FULL_AGAIN, the upper-bound row
-    repeats J*, and no supports are reported)."""
-    pvals = [inference._normalized(plan.vec[start:stop]) for _, start, stop in plan.blocks]
-    out = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        star = np.empty_like(plan.vec)
-        for (_, start, stop), n, p in zip(plan.blocks, plan.counts, pvals):
-            star[start:stop] = rng.multinomial(n, p) / n
-        recentered = star - plan.vec + plan.eta
-        _, rnorm = nnls(plan.WA, plan.sqrt_w * (recentered - plan.shift))
+    intervals: every replicate's row of ``B`` projected by scipy's nnls on
+    the full matrix, statistics only (the KKT row is NaN, the route row
+    reads FULL_AGAIN, the upper-bound row repeats J*, and no supports are
+    reported)."""
+    out = np.empty(len(B))
+    for i, b in enumerate(B):
+        _, rnorm = nnls(plan.WA, b)
         out[i] = plan.N * (rnorm * rnorm)
-    route = np.full(len(seeds), inference.FULL_AGAIN)
-    return (np.vstack([out, np.full(len(seeds), np.nan), route, out]),
-            np.zeros((plan.WA.shape[1], len(seeds)), bool))
+    route = np.full(len(B), inference.FULL_AGAIN)
+    return (np.vstack([out, np.full(len(B), np.nan), route, out]),
+            np.zeros((plan.WA.shape[1], len(B)), bool))

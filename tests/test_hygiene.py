@@ -2,10 +2,12 @@
 module-level constant and every function of the package is read somewhere,
 every field of the package's input dataclasses is read by the package,
 every defaulted parameter of a private package function is passed
-somewhere, and dense Kronecker products are built only at the known
-sites."""
+somewhere, dense Kronecker products are built only at the known sites,
+and no name the package exports hides one of its modules."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -322,3 +324,15 @@ def test_scan_finds_every_kron_site():
               "class Op:\n    def build(self):\n        return np.kron(self.a, self.a)\n"
               "def clean(x):\n    return np.dot(x, x) + kron_apply(x)\n")
     assert _kron_sites(source) == {"<module>", "dense", "outer.inner", "Op.build"}
+
+
+def test_every_module_is_the_package_attribute_of_its_name():
+    """``drumtest.<name>`` is the module of that file, also after every
+    module has been imported, and ``import drumtest.<name> as m`` binds the
+    module, not a function the package exports."""
+    import drumtest
+    for path in MODULES:
+        module = importlib.import_module(f"drumtest.{path.stem}")
+        assert getattr(drumtest, path.stem) is module, path.stem
+    import drumtest.simulate as sim
+    assert isinstance(sim, types.ModuleType)

@@ -118,52 +118,49 @@ def _kkt(WA, x, b):
     return max(-g.min(initial=0.0), np.abs(g[x > 1e-12]).max(initial=0.0))
 
 
+def _app_rho(uni, seed):
+    """A criterion-8-shaped panel: 356 agents on each menu path of a mixture
+    of the six order profiles and a rotation."""
+    orders = list(itertools.permutations(("l1", "l2", "l3")))
+    rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
+    dgp = _order_mixture_dgp(uni, [(r, r, r) for r in orders] + [rotation], [0.14] * 6 + [0.16])
+    return estimate_rho(simulate(dgp, 356, seed=seed)[0], uni)
+
+
 def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeypatch):
     """Replicate 37 of this criterion-8-shaped panel (panel seed from
     SeedSequence((5, 0)), bootstrap seed 5052) gets a full-matrix nnls point
     that fails its KKT check on the rank-deficient 48x216 matrix. It still
     ends with a passing certificate and bvls's J*; every other replicate
     keeps scipy's nnls statistic bit for bit. ``_project`` is driven with
-    the test's plan and a working set of every column, so that every
-    replicate is solved on the full matrix; in the test itself replicate 37
-    is decided by its interval without a solve."""
+    the test's plan, the rows its chunks received and a working set of every
+    column, so that every replicate is solved on the full matrix; in the
+    test itself replicate 37 is decided by its interval without a solve."""
     uni, A = binary_app
-    orders = list(itertools.permutations(("l1", "l2", "l3")))
-    rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
-    dgp = _order_mixture_dgp(uni, [(r, r, r) for r in orders] + [rotation], [0.14] * 6 + [0.16])
-    panel_seed = int(np.random.SeedSequence((5, 0)).generate_state(1)[0])
-    rho = estimate_rho(simulate(dgp, 356, seed=panel_seed)[0], uni)
+    rho = _app_rho(uni, int(np.random.SeedSequence((5, 0)).generate_state(1)[0]))
     chunks = []
 
-    def recording(plan, seeds):
-        out = chunk(plan, seeds)
-        chunks.append((plan, seeds, out))
+    def recording(plan, B):
+        out = chunk(plan, B)
+        chunks.append((plan, B, out))
         return out
 
     chunk = inference._bootstrap_chunk
     monkeypatch.setattr(inference, "_bootstrap_chunk", recording)
     report = run_test(rho, A, TestConfig(reps=199, alpha=0.05, seed=5052))
-    seeds = [seed for _, chunk_seeds, _ in chunks for seed in chunk_seeds]
-    assert len(seeds) == 199
+    rows = np.concatenate([B for _, B, _ in chunks])
+    assert len(rows) == 199
     tested = np.concatenate([out for _, _, (out, _) in chunks], axis=1)
     assert tested[2, 37] == inference.INTERVAL
     assert report.diagnostics["kkt_residual_max"] <= 1e-8
 
     plan = chunks[0][0]
-    WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
-    blocks, counts, N = plan.blocks, plan.counts, plan.N
+    WA, N = plan.WA, plan.N
     every = dataclasses.replace(plan.faces, columns=np.arange(WA.shape[1]), working=WA)
-    _, rnorm, kkt, route = inference._project(dataclasses.replace(plan, faces=every),
-                                              inference._draws(plan, seeds))
+    _, rnorm, kkt, route = inference._project(dataclasses.replace(plan, faces=every), rows)
     stats = N * (rnorm * rnorm)
-    pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
     failed = []
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        star = np.empty_like(vec)
-        for (_, start, stop), n, p in zip(blocks, counts, pvals):
-            star[start:stop] = rng.multinomial(n, p) / n
-        b = sqrt_w * (star - vec + eta - shift)
+    for i, b in enumerate(rows):
         x, rnorm = nnls(WA, b)
         limit = KKT_TOL * max(1.0, np.abs(b).max()) * 100
         assert kkt[i] <= limit
@@ -180,6 +177,48 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
         assert stats[i] == pytest.approx(N * np.linalg.norm(WA @ x - b) ** 2, rel=1e-12)
         assert stats[i] == pytest.approx(11.77, abs=0.01)
     assert failed == [37]
+
+
+@pytest.mark.parametrize("kind", ["app", "binary1"])
+def test_each_replicate_is_drawn_once(kind, binary_app, monkeypatch):
+    """A full-route test at R = 199 whose order statistic takes candidates
+    (an app panel, and binary1 at 175 per menu path) draws 199 rows in all:
+    the order statistic reads the kept rows. The report is the one without
+    the spies."""
+    if kind == "app":
+        uni, A = binary_app
+        rho = _app_rho(uni, 11)
+    else:
+        dgp = DgpSpec(kind)
+        universe, _ = build_universe(dgp)
+        rho = estimate_rho(simulate(dgp, 175, seed=11)[0], universe)
+        A = type_matrix_for(dgp, universe)
+    config = TestConfig(reps=199, seed=3)
+    plain = run_test(rho, A, config)
+    real_draws, real_order, real_intervals = (inference._draws, inference._exact_order_statistic,
+                                              inference._intervals)
+    drawn, candidates = [], []
+
+    def draws(plan, seeds):
+        drawn.append(len(seeds))
+        return real_draws(plan, seeds)
+
+    def order_statistic(plan, B, out, rank):
+        candidates.append(0)
+        real_order(plan, B, out, rank)
+
+    def intervals(plan, B, statistic=None):
+        if candidates:
+            candidates[-1] += len(B)
+        return real_intervals(plan, B, statistic)
+
+    monkeypatch.setattr(inference, "_draws", draws)
+    monkeypatch.setattr(inference, "_exact_order_statistic", order_statistic)
+    monkeypatch.setattr(inference, "_intervals", intervals)
+    spied = run_test(rho, A, config)
+    assert candidates[0] > 0
+    assert sum(drawn) == 199
+    assert spied.to_dict() == plain.to_dict()
 
 
 def test_replicate_seeds_are_the_spawned_children():
@@ -214,13 +253,14 @@ def _looped_draws(plan, seeds):
 def test_draws_match_the_per_replicate_loop(kind, n, monkeypatch):
     """The batched weighting and recentring gives the loop's right-hand
     sides byte for byte, on every round of a full and a verdict-only test."""
-    real, calls = inference._bootstrap_chunk, []
+    real, calls = inference._draws, []
 
     def spy(plan, seeds):
-        calls.append((plan, seeds))
-        return real(plan, seeds)
+        B = real(plan, seeds)
+        calls.append((plan, seeds, B))
+        return B
 
-    monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
+    monkeypatch.setattr(inference, "_draws", spy)
     dgp = DgpSpec(kind)
     universe, _ = build_universe(dgp)
     panel, _ = simulate(dgp, 4 * n if kind.startswith("cobb") else n, seed=2)
@@ -229,8 +269,8 @@ def test_draws_match_the_per_replicate_loop(kind, n, monkeypatch):
         run_test(rho, type_matrix_for(dgp, universe),
                  TestConfig(reps=120, seed=9, critical_value=critical_value))
     assert len(calls) >= 2
-    for plan, seeds in calls:
-        assert inference._draws(plan, seeds).tobytes() == _looped_draws(plan, seeds).tobytes()
+    for plan, seeds, B in calls:
+        assert B.tobytes() == _looped_draws(plan, seeds).tobytes()
 
 
 class TestRunTestEu:

@@ -211,8 +211,8 @@ def test_the_critical_value_is_an_exact_solve(monkeypatch):
     rho = estimate_rho(panel, universe)
     real, seen = inference._exact_order_statistic, []
 
-    def spy(plan, seeds, out, rank):
-        real(plan, seeds, out, rank)
+    def spy(plan, B, out, rank):
+        real(plan, B, out, rank)
         seen.append(out)
 
     monkeypatch.setattr(inference, "_exact_order_statistic", spy)

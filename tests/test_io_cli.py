@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from drumtest import catalog, io
 from drumtest.cli import main
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
-from drumtest.model import estimate_rho
+from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord, estimate_rho
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
                                       static_type_matrix)
 from drumtest.simulate import DgpSpec, simulate
@@ -45,6 +47,19 @@ class TestIO:
         r1, r2 = estimate_rho(loaded, uni), estimate_rho(panel, uni)
         for p in r1.observed_paths:
             assert np.array_equal(r1.probs[p], r2.probs[p])
+
+    def test_integer_item_ids_roundtrip(self, tmp_path):
+        """Menu (3, 1) over items 1-3: choice 3 sits at position 1, itself an
+        item of the menu, so it is written as its id; choice 1 is written as
+        its position 2, which is not an item."""
+        uni = ChoiceUniverse((1,), {1: (1, 2, 3)}, {1: (Menu(1, (3, 1)),)})
+        panel = PanelDataset([PanelRecord(agent, 1, 1, choice)
+                              for agent, choice in enumerate((3, 3, 1))])
+        path = tmp_path / "panel.csv"
+        io.write_panel(panel, uni, path)
+        assert path.read_text().splitlines()[1:] == ["0,1,1,3", "1,1,1,3", "2,1,1,2"]
+        for read in (panel, io.read_panel(path)):
+            assert np.allclose(estimate_rho(read, uni).probs[(1,)], [2 / 3, 1 / 3])
 
     def test_demand_panel_with_quantities_roundtrip(self, tmp_path):
         panel, uni = simulate(DgpSpec("cobb-douglas-walk"), 5, seed=1)
@@ -515,8 +530,10 @@ class TestCli:
         assert f"unrecognized arguments: --{option} 1" in capsys.readouterr().err
 
     def test_console_script_installed(self):
-        out = subprocess.run([sys.executable, "-m", "drumtest.cli", "--help"],
-                             capture_output=True, text=True)
+        # a fresh interpreter imports the package from this checkout
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-m", "drumtest.cli", "--help"], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.returncode == 0
         assert "matrices" in out.stdout
 

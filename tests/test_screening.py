@@ -5,7 +5,6 @@ the verdict stay those of the full bootstrap, and the p-value is the
 curtailed one read off the full bootstrap's J* sequence."""
 
 import concurrent.futures
-import importlib
 import itertools
 import json
 import math
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, nnls
 
+import drumtest.simulate as sim
 from drumtest import catalog, checks, inference
 from drumtest.cli import main
 from drumtest.errors import SolverError
@@ -34,9 +34,6 @@ def _order_mixture():
     return DgpSpec("order-mixture", {"universe": uni, "profiles": profiles,
                                      "weights": [0.5, 0.3, 0.2], "menu_paths": paths})
 
-
-# the package namespace exports the function ``simulate`` under the module's name
-sim = importlib.import_module("drumtest.simulate")
 
 # (DGP, reported sample size); each kind of generator once
 DGPS = [(DgpSpec("cobb-douglas-walk"), 50), (DgpSpec("cobb-douglas-gaussian-copula"), 50),
@@ -92,9 +89,9 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
     real = inference._bootstrap_chunk
     calls = []
 
-    def spy(plan, seeds):
-        out, used = real(plan, seeds)
-        calls.append((plan, seeds, out))
+    def spy(plan, B):
+        out, used = real(plan, B)
+        calls.append((plan, B, out))
         return out, used
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
@@ -103,8 +100,8 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
         for seed in range(2):
             rho, A = _rho_and_A(dgp, n, 10 + seed)
             run_test(rho, A, TestConfig(reps=99, seed=seed, critical_value=False))
-    for plan, seeds, out in calls:
-        full, _ = reference_chunk(plan, seeds)
+    for plan, B, out in calls:
+        full, _ = reference_chunk(plan, B)
         # screened, or decided below the statistic by a working-set point
         gone = np.isnan(out[0])
         skipped += int(gone.sum())
@@ -129,9 +126,9 @@ def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
     seen = []
     real = inference._bootstrap_chunk
 
-    def spy(plan, seeds):
-        seen.append((len(seeds), plan.fit is None, len(plan.faces.columns) > 0))
-        return real(plan, seeds)
+    def spy(plan, B):
+        seen.append((len(B), plan.fit is None, len(plan.faces.columns) > 0))
+        return real(plan, B)
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
     for kind in ("binary1", "cobb-douglas-walk"):

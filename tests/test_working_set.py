@@ -130,29 +130,19 @@ def test_a_matrix_without_columns_has_the_zero_solution():
     assert rnorm == 5.0
 
 
-def _frozen_bootstrap_chunk(plan, seeds):
+def _frozen_bootstrap_chunk(plan, B):
     """The bootstrap chunk before working sets, changed only in its
     signature and its return: the plan's faces and working set are ignored,
-    every replicate is solved on the full matrix, its route row reads
-    FULL_AGAIN, an upper-bound row repeats J*, and the supports come one
-    column per replicate."""
-    WA, sqrt_w, vec, eta, shift = plan.WA, plan.sqrt_w, plan.vec, plan.eta, plan.shift
-    blocks, counts, N = plan.blocks, plan.counts, plan.N
-    pvals = [inference._normalized(vec[start:stop]) for _, start, stop in blocks]
-    B = np.empty((len(seeds), len(vec)))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        star = np.empty_like(vec)
-        for (_, start, stop), n, p in zip(blocks, counts, pvals):
-            star[start:stop] = rng.multinomial(n, p) / n
-        recentered = star - vec + eta
-        B[i] = sqrt_w * (recentered - shift)
-    todo = np.arange(len(seeds))
+    every replicate's row of ``B`` is solved on the full matrix, its route
+    row reads FULL_AGAIN, an upper-bound row repeats J*, and the supports
+    come one column per replicate."""
+    WA, N = plan.WA, plan.N
+    todo = np.arange(len(B))
     if plan.fit is not None:
         R = B - plan.fit
         bound = N * np.einsum("ij,ij->i", R, R)
         todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= plan.statistic - 1e-12)
-    out = np.full((4, len(seeds)), np.nan)
+    out = np.full((4, len(B)), np.nan)
     X = np.empty((len(todo), WA.shape[1]))
     rnorm = np.empty(len(todo))
     for k, i in enumerate(todo):
@@ -160,7 +150,7 @@ def _frozen_bootstrap_chunk(plan, seeds):
     X, rnorm, out[1, todo] = certify_nnls(WA, X.T, B[todo].T, rnorm)
     out[0, todo] = out[3, todo] = N * (rnorm * rnorm)
     out[2, todo] = inference.FULL_AGAIN
-    supports = np.zeros((WA.shape[1], len(seeds)), dtype=bool)
+    supports = np.zeros((WA.shape[1], len(B)), dtype=bool)
     supports[:, todo] = X > 0
     return out, supports
 
@@ -283,9 +273,9 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
 
     real_chunk, rounds = inference._bootstrap_chunk, []
 
-    def chunk(plan, seeds):
-        rounds.append(len(seeds))
-        return real_chunk(plan, seeds)
+    def chunk(plan, B):
+        rounds.append(len(B))
+        return real_chunk(plan, B)
 
     monkeypatch.setattr(inference, "_normalized", counting)
     monkeypatch.setattr(inference, "nnls_solve", solve)

@@ -31,9 +31,11 @@ FACE_GROUP = 16
 class TestConfig:
     """Knobs of the statistical test.
 
-    ``reps`` bootstrap replications, drawn from ``seed``, decide at level
-    ``alpha``. The bootstrap runs in the calling process in rounds (see
-    ``_bootstrap``); only ``run_experiment`` spreads sims over processes. The
+    ``reps`` bootstrap replications decide at level ``alpha``. ``seed``, a
+    non-negative integer, seeds the one generator that draws all of them up
+    front (``_draws``), so replicate i is the same on either route. The
+    bootstrap runs in the calling process in rounds (see ``_bootstrap``);
+    only ``run_experiment`` spreads sims over processes. The
     tightening parameter is sqrt(log(M)/M) with M the per-menu-path sample
     size (the smallest one when paths differ). Rows are scaled by estimated
     inverse binomial variances.
@@ -56,7 +58,7 @@ class TestConfig:
     residual at the recentring solution) cannot reach the observed
     statistic, and skips the re-solve of one whose working-set point failed
     its certificate but whose residual there cannot reach it either; such a
-    replicate cannot count toward the p-value. It also stops drawing
+    replicate cannot count toward the p-value. It also stops taking
     replicates once the verdict is decided (Besag and Clifford's curtailed
     test): at level ``alpha`` the fixed-R test cannot reject once h
     replicates reach the statistic, h the smallest count with (1 + h)/(R +
@@ -66,7 +68,7 @@ class TestConfig:
     Curtailment is left out when some h/L could reach alpha (h/R <= alpha),
     so that ``reject`` is always ``p_value <= alpha``. The statistic and the
     verdict are those of the full bootstrap. The report counts the
-    replicates never drawn (``curtailed_replicates``) and those decided by a
+    replicates never taken (``curtailed_replicates``) and those decided by a
     working-set point (``working_set_bounded``). ``drum test`` keeps the
     full bootstrap.
     """
@@ -83,6 +85,8 @@ class TestConfig:
             raise ParameterError("need at least one bootstrap replication")
         if not 0 < self.alpha < 1:
             raise ParameterError("alpha must be inside (0,1)")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -115,13 +119,16 @@ class Faces:
     face ``sub`` = WA[:, S] and the ``inverse`` of its Gram matrix,
     zero-padded to the widest face and stacked (read by ``_intervals``); and
     the working set ``columns``, their union, with its matrix ``working`` =
-    WA[:, columns] (read by ``_project``)."""
+    WA[:, columns] (read by ``_project``); and the supports' ``keys``, each
+    row packed to bytes, by which ``_add_faces`` tells a new support from a
+    known one."""
 
     supports: np.ndarray
     sub: np.ndarray
     inverse: np.ndarray
     columns: np.ndarray
     working: np.ndarray
+    keys: frozenset
 
 
 @dataclass(frozen=True)
@@ -263,35 +270,31 @@ def _stop_count(reps: int, alpha: float):
 
 
 def _bootstrap(plan, seed, reps, stop):
-    """The rows of ``_bootstrap_chunk`` for the replicates drawn, in seed
-    order; the plan with the faces their projections found; and the rows of
-    ``_draws`` that those replicates were drawn as, each drawn once.
+    """The rows of ``_bootstrap_chunk`` for the replicates taken, in seed
+    order; the plan with the faces their projections found; and those
+    replicates' rows of ``_draws``.
 
-    Replicates are drawn in seed-order rounds. With ``stop``, a round holds
-    ``stop`` minus the hits so far (J* >= statistic), and drawing ends when
-    the hits reach ``stop``, which can only happen on a round's last
-    replicate. Without it every replicate is drawn, in rounds of ``ROUND``.
-    After each round the supports of its projections join the faces and the
-    working set (``_add_faces``), so round boundaries, and with them the
-    report, depend on seed order and hits alone. Rounds run in the calling
-    process: one holds too few replicates to pay for starting a pool."""
-    results, rows, drawn, hits = [], [], 0, 0
+    All ``reps`` rows are drawn up front by one ``_draws`` call, so row i is
+    replicate i on either route, and rounds are seed-order slices of them.
+    With ``stop``, a round holds ``stop`` minus the hits so far (J* >=
+    statistic), and the test ends when the hits reach ``stop``, which can
+    only happen on a round's last replicate; the rows past it are never
+    bounded or projected. Without it every replicate is taken, in rounds of
+    ``ROUND``. After each round the supports of its projections join the
+    faces and the working set (``_add_faces``), so round boundaries, and
+    with them the report, depend on seed order and hits alone. Rounds run in
+    the calling process: one holds too few replicates to pay for starting a
+    pool."""
+    B = _draws(plan, seed, reps)
+    results, drawn, hits = [], 0, 0
     while drawn < reps and hits != stop:
         end = min(reps, drawn + (ROUND if stop is None else stop - hits))
-        rows.append(_draws(plan, _seeds(seed, range(drawn, end))))
-        out, supports = _bootstrap_chunk(plan, rows[-1])
+        out, supports = _bootstrap_chunk(plan, B[drawn:end])
         results.append(out)
         plan = _add_faces(plan, supports)
         hits += int(np.sum(out[0] >= plan.statistic - 1e-12))
         drawn = end
-    return np.concatenate(results, axis=1), plan, np.concatenate(rows)
-
-
-def _seeds(seed, indices):
-    """The seeds of the replicates at ``indices``, each built alone: child i
-    of ``SeedSequence(seed).spawn(reps)`` is ``SeedSequence(seed,
-    spawn_key=(i,))``, so a curtailed test builds only those it draws."""
-    return [np.random.SeedSequence(seed, spawn_key=(int(i),)) for i in indices]
+    return np.concatenate(results, axis=1), plan, B[:drawn]
 
 
 def _below(bound, statistic):
@@ -334,17 +337,16 @@ def _bootstrap_chunk(plan, B):
     return out, supports
 
 
-def _draws(plan, seeds):
-    """The weighted, recentred right-hand sides of the replicates drawn from
-    ``seeds``, one row each: each draws its path blocks' multinomial counts
-    from its own seed, and the whole batch is turned into frequencies,
-    recentred and weighted by the per-replicate operations in their order,
-    so each row is what one replicate alone gives."""
-    draws = np.empty((len(seeds), len(plan.vec)), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for (_, start, stop), n, p in zip(plan.blocks, plan.counts, plan.probs):
-            draws[i, start:stop] = rng.multinomial(n, p)
+def _draws(plan, seed, reps):
+    """The weighted, recentred right-hand sides of a test's ``reps``
+    replicates, one row each, row i for replicate i: one generator,
+    ``default_rng(seed)``, draws every replicate's multinomial counts of a
+    path block at once, block after block, and the counts are turned into
+    frequencies, recentred and weighted as one array."""
+    rng = np.random.default_rng(seed)
+    draws = np.empty((reps, len(plan.vec)), dtype=np.int64)
+    for (_, start, stop), n, p in zip(plan.blocks, plan.counts, plan.probs):
+        draws[:, start:stop] = rng.multinomial(n, p, size=reps)
     sizes = np.repeat(plan.counts, [stop - start for _, start, stop in plan.blocks])
     return plan.sqrt_w * (draws / sizes - plan.vec + plan.eta - plan.shift)
 
@@ -366,19 +368,19 @@ def _no_faces(WA):
     working set."""
     rows, cols = WA.shape
     return Faces(np.zeros((0, cols), dtype=bool), np.zeros((0, rows, 0)), np.zeros((0, 0, 0)),
-                 np.zeros(0, dtype=int), WA[:, :0])
+                 np.zeros(0, dtype=int), WA[:, :0], frozenset())
 
 
 def _add_faces(plan, supports):
     """The plan with the nonempty ``supports`` (one boolean column per
     projection) that its faces lack added as faces, and its working set made
-    their union; the plan itself when no support is new. Only the new faces'
+    their union; the plan itself when no support is new. Only ``supports``
+    are packed, against the faces' kept keys, and only the new faces'
     inverse Gram matrices are computed; the stacks are padded to the widest
     face."""
     faces = plan.faces
-    known = set(map(bytes, np.packbits(faces.supports, axis=1)))
     keys = [key for key in dict.fromkeys(map(bytes, np.packbits(supports.T, axis=1)))
-            if key not in known and any(key)]
+            if key not in faces.keys and any(key)]
     if not keys:
         return plan
     WA = plan.WA
@@ -404,7 +406,8 @@ def _add_faces(plan, supports):
     supports = np.vstack([faces.supports, new])
     columns = np.flatnonzero(supports.any(axis=0))
     return replace(plan, faces=Faces(supports, _stacked(faces.sub, sub),
-                                     _stacked(faces.inverse, inverse), columns, WA[:, columns]))
+                                     _stacked(faces.inverse, inverse), columns, WA[:, columns],
+                                     faces.keys.union(keys)))
 
 
 def _stacked(old, new):

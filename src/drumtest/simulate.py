@@ -130,22 +130,19 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
 
 
 def _draw_shares(dgp: DgpSpec, rng, n_paths: int, agents_per_path: int) -> np.ndarray:
-    """Cobb-Douglas share of the first good, (agents, 2), agents in path order."""
+    """Cobb-Douglas share of the first good, (agents, 2), agents in path order.
+
+    The walk draws every agent's first-period share as one array of
+    uniforms, then every agent's innovation as one array of standard
+    normals: agent i takes the i-th of each. ``random`` draws the doubles
+    of ``uniform(0, 1)`` and 0 + sd z is ``normal(0, sd)``'s arithmetic."""
     if dgp.kind == "cobb-douglas-walk":
         persistence = dgp.params.get("persistence", 0.9)
         sd = dgp.params.get("innovation_sd", 5.0)
-        # random() draws the same doubles as uniform(0, 1) and
-        # standard_normal() the z of normal(0, sd) = 0 + sd z, at a third of
-        # the call cost; each agent's two draws interleave, so only the draws
-        # stay in the loop and the same IEEE operations run on the arrays
-        uniform, normal = rng.random, rng.standard_normal
-        first, z = [], []
-        for _ in range(n_paths * agents_per_path):
-            first.append(uniform())
-            z.append(normal())
-        first = np.array(first)
-        return np.column_stack([first, np.clip(persistence * first + (0.0 + sd * np.array(z)),
-                                               0.0, 1.0)])
+        n = n_paths * agents_per_path
+        first = rng.random(n)
+        z = rng.standard_normal(n)
+        return np.column_stack([first, np.clip(persistence * first + (0.0 + sd * z), 0.0, 1.0)])
     corr = dgp.params.get("correlation", 0.5)
     cov = np.array([[1.0, corr], [corr, 1.0]])
     # one draw per path: the covariance transform of a one-row draw can

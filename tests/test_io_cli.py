@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drumtest import catalog, io
+from drumtest import catalog, inference, io
 from drumtest.cli import main
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
@@ -235,6 +235,22 @@ class TestCli:
                      "--universe", str(panel_path.with_suffix(".universe.json")),
                      "--reps", "49", "--seed", "1"])
         assert code == 2
+
+    def test_negative_seed_exits_1_before_any_projection(self, tmp_path, capsys, monkeypatch):
+        panel_path = tmp_path / "panel.csv"
+        main(["simulate", "--dgp", "binary1", "--n", "12", "--seed", "4",
+              "--out", str(panel_path)])
+        projections = []
+        monkeypatch.setattr(inference, "nnls_projection",
+                            lambda *args: projections.append(args))
+        capsys.readouterr()
+        code = main(["test", "--panel", str(panel_path),
+                     "--universe", str(panel_path.with_suffix(".universe.json")),
+                     "--reps", "49", "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ParameterError: seed must be a non-negative integer, got -1")
+        assert projections == []
 
     def test_check_consistent_rho(self, simple_setup, tmp_path, capsys):
         # constant-type mixture: consistent with every check including the

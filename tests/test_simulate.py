@@ -17,7 +17,8 @@ from drumtest.simulate import (BINARY_MARGINALS, DgpSpec, build_universe,
 def reference_simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     """The scalar generator that drew one agent and one record at a time,
     frozen as the reference the columnar ``simulate`` must reproduce draw
-    for draw."""
+    for draw. The walk draws every agent's first-period share, then every
+    agent's innovation, one scalar at a time."""
     rng = np.random.default_rng(seed)
     universe, budgets = build_universe(dgp)
     paths = observed_menu_paths(dgp, universe)
@@ -29,12 +30,16 @@ def reference_simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
         sd = dgp.params.get("innovation_sd", 5.0)
         corr = dgp.params.get("correlation", 0.5)
         prices = {t: {b.index: b.p() for b in budgets[t]} for t in universe.periods}
+        if walk:
+            n_agents = len(paths) * agents_per_path
+            shares = [rng.uniform() for _ in range(n_agents)]
+            innovations = [rng.normal(0.0, sd) for _ in range(n_agents)]
         for path in paths:
             for _ in range(agents_per_path):
                 agent += 1
                 if walk:
-                    a1 = rng.uniform()
-                    a2 = min(max(persistence * a1 + rng.normal(0.0, sd), 0.0), 1.0)
+                    a1 = shares[agent - 1]
+                    a2 = min(max(persistence * a1 + innovations[agent - 1], 0.0), 1.0)
                     alphas = (a1, a2)
                 else:
                     cov = np.array([[1.0, corr], [corr, 1.0]])

@@ -19,9 +19,10 @@ from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 # statistic by the working-set point's residual, or decided by its certified
 # interval without a solve
 WORKING_SET, FULL_AGAIN, BOUNDED, INTERVAL = 0, 1, 2, 3
-# replicates per round of a bootstrap that is not curtailed: each round's
-# solves add faces that bound the later rounds' replicates, and each round
-# costs a pass of bounds and face updates
+# replicates per bootstrap round, on either route: each round's solves add
+# faces that bound the later rounds' replicates, and each round costs a pass
+# of bounds and face updates; a curtailed round stops inside itself, at the
+# decisive hit, so a larger round projects no more replicates
 ROUND = 50
 # faces whose bounds one pass of ``_intervals`` stacks at a time
 FACE_GROUP = 16
@@ -34,8 +35,9 @@ class TestConfig:
     ``reps`` bootstrap replications decide at level ``alpha``. ``seed``, a
     non-negative integer, seeds the one generator that draws all of them up
     front (``_draws``), so replicate i is the same on either route. The
-    bootstrap runs in the calling process in rounds (see ``_bootstrap``);
-    only ``run_experiment`` spreads sims over processes. The
+    bootstrap runs in the calling process in rounds of ``ROUND`` replicates
+    on either route (see ``_bootstrap``); only ``run_experiment`` spreads
+    sims over processes. The
     tightening parameter is sqrt(log(M)/M) with M the per-menu-path sample
     size (the smallest one when paths differ). Rows are scaled by estimated
     inverse binomial variances.
@@ -63,14 +65,19 @@ class TestConfig:
     test): at level ``alpha`` the fixed-R test cannot reject once h
     replicates reach the statistic, h the smallest count with (1 + h)/(R +
     1) > alpha. The verdict is then "not reject", as with every replicate,
-    and the p-value is h/L, L the seed-order index of the h-th hit; a test
-    that rejects decides every replicate and keeps the fixed-R p-value.
+    and the p-value is h/L, L the seed-order index of the h-th hit. Each
+    round is screened and bounded in one pass and then walked in seed
+    order: an undecided replicate is projected only while fewer than h hits
+    precede it, so no replicate past L is projected, and the rows past L
+    are neither hits nor drawn. A test that rejects decides every replicate
+    and keeps the fixed-R p-value.
     Curtailment is left out when some h/L could reach alpha (h/R <= alpha),
     so that ``reject`` is always ``p_value <= alpha``. The statistic and the
     verdict are those of the full bootstrap. The report counts the
-    replicates never taken (``curtailed_replicates``) and those decided by a
-    working-set point (``working_set_bounded``). ``drum test`` keeps the
-    full bootstrap.
+    replicates never taken (``curtailed_replicates``, R - L) and those
+    decided by a working-set point (``working_set_bounded``); on either
+    route it counts the rounds run (``bootstrap_rounds``). ``drum test``
+    keeps the full bootstrap.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -225,7 +232,7 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     # the supports of the two projections are the first faces
     plan = _add_faces(plan, np.column_stack([x_point > 0, mu > 0]))
     stop = None if config.critical_value else _stop_count(config.reps, config.alpha)
-    out, plan, B = _bootstrap(plan, config.seed, config.reps, stop)
+    out, plan, B, rounds = _bootstrap(plan, config.seed, config.reps, stop)
     # rank of the critical value among the sorted J*
     rank = min(int(np.ceil((1 - config.alpha) * (config.reps + 1))) - 1, config.reps - 1)
     if config.critical_value:
@@ -239,7 +246,7 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     solved = ~np.isnan(route)
     kkt = float(np.max(kkt_boot[~np.isnan(kkt_boot)], initial=kkt))
 
-    hits = int(np.sum(stats >= statistic - 1e-12))
+    hits = int(np.sum(_hits(stats, statistic)))
     # Besag and Clifford's p-value when drawing stopped at the stop count
     p_value = stop / drawn if hits == stop else (1 + hits) / (config.reps + 1)
     critical = float(np.sort(stats)[rank]) if config.critical_value else float("nan")
@@ -252,6 +259,7 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
                        "screened_replicates": int(drawn - solved.sum()),
                        "bounded_replicates": int(np.sum(route == INTERVAL)),
                        "curtailed_replicates": config.reps - drawn,
+                       "bootstrap_rounds": rounds,
                        "critical_value_computed": bool(config.critical_value),
                        "kkt_residual_max": kkt,
                        "working_set_columns": len(plan.faces.columns),
@@ -271,30 +279,34 @@ def _stop_count(reps: int, alpha: float):
 
 def _bootstrap(plan, seed, reps, stop):
     """The rows of ``_bootstrap_chunk`` for the replicates taken, in seed
-    order; the plan with the faces their projections found; and those
-    replicates' rows of ``_draws``.
+    order; the plan with the faces their projections found; those
+    replicates' rows of ``_draws``; and the number of rounds.
 
     All ``reps`` rows are drawn up front by one ``_draws`` call, so row i is
-    replicate i on either route, and rounds are seed-order slices of them.
-    With ``stop``, a round holds ``stop`` minus the hits so far (J* >=
-    statistic), and the test ends when the hits reach ``stop``, which can
-    only happen on a round's last replicate; the rows past it are never
-    bounded or projected. Without it every replicate is taken, in rounds of
-    ``ROUND``. After each round the supports of its projections join the
-    faces and the working set (``_add_faces``), so round boundaries, and
-    with them the report, depend on seed order and hits alone. Rounds run in
-    the calling process: one holds too few replicates to pay for starting a
-    pool."""
+    replicate i on either route, and rounds are seed-order slices of
+    ``ROUND`` of them on either route. With ``stop``, each round is told how
+    many hits (J* >= statistic) are still needed, and the test ends in the
+    round that holds the ``stop``-th hit, at that replicate; the rows past it
+    are never projected and never counted. After each round the supports of
+    its projections join the faces and the working set (``_add_faces``), so
+    round boundaries, and with them the report, depend on seed order and
+    hits alone."""
     B = _draws(plan, seed, reps)
     results, drawn, hits = [], 0, 0
     while drawn < reps and hits != stop:
-        end = min(reps, drawn + (ROUND if stop is None else stop - hits))
-        out, supports = _bootstrap_chunk(plan, B[drawn:end])
+        out, supports = _bootstrap_chunk(plan, B[drawn:drawn + ROUND],
+                                         None if stop is None else stop - hits)
         results.append(out)
         plan = _add_faces(plan, supports)
-        hits += int(np.sum(out[0] >= plan.statistic - 1e-12))
-        drawn = end
-    return np.concatenate(results, axis=1), plan, B[:drawn]
+        hits += int(np.sum(_hits(out[0], plan.statistic)))
+        drawn += out.shape[1]
+    return np.concatenate(results, axis=1), plan, B[:drawn], len(results)
+
+
+def _hits(stats, statistic):
+    """The bootstrap statistics that count toward the p-value: J* >= J, to
+    rounding (NaN, a screened or bounded replicate, never counts)."""
+    return stats >= statistic - 1e-12
 
 
 def _below(bound, statistic):
@@ -303,12 +315,14 @@ def _below(bound, statistic):
     return bound * (1 + 1e-9) + 1e-12 < statistic - 1e-12
 
 
-def _bootstrap_chunk(plan, B):
+def _bootstrap_chunk(plan, B, need=None):
     """Bootstrap statistics J* for the replicates whose right-hand sides are
     the rows of ``B`` (see ``_draws``), with the KKT residual and the route
     of each replicate's projection (see ``_project``) and an upper bound on
-    J*: a (4, len(B)) array; and the supports of the projections, one
-    boolean column per replicate (empty for one not projected).
+    J*: a (4, L) array; and the supports of the projections, one boolean
+    column per replicate (empty for one not projected). L is len(B), or,
+    with ``need``, the seed-order index of the ``need``-th hit when the
+    round holds that many.
 
     With the plan's recentring ``fit``, a replicate whose upper bound
     N * ||b - fit||^2 falls below the statistic by more than the float
@@ -317,7 +331,12 @@ def _bootstrap_chunk(plan, B):
     certified interval [lo, up] lies on one side of the statistic by those
     margins is not projected either: its route is INTERVAL, its J* entry
     holds lo and its KKT entry is NaN. The rows are all drawn before the
-    chunk, so the bounds take one pass.
+    chunk, so the screen and the bounds take one pass over the round.
+
+    With ``need``, the round is then walked in seed order: an undecided
+    replicate is projected only while fewer than ``need`` hits, decided by
+    the intervals or by earlier projections, precede it, and the rows past
+    the ``need``-th hit are dropped.
     """
     out = np.full((4, len(B)), np.nan)
     todo = np.arange(len(B))
@@ -331,9 +350,19 @@ def _bootstrap_chunk(plan, B):
     todo = todo[~decided]
     supports = np.zeros((plan.WA.shape[1], len(B)), dtype=bool)
     if len(todo):
-        X, rnorm, out[1, todo], out[2, todo] = _project(plan, B[todo])
+        # the hits still wanted once the intervals' hits ahead of each
+        # undecided replicate are counted
+        room = None if need is None else need - np.cumsum(_hits(out[0], plan.statistic))[todo]
+        X, rnorm, kkt, route = _project(plan, B[todo], room)
+        todo = todo[:len(route)]
+        out[1, todo], out[2, todo] = kkt, route
         out[0, todo] = out[3, todo] = plan.N * (rnorm * rnorm)
         supports[:, todo] = X > 0
+    if need is not None:
+        hits = np.flatnonzero(_hits(out[0], plan.statistic))
+        if len(hits) >= need:
+            taken = hits[need - 1] + 1
+            return out[:, :taken], supports[:, :taken]
     return out, supports
 
 
@@ -534,10 +563,10 @@ def _exact_order_statistic(plan, B, out, rank):
         stats[todo] = upper[todo] = plan.N * (rnorm * rnorm)
 
 
-def _project(plan, B):
+def _project(plan, B, room=None):
     """NNLS projections of the rows of ``B`` onto the cone of ``plan.WA``,
     all certified on the full matrix: (solutions, one per column; residual
-    norms; KKT residuals; routes).
+    norms; KKT residuals; routes), for the problems taken.
 
     The problems are taken in turn. Each is solved on the columns of the
     plan's working set alone and its solution embedded in all columns. One
@@ -551,31 +580,46 @@ def _project(plan, B):
     squared residual norm bounds the projection's from above. With the
     plan's ``fit``, a problem whose bound falls below the statistic
     (``_below``) is not solved again: its route is BOUNDED and its residual
-    norm and KKT residual read NaN."""
+    norm and KKT residual read NaN.
+
+    With ``room``, problem k is taken only while fewer than room[k] of the
+    problems before it reach the statistic (``_hits``); the first one that
+    may not be taken ends the projections. Each problem is then certified
+    as it is solved, so that the stop reads the certified J*; without
+    ``room`` every problem is taken and they are certified together."""
     WA, columns, sub = plan.WA, plan.faces.columns, plan.faces.working
     X = np.zeros((WA.shape[1], len(B)))
-    rnorm = np.full(len(B), np.nan)
+    rnorm, kkt = np.full(len(B), np.nan), np.full(len(B), np.nan)
     route = np.full(len(B), FULL_AGAIN)
+    taken = hits = 0
     for k, b in enumerate(B):
+        if room is not None and hits >= room[k]:
+            break
+        taken = k + 1
         try:
             X[columns, k], rnorm[k] = nnls_solve(sub, b)
         except SolverError:
             pass
         else:
-            kkt, limit = _kkt_residual(WA, X[:, k], b, KKT_TOL)
-            if kkt <= limit:
+            kkt[k], limit = _kkt_residual(WA, X[:, k], b, KKT_TOL)
+            if kkt[k] <= limit:
                 route[k] = WORKING_SET
+            elif plan.fit is not None and _below(plan.N * rnorm[k] ** 2, plan.statistic):
+                route[k], rnorm[k], kkt[k] = BOUNDED, np.nan, np.nan
                 continue
-            if plan.fit is not None and _below(plan.N * rnorm[k] ** 2, plan.statistic):
-                route[k] = BOUNDED
-                continue
-        X[:, k], rnorm[k] = nnls_solve(WA, b)
-        columns = np.union1d(columns, np.flatnonzero(X[:, k] > 0))
-        sub = WA[:, columns]
-    kept = route != BOUNDED
-    kkt = np.full(len(B), np.nan)
-    X[:, kept], rnorm[kept], kkt[kept] = certify_nnls(WA, X[:, kept], B[kept].T, rnorm[kept])
-    rnorm[~kept] = np.nan
+        if route[k] == FULL_AGAIN:
+            X[:, k], rnorm[k] = nnls_solve(WA, b)
+            columns = np.union1d(columns, np.flatnonzero(X[:, k] > 0))
+            sub = WA[:, columns]
+            if room is not None:
+                X[:, k], rnorm[k], kkt[k] = certify_nnls(WA, X[:, k], b, rnorm[k])
+        if room is not None:
+            hits += bool(_hits(plan.N * rnorm[k] ** 2, plan.statistic))
+    X, rnorm, kkt, route = X[:, :taken], rnorm[:taken], kkt[:taken], route[:taken]
+    if room is None:
+        kept = route != BOUNDED
+        X[:, kept], rnorm[kept], kkt[kept] = certify_nnls(WA, X[:, kept], B[kept].T,
+                                                          rnorm[kept])
     return X, rnorm, kkt, route
 
 

@@ -82,9 +82,11 @@ class TypeMatrix:
     @cached_property
     def range_basis(self) -> np.ndarray:
         """An orthonormal basis of the column space, from a thin SVD; built
-        once per matrix, so every test on it shares it."""
+        once per matrix, so every test on it shares it, read-only."""
         U, sv, _ = np.linalg.svd(self.dense().astype(float), full_matrices=False)
-        return U[:, sv > sv[0] * max(self.shape) * np.finfo(float).eps]
+        basis = U[:, sv > sv[0] * max(self.shape) * np.finfo(float).eps]
+        basis.setflags(write=False)
+        return basis
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,13 +14,13 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import catalog
 from .errors import GeometryError, ParameterError
-from .geometry import ABOVE, compute_patches, demand_universe
+from .geometry import ABOVE, demand_universe
 from .inference import TestConfig, run_test
 from .model import PanelDataset, estimate_rho
 from .representations import kron_dynamic, static_type_matrix
@@ -56,16 +56,34 @@ class DgpSpec:
 
 def build_universe(dgp: DgpSpec):
     """Universe (and budgets where applicable) the generator samples on."""
-    if dgp.kind.startswith("cobb"):
-        budgets = catalog.simple_budgets(dgp.periods())
-        uni, _, _ = demand_universe(budgets, dgp.periods())
-        return uni, budgets
-    if dgp.kind.startswith("binary"):
-        uni = catalog.binary_universe(("l1", "l2", "l3"), dgp.periods())
-        return uni, None
+    if dgp.kind.startswith(("cobb", "binary")):
+        universe, budgets, _, _ = _catalog_structure(dgp.kind)
+        return universe, budgets
     if dgp.kind == "order-mixture":
         return dgp.params["universe"], None
     raise ParameterError(f"unknown DGP kind {dgp.kind!r}")
+
+
+@lru_cache(maxsize=16)
+def _catalog_structure(kind: str):
+    """(universe, budgets, demand patches by period, type matrix) of a
+    catalog generator, ``cobb*`` or ``binary*``, built once per kind and
+    process. None of it depends on the generator's params, which only shape
+    its draws. Every caller shares these objects, and nothing writes to
+    them: the universe is a frozen value of tuples, budgets and patches are
+    frozen, and the type matrix's array is made read-only here (its range
+    basis, built on the first test, is read-only too)."""
+    dgp = DgpSpec(kind)
+    if kind.startswith("cobb"):
+        budgets = catalog.simple_budgets(dgp.periods())
+        universe, patches, _ = demand_universe(budgets, dgp.periods())
+    else:
+        budgets = patches = None
+        universe = catalog.binary_universe(("l1", "l2", "l3"), dgp.periods())
+    statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
+    A = kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
+    A.matrix.setflags(write=False)
+    return universe, budgets, patches, A
 
 
 def observed_menu_paths(dgp: DgpSpec, universe):
@@ -96,7 +114,8 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     quantity = None
     if dgp.kind.startswith("cobb"):
         shares = _draw_shares(dgp, rng, len(paths), agents_per_path)
-        positions, quantity = _demand_choices(universe, budgets, menus, shares)
+        positions, quantity = _demand_choices(universe, budgets,
+                                              _catalog_structure(dgp.kind)[2], menus, shares)
     elif dgp.kind.startswith("binary"):
         marg = dgp.params.get("marginals")
         if marg is None:
@@ -152,16 +171,17 @@ def _draw_shares(dgp: DgpSpec, rng, n_paths: int, agents_per_path: int) -> np.nd
     return np.arctan(eps) / np.pi + 0.5
 
 
-def _demand_choices(universe, budgets, menus, shares):
+def _demand_choices(universe, budgets, patches_by_period, menus, shares):
     """(positions, quantity): the 0-based patch position in its menu of each
-    agent's demand point per period, and the points, (agents, periods, 2).
+    agent's demand point per period, and the points, (agents, periods, 2);
+    ``patches_by_period`` are the budgets' patches, numbered as the
+    universe's.
 
     A point lying exactly on another budget line (probability zero) counts
     as below it.
     """
     positions = np.empty(menus.shape, dtype=np.intp)
     quantity = np.empty(menus.shape + (2,))
-    patches_by_period = _demand_patches(budgets)
     for k, t in enumerate(universe.periods):
         patches = patches_by_period[t]
         for budget in budgets[t]:
@@ -206,17 +226,16 @@ def _chosen_items(universe, menus, positions):
     return out, ids
 
 
-def _demand_patches(budgets: dict) -> dict:
-    """Patches by period of a demand generator's budgets, numbered as its
-    universe is (``compute_patches``'s rule)."""
-    return {t: compute_patches(blist)[0] for t, blist in budgets.items()}
-
-
 def type_matrix_for(dgp: DgpSpec, universe):
     """Restricted type matrix matching the generator's observed paths; a
-    demand generator's periods take the demand types of its own patches."""
-    _, budgets = build_universe(dgp)
-    patches = _demand_patches(budgets) if budgets else None
+    demand generator's periods take the demand types of its own patches.
+    On its own universe a catalog generator's matrix is the one shared
+    ``_catalog_structure`` built."""
+    patches = None
+    if dgp.kind.startswith(("cobb", "binary")):
+        shared, _, patches, A = _catalog_structure(dgp.kind)
+        if universe == shared:
+            return A
     statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
     return kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
 
@@ -250,7 +269,7 @@ class ExperimentReport:
 # the counts of a test report that run_experiment sums per cell
 SUMMED_DIAGNOSTICS = ("nnls_solves", "screened_replicates", "curtailed_replicates",
                       "bounded_replicates", "working_set_certified", "working_set_full_solves",
-                      "working_set_bounded")
+                      "working_set_bounded", "bootstrap_rounds")
 
 
 def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.ndarray:
@@ -258,8 +277,11 @@ def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.nd
 
     Only verdicts are read, so the bootstrap skips the replicates that cannot
     reach the statistic, decides those whose certified interval lies on one
-    side of it without a solve, stops once the verdict is decided and
-    computes no critical value."""
+    side of it without a solve, stops at the replicate that decides the
+    verdict and computes no critical value. The universe and the type matrix
+    come from ``build_universe`` and ``type_matrix_for``, which share one
+    build per catalog generator kind and process (``_catalog_structure``),
+    range basis included; each sim only draws, estimates and tests."""
     universe, _ = build_universe(dgp)
     A = type_matrix_for(dgp, universe)
     agents = agents_per_path_for(dgp, n)
@@ -294,15 +316,17 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
     Each sim runs the verdict-only test (``TestConfig(critical_value=False)``):
     its bootstrap screens the replicates that cannot reach the statistic,
     decides by certified interval those that lie on one side of it, and
-    stops drawing once ``alpha`` can no longer be met,
-    so a sim that does not reject reports the curtailed p-value h/L. Its
-    verdict and statistic are those of the full bootstrap, so the rejection
-    rates are too. Each entry also sums the cell's NNLS solves, screened,
-    curtailed, interval-bounded and working-set bounded replicates and
-    working-set routes (SUMMED_DIAGNOSTICS; per sim, the solves less 2, the
-    screened, the curtailed and the interval-bounded replicates add up to
-    ``reps``) and gives its mean statistic; no critical values are
-    computed."""
+    stops, inside its round of ``inference.ROUND``, at the replicate after
+    which ``alpha`` can no longer be met, so a sim that does not reject
+    reports the curtailed p-value h/L. Its verdict and statistic are those
+    of the full bootstrap, so the rejection rates are too. Each entry also
+    sums the cell's NNLS solves, screened, curtailed, interval-bounded and
+    working-set bounded replicates, working-set routes and bootstrap rounds
+    (SUMMED_DIAGNOSTICS; per sim, the solves less 2, the screened, the
+    curtailed and the interval-bounded replicates add up to ``reps``) and
+    gives its mean statistic; no critical values are computed. A cell's
+    generator structure is built once per process and kind, not per
+    call."""
     entries = []
     master = np.random.SeedSequence(seed)
     for dgp in dgps:

@@ -139,9 +139,9 @@ def full_bootstrap(rho, A, config):
     real_bootstrap, real_chunk, seen = inference._bootstrap, inference._bootstrap_chunk, []
 
     def recording(*args, **kwargs):
-        out, plan, B = real_bootstrap(*args, **kwargs)
+        out, plan, B, rounds = real_bootstrap(*args, **kwargs)
         seen.append(out[0])
-        return out, plan, B
+        return out, plan, B, rounds
 
     inference._bootstrap, inference._bootstrap_chunk = recording, reference_chunk
     try:
@@ -163,16 +163,21 @@ def curtailed_p_value(stats, statistic, reps, alpha):
     return (1 + len(hits)) / (reps + 1)
 
 
-def reference_chunk(plan, B):
+def reference_chunk(plan, B, need=None):
     """The bootstrap chunk before screening, certification, working sets and
     intervals: every replicate's row of ``B`` projected by scipy's nnls on
-    the full matrix, statistics only (the KKT row is NaN, the route row
-    reads FULL_AGAIN, the upper-bound row repeats J*, and no supports are
-    reported)."""
-    out = np.empty(len(B))
-    for i, b in enumerate(B):
+    the full matrix, in seed order, statistics only (the KKT row is NaN,
+    the route row reads FULL_AGAIN, the upper-bound row repeats J*, and no
+    supports are reported). With ``need``, the projections stop at the
+    ``need``-th J* >= J, and the rows end there."""
+    out, hits = [], 0
+    for b in B:
+        if hits == need:
+            break
         _, rnorm = nnls(plan.WA, b)
-        out[i] = plan.N * (rnorm * rnorm)
-    route = np.full(len(B), inference.FULL_AGAIN)
-    return (np.vstack([out, np.full(len(B), np.nan), route, out]),
-            np.zeros((plan.WA.shape[1], len(B)), bool))
+        out.append(plan.N * (rnorm * rnorm))
+        hits += out[-1] >= plan.statistic - 1e-12
+    out = np.array(out)
+    route = np.full(len(out), inference.FULL_AGAIN)
+    return (np.vstack([out, np.full(len(out), np.nan), route, out]),
+            np.zeros((plan.WA.shape[1], len(out)), bool))

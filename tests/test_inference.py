@@ -156,8 +156,8 @@ def test_a_projection_off_its_kkt_conditions_is_solved_again(binary_app, monkeyp
     rho = _app_rho(uni, int(np.random.SeedSequence((5, 0)).generate_state(1)[0]))
     chunks = []
 
-    def recording(plan, B):
-        out = chunk(plan, B)
+    def recording(plan, B, need=None):
+        out = chunk(plan, B, need)
         chunks.append((plan, B, out))
         return out
 
@@ -288,9 +288,9 @@ def test_both_routes_read_the_same_replicates(monkeypatch):
     kept, drawn, points = [], [], []
 
     def bootstrap(*args):
-        out, plan, B = real_bootstrap(*args)
+        out, plan, B, rounds = real_bootstrap(*args)
         kept.append(B)
-        return out, plan, B
+        return out, plan, B, rounds
 
     def draws(plan, seed, reps):
         drawn.append((seed, reps))

@@ -89,9 +89,10 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
     real = inference._bootstrap_chunk
     calls = []
 
-    def spy(plan, B):
-        out, used = real(plan, B)
-        calls.append((plan, B, out))
+    def spy(plan, B, need=None):
+        out, used = real(plan, B, need)
+        # the rows past a curtailed round's decisive hit are not taken
+        calls.append((plan, B[:out.shape[1]], out))
         return out, used
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
@@ -126,9 +127,9 @@ def test_default_path_keeps_the_unscreened_chunk_call(monkeypatch):
     seen = []
     real = inference._bootstrap_chunk
 
-    def spy(plan, B):
+    def spy(plan, B, need=None):
         seen.append((len(B), plan.fit is None, len(plan.faces.columns) > 0))
-        return real(plan, B)
+        return real(plan, B, need)
 
     monkeypatch.setattr(inference, "_bootstrap_chunk", spy)
     for kind in ("binary1", "cobb-douglas-walk"):
@@ -155,8 +156,9 @@ def _refused_pool(max_workers):
 
 
 def test_verdict_only_rounds_run_in_process(monkeypatch):
-    """A verdict-only round holds at most h replicates, too few to pay for a
-    pool: the test opens none, and the inference module imports no pool."""
+    """A verdict-only round holds at most ROUND replicates, too few to pay
+    for a pool: the test opens none, and the inference module imports no
+    pool."""
     rho, A = _rho_and_A(DgpSpec("binary1"), 10, 3)
     config = TestConfig(reps=99, seed=4, critical_value=False)
     one = run_test(rho, A, config)
@@ -166,9 +168,9 @@ def test_verdict_only_rounds_run_in_process(monkeypatch):
     _same_verdict(one, two)
     assert math.isnan(one.critical_value) and math.isnan(two.critical_value)
     assert one.diagnostics == two.diagnostics
-    # the test rejects, so it draws all 99 replicates in 20 rounds of at
-    # most h = 5
+    # the test rejects, so it draws all 99 replicates, in rounds of ROUND
     assert one.reject and one.diagnostics["curtailed_replicates"] == 0
+    assert one.diagnostics["bootstrap_rounds"] == -(-99 // inference.ROUND)
 
 
 def test_full_bootstrap_rounds_run_in_process(monkeypatch):
@@ -204,6 +206,9 @@ def test_experiment_rates_match_unscreened(monkeypatch):
         assert s["mean_statistic"] == f["mean_statistic"]
         assert f["screened_replicates"] == f["curtailed_replicates"] == 0
         assert f["nnls_solves"] + f["bounded_replicates"] == 4 * (49 + 2)
+        # one round of ROUND per sim on the full route; no more when curtailed
+        assert f["bootstrap_rounds"] == 4 * -(-49 // inference.ROUND)
+        assert 4 <= s["bootstrap_rounds"] <= f["bootstrap_rounds"]
         assert s["nnls_solves"] + s["screened_replicates"] + s["curtailed_replicates"] + \
             s["bounded_replicates"] == f["nnls_solves"] + f["bounded_replicates"]
     assert screened.entries[0]["screened_replicates"] > 0
@@ -306,6 +311,71 @@ def test_curtailed_verdicts_match_the_full_bootstrap(cell_matrices, cell, seed, 
     if report.reject:
         assert d["curtailed_replicates"] == 0
         assert report.p_value == full.p_value
+
+
+# (DGP kind, reported sample size) of the seed-order stop property: the
+# cell that nearly always rejects and the two small demand cells
+STOP_CELLS = [("binary1", 10), ("cobb-douglas-walk", 50), ("cobb-douglas-gaussian-copula", 50)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=st.sampled_from(STOP_CELLS), panel_seed=st.integers(0, 50),
+       seed=st.integers(0, 2**32 - 1))
+def test_no_replicate_past_the_decisive_hit_is_projected(cell, panel_seed, seed):
+    """Every replicate that ``_project`` takes lies before L, the seed-order
+    index of the h-th hit of the full bootstrap (L = R when the test
+    rejects). The p-value is h/L when the test does not reject and the
+    fixed-R one when it does; the curtailed replicates are R - L, and the
+    rounds at most ceil(L / ROUND)."""
+    kind, n = cell
+    dgp = DgpSpec(kind)
+    rho, A = _rho_and_A(dgp, n, panel_seed)
+    config = TestConfig(reps=199, seed=seed, critical_value=False)
+    full, stats = full_bootstrap(rho, A, config)
+    real_draws, real_chunk, real_project = (inference._draws, inference._bootstrap_chunk,
+                                            inference._project)
+    drawn, rounds, projected = [], [], []
+
+    def draws(plan, seed, reps):
+        drawn.append(real_draws(plan, seed, reps))
+        return drawn[-1]
+
+    def chunk(plan, B, need=None):
+        # the round's first seed-order index: the rows the earlier rounds took
+        rounds.append([sum(taken for _, _, taken in rounds), B, None])
+        out, supports = real_chunk(plan, B, need)
+        rounds[-1][2] = out.shape[1]
+        return out, supports
+
+    def project(plan, B, room=None):
+        result = real_project(plan, B, room)
+        first, rows, _ = rounds[-1]
+        for b in B[:len(result[3])]:
+            projected.append(first + int(np.flatnonzero((rows == b).all(axis=1))[0]))
+        return result
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(inference, "_draws", draws)
+        patched.setattr(inference, "_bootstrap_chunk", chunk)
+        patched.setattr(inference, "_project", project)
+        report = run_test(rho, A, config)
+    assert report.statistic == full.statistic and report.reject == full.reject
+    hits = np.flatnonzero(stats >= full.statistic - 1e-12)
+    h = inference._stop_count(199, config.alpha)
+    if report.reject:
+        L = 199
+        assert report.p_value == full.p_value
+    else:
+        L = hits[h - 1] + 1
+        assert report.p_value == h / L
+    d = report.diagnostics
+    assert d["curtailed_replicates"] == 199 - L
+    assert d["bootstrap_rounds"] == len(rounds) <= math.ceil(L / inference.ROUND)
+    assert all(index < L for index in projected)
+    # the rounds are consecutive seed-order slices of the test's one draw
+    assert len(drawn) == 1
+    for first, rows, _ in rounds:
+        assert rows.tobytes() == drawn[0][first:first + len(rows)].tobytes()
 
 
 def test_curtailment_stops_at_the_decisive_hit():

@@ -9,7 +9,8 @@ from drumtest import catalog
 from drumtest.errors import ParameterError
 from drumtest.geometry import compute_patches, enumerate_demand_types
 from drumtest.model import PanelDataset, PanelRecord, estimate_rho
-from drumtest.representations import build_static_A, enumerate_orders, kron_dynamic
+from drumtest.representations import (build_static_A, enumerate_orders, kron_dynamic,
+                                      static_type_matrix)
 from drumtest.simulate import (BINARY_MARGINALS, DgpSpec, build_universe,
                                observed_menu_paths, run_experiment, simulate, type_matrix_for)
 
@@ -269,6 +270,43 @@ class TestExperiment:
         assert "binary3" in text
         rate = report.entries[0]["rejection_rate"]
         assert 0.0 <= rate <= 1.0
+
+
+class TestCatalogStructure:
+    """A catalog generator's universe, budgets and type matrix are built
+    once per kind and process and shared, read-only, by every caller."""
+
+    @pytest.mark.parametrize("kind", ["cobb-douglas-walk", "cobb-douglas-gaussian-copula",
+                                      "binary1", "binary3"])
+    def test_shared_and_equal_to_a_fresh_build(self, kind):
+        dgp = DgpSpec(kind)
+        universe, budgets = build_universe(dgp)
+        A = type_matrix_for(dgp, universe)
+        # params shape the draws only, so they share the structure too
+        assert build_universe(DgpSpec(kind, {"persistence": 0.5}))[0] is universe
+        assert type_matrix_for(DgpSpec(kind), universe) is A
+        assert A.range_basis is type_matrix_for(dgp, universe).range_basis
+        assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
+        if kind.startswith("cobb"):
+            patches = {t: compute_patches(budgets[t])[0] for t in universe.periods}
+        else:
+            patches = None
+            assert universe == catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
+        statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
+        fresh = kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
+        assert fresh.matrix.tobytes() == A.matrix.tobytes()
+        assert fresh.row_labels == A.row_labels and fresh.col_labels == A.col_labels
+
+    def test_experiments_build_no_structure(self, monkeypatch):
+        import drumtest.simulate as sim
+        dgps = [DgpSpec("binary3"), DgpSpec("cobb-douglas-walk")]
+        run_experiment(dgps, [10], sims=1, reps=19, seed=1)
+        built = []
+        for name in ("kron_dynamic", "static_type_matrix", "demand_universe"):
+            monkeypatch.setattr(sim, name, lambda *args, name=name, **kwargs: built.append(name))
+        monkeypatch.setattr(catalog, "binary_universe", lambda *args: built.append("binary"))
+        report = run_experiment(dgps, [10], sims=2, reps=19, seed=2)
+        assert built == [] and len(report.entries) == 2
 
 
 class TestPublishedMarginals:

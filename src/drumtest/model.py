@@ -454,9 +454,9 @@ def estimate_rho(panel: PanelDataset, universe: ChoiceUniverse) -> StochasticCho
     """Sample frequencies of choice paths per observed menu path.
 
     Each distinct (period, menu, choice) is resolved to a menu position
-    once; agents are then tallied per menu path with one bincount. Menu
-    paths never observed are absent from the output rather than
-    zero-filled.
+    once; each agent's menu path gets a code, and ``tally_rho`` counts the
+    agents per menu path. Menu paths never observed are absent from the
+    output rather than zero-filled.
     """
     grid, period_pos = _agent_grid(panel, universe)
     menu_codes, menu_ids = _codes(panel.menu)
@@ -464,31 +464,51 @@ def estimate_rho(panel: PanelDataset, universe: ChoiceUniverse) -> StochasticCho
     key = (period_pos * n_menus + menu_codes) * n_choices + panel.choice_codes
     triples, inverse = np.unique(key, return_inverse=True)
     position = np.empty(len(triples), dtype=np.intp)
-    size = np.empty(len(triples), dtype=np.intp)
     for k, triple in enumerate(triples.tolist()):
         rest, c = divmod(triple, n_choices)
         t, m = divmod(rest, n_menus)
         menu = universe.menu(universe.periods[t], menu_ids[m])
         position[k] = _resolve_choice(menu, panel.choice_ids[c]) - 1
-        size[k] = menu.size
-    inverse = inverse.reshape(-1)
-    position, size = position[inverse][grid], size[inverse][grid]
-    # per agent: menu path code and choice-path index, period 1 slowest
+    position = position[inverse.reshape(-1)][grid]
+    # per agent: menu path code, in the sorted order of the menu codes
     path = np.zeros(len(grid), dtype=np.intp)
-    cell = np.zeros(len(grid), dtype=np.intp)
     for k in range(grid.shape[1]):
         path = np.unique(path * n_menus + menu_codes[grid[:, k]],
                          return_inverse=True)[1].reshape(-1)
-        cell = cell * size[:, k] + position[:, k]
-    n_paths = int(path.max()) + 1 if len(path) else 0
-    width = int(np.prod(size.max(axis=0))) if len(path) else 0
-    table = np.bincount(path * width + cell, minlength=n_paths * width).reshape(n_paths, width)
-    agent_of = np.empty(n_paths, dtype=np.intp)
+    agent_of = np.empty(int(path.max()) + 1 if len(path) else 0, dtype=np.intp)
     agent_of[path] = np.arange(len(grid))
+    menu_paths = [tuple(menu_ids[c] for c in menu_codes[grid[agent]].tolist())
+                  for agent in agent_of.tolist()]
+    return tally_rho(universe, menu_paths, path, position)
+
+
+def tally_rho(universe: ChoiceUniverse, menu_paths: list, path: np.ndarray,
+              position: np.ndarray) -> StochasticChoiceFunction:
+    """The stochastic choice function of tallied agents: agent i faced menu
+    path ``menu_paths[path[i]]`` and chose the 0-based positions
+    ``position[i]``, one per universe period.
+
+    Each agent's choice path is one cell of its menu path's choice paths,
+    read as a mixed-radix number with period 1 slowest (the canonical
+    order); one bincount counts the agents per (menu path, cell). Every
+    menu path in ``menu_paths`` needs at least one agent; the output keeps
+    their order and gives each its probabilities ``raw / total``, its sample
+    size ``total`` and its integer tallies ``raw``.
+    """
+    T = universe.num_periods
+    sizes = np.array([[universe.menu(t, j).size for t, j in zip(universe.periods, menu_path)]
+                      for menu_path in menu_paths], dtype=np.intp).reshape(-1, T)
+    size = sizes[path]
+    cell = np.zeros(len(path), dtype=np.intp)
+    for k in range(T):
+        cell = cell * size[:, k] + position[:, k]
+    cells = sizes.prod(axis=1)
+    width = int(cells.max()) if len(cells) else 0
+    table = np.bincount(path * width + cell,
+                        minlength=len(menu_paths) * width).reshape(len(menu_paths), width)
     probs, counts, choice_counts = {}, {}, {}
-    for p, agent in enumerate(agent_of.tolist()):
-        menu_path = tuple(menu_ids[c] for c in menu_codes[grid[agent]].tolist())
-        raw = table[p, :len(universe.choice_paths(menu_path))].copy()
+    for p, (menu_path, n_cells) in enumerate(zip(menu_paths, cells.tolist())):
+        raw = table[p, :n_cells].copy()
         total = int(raw.sum())
         probs[menu_path] = raw / total
         counts[menu_path] = total

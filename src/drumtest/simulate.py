@@ -6,6 +6,11 @@ it into patches. Binary-menu generators compose published per-menu
 marginals independently across periods. Every simulated agent faces one
 menu path; each observed menu path receives the same number of agents, as
 in the experimental designs the generators mimic.
+
+``draw_choices`` makes a generator's draws: each agent's menus and 0-based
+choice positions. ``simulate`` assembles them into a panel. A Monte Carlo
+sim (``run_experiment``) builds no panel: it draws, tallies the draws with
+``model.tally_rho`` and tests.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from . import catalog
 from .errors import GeometryError, ParameterError
 from .geometry import ABOVE, demand_universe
 from .inference import TestConfig, run_test
-from .model import PanelDataset, estimate_rho
+from .model import PanelDataset, tally_rho
 from .representations import kron_dynamic, static_type_matrix
 
 BINARY_MARGINALS = {
@@ -57,7 +62,7 @@ class DgpSpec:
 def build_universe(dgp: DgpSpec):
     """Universe (and budgets where applicable) the generator samples on."""
     if dgp.kind.startswith(("cobb", "binary")):
-        universe, budgets, _, _ = _catalog_structure(dgp.kind)
+        universe, budgets, *_ = _catalog_structure(dgp.kind)
         return universe, budgets
     if dgp.kind == "order-mixture":
         return dgp.params["universe"], None
@@ -66,24 +71,56 @@ def build_universe(dgp: DgpSpec):
 
 @lru_cache(maxsize=16)
 def _catalog_structure(kind: str):
-    """(universe, budgets, demand patches by period, type matrix) of a
-    catalog generator, ``cobb*`` or ``binary*``, built once per kind and
-    process. None of it depends on the generator's params, which only shape
-    its draws. Every caller shares these objects, and nothing writes to
-    them: the universe is a frozen value of tuples, budgets and patches are
-    frozen, and the type matrix's array is made read-only here (its range
-    basis, built on the first test, is read-only too)."""
+    """(universe, budgets, demand patches by period, type matrix, demand
+    classification tables) of a catalog generator, ``cobb*`` or
+    ``binary*``, built once per kind and process; a binary generator has no
+    budgets, patches or tables. None of it depends on the generator's
+    params, which only shape its draws. Every caller shares these objects,
+    and nothing writes to them: the universe is a frozen value of tuples,
+    budgets and patches are frozen, and the arrays of the type matrix and
+    the tables are made read-only here (the matrix's range basis, built on
+    the first test, is read-only too)."""
     dgp = DgpSpec(kind)
     if kind.startswith("cobb"):
         budgets = catalog.simple_budgets(dgp.periods())
         universe, patches, _ = demand_universe(budgets, dgp.periods())
+        tables = _demand_tables(universe, budgets, patches)
     else:
-        budgets = patches = None
+        budgets = patches = tables = None
         universe = catalog.binary_universe(("l1", "l2", "l3"), dgp.periods())
     statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
     A = kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
     A.matrix.setflags(write=False)
-    return universe, budgets, patches, A
+    return universe, budgets, patches, A, tables
+
+
+def _demand_tables(universe, budgets, patches_by_period):
+    """Per period, one ``(budget index, prices, expenditure, others,
+    position)`` tuple per budget: ``others`` holds the (prices, expenditure)
+    of the period's other budgets, and ``position[code]`` is the 0-based
+    menu position of the budget's open patch whose sign vector has bit b of
+    ``code`` set exactly when the patch lies above ``others[b]``, or -1 when
+    no open patch has that sign vector; ``patches_by_period`` are numbered
+    as the universe's."""
+    tables = {}
+    for t in universe.periods:
+        rows = []
+        for budget in budgets[t]:
+            others = [b for b in budgets[t] if b.index != budget.index]
+            menu = universe.menu(t, budget.index)
+            position = np.full(1 << len(others), -1, dtype=np.intp)
+            for pt in patches_by_period[t]:
+                if pt.budget == budget.index and not pt.is_intersection:
+                    code = sum(1 << b for b, o in enumerate(others)
+                               if pt.sign_vector[o.index] == ABOVE)
+                    position[code] = menu.position(pt.label) - 1
+            prices = budget.p()
+            other_prices = tuple((o.p(), o.w()) for o in others)
+            for array in (position, prices, *(p for p, _ in other_prices)):
+                array.setflags(write=False)
+            rows.append((budget.index, prices, budget.w(), other_prices, position))
+        tables[t] = tuple(rows)
+    return tables
 
 
 def observed_menu_paths(dgp: DgpSpec, universe):
@@ -98,14 +135,21 @@ def observed_menu_paths(dgp: DgpSpec, universe):
     return sorted(tuple(p) for p in paths)
 
 
-def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
-    """Draw a panel with ``agents_per_path`` agents on every menu path.
+def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
+    """The generator's draws for ``agents_per_path`` agents on every observed
+    menu path, agents in path order: (menus, positions, quantity), with
+    ``menus`` each agent's menu ids and ``positions`` the 0-based positions
+    of its choices in them, both (agents, periods), and ``quantity`` the
+    demand points, (agents, periods, 2), or None for a generator without
+    them. Budget indices double as menu ids; a demand choice is the open
+    patch whose sign vector against the period's other budgets matches the
+    demand point.
 
-    Returns (panel, universe). Agents are numbered from 1 in path order and
-    the panel runs agent by agent, period by period. Budget indices double
-    as menu ids; a demand choice is the open patch whose sign vector against
-    the period's other budgets matches the demand point.
+    Raises ParameterError when ``agents_per_path`` is below 1, the kind is
+    unknown or a copula correlation lies outside [-1, 1].
     """
+    if agents_per_path < 1:
+        raise ParameterError(f"agents per menu path must be at least 1, got {agents_per_path}")
     rng = np.random.default_rng(seed)
     universe, budgets = build_universe(dgp)
     paths = observed_menu_paths(dgp, universe)
@@ -114,8 +158,8 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     quantity = None
     if dgp.kind.startswith("cobb"):
         shares = _draw_shares(dgp, rng, len(paths), agents_per_path)
-        positions, quantity = _demand_choices(universe, budgets,
-                                              _catalog_structure(dgp.kind)[2], menus, shares)
+        positions, quantity = _demand_choices(universe, _catalog_structure(dgp.kind)[4],
+                                              menus, shares)
     elif dgp.kind.startswith("binary"):
         marg = dgp.params.get("marginals")
         if marg is None:
@@ -127,7 +171,7 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
             first[j] = marg[2 * (j - 1)]
         u = rng.uniform(size=menus.shape)
         positions = (u >= first[menus]).astype(np.intp)
-    elif dgp.kind == "order-mixture":
+    else:
         profiles = dgp.params["profiles"]
         weights = np.asarray(dgp.params["weights"], dtype=float)
         weights = weights / weights.sum()
@@ -137,9 +181,19 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
             for menu in universe.menus[t]:
                 rows = menus[:, k] == menu.index
                 positions[rows, k] = _best_positions(menu, [p[k] for p in profiles])[draws[rows]]
-    else:
-        raise ParameterError(f"unknown DGP kind {dgp.kind!r}")
-    n = len(menus)
+    return menus, positions, quantity
+
+
+def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
+    """Draw a panel with ``agents_per_path`` agents on every menu path.
+
+    Returns (panel, universe): ``draw_choices``'s draws as records. Agents
+    are numbered from 1 in path order and the panel runs agent by agent,
+    period by period.
+    """
+    menus, positions, quantity = draw_choices(dgp, agents_per_path, seed)
+    universe, _ = build_universe(dgp)
+    n, T = menus.shape
     choice, choice_ids = _chosen_items(universe, menus, positions)
     panel = PanelDataset.from_columns(
         np.repeat(np.arange(1, n + 1), T), np.tile(np.asarray(universe.periods), n),
@@ -154,7 +208,12 @@ def _draw_shares(dgp: DgpSpec, rng, n_paths: int, agents_per_path: int) -> np.nd
     The walk draws every agent's first-period share as one array of
     uniforms, then every agent's innovation as one array of standard
     normals: agent i takes the i-th of each. ``random`` draws the doubles
-    of ``uniform(0, 1)`` and 0 + sd z is ``normal(0, sd)``'s arithmetic."""
+    of ``uniform(0, 1)`` and 0 + sd z is ``normal(0, sd)``'s arithmetic.
+
+    The copula draws every agent's two standard normals as one array and
+    maps each path's rows through the covariance factor ``(u sqrt(s))ᵀ`` of
+    one SVD, with one matmul per path: the stream and arithmetic of one
+    ``multivariate_normal(0, cov, size=agents_per_path)`` per path."""
     if dgp.kind == "cobb-douglas-walk":
         persistence = dgp.params.get("persistence", 0.9)
         sd = dgp.params.get("innovation_sd", 5.0)
@@ -163,19 +222,21 @@ def _draw_shares(dgp: DgpSpec, rng, n_paths: int, agents_per_path: int) -> np.nd
         z = rng.standard_normal(n)
         return np.column_stack([first, np.clip(persistence * first + (0.0 + sd * z), 0.0, 1.0)])
     corr = dgp.params.get("correlation", 0.5)
-    cov = np.array([[1.0, corr], [corr, 1.0]])
-    # one draw per path: the covariance transform of a one-row draw can
-    # differ in the last bit from the same row inside a larger draw
-    eps = np.concatenate([rng.multivariate_normal(np.zeros(2), cov, size=agents_per_path)
-                          for _ in range(n_paths)])
+    if not -1.0 <= corr <= 1.0:
+        raise ParameterError(f"copula correlation must lie in [-1, 1], got {corr}")
+    u, s, _ = np.linalg.svd(np.array([[1.0, corr], [corr, 1.0]]))
+    factor = (u * np.sqrt(s)).T
+    z = rng.standard_normal((n_paths, agents_per_path, 2))
+    # one matmul per path: a one-row product can differ in the last bit
+    # from the same row inside a larger one
+    eps = np.concatenate([block @ factor for block in z])
     return np.arctan(eps) / np.pi + 0.5
 
 
-def _demand_choices(universe, budgets, patches_by_period, menus, shares):
+def _demand_choices(universe, tables, menus, shares):
     """(positions, quantity): the 0-based patch position in its menu of each
     agent's demand point per period, and the points, (agents, periods, 2);
-    ``patches_by_period`` are the budgets' patches, numbered as the
-    universe's.
+    ``tables`` are the generator's ``_demand_tables``.
 
     A point lying exactly on another budget line (probability zero) counts
     as below it.
@@ -183,22 +244,17 @@ def _demand_choices(universe, budgets, patches_by_period, menus, shares):
     positions = np.empty(menus.shape, dtype=np.intp)
     quantity = np.empty(menus.shape + (2,))
     for k, t in enumerate(universe.periods):
-        patches = patches_by_period[t]
-        for budget in budgets[t]:
-            rows = menus[:, k] == budget.index
-            a, p, w = shares[rows, k], budget.p(), budget.w()
+        for index, p, w, others, position in tables[t]:
+            rows = menus[:, k] == index
+            a = shares[rows, k]
             y = np.column_stack([a * w / p[0], (1 - a) * w / p[1]])
-            others = [b for b in budgets[t] if b.index != budget.index]
-            signs = np.column_stack([np.where(y @ o.p() > o.w(), 1, -1) for o in others])
-            own = [pt for pt in patches if pt.budget == budget.index and not pt.is_intersection]
-            table = np.array([[1 if pt.sign_vector[o.index] == ABOVE else -1 for o in others]
-                              for pt in own])
-            match = (signs[:, None, :] == table[None, :, :]).all(axis=2)
-            if not match.any(axis=1).all():
-                raise GeometryError(f"a demand point on budget {budget.index} matches no patch")
-            menu = universe.menu(t, budget.index)
-            pos = np.array([menu.position(pt.label) - 1 for pt in own])
-            positions[rows, k] = pos[match.argmax(axis=1)]
+            code = np.zeros(len(y), dtype=np.intp)
+            for b, (op, ow) in enumerate(others):
+                code |= (y @ op > ow).astype(np.intp) << b
+            pos = position[code]
+            if (pos < 0).any():
+                raise GeometryError(f"a demand point on budget {index} matches no patch")
+            positions[rows, k] = pos
             quantity[rows, k] = y
     return positions, quantity
 
@@ -233,7 +289,7 @@ def type_matrix_for(dgp: DgpSpec, universe):
     ``_catalog_structure`` built."""
     patches = None
     if dgp.kind.startswith(("cobb", "binary")):
-        shared, _, patches, A = _catalog_structure(dgp.kind)
+        shared, _, patches, A, _ = _catalog_structure(dgp.kind)
         if universe == shared:
             return A
     statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
@@ -281,15 +337,21 @@ def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.nd
     verdict and computes no critical value. The universe and the type matrix
     come from ``build_universe`` and ``type_matrix_for``, which share one
     build per catalog generator kind and process (``_catalog_structure``),
-    range basis included; each sim only draws, estimates and tests."""
+    range basis included. Each sim draws (``draw_choices``), tallies the
+    drawn positions by menu path (``model.tally_rho``, the tally
+    ``estimate_rho`` ends in, so ``rho`` is that of the simulated panel) and
+    tests through the module attribute ``run_test``; it builds no panel."""
     universe, _ = build_universe(dgp)
     A = type_matrix_for(dgp, universe)
+    paths = observed_menu_paths(dgp, universe)
     agents = agents_per_path_for(dgp, n)
+    # draw_choices lays the agents out in path order, agents per path each
+    path = np.repeat(np.arange(len(paths)), agents)
     out = np.empty((len(sim_seeds), 2 + len(SUMMED_DIAGNOSTICS)))
     for i, seed in enumerate(sim_seeds):
         panel_seed, boot_seed = seed.spawn(2)
-        panel, _ = simulate(dgp, agents, panel_seed)
-        rho = estimate_rho(panel, universe)
+        _, positions, _ = draw_choices(dgp, agents, panel_seed)
+        rho = tally_rho(universe, paths, path, positions)
         config = TestConfig(reps=reps, alpha=alpha, critical_value=False,
                             seed=int(boot_seed.generate_state(1, np.uint64)[0]))
         report = run_test(rho, A, config)
@@ -326,7 +388,14 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
     curtailed and the interval-bounded replicates add up to ``reps``) and
     gives its mean statistic; no critical values are computed. A cell's
     generator structure is built once per process and kind, not per
-    call."""
+    call.
+
+    Raises ParameterError when ``sims`` or a sample size is below 1.
+    """
+    if sims < 1:
+        raise ParameterError(f"sims must be at least 1, got {sims}")
+    if any(n < 1 for n in Ns):
+        raise ParameterError(f"sample sizes must be at least 1, got {list(Ns)}")
     entries = []
     master = np.random.SeedSequence(seed)
     for dgp in dgps:

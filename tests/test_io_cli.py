@@ -361,6 +361,25 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "experiment.csv").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["experiment", "--dgps", "binary1", "--Ns", "5", "--sims", "0"],
+         "sims must be at least 1, got 0"),
+        (["experiment", "--dgps", "dgp1", "--Ns", "5,0", "--sims", "2"],
+         "sample sizes must be at least 1, got [5, 0]"),
+        (["simulate", "--dgp", "binary1", "--n", "-1"],
+         "agents per menu path must be at least 1, got -1"),
+        (["simulate", "--dgp", "dgp1", "--n", "0"],
+         "agents per menu path must be at least 1, got 0")],
+        ids=["sims-0", "N-0", "n-negative", "n-0"])
+    def test_bad_sizes_exit_1_before_any_draw(self, argv, message, tmp_path, capsys,
+                                              monkeypatch):
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed))
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ParameterError: {message}")
+        assert draws == [] and not out.exists()
+
     def test_config_file_merging(self, tmp_path):
         panel_path = tmp_path / "panel.csv"
         (tmp_path / "conf").write_text("n=30\nseed=8\n")

@@ -1,18 +1,24 @@
 """Data generators and the experiment runner."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import drumtest.model as model
+import drumtest.simulate as sim
 from drumtest import catalog
 from drumtest.errors import ParameterError
 from drumtest.geometry import compute_patches, enumerate_demand_types
 from drumtest.model import PanelDataset, PanelRecord, estimate_rho
 from drumtest.representations import (build_static_A, enumerate_orders, kron_dynamic,
                                       static_type_matrix)
-from drumtest.simulate import (BINARY_MARGINALS, DgpSpec, build_universe,
-                               observed_menu_paths, run_experiment, simulate, type_matrix_for)
+from drumtest.simulate import (BINARY_MARGINALS, SUMMED_DIAGNOSTICS, DgpSpec,
+                               agents_per_path_for, build_universe, observed_menu_paths,
+                               run_experiment, simulate, type_matrix_for)
 
 
 def reference_simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
@@ -140,6 +146,92 @@ class TestMatchesScalarReference:
             else:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert panel.choice_ids == listed.choice_ids
+
+
+class TestMonteCarloRoute:
+    """A Monte Carlo sim tallies the generator's draws without a panel; its
+    rho is that of the simulated panel, bit for bit."""
+
+    @staticmethod
+    def _captured_rhos(monkeypatch, dgp, n, entropies):
+        """The rho of each sim of ``_run_sims``, read off ``run_test``."""
+        rhos = []
+
+        def capture(rho, A, config):
+            rhos.append(rho)
+            return SimpleNamespace(reject=False, statistic=0.0,
+                                   diagnostics=dict.fromkeys(SUMMED_DIAGNOSTICS, 0))
+
+        monkeypatch.setattr(sim, "run_test", capture)
+        sim._run_sims(dgp, n, [np.random.SeedSequence(e) for e in entropies], 19, 0.05)
+        return rhos
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dgp=st.sampled_from(EQUIVALENCE_DGPS),
+           entropy=st.integers(0, 2**32 - 1))
+    def test_sim_rho_is_the_simulated_panels(self, data, dgp, entropy):
+        # agents per path 1-60: demand designs put 4 agents per path per unit of N
+        n = data.draw(st.integers(1, 15 if dgp.kind.startswith("cobb") else 60))
+        with pytest.MonkeyPatch.context() as patch:
+            (got,) = self._captured_rhos(patch, dgp, n, [entropy])
+        panel_seed = np.random.SeedSequence(entropy).spawn(2)[0]
+        want = estimate_rho(*simulate(dgp, agents_per_path_for(dgp, n), panel_seed))
+        assert list(got.probs) == list(want.probs)
+        for path in want.probs:
+            assert got.probs[path].tobytes() == want.probs[path].tobytes()
+            assert got.counts[path] == want.counts[path]
+            assert got.choice_counts[path].dtype == want.choice_counts[path].dtype
+            assert np.array_equal(got.choice_counts[path], want.choice_counts[path])
+
+    def test_sims_build_no_panel_and_every_test_goes_through_the_attribute(self,
+                                                                           monkeypatch):
+        built, estimated, tested = [], [], []
+        monkeypatch.setattr(model.PanelDataset, "_set_columns",
+                            lambda self, *args: built.append(args))
+        monkeypatch.setattr(model, "estimate_rho", lambda *args: estimated.append(args))
+        monkeypatch.setattr(sim, "estimate_rho", lambda *args: estimated.append(args),
+                            raising=False)
+        real = sim.run_test
+
+        def spy(*args, **kwargs):
+            tested.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_test", spy)
+        report = run_experiment([DgpSpec("cobb-douglas-walk"), DgpSpec("binary1"),
+                                 _order_mixture()], [3], sims=4, reps=19, seed=5)
+        assert len(report.entries) == 3 and len(tested) == 12
+        assert built == [] and estimated == []
+
+    @pytest.mark.parametrize("agents", [1, 3, 200, 2000])
+    def test_copula_shares_are_per_path_multivariate_normal_draws(self, agents):
+        dgp = DgpSpec("cobb-douglas-gaussian-copula")
+        cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+        for seed in range(5):
+            got = sim._draw_shares(dgp, np.random.default_rng(seed), 4, agents)
+            rng = np.random.default_rng(seed)
+            eps = np.concatenate([rng.multivariate_normal(np.zeros(2), cov, size=agents)
+                                  for _ in range(4)])
+            want = np.arctan(eps) / np.pi + 0.5
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_bad_sizes_raise_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed))
+        for agents in (0, -1):
+            with pytest.raises(ParameterError, match="agents per menu path"):
+                simulate(DgpSpec("binary1"), agents)
+        with pytest.raises(ParameterError, match="sims must be at least 1"):
+            run_experiment([DgpSpec("binary1")], [5], sims=0)
+        with pytest.raises(ParameterError, match="sample sizes must be at least 1"):
+            run_experiment([DgpSpec("binary1")], [5, 0], sims=2)
+        assert draws == []
+
+    @pytest.mark.parametrize("corr", [1.5, -1.01, float("nan")])
+    def test_copula_correlation_outside_the_unit_interval_is_rejected(self, corr):
+        # a covariance that is not positive semi-definite has no SVD factor
+        with pytest.raises(ParameterError, match="copula correlation"):
+            simulate(DgpSpec("cobb-douglas-gaussian-copula", {"correlation": corr}), 3)
 
 
 class TestDemandDgps:
@@ -287,6 +379,12 @@ class TestCatalogStructure:
         assert type_matrix_for(DgpSpec(kind), universe) is A
         assert A.range_basis is type_matrix_for(dgp, universe).range_basis
         assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
+        tables = sim._catalog_structure(kind)[4]
+        if tables is not None:
+            for rows in tables.values():
+                for _, prices, _, others, position in rows:
+                    assert not position.flags.writeable and not prices.flags.writeable
+                    assert all(not p.flags.writeable for p, _ in others)
         if kind.startswith("cobb"):
             patches = {t: compute_patches(budgets[t])[0] for t in universe.periods}
         else:

@@ -289,33 +289,23 @@ def nnls_solve(A: np.ndarray, b: np.ndarray):
 
 
 def certify_nnls(A: np.ndarray, x: np.ndarray, b: np.ndarray, rnorm):
-    """Certify nonnegative least-squares solutions x of min ||Ax - b|| with
-    residual norms ``rnorm`` by their KKT residual: the worst negative
-    gradient entry and the worst gradient entry on the support. ``x`` and
-    ``b`` may hold one problem per column, which certifies them all in one
-    pass.
+    """Certify a nonnegative least-squares solution x of min ||Ax - b||
+    with residual norm ``rnorm`` by its KKT residual: the worst negative
+    gradient entry and the worst gradient entry on the support.
 
-    A problem whose residual exceeds the accuracy tolerance is solved again
-    alone by bounded-variable least squares, and its solution and residual
-    norm are replaced by the re-solve's. Returns (x, rnorm, KKT residuals);
-    raises SolverError when a re-solve fails the check too."""
+    A residual above the accuracy tolerance has the problem solved again by
+    bounded-variable least squares, whose solution and residual norm
+    replace x and ``rnorm``. Returns (x, rnorm, KKT residual); raises
+    SolverError when the re-solve fails the check too."""
     kkt, limit = _kkt_residual(A, x, b, KKT_TOL)
-    failed = np.flatnonzero(kkt > limit)
-    if not failed.size:
-        return x, rnorm, (kkt if kkt.ndim else float(kkt))
-    X, B = x.reshape(len(x), -1).copy(), b.reshape(len(b), -1)
-    rnorm, kkt, limit = np.array(rnorm, dtype=float).reshape(-1), np.ravel(kkt), np.ravel(limit)
-    for k in failed:
-        X[:, k] = lsq_linear(A, B[:, k], bounds=(0, np.inf), method="bvls").x
-        rnorm[k] = np.linalg.norm(A @ X[:, k] - B[:, k])
-        kkt[k] = _kkt_residual(A, X[:, k], B[:, k], KKT_TOL)[0]
-    worst = int(np.argmax(kkt - limit))
-    if kkt[worst] > limit[worst]:
-        raise SolverError("cone projection did not reach the required accuracy",
-                          {"kkt_residual": float(kkt[worst]), "kkt_limit": float(limit[worst])})
-    if x.ndim == 1:
-        return X[:, 0], float(rnorm[0]), float(kkt[0])
-    return X, rnorm, kkt
+    if kkt > limit:
+        x = lsq_linear(A, b, bounds=(0, np.inf), method="bvls").x
+        rnorm = float(np.linalg.norm(A @ x - b))
+        kkt = _kkt_residual(A, x, b, KKT_TOL)[0]
+        if kkt > limit:
+            raise SolverError("cone projection did not reach the required accuracy",
+                              {"kkt_residual": float(kkt), "kkt_limit": float(limit)})
+    return x, rnorm, float(kkt)
 
 
 def _kkt_residual(A, x, b, kkt_tol):

@@ -168,7 +168,7 @@ def _demand_geometry(universe, budgets):
         for t, blist in budgets.items():
             patches[t], dominance[t] = compute_patches(blist)
             labels = {p.label for p in patches[t] if not p.is_intersection}
-            if universe is not None and set(universe.alternatives[t]) != labels:
+            if set(universe.alternatives[t]) != labels:
                 raise DrumError(f"period {t}: budget patches do not match the universe; "
                                 "rebuild universe.json from these budgets")
     distinct = {}
@@ -323,20 +323,35 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _with_config(ap, argv, args):
+    """``argv`` parsed again with the ``--config`` file's options put right
+    after the subcommand, ahead of its flags: a flag beats the file, the
+    file beats the default, and the parser types each file value as it
+    types its flag's. A switch (a ``store_true`` option) reads ``true`` or
+    ``false``; keys that name no option of the subcommand are ignored."""
+    options = []
+    for key, value in _load_config(args.config).items():
+        if key in ("command", "config") or not hasattr(args, key):
+            continue
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            options.append(f"{flag}={value}")
+        elif value == "true":
+            options.append(flag)
+    at = argv.index(args.command) + 1
+    return ap.parse_args(argv[:at] + options + argv[at:])
+
+
 def main(argv=None) -> int:
     ap = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
-    if getattr(args, "config", None):
-        overrides = _load_config(args.config)
-        for key, value in overrides.items():
-            if hasattr(args, key) and getattr(args, key) in (None, ap.get_default(key)):
-                current = getattr(args, key)
-                cast = type(current) if current is not None else str
-                setattr(args, key, cast(value) if cast is not bool else value == "true")
     handlers = {"matrices": _cmd_matrices, "check": _cmd_check, "test": _cmd_test,
                 "bounds": _cmd_bounds, "simulate": _cmd_simulate,
                 "experiment": _cmd_experiment}
     try:
+        if args.config:
+            args = _with_config(ap, argv, args)
         return handlers[args.command](args)
     except ModelRejectedError as exc:
         if args.debug:

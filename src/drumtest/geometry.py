@@ -114,12 +114,13 @@ class Patch:
         return (self.budget, self.index)
 
 
-def _cell_program(budget: Budget, others: list, signs: dict, strict: bool):
+def _cell_program(budget: Budget, others: list, signs: dict):
     """LP maximizing the uniform slack of a sign cell on a budget.
 
-    Returns (margin, point) or (None, None) when the open cell is empty.
-    'on' entries become equalities; the margin applies to strict entries
-    scaled by the price norm so it is comparable across budgets.
+    Returns (margin, point) or (None, None) when the open cell is empty:
+    the LP fails or its margin is at most ``MARGIN_TOL``. 'on' entries
+    become equalities; the margin applies to strict entries scaled by the
+    price norm so it is comparable across budgets.
     """
     K = budget.num_goods
     A_eq, b_eq, A_ub, b_ub = _sign_rows(budget, others, signs)
@@ -127,7 +128,7 @@ def _cell_program(budget: Budget, others: list, signs: dict, strict: bool):
     c[-1] = -1.0
     # the slack column: each strict row's price norm (|-p| = |p|), then the
     # cap on the margin
-    slack = [np.linalg.norm(row) if strict else 0.0 for row in A_ub]
+    slack = [np.linalg.norm(row) for row in A_ub]
     A_ub = np.vstack([np.column_stack([A_ub, slack]), np.append(np.zeros(K), 1.0)])
     lp = compile_lp(A_ub, np.column_stack([A_eq, np.zeros(len(A_eq))]),
                     Bounds(np.append(np.zeros(K), -np.inf), np.inf))
@@ -135,7 +136,7 @@ def _cell_program(budget: Budget, others: list, signs: dict, strict: bool):
     if res.status != 0:
         return None, None
     margin = res.x[-1]
-    if strict and margin <= MARGIN_TOL:
+    if margin <= MARGIN_TOL:
         return None, None
     return margin, res.x[:K]
 
@@ -201,7 +202,7 @@ def _arrangement(budgets: tuple, frozen_maps):
         cells = []
         for combo in itertools.product((ABOVE, BELOW), repeat=len(others)):
             signs = dict(zip(other_idx, combo))
-            margin, point = _cell_program(budget, others, signs, strict=True)
+            margin, point = _cell_program(budget, others, signs)
             if margin is None:
                 continue
             cells.append((signs, point, margin))
@@ -246,7 +247,7 @@ def _arrangement(budgets: tuple, frozen_maps):
                 continue
             # a cell is nonempty only when its strict signs hold with margin;
             # equality-only solutions mean the open part of the cell is empty
-            margin, point = _cell_program(budget, others, signs, strict=True)
+            margin, point = _cell_program(budget, others, signs)
             if margin is None:
                 continue
             seen.add(cell_key)
@@ -587,8 +588,8 @@ def pool(rho: StochasticChoiceFunction, budgets_by_period: dict,
             k += 1
             pooled_budgets.append(Budget("pool", k, b.prices, b.expenditure))
             owner[k] = (t, b.index)
-    pooled_patches, _ = compute_patches(pooled_budgets)
-    open_pooled = [p for p in pooled_patches if not p.is_intersection]
+    pool_uni, pooled_patches, _ = demand_universe({"pool": pooled_budgets}, ("pool",))
+    open_pooled = [p for p in pooled_patches["pool"] if not p.is_intersection]
 
     # a pooled cell on budget k refines the original patch whose sign vector
     # it matches on same-period budgets
@@ -636,12 +637,7 @@ def pool(rho: StochasticChoiceFunction, budgets_by_period: dict,
     # static mixture check on the pooled cross-section
     from .checks import cone_membership
     from .representations import static_type_matrix
-    alternatives = tuple(p.label for p in sorted(open_pooled, key=lambda p: p.label))
-    menus = tuple(Menu(b.index, tuple(p.label for p in sorted(open_pooled, key=lambda p: p.index)
-                                      if p.budget == b.index))
-                  for b in pooled_budgets)
-    pool_uni = ChoiceUniverse(("pool",), {"pool": alternatives}, {"pool": menus})
-    A = static_type_matrix(pool_uni, "pool", {"pool": pooled_patches})
+    A = static_type_matrix(pool_uni, "pool", pooled_patches)
     vec = np.concatenate([masses[owner[b.index]] for b in pooled_budgets])
     distance, _, _ = cone_membership(vec, A, tol=1e-8)
     return PooledReport(masses, pooled_labels, splits, distance <= 1e-8, distance)

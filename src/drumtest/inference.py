@@ -565,16 +565,17 @@ def _exact_order_statistic(plan, B, out, rank):
 
 def _project(plan, B, room=None):
     """NNLS projections of the rows of ``B`` onto the cone of ``plan.WA``,
-    all certified on the full matrix: (solutions, one per column; residual
-    norms; KKT residuals; routes), for the problems taken.
+    each certified on the full matrix as it is made: (solutions, one per
+    column; residual norms; KKT residuals; routes), for the problems taken.
 
     The problems are taken in turn. Each is solved on the columns of the
     plan's working set alone and its solution embedded in all columns. One
     whose KKT conditions hold on the full matrix is its optimum (Lawson and
-    Hanson's active-set argument); one that fails them, or whose sub-solve
-    raises, is solved again on the full matrix, and that solution's support
-    joins the working set of the problems after it. ``certify_nnls``'s
-    bvls re-solve stays the last resort.
+    Hanson's active-set argument) and keeps the residual of that check; one
+    that fails them, or whose sub-solve raises, is solved again on the full
+    matrix and certified by ``certify_nnls``, whose bvls re-solve stays the
+    last resort, and that solution's support joins the working set of the
+    problems after it.
 
     A working-set point that fails the certificate is still feasible, so its
     squared residual norm bounds the projection's from above. With the
@@ -584,9 +585,8 @@ def _project(plan, B, room=None):
 
     With ``room``, problem k is taken only while fewer than room[k] of the
     problems before it reach the statistic (``_hits``); the first one that
-    may not be taken ends the projections. Each problem is then certified
-    as it is solved, so that the stop reads the certified J*; without
-    ``room`` every problem is taken and they are certified together."""
+    may not be taken ends the projections. Without it every problem is
+    taken."""
     WA, columns, sub = plan.WA, plan.faces.columns, plan.faces.working
     X = np.zeros((WA.shape[1], len(B)))
     rnorm, kkt = np.full(len(B), np.nan), np.full(len(B), np.nan)
@@ -611,16 +611,10 @@ def _project(plan, B, room=None):
             X[:, k], rnorm[k] = nnls_solve(WA, b)
             columns = np.union1d(columns, np.flatnonzero(X[:, k] > 0))
             sub = WA[:, columns]
-            if room is not None:
-                X[:, k], rnorm[k], kkt[k] = certify_nnls(WA, X[:, k], b, rnorm[k])
+            X[:, k], rnorm[k], kkt[k] = certify_nnls(WA, X[:, k], b, rnorm[k])
         if room is not None:
             hits += bool(_hits(plan.N * rnorm[k] ** 2, plan.statistic))
-    X, rnorm, kkt, route = X[:, :taken], rnorm[:taken], kkt[:taken], route[:taken]
-    if room is None:
-        kept = route != BOUNDED
-        X[:, kept], rnorm[kept], kkt[kept] = certify_nnls(WA, X[:, kept], B[kept].T,
-                                                          rnorm[kept])
-    return X, rnorm, kkt, route
+    return X[:, :taken], rnorm[:taken], kkt[:taken], route[:taken]
 
 
 def _normalized(block):

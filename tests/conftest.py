@@ -7,8 +7,9 @@ from scipy.optimize import nnls
 
 from drumtest import catalog, inference
 from drumtest.geometry import compute_patches, demand_universe, enumerate_demand_types
-from drumtest.model import StochasticChoiceFunction, path_blocks
+from drumtest.model import StochasticChoiceFunction, estimate_rho, path_blocks
 from drumtest.representations import build_static_A, enumerate_orders, kron_dynamic
+from drumtest.simulate import DgpSpec, simulate
 
 SIMPLE_PAIRS = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
@@ -149,6 +150,22 @@ def full_bootstrap(rho, A, config):
     finally:
         inference._bootstrap, inference._bootstrap_chunk = real_bootstrap, real_chunk
     return report, seen[0]
+
+
+def app_panel(seed):
+    """A criterion-8-shaped panel, 356 agents on each of the six menu paths,
+    drawn from a mixture of orders, and the unrestricted type matrix of its
+    universe."""
+    uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
+    orders = list(itertools.permutations(("l1", "l2", "l3")))
+    rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
+    paths = sorted(itertools.permutations((1, 2, 3)))
+    dgp = DgpSpec("order-mixture", {"universe": uni,
+                                    "profiles": [(r, r, r) for r in orders] + [rotation],
+                                    "weights": [0.14] * 6 + [0.16], "menu_paths": paths})
+    rho = estimate_rho(simulate(dgp, 356, seed=seed)[0], uni)
+    statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
+    return rho, kron_dynamic(statics, paths, uni)
 
 
 def curtailed_p_value(stats, statistic, reps, alpha):

@@ -203,7 +203,7 @@ class TestPublishedNumbering:
             compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
 
 
-def _legacy_cell_program_lp(budget, others, signs, strict):
+def _legacy_cell_program_lp(budget, others, signs):
     """The sign-cell LP as it was built before the shared sign-row builder."""
     K = budget.num_goods
     c = np.zeros(K + 1)
@@ -219,12 +219,12 @@ def _legacy_cell_program_lp(budget, others, signs, strict):
             b_eq.append(other.w())
         elif s == ABOVE:
             r = -row.copy()
-            r[-1] = np.linalg.norm(other.p()) if strict else 0.0
+            r[-1] = np.linalg.norm(other.p())
             A_ub.append(r)
             b_ub.append(-other.w())
         else:
             r = row.copy()
-            r[-1] = np.linalg.norm(other.p()) if strict else 0.0
+            r[-1] = np.linalg.norm(other.p())
             A_ub.append(r)
             b_ub.append(other.w())
     A_ub.append(np.append(np.zeros(K), 1.0))
@@ -257,7 +257,7 @@ SIGN_ROW_ARRANGEMENTS = {
 def test_cell_lps_keep_rows_order_and_bounds(name, monkeypatch):
     """The sign-cell LPs and the cell closures built from the shared sign
     rows equal, bit for bit, the ones built before it, for every sign
-    vector with and without 'on' entries, strict or not."""
+    vector with and without 'on' entries."""
     budgets = SIGN_ROW_ARRANGEMENTS[name]
     recorded = []
     monkeypatch.setattr(geometry, "solve", solve_recorder(recorded))
@@ -265,14 +265,13 @@ def test_cell_lps_keep_rows_order_and_bounds(name, monkeypatch):
         others = [b for b in budgets if b.index != budget.index]
         for combo in itertools.product((ABOVE, ON, BELOW), repeat=len(others)):
             signs = dict(zip([b.index for b in others], combo))
-            for strict in (True, False):
-                recorded.clear()
-                geometry._cell_program(budget, others, signs, strict)
-                old = _as_highs_receives(_legacy_cell_program_lp(budget, others, signs, strict))
-                (new,) = recorded
-                for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
-                    assert new[key].shape == old[key].shape, key
-                    assert new[key].tobytes() == old[key].tobytes(), key
+            recorded.clear()
+            geometry._cell_program(budget, others, signs)
+            old = _as_highs_receives(_legacy_cell_program_lp(budget, others, signs))
+            (new,) = recorded
+            for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
+                assert new[key].shape == old[key].shape, key
+                assert new[key].tobytes() == old[key].tobytes(), key
             for a, b in zip(geometry._cell_constraints(budget, others, signs),
                             legacy_cell_constraints(budget, others, signs)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -2,7 +2,8 @@
 module-level constant and every function of the package is read somewhere,
 every field of the package's input dataclasses is read by the package,
 every defaulted parameter of a private package function is passed
-somewhere, dense Kronecker products are built only at the known sites,
+somewhere, no parameter of one is passed the same literal by every package
+call, dense Kronecker products are built only at the known sites,
 and no name the package exports hides one of its modules."""
 
 import ast
@@ -187,21 +188,25 @@ def test_scan_finds_an_unread_field():
     assert not {"jobs", "seed"} & _attribute_reads(source)
 
 
+def _private_functions(tree) -> list:
+    """(definition, positional parameters) of each private function the
+    tree defines, dunders apart; a method's self or cls is left out."""
+    methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)
+               and "staticmethod" not in {getattr(d, "id", None) for d in f.decorator_list}}
+    return [(node, (node.args.posonlyargs + node.args.args)[1 if id(node) in methods else 0:])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
 def _private_defaults(source: str) -> list:
     """(function, parameter, position) of each defaulted parameter of the
     private functions the source defines; the position does not count a
     method's self or cls and is None for a keyword-only parameter."""
-    tree = ast.parse(source)
-    methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-               for f in cls.body if isinstance(f, ast.FunctionDef)
-               and "staticmethod" not in {getattr(d, "id", None) for d in f.decorator_list}}
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
-                not node.name.startswith("_") or node.name.endswith("__"):
-            continue
+    for node, positional in _private_functions(ast.parse(source)):
         a = node.args
-        positional = (a.posonlyargs + a.args)[1 if id(node) in methods else 0:]
         first = len(positional) - len(a.defaults)
         found += [(node.name, arg.arg, k) for k, arg in enumerate(positional) if k >= first]
         found += [(node.name, arg.arg, None)
@@ -275,6 +280,69 @@ def test_scan_finds_an_unpassed_private_default():
     assert defaults == [("_knob", "b", 1), ("_knob", "c", None), ("_knob", "d", None),
                         ("_pos", "b", 1), ("_splat", "b", 1), ("_m", "b", 1), ("_n", "b", 1)]
     assert _unpassed(defaults, _passed_arguments(source)) == [("_knob", "d"), ("_m", "b")]
+
+
+def _literal_parameters(sources: list) -> list:
+    """(function, parameter, literal) where every call in the ``sources``
+    of a private function they define passes that same literal for the
+    parameter. A function whose name is read other than as a callee (passed
+    on, wrapped in ``partial``), or that a call passes arguments by
+    unpacking, is left out: its calls are not all in sight."""
+    trees = [ast.parse(source) for source in sources]
+    params = {node.name: [arg.arg for arg in positional + node.args.kwonlyargs]
+              for tree in trees for node, positional in _private_functions(tree)}
+    calls, hidden = {}, set()
+    for tree in trees:
+        callees = set()
+        for node in ast.walk(tree):
+            name = _callee(node.func) if isinstance(node, ast.Call) else None
+            if name not in params:
+                continue
+            callees.add(id(node.func))
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(kw.arg is None for kw in node.keywords):
+                hidden.add(name)
+            passed = dict(zip(params[name], node.args))
+            passed.update((kw.arg, kw.value) for kw in node.keywords)
+            calls.setdefault(name, []).append({arg: repr(value.value) for arg, value in
+                                               passed.items() if isinstance(value, ast.Constant)})
+        hidden.update(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and id(node) not in callees)
+        hidden.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and id(node) not in callees)
+    found = []
+    for name, literals in sorted(calls.items()):
+        if name in hidden:
+            continue
+        for arg in params[name]:
+            values = {passed.get(arg) for passed in literals}
+            if len(values) == 1 and None not in values:
+                found.append((name, arg, values.pop()))
+    return found
+
+
+def test_no_private_parameter_is_always_passed_one_literal():
+    """A parameter that every package call sets to the same literal is a
+    constant in disguise, the twin of a default that no caller overrides."""
+    assert _literal_parameters([path.read_text() for path in MODULES]) == []
+
+
+def test_scan_finds_a_parameter_always_passed_one_literal():
+    source = ("from functools import partial\n"
+              "def _knob(a, b, flag=False, *, mode='x'):\n    return a\n"
+              "def _varied(a, b):\n    return a\n"
+              "def _passed_on(a, b):\n    return a\n"
+              "def _splat(a, b):\n    return a\n"
+              "class C:\n    def _m(self, a, b):\n        return a\n"
+              "_knob(1, 2, True, mode='y')\n_knob(x, b=2, flag=True, mode='y')\n"
+              "_varied(1, 2)\n_varied(1, 3)\n"
+              "_passed_on(1, 2)\nf = partial(_passed_on, 1)\n"
+              "_splat(1, 2)\n_splat(*xs)\n"
+              "C()._m(1, None)\nC()._m(2, None)\n")
+    assert _literal_parameters([source]) == [
+        ("_knob", "b", "2"), ("_knob", "flag", "True"), ("_knob", "mode", "'y'"),
+        ("_m", "b", "None"),
+        ("_varied", "a", "1")]
 
 
 # The functions of the package that build a Kronecker product densely. Each

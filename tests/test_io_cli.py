@@ -15,6 +15,7 @@ import pytest
 from drumtest import catalog, inference, io
 from drumtest.cli import main
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
+from drumtest.errors import ParameterError
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
 from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord, estimate_rho
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
@@ -381,12 +382,27 @@ class TestCli:
         assert draws == [] and not out.exists()
 
     def test_config_file_merging(self, tmp_path):
-        panel_path = tmp_path / "panel.csv"
-        (tmp_path / "conf").write_text("n=30\nseed=8\n")
-        code = main(["simulate", "--dgp", "binary3", "--n", "25",
-                     "--config", str(tmp_path / "conf"),
-                     "--out", str(panel_path)])
-        assert code == 0
+        """A file value reaches an option whose default is not None, typed
+        as its flag's; a flag on the command line beats the file."""
+        (tmp_path / "conf").write_text("n=30\nseed=8\ndebug=false\n")
+
+        def panel(name, *options):
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", "--dgp", "binary3", "--n", "5", "--out", str(out),
+                         *options]) == 0
+            return out.read_text()
+
+        config = ["--config", str(tmp_path / "conf")]
+        assert panel("seed8", "--seed", "8") != panel("default")
+        assert panel("file", *config) == panel("seed8", "--seed", "8")
+        assert panel("flag", "--seed", "3", *config) == panel("seed3", "--seed", "3")
+        # a missing file is an input error
+        assert main(["simulate", "--dgp", "binary3", "--n", "5",
+                     "--config", str(tmp_path / "missing")]) == 1
+        # a switch set in the file: the error is raised, not printed
+        (tmp_path / "debug").write_text("debug=true\n")
+        with pytest.raises(ParameterError):
+            main(["simulate", "--dgp", "binary3", "--n", "-1", "--config", str(tmp_path / "debug")])
 
     def test_non_distinct_budgets_exit_1_with_message(self, simple_setup, tmp_path, capsys):
         rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))

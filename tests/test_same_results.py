@@ -9,17 +9,15 @@ expected-utility restriction. Each digest hashes the exact float bits
 (``float.hex``) of every outcome in order."""
 
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
+from conftest import app_panel
 
 import drumtest.simulate as sim
 from drumtest import catalog
 from drumtest.inference import TestConfig, run_test, run_test_eu
-from drumtest.model import estimate_rho
-from drumtest.representations import build_static_A, enumerate_orders, kron_dynamic
-from drumtest.simulate import DgpSpec, run_experiment, simulate
+from drumtest.simulate import DgpSpec, run_experiment
 
 # (DGP kind, N, digest of (statistic, p-value, reject) over its 5 sims)
 VERDICT_ONLY = [
@@ -73,26 +71,11 @@ def test_verdict_only_outcomes_are_pinned(kind, n, digest, monkeypatch):
     assert _digest(reports) == digest
 
 
-def _app_panel(seed):
-    """A criterion-8-shaped panel, 356 agents on each of the six menu paths,
-    and the unrestricted type matrix of its universe."""
-    uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
-    orders = list(itertools.permutations(("l1", "l2", "l3")))
-    rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
-    paths = sorted(itertools.permutations((1, 2, 3)))
-    dgp = DgpSpec("order-mixture", {"universe": uni,
-                                    "profiles": [(r, r, r) for r in orders] + [rotation],
-                                    "weights": [0.14] * 6 + [0.16], "menu_paths": paths})
-    rho = estimate_rho(simulate(dgp, 356, seed=seed)[0], uni)
-    statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
-    return rho, kron_dynamic(statics, paths, uni)
-
-
 @pytest.mark.parametrize("eu,digest", FULL_ROUTE, ids=["plain", "eu"])
 def test_full_route_outcomes_are_pinned(eu, digest):
     reports = []
     for seed in (31, 32):
-        rho, A = _app_panel(seed)
+        rho, A = app_panel(seed)
         config = TestConfig(reps=199, seed=seed)
         if eu:
             reports.append(run_test_eu(rho, catalog.application_lotteries(), config))

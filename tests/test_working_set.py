@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import curtailed_p_value, full_bootstrap
+from conftest import app_panel, curtailed_p_value, full_bootstrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,9 +135,9 @@ def _frozen_bootstrap_chunk(plan, B, need=None):
     signature, its return and its stop: the plan's faces and working set
     are ignored, every replicate's row of ``B`` is solved on the full
     matrix, its route row reads FULL_AGAIN, an upper-bound row repeats J*,
-    and the supports come one column per replicate. With ``need``, the
-    unscreened rows are solved and certified one at a time in seed order
-    until the ``need``-th certified J* >= J, and the rows end there."""
+    and the supports come one column per replicate. The unscreened rows are
+    solved and certified one at a time in seed order; with ``need`` they
+    end at the ``need``-th certified J* >= J."""
     WA, N = plan.WA, plan.N
     todo = np.arange(len(B))
     if plan.fit is not None:
@@ -146,16 +146,6 @@ def _frozen_bootstrap_chunk(plan, B, need=None):
         todo = np.flatnonzero(bound * (1 + 1e-9) + 1e-12 >= plan.statistic - 1e-12)
     out = np.full((4, len(B)), np.nan)
     supports = np.zeros((WA.shape[1], len(B)), dtype=bool)
-    if need is None:
-        X = np.empty((len(todo), WA.shape[1]))
-        rnorm = np.empty(len(todo))
-        for k, i in enumerate(todo):
-            X[k], rnorm[k] = nnls_solve(WA, B[i])
-        X, rnorm, out[1, todo] = certify_nnls(WA, X.T, B[todo].T, rnorm)
-        out[0, todo] = out[3, todo] = N * (rnorm * rnorm)
-        out[2, todo] = inference.FULL_AGAIN
-        supports[:, todo] = X > 0
-        return out, supports
     hits = 0
     for i in todo:
         x, rnorm = nnls_solve(WA, B[i])
@@ -167,6 +157,25 @@ def _frozen_bootstrap_chunk(plan, B, need=None):
         if hits == need:
             return out[:, :i + 1], supports[:, :i + 1]
     return out, supports
+
+
+@pytest.mark.parametrize("panel", ["binary3@350", "app"])
+@pytest.mark.parametrize("critical_value", [True, False])
+def test_each_exact_solve_is_certified_once_as_it_is_made(panel, critical_value, monkeypatch):
+    """On both routes ``_project`` certifies one problem per ``certify_nnls``
+    call, one call per full re-solve: a working-set point keeps the
+    residual of its own full-matrix check and is not certified again."""
+    rho, A = _rho_and_A(DgpSpec("binary3"), 350, 1) if panel == "binary3@350" else app_panel(32)
+    real, dims = inference.certify_nnls, []
+
+    def recording(M, x, b, rnorm):
+        dims.append(x.ndim)
+        return real(M, x, b, rnorm)
+
+    monkeypatch.setattr(inference, "certify_nnls", recording)
+    d = run_test(rho, A, TestConfig(reps=199, seed=1, critical_value=critical_value)).diagnostics
+    assert d["working_set_full_solves"] > 0 and d["working_set_certified"] > 0
+    assert dims == [1] * d["working_set_full_solves"]
 
 
 # every DGP of the Monte Carlo table, at a criterion-7 sample size

@@ -19,8 +19,8 @@ from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import _cell_constraints
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, _has_cycle, rho_vector
-from .representations import (TypeMatrix, bm_matrix, full_pair_lists, kron_apply,
-                              kron_system, pair_vector, projection_ops, reduce_H,
+from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
+                              kron_apply, kron_system, pair_vector, projection_ops, reduce_H,
                               reduced_labels, static_row_labels, validate_replication,
                               virtual_universe)
 
@@ -251,19 +251,21 @@ def check_H(rho, H, tol: float = ESTIMATE_TOL) -> CheckReport:
     """Minimum of H v over the assembled vector; passes when >= -tol. ``H`` is
     one InequalityMatrix or a list of per-period ones, applied factor by factor
     as their Kronecker product; ``rho`` is gathered at the system's labels."""
-    factors, labels, kind = kron_system(H)
-    if isinstance(rho, StochasticChoiceFunction):
-        vec = rho_vector(rho, labels)
-    else:
+    factors, kind = kron_system(H)
+    if not isinstance(rho, StochasticChoiceFunction):
         vec = np.asarray(rho, dtype=float)
-        if vec.shape[0] != len(labels):
+        if vec.shape[0] != math.prod(F.shape[1] for F in factors):
             raise SchemaError("vector length does not match the H column space")
+    elif isinstance(H, InequalityMatrix):
+        vec = rho_vector(rho, H.col_labels)
+    else:
+        vec = pair_vector(rho, [H_t.col_labels for H_t in H])
     vals = kron_apply(factors, vec)
     worst = float(vals.min()) if len(vals) else 0.0
     violations = tuple(int(i) for i in np.nonzero(vals < -tol)[0][:50])
     return CheckReport("h-representation", worst >= -tol, min(worst, 0.0), violations,
                        {"tolerance": tol, "min_row_value": worst, "kind": kind,
-                        "inequality_rows": len(vals), "columns": len(labels)})
+                        "inequality_rows": len(vals), "columns": len(vec)})
 
 
 # --- cone membership ------------------------------------------------------------------
@@ -310,9 +312,14 @@ def certify_nnls(A: np.ndarray, x: np.ndarray, b: np.ndarray, rnorm):
 
 def _kkt_residual(A, x, b, kkt_tol):
     """(KKT residual, accuracy limit) of NNLS solutions, per column of x."""
-    g = A.T @ (A @ x - b)
+    return _kkt_of_gradient(A.T @ (A @ x - b), x, b, kkt_tol)
+
+
+def _kkt_of_gradient(g, x, b, kkt_tol):
+    """``_kkt_residual`` from the gradients g = A^T (A x - b), which the
+    caller keeps unchanged."""
     negative = 0.0 - np.min(g, axis=0, initial=0.0)
-    kkt = np.maximum(negative, np.max(np.abs(g, out=g), axis=0, initial=0.0, where=x > 1e-12))
+    kkt = np.maximum(negative, np.max(np.abs(g), axis=0, initial=0.0, where=x > 1e-12))
     return kkt, kkt_tol * np.maximum(1.0, np.max(np.abs(b), axis=0)) * 100
 
 

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: matrices, check, test, bounds, simulate, experiment. Exit
-codes: 0 completed, 2 model rejected (check/test), 1 error. An error prints
-its exception class, message and diagnostics; ``--debug`` raises it with
-its traceback instead.
+codes: 0 completed (and ``--help``), 2 model rejected (check/test), 1 any
+error, a usage error included. An error prints its exception class, message
+and diagnostics, and a usage error the usage line too; ``--debug`` raises
+it with its traceback instead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import catalog, io
 from .checks import (bm_extension_feasible, check_H, check_d_monotonicity, check_sarpd,
                      check_stability, cone_membership, hierarchy_feasible)
 from .counterfactuals import CounterfactualProblem, bound_functional, kron_counterfactual_cone
-from .errors import DrumError, ModelRejectedError
+from .errors import DrumError, ModelRejectedError, UsageError
 from .geometry import Budget, compute_patches, demand_universe
 from .inference import TestConfig, run_test, run_test_eu
 from .model import estimate_rho
@@ -58,8 +59,17 @@ def _add_common(p, *shared):
                    help="raise errors with their traceback instead of exiting")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse failures raise ``UsageError`` instead
+    of exiting 2, so that ``main`` reports them as errors (exit 1); its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message, self.format_usage().strip())
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="drum", description=__doc__)
+    ap = _Parser(prog="drum", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("matrices", help="emit catalog type and facet matrices")
@@ -345,25 +355,31 @@ def _with_config(ap, argv, args):
 def main(argv=None) -> int:
     ap = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = ap.parse_args(argv)
     handlers = {"matrices": _cmd_matrices, "check": _cmd_check, "test": _cmd_test,
                 "bounds": _cmd_bounds, "simulate": _cmd_simulate,
                 "experiment": _cmd_experiment}
+    # a command line that does not parse has no args to ask
+    debug = "--debug" in argv
     try:
+        args = ap.parse_args(argv)
+        debug = args.debug
         if args.config:
             args = _with_config(ap, argv, args)
+            debug = args.debug
         return handlers[args.command](args)
     except ModelRejectedError as exc:
-        if args.debug:
+        if debug:
             raise
         print(f"model rejected: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # input, schema, or solver failure: exit 1
-        if args.debug:
+    except Exception as exc:  # usage, input, schema, or solver failure: exit 1
+        if debug:
             raise
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if getattr(exc, "diagnostics", None):
             print("diagnostics: " + json.dumps(exc.diagnostics, default=str), file=sys.stderr)
+        if isinstance(exc, UsageError):
+            print(exc.usage, file=sys.stderr)
         return 1
 
 

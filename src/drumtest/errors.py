@@ -26,6 +26,16 @@ class ParameterError(DrumError):
     """Invalid configuration parameter."""
 
 
+class UsageError(DrumError):
+    """A command line the ``drum`` parser cannot read: an unknown option, a
+    badly typed or missing value, here or in a ``--config`` file. ``usage``
+    is the usage line of the (sub)command that failed."""
+
+    def __init__(self, message="", usage=""):
+        super().__init__(message)
+        self.usage = usage
+
+
 class GeometryError(DrumError):
     """A budget arrangement is degenerate or outside the supported catalog."""
 

@@ -9,16 +9,18 @@ from math import log, sqrt
 
 import numpy as np
 
-from .checks import KKT_TOL, _kkt_residual, certify_nnls, nnls_projection, nnls_solve
+from .checks import (KKT_TOL, _kkt_of_gradient, _kkt_residual, certify_nnls, nnls_projection,
+                     nnls_solve)
 from .errors import ParameterError, SchemaError, SolverError
 from .model import path_blocks, rho_vector
 from .representations import TypeMatrix, kron_dynamic, static_type_matrix
 
 # routes of a bootstrap replicate: certified on the working set, solved
 # again on the full matrix after the working set, decided below the
-# statistic by the working-set point's residual, or decided by its certified
-# interval without a solve
-WORKING_SET, FULL_AGAIN, BOUNDED, INTERVAL = 0, 1, 2, 3
+# statistic by the working-set point's residual, decided by its certified
+# interval without a solve, or certified on the working set grown by the
+# columns that broke the working-set point's certificate
+WORKING_SET, FULL_AGAIN, BOUNDED, INTERVAL, GROWN = 0, 1, 2, 3, 4
 # replicates per bootstrap round, on either route: each round's solves add
 # faces that bound the later rounds' replicates, and each round costs a pass
 # of bounds and face updates; a curtailed round stops inside itself, at the
@@ -46,7 +48,11 @@ class TestConfig:
     its J* (``_intervals``), on either route, from the faces that the point
     and recentring projections and the earlier rounds' projections found.
     Only a replicate whose interval straddles the statistic is projected,
-    down the working-set ladder of ``_project``. The full bootstrap
+    down the ladder of ``_project``: on the working set, then on the
+    working set grown by the columns that broke its certificate, then on
+    the full matrix. The report counts each rung's replicates
+    (``working_set_certified``, ``working_set_grown``,
+    ``working_set_full_solves``). The full bootstrap
     (``critical_value=True``) then also projects those that could hold the
     critical value's rank, until that order statistic is an exactly solved
     J*. The replicates left to their intervals are counted in
@@ -58,9 +64,10 @@ class TestConfig:
     the report's critical value is NaN. The bootstrap then first skips,
     before its interval, every replicate whose exact upper bound (its
     residual at the recentring solution) cannot reach the observed
-    statistic, and skips the re-solve of one whose working-set point failed
-    its certificate but whose residual there cannot reach it either; such a
-    replicate cannot count toward the p-value. It also stops taking
+    statistic, and skips the grown and full re-solves of one whose
+    working-set point failed its certificate but whose residual there
+    cannot reach it either; such a replicate cannot count toward the
+    p-value. It also stops taking
     replicates once the verdict is decided (Besag and Clifford's curtailed
     test): at level ``alpha`` the fixed-R test cannot reject once h
     replicates reach the statistic, h the smallest count with (1 + h)/(R +
@@ -264,6 +271,7 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
                        "kkt_residual_max": kkt,
                        "working_set_columns": len(plan.faces.columns),
                        "working_set_certified": int(np.sum(route == WORKING_SET)),
+                       "working_set_grown": int(np.sum(route == GROWN)),
                        "working_set_full_solves": int(np.sum(route == FULL_AGAIN)),
                        "working_set_bounded": int(np.sum(route == BOUNDED))})
 
@@ -568,20 +576,25 @@ def _project(plan, B, room=None):
     each certified on the full matrix as it is made: (solutions, one per
     column; residual norms; KKT residuals; routes), for the problems taken.
 
-    The problems are taken in turn. Each is solved on the columns of the
-    plan's working set alone and its solution embedded in all columns. One
-    whose KKT conditions hold on the full matrix is its optimum (Lawson and
-    Hanson's active-set argument) and keeps the residual of that check; one
-    that fails them, or whose sub-solve raises, is solved again on the full
-    matrix and certified by ``certify_nnls``, whose bvls re-solve stays the
-    last resort, and that solution's support joins the working set of the
-    problems after it.
+    The problems are taken in turn, down a ladder of three solves. Each is
+    solved on the columns of the plan's working set alone and its solution
+    embedded in all columns. One whose KKT conditions hold on the full
+    matrix is its optimum (Lawson and Hanson's active-set argument) and
+    keeps the residual of that check (route WORKING_SET). One that fails
+    them is solved again on the working set grown by the columns that broke
+    them, those whose gradient entry in that check lies below the negative
+    accuracy limit, and certified once on the full matrix (route GROWN).
+    One whose grown solve fails its certificate or raises, whose sub-solve
+    raises, or whose grown set adds no column or is every column, is solved
+    on the full matrix and certified by ``certify_nnls``, whose bvls
+    re-solve stays the last resort (route FULL_AGAIN). The support of a
+    grown or full solution joins the working set of the problems after it.
 
     A working-set point that fails the certificate is still feasible, so its
     squared residual norm bounds the projection's from above. With the
     plan's ``fit``, a problem whose bound falls below the statistic
-    (``_below``) is not solved again: its route is BOUNDED and its residual
-    norm and KKT residual read NaN.
+    (``_below``) is neither grown nor solved again: its route is BOUNDED and
+    its residual norm and KKT residual read NaN.
 
     With ``room``, problem k is taken only while fewer than room[k] of the
     problems before it reach the statistic (``_hits``); the first one that
@@ -596,22 +609,36 @@ def _project(plan, B, room=None):
         if room is not None and hits >= room[k]:
             break
         taken = k + 1
+        grown = None
         try:
             X[columns, k], rnorm[k] = nnls_solve(sub, b)
         except SolverError:
             pass
         else:
-            kkt[k], limit = _kkt_residual(WA, X[:, k], b, KKT_TOL)
+            g = WA.T @ (WA @ X[:, k] - b)
+            kkt[k], limit = _kkt_of_gradient(g, X[:, k], b, KKT_TOL)
             if kkt[k] <= limit:
                 route[k] = WORKING_SET
             elif plan.fit is not None and _below(plan.N * rnorm[k] ** 2, plan.statistic):
                 route[k], rnorm[k], kkt[k] = BOUNDED, np.nan, np.nan
                 continue
+            else:
+                grown = np.union1d(columns, np.flatnonzero(g < -limit))
+        if grown is not None and len(columns) < len(grown) < WA.shape[1]:
+            try:
+                X[grown, k], rnorm[k] = nnls_solve(WA[:, grown], b)
+            except SolverError:
+                pass
+            else:
+                kkt[k], limit = _kkt_residual(WA, X[:, k], b, KKT_TOL)
+                if kkt[k] <= limit:
+                    route[k] = GROWN
         if route[k] == FULL_AGAIN:
-            X[:, k], rnorm[k] = nnls_solve(WA, b)
+            x, r = nnls_solve(WA, b)
+            X[:, k], rnorm[k], kkt[k] = certify_nnls(WA, x, b, r)
+        if route[k] != WORKING_SET:
             columns = np.union1d(columns, np.flatnonzero(X[:, k] > 0))
             sub = WA[:, columns]
-            X[:, k], rnorm[k], kkt[k] = certify_nnls(WA, X[:, k], b, rnorm[k])
         if room is not None:
             hits += bool(_hits(plan.N * rnorm[k] ** 2, plan.statistic))
     return X[:, :taken], rnorm[:taken], kkt[:taken], route[:taken]

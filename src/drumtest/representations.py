@@ -30,7 +30,7 @@ from . import catalog
 from .errors import GeometryError, ParameterError, SchemaError, SizeError
 from .geometry import enumerate_demand_types
 from .lp import compile_lp, solve
-from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, rho_vector
+from .model import ChoiceUniverse, Menu, StochasticChoiceFunction
 
 DENSE_ENTRY_GUARD = 100_000_000
 # the most permutations enumerate_orders walks: 9! takes about a second
@@ -402,13 +402,10 @@ def catalog_H(kind: str, universe: ChoiceUniverse, t) -> InequalityMatrix:
 
 
 def kron_system(H) -> tuple:
-    """(full factors, column labels, kind) of one H-matrix or of a per-period Kronecker list."""
+    """(full factors, kind) of one H-matrix or of a per-period Kronecker list."""
     if isinstance(H, InequalityMatrix):
-        return [H.full()], H.col_labels, H.kind
-    H = list(H)
-    kinds = "x".join(H_t.kind for H_t in H)
-    return ([H_t.full() for H_t in H], kron_labels([H_t.col_labels for H_t in H]),
-            f"kron({kinds})")
+        return [H.full()], H.kind
+    return [H_t.full() for H_t in H], "kron(" + "x".join(H_t.kind for H_t in H) + ")"
 
 
 def kron_inequalities(H_list: list) -> InequalityMatrix:
@@ -416,11 +413,12 @@ def kron_inequalities(H_list: list) -> InequalityMatrix:
     column space is the product of the per-period row spaces, period 1
     slowest, labelled by ``kron_labels``. Raises SizeError before allocating
     more than ``DENSE_ENTRY_GUARD`` entries; ``check_H`` takes the factors."""
-    factors, labels, kind = kron_system(H_list)
+    factors, kind = kron_system(H_list)
     if math.prod(F.size for F in factors) > DENSE_ENTRY_GUARD:
         raise SizeError("Kronecker inequality system exceeds the size guard; "
                         "pass the factors to check_H instead")
-    return InequalityMatrix(kind, reduce(np.kron, factors), labels, include_nonneg=False)
+    return InequalityMatrix(kind, reduce(np.kron, factors),
+                            kron_labels([H_t.col_labels for H_t in H_list]), include_nonneg=False)
 
 
 def kron_apply(factors, x) -> np.ndarray:
@@ -444,9 +442,43 @@ def kron_labels(pair_lists) -> tuple:
 
 
 def pair_vector(rho: StochasticChoiceFunction, pair_lists: list) -> np.ndarray:
-    """``rho`` flattened in the Kronecker order of ``pair_lists``; every menu
-    path in the product must be observed."""
-    return rho_vector(rho, kron_labels(pair_lists))
+    """``rho`` flattened in the Kronecker order of ``pair_lists``, the
+    entries ``rho_vector`` gathers at their ``kron_labels``, without
+    building those labels: by index arithmetic over the per-period
+    ``(menu, item-position)`` pairs. Entry (k_1, ..., k_T) of the product
+    reads the path of the pairs' menus at the choice path of their
+    positions, whose index in the path's block is mixed-radix over the
+    menus' sizes, period 1 slowest.
+
+    Raises SchemaError when a menu path of the product is not observed (the
+    first in the product's order is named) or a position lies outside its
+    menu."""
+    universe = rho.universe
+    menus = [list(dict.fromkeys(m for m, _ in pairs)) for pairs in pair_lists]
+    # every path of distinct menus, in first-occurrence order, observed
+    flat, start = [], np.empty([len(m) for m in menus], dtype=np.intp)
+    offset = 0
+    for slots in itertools.product(*[range(len(m)) for m in menus]):
+        path = tuple(m[slot] for m, slot in zip(menus, slots))
+        if path not in rho.probs:
+            raise SchemaError(f"menu path {path} is not observed in rho")
+        flat.append(np.asarray(rho.probs[path], dtype=float))
+        start[slots], offset = offset, offset + len(flat[-1])
+    # per period, along its own axis: each pair's menu slot, 0-based
+    # position and menu size
+    T, index, stride = len(pair_lists), 0, 1
+    slots = []
+    for axis in reversed(range(T)):
+        t, shape = universe.periods[axis], [1] * T
+        shape[axis] = -1
+        sizes = {m: universe.menu(t, m).size for m in menus[axis]}
+        if any(not 1 <= i <= sizes[m] for m, i in pair_lists[axis]):
+            raise SchemaError(f"a choice position in period {t} lies outside its menu")
+        slot = {m: k for k, m in enumerate(menus[axis])}
+        slots.insert(0, np.array([slot[m] for m, _ in pair_lists[axis]]).reshape(shape))
+        index = index + stride * np.array([i - 1 for _, i in pair_lists[axis]]).reshape(shape)
+        stride = stride * np.array([sizes[m] for m, _ in pair_lists[axis]]).reshape(shape)
+    return np.concatenate(flat)[start[tuple(slots)] + index].reshape(-1)
 
 
 def full_pair_lists(universe: ChoiceUniverse) -> list:

@@ -1,16 +1,19 @@
 """Monte Carlo data generators and the experiment runner.
 
 Demand generators draw Cobb-Douglas share parameters (a persistent clipped
-walk or a Gaussian-copula pair), solve demand in closed form, and classify
-it into patches. Binary-menu generators compose published per-menu
-marginals independently across periods. Every simulated agent faces one
-menu path; each observed menu path receives the same number of agents, as
-in the experimental designs the generators mimic.
+walk or a Gaussian-copula pair) and classify each agent's demand into a
+patch by its share of the first good alone: on two goods the demand point
+(a w/p_0, (1 - a) w/p_1) crosses each other budget line at one share, its
+cut, so comparing a with the cuts places the point. Binary-menu generators
+compose published per-menu marginals independently across periods. Every
+simulated agent faces one menu path; each observed menu path receives the
+same number of agents, as in the experimental designs the generators mimic.
 
-``draw_choices`` makes a generator's draws: each agent's menus and 0-based
-choice positions. ``simulate`` assembles them into a panel. A Monte Carlo
-sim (``run_experiment``) builds no panel: it draws, tallies the draws with
-``model.tally_rho`` and tests.
+``draw_choices`` makes a generator's draws: each agent's menus, 0-based
+choice positions and, for a demand generator, shares. ``simulate``
+assembles them into a panel and only it computes the demand points. A Monte
+Carlo sim (``run_experiment``) builds no panel: it draws, tallies the draws
+with ``model.tally_rho`` and tests.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from math import sqrt
 
 import numpy as np
 
@@ -69,10 +73,14 @@ def build_universe(dgp: DgpSpec):
     raise ParameterError(f"unknown DGP kind {dgp.kind!r}")
 
 
+# shares this close to a cut are classified by the demand point itself
+CUT_MARGIN = 1e-9
+
+
 @lru_cache(maxsize=16)
 def _catalog_structure(kind: str):
     """(universe, budgets, demand patches by period, type matrix, demand
-    classification tables) of a catalog generator, ``cobb*`` or
+    cut tables) of a catalog generator, ``cobb*`` or
     ``binary*``, built once per kind and process; a binary generator has no
     budgets, patches or tables. None of it depends on the generator's
     params, which only shape its draws. Every caller shares these objects,
@@ -94,17 +102,37 @@ def _catalog_structure(kind: str):
     return universe, budgets, patches, A, tables
 
 
+@dataclass(frozen=True)
+class _Cuts:
+    """How a demand point on one two-good budget (``prices``,
+    ``expenditure``) classifies into the budget's open patches.
+
+    ``others`` holds the (prices, expenditure) of the period's other
+    budgets. At first-good share a the point y = (a w/p_0, (1 - a) w/p_1)
+    lies above ``others[b]``, y @ p' > w', exactly when a lies above
+    ``cuts[b]`` if ``rising[b]``, below it if not; a point on the line
+    counts as below it. A line parallel to the budget has an infinite cut.
+    ``position[code]`` is the 0-based menu position of the open patch whose
+    sign vector has bit b of ``code`` set exactly when the patch lies above
+    ``others[b]``, or -1 when no open patch has that sign vector."""
+
+    prices: np.ndarray
+    expenditure: float
+    others: tuple
+    cuts: np.ndarray
+    rising: np.ndarray
+    position: np.ndarray
+
+
 def _demand_tables(universe, budgets, patches_by_period):
-    """Per period, one ``(budget index, prices, expenditure, others,
-    position)`` tuple per budget: ``others`` holds the (prices, expenditure)
-    of the period's other budgets, and ``position[code]`` is the 0-based
-    menu position of the budget's open patch whose sign vector has bit b of
-    ``code`` set exactly when the patch lies above ``others[b]``, or -1 when
-    no open patch has that sign vector; ``patches_by_period`` are numbered
-    as the universe's."""
+    """Per period, the ``_Cuts`` of each budget by budget index;
+    ``patches_by_period`` are numbered as the universe's. The point's
+    value y @ p' is linear in a, from c_1 = w p'_1/p_1 at a = 0 to c_0 = w
+    p'_0/p_0 at a = 1, so it exceeds w' above the share (w' - c_1)/(c_0 -
+    c_1) when c_0 > c_1 and below it when c_0 < c_1."""
     tables = {}
     for t in universe.periods:
-        rows = []
+        tables[t] = {}
         for budget in budgets[t]:
             others = [b for b in budgets[t] if b.index != budget.index]
             menu = universe.menu(t, budget.index)
@@ -114,12 +142,18 @@ def _demand_tables(universe, budgets, patches_by_period):
                     code = sum(1 << b for b, o in enumerate(others)
                                if pt.sign_vector[o.index] == ABOVE)
                     position[code] = menu.position(pt.label) - 1
-            prices = budget.p()
+            p, w = budget.p(), budget.w()
+            cuts, rising = np.empty(len(others)), np.ones(len(others), dtype=bool)
+            for b, other in enumerate(others):
+                c0, c1 = w * other.p()[0] / p[0], w * other.p()[1] / p[1]
+                if c0 == c1:
+                    cuts[b] = -np.inf if c1 > other.w() else np.inf
+                else:
+                    cuts[b], rising[b] = (other.w() - c1) / (c0 - c1), c0 > c1
             other_prices = tuple((o.p(), o.w()) for o in others)
-            for array in (position, prices, *(p for p, _ in other_prices)):
+            for array in (position, p, cuts, rising, *(q for q, _ in other_prices)):
                 array.setflags(write=False)
-            rows.append((budget.index, prices, budget.w(), other_prices, position))
-        tables[t] = tuple(rows)
+            tables[t][budget.index] = _Cuts(p, w, other_prices, cuts, rising, position)
     return tables
 
 
@@ -137,13 +171,13 @@ def observed_menu_paths(dgp: DgpSpec, universe):
 
 def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
     """The generator's draws for ``agents_per_path`` agents on every observed
-    menu path, agents in path order: (menus, positions, quantity), with
+    menu path, agents in path order: (menus, positions, shares), with
     ``menus`` each agent's menu ids and ``positions`` the 0-based positions
-    of its choices in them, both (agents, periods), and ``quantity`` the
-    demand points, (agents, periods, 2), or None for a generator without
-    them. Budget indices double as menu ids; a demand choice is the open
-    patch whose sign vector against the period's other budgets matches the
-    demand point.
+    of its choices in them, both (agents, periods), and ``shares`` each
+    agent's first-good shares, (agents, periods), or None for a generator
+    without them. Budget indices double as menu ids; a demand choice is the
+    open patch whose sign vector against the period's other budgets matches
+    the demand point, read off the budget's cuts (``_demand_choices``).
 
     Raises ParameterError when ``agents_per_path`` is below 1, the kind is
     unknown or a copula correlation lies outside [-1, 1].
@@ -155,11 +189,11 @@ def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
     paths = observed_menu_paths(dgp, universe)
     T = universe.num_periods
     menus = np.repeat(np.array(paths, dtype=np.int64).reshape(-1, T), agents_per_path, axis=0)
-    quantity = None
+    shares = None
     if dgp.kind.startswith("cobb"):
         shares = _draw_shares(dgp, rng, len(paths), agents_per_path)
-        positions, quantity = _demand_choices(universe, _catalog_structure(dgp.kind)[4],
-                                              menus, shares)
+        positions = _demand_choices(universe, _catalog_structure(dgp.kind)[4], paths,
+                                    agents_per_path, shares)
     elif dgp.kind.startswith("binary"):
         marg = dgp.params.get("marginals")
         if marg is None:
@@ -181,20 +215,24 @@ def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
             for menu in universe.menus[t]:
                 rows = menus[:, k] == menu.index
                 positions[rows, k] = _best_positions(menu, [p[k] for p in profiles])[draws[rows]]
-    return menus, positions, quantity
+    return menus, positions, shares
 
 
 def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     """Draw a panel with ``agents_per_path`` agents on every menu path.
 
-    Returns (panel, universe): ``draw_choices``'s draws as records. Agents
-    are numbered from 1 in path order and the panel runs agent by agent,
-    period by period.
+    Returns (panel, universe): ``draw_choices``'s draws as records, with a
+    demand generator's demand points as quantities. Agents are numbered
+    from 1 in path order and the panel runs agent by agent, period by
+    period.
     """
-    menus, positions, quantity = draw_choices(dgp, agents_per_path, seed)
+    menus, positions, shares = draw_choices(dgp, agents_per_path, seed)
     universe, _ = build_universe(dgp)
     n, T = menus.shape
     choice, choice_ids = _chosen_items(universe, menus, positions)
+    quantity = None
+    if shares is not None:
+        quantity = _demand_points(universe, _catalog_structure(dgp.kind)[4], menus, shares)
     panel = PanelDataset.from_columns(
         np.repeat(np.arange(1, n + 1), T), np.tile(np.asarray(universe.periods), n),
         menus.reshape(-1), choice.reshape(-1),
@@ -233,30 +271,62 @@ def _draw_shares(dgp: DgpSpec, rng, n_paths: int, agents_per_path: int) -> np.nd
     return np.arctan(eps) / np.pi + 0.5
 
 
-def _demand_choices(universe, tables, menus, shares):
-    """(positions, quantity): the 0-based patch position in its menu of each
-    agent's demand point per period, and the points, (agents, periods, 2);
-    ``tables`` are the generator's ``_demand_tables``.
+def _demand_choices(universe, tables, paths, agents_per_path, shares):
+    """The 0-based patch position in its menu of each agent's demand point
+    per period, (agents, periods); ``tables`` are the generator's
+    ``_demand_tables`` and the agents lie in ``paths`` order,
+    ``agents_per_path`` each, as ``draw_choices`` lays them out.
 
-    A point lying exactly on another budget line (probability zero) counts
-    as below it.
+    Each menu path's block of agents faces one budget per period, so the
+    block's shares are compared with that budget's cuts. A share within
+    ``CUT_MARGIN`` of a cut is classified by the demand point, y @ p' > w'
+    (``_above``), so a point on a line, or rounded onto it, counts as below
+    it as it always has.
     """
-    positions = np.empty(menus.shape, dtype=np.intp)
+    positions = np.empty(shares.shape, dtype=np.intp)
+    for k, t in enumerate(universe.periods):
+        for block, path in enumerate(paths):
+            rows = slice(block * agents_per_path, (block + 1) * agents_per_path)
+            table, a = tables[t][path[k]], shares[rows, k]
+            code = np.zeros(len(a), dtype=np.intp)
+            for b, (cut, rising) in enumerate(zip(table.cuts, table.rising)):
+                above = a > cut if rising else a < cut
+                near = np.flatnonzero(np.abs(a - cut) <= CUT_MARGIN)
+                if len(near):
+                    above[near] = _above(table, a[near], *table.others[b])
+                code |= above.astype(np.intp) << b
+            pos = table.position[code]
+            if (pos < 0).any():
+                raise GeometryError(f"a demand point on budget {path[k]} matches no patch")
+            positions[rows, k] = pos
+    return positions
+
+
+def _above(table, a, prices, expenditure):
+    """Whether the demand points of shares ``a`` on the ``table``'s budget
+    lie above the line (``prices``, ``expenditure``): y @ p' > w' on the
+    points of ``_demand_points``. A one-row product can differ in the last
+    bit from the same row inside a larger one, so a lone share is evaluated
+    as two rows."""
+    y = _points(table, np.repeat(a, 2) if len(a) == 1 else a)
+    return (y @ prices > expenditure)[:len(a)]
+
+
+def _points(table, a):
+    """The demand points (a w/p_0, (1 - a) w/p_1), one row per share."""
+    p, w = table.prices, table.expenditure
+    return np.column_stack([a * w / p[0], (1 - a) * w / p[1]])
+
+
+def _demand_points(universe, tables, menus, shares):
+    """The demand points of the agents' shares on their menus' budgets,
+    (agents, periods, 2)."""
     quantity = np.empty(menus.shape + (2,))
     for k, t in enumerate(universe.periods):
-        for index, p, w, others, position in tables[t]:
+        for index, table in tables[t].items():
             rows = menus[:, k] == index
-            a = shares[rows, k]
-            y = np.column_stack([a * w / p[0], (1 - a) * w / p[1]])
-            code = np.zeros(len(y), dtype=np.intp)
-            for b, (op, ow) in enumerate(others):
-                code |= (y @ op > ow).astype(np.intp) << b
-            pos = position[code]
-            if (pos < 0).any():
-                raise GeometryError(f"a demand point on budget {index} matches no patch")
-            positions[rows, k] = pos
-            quantity[rows, k] = y
-    return positions, quantity
+            quantity[rows, k] = _points(table, shares[rows, k])
+    return quantity
 
 
 def _best_positions(menu, rankings) -> np.ndarray:
@@ -305,27 +375,39 @@ def agents_per_path_for(dgp: DgpSpec, n: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """One entry per (generator, sample size) cell: its rejections out of
+    ``sims``, the rejection rate with its binomial Monte Carlo
+    ``standard_error``, the summed diagnostics and the seconds taken. The
+    table and the CSV show the rates with their errors and the cell's
+    grown and full re-solves next to them."""
+
     entries: tuple
 
     def to_text(self) -> str:
-        lines = [f"{'dgp':<28}{'N':>8}{'sims':>7}{'reps':>7}{'reject_rate':>13}{'seconds':>9}"]
+        lines = [f"{'dgp':<28}{'N':>8}{'sims':>7}{'reps':>7}{'rejections':>12}"
+                 f"{'reject_rate':>13}{'std_error':>11}{'grown':>8}{'full':>7}{'seconds':>9}"]
         for e in self.entries:
             lines.append(f"{e['dgp']:<28}{e['N']:>8}{e['sims']:>7}{e['reps']:>7}"
-                         f"{e['rejection_rate']:>13.3f}{e['seconds']:>9.1f}")
+                         f"{e['rejections']:>12}{e['rejection_rate']:>13.3f}"
+                         f"{e['standard_error']:>11.4f}{e['working_set_grown']:>8}"
+                         f"{e['working_set_full_solves']:>7}{e['seconds']:>9.1f}")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        lines = ["dgp,N,sims,reps,rejection_rate,seconds"]
+        lines = ["dgp,N,sims,reps,rejections,rejection_rate,standard_error,working_set_grown,"
+                 "working_set_full_solves,seconds"]
         for e in self.entries:
-            lines.append(f"{e['dgp']},{e['N']},{e['sims']},{e['reps']},"
-                         f"{e['rejection_rate']:.6f},{e['seconds']:.2f}")
+            lines.append(f"{e['dgp']},{e['N']},{e['sims']},{e['reps']},{e['rejections']},"
+                         f"{e['rejection_rate']:.6f},{e['standard_error']:.6f},"
+                         f"{e['working_set_grown']},{e['working_set_full_solves']},"
+                         f"{e['seconds']:.2f}")
         return "\n".join(lines)
 
 
 # the counts of a test report that run_experiment sums per cell
 SUMMED_DIAGNOSTICS = ("nnls_solves", "screened_replicates", "curtailed_replicates",
-                      "bounded_replicates", "working_set_certified", "working_set_full_solves",
-                      "working_set_bounded", "bootstrap_rounds")
+                      "bounded_replicates", "working_set_certified", "working_set_grown",
+                      "working_set_full_solves", "working_set_bounded", "bootstrap_rounds")
 
 
 def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.ndarray:
@@ -383,10 +465,14 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
     reports the curtailed p-value h/L. Its verdict and statistic are those
     of the full bootstrap, so the rejection rates are too. Each entry also
     sums the cell's NNLS solves, screened, curtailed, interval-bounded and
-    working-set bounded replicates, working-set routes and bootstrap rounds
-    (SUMMED_DIAGNOSTICS; per sim, the solves less 2, the screened, the
-    curtailed and the interval-bounded replicates add up to ``reps``) and
-    gives its mean statistic; no critical values are computed. A cell's
+    working-set bounded replicates, working-set routes (certified, grown and
+    full re-solves) and bootstrap rounds (SUMMED_DIAGNOSTICS; per sim, the
+    solves less 2, the screened, the curtailed and the interval-bounded
+    replicates add up to ``reps``) and gives its mean statistic; no
+    critical values are computed. Each entry counts the cell's
+    ``rejections`` and gives the rate's Monte Carlo standard error,
+    sqrt(rate (1 - rate) / sims), the binomial error Koehler, Brown and
+    Haneuse (2009) ask a simulated rate to carry. A cell's
     generator structure is built once per process and kind, not per
     call.
 
@@ -405,9 +491,11 @@ def run_experiment(dgps: list, Ns: list, sims: int = 1000, reps: int = 999,
             run = partial(_run_sims, dgp, n, reps=reps, alpha=alpha)
             per_sim = np.concatenate(chunked_map(run, cell.spawn(sims), n_jobs))
             rejects, statistics, *counts = per_sim.T
+            rate = float(rejects.mean())
             entries.append({
                 "dgp": dgp.kind, "N": n, "sims": sims, "reps": reps,
-                "rejection_rate": float(rejects.mean()),
+                "rejections": int(rejects.sum()), "rejection_rate": rate,
+                "standard_error": sqrt(rate * (1 - rate) / sims),
                 "seconds": time.perf_counter() - t0,
                 **{key: int(c.sum()) for key, c in zip(SUMMED_DIAGNOSTICS, counts)},
                 "mean_statistic": float(statistics.mean()),

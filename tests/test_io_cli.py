@@ -1,21 +1,26 @@
 """File formats and the command-line interface."""
 
+import contextlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drumtest import catalog, inference, io
-from drumtest.cli import main
+from drumtest.cli import build_parser, main
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
-from drumtest.errors import ParameterError
+from drumtest.errors import ParameterError, UsageError
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
 from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord, estimate_rho
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
@@ -575,10 +580,9 @@ class TestCli:
         ("simulate", "threads"), ("simulate", "tolerance"),
         ("experiment", "tolerance")])
     def test_an_option_the_subcommand_ignores_is_a_usage_error(self, command, option, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            main([command, *self.REQUIRED[command], f"--{option}", "1"])
-        assert exit_.value.code == 2
-        assert f"unrecognized arguments: --{option} 1" in capsys.readouterr().err
+        assert main([command, *self.REQUIRED[command], f"--{option}", "1"]) == 1
+        assert f"error: UsageError: unrecognized arguments: --{option} 1" in \
+            capsys.readouterr().err
 
     def test_console_script_installed(self):
         # a fresh interpreter imports the package from this checkout
@@ -587,6 +591,109 @@ class TestCli:
                              text=True, env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.returncode == 0
         assert "matrices" in out.stdout
+
+
+# one option of each type per subcommand that types its values
+TYPED_OPTIONS = [("matrices", "T", int), ("check", "tolerance", float), ("test", "alpha", float),
+                 ("test", "reps", int), ("test", "seed", int), ("test", "threads", int),
+                 ("bounds", "target", int), ("simulate", "n", int), ("simulate", "seed", int),
+                 ("experiment", "sims", int), ("experiment", "reps", int),
+                 ("experiment", "alpha", float), ("experiment", "seed", int),
+                 ("experiment", "threads", int)]
+# config-file values: one line each, no comment mark
+VALUES = st.text(st.characters(min_codepoint=33, max_codepoint=126, exclude_characters="#"),
+                 min_size=1, max_size=12)
+
+
+def _untyped(kind):
+    """Values that ``kind`` cannot read."""
+    def unreadable(value):
+        try:
+            kind(value)
+        except ValueError:
+            return True
+        return False
+    return VALUES.filter(unreadable)
+
+
+def _option_strings(command):
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return list(subparsers.choices[command]._option_string_actions)
+
+
+class TestExitCodes:
+    """One exit-code contract: 0 completed (``--help`` too), 2 model
+    rejected and nothing else, 1 any error. A command line that does not
+    parse, here or through a ``--config`` file, is a ``UsageError``: exit 1
+    with the class and the usage line; ``--debug`` raises it."""
+
+    @staticmethod
+    def _usage_error(argv):
+        """What ``main(argv)`` prints to stderr; it exits 1 with a usage
+        error, and raises it with ``--debug``."""
+        with contextlib.redirect_stderr(StringIO()) as err:
+            assert main(argv) == 1
+        err = err.getvalue()
+        assert err.startswith("error: UsageError: ") and "usage: drum" in err
+        with pytest.raises(UsageError):
+            main(argv + ["--debug"])
+        return err
+
+    @settings(max_examples=15, deadline=None)
+    @given(command=st.sampled_from(sorted(TestCli.REQUIRED)),
+           flag=st.from_regex(r"--[a-z][a-z0-9-]{0,10}", fullmatch=True))
+    def test_an_unknown_flag_exits_1(self, command, flag):
+        # argparse takes any unambiguous prefix of an option
+        if any(known.startswith(flag) for known in _option_strings(command)):
+            return
+        err = self._usage_error([command, *TestCli.REQUIRED[command], flag])
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command,option,kind", TYPED_OPTIONS,
+                             ids=[f"{c}-{o}" for c, o, _ in TYPED_OPTIONS])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_a_badly_typed_value_exits_1(self, command, option, kind, data):
+        value = data.draw(_untyped(kind))
+        err = self._usage_error([command, *TestCli.REQUIRED[command], f"--{option}={value}"])
+        assert f"argument --{option}: invalid {kind.__name__} value" in err
+
+    @pytest.mark.parametrize("command,option,kind", TYPED_OPTIONS,
+                             ids=[f"{c}-{o}" for c, o, _ in TYPED_OPTIONS])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_a_badly_typed_config_value_exits_1(self, command, option, kind, data):
+        value = data.draw(_untyped(kind))
+        with tempfile.TemporaryDirectory() as folder:
+            config = Path(folder) / "conf"
+            config.write_text(f"{option}={value}\n")
+            err = self._usage_error([command, *TestCli.REQUIRED[command],
+                                     "--config", str(config)])
+        assert f"argument --{option}: invalid {kind.__name__} value" in err
+
+    @pytest.mark.parametrize("command", ["test", "simulate", "experiment"])
+    def test_a_bad_config_seed_exits_1(self, command, tmp_path):
+        (tmp_path / "conf").write_text("seed=abc\n")
+        self._usage_error([command, *TestCli.REQUIRED[command], "--config",
+                           str(tmp_path / "conf")])
+
+    def test_the_parsers_raise_instead_of_exiting(self):
+        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+        for parser in (build_parser(), subparsers.choices["test"]):
+            with pytest.raises(UsageError, match="bad value") as raised:
+                parser.error("bad value")
+            assert raised.value.usage == parser.format_usage().strip()
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["test", "--help"]])
+    def test_help_exits_0_and_no_command_exits_1(self, argv, capsys):
+        if not argv:
+            assert main(argv) == 1
+            assert "error: UsageError: " in capsys.readouterr().err
+            return
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert "usage: drum" in capsys.readouterr().out
 
 
 def _report_of(rep):

@@ -40,7 +40,7 @@ VERDICT_ONLY = [
 # (restricted to expected utility, digest of (statistic, p-value, reject,
 # critical value) over the two panels)
 FULL_ROUTE = [
-    (False, "8e6ba6868e12299fbd3887172cf36608a57b1597e2dfec7b8f375e91949bd577"),
+    (False, "335a4987ea815adf663a01cf3cb07cbd4e77b1de0bb883bb17feedcf27ce79ae"),
     (True, "36781f14d9ec1db5ffeb237ce3cab2c492ec6e0fa299b4f28f4cd8fb2b147da8"),
 ]
 

@@ -111,7 +111,7 @@ def test_skipped_replicates_fall_below_the_statistic(monkeypatch):
         assert np.array_equal(np.isnan(out[1]), gone | decided)
         solved = out[2] == inference.FULL_AGAIN
         assert full[0][solved].tobytes() == out[0][solved].tobytes()
-        certified = out[2] == inference.WORKING_SET
+        certified = np.isin(out[2], (inference.WORKING_SET, inference.GROWN))
         assert np.allclose(out[0][certified], full[0][certified], rtol=1e-12, atol=0)
         assert np.all(out[1][solved | certified] < 1e-8)
         hit = out[0][decided] >= plan.statistic - 1e-12
@@ -212,7 +212,9 @@ def test_experiment_rates_match_unscreened(monkeypatch):
         assert s["nnls_solves"] + s["screened_replicates"] + s["curtailed_replicates"] + \
             s["bounded_replicates"] == f["nnls_solves"] + f["bounded_replicates"]
     assert screened.entries[0]["screened_replicates"] > 0
-    assert screened.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
+    assert screened.to_csv().splitlines()[0] == \
+        "dgp,N,sims,reps,rejections,rejection_rate,standard_error,working_set_grown," \
+        "working_set_full_solves,seconds"
 
 
 def test_experiment_deterministic_across_workers():
@@ -226,8 +228,8 @@ def test_experiment_deterministic_across_workers():
 
 NEW_DIAGNOSTICS = {"nnls_solves", "screened_replicates", "critical_value_computed",
                    "kkt_residual_max", "working_set_columns", "working_set_certified",
-                   "working_set_full_solves", "curtailed_replicates", "working_set_bounded",
-                   "bounded_replicates"}
+                   "working_set_full_solves", "working_set_grown", "curtailed_replicates",
+                   "working_set_bounded", "bounded_replicates"}
 
 
 def test_drum_test_output_unchanged(tmp_path, capsys, monkeypatch):

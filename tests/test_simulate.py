@@ -12,7 +12,7 @@ import drumtest.model as model
 import drumtest.simulate as sim
 from drumtest import catalog
 from drumtest.errors import ParameterError
-from drumtest.geometry import compute_patches, enumerate_demand_types
+from drumtest.geometry import ABOVE, compute_patches, enumerate_demand_types
 from drumtest.model import PanelDataset, PanelRecord, estimate_rho
 from drumtest.representations import (build_static_A, enumerate_orders, kron_dynamic,
                                       static_type_matrix)
@@ -316,6 +316,117 @@ def _legacy_type_matrix_for(dgp, universe):
     return kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
 
 
+def _frozen_demand_tables(universe, budgets, patches_by_period):
+    """``simulate._demand_tables`` before the cut rule, frozen: per period,
+    one ``(budget index, prices, expenditure, others, position)`` tuple per
+    budget."""
+    tables = {}
+    for t in universe.periods:
+        rows = []
+        for budget in budgets[t]:
+            others = [b for b in budgets[t] if b.index != budget.index]
+            menu = universe.menu(t, budget.index)
+            position = np.full(1 << len(others), -1, dtype=np.intp)
+            for pt in patches_by_period[t]:
+                if pt.budget == budget.index and not pt.is_intersection:
+                    code = sum(1 << b for b, o in enumerate(others)
+                               if pt.sign_vector[o.index] == ABOVE)
+                    position[code] = menu.position(pt.label) - 1
+            rows.append((budget.index, budget.p(), budget.w(),
+                         tuple((o.p(), o.w()) for o in others), position))
+        tables[t] = tuple(rows)
+    return tables
+
+
+def _frozen_demand_choices(universe, tables, menus, shares):
+    """``simulate._demand_choices`` before the cut rule, frozen: (positions,
+    quantity) by boolean masks over all agents per budget. A point lying
+    exactly on another budget line counts as below it."""
+    positions = np.empty(menus.shape, dtype=np.intp)
+    quantity = np.empty(menus.shape + (2,))
+    for k, t in enumerate(universe.periods):
+        for index, p, w, others, position in tables[t]:
+            rows = menus[:, k] == index
+            a = shares[rows, k]
+            y = np.column_stack([a * w / p[0], (1 - a) * w / p[1]])
+            code = np.zeros(len(y), dtype=np.intp)
+            for b, (op, ow) in enumerate(others):
+                code |= (y @ op > ow).astype(np.intp) << b
+            positions[rows, k] = position[code]
+            quantity[rows, k] = y
+    return positions, quantity
+
+
+DEMAND_KINDS = ["cobb-douglas-walk", "cobb-douglas-gaussian-copula"]
+
+
+class TestCutRule:
+    """A demand generator classifies each path block's shares by its
+    budgets' cuts; the positions are those of the frozen per-budget masks,
+    bit for bit, also on a cut and one ulp either side of it."""
+
+    @staticmethod
+    def _frozen(kind):
+        universe, budgets, patches, _, _ = sim._catalog_structure(kind)
+        return universe, _frozen_demand_tables(universe, budgets, patches)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(DEMAND_KINDS),
+           seed=st.integers(0, 2**32 - 1), agents=st.integers(1, 2000))
+    def test_positions_match_the_frozen_masks(self, data, kind, seed, agents):
+        dgp = DgpSpec(kind)
+        universe, frozen_tables = self._frozen(kind)
+        tables = sim._catalog_structure(kind)[4]
+        paths = observed_menu_paths(dgp, universe)
+        menus, positions, shares = sim.draw_choices(dgp, agents, seed)
+        want, quantity = _frozen_demand_choices(universe, frozen_tables, menus, shares)
+        assert positions.dtype == want.dtype and positions.tobytes() == want.tobytes()
+        points = sim._demand_points(universe, tables, menus, shares)
+        assert points.tobytes() == quantity.tobytes()
+        # shares on every cut of the agent's budget and one ulp either side
+        placed = shares.copy()
+        for k, t in enumerate(universe.periods):
+            rows = data.draw(st.lists(st.integers(0, len(menus) - 1), max_size=12))
+            for row in rows:
+                cut = tables[t][int(menus[row, k])].cuts[0]
+                placed[row, k] = data.draw(st.sampled_from(
+                    [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf)]))
+        got = sim._demand_choices(universe, tables, paths, agents, placed)
+        want, _ = _frozen_demand_choices(universe, frozen_tables, menus, placed)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", DEMAND_KINDS)
+    def test_a_point_on_a_line_counts_as_below_it(self, kind):
+        """Shares at each cut and the 200 floats around it: wherever the
+        demand point lies exactly on the other budget line, the agent takes
+        the patch below it, and the frozen masks agree everywhere."""
+        dgp = DgpSpec(kind)
+        universe, frozen_tables = self._frozen(kind)
+        tables = sim._catalog_structure(kind)[4]
+        paths = observed_menu_paths(dgp, universe)
+        on_line = 0
+        for k, t in enumerate(universe.periods):
+            for index, table in tables[t].items():
+                cut, (op, ow) = table.cuts[0], table.others[0]
+                below, above = [cut], [cut]
+                for _ in range(100):
+                    below.append(np.nextafter(below[-1], -np.inf))
+                    above.append(np.nextafter(above[-1], np.inf))
+                a = np.array(below[::-1] + above[1:])
+                # every agent of the paths through this budget takes these shares
+                agents = len(a)
+                menus = np.repeat(np.array(paths), agents, axis=0)
+                shares = np.tile(a, len(paths))[:, None].repeat(len(universe.periods), axis=1)
+                got = sim._demand_choices(universe, tables, paths, agents, shares)
+                want, quantity = _frozen_demand_choices(universe, frozen_tables, menus, shares)
+                assert got.tobytes() == want.tobytes()
+                rows = menus[:, k] == index
+                on = rows & (quantity[:, k] @ op == ow)
+                on_line += int(on.sum())
+                assert np.all(got[on, k] == table.position[0])
+        assert on_line > 0
+
+
 class TestBinaryDgps:
     def test_path_probabilities_compose_marginals(self):
         """Empirical path frequencies converge to the product of published
@@ -363,6 +474,35 @@ class TestExperiment:
         rate = report.entries[0]["rejection_rate"]
         assert 0.0 <= rate <= 1.0
 
+    def test_entries_carry_their_monte_carlo_error(self):
+        """Each entry counts its rejections and gives the binomial standard
+        error of its rate; the table and the CSV show both, with the cell's
+        grown and full re-solves."""
+        report = run_experiment([DgpSpec("binary1"), DgpSpec("binary3")], [10, 40], sims=7,
+                                reps=19, seed=3)
+        rates = set()
+        for e in report.entries:
+            assert e["rejections"] == round(e["rejection_rate"] * e["sims"])
+            rate = e["rejections"] / e["sims"]
+            assert e["rejection_rate"] == rate
+            assert e["standard_error"] == pytest.approx(np.sqrt(rate * (1 - rate) / 7), abs=1e-15)
+            rates.add(rate)
+        assert len(rates) > 1 and any(0 < rate < 1 for rate in rates)
+        header, *rows = report.to_csv().splitlines()
+        columns = header.split(",")
+        for e, row in zip(report.entries, rows):
+            values = dict(zip(columns, row.split(",")))
+            assert int(values["rejections"]) == e["rejections"]
+            assert float(values["standard_error"]) == pytest.approx(e["standard_error"], abs=1e-6)
+            assert int(values["working_set_grown"]) == e["working_set_grown"]
+            assert int(values["working_set_full_solves"]) == e["working_set_full_solves"]
+        text_header, *text_rows = report.to_text().splitlines()
+        assert text_header.split()[4:8] == ["rejections", "reject_rate", "std_error", "grown"]
+        for e, row in zip(report.entries, text_rows):
+            fields = row.split()
+            assert int(fields[4]) == e["rejections"]
+            assert float(fields[6]) == pytest.approx(e["standard_error"], abs=1e-4)
+
 
 class TestCatalogStructure:
     """A catalog generator's universe, budgets and type matrix are built
@@ -381,10 +521,11 @@ class TestCatalogStructure:
         assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
         tables = sim._catalog_structure(kind)[4]
         if tables is not None:
-            for rows in tables.values():
-                for _, prices, _, others, position in rows:
-                    assert not position.flags.writeable and not prices.flags.writeable
-                    assert all(not p.flags.writeable for p, _ in others)
+            for by_budget in tables.values():
+                for cuts in by_budget.values():
+                    arrays = (cuts.position, cuts.prices, cuts.cuts, cuts.rising,
+                              *(p for p, _ in cuts.others))
+                    assert not any(array.flags.writeable for array in arrays)
         if kind.startswith("cobb"):
             patches = {t: compute_patches(budgets[t])[0] for t in universe.periods}
         else:

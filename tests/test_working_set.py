@@ -1,8 +1,9 @@
 """Working-set projections of the bootstrap: each projected replicate is
-solved on the working set, the union of the supports found so far,
-certified on the full matrix and solved again there when the certificate
-fails. J* is the full projection's up to rounding, so p-values and verdicts
-do not move."""
+solved on the working set, the union of the supports found so far, and
+certified on the full matrix; when the certificate fails it is solved again
+on the working set grown by the columns that broke it, and on the full
+matrix when that fails too. J* is the full projection's up to rounding, so
+p-values and verdicts do not move."""
 
 import dataclasses
 import math
@@ -78,10 +79,84 @@ def test_working_set_projection_is_the_full_projection(binary3_matrix, seed, noi
     residual, limit = _kkt_residual(WA, x, b, KKT_TOL)
     assert residual <= limit
     assert kkt[0] <= limit
-    assert route[0] in (inference.WORKING_SET, inference.FULL_AGAIN)
+    assert route[0] in (inference.WORKING_SET, inference.GROWN, inference.FULL_AGAIN)
     if route[0] == inference.WORKING_SET:
         outside = np.setdiff1d(np.arange(n), columns)
         assert np.all(x[outside] == 0)
+
+
+def _half_support(WA, b):
+    """The full projection (x, residual norm) and every other column of its
+    support: a working set on which the certificate fails."""
+    x_full, rnorm_full, _ = nnls_projection(WA, b)
+    return x_full, rnorm_full, np.flatnonzero(x_full > 0)[1::2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.01, 3.0))
+def test_a_grown_solve_is_the_full_projection(binary3_matrix, seed, noise):
+    """On half of the projection's support the working-set point fails its
+    certificate; the solve on the working set grown by the broken columns,
+    or the full re-solve after it, has the full projection's J* and passes
+    the full-matrix KKT check."""
+    WA, b = _problem(binary3_matrix, seed, noise)
+    _, rnorm_full, columns = _half_support(WA, b)
+    X, rnorm, kkt, route = inference._project(_plan(WA, columns), b[None])
+    assert route[0] in (inference.GROWN, inference.FULL_AGAIN)
+    assert rnorm[0] ** 2 == pytest.approx(rnorm_full ** 2, rel=1e-12)
+    assert np.all(X[:, 0] >= 0)
+    residual, limit = _kkt_residual(WA, X[:, 0], b, KKT_TOL)
+    assert residual <= limit and kkt[0] <= limit
+
+
+def test_the_grown_set_adds_the_broken_columns(binary3_matrix, monkeypatch):
+    """The grown solve runs on the working set plus the columns whose
+    gradient entry broke the certificate, a set larger than the working set
+    and smaller than the matrix; its solution lies on that set. Most of
+    these problems take the grown route."""
+    real_solve, solved = inference.nnls_solve, []
+
+    def recording(M, b):
+        solved.append(M)
+        return real_solve(M, b)
+
+    monkeypatch.setattr(inference, "nnls_solve", recording)
+    grown = 0
+    for seed in range(10):
+        WA, b = _problem(binary3_matrix, seed, 0.5)
+        _, _, columns = _half_support(WA, b)
+        solved.clear()
+        X, _, _, route = inference._project(_plan(WA, columns), b[None])
+        if route[0] != inference.GROWN:
+            continue
+        grown += 1
+        assert len(solved) == 2 and solved[0].shape[1] == len(columns)
+        point = np.zeros(WA.shape[1])
+        point[columns] = real_solve(WA[:, columns], b)[0]
+        gradient = WA.T @ (WA @ point - b)
+        limit = KKT_TOL * max(1.0, np.abs(b).max()) * 100
+        on = np.union1d(columns, np.flatnonzero(gradient < -limit))
+        assert len(columns) < len(on) < WA.shape[1]
+        assert solved[1].tobytes() == WA[:, on].tobytes()
+        assert np.all(np.delete(X[:, 0], on) == 0)
+    assert grown >= 5
+
+
+def test_a_grown_solve_that_raises_falls_back_to_the_full_matrix(binary3_matrix, monkeypatch):
+    WA, b = _problem(binary3_matrix, 0, 0.5)
+    _, rnorm_full, columns = _half_support(WA, b)
+    real_solve = inference.nnls_solve
+    assert inference._project(_plan(WA, columns), b[None])[3][0] == inference.GROWN
+
+    def raising_on_grown_matrices(A, rhs):
+        if len(columns) < A.shape[1] < WA.shape[1]:
+            raise SolverError("nonnegative least squares failed: test")
+        return real_solve(A, rhs)
+
+    monkeypatch.setattr(inference, "nnls_solve", raising_on_grown_matrices)
+    _, rnorm, kkt, route = inference._project(_plan(WA, columns), b[None])
+    assert route[0] == inference.FULL_AGAIN
+    assert rnorm[0] == rnorm_full
 
 
 def test_a_sub_solve_that_raises_falls_back_to_the_full_matrix(binary3_matrix, monkeypatch):
@@ -162,20 +237,44 @@ def _frozen_bootstrap_chunk(plan, B, need=None):
 @pytest.mark.parametrize("panel", ["binary3@350", "app"])
 @pytest.mark.parametrize("critical_value", [True, False])
 def test_each_exact_solve_is_certified_once_as_it_is_made(panel, critical_value, monkeypatch):
-    """On both routes ``_project`` certifies one problem per ``certify_nnls``
-    call, one call per full re-solve: a working-set point keeps the
-    residual of its own full-matrix check and is not certified again."""
+    """On both routes ``_project`` certifies each exact solve once, as it
+    makes it: one ``certify_nnls`` call, on one problem, per full-matrix
+    re-solve; one ``_kkt_residual`` check, on one problem, per grown solve;
+    a working-set point keeps the residual of its own full-matrix check and
+    is not certified again."""
     rho, A = _rho_and_A(DgpSpec("binary3"), 350, 1) if panel == "binary3@350" else app_panel(32)
-    real, dims = inference.certify_nnls, []
+    n_columns = A.dense().shape[1]
+    real_certify, real_check, real_solve = \
+        inference.certify_nnls, inference._kkt_residual, inference.nnls_solve
+    certified, checked, solved = [], [], []
 
-    def recording(M, x, b, rnorm):
-        dims.append(x.ndim)
-        return real(M, x, b, rnorm)
+    def certifying(M, x, b, rnorm):
+        certified.append(x.ndim)
+        return real_certify(M, x, b, rnorm)
 
-    monkeypatch.setattr(inference, "certify_nnls", recording)
+    def checking(M, x, b, kkt_tol):
+        checked.append(x.ndim)
+        return real_check(M, x, b, kkt_tol)
+
+    def solving(M, b):
+        solved.append(M.shape[1])
+        return real_solve(M, b)
+
+    monkeypatch.setattr(inference, "certify_nnls", certifying)
+    monkeypatch.setattr(inference, "_kkt_residual", checking)
+    monkeypatch.setattr(inference, "nnls_solve", solving)
     d = run_test(rho, A, TestConfig(reps=199, seed=1, critical_value=critical_value)).diagnostics
-    assert d["working_set_full_solves"] > 0 and d["working_set_certified"] > 0
-    assert dims == [1] * d["working_set_full_solves"]
+    # working-set points certified, and grown solves tried
+    assert d["working_set_certified"] > 0 and checked
+    full = solved.count(n_columns)
+    assert full == d["working_set_full_solves"]
+    assert certified == [1] * full
+    # one working-set solve per projected replicate; every other solve on
+    # fewer columns than the matrix is a grown one, checked once
+    projected = d["working_set_certified"] + d["working_set_grown"] + \
+        d["working_set_full_solves"] + d["working_set_bounded"]
+    assert checked == [1] * (len(solved) - full - projected)
+    assert len(checked) >= d["working_set_grown"]
 
 
 # every DGP of the Monte Carlo table, at a criterion-7 sample size
@@ -213,9 +312,9 @@ def test_p_values_and_verdicts_match_the_frozen_chunk(kind, n, critical_value, m
         # the two projections' supports seed the working set
         assert diagnostics["working_set_columns"] > 0
         # every drawn replicate is screened, decided by its interval, or
-        # projected: certified on the working set, solved again on the full
-        # matrix, or bounded by its working-set point
-        projected = diagnostics["working_set_certified"] + \
+        # projected: certified on the working set or on the grown set,
+        # solved again on the full matrix, or bounded by its working-set point
+        projected = diagnostics["working_set_certified"] + diagnostics["working_set_grown"] + \
             diagnostics["working_set_full_solves"] + diagnostics["working_set_bounded"]
         assert projected <= diagnostics["nnls_solves"] - 2
         assert projected + diagnostics["bounded_replicates"] + \
@@ -233,22 +332,24 @@ def test_experiment_cells_sum_the_working_set_routes():
         report = run_experiment([DgpSpec("binary3"), DgpSpec("cobb-douglas-walk")], [20],
                                 sims=2, reps=29, seed=seed)
         for cell in report.entries:
-            assert cell["working_set_certified"] + cell["working_set_full_solves"] <= \
-                cell["nnls_solves"] - 2 * 2
+            assert cell["working_set_certified"] + cell["working_set_grown"] + \
+                cell["working_set_full_solves"] <= cell["nnls_solves"] - 2 * 2
         if all(cell["working_set_certified"] > 0 for cell in report.entries):
             break
     else:
         pytest.fail(f"no seed in {EXPERIMENT_SEEDS} certifies a working-set point in each cell")
     for cell in report.entries:
         assert cell["working_set_certified"] > 0
-    assert report.to_csv().splitlines()[0] == "dgp,N,sims,reps,rejection_rate,seconds"
+    assert report.to_csv().splitlines()[0] == \
+        "dgp,N,sims,reps,rejections,rejection_rate,standard_error,working_set_grown," \
+        "working_set_full_solves,seconds"
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_bounded_working_set_point_is_feasible_and_above_the_projection(binary3_matrix, seed):
     """Columns that miss half the support fail the full certificate; on a
     verdict-only route whose statistic every bound falls below, such a
-    problem is decided without the full re-solve, and its feasible
+    problem is decided without the grown or full re-solve, and its feasible
     working-set point's residual lies above the full projection's. With a
     statistic of 0, which no bound falls below, the routes and residuals
     are those of the full route."""
@@ -257,7 +358,7 @@ def test_a_bounded_working_set_point_is_feasible_and_above_the_projection(binary
     support = np.flatnonzero(x_full > 0)
     columns = np.setdiff1d(np.arange(WA.shape[1]), support[::2])
     plain = inference._project(_plan(WA, columns), b[None])
-    assert plain[3][0] == inference.FULL_AGAIN
+    assert plain[3][0] in (inference.GROWN, inference.FULL_AGAIN)
     X, rnorm, kkt, route = inference._project(_plan(WA, columns, np.inf), b[None])
     assert route[0] == inference.BOUNDED
     assert math.isnan(rnorm[0]) and math.isnan(kkt[0])
@@ -296,11 +397,14 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
     """A verdict-only test that rejects decides its 199 replicates in rounds
     of at most ROUND; the row blocks' multinomial probabilities are still
     computed once per test. On a binary3 test that takes many replicates, a
-    working-set matrix is built once per working set: the sub-solves share
-    it until a round adds faces or a full re-solve grows it, and it only
-    grows."""
+    working-set matrix is built once per working set: the working-set
+    solves share it until a round adds faces or a grown or full re-solve
+    grows it, and it only grows. A grown solve, the one sub-solve that a
+    ``_kkt_residual`` check follows, runs on more columns than the
+    working-set solve before it."""
     real_normalized, real_solve = inference._normalized, inference.nnls_solve
-    normalized, subs = [], []
+    real_check = inference._kkt_residual
+    normalized, events = [], []
 
     def counting(block):
         normalized.append(len(block))
@@ -308,8 +412,12 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
 
     def solve(M, b):
         if M.shape[1] < n_columns:
-            subs.append(M)
+            events.append(M)
         return real_solve(M, b)
+
+    def check(M, x, b, kkt_tol):
+        events.append(None)
+        return real_check(M, x, b, kkt_tol)
 
     real_chunk, rounds = inference._bootstrap_chunk, []
 
@@ -321,6 +429,7 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
 
     monkeypatch.setattr(inference, "_normalized", counting)
     monkeypatch.setattr(inference, "nnls_solve", solve)
+    monkeypatch.setattr(inference, "_kkt_residual", check)
     monkeypatch.setattr(inference, "_bootstrap_chunk", chunk)
     rho, A = _rho_and_A(DgpSpec("binary1"), 175, 0)
     n_columns = A.dense().shape[1]
@@ -331,7 +440,7 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
     for panel_seed, boot_seed in LONG_TEST_SEEDS:
         rho, A = _rho_and_A(DgpSpec("binary3"), 350, panel_seed)
         n_columns = A.dense().shape[1]
-        subs.clear()
+        events.clear()
         rounds.clear()
         d = run_test(rho, A, TestConfig(reps=199, seed=boot_seed,
                                         critical_value=False)).diagnostics
@@ -339,11 +448,18 @@ def test_the_plan_is_built_once_per_test(monkeypatch):
             break
     else:
         pytest.fail(f"no seeds in {LONG_TEST_SEEDS} take more than 80 replicates")
+    checked = [k for k, M in enumerate(events) if M is None]
+    grown = [k - 1 for k in checked]
+    subs = [M for k, M in enumerate(events) if M is not None and k not in grown]
     assert d["curtailed_replicates"] < 199 - 80 and len(subs) > 10
     assert max(rounds) <= inference.ROUND and sum(rounds) == 199 - d["curtailed_replicates"]
     assert len(rounds) == d["bootstrap_rounds"]
+    # each grown solve is checked once, right after it
+    assert all(events[k] is not None for k in grown)
+    assert len(grown) >= d["working_set_grown"]
+    assert all(events[k].shape[1] > events[k - 1].shape[1] for k in grown)
     distinct = [M for k, M in enumerate(subs) if k == 0 or M is not subs[k - 1]]
     assert len({id(M) for M in distinct}) == len(distinct)
-    assert len(distinct) <= len(rounds) + d["working_set_full_solves"]
+    assert len(distinct) <= len(rounds) + d["working_set_full_solves"] + d["working_set_grown"]
     assert all(a.shape[1] <= b.shape[1] for a, b in zip(distinct, distinct[1:]))
     assert distinct[-1].shape[1] <= d["working_set_columns"]

@@ -11,7 +11,9 @@ as an independent cross-check.
 The constraint matrices of both formulations depend only on the geometry,
 so they are compiled once per geometry into a ``CounterfactualModel``; a
 solve fills the observed distribution into the right-hand side and the
-functional into the objective.
+functional into the objective. Each formulation is compiled as its bound
+pair: two copies of its constraints side by side, so that one HiGHS solve
+gives the lower bound on the first copy and the upper bound on the second.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
                      stability_groups)
@@ -78,13 +81,17 @@ class CounterfactualModel:
 
     ``universe`` is the extended universe and ``columns`` maps each of its
     paths over the observed menu paths to the extension-LP columns of its
-    choice paths, in ``universe.choice_paths`` order. ``extension``
+    choice paths, in ``universe.choice_paths`` order. The extension LP
     holds the negated monotonicity rows, then the marginal equality rows,
     whose right-hand side is the flattened observed distribution at
     ``marginal_rows``, then the stability rows. ``observed`` and
     ``new_static`` are the observed-window and new-period type matrices;
-    ``mixture`` has the equality rows of ``observed`` with the new-period
-    type index summed out. Both LPs keep x >= 0.
+    the mixture LP has the equality rows of ``observed`` with the
+    new-period type index summed out. Both LPs keep x >= 0. ``extension``
+    and ``mixture`` store each LP as its bound pair, the block-diagonal
+    [A 0; 0 A] (inequality rows still first), solved with HiGHS' presolve
+    off: presolve reported some exact mixtures infeasible, and on the T=2
+    pairs it costs more than it saves.
     """
 
     universe: ChoiceUniverse
@@ -149,10 +156,16 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple) -> Counterfactual
                              axis=1)
     for a in (marginal_rows, observed.matrix, new_static.matrix, *columns.values()):
         a.flags.writeable = False
-    return CounterfactualModel(ext, MappingProxyType(columns), compile_lp(-M, A_eq),
+    return CounterfactualModel(ext, MappingProxyType(columns), _pair_lp(-M, A_eq),
                                marginal_rows, observed, new_static,
-                               compile_lp(None, mixture_A_eq),
+                               _pair_lp(None, mixture_A_eq),
                                tuple(dict.fromkeys(str(w.message) for w in caught)))
+
+
+def _pair_lp(A_ub, A_eq) -> LinearProgram:
+    """The bound pair of the LP over ``A_ub`` (or None) and ``A_eq``."""
+    return compile_lp(None if A_ub is None else block_diag(A_ub, A_ub),
+                      block_diag(A_eq, A_eq), presolve=False)
 
 
 def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
@@ -204,18 +217,21 @@ def _averaged_paths(problem: CounterfactualProblem, rho: StochasticChoiceFunctio
     return cond_path, [choice_paths.index(cond_cp)], mass
 
 
-def _bound_pair(lp: LinearProgram, b_eq, c_lo, c_hi, infeasible: str):
-    """Minimum of ``c_lo`` and maximum of ``c_hi`` over ``lp`` with equality
-    right-hand side ``b_eq``, with per-LP solver diagnostics."""
-    lp = lp.with_rhs(b_eq=b_eq)
-    res_lo = solve(lp, c_lo)
-    if res_lo.status == 2:
+def _bound_pair(pair: LinearProgram, b_eq, c_lo, c_hi, infeasible: str):
+    """Minimum of ``c_lo`` and maximum of ``c_hi`` over one LP with equality
+    right-hand side ``b_eq``, in one solve of its bound ``pair``: the
+    bounds, their witnesses (the pair's two halves) and the solve's
+    diagnostics, reported for both sides."""
+    n = len(c_lo)
+    res = solve(pair, np.concatenate([c_lo, -c_hi]), b_eq=np.tile(b_eq, 2))
+    if res.status == 2:
         raise ModelRejectedError(infeasible)
-    res_hi = solve(lp, -c_hi)
-    if res_lo.status != 0 or res_hi.status != 0:
-        raise ModelRejectedError(f"bounding LP failed: {res_lo.message} / {res_hi.message}")
-    solver = {"lower": solver_diagnostics(res_lo), "upper": solver_diagnostics(res_hi)}
-    return res_lo, res_hi, solver
+    if res.status != 0:
+        raise ModelRejectedError(f"bounding LP failed: {res.message}")
+    x_lo, x_hi = res.x[:n], res.x[n:]
+    solver = solver_diagnostics(res)
+    return (float(c_lo @ x_lo), float(c_hi @ x_hi), x_lo, x_hi,
+            {"lower": solver, "upper": dict(solver)})
 
 
 def bound_functional(problem: CounterfactualProblem,
@@ -226,9 +242,9 @@ def bound_functional(problem: CounterfactualProblem,
     rho = _projected(problem, model) if project_onto_cone else problem.rho
     target, new_menu = _target_menu(problem, model)
     path, positions, mass = _averaged_paths(problem, rho)
-    lp = model.extension
-    n = lp.A.shape[1]
-    b_eq = np.zeros(lp.A.shape[0] - lp.n_ub)
+    pair = model.extension
+    n, n_ub = pair.A.shape[1] // 2, pair.n_ub // 2
+    b_eq = np.zeros(pair.A.shape[0] // 2 - n_ub)
     observed = rho_vector(rho, model.observed.row_labels)
     b_eq[:len(model.marginal_rows)] = observed[model.marginal_rows]
 
@@ -239,14 +255,13 @@ def bound_functional(problem: CounterfactualProblem,
             np.array([g_map[item] for item in new_menu.items]) / mass
         return c
 
-    res_lo, res_hi, solver = _bound_pair(
-        lp, b_eq, objective(problem.g_lower), objective(problem.g_upper),
+    *bounds, solver = _bound_pair(
+        pair, b_eq, objective(problem.g_lower), objective(problem.g_upper),
         "no extension satisfies monotonicity and stability; "
         "the observed distribution is inconsistent")
-    return BoundsReport(float(res_lo.fun), float(-res_hi.fun), res_lo.x, res_hi.x,
-                        "optimal",
-                        {"variables": n, "monotonicity_rows": lp.n_ub,
-                         "equality_rows": len(b_eq), "inequality_rows": lp.n_ub,
+    return BoundsReport(*bounds, "optimal",
+                        {"variables": n, "monotonicity_rows": n_ub,
+                         "equality_rows": len(b_eq), "inequality_rows": n_ub,
                          "target_budget": target, "solver": solver,
                          "geometry_warnings": model.geometry_warnings})
 
@@ -270,12 +285,11 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
             g_row += g_map[item] * new_dense[first + i]
         return np.kron(obs_row, g_row) / mass
 
-    rows, types = model.mixture.A.shape
-    res_lo, res_hi, solver = _bound_pair(
+    rows, types = (size // 2 for size in model.mixture.A.shape)
+    *bounds, solver = _bound_pair(
         model.mixture, rho_vector(rho, model.observed.row_labels), objective(problem.g_lower),
         objective(problem.g_upper), "observed distribution is outside the type cone")
-    return BoundsReport(float(res_lo.fun), float(-res_hi.fun), res_lo.x, res_hi.x,
-                        "optimal",
+    return BoundsReport(*bounds, "optimal",
                         {"types": types, "route": "mixture", "variables": types,
                          "equality_rows": rows, "inequality_rows": 0,
                          "target_budget": target, "solver": solver,

@@ -9,7 +9,11 @@ for the conversion once. ``solve`` runs HiGHS through the public
 ``scipy.optimize.milp`` with no integrality, which skips ``linprog``'s
 per-call input cleaning and option checks; with console output switched
 off it gives the same status, message, objective and solution bits as
-``linprog(method="highs")``.
+``linprog(method="highs")`` with the same options. An LP compiled with
+``presolve=False`` is solved with HiGHS' presolve off and matches
+``linprog(method="highs", options={"presolve": False})``; every other LP
+gets HiGHS' defaults. Each result carries ``max_violation``, the largest
+amount by which its ``x`` breaks a variable or row bound.
 """
 
 from __future__ import annotations
@@ -34,13 +38,15 @@ _HIGHS_OPTIONS = {"output_flag": False}
 class LinearProgram:
     """Constraints of one LP: ``A`` is read-only CSC with ``n_ub`` inequality
     rows (``A_ub x <= b_ub``) above the equality rows (``A_eq x = b_eq``);
-    ``lower``/``upper`` are the row bounds, ``bounds`` the variable bounds."""
+    ``lower``/``upper`` are the row bounds, ``bounds`` the variable bounds;
+    ``presolve`` is whether HiGHS presolves it."""
 
     A: csc_array
     n_ub: int
     lower: np.ndarray
     upper: np.ndarray
     bounds: Bounds
+    presolve: bool = True
 
     def with_rhs(self, b_ub=None, b_eq=None) -> LinearProgram:
         """The same LP with right-hand sides filled into its row bounds."""
@@ -53,10 +59,12 @@ class LinearProgram:
         return replace(self, lower=lower, upper=upper)
 
 
-def compile_lp(A_ub=None, A_eq=None, bounds: Bounds | None = None) -> LinearProgram:
+def compile_lp(A_ub=None, A_eq=None, bounds: Bounds | None = None,
+               presolve: bool = True) -> LinearProgram:
     """Build the LP over ``A_ub`` and ``A_eq`` (dense, either may be None)
     with zero right-hand sides; ``bounds`` defaults to x >= 0 as in
-    ``linprog``."""
+    ``linprog``. ``presolve=False`` switches HiGHS' presolve off for every
+    solve of it."""
     blocks = [np.asarray(a, dtype=float) for a in (A_ub, A_eq) if a is not None]
     n = blocks[0].shape[1]
     n_ub = 0 if A_ub is None else blocks[0].shape[0]
@@ -72,21 +80,24 @@ def compile_lp(A_ub=None, A_eq=None, bounds: Bounds | None = None) -> LinearProg
     upper = np.zeros(A.shape[0])
     for a in (lower, upper, lb, ub):
         a.flags.writeable = False
-    return LinearProgram(A, n_ub, lower, upper, Bounds(lb, ub))
+    return LinearProgram(A, n_ub, lower, upper, Bounds(lb, ub), presolve)
 
 
 def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
     """Minimise ``c @ x`` over ``lp`` with the given right-hand sides (the
     templates where None). The result carries ``status``, ``message``,
     ``fun`` and ``x`` with ``linprog``'s meanings, including its demotion
-    of an optimum that violates the constraints to status 4."""
+    of an optimum that violates the constraints to status 4, and
+    ``max_violation`` (None without an ``x``)."""
     if b_ub is not None or b_eq is not None:
         lp = lp.with_rhs(b_ub, b_eq)
+    options = dict(_HIGHS_OPTIONS) if lp.presolve else {**_HIGHS_OPTIONS, "presolve": False}
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
         res = milp(c, bounds=lp.bounds, constraints=LinearConstraint(lp.A, lp.lower, lp.upper),
-                   options=dict(_HIGHS_OPTIONS))
-    if res.status == 0 and not _satisfies(lp, res.x):
+                   options=options)
+    res.max_violation = None if res.x is None else _max_violation(lp, res.x)
+    if res.status == 0 and (res.max_violation is None or not res.max_violation <= _CHECK_TOL):
         res.status = 4
         res.message = ("The solution does not satisfy the constraints within the "
                        f"required tolerance of {_CHECK_TOL:.2E}, yet no errors were "
@@ -96,17 +107,15 @@ def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
     return res
 
 
-def _satisfies(lp: LinearProgram, x) -> bool:
-    """Whether a reported optimum meets the bounds and rows within the
-    tolerance ``linprog`` checks."""
-    if x is None or np.isnan(x).any():
-        return False
+def _max_violation(lp: LinearProgram, x) -> float:
+    """The largest amount by which ``x`` breaks a variable bound or a row
+    bound of ``lp``: 0 when it meets them all, NaN when ``x`` has a NaN."""
     row = lp.A @ x
-    return bool(np.all(x >= lp.bounds.lb - _CHECK_TOL) and np.all(x <= lp.bounds.ub + _CHECK_TOL)
-                and np.all(row <= lp.upper + _CHECK_TOL)
-                and np.all(row >= lp.lower - _CHECK_TOL))
+    return float(np.max(np.concatenate([lp.bounds.lb - x, x - lp.bounds.ub, row - lp.upper,
+                                        lp.lower - row, [0.0]])))
 
 
 def solver_diagnostics(res) -> dict:
-    """Status and message of one LP."""
-    return {"status": int(res.status), "message": res.message}
+    """Status, message and largest bound or row violation of one LP."""
+    return {"status": int(res.status), "message": res.message,
+            "max_violation": res.get("max_violation")}

@@ -28,6 +28,11 @@ def binary_uni_T2():
 def simple_setup():
     """Budgets, universe, patches, per-period static matrix, and the
     T=2 dynamic matrix of the two-budget demand geometry."""
+    return simple_geometry()
+
+
+def simple_geometry():
+    """The ``simple_setup`` fixture's value, for code outside a test."""
     budgets = catalog.simple_budgets((1, 2))
     uni, patches, dominance = demand_universe(budgets, (1, 2),
                                               index_maps=catalog.SIMPLE_INDEX_MAPS)

@@ -483,7 +483,9 @@ def test_lp_checks_report_solver_diagnostics(geometries):
     _, _, hier = hierarchy_feasible(rho, _catalog_H_list(geom["universe"], "binary"), (1, 2))
     for report in (bm, hier):
         solver = report.diagnostics["solver"]
-        assert solver == {"status": 0, "message": OPTIMAL}
+        assert solver == {"status": 0, "message": OPTIMAL,
+                          "max_violation": solver["max_violation"]}
+        assert 0.0 <= solver["max_violation"] <= 1e-9
         assert {"variables", "inequality_rows"} <= set(report.diagnostics)
         assert report.to_dict()["diagnostics"]["solver"] == solver
     assert hier.diagnostics["variables"] == 64

@@ -462,7 +462,9 @@ class TestCli:
             for side in ("lower", "upper"):
                 assert diag["solver"][side] == {
                     "status": 0,
-                    "message": "Optimization terminated successfully. (HiGHS Status 7: Optimal)"}
+                    "message": "Optimization terminated successfully. (HiGHS Status 7: Optimal)",
+                    "max_violation": diag["solver"]["lower"]["max_violation"]}
+                assert 0.0 <= diag["solver"][side]["max_violation"] <= 1e-9
         assert doc["diagnostics"]["inequality_rows"] == doc["diagnostics"]["monotonicity_rows"]
         assert doc["cross_check_diagnostics"]["route"] == "mixture"
 
@@ -534,7 +536,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: SolverError: hierarchy LP returned status 4" in err
         diagnostics = json.loads(err.split("diagnostics: ", 1)[1])
-        assert diagnostics["solver"] == {"status": 4, "message": "numerical difficulties"}
+        assert diagnostics["solver"] == {"status": 4, "message": "numerical difficulties",
+                                         "max_violation": None}
         assert diagnostics["variables"] == 27
         with pytest.raises(SolverError) as info:
             main(argv + ["--debug"])

@@ -1,9 +1,11 @@
 """The LP entry point: ``lp.solve`` against scipy's ``linprog(method="highs")``
-bit for bit, and the rule that every LP of the package goes through it."""
+bit for bit at the same options, and the rule that every LP of the package
+goes through it."""
 
 import ast
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, OptimizeResult, linprog
 
-from drumtest import lp
+from drumtest import checks, counterfactuals, geometry, lp
+from drumtest.counterfactuals import CounterfactualProblem, bound_functional
 from drumtest.lp import compile_lp, solve
+
+from conftest import rho_from_weights
 
 SRC = Path(lp.__file__).resolve().parent
 
@@ -44,12 +49,15 @@ def small_lps(draw):
             "bounds": draw(st.sampled_from(sorted(BOUNDS)))}
 
 
-def _solve_both(case):
+def _solve_both(case, presolve=True):
+    """``linprog`` and ``solve`` on one case, both with HiGHS' presolve on or
+    both with it off."""
     bounds_linprog, bounds = BOUNDS[case["bounds"]]
     ref = linprog(case["c"], A_ub=case["A_ub"], b_ub=case["b_ub"], A_eq=case["A_eq"],
-                  b_eq=case["b_eq"], bounds=bounds_linprog, method="highs")
-    res = solve(compile_lp(case["A_ub"], case["A_eq"], bounds), case["c"], case["b_ub"],
-                case["b_eq"])
+                  b_eq=case["b_eq"], bounds=bounds_linprog, method="highs",
+                  options={} if presolve else {"presolve": False})
+    res = solve(compile_lp(case["A_ub"], case["A_eq"], bounds, presolve=presolve), case["c"],
+                case["b_ub"], case["b_eq"])
     return ref, res
 
 
@@ -59,13 +67,8 @@ _INFEASIBLE = {**_OPTIMAL, "A_eq": np.array([[1.0, 1.0]]), "b_eq": np.array([0.5
 _UNBOUNDED = {**_OPTIMAL, "c": np.array([-1.0, 0.0]), "bounds": "free"}
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=small_lps())
-@example(case=_OPTIMAL)
-@example(case=_INFEASIBLE)
-@example(case=_UNBOUNDED)
-def test_solve_is_linprog_bit_for_bit(case):
-    ref, res = _solve_both(case)
+def _assert_linprog_bit_for_bit(case, presolve):
+    ref, res = _solve_both(case, presolve)
     assert (res.status, res.message) == (ref.status, ref.message)
     assert res.fun == ref.fun
     assert (res.x is None) == (ref.x is None)
@@ -73,9 +76,28 @@ def test_solve_is_linprog_bit_for_bit(case):
         assert res.x.tobytes() == np.asarray(ref.x).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=small_lps())
+@example(case=_OPTIMAL)
+@example(case=_INFEASIBLE)
+@example(case=_UNBOUNDED)
+def test_solve_is_linprog_bit_for_bit(case):
+    _assert_linprog_bit_for_bit(case, presolve=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_lps())
+@example(case=_OPTIMAL)
+@example(case=_INFEASIBLE)
+@example(case=_UNBOUNDED)
+def test_presolve_free_solve_is_linprog_bit_for_bit(case):
+    _assert_linprog_bit_for_bit(case, presolve=False)
+
+
 @pytest.mark.parametrize("case,status", [(_OPTIMAL, 0), (_INFEASIBLE, 2), (_UNBOUNDED, 3)])
 def test_the_examples_cover_every_status(case, status):
-    assert _solve_both(case)[1].status == status
+    for presolve in (True, False):
+        assert _solve_both(case, presolve)[1].status == status
 
 
 def test_filled_right_hand_sides_leave_the_compiled_lp_alone():
@@ -104,6 +126,67 @@ def test_an_optimum_off_the_constraints_is_demoted(monkeypatch):
     res = solve(program, [1.0, 1.0], b_ub=[-1.0])
     assert res.status == 4 and not res.success
     assert "does not satisfy the constraints" in res.message
+    assert res.max_violation == 1.0
+
+
+def test_every_result_reports_its_largest_violation():
+    """``max_violation`` is the largest bound or row violation of ``x``: 0
+    or a rounding error at an optimum, None without an ``x``."""
+    for case in (_OPTIMAL, _INFEASIBLE, _UNBOUNDED):
+        res = _solve_both(case)[1]
+        if res.x is None:
+            assert res.max_violation is None
+            continue
+        A_ub = case["A_ub"] if case["A_ub"] is not None else np.zeros((0, len(res.x)))
+        lb, ub = BOUNDS[case["bounds"]][1].lb, BOUNDS[case["bounds"]][1].ub
+        expected = max(0.0, np.max(A_ub @ res.x - case["b_ub"], initial=0.0),
+                       np.max(lb - res.x), np.max(res.x - ub))
+        assert res.max_violation == expected
+        assert lp.solver_diagnostics(res)["max_violation"] == res.max_violation
+
+
+def _recorded_options(monkeypatch):
+    """Route ``lp.milp`` through a recorder of the options each call gets."""
+    seen, real = [], lp.milp
+
+    def recording(*args, **kwargs):
+        seen.append(dict(kwargs["options"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "milp", recording)
+    return seen
+
+
+def test_only_the_bound_pairs_switch_presolve_off(monkeypatch, simple_setup):
+    """Default-compiled LPs reach ``milp`` with exactly HiGHS' console
+    output off; the counterfactual bound pairs add ``presolve: False`` and
+    nothing else."""
+    defaults = {"output_flag": False}
+    seen = _recorded_options(monkeypatch)
+    assert solve(compile_lp(_OPTIMAL["A_ub"]), _OPTIMAL["c"], _OPTIMAL["b_ub"]).status == 0
+    assert solve(compile_lp(_OPTIMAL["A_ub"], presolve=False), _OPTIMAL["c"],
+                 _OPTIMAL["b_ub"]).status == 0
+    assert seen == [defaults, {**defaults, "presolve": False}]
+
+    # the package's own LPs: patch geometry, sarpd cells, then one bound pair
+    geometry._arrangement.cache_clear()
+    checks._compile_sarpd.cache_clear()
+    counterfactuals._compile.cache_clear()
+    seen.clear()
+    rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+    budgets = simple_setup["budgets"]
+    _, patches, _ = geometry.demand_universe(budgets, (1, 2))
+    checks.check_sarpd(rho, budgets, patches)
+    new_budgets = [geometry.Budget("next", 1, (Fraction(2), Fraction(1)), Fraction(1)),
+                   geometry.Budget("next", 2, (Fraction(1), Fraction(2)), Fraction(1))]
+    labels = [p.label for p in geometry.compute_patches(new_budgets)[0]
+              if not p.is_intersection]
+    g = {label: 0.5 for label in labels}
+    report = bound_functional(CounterfactualProblem(rho, budgets, new_budgets, g, g))
+    assert report.diagnostics["solver"]["lower"]["status"] == 0
+    # the bound pair is the last LP solved
+    assert len(seen) > 1 and all(options == defaults for options in seen[:-1])
+    assert seen[-1] == {**defaults, "presolve": False}
 
 
 # --- one entry point -------------------------------------------------------------------

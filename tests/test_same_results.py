@@ -1,12 +1,17 @@
-"""Same results: SHA-256 digests of seeded bootstrap outcomes, so that a
-change to the bootstrap's rounds, bounds or projections that moves a
-statistic, a p-value, a verdict or a critical value shows here.
+"""Same results: SHA-256 digests of seeded bootstrap outcomes and
+counterfactual bounds, so that a change to the bootstrap's rounds, bounds or
+projections that moves a statistic, a p-value, a verdict or a critical
+value, or a change to the bounding LPs that moves a bound, shows here.
 
 The verdict-only route is pinned on every criterion-7 cell, 5 sims each
 through ``run_experiment``; the full route (``drum test``, critical value
 included) on two criterion-8-shaped panels, with and without the
-expected-utility restriction. Each digest hashes the exact float bits
-(``float.hex``) of every outcome in order.
+expected-utility restriction. Each of these digests hashes the exact float
+bits (``float.hex``) of every outcome in order. The counterfactual bounds
+are pinned on both routes, targets 1 and 2, marginal and conditional, over
+seeded Dirichlet(1) mixtures of the two-budget demand geometry; their digests
+hash each bound at 9 significant digits, the benchmark fingerprint's
+precision, since an LP optimum is only fixed up to the solver's last bit.
 
 ``python tests/test_same_results.py`` prints every digest as the current
 code computes it, in the layout of the tables below, so that a change that
@@ -14,6 +19,7 @@ moves the random stream on purpose re-pins them with one command."""
 
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +28,13 @@ import pytest
 if __name__ == "__main__":  # a checkout that is not installed
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from conftest import app_panel  # noqa: E402
+from conftest import app_panel, rho_from_weights, simple_geometry  # noqa: E402
 
 import drumtest.simulate as sim  # noqa: E402
 from drumtest import catalog  # noqa: E402
+from drumtest.counterfactuals import (CounterfactualProblem, bound_functional,  # noqa: E402
+                                      kron_counterfactual_cone)
+from drumtest.geometry import Budget, compute_patches  # noqa: E402
 from drumtest.inference import TestConfig, run_test, run_test_eu  # noqa: E402
 from drumtest.simulate import DgpSpec, run_experiment  # noqa: E402
 
@@ -53,6 +62,31 @@ FULL_ROUTE = [
     (False, "53808b977185faf27f24a5afa1b8b38ace5269c50c9bca602797109bf889413e"),
     (True, "32b455c0db5143337bf08c7aeadbaf1feda6c7402aa6f0df64dafd42c7e99f27"),
 ]
+
+# (route, target budget, conditional, digest of (lower, upper) at 9
+# significant digits over BOUND_MIXTURES mixtures)
+BOUNDS = [
+    ("extension", 1, False,
+     "feff116bb271bf78bad1095b79d87c2119ca7755fdb0b19970c2c242965ae7e4"),
+    ("extension", 1, True,
+     "1022e63d7bdf438e1ef12c9150a2ee5dc3827ebc190ece436b2c82b5e385dcd9"),
+    ("extension", 2, False,
+     "635b3454fc2be8927ac9cfb212df81ac9d9c8d828f6d4771f7f82a298f366b20"),
+    ("extension", 2, True,
+     "2d77e19c9aeadfaf5be7a6532e8380c36590e08e88d65e346f040799f1ffa136"),
+    ("mixture", 1, False,
+     "feff116bb271bf78bad1095b79d87c2119ca7755fdb0b19970c2c242965ae7e4"),
+    ("mixture", 1, True,
+     "1022e63d7bdf438e1ef12c9150a2ee5dc3827ebc190ece436b2c82b5e385dcd9"),
+    ("mixture", 2, False,
+     "635b3454fc2be8927ac9cfb212df81ac9d9c8d828f6d4771f7f82a298f366b20"),
+    ("mixture", 2, True,
+     "2d77e19c9aeadfaf5be7a6532e8380c36590e08e88d65e346f040799f1ffa136"),
+]
+BOUND_MIXTURES = 5
+ROUTES = {"extension": bound_functional, "mixture": kron_counterfactual_cone}
+BOUND_CASES = [(route, target, conditional) for route in ROUTES for target in (1, 2)
+               for conditional in (False, True)]
 
 
 def _digest(reports, critical_value=False):
@@ -96,6 +130,33 @@ def full_route_digest(eu):
     return _digest(reports, critical_value=True)
 
 
+def bounds_digest(route, target, conditional, setup=None):
+    """The digest of one route's bounds on the seeded mixtures: each draws
+    Dirichlet(1) weights over the nine two-period types and a functional,
+    as the benchmark's bounds inputs do, and conditions on menu path (1, 2)
+    at its most likely choice path."""
+    setup = setup or simple_geometry()
+    new_budgets = [Budget("next", 1, (Fraction(2), Fraction(1)), Fraction(1)),
+                   Budget("next", 2, (Fraction(1), Fraction(2)), Fraction(1))]
+    labels = [p.label for p in compute_patches(new_budgets)[0] if not p.is_intersection]
+    rng = np.random.default_rng(2800 + 10 * target + conditional)
+    h = hashlib.sha256()
+    for _ in range(BOUND_MIXTURES):
+        rho = rho_from_weights(setup["universe"], setup["AT"], rng.dirichlet(np.ones(9)))
+        lo = {lbl: float(v) for lbl, v in zip(labels, rng.random(4))}
+        hi = {lbl: lo[lbl] + float(v) for lbl, v in zip(labels, rng.random(4))}
+        condition = None
+        if conditional:
+            path = (1, 2)
+            condition = (path, setup["universe"].choice_paths(path)[
+                int(np.argmax(rho.probs[path]))])
+        problem = CounterfactualProblem(rho, setup["budgets"], new_budgets, lo, hi,
+                                        target_budget=target, condition=condition)
+        report = ROUTES[route](problem)
+        h.update(f"{report.lower:.9g} {report.upper:.9g}\n".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("kind,n,digest", VERDICT_ONLY,
                          ids=[f"{kind}@{n}" for kind, n, _ in VERDICT_ONLY])
 def test_verdict_only_outcomes_are_pinned(kind, n, digest):
@@ -107,6 +168,13 @@ def test_full_route_outcomes_are_pinned(eu, digest):
     assert full_route_digest(eu) == digest
 
 
+@pytest.mark.parametrize("route,target,conditional,digest", BOUNDS,
+                         ids=[f"{r}-{t}-{'conditional' if c else 'marginal'}"
+                              for r, t, c, _ in BOUNDS])
+def test_bounds_are_pinned(simple_setup, route, target, conditional, digest):
+    assert bounds_digest(route, target, conditional, simple_setup) == digest
+
+
 if __name__ == "__main__":
     print("VERDICT_ONLY = [")
     for kind, n, _ in VERDICT_ONLY:
@@ -114,4 +182,8 @@ if __name__ == "__main__":
     print("]\n\nFULL_ROUTE = [")
     for eu, _ in FULL_ROUTE:
         print(f'    ({eu}, "{full_route_digest(eu)}"),')
+    print("]\n\nBOUNDS = [")
+    for route, target, conditional in BOUND_CASES:
+        print(f'    ("{route}", {target}, {conditional},\n'
+              f'     "{bounds_digest(route, target, conditional)}"),')
     print("]")

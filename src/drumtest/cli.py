@@ -27,7 +27,7 @@ from .errors import DrumError, ModelRejectedError, UsageError
 from .geometry import Budget, compute_patches, demand_universe
 from .inference import TestConfig, run_test, run_test_eu
 from .model import estimate_rho
-from .representations import catalog_H, kron_dynamic, static_type_matrix
+from .representations import catalog_H, static_type_matrix, type_matrix
 from .simulate import DgpSpec, run_experiment, simulate
 
 
@@ -98,8 +98,10 @@ def build_parser():
     t = sub.add_parser("test", help="bootstrap cone-projection test")
     t.add_argument("--panel", required=True)
     t.add_argument("--universe", required=True)
-    t.add_argument("--budgets", default=None)
-    t.add_argument("--eu", default=None, help="lotteries.csv for the EU-restricted test")
+    # the EU test's types are rankings of the lotteries: it reads no budgets
+    types = t.add_mutually_exclusive_group()
+    types.add_argument("--budgets", default=None)
+    types.add_argument("--eu", default=None, help="lotteries.csv for the EU-restricted test")
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--reps", type=int, default=999)
     t.add_argument("--report", default=None)
@@ -161,12 +163,11 @@ def _cmd_matrices(args) -> int:
                    else catalog.demand3x3_budgets)(periods)
         uni, patches, _ = demand_universe(budgets, periods)
         kind = args.geometry
-    statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
+    static = static_type_matrix(uni, uni.periods[0], patches)
     H = catalog_H(kind, uni, uni.periods[0])
-    io.export_matrix(statics[0].dense(), statics[0].row_labels, statics[0].col_labels,
+    io.export_matrix(static.dense(), static.row_labels, static.col_labels,
                      out / f"A_static_{args.geometry}")
-    paths = sorted(itertools.product(*[uni.menu_indices(t) for t in uni.periods]))
-    A_T = kron_dynamic(statics, paths, uni)
+    A_T = type_matrix(uni, itertools.product(*map(uni.menu_indices, uni.periods)), patches)
     io.export_matrix(A_T.dense(), A_T.row_labels, A_T.col_labels,
                      out / f"A_dynamic_{args.geometry}_T{args.T}")
     io.export_matrix(H.full(), [f"row{k}" for k in range(len(H.full()))], H.col_labels,
@@ -245,8 +246,7 @@ def _cmd_check(args) -> int:
         elif name == "hrep":
             reports[name] = check_H(rho, H_list, tol=args.tolerance)
         elif name == "cone":
-            statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
-            _, _, rep = cone_membership(rho, kron_dynamic(statics, rho.observed_paths, uni))
+            _, _, rep = cone_membership(rho, type_matrix(uni, rho.observed_paths, patches))
             reports[name] = rep
         elif name == "bm":
             _, _, rep = bm_extension_feasible(rho)
@@ -280,8 +280,7 @@ def _cmd_test(args) -> int:
     else:
         budgets = io.read_budgets(args.budgets) if args.budgets else None
         patches = _demand_geometry(uni, budgets)[0] if budgets else None
-        statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
-        report = run_test(rho, kron_dynamic(statics, rho.observed_paths, uni), config)
+        report = run_test(rho, type_matrix(uni, rho.observed_paths, patches), config)
     text = json.dumps(report.to_dict(), indent=1)
     if args.report:
         Path(args.report).write_text(text)

@@ -32,7 +32,7 @@ from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaErr
 from .geometry import demand_universe
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, path_blocks, rho_vector
-from .representations import TypeMatrix, kron_dynamic, static_type_matrix
+from .representations import TypeMatrix, static_type_matrix, type_matrix
 
 NEW_PERIOD = "next"
 
@@ -122,8 +122,7 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple) -> Counterfactual
     if len(new_menus) != 2 or any(m.size != 2 for m in new_menus):
         raise GeometryError("next-period budgets must cross: two patches per budget")
 
-    observed = kron_dynamic([static_type_matrix(observed_uni, t, patches) for t in periods],
-                            paths, observed_uni)
+    observed = type_matrix(observed_uni, paths, patches)
     # two new menus of two patches each (checked above): four columns per observed row
     ext_paths = [tuple(path) + (menu.index,) for path in paths for menu in new_menus]
     n = 4 * len(observed.row_labels)
@@ -154,7 +153,7 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple) -> Counterfactual
     new_static = static_type_matrix(ext, NEW_PERIOD, patches)
     mixture_A_eq = np.repeat(observed.dense().astype(float), len(new_static.col_labels),
                              axis=1)
-    for a in (marginal_rows, observed.matrix, new_static.matrix, *columns.values()):
+    for a in (marginal_rows, new_static.matrix, *columns.values()):
         a.flags.writeable = False
     return CounterfactualModel(ext, MappingProxyType(columns), _pair_lp(-M, A_eq),
                                marginal_rows, observed, new_static,

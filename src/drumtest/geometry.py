@@ -228,8 +228,8 @@ def _arrangement(budgets: tuple, frozen_maps):
             open_cells[budget.index].append(patch)
 
     # intersection cells: at least one 'on' entry; registered once under the
-    # lowest participating budget, indices continuing after the open cells
-    seen = set()
+    # lowest participating budget, indices continuing after the open cells.
+    # Under one budget the signs alone fix the cell, so none repeats
     next_index = {b.index: len(open_cells[b.index]) for b in budgets}
     for budget in sorted(budgets, key=lambda b: b.index):
         others = [b for b in budgets if b.index != budget.index]
@@ -241,16 +241,11 @@ def _arrangement(budgets: tuple, frozen_maps):
             on_set = frozenset([budget.index] + [o for o in other_idx if signs[o] == ON])
             if min(on_set) != budget.index:
                 continue
-            rest = tuple(sorted((o, signs[o]) for o in other_idx if signs[o] != ON))
-            cell_key = (on_set, rest)
-            if cell_key in seen:
-                continue
             # a cell is nonempty only when its strict signs hold with margin;
             # equality-only solutions mean the open part of the cell is empty
             margin, point = _cell_program(budget, others, signs)
             if margin is None:
                 continue
-            seen.add(cell_key)
             next_index[budget.index] += 1
             patches.append(Patch(budget.period, budget.index, next_index[budget.index],
                                  signs, point, True, tuple(sorted(on_set))))

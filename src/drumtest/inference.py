@@ -12,7 +12,7 @@ import numpy as np
 from .checks import KKT_TOL, _kkt_of_gradient, certify_nnls, nnls_projection, nnls_solve
 from .errors import ParameterError, SchemaError, SolverError
 from .model import path_blocks, rho_vector
-from .representations import TypeMatrix, kron_dynamic, static_type_matrix
+from .representations import TypeMatrix, type_matrix
 
 # routes of a bootstrap replicate: certified on the working set, solved
 # again on the full matrix after the working set, decided below the
@@ -674,11 +674,9 @@ def _normalized(block):
 
 
 def run_test_eu(rho, lotteries: dict, config: TestConfig = TestConfig()) -> TestReport:
-    """The same test with the type matrix restricted to rankings consistent
-    with expected utility over the supplied lotteries."""
-    universe = rho.universe
-    statics = [static_type_matrix(universe, t, eu_filter=lotteries) for t in universe.periods]
-    A = kron_dynamic(statics, rho.observed_paths, universe)
+    """The same test on the shared ``type_matrix`` of rankings consistent with
+    expected utility over the lotteries, counted per period in its column labels."""
+    A = type_matrix(rho.universe, rho.observed_paths, eu_filter=lotteries)
     report = run_test(rho, A, config)
-    report.diagnostics["eu_orders_per_period"] = [len(s.col_labels) for s in statics]
+    report.diagnostics["eu_orders_per_period"] = [len(set(c)) for c in zip(*A.col_labels)]
     return report

@@ -213,21 +213,30 @@ def write_budgets(budgets_by_period: dict, path):
 
 
 def read_lotteries(path) -> dict:
+    """alternative_id,prize_1..prize_K -> {alternative: prizes}; a repeated
+    alternative raises SchemaError."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         prize_cols = sorted((c for c in reader.fieldnames or [] if c.startswith("prize_")),
                             key=lambda c: int(c.split("_")[1]))
         for row in reader:
-            out[_coerce(row["alternative_id"])] = tuple(Fraction(row[c]) for c in prize_cols)
+            alt = _coerce(row["alternative_id"])
+            if alt in out:
+                raise SchemaError(f"alternative {alt!r} has two rows")
+            out[alt] = tuple(Fraction(row[c]) for c in prize_cols)
     return out
 
 
 def read_g(path):
+    """budget_id,patch_id,g_lower,g_upper -> (lower, upper) by patch label;
+    a repeated patch raises SchemaError."""
     lower, upper = {}, {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             key = (int(row["budget_id"]), int(row["patch_id"]))
+            if key in lower:
+                raise SchemaError(f"budget {key[0]}, patch {key[1]} has two rows")
             lower[key] = float(row["g_lower"])
             upper[key] = float(row["g_upper"])
     return lower, upper

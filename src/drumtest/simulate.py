@@ -32,7 +32,7 @@ from .errors import GeometryError, ParameterError
 from .geometry import ABOVE, demand_universe
 from .inference import TestConfig, run_test
 from .model import PanelDataset, tally_rho
-from .representations import kron_dynamic, static_type_matrix
+from .representations import type_matrix
 
 BINARY_MARGINALS = {
     "binary1": np.array([1, 4, 4, 1, 1, 4]) / 5.0,
@@ -66,8 +66,7 @@ class DgpSpec:
 def build_universe(dgp: DgpSpec):
     """Universe (and budgets where applicable) the generator samples on."""
     if dgp.kind.startswith(("cobb", "binary")):
-        universe, budgets, *_ = _catalog_structure(dgp.kind)
-        return universe, budgets
+        return _catalog_structure(dgp.kind)[:2]
     if dgp.kind == "order-mixture":
         return dgp.params["universe"], None
     raise ParameterError(f"unknown DGP kind {dgp.kind!r}")
@@ -79,15 +78,13 @@ CUT_MARGIN = 1e-9
 
 @lru_cache(maxsize=16)
 def _catalog_structure(kind: str):
-    """(universe, budgets, demand patches by period, type matrix, demand
-    cut tables) of a catalog generator, ``cobb*`` or
-    ``binary*``, built once per kind and process; a binary generator has no
-    budgets, patches or tables. None of it depends on the generator's
-    params, which only shape its draws. Every caller shares these objects,
-    and nothing writes to them: the universe is a frozen value of tuples,
-    budgets and patches are frozen, and the arrays of the type matrix and
-    the tables are made read-only here (the matrix's range basis, built on
-    the first test, is read-only too)."""
+    """(universe, budgets, demand patches by period, demand cut tables) of
+    a catalog generator, ``cobb*`` or ``binary*``, built once per kind and
+    process; a binary generator has no budgets, patches or tables. None of
+    it depends on the generator's params, which only shape its draws. Every
+    caller shares these objects, and nothing writes to them: the universe is
+    a frozen value of tuples, budgets and patches are frozen, and the
+    tables' arrays are made read-only here (``type_matrix_for`` shares the matrix)."""
     dgp = DgpSpec(kind)
     if kind.startswith("cobb"):
         budgets = catalog.simple_budgets(dgp.periods())
@@ -96,10 +93,7 @@ def _catalog_structure(kind: str):
     else:
         budgets = patches = tables = None
         universe = catalog.binary_universe(("l1", "l2", "l3"), dgp.periods())
-    statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
-    A = kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
-    A.matrix.setflags(write=False)
-    return universe, budgets, patches, A, tables
+    return universe, budgets, patches, tables
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,7 @@ def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
     shares = None
     if dgp.kind.startswith("cobb"):
         shares = _draw_shares(dgp, rng, len(paths), agents_per_path)
-        positions = _demand_choices(universe, _catalog_structure(dgp.kind)[4], paths,
+        positions = _demand_choices(universe, _catalog_structure(dgp.kind)[3], paths,
                                     agents_per_path, shares)
     elif dgp.kind.startswith("binary"):
         marg = dgp.params.get("marginals")
@@ -232,7 +226,7 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     choice, choice_ids = _chosen_items(universe, menus, positions)
     quantity = None
     if shares is not None:
-        quantity = _demand_points(universe, _catalog_structure(dgp.kind)[4], menus, shares)
+        quantity = _demand_points(universe, _catalog_structure(dgp.kind)[3], menus, shares)
     panel = PanelDataset.from_columns(
         np.repeat(np.arange(1, n + 1), T), np.tile(np.asarray(universe.periods), n),
         menus.reshape(-1), choice.reshape(-1),
@@ -355,15 +349,9 @@ def _chosen_items(universe, menus, positions):
 def type_matrix_for(dgp: DgpSpec, universe):
     """Restricted type matrix matching the generator's observed paths; a
     demand generator's periods take the demand types of its own patches.
-    On its own universe a catalog generator's matrix is the one shared
-    ``_catalog_structure`` built."""
-    patches = None
-    if dgp.kind.startswith(("cobb", "binary")):
-        shared, _, patches, A, _ = _catalog_structure(dgp.kind)
-        if universe == shared:
-            return A
-    statics = [static_type_matrix(universe, t, patches) for t in universe.periods]
-    return kron_dynamic(statics, observed_menu_paths(dgp, universe), universe)
+    It is the shared, read-only build of ``representations.type_matrix``."""
+    patches = _catalog_structure(dgp.kind)[2] if dgp.kind.startswith(("cobb", "binary")) else None
+    return type_matrix(universe, observed_menu_paths(dgp, universe), patches)
 
 
 def agents_per_path_for(dgp: DgpSpec, n: int) -> int:
@@ -417,8 +405,8 @@ def _run_sims(dgp: DgpSpec, n: int, sim_seeds, reps: int, alpha: float) -> np.nd
     reach the statistic, decides those whose certified interval lies on one
     side of it without a solve, stops at the replicate that decides the
     verdict and computes no critical value. The universe and the type matrix
-    come from ``build_universe`` and ``type_matrix_for``, which share one
-    build per catalog generator kind and process (``_catalog_structure``),
+    come from ``build_universe`` and ``type_matrix_for``, built once per
+    process and shared (``_catalog_structure``, ``representations.type_matrix``),
     range basis included. Each sim draws (``draw_choices``), tallies the
     drawn positions by menu path (``model.tally_rho``, the tally
     ``estimate_rho`` ends in, so ``rho`` is that of the simulated panel) and

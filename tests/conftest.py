@@ -157,17 +157,24 @@ def full_bootstrap(rho, A, config):
     return report, seen[0]
 
 
-def app_panel(seed):
-    """A criterion-8-shaped panel, 356 agents on each of the six menu paths,
-    drawn from a mixture of orders, and the unrestricted type matrix of its
-    universe."""
+def app_dgp():
+    """The criterion-8-shaped generator: a mixture of orders on the binary
+    universe of three lotteries over three periods, all six menu paths."""
     uni = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
     orders = list(itertools.permutations(("l1", "l2", "l3")))
     rotation = (("l1", "l2", "l3"), ("l2", "l3", "l1"), ("l3", "l1", "l2"))
     paths = sorted(itertools.permutations((1, 2, 3)))
-    dgp = DgpSpec("order-mixture", {"universe": uni,
-                                    "profiles": [(r, r, r) for r in orders] + [rotation],
-                                    "weights": [0.14] * 6 + [0.16], "menu_paths": paths})
+    return DgpSpec("order-mixture", {"universe": uni,
+                                     "profiles": [(r, r, r) for r in orders] + [rotation],
+                                     "weights": [0.14] * 6 + [0.16], "menu_paths": paths})
+
+
+def app_panel(seed):
+    """A criterion-8-shaped panel, 356 agents on each of the six menu paths,
+    drawn from ``app_dgp``, and the unrestricted type matrix of its
+    universe."""
+    dgp = app_dgp()
+    uni, paths = dgp.params["universe"], dgp.params["menu_paths"]
     rho = estimate_rho(simulate(dgp, 356, seed=seed)[0], uni)
     statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
     return rho, kron_dynamic(statics, paths, uni)

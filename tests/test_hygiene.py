@@ -4,6 +4,7 @@ every field of the package's input dataclasses is read by the package,
 every defaulted parameter of a private package function is passed
 somewhere, no parameter of one is passed the same literal by every package
 call, dense Kronecker products are built only at the known sites,
+dynamic type matrices are assembled only by ``representations.type_matrix``,
 and no name the package exports hides one of its modules."""
 
 import ast
@@ -392,6 +393,32 @@ def test_scan_finds_every_kron_site():
               "class Op:\n    def build(self):\n        return np.kron(self.a, self.a)\n"
               "def clean(x):\n    return np.dot(x, x) + kron_apply(x)\n")
     assert _kron_sites(source) == {"<module>", "dense", "outer.inner", "Op.build"}
+
+
+def _kron_dynamic_calls(source: str) -> list:
+    """Lines of the source's calls of ``kron_dynamic``, bare or as an
+    attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _callee(node.func) == "kron_dynamic")
+
+
+def test_type_matrices_have_one_builder():
+    """Outside ``representations`` the package gets a dynamic type matrix
+    from ``type_matrix``, built once per geometry, never by calling
+    ``kron_dynamic`` itself."""
+    found = [(path.name, line) for path in MODULES if path.name != "representations.py"
+             for line in _kron_dynamic_calls(path.read_text())]
+    assert found == []
+
+
+def test_scan_finds_a_kron_dynamic_call():
+    source = ("from drumtest import representations as r\n"
+              "from drumtest.representations import kron_dynamic, type_matrix\n"
+              "A = kron_dynamic(statics, paths, uni)\n"
+              "B = r.kron_dynamic(statics, paths, uni)\n"
+              "C = type_matrix(uni, paths)\n"
+              "build = kron_dynamic\n")
+    assert _kron_dynamic_calls(source) == [3, 4]
 
 
 def test_every_module_is_the_package_attribute_of_its_name():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from drumtest import catalog, inference, io
 from drumtest.cli import build_parser, main
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
-from drumtest.errors import ParameterError, UsageError
+from drumtest.errors import ParameterError, SchemaError, UsageError
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
 from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord, estimate_rho
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
@@ -94,6 +94,19 @@ class TestIO:
         loaded = io.read_budgets(path)
         assert loaded[1][0].prices == budgets[1][0].prices
         assert loaded[2][1].expenditure == budgets[2][1].expenditure
+
+    def test_a_repeated_g_row_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("budget_id,patch_id,g_lower,g_upper\n1,1,0.1,0.9\n1,2,0.2,0.3\n"
+                        "1,1,0.5,0.6\n")
+        with pytest.raises(SchemaError, match=r"budget 1, patch 1 has two rows"):
+            io.read_g(path)
+
+    def test_a_repeated_lottery_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "lotteries.csv"
+        path.write_text("alternative_id,prize_1,prize_2\nl1,1/2,1/2\nl2,1,0\nl1,0,1\n")
+        with pytest.raises(SchemaError, match=r"alternative 'l1' has two rows"):
+            io.read_lotteries(path)
 
     def test_matrix_export(self, simple_setup, tmp_path):
         A = simple_setup["statics"][0]
@@ -313,6 +326,20 @@ class TestCli:
         doc = json.loads((tmp_path / "bounds.json").read_text())
         assert doc["lower"] <= doc["upper"]
         assert doc["lower"] == pytest.approx(doc["cross_check_lower"], abs=1e-7)
+
+    def test_bounds_rejects_a_repeated_g_row(self, simple_setup, tmp_path, capsys):
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                        "1,1,0.1,0.9\n1,2,0.1,0.9\n2,1,0.1,0.9\n"
+                                        "2,2,0.1,0.9\n1,1,0.5,0.6\n")
+        code = main(["bounds", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"),
+                     "--budgets", str(tmp_path / "budgets.csv"),
+                     "--new-budget", "2,1;1,2", "--g", str(tmp_path / "g.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: SchemaError: budget 1, patch 1 has two rows")
 
     @pytest.mark.parametrize("geometry", ["simple", "binary3", "demand3x3"])
     @pytest.mark.parametrize("T", [1, 2])
@@ -680,6 +707,16 @@ class TestExitCodes:
         self._usage_error([command, *TestCli.REQUIRED[command], "--config",
                            str(tmp_path / "conf")])
 
+    @pytest.mark.parametrize("order", ["eu-first", "budgets-first"])
+    def test_eu_with_budgets_is_a_usage_error(self, order):
+        """The EU test reads no budgets, so naming both is refused before
+        any file is read."""
+        eu, budgets = ["--eu", "lotteries.csv"], ["--budgets", "/nonexistent/budgets.csv"]
+        flags = eu + budgets if order == "eu-first" else budgets + eu
+        err = self._usage_error(["test", *TestCli.REQUIRED["test"], *flags])
+        first, second = ("--budgets", "--eu") if order == "eu-first" else ("--eu", "--budgets")
+        assert f"argument {first}: not allowed with argument {second}" in err
+
     def test_the_parsers_raise_instead_of_exiting(self):
         (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
         for parser in (build_parser(), subparsers.choices["test"]):
@@ -902,3 +939,55 @@ class TestCliPaths:
                                                    new_budgets, g_lower, g_upper))
         with pytest.raises(ModelRejectedError):
             main(argv + ["--debug"])
+
+
+class TestSharedTypeMatrix:
+    """Repeated in-process ``drum`` calls on one panel assemble each dynamic
+    type matrix once (``representations.type_matrix``) and print exactly
+    what a cold cache prints."""
+
+    def test_repeated_calls_build_each_matrix_once(self, tmp_path, monkeypatch):
+        from conftest import app_dgp
+
+        from drumtest import representations
+        dgp = app_dgp()
+        uni = dgp.params["universe"]
+        panel, _ = simulate(dgp, 60, seed=5)
+        io.write_panel(panel, uni, tmp_path / "panel.csv")
+        io.write_universe(uni, tmp_path / "universe.json")
+        rho = estimate_rho(panel, uni)
+        io.write_rho(rho, tmp_path / "rho.csv")
+        lotteries = catalog.application_lotteries()
+        (tmp_path / "lotteries.csv").write_text("\n".join(
+            ["alternative_id,prize_1,prize_2,prize_3,prize_4"]
+            + [f"{alt}," + ",".join(map(str, prizes)) for alt, prizes in lotteries.items()]))
+        test = ["test", "--panel", str(tmp_path / "panel.csv"),
+                "--universe", str(tmp_path / "universe.json"), "--reps", "49", "--seed", "2"]
+        argvs = [test, test + ["--eu", str(tmp_path / "lotteries.csv")],
+                 ["check", "--input", str(tmp_path / "rho.csv"),
+                  "--universe", str(tmp_path / "universe.json"), "--checks", "cone"]]
+
+        def run(argv):
+            with contextlib.redirect_stdout(StringIO()) as out:
+                code = main(argv)
+            return code, out.getvalue()
+
+        cold = []
+        for argv in argvs:
+            representations._type_matrix.cache_clear()
+            cold.append(run(argv))
+        representations._type_matrix.cache_clear()
+        built, real = [], representations.kron_dynamic
+        monkeypatch.setattr(representations, "kron_dynamic",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        for _ in range(3):
+            assert [run(argv) for argv in argvs] == cold
+        # test and the cone check share the unrestricted matrix; the EU
+        # test has its own, over fewer rankings
+        assert [A.shape for A in built] == [(48, 216), (48, built[1].shape[1])]
+        assert built[1].shape[1] < 216
+        A = representations.type_matrix(uni, rho.observed_paths)
+        assert A is built[0] and len(built) == 2
+        assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
+        assert not built[1].matrix.flags.writeable
+        assert representations.type_matrix(uni, rho.observed_paths).range_basis is A.range_basis

@@ -18,7 +18,7 @@ from drumtest.representations import (InequalityMatrix, LinearOrder, TypeMatrix,
                                       enumerate_orders, full_pair_lists, kron_dynamic,
                                       kron_inequalities, pair_vector, projection_ops,
                                       reduce_H, reduce_star, static_row_labels,
-                                      static_type_matrix, virtual_universe)
+                                      static_type_matrix, type_matrix, virtual_universe)
 from drumtest.checks import reduced_static_labels
 
 TABLE_A_BINARY = np.array([
@@ -212,6 +212,68 @@ class TestStaticTypeMatrix:
         same = {a: (Fraction(1, 2), Fraction(1, 2)) for a in ("l1", "l2", "l3")}
         with pytest.raises(ParameterError, match="no ranking is consistent"):
             static_type_matrix(uni, 1, eu_filter=same)
+
+
+class TestTypeMatrix:
+    """``type_matrix`` is ``kron_dynamic`` of the period rule's static
+    matrices, built once per geometry and shared read-only; a build that
+    raises is not stored."""
+
+    @pytest.mark.parametrize("case", list(_type_rule_cases()), ids=lambda case: case[0])
+    def test_is_the_product_of_the_static_matrices(self, case):
+        _, uni, patches, eu_filter, statics = case
+        paths = list(itertools.product(*[uni.menu_indices(t) for t in uni.periods]))
+        np.random.default_rng(len(paths)).shuffle(paths)
+        want = kron_dynamic(statics, paths, uni)
+        A = type_matrix(uni, paths, patches, eu_filter)
+        assert A.matrix.dtype == want.matrix.dtype
+        assert A.matrix.tobytes() == want.matrix.tobytes()
+        assert (A.row_labels, A.col_labels) == (want.row_labels, want.col_labels)
+        assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
+        assert type_matrix(uni, sorted(paths), patches, eu_filter) is A
+
+    def test_equal_arguments_share_one_build(self, simple_setup):
+        uni, patches = simple_setup["universe"], simple_setup["patches"]
+        paths = [(2, 1), (1, 1), (1, 2), (2, 2)]
+        A = type_matrix(uni, paths, patches)
+        # list paths and patch lists, and periods the universe lacks, key alike
+        extra = {**{t: list(p) for t, p in patches.items()}, "next": patches[1]}
+        assert type_matrix(uni, [list(p) for p in reversed(paths)], extra) is A
+        binary = catalog.binary_universe(("l1", "l2", "l3"), (1, 2))
+        lotteries = catalog.application_lotteries()
+        paths = list(itertools.product((1, 2, 3), repeat=2))
+        E = type_matrix(binary, paths, eu_filter=lotteries)
+        assert type_matrix(binary, paths, eu_filter={a: list(v) for a, v in
+                                                     lotteries.items()}) is E
+        assert type_matrix(binary, paths) is not E
+        assert type_matrix(binary, paths, patches={}) is type_matrix(binary, paths)
+
+    def test_an_empty_eu_filter_fails_as_the_static_rule_does(self):
+        uni = catalog.binary_universe(("l1", "l2", "l3"), (1,))
+        with pytest.raises(KeyError):
+            static_type_matrix(uni, 1, eu_filter={})
+        with pytest.raises(KeyError):
+            type_matrix(uni, [(1,), (2,), (3,)], eu_filter={})
+
+    def test_errors_raise_on_every_call(self, monkeypatch):
+        """No failed build is stored: each call walks the rule again."""
+        calls = []
+        real = representations.static_type_matrix
+        monkeypatch.setattr(representations, "static_type_matrix",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        uni = catalog.binary_universe(("l1", "l2", "l3"), (1,))
+        same = {a: (Fraction(1, 2), Fraction(1, 2)) for a in ("l1", "l2", "l3")}
+        big = catalog.binary_universe(periods=tuple(range(1, 13)))
+        wide = catalog.binary_universe(tuple(f"x{k}" for k in range(10)), (1,))
+        for universe, paths, eu_filter, error in (
+                (uni, [(1,)], same, ParameterError),
+                (big, [tuple([1] * 12)], None, SizeError),
+                (wide, [(1,)], None, SizeError)):
+            for _ in range(2):
+                before = len(calls)
+                with pytest.raises(error):
+                    type_matrix(universe, paths, eu_filter=eu_filter)
+                assert len(calls) > before
 
 
 def _legacy_kron_dynamic(statics, observed_paths, universe):

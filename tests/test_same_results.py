@@ -12,13 +12,21 @@ are pinned on both routes, targets 1 and 2, marginal and conditional, over
 seeded Dirichlet(1) mixtures of the two-budget demand geometry; their digests
 hash each bound at 9 significant digits, the benchmark fingerprint's
 precision, since an LP optimum is only fixed up to the solver's last bit.
+The command line is pinned by the exit code and printed JSON of ``drum
+test``, ``drum test --eu`` and ``drum check`` on the two panels, and of
+``drum check`` on seeded mixtures of the simple, binary and demand3x3
+geometries, byte for byte.
 
 ``python tests/test_same_results.py`` prints every digest as the current
 code computes it, in the layout of the tables below, so that a change that
 moves the random stream on purpose re-pins them with one command."""
 
+import contextlib
 import hashlib
+import io as textio
+import itertools
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,15 +36,18 @@ import pytest
 if __name__ == "__main__":  # a checkout that is not installed
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from conftest import app_panel, rho_from_weights, simple_geometry  # noqa: E402
+from conftest import app_dgp, app_panel, rho_from_weights, simple_geometry  # noqa: E402
 
 import drumtest.simulate as sim  # noqa: E402
-from drumtest import catalog  # noqa: E402
+from drumtest import catalog, cli, io  # noqa: E402
 from drumtest.counterfactuals import (CounterfactualProblem, bound_functional,  # noqa: E402
                                       kron_counterfactual_cone)
-from drumtest.geometry import Budget, compute_patches  # noqa: E402
+from drumtest.geometry import Budget, compute_patches, demand_universe  # noqa: E402
 from drumtest.inference import TestConfig, run_test, run_test_eu  # noqa: E402
-from drumtest.simulate import DgpSpec, run_experiment  # noqa: E402
+from drumtest.model import estimate_rho  # noqa: E402
+from drumtest.representations import (build_static_A, enumerate_orders,  # noqa: E402
+                                      kron_dynamic, static_type_matrix)
+from drumtest.simulate import DgpSpec, run_experiment, simulate  # noqa: E402
 
 # (DGP kind, N, digest of (statistic, p-value, reject) over its 5 sims)
 VERDICT_ONLY = [
@@ -84,6 +95,27 @@ BOUNDS = [
      "2d77e19c9aeadfaf5be7a6532e8380c36590e08e88d65e346f040799f1ffa136"),
 ]
 BOUND_MIXTURES = 5
+
+# (command case, digest of (exit code, printed JSON) over its inputs): the
+# app cases run on the two panels, the mixture cases on CLI_MIXTURES mixtures
+CLI = [
+    ("test",
+     "dbfeffa56368d619960ebf27026715b9a0f04da8aa9b301a118e490cad547ab7"),
+    ("test-eu",
+     "68a145f30f43e44f53a54ff29c6930a1a0a03a297b06c787d87e860378b31164"),
+    ("check",
+     "bee535341f11fb7d0d79d657ee9b3a656f6117e67bae54d0c98aa0ff15dc196d"),
+    ("check-simple",
+     "74ff045845d3a9d445895963d980e35cf12a0337305cd065a01da1cbc76048e4"),
+    ("check-binary",
+     "020256b33b135742b319176e0002c5ee7a4a30ec6a22b2f147be42aa3aafb8ef"),
+    ("check-demand3x3",
+     "c48170df532fabb01294aba3e316031e12b5e34cee44210f6cf19a98c0ca4d7a"),
+]
+CLI_MIXTURES = 3
+MIXTURE_CHECKS = {"simple": "stability,dmono,hrep,cone,hierarchy,sarpd",
+                  "binary": "stability,dmono,hrep,cone,bm,hierarchy",
+                  "demand3x3": "stability,dmono,hrep,cone"}
 ROUTES = {"extension": bound_functional, "mixture": kron_counterfactual_cone}
 BOUND_CASES = [(route, target, conditional) for route in ROUTES for target in (1, 2)
                for conditional in (False, True)]
@@ -157,6 +189,79 @@ def bounds_digest(route, target, conditional, setup=None):
     return h.hexdigest()
 
 
+def _app_argvs(case, workdir):
+    """The ``drum`` command lines of an app case, one per panel, with the
+    panel, rho, universe and lottery files written to ``workdir``."""
+    dgp = app_dgp()
+    uni = dgp.params["universe"]
+    io.write_universe(uni, workdir / "app.universe.json")
+    lotteries = catalog.application_lotteries()
+    width = len(next(iter(lotteries.values())))
+    (workdir / "lotteries.csv").write_text(
+        "alternative_id," + ",".join(f"prize_{k}" for k in range(1, width + 1)) + "\n"
+        + "".join(f"{a}," + ",".join(map(str, lotteries[a])) + "\n" for a in lotteries))
+    assert io.read_lotteries(workdir / "lotteries.csv") == lotteries
+    argvs = []
+    for seed in (31, 32):
+        panel, _ = simulate(dgp, 356, seed=seed)
+        io.write_panel(panel, uni, workdir / f"panel{seed}.csv")
+        io.write_rho(estimate_rho(panel, uni), workdir / f"rho{seed}.csv")
+        if case == "check":
+            argvs.append(["check", "--input", str(workdir / f"rho{seed}.csv"),
+                          "--universe", str(workdir / "app.universe.json")])
+            continue
+        argv = ["test", "--panel", str(workdir / f"panel{seed}.csv"),
+                "--universe", str(workdir / "app.universe.json"),
+                "--reps", "199", "--seed", str(seed)]
+        argvs.append(argv + ["--eu", str(workdir / "lotteries.csv")] if case == "test-eu"
+                     else argv)
+    return argvs
+
+
+def _mixture_argvs(kind, workdir):
+    """``drum check`` command lines on CLI_MIXTURES seeded Dirichlet(1)
+    mixtures of the geometry's types, with its files written to
+    ``workdir``."""
+    if kind == "binary":
+        uni, budgets = catalog.binary_universe(periods=(1, 2)), None
+        statics = [build_static_A(uni, t, enumerate_orders(uni, t)) for t in uni.periods]
+    else:
+        budgets = (catalog.simple_budgets((1, 2)) if kind == "simple"
+                   else catalog.demand3x3_budgets((1,)))
+        uni, patches, _ = demand_universe(budgets, tuple(budgets))
+        statics = [static_type_matrix(uni, t, patches) for t in uni.periods]
+        io.write_budgets(budgets, workdir / f"{kind}.budgets.csv")
+    A = kron_dynamic(statics, itertools.product(*map(uni.menu_indices, uni.periods)), uni)
+    io.write_universe(uni, workdir / f"{kind}.universe.json")
+    rng = np.random.default_rng(3000 + len(kind))
+    argvs = []
+    for k in range(CLI_MIXTURES):
+        rho = rho_from_weights(uni, A, rng.dirichlet(np.ones(A.shape[1])))
+        io.write_rho(rho, workdir / f"{kind}{k}.rho.csv")
+        argv = ["check", "--input", str(workdir / f"{kind}{k}.rho.csv"),
+                "--universe", str(workdir / f"{kind}.universe.json"),
+                "--checks", MIXTURE_CHECKS[kind]]
+        argvs.append(argv + ["--budgets", str(workdir / f"{kind}.budgets.csv")] if budgets
+                     else argv)
+    return argvs
+
+
+def cli_digest(case, workdir=None):
+    """The digest of a CLI case: each command line's exit code and printed
+    JSON, in order, run in-process through ``cli.main``."""
+    with contextlib.ExitStack() as stack:
+        workdir = Path(workdir or stack.enter_context(tempfile.TemporaryDirectory()))
+        argvs = (_mixture_argvs(case.split("-", 1)[1], workdir) if case.startswith("check-")
+                 else _app_argvs(case, workdir))
+        h = hashlib.sha256()
+        for argv in argvs:
+            out = textio.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            h.update(f"{code}\n{out.getvalue()}".encode())
+        return h.hexdigest()
+
+
 @pytest.mark.parametrize("kind,n,digest", VERDICT_ONLY,
                          ids=[f"{kind}@{n}" for kind, n, _ in VERDICT_ONLY])
 def test_verdict_only_outcomes_are_pinned(kind, n, digest):
@@ -175,6 +280,11 @@ def test_bounds_are_pinned(simple_setup, route, target, conditional, digest):
     assert bounds_digest(route, target, conditional, simple_setup) == digest
 
 
+@pytest.mark.parametrize("case,digest", CLI, ids=[case for case, _ in CLI])
+def test_cli_reports_are_pinned(tmp_path, case, digest):
+    assert cli_digest(case, tmp_path) == digest
+
+
 if __name__ == "__main__":
     print("VERDICT_ONLY = [")
     for kind, n, _ in VERDICT_ONLY:
@@ -186,4 +296,7 @@ if __name__ == "__main__":
     for route, target, conditional in BOUND_CASES:
         print(f'    ("{route}", {target}, {conditional},\n'
               f'     "{bounds_digest(route, target, conditional)}"),')
+    print("]\n\nCLI = [")
+    for case, _ in CLI:
+        print(f'    ("{case}", "{cli_digest(case)}"),')
     print("]")

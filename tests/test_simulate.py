@@ -367,7 +367,7 @@ class TestCutRule:
 
     @staticmethod
     def _frozen(kind):
-        universe, budgets, patches, _, _ = sim._catalog_structure(kind)
+        universe, budgets, patches, _ = sim._catalog_structure(kind)
         return universe, _frozen_demand_tables(universe, budgets, patches)
 
     @settings(max_examples=60, deadline=None)
@@ -376,7 +376,7 @@ class TestCutRule:
     def test_positions_match_the_frozen_masks(self, data, kind, seed, agents):
         dgp = DgpSpec(kind)
         universe, frozen_tables = self._frozen(kind)
-        tables = sim._catalog_structure(kind)[4]
+        tables = sim._catalog_structure(kind)[3]
         paths = observed_menu_paths(dgp, universe)
         menus, positions, shares = sim.draw_choices(dgp, agents, seed)
         want, quantity = _frozen_demand_choices(universe, frozen_tables, menus, shares)
@@ -402,7 +402,7 @@ class TestCutRule:
         the patch below it, and the frozen masks agree everywhere."""
         dgp = DgpSpec(kind)
         universe, frozen_tables = self._frozen(kind)
-        tables = sim._catalog_structure(kind)[4]
+        tables = sim._catalog_structure(kind)[3]
         paths = observed_menu_paths(dgp, universe)
         on_line = 0
         for k, t in enumerate(universe.periods):
@@ -519,7 +519,7 @@ class TestCatalogStructure:
         assert type_matrix_for(DgpSpec(kind), universe) is A
         assert A.range_basis is type_matrix_for(dgp, universe).range_basis
         assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
-        tables = sim._catalog_structure(kind)[4]
+        tables = sim._catalog_structure(kind)[3]
         if tables is not None:
             for by_budget in tables.values():
                 for cuts in by_budget.values():
@@ -537,12 +537,16 @@ class TestCatalogStructure:
         assert fresh.row_labels == A.row_labels and fresh.col_labels == A.col_labels
 
     def test_experiments_build_no_structure(self, monkeypatch):
+        import drumtest.representations as representations
         import drumtest.simulate as sim
         dgps = [DgpSpec("binary3"), DgpSpec("cobb-douglas-walk")]
         run_experiment(dgps, [10], sims=1, reps=19, seed=1)
         built = []
-        for name in ("kron_dynamic", "static_type_matrix", "demand_universe"):
-            monkeypatch.setattr(sim, name, lambda *args, name=name, **kwargs: built.append(name))
+        for module, name in ((representations, "kron_dynamic"),
+                             (representations, "static_type_matrix"),
+                             (sim, "demand_universe")):
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name, **kwargs: built.append(name))
         monkeypatch.setattr(catalog, "binary_universe", lambda *args: built.append("binary"))
         report = run_experiment(dgps, [10], sims=2, reps=19, seed=2)
         assert built == [] and len(report.entries) == 2

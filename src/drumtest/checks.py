@@ -16,7 +16,7 @@ from scipy.optimize import Bounds, lsq_linear, nnls
 
 from .doubledesc import _invert
 from .errors import GeometryError, SchemaError, SizeError, SolverError
-from .geometry import _cell_constraints
+from .geometry import DemandGeometry, _cell_constraints
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, _has_cycle, rho_vector
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
@@ -580,23 +580,23 @@ class SarpdModel:
     cells: int
 
 
-def check_sarpd(rho: StochasticChoiceFunction, budgets_by_period: dict,
-                patches_by_period: dict, tol: float = ESTIMATE_TOL) -> CheckReport:
+def check_sarpd(rho: StochasticChoiceFunction, geometry: DemandGeometry,
+                tol: float = ESTIMATE_TOL) -> CheckReport:
     """Mass on choice paths whose patches contain a revealed-preference cycle.
 
     The weak relation runs from a chosen patch to every patch reachable in
     its budget (minimum expenditure at the chooser's prices no larger than
     its wealth); any directed cycle over distinct cells marks the path, and
     under constant utility marked paths must carry zero probability. Which
-    paths are marked depends only on the geometry, so it is compiled once
-    per universe, budgets, patches and observed menu paths; a call sums the
-    marked masses.
+    paths are marked depends only on the demand geometry, whose menus must
+    be the universe's, so it is compiled once per geometry and observed
+    menu paths; a call sums the marked masses.
     """
-    uni = rho.universe
-    periods = uni.periods
+    geometry.check_universe(rho.universe)
+    if geometry.universe.periods != rho.universe.periods:
+        raise SchemaError("sarpd needs the budgets of every period of the universe")
     paths = tuple(rho.observed_paths)
-    model = _compile_sarpd(uni, tuple(tuple(budgets_by_period[t]) for t in periods),
-                           tuple(tuple(patches_by_period[t]) for t in periods), paths)
+    model = _compile_sarpd(geometry, paths)
     cyclic_mass = 0.0
     cyclic_paths = []
     for path, marked in zip(paths, model.marked):
@@ -612,14 +612,11 @@ def check_sarpd(rho: StochasticChoiceFunction, budgets_by_period: dict,
 
 
 @lru_cache(maxsize=16)
-def _compile_sarpd(uni: ChoiceUniverse, budgets: tuple, patches: tuple,
-                   paths: tuple) -> SarpdModel:
-    """Mark the cyclic choice paths of one geometry: ``budgets`` and
-    ``patches`` hold per period the budget tuple and the patch tuple."""
-    patch_by_label = {t: {p.label: p.sign_vector for p in period_patches}
-                      for t, period_patches in zip(uni.periods, patches)}
-    budget_by_index = {t: {b.index: b for b in blist} for t, blist in zip(uni.periods, budgets)}
-    budgets_by_period = dict(zip(uni.periods, budgets))
+def _compile_sarpd(geometry: DemandGeometry, paths: tuple) -> SarpdModel:
+    """Mark the cyclic choice paths of one geometry on the menu ``paths``."""
+    uni = geometry.universe
+    patch_by_label = {t: {p.label: p.sign_vector for p in ps} for t, ps in geometry.patches.items()}
+    budget_by_index = {t: {b.index: b for b in bs} for t, bs in geometry.budgets.items()}
     min_cache = {}
 
     def geom_key(t, label):
@@ -635,7 +632,7 @@ def _compile_sarpd(uni: ChoiceUniverse, budgets: tuple, patches: tuple,
         if key in min_cache:
             return min_cache[key]
         own = budget_by_index[t_cell][label[0]]
-        others = [b for b in budgets_by_period[t_cell] if b.index != label[0]]
+        others = [b for b in geometry.budgets[t_cell] if b.index != label[0]]
         A_eq, b_eq, A_ub, b_ub = _cell_constraints(own, others, patch_by_label[t_cell][label])
         p = np.array(prices_key[0], dtype=float)
         res = solve(compile_lp(A_ub, A_eq, Bounds(-np.inf, np.inf)), p, b_ub, b_eq)
@@ -648,15 +645,9 @@ def _compile_sarpd(uni: ChoiceUniverse, budgets: tuple, patches: tuple,
     for path in paths:
         marked = []
         for pos, cp in enumerate(uni.choice_paths(path)):
-            cells = []
-            for t, j, i in zip(uni.periods, path, cp):
-                if (j, i) not in patch_by_label[t]:
-                    raise SchemaError(f"choice ({j}, {i}) in period {t} is not a patch of "
-                                      "the supplied geometry")
-                cells.append((t, (j, i)))
             uniq = {}
-            for t, label in cells:
-                uniq[geom_key(t, label)] = (t, label)
+            for t, j, i in zip(uni.periods, path, cp):
+                uniq[geom_key(t, (j, i))] = (t, (j, i))
             all_cells.update(uniq)
             if len(uniq) < 2:
                 continue

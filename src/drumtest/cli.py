@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +23,7 @@ from .checks import (bm_extension_feasible, check_H, check_d_monotonicity, check
                      check_stability, cone_membership, hierarchy_feasible)
 from .counterfactuals import CounterfactualProblem, bound_functional, kron_counterfactual_cone
 from .errors import DrumError, ModelRejectedError, UsageError
-from .geometry import Budget, compute_patches, demand_universe
+from .geometry import Budget, demand_geometry
 from .inference import TestConfig, run_test, run_test_eu
 from .model import estimate_rho
 from .representations import catalog_H, static_type_matrix, type_matrix
@@ -156,18 +155,19 @@ def _cmd_matrices(args) -> int:
     periods = tuple(range(1, args.T + 1))
     if args.geometry == "binary3":
         uni = catalog.binary_universe(periods=periods)
-        patches = None
+        geometry = patches = None
         kind = "binary"
     else:
         budgets = (catalog.simple_budgets if args.geometry == "simple"
                    else catalog.demand3x3_budgets)(periods)
-        uni, patches, _ = demand_universe(budgets, periods)
+        geometry = demand_geometry(budgets, periods)
+        uni, patches = geometry.universe, geometry.patches
         kind = args.geometry
     static = static_type_matrix(uni, uni.periods[0], patches)
     H = catalog_H(kind, uni, uni.periods[0])
     io.export_matrix(static.dense(), static.row_labels, static.col_labels,
                      out / f"A_static_{args.geometry}")
-    A_T = type_matrix(uni, itertools.product(*map(uni.menu_indices, uni.periods)), patches)
+    A_T = type_matrix(uni, itertools.product(*map(uni.menu_indices, uni.periods)), geometry)
     io.export_matrix(A_T.dense(), A_T.row_labels, A_T.col_labels,
                      out / f"A_dynamic_{args.geometry}_T{args.T}")
     io.export_matrix(H.full(), [f"row{k}" for k in range(len(H.full()))], H.col_labels,
@@ -177,39 +177,28 @@ def _cmd_matrices(args) -> int:
     return 0
 
 
-def _demand_geometry(universe, budgets):
-    """Patches, per-period dominance and the distinct warnings of the
-    geometry, rebuilt from the budgets and numbered by ``compute_patches``'s
-    rule, as ``demand_universe`` and ``drum matrices`` number them. The
-    warnings are raised again as well."""
-    patches, dominance = {}, {}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for t, blist in budgets.items():
-            patches[t], dominance[t] = compute_patches(blist)
-            labels = {p.label for p in patches[t] if not p.is_intersection}
-            if set(universe.alternatives[t]) != labels:
-                raise DrumError(f"period {t}: budget patches do not match the universe; "
-                                "rebuild universe.json from these budgets")
-    distinct = {}
-    for w in caught:
-        distinct.setdefault(str(w.message), w.message)
-    for message in distinct.values():
-        warnings.warn(message, stacklevel=2)
-    return patches, dominance, tuple(distinct)
+def _budget_geometry(path, universe):
+    """The geometry of the budgets file at ``path`` on the universe's periods
+    that it has, checked against the universe; None without a file."""
+    if not path:
+        return None
+    budgets = io.read_budgets(path)
+    geometry = demand_geometry(budgets, tuple(t for t in universe.periods if t in budgets))
+    geometry.check_universe(universe)
+    return geometry
 
 
 def _catalog_kind(universe, t):
     """The published facet table of period ``t``: ``binary`` on all pairs of
     at most five alternatives, ``simple``/``demand3x3`` on the menus and
-    primitive order ``demand_universe`` builds from that catalog's budgets."""
+    primitive order of that catalog's ``demand_geometry``."""
     menus = universe.menus[t]
     if all(m.size == 2 for m in menus) and len(universe.alternatives[t]) <= 5 \
             and len(menus) == len(universe.alternatives[t]) * (len(universe.alternatives[t]) - 1) // 2:
         return "binary"
     for kind, budgets in (("simple", catalog.simple_budgets),
                           ("demand3x3", catalog.demand3x3_budgets)):
-        published, _, _ = demand_universe(budgets((t,)), (t,))
+        published = demand_geometry(budgets((t,)), (t,)).universe
         if published.menus[t] == menus and \
                 set(published.primitive_order[t]) == set(universe.primitive_order.get(t, ())):
             return kind
@@ -219,12 +208,9 @@ def _catalog_kind(universe, t):
 def _cmd_check(args) -> int:
     uni = io.read_universe(args.universe)
     rho = io.read_rho(args.input, uni)
-    budgets = io.read_budgets(args.budgets) if args.budgets else None
+    geometry = _budget_geometry(args.budgets, uni)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     reports = {}
-    patches = dominance = None
-    if budgets:
-        patches, dominance, geometry_warnings = _demand_geometry(uni, budgets)
     if {"hrep", "hierarchy"} & set(wanted):
         kinds = [_catalog_kind(uni, t) for t in uni.periods]
         if None in kinds:
@@ -237,16 +223,16 @@ def _cmd_check(args) -> int:
         elif name == "dmono":
             # demand patch labels are (budget, index) pairs, which is the
             # replacement-pair format the check expects
-            pairs = dict(dominance) if dominance is not None else None
+            pairs = None if geometry is None else geometry.dominance
             report = check_d_monotonicity(rho, dominance=pairs, tol=args.tolerance)
-            if budgets:
+            if geometry is not None:
                 report = replace(report, diagnostics={**report.diagnostics,
-                                                      "geometry_warnings": geometry_warnings})
+                                                      "geometry_warnings": geometry.warnings})
             reports[name] = report
         elif name == "hrep":
             reports[name] = check_H(rho, H_list, tol=args.tolerance)
         elif name == "cone":
-            _, _, rep = cone_membership(rho, type_matrix(uni, rho.observed_paths, patches))
+            _, _, rep = cone_membership(rho, type_matrix(uni, rho.observed_paths, geometry))
             reports[name] = rep
         elif name == "bm":
             _, _, rep = bm_extension_feasible(rho)
@@ -256,9 +242,9 @@ def _cmd_check(args) -> int:
             _, _, rep = hierarchy_feasible(rho, H_list, k_vec)
             reports[name] = rep
         elif name == "sarpd":
-            if not budgets:
+            if geometry is None:
                 raise DrumError("sarpd needs --budgets")
-            reports[name] = check_sarpd(rho, budgets, patches, tol=args.tolerance)
+            reports[name] = check_sarpd(rho, geometry, tol=args.tolerance)
         else:
             raise DrumError(f"unknown check {name!r}")
     doc = {k: v.to_dict() for k, v in reports.items()}
@@ -278,9 +264,8 @@ def _cmd_test(args) -> int:
         lotteries = io.read_lotteries(args.eu)
         report = run_test_eu(rho, lotteries, config)
     else:
-        budgets = io.read_budgets(args.budgets) if args.budgets else None
-        patches = _demand_geometry(uni, budgets)[0] if budgets else None
-        report = run_test(rho, type_matrix(uni, rho.observed_paths, patches), config)
+        geometry = _budget_geometry(args.budgets, uni)
+        report = run_test(rho, type_matrix(uni, rho.observed_paths, geometry), config)
     text = json.dumps(report.to_dict(), indent=1)
     if args.report:
         Path(args.report).write_text(text)

@@ -18,7 +18,6 @@ gives the lower bound on the first copy and the upper bound on the second.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -29,7 +28,7 @@ from scipy.linalg import block_diag
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
                      stability_groups)
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
-from .geometry import demand_universe
+from .geometry import DemandGeometry, demand_geometry
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, path_blocks, rho_vector
 from .representations import TypeMatrix, static_type_matrix, type_matrix
@@ -79,8 +78,9 @@ class CounterfactualModel:
     """Fixed structure of both bounding LPs for one geometry; arrays are
     read-only.
 
-    ``universe`` is the extended universe and ``columns`` maps each of its
-    paths over the observed menu paths to the extension-LP columns of its
+    ``geometry`` is the extended demand geometry, the observed periods then
+    ``NEW_PERIOD``, and ``columns`` maps each path of its universe over the
+    observed menu paths to the extension-LP columns of its
     choice paths, in ``universe.choice_paths`` order. The extension LP
     holds the negated monotonicity rows, then the marginal equality rows,
     whose right-hand side is the flattened observed distribution at
@@ -94,27 +94,20 @@ class CounterfactualModel:
     pairs it costs more than it saves.
     """
 
-    universe: ChoiceUniverse
+    geometry: DemandGeometry
     columns: MappingProxyType
     extension: LinearProgram
     marginal_rows: np.ndarray
     observed: TypeMatrix
     new_static: TypeMatrix
     mixture: LinearProgram
-    geometry_warnings: tuple
 
 
 @lru_cache(maxsize=16)
-def _compile(budgets: tuple, new_budgets: tuple, paths: tuple) -> CounterfactualModel:
-    """Build the model of one geometry: ``budgets`` pairs each observed
-    period with its budget tuple, ``paths`` are the observed menu paths."""
-    periods = tuple(t for t, _ in budgets)
-    observed_budgets = {t: list(blist) for t, blist in budgets}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        observed_uni, _, _ = demand_universe(observed_budgets, periods)
-        ext, patches, _ = demand_universe({**observed_budgets, NEW_PERIOD: list(new_budgets)},
-                                          periods + (NEW_PERIOD,))
+def _compile(geometry: DemandGeometry, paths: tuple) -> CounterfactualModel:
+    """Build the model of one extended geometry on the observed menu ``paths``."""
+    ext = geometry.universe
+    periods = ext.periods[:-1]
     for t in periods:
         if len(ext.menus[t]) != 2 or any(m.size != 2 for m in ext.menus[t]):
             raise GeometryError("counterfactual bounds cover the two-budget setup")
@@ -122,7 +115,8 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple) -> Counterfactual
     if len(new_menus) != 2 or any(m.size != 2 for m in new_menus):
         raise GeometryError("next-period budgets must cross: two patches per budget")
 
-    observed = type_matrix(observed_uni, paths, patches)
+    observed_uni = ChoiceUniverse(periods, ext.alternatives, ext.menus, ext.primitive_order)
+    observed = type_matrix(observed_uni, paths, geometry)
     # two new menus of two patches each (checked above): four columns per observed row
     ext_paths = [tuple(path) + (menu.index,) for path in paths for menu in new_menus]
     n = 4 * len(observed.row_labels)
@@ -150,15 +144,14 @@ def _compile(budgets: tuple, new_budgets: tuple, paths: tuple) -> Counterfactual
         for sign, menu_path, position in terms:
             M[r, columns[menu_path][position]] += sign
 
-    new_static = static_type_matrix(ext, NEW_PERIOD, patches)
+    new_static = static_type_matrix(ext, NEW_PERIOD, geometry.patches)
     mixture_A_eq = np.repeat(observed.dense().astype(float), len(new_static.col_labels),
                              axis=1)
     for a in (marginal_rows, new_static.matrix, *columns.values()):
         a.flags.writeable = False
-    return CounterfactualModel(ext, MappingProxyType(columns), _pair_lp(-M, A_eq),
+    return CounterfactualModel(geometry, MappingProxyType(columns), _pair_lp(-M, A_eq),
                                marginal_rows, observed, new_static,
-                               _pair_lp(None, mixture_A_eq),
-                               tuple(dict.fromkeys(str(w.message) for w in caught)))
+                               _pair_lp(None, mixture_A_eq))
 
 
 def _pair_lp(A_ub, A_eq) -> LinearProgram:
@@ -168,17 +161,13 @@ def _pair_lp(A_ub, A_eq) -> LinearProgram:
 
 
 def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
-    """The compiled model of the problem's geometry, checked against the
-    problem's observed universe on every call."""
+    """The compiled model of the problem's extended geometry, which warns and
+    is checked against the problem's observed universe on every call."""
     uni = problem.rho.universe
-    model = _compile(tuple((t, tuple(problem.budgets[t])) for t in uni.periods),
-                     tuple(problem.new_budgets), tuple(problem.rho.observed_paths))
-    for message in model.geometry_warnings:
-        warnings.warn(message, stacklevel=3)
-    for t in uni.periods:
-        if model.universe.menus[t] != uni.menus[t]:
-            raise SchemaError("observed universe does not match the supplied budgets; "
-                              "build it with demand_universe on the same budgets")
+    geometry = demand_geometry({**problem.budgets, NEW_PERIOD: problem.new_budgets},
+                               uni.periods + (NEW_PERIOD,))
+    model = _compile(geometry, tuple(problem.rho.observed_paths))
+    geometry.check_universe(uni)
     return model
 
 
@@ -187,8 +176,8 @@ def _target_menu(problem: CounterfactualProblem, model: CounterfactualModel):
     patch of which needs bounds."""
     target = problem.target_budget
     if target is None:
-        target = min(m.index for m in model.universe.menus[NEW_PERIOD])
-    menu = model.universe.menu(NEW_PERIOD, target)
+        target = min(m.index for m in model.geometry.universe.menus[NEW_PERIOD])
+    menu = model.geometry.universe.menu(NEW_PERIOD, target)
     missing = [item for item in menu.items if item not in problem.g_lower]
     if missing:
         raise SchemaError(f"no bounds for next-period patches {missing} of budget {target}")
@@ -262,7 +251,7 @@ def bound_functional(problem: CounterfactualProblem,
                         {"variables": n, "monotonicity_rows": n_ub,
                          "equality_rows": len(b_eq), "inequality_rows": n_ub,
                          "target_budget": target, "solver": solver,
-                         "geometry_warnings": model.geometry_warnings})
+                         "geometry_warnings": model.geometry.warnings})
 
 
 def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
@@ -276,7 +265,7 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
     new_dense = model.new_static.dense().astype(float)
     obs_row = path_blocks(rho.universe, rho.observed_paths, obs_dense)[path][positions].sum(axis=0)
     # the new period's rows run menu by menu, two patches each
-    first = 2 * model.universe.menu_indices(NEW_PERIOD).index(target)
+    first = 2 * model.geometry.universe.menu_indices(NEW_PERIOD).index(target)
 
     def objective(g_map):
         g_row = np.zeros(new_dense.shape[1])
@@ -292,7 +281,7 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
                         {"types": types, "route": "mixture", "variables": types,
                          "equality_rows": rows, "inequality_rows": 0,
                          "target_budget": target, "solver": solver,
-                         "geometry_warnings": model.geometry_warnings})
+                         "geometry_warnings": model.geometry.warnings})
 
 
 def _projected(problem: CounterfactualProblem,

@@ -160,19 +160,21 @@ def compute_patches(budgets: list, index_maps: dict | None = None):
     patches. A call whose arrangement needed the conservative dominance
     fallback warns every time.
     """
-    # the maps in hashable form key the memo
-    frozen = (frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
-              if index_maps else None)
-    patches, dominance, conservative = _arrangement(tuple(budgets), frozen)
-    if conservative:
-        warnings.warn("dominance used the conservative representative check; "
-                      "pairs are sufficient-only", stacklevel=2)
+    patches, dominance, messages = _arrangement(tuple(budgets), _frozen(index_maps))
+    for message in messages:
+        warnings.warn(message, stacklevel=2)
     return list(patches), list(dominance)
+
+
+def _frozen(index_maps):
+    # the index maps in hashable form key the memos
+    return (frozenset((j, frozenset(m.items())) for j, m in index_maps.items())
+            if index_maps else None)
 
 
 @lru_cache(maxsize=32)
 def _arrangement(budgets: tuple, frozen_maps):
-    """(patches, dominance pairs, conservative flag) of one arrangement,
+    """(patches, dominance pairs, warning messages) of one arrangement,
     numbered by ``frozen_maps`` or, when None, by the published rule."""
     if not budgets:
         raise SchemaError("no budgets supplied")
@@ -251,7 +253,8 @@ def _arrangement(budgets: tuple, frozen_maps):
                                  signs, point, True, tuple(sorted(on_set))))
 
     dominance, exact = _dominance_pairs(by_index, open_cells)
-    return tuple(patches), tuple(dominance), not exact
+    return tuple(patches), tuple(dominance), () if exact else (
+        "dominance used the conservative representative check; pairs are sufficient-only",)
 
 
 def _sign_rows(budget: Budget, others: list, signs: dict):
@@ -399,15 +402,9 @@ def enumerate_demand_types(patches: list, budgets: list | None = None):
     kept when the revealed-preference digraph on its chosen patches (edge
     from the chooser to every patch lying weakly below its budget, strict
     when strictly below) has no cycle through a strict edge. Returns (types,
-    budget order). The patches alone decide both, so ``budgets`` is ignored,
-    results are memoised on the patches, and every call gets fresh lists.
+    budget order) as lists. The patches alone decide both, so ``budgets`` is
+    ignored.
     """
-    types, order = _demand_types(tuple(patches))
-    return list(types), list(order)
-
-
-@lru_cache(maxsize=32)
-def _demand_types(patches: tuple):
     by_budget = {}
     for p in patches:
         if not p.is_intersection:
@@ -419,7 +416,7 @@ def _demand_types(patches: tuple):
     for combo in itertools.product(*[by_budget[j] for j in order]):
         if _sarp_consistent(combo):
             types.append(tuple(p.index for p in combo))
-    return tuple(types), tuple(order)
+    return types, order
 
 
 def _sarp_consistent(chosen) -> bool:
@@ -446,31 +443,73 @@ def _sarp_consistent(chosen) -> bool:
     return True
 
 
-def demand_universe(budgets_by_period: dict, periods: tuple, index_maps: dict | None = None):
-    """Discretize budget arrangements into a ChoiceUniverse.
+@dataclass(frozen=True, eq=False)
+class DemandGeometry:
+    """Per period, the ``budgets`` in index order, their ``compute_patches``
+    ``patches`` and ``dominance``, and the ``universe`` they discretize into;
+    ``warnings`` are the distinct messages. It compares and hashes by the
+    budgets and index maps, which decide the rest, so it can key a memo."""
 
-    Alternatives are open-patch labels ``(budget, patch_index)``, numbered
-    by ``compute_patches`` (``index_maps`` overrides it in every period);
-    menus are budgets; the primitive order is the computed patch dominance.
-    Returns (universe, patches_by_period, dominance_by_period).
-    """
-    alternatives, menus, order, patches_all, dominance_all = {}, {}, {}, {}, {}
-    for t in periods:
-        budgets = budgets_by_period[t]
-        patches, dominance = compute_patches(budgets, index_maps=index_maps)
-        open_patches = [p for p in patches if not p.is_intersection]
-        alternatives[t] = tuple(p.label for p in sorted(open_patches, key=lambda p: p.label))
-        menu_list = []
-        for b in sorted(budgets, key=lambda b: b.index):
-            items = tuple(p.label for p in sorted(open_patches, key=lambda p: p.index)
-                          if p.budget == b.index)
-            menu_list.append(Menu(b.index, items))
-        menus[t] = tuple(menu_list)
-        order[t] = tuple((frozenset({dom}), frozenset({sub})) for dom, sub in dominance)
-        patches_all[t] = patches
-        dominance_all[t] = dominance
-    universe = ChoiceUniverse(tuple(periods), alternatives, menus, order)
-    return universe, patches_all, dominance_all
+    budgets: dict
+    index_maps: frozenset | None
+    universe: ChoiceUniverse
+    patches: dict
+    dominance: dict
+    warnings: tuple
+
+    def _key(self) -> tuple:
+        return tuple(self.budgets.items()), self.index_maps
+
+    def __eq__(self, other):
+        return isinstance(other, DemandGeometry) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def check_universe(self, universe: ChoiceUniverse):
+        """Raise SchemaError unless each period the two share has the same
+        menus in both, every menu's patches in the same order."""
+        for t in universe.periods:
+            if t in self.universe.menus and self.universe.menus[t] != universe.menus[t]:
+                raise SchemaError(f"period {t}: the universe does not match the supplied "
+                                  "budgets; rebuild it from these budgets")
+
+
+def demand_geometry(budgets_by_period: dict, periods: tuple,
+                    index_maps: dict | None = None) -> DemandGeometry:
+    """The geometry of ``periods``'s budgets, ``index_maps`` numbering every
+    period's patches. Budget lists in any order and equal maps give one
+    memoised value, whose warnings are raised on every call."""
+    geometry = _demand_geometry(
+        tuple((t, tuple(sorted(budgets_by_period[t], key=lambda b: b.index))) for t in periods),
+        _frozen(index_maps))
+    for message in geometry.warnings:
+        warnings.warn(message, stacklevel=2)
+    return geometry
+
+
+@lru_cache(maxsize=16)
+def _demand_geometry(budgets: tuple, frozen_maps) -> DemandGeometry:
+    alternatives, menus, order, patches, dominance, messages = {}, {}, {}, {}, {}, {}
+    for t, period_budgets in budgets:
+        patches[t], dominance[t], found = _arrangement(period_budgets, frozen_maps)
+        messages.update(dict.fromkeys(found))
+        labels = sorted(p.label for p in patches[t] if not p.is_intersection)
+        alternatives[t] = tuple(labels)
+        menus[t] = tuple(Menu(b.index, tuple(lab for lab in labels if lab[0] == b.index))
+                         for b in period_budgets)
+        order[t] = tuple((frozenset({dom}), frozenset({sub})) for dom, sub in dominance[t])
+    universe = ChoiceUniverse(tuple(t for t, _ in budgets), alternatives, menus, order)
+    return DemandGeometry(dict(budgets), frozen_maps, universe, patches, dominance,
+                          tuple(messages))
+
+
+def demand_universe(budgets_by_period: dict, periods: tuple, index_maps: dict | None = None):
+    """(universe, patches_by_period, dominance_by_period) of
+    ``demand_geometry``, with fresh lists of patches and pairs."""
+    geometry = demand_geometry(budgets_by_period, periods, index_maps)
+    return (geometry.universe, {t: list(geometry.patches[t]) for t in periods},
+            {t: list(geometry.dominance[t]) for t in periods})
 
 
 def classify_point(y, budget: Budget, others: list, tol: float = 1e-9) -> dict:
@@ -637,38 +676,3 @@ def pool(rho: StochasticChoiceFunction, budgets_by_period: dict,
     distance, _, _ = cone_membership(vec, A, tol=1e-8)
     return PooledReport(masses, pooled_labels, splits, distance <= 1e-8, distance)
 
-
-def reallocate_intersection_mass(rho: StochasticChoiceFunction, patches_by_period: dict,
-                                 tol: float = 1e-9) -> StochasticChoiceFunction:
-    """Move any probability mass observed on intersection patches onto the
-    adjacent open patches, proportionally to their existing mass.
-
-    Intersection patches are zero-probability by convention; observed mass
-    above `tol` triggers a warning. Requires a universe whose menus include
-    the intersection labels, which the default discretization avoids, so
-    this is only exercised by user-supplied data.
-    """
-    uni = rho.universe
-    intersections = {p.label for t in patches_by_period for p in patches_by_period[t]
-                     if p.is_intersection}
-    moved = 0.0
-    probs = {}
-    for path in rho.observed_paths:
-        order = uni.choice_paths(path)
-        arr = np.asarray(rho.probs[path], dtype=float).copy()
-        for idx, cp in enumerate(order):
-            items = uni.path_items(path, cp)
-            if any(item in intersections for item in items) and arr[idx] > tol:
-                moved += arr[idx]
-                mass = arr[idx]
-                arr[idx] = 0.0
-                neighbors = [k for k, other in enumerate(order)
-                             if k != idx and not any(i2 in intersections
-                                                     for i2 in uni.path_items(path, other))]
-                base = arr[neighbors]
-                share = base / base.sum() if base.sum() > 0 else np.full(len(neighbors), 1 / len(neighbors))
-                arr[neighbors] += mass * share
-        probs[path] = arr
-    if moved > tol:
-        warnings.warn(f"reallocated {moved:.3g} probability mass from intersection patches")
-    return StochasticChoiceFunction(uni, probs, rho.counts, None)

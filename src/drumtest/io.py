@@ -25,6 +25,18 @@ def _coerce(value):
         return value
 
 
+def _rows(reader: csv.DictReader):
+    """The reader's rows; a row with more or fewer fields than the header
+    raises SchemaError naming its line (``DictReader`` files extra fields
+    under None and fills missing ones with None)."""
+    for row in reader:
+        if None in row or None in row.values():
+            raise SchemaError(f"line {reader.line_num}: the row has "
+                              f"{'more' if None in row else 'fewer'} fields than the "
+                              f"{len(reader.fieldnames)} of the header")
+        yield row
+
+
 def _item_from_json(item):
     return tuple(item) if isinstance(item, list) else item
 
@@ -107,7 +119,7 @@ def read_panel(path) -> PanelDataset:
         fh.seek(0)
         reader = csv.DictReader(fh)
         q_cols = [c for c in reader.fieldnames or [] if c.startswith("q_")]
-        for row in reader:
+        for row in _rows(reader):
             agent.append(_coerce(row["agent_id"]))
             period.append(_coerce(row["period"]))
             menu.append(int(row["menu_id"]))
@@ -163,7 +175,7 @@ def read_rho(path, universe: ChoiceUniverse) -> StochasticChoiceFunction:
     table = {}
     counts = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        for row in _rows(csv.DictReader(fh)):
             menu_path = tuple(int(v) for v in row["menu_path"].split("|"))
             cp = tuple(int(v) for v in row["choice_path"].split("|"))
             if menu_path not in table:
@@ -192,7 +204,7 @@ def read_budgets(path) -> dict:
                             key=lambda c: int(c.split("_")[1]))
         if not price_cols:
             raise SchemaError("budgets.csv needs price_1..price_K columns")
-        for row in reader:
+        for row in _rows(reader):
             t = _coerce(row["period"])
             prices = tuple(Fraction(row[c]) for c in price_cols)
             out.setdefault(t, []).append(Budget(t, int(row["budget_id"]), prices,
@@ -220,7 +232,7 @@ def read_lotteries(path) -> dict:
         reader = csv.DictReader(fh)
         prize_cols = sorted((c for c in reader.fieldnames or [] if c.startswith("prize_")),
                             key=lambda c: int(c.split("_")[1]))
-        for row in reader:
+        for row in _rows(reader):
             alt = _coerce(row["alternative_id"])
             if alt in out:
                 raise SchemaError(f"alternative {alt!r} has two rows")
@@ -233,7 +245,7 @@ def read_g(path):
     a repeated patch raises SchemaError."""
     lower, upper = {}, {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        for row in _rows(csv.DictReader(fh)):
             key = (int(row["budget_id"]), int(row["patch_id"]))
             if key in lower:
                 raise SchemaError(f"budget {key[0]}, patch {key[1]} has two rows")

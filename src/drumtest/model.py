@@ -132,16 +132,6 @@ class ChoiceUniverse:
         sizes = [self.menu(t, j).size for t, j in zip(self.periods, menu_path)]
         return list(itertools.product(*[range(1, s + 1) for s in sizes]))
 
-    def path_items(self, menu_path: tuple, choice_path: tuple) -> tuple:
-        """Item ids chosen along a path."""
-        out = []
-        for t, j, i in zip(self.periods, menu_path, choice_path):
-            menu = self.menu(t, j)
-            if not 1 <= i <= menu.size:
-                raise SchemaError(f"choice index {i} outside menu {j} in period {t}")
-            out.append(menu.items[i - 1])
-        return tuple(out)
-
 
 def _order_has_cycle(pairs, alternatives) -> bool:
     """Cycle test for the declared partial order under transitive closure.

@@ -296,18 +296,18 @@ def kron_dynamic(statics: list, observed_paths, universe: ChoiceUniverse) -> Typ
     return TypeMatrix(rows, tuple(labels), col_labels)
 
 
-def type_matrix(universe: ChoiceUniverse, paths, patches=None, eu_filter=None) -> TypeMatrix:
+def type_matrix(universe: ChoiceUniverse, paths, geometry=None, eu_filter=None) -> TypeMatrix:
     """``kron_dynamic`` of each period's ``static_type_matrix`` on the menu ``paths``,
+    a period of the demand ``geometry`` taking its patches' demand types;
     memoised per geometry: callers share the read-only matrix and its ``range_basis``."""
-    patches = tuple((t, tuple(patches[t])) for t in universe.periods if t in (patches or {}))
     lotteries = None if eu_filter is None else tuple((a, tuple(v)) for a, v in eu_filter.items())
-    return _type_matrix(universe, tuple(sorted(map(tuple, paths))), patches, lotteries)
+    return _type_matrix(universe, tuple(sorted(map(tuple, paths))), geometry, lotteries)
 
 
 @lru_cache(maxsize=16)
-def _type_matrix(universe, paths, patches, lotteries) -> TypeMatrix:
+def _type_matrix(universe, paths, geometry, lotteries) -> TypeMatrix:
     eu_filter = None if lotteries is None else dict(lotteries)
-    A = kron_dynamic([static_type_matrix(universe, t, dict(patches), eu_filter)
+    A = kron_dynamic([static_type_matrix(universe, t, geometry and geometry.patches, eu_filter)
                       for t in universe.periods], paths, universe)
     A.matrix.setflags(write=False)
     return A

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import catalog
 from .errors import GeometryError, ParameterError
-from .geometry import ABOVE, demand_universe
+from .geometry import ABOVE, demand_geometry
 from .inference import TestConfig, run_test
 from .model import PanelDataset, tally_rho
 from .representations import type_matrix
@@ -63,10 +63,16 @@ class DgpSpec:
         return tuple(self.params["universe"].periods)
 
 
+BINARY_UNIVERSE = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
+
+
 def build_universe(dgp: DgpSpec):
     """Universe (and budgets where applicable) the generator samples on."""
-    if dgp.kind.startswith(("cobb", "binary")):
-        return _catalog_structure(dgp.kind)[:2]
+    if dgp.kind.startswith("cobb"):
+        geometry = _catalog_structure(dgp.kind)[0]
+        return geometry.universe, geometry.budgets
+    if dgp.kind.startswith("binary"):
+        return BINARY_UNIVERSE, None
     if dgp.kind == "order-mixture":
         return dgp.params["universe"], None
     raise ParameterError(f"unknown DGP kind {dgp.kind!r}")
@@ -78,22 +84,12 @@ CUT_MARGIN = 1e-9
 
 @lru_cache(maxsize=16)
 def _catalog_structure(kind: str):
-    """(universe, budgets, demand patches by period, demand cut tables) of
-    a catalog generator, ``cobb*`` or ``binary*``, built once per kind and
-    process; a binary generator has no budgets, patches or tables. None of
-    it depends on the generator's params, which only shape its draws. Every
-    caller shares these objects, and nothing writes to them: the universe is
-    a frozen value of tuples, budgets and patches are frozen, and the
-    tables' arrays are made read-only here (``type_matrix_for`` shares the matrix)."""
-    dgp = DgpSpec(kind)
-    if kind.startswith("cobb"):
-        budgets = catalog.simple_budgets(dgp.periods())
-        universe, patches, _ = demand_universe(budgets, dgp.periods())
-        tables = _demand_tables(universe, budgets, patches)
-    else:
-        budgets = patches = tables = None
-        universe = catalog.binary_universe(("l1", "l2", "l3"), dgp.periods())
-    return universe, budgets, patches, tables
+    """(demand geometry, cut tables) of a ``cobb*`` generator, built once
+    per kind and process (the params only shape its draws) and shared: the
+    geometry is a frozen value and the tables' arrays are made read-only."""
+    periods = DgpSpec(kind).periods()
+    geometry = demand_geometry(catalog.simple_budgets(periods), periods)
+    return geometry, _demand_tables(geometry)
 
 
 @dataclass(frozen=True)
@@ -118,20 +114,19 @@ class _Cuts:
     position: np.ndarray
 
 
-def _demand_tables(universe, budgets, patches_by_period):
-    """Per period, the ``_Cuts`` of each budget by budget index;
-    ``patches_by_period`` are numbered as the universe's. The point's
-    value y @ p' is linear in a, from c_1 = w p'_1/p_1 at a = 0 to c_0 = w
-    p'_0/p_0 at a = 1, so it exceeds w' above the share (w' - c_1)/(c_0 -
-    c_1) when c_0 > c_1 and below it when c_0 < c_1."""
+def _demand_tables(geometry):
+    """Per period of the geometry, the ``_Cuts`` of each budget by budget
+    index. The point's value y @ p' is linear in a, from c_1 = w p'_1/p_1
+    at a = 0 to c_0 = w p'_0/p_0 at a = 1, so it exceeds w' above the share
+    (w' - c_1)/(c_0 - c_1) when c_0 > c_1 and below it when c_0 < c_1."""
     tables = {}
-    for t in universe.periods:
+    for t in geometry.universe.periods:
         tables[t] = {}
-        for budget in budgets[t]:
-            others = [b for b in budgets[t] if b.index != budget.index]
-            menu = universe.menu(t, budget.index)
+        for budget in geometry.budgets[t]:
+            others = [b for b in geometry.budgets[t] if b.index != budget.index]
+            menu = geometry.universe.menu(t, budget.index)
             position = np.full(1 << len(others), -1, dtype=np.intp)
-            for pt in patches_by_period[t]:
+            for pt in geometry.patches[t]:
                 if pt.budget == budget.index and not pt.is_intersection:
                     code = sum(1 << b for b, o in enumerate(others)
                                if pt.sign_vector[o.index] == ABOVE)
@@ -186,7 +181,7 @@ def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
     shares = None
     if dgp.kind.startswith("cobb"):
         shares = _draw_shares(dgp, rng, len(paths), agents_per_path)
-        positions = _demand_choices(universe, _catalog_structure(dgp.kind)[3], paths,
+        positions = _demand_choices(universe, _catalog_structure(dgp.kind)[1], paths,
                                     agents_per_path, shares)
     elif dgp.kind.startswith("binary"):
         marg = dgp.params.get("marginals")
@@ -226,7 +221,7 @@ def simulate(dgp: DgpSpec, agents_per_path: int, seed: int = 0):
     choice, choice_ids = _chosen_items(universe, menus, positions)
     quantity = None
     if shares is not None:
-        quantity = _demand_points(universe, _catalog_structure(dgp.kind)[3], menus, shares)
+        quantity = _demand_points(universe, _catalog_structure(dgp.kind)[1], menus, shares)
     panel = PanelDataset.from_columns(
         np.repeat(np.arange(1, n + 1), T), np.tile(np.asarray(universe.periods), n),
         menus.reshape(-1), choice.reshape(-1),
@@ -350,8 +345,8 @@ def type_matrix_for(dgp: DgpSpec, universe):
     """Restricted type matrix matching the generator's observed paths; a
     demand generator's periods take the demand types of its own patches.
     It is the shared, read-only build of ``representations.type_matrix``."""
-    patches = _catalog_structure(dgp.kind)[2] if dgp.kind.startswith(("cobb", "binary")) else None
-    return type_matrix(universe, observed_menu_paths(dgp, universe), patches)
+    geometry = _catalog_structure(dgp.kind)[0] if dgp.kind.startswith("cobb") else None
+    return type_matrix(universe, observed_menu_paths(dgp, universe), geometry)
 
 
 def agents_per_path_for(dgp: DgpSpec, n: int) -> int:

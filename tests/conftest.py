@@ -6,7 +6,8 @@ import pytest
 from scipy.optimize import nnls
 
 from drumtest import catalog, inference
-from drumtest.geometry import compute_patches, demand_universe, enumerate_demand_types
+from drumtest.geometry import compute_patches, demand_geometry, demand_universe, \
+    enumerate_demand_types
 from drumtest.model import StochasticChoiceFunction, estimate_rho, path_blocks
 from drumtest.representations import build_static_A, enumerate_orders, kron_dynamic
 from drumtest.simulate import DgpSpec, simulate
@@ -41,7 +42,8 @@ def simple_geometry():
     paths = sorted(itertools.product((1, 2), repeat=2))
     AT = kron_dynamic(statics, paths, uni)
     return {"budgets": budgets, "universe": uni, "patches": patches,
-            "dominance": dominance, "types": types, "statics": statics, "AT": AT}
+            "dominance": dominance, "types": types, "statics": statics, "AT": AT,
+            "geometry": demand_geometry(budgets, (1, 2), index_maps=catalog.SIMPLE_INDEX_MAPS)}
 
 
 def legacy_cell_constraints(budget, others, signs):
@@ -117,7 +119,8 @@ def demand3x3_setup():
     types, _ = enumerate_demand_types(patches[1], budgets[1])
     A = build_static_A(uni, 1, types)
     return {"budgets": budgets, "universe": uni, "patches": patches,
-            "dominance": dominance, "types": types, "A": A}
+            "dominance": dominance, "types": types, "A": A,
+            "geometry": demand_geometry(budgets, (1,), index_maps=catalog.DEMAND3X3_INDEX_MAPS)}
 
 
 def solve_recorder(log):

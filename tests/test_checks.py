@@ -449,7 +449,7 @@ class TestSarpd:
         probs = {p: rng.dirichlet(np.ones(4)) for p in
                  itertools.product((1, 2), repeat=2)}
         rho = StochasticChoiceFunction(uni, probs)
-        rep = check_sarpd(rho, simple_setup["budgets"], simple_setup["patches"])
+        rep = check_sarpd(rho, simple_setup["geometry"])
         flagged = {(path, cp) for path, cp, _ in rep.violations}
         # on crossing budget paths exactly the mutually-below pairs cycle;
         # on repeated budgets any two distinct patches of the same budget do
@@ -461,7 +461,7 @@ class TestSarpd:
     def test_degenerate_type_zero_mass(self, simple_setup):
         nu = np.eye(9)[0]
         rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], nu)
-        rep = check_sarpd(rho, simple_setup["budgets"], simple_setup["patches"])
+        rep = check_sarpd(rho, simple_setup["geometry"])
         assert rep.passed and rep.worst_violation == 0
 
     def test_cycle_mass_bounded_by_straight_mass(self, simple_setup):

@@ -17,7 +17,7 @@ from scipy.sparse import csc_array
 from drumtest import catalog, checks, io
 from drumtest.checks import bm_extension_feasible, check_sarpd, hierarchy_feasible
 from drumtest.errors import SchemaError, SizeError
-from drumtest.geometry import demand_universe, enumerate_demand_types
+from drumtest.geometry import demand_geometry, demand_universe, enumerate_demand_types
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import (build_static_A, bm_matrix, catalog_H, enumerate_orders,
                                       full_pair_lists, kron_dynamic, pair_vector,
@@ -287,7 +287,8 @@ def _demand(budgets, periods, maps):
                for t in periods]
     paths = sorted(itertools.product(*[uni.menu_indices(t) for t in periods]))
     return {"universe": uni, "budgets": budgets, "patches": patches,
-            "AT": kron_dynamic(statics, paths, uni)}
+            "AT": kron_dynamic(statics, paths, uni),
+            "geometry": demand_geometry(budgets, periods, index_maps=maps)}
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +336,7 @@ HIERARCHY_CASES = [("simple1", "simple", (1,)), ("simple2", "simple", (1, 2)),
 def _compare_sarpd(rho, geom, recorded):
     new_log, old_log = recorded
     _clear_caches()
-    new = check_sarpd(rho, geom["budgets"], geom["patches"])
+    new = check_sarpd(rho, geom["geometry"])
     old = _legacy_check_sarpd(rho, geom["budgets"], geom["patches"])
     _assert_same_report(new, old)
     _assert_same_lps(new_log, old_log)
@@ -343,7 +344,7 @@ def _compare_sarpd(rho, geom, recorded):
     assert bool(new_log) == (rho.universe.num_periods > 1)
     # a hit solves nothing and gives the same report
     new_log.clear()
-    _assert_same_report(check_sarpd(rho, geom["budgets"], geom["patches"]), old)
+    _assert_same_report(check_sarpd(rho, geom["geometry"]), old)
     assert new_log == []
     old_log.clear()
 
@@ -444,7 +445,7 @@ def test_table9_sarpd_marks_mass(geometries, table9_rho):
     """Table 9 carries mass on cyclic choice paths; the report lists them
     and counts the marked paths and cells."""
     geom = geometries["simple2"]
-    report = check_sarpd(table9_rho, geom["budgets"], geom["patches"])
+    report = check_sarpd(table9_rho, geom["geometry"])
     assert report.diagnostics["cyclic_choice_paths"] >= len(report.violations) > 0
     assert report.diagnostics["cells"] == 4
 
@@ -456,7 +457,7 @@ def test_dirichlet_mixtures_match_frozen_copies(geometries, seed, concentration,
     geom = geometries[name]
     rho = _mixture(geom, seed, concentration)
     if name == "simple2":
-        new = check_sarpd(rho, geom["budgets"], geom["patches"])
+        new = check_sarpd(rho, geom["geometry"])
         _assert_same_report(new, _legacy_check_sarpd(rho, geom["budgets"], geom["patches"]))
         H_list = _catalog_H_list(geom["universe"], "simple")
     else:
@@ -518,7 +519,7 @@ class TestCompiledCaches:
         expected = [_legacy_check_sarpd(rho, g["budgets"], g["patches"]) for rho, g in cases]
         for _ in range(2):
             for (rho, g), old in zip(cases, expected):
-                _assert_same_report(check_sarpd(rho, g["budgets"], g["patches"]), old)
+                _assert_same_report(check_sarpd(rho, g["geometry"]), old)
         assert checks._compile_sarpd.cache_info().misses == 2
 
         binary = geometries["binary2"]
@@ -550,10 +551,10 @@ class TestCompiledCaches:
         _assert_same_report(*reports)
 
     def test_mismatched_universe_raises_on_a_hit(self, geometries):
-        """Budgets, patches and observed menu paths of a compiled geometry
-        with a universe whose menus are not the patches' raise."""
+        """A compiled geometry checked against a universe whose menus are
+        not its patches raises."""
         geom = geometries["simple2"]
-        check_sarpd(_mixture(geom, 0), geom["budgets"], geom["patches"])
+        check_sarpd(_mixture(geom, 0), geom["geometry"])
         uni = geom["universe"]
         # budget 1 has two open patches and one intersection patch (1, 3)
         extra = ((1, 3), (1, 4))
@@ -562,9 +563,12 @@ class TestCompiledCaches:
         wide = ChoiceUniverse(uni.periods, alternatives, menus)
         probs = {path: np.full(len(wide.choice_paths(path)), 1 / len(wide.choice_paths(path)))
                  for path in itertools.product((1, 2), repeat=2)}
-        with pytest.raises(SchemaError, match="not a patch"):
-            check_sarpd(StochasticChoiceFunction(wide, probs), geom["budgets"],
-                        geom["patches"])
+        with pytest.raises(SchemaError, match="does not match the supplied budgets"):
+            check_sarpd(StochasticChoiceFunction(wide, probs), geom["geometry"])
+        # a geometry of period 1 alone cannot mark the T=2 choice paths
+        first = demand_geometry(geom["budgets"], (1,), index_maps=catalog.SIMPLE_INDEX_MAPS)
+        with pytest.raises(SchemaError, match="every period of the universe"):
+            check_sarpd(_mixture(geom, 0), first)
 
     def test_size_guards_fire_before_any_build(self, geometries, monkeypatch):
         geom = geometries["binary2"]

@@ -1,7 +1,6 @@
 """Counterfactual bounds: extension LPs and the mixture-side cross-check."""
 
 import itertools
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
-from drumtest import catalog, counterfactuals
+from drumtest import catalog, counterfactuals, geometry
 from drumtest.checks import check_d_monotonicity, check_stability, dominance_from_universe
 from drumtest.counterfactuals import (CounterfactualProblem, bound_functional,
                                       kron_counterfactual_cone)
@@ -484,23 +483,20 @@ class TestModelCache:
 
 
     def test_geometry_warnings_repeat_on_a_hit(self, simple_setup, monkeypatch):
-        real = counterfactuals.demand_universe
-
-        def warning_universe(*args, **kwargs):
-            warnings.warn("dominance used the conservative representative check")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(counterfactuals, "demand_universe", warning_universe)
-        counterfactuals._compile.cache_clear()
+        problem = self._problem(simple_setup, 5)
+        monkeypatch.setattr(geometry, "_dominates_exact", lambda *args: None)
+        caches = (geometry._arrangement, geometry._demand_geometry, counterfactuals._compile)
+        for cache in caches:
+            cache.cache_clear()
         try:
-            problem = self._problem(simple_setup, 5)
             for _ in range(2):
                 with pytest.warns(UserWarning, match="conservative") as caught:
                     kron_counterfactual_cone(problem)
                 assert len(caught) == 1
             assert counterfactuals._compile.cache_info().hits == 1
         finally:
-            counterfactuals._compile.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,11 +10,13 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from drumtest import catalog, geometry
+from drumtest import catalog, geometry, representations
 from drumtest.errors import SchemaError
 from drumtest.geometry import (ABOVE, BELOW, ON, Budget, classify_point, compute_patches,
-                               demand_universe, enumerate_demand_types, normalize_dradm)
-from drumtest.model import PanelDataset, PanelRecord
+                               demand_geometry, demand_universe, enumerate_demand_types,
+                               normalize_dradm)
+from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord
+from drumtest.representations import type_matrix
 
 from conftest import legacy_cell_constraints, solve_recorder
 
@@ -164,6 +166,70 @@ class TestArrangementMemo:
             geometry._arrangement.cache_clear()
 
 
+class TestDemandGeometry:
+    """One value per budget arrangement: budget lists in any order and equal
+    index maps in any key order build equal values with equal hashes, which
+    key one type matrix; the value's warnings are raised on every call."""
+
+    @staticmethod
+    def _variants():
+        budgets = catalog.simple_budgets((1, 2))
+        maps = catalog.SIMPLE_INDEX_MAPS
+        permuted = {t: blist[::-1] for t, blist in reversed(list(budgets.items()))}
+        reordered = {j: dict(reversed(list(m.items()))) for j, m in reversed(list(maps.items()))}
+        return [(budgets, maps), (permuted, maps), (budgets, reordered), (permuted, reordered)]
+
+    def test_equal_inputs_build_equal_values_that_key_one_type_matrix(self):
+        built = []
+        try:
+            for budgets, maps in self._variants():
+                geometry._demand_geometry.cache_clear()
+                built.append(demand_geometry(budgets, (1, 2), index_maps=maps))
+            first = built[0]
+            assert len({id(g) for g in built}) == len(built)
+            for g in built:
+                assert g == first and hash(g) == hash(first)
+                assert (g.universe, g.patches, g.dominance) == \
+                    (first.universe, first.patches, first.dominance)
+            # the memo hands out one value for equal inputs
+            budgets, maps = self._variants()[3]
+            assert demand_geometry(budgets, (1, 2), index_maps=maps) is built[-1]
+            # other index maps are another value, even where they number alike
+            assert demand_geometry(catalog.simple_budgets((1, 2)), (1, 2)) != first
+            paths = list(itertools.product((1, 2), repeat=2))
+            representations._type_matrix.cache_clear()
+            matrices = [type_matrix(g.universe, paths, g) for g in built]
+            assert representations._type_matrix.cache_info()[:2] == (len(built) - 1, 1)
+            assert all(A is matrices[0] for A in matrices)
+        finally:
+            geometry._demand_geometry.cache_clear()
+            representations._type_matrix.cache_clear()
+
+    def test_warnings_are_raised_on_every_call(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_dominates_exact", lambda *args: None)
+        geometry._arrangement.cache_clear()
+        geometry._demand_geometry.cache_clear()
+        try:
+            for budgets, maps in self._variants():  # a miss, then hits
+                with pytest.warns(UserWarning, match="conservative") as caught:
+                    g = demand_geometry(budgets, (1, 2), index_maps=maps)
+                assert len(g.warnings) == 1
+                assert [str(w.message) for w in caught] == list(g.warnings)
+            assert geometry._demand_geometry.cache_info()[:2] == (3, 1)
+        finally:
+            geometry._arrangement.cache_clear()
+            geometry._demand_geometry.cache_clear()
+
+    def test_a_universe_is_checked_on_the_menus_of_the_periods_it_shares(self):
+        g = demand_geometry(catalog.simple_budgets((1, 2)), (1, 2))
+        uni = g.universe
+        g.check_universe(uni)
+        g.check_universe(ChoiceUniverse((2,), uni.alternatives, uni.menus))
+        menus = {t: (Menu(1, ((1, 2), (1, 1))), uni.menu(t, 2)) for t in uni.periods}
+        with pytest.raises(SchemaError, match="period 1: the universe does not match"):
+            g.check_universe(ChoiceUniverse(uni.periods, uni.alternatives, menus))
+
+
 class TestPublishedNumbering:
     """``compute_patches`` numbers patches by one rule when no maps are
     passed: the published maps on the demand3x3 budgets of any period, the
@@ -305,13 +371,11 @@ class TestEnumerateDemandTypes:
     def test_memoised_on_patch_values_with_fresh_lists(self):
         budgets = catalog.simple_budgets((1,))[1]
         patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
-        geometry._demand_types.cache_clear()
         types, order = enumerate_demand_types(patches, budgets)
         types.clear()
         order.clear()
         copies = pickle.loads(pickle.dumps(patches))
         assert enumerate_demand_types(copies, budgets) == ([(1, 1), (1, 2), (2, 2)], [1, 2])
-        assert geometry._demand_types.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_demand3x3_types(self, demand3x3_setup):
         assert len(demand3x3_setup["types"]) == 25
@@ -419,31 +483,3 @@ class TestNormalizeDradm:
         for rec in norm.records:
             assert abs(prices[rec.menu_id] @ np.array(rec.quantity) - 1.0) < 1e-12
             assert rec.choice_id[0] == rec.menu_id
-
-
-class TestIntersectionReallocation:
-    def test_mass_moves_to_adjacent_open_patches(self):
-        """Data mass on an intersection patch is redistributed proportionally
-        to the adjacent open patches, with a warning."""
-        import warnings
-        from drumtest.geometry import reallocate_intersection_mass
-        from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
-        budgets = catalog.simple_budgets((1,))[1]
-        patches, _ = compute_patches(budgets, index_maps=catalog.SIMPLE_INDEX_MAPS)
-        # a universe whose first menu explicitly includes the crossing point
-        labels = sorted(p.label for p in patches if not p.is_intersection)
-        inter = next(p.label for p in patches if p.is_intersection)
-        menus = (Menu(1, ((1, 1), (1, 2), inter)), Menu(2, ((2, 1), (2, 2))))
-        uni = ChoiceUniverse((1,), {1: tuple(labels) + (inter,)}, {1: menus})
-        rho = StochasticChoiceFunction(uni, {(1,): np.array([0.5, 0.3, 0.2]),
-                                             (2,): np.array([0.6, 0.4])})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = reallocate_intersection_mass(rho, {1: patches})
-            assert any("reallocated" in str(w.message) for w in caught)
-        vec = out.probs[(1,)]
-        assert vec[2] == 0.0
-        assert vec.sum() == pytest.approx(1.0, abs=1e-12)
-        # proportional to the existing open-patch masses 0.5 : 0.3
-        assert vec[0] == pytest.approx(0.5 + 0.2 * 0.5 / 0.8, abs=1e-12)
-        assert vec[1] == pytest.approx(0.3 + 0.2 * 0.3 / 0.8, abs=1e-12)

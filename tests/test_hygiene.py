@@ -5,7 +5,9 @@ every defaulted parameter of a private package function is passed
 somewhere, no parameter of one is passed the same literal by every package
 call, dense Kronecker products are built only at the known sites,
 dynamic type matrices are assembled only by ``representations.type_matrix``,
-and no name the package exports hides one of its modules."""
+demand geometries only by ``geometry.demand_geometry``, no warning is
+recorded to be raised again, and no name the package exports hides one of
+its modules."""
 
 import ast
 import importlib
@@ -395,20 +397,31 @@ def test_scan_finds_every_kron_site():
     assert _kron_sites(source) == {"<module>", "dense", "outer.inner", "Op.build"}
 
 
-def _kron_dynamic_calls(source: str) -> list:
-    """Lines of the source's calls of ``kron_dynamic``, bare or as an
-    attribute."""
+def _calls(source: str, names: set, **keywords) -> list:
+    """Lines of the source's calls, bare or as an attribute, of a function
+    in ``names`` that pass each of ``keywords`` as that constant."""
+    def passes(call):
+        given = {k.arg: k.value for k in call.keywords}
+        return all(isinstance(given.get(key), ast.Constant) and given[key].value == value
+                   for key, value in keywords.items())
+
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call) and _callee(node.func) == "kron_dynamic")
+                  if isinstance(node, ast.Call) and _callee(node.func) in names
+                  and passes(node))
+
+
+def _calls_outside(home: str, names: set, **keywords) -> list:
+    """(module, line) of the calls ``_calls`` finds in the package modules
+    other than ``home``."""
+    return [(path.name, line) for path in MODULES if path.name != home
+            for line in _calls(path.read_text(), names, **keywords)]
 
 
 def test_type_matrices_have_one_builder():
     """Outside ``representations`` the package gets a dynamic type matrix
     from ``type_matrix``, built once per geometry, never by calling
     ``kron_dynamic`` itself."""
-    found = [(path.name, line) for path in MODULES if path.name != "representations.py"
-             for line in _kron_dynamic_calls(path.read_text())]
-    assert found == []
+    assert _calls_outside("representations.py", {"kron_dynamic"}) == []
 
 
 def test_scan_finds_a_kron_dynamic_call():
@@ -418,7 +431,38 @@ def test_scan_finds_a_kron_dynamic_call():
               "B = r.kron_dynamic(statics, paths, uni)\n"
               "C = type_matrix(uni, paths)\n"
               "build = kron_dynamic\n")
-    assert _kron_dynamic_calls(source) == [3, 4]
+    assert _calls(source, {"kron_dynamic"}) == [3, 4]
+
+
+def test_demand_geometry_has_one_builder():
+    """Outside ``geometry`` the package gets patches, dominance and demand
+    universes from one ``demand_geometry`` value, never by calling
+    ``compute_patches`` or ``demand_universe`` itself."""
+    assert _calls_outside("geometry.py", {"compute_patches", "demand_universe"}) == []
+
+
+def test_scan_finds_the_geometry_builders():
+    source = ("from drumtest import geometry\n"
+              "from drumtest.geometry import compute_patches, demand_geometry\n"
+              "P = compute_patches(budgets)\n"
+              "U = geometry.demand_universe(budgets, (1,))\n"
+              "G = demand_geometry(budgets, (1,))\n")
+    assert _calls(source, {"compute_patches", "demand_universe"}) == [3, 4]
+
+
+def test_no_warning_is_recorded_to_be_raised_again():
+    """Geometry warnings travel as ``DemandGeometry.warnings``: no package
+    module records warnings to replay them."""
+    assert _calls_outside(None, {"catch_warnings"}, record=True) == []
+
+
+def test_scan_finds_a_recording_catch_warnings():
+    source = ("import warnings\n"
+              "with warnings.catch_warnings(record=True) as caught:\n    pass\n"
+              "with warnings.catch_warnings():\n    pass\n"
+              "with catch_warnings(record=False):\n    pass\n"
+              "with catch_warnings(action='ignore', record=True):\n    pass\n")
+    assert _calls(source, {"catch_warnings"}, record=True) == [2, 8]
 
 
 def test_every_module_is_the_package_attribute_of_its_name():

@@ -102,6 +102,29 @@ class TestIO:
         with pytest.raises(SchemaError, match=r"budget 1, patch 1 has two rows"):
             io.read_g(path)
 
+    @pytest.mark.parametrize("fields", ["fewer", "more"])
+    @pytest.mark.parametrize("reader", ["panel", "rho", "budgets", "lotteries", "g"])
+    def test_a_row_of_the_wrong_width_is_a_schema_error(self, simple_setup, tmp_path,
+                                                        reader, fields):
+        """A row with fewer or more fields than its header names its line;
+        none is filled with None or cut to the header's width."""
+        header, good, short = {
+            "panel": ("agent_id,period,menu_id,choice_id", "1,1,1,1", "2,1,1"),
+            "rho": ("menu_path,choice_path,prob,count", "1|1,1|1,0.5,4", "1|1,1|2,0.5"),
+            "budgets": ("period,budget_id,price_1,price_2,expenditure", "1,1,2,1,1",
+                        "1,2,1,2"),
+            "lotteries": ("alternative_id,prize_1,prize_2", "l1,1/2,1/2", "l2,1"),
+            "g": ("budget_id,patch_id,g_lower,g_upper", "1,1,0.1,0.9", "1,2,0.2"),
+        }[reader]
+        bad = short if fields == "fewer" else short + ",1,1"
+        path = tmp_path / f"{reader}.csv"
+        path.write_text(f"{header}\n{good}\n{bad}\n")
+        read = {"panel": io.read_panel, "budgets": io.read_budgets,
+                "lotteries": io.read_lotteries, "g": io.read_g,
+                "rho": lambda p: io.read_rho(p, simple_setup["universe"])}[reader]
+        with pytest.raises(SchemaError, match=f"line 3: the row has {fields} fields"):
+            read(path)
+
     def test_a_repeated_lottery_is_a_schema_error(self, tmp_path):
         path = tmp_path / "lotteries.csv"
         path.write_text("alternative_id,prize_1,prize_2\nl1,1/2,1/2\nl2,1,0\nl1,0,1\n")
@@ -327,6 +350,58 @@ class TestCli:
         assert doc["lower"] <= doc["upper"]
         assert doc["lower"] == pytest.approx(doc["cross_check_lower"], abs=1e-7)
 
+    @pytest.mark.parametrize("command", ["check", "test", "bounds"])
+    def test_a_universe_listing_patches_in_another_order_is_a_schema_error(
+            self, tmp_path, capsys, command):
+        """The same data written against a universe whose menu 1 lists its
+        patches in the other order, positions relabelled to match, is
+        refused: the budgets number the patches, so the universe must list
+        them as the budgets do."""
+        panel, uni = simulate(DgpSpec("cobb-douglas-walk"), 20, seed=0)
+        menus = {t: tuple(Menu(m.index, m.items[::-1]) if m.index == 1 else m
+                          for m in uni.menus[t]) for t in uni.periods}
+        swapped = ChoiceUniverse(uni.periods, uni.alternatives, menus, uni.primitive_order)
+        io.write_universe(swapped, tmp_path / "universe.json")
+        io.write_budgets(catalog.simple_budgets((1, 2)), tmp_path / "budgets.csv")
+        io.write_panel(panel, swapped, tmp_path / "panel.csv")
+        io.write_rho(estimate_rho(panel, swapped), tmp_path / "rho.csv")
+        (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                        "1,1,0,1\n1,2,0,1\n2,1,0,1\n2,2,0,1\n")
+        argv = {"check": ["check", "--input", str(tmp_path / "rho.csv"), "--checks", "cone"],
+                "test": ["test", "--panel", str(tmp_path / "panel.csv"), "--reps", "19"],
+                "bounds": ["bounds", "--input", str(tmp_path / "rho.csv"), "--new-budget",
+                           "2,1;1,2", "--g", str(tmp_path / "g.csv")]}[command]
+        code = main(argv + ["--universe", str(tmp_path / "universe.json"),
+                            "--budgets", str(tmp_path / "budgets.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: SchemaError: period 1: the universe does not match the supplied budgets")
+
+    def test_short_rows_of_budgets_and_lotteries_exit_1(self, simple_setup, tmp_path, capsys):
+        """``drum check --budgets`` and ``drum test --eu`` name the line of a
+        row shorter than its header."""
+        rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        with open(tmp_path / "budgets.csv", "a") as fh:
+            fh.write("2,3,1,1\n")
+        code = main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"),
+                     "--budgets", str(tmp_path / "budgets.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: SchemaError: line 6: the row has fewer fields than the 5 of the header")
+        panel, uni = simulate(DgpSpec("binary3"), 5, seed=0)
+        io.write_panel(panel, uni, tmp_path / "panel.csv")
+        io.write_universe(uni, tmp_path / "binary.json")
+        (tmp_path / "lotteries.csv").write_text("alternative_id,prize_1,prize_2,prize_3\n"
+                                                "l1,1/2,1/2,0\nl2,1/2,1/2\nl3,0,0,1\n")
+        code = main(["test", "--panel", str(tmp_path / "panel.csv"),
+                     "--universe", str(tmp_path / "binary.json"),
+                     "--eu", str(tmp_path / "lotteries.csv"), "--reps", "19"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: SchemaError: line 3: the row has fewer fields than the 4 of the header")
+
     def test_bounds_rejects_a_repeated_g_row(self, simple_setup, tmp_path, capsys):
         rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
         _write_simple_inputs(tmp_path, rho)
@@ -518,6 +593,7 @@ class TestCli:
 
         def clear():
             geometry._arrangement.cache_clear()
+            geometry._demand_geometry.cache_clear()
             counterfactuals._compile.cache_clear()
 
         clear()

@@ -170,13 +170,13 @@ def test_only_the_bound_pairs_switch_presolve_off(monkeypatch, simple_setup):
 
     # the package's own LPs: patch geometry, sarpd cells, then one bound pair
     geometry._arrangement.cache_clear()
+    geometry._demand_geometry.cache_clear()
     checks._compile_sarpd.cache_clear()
     counterfactuals._compile.cache_clear()
     seen.clear()
     rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
     budgets = simple_setup["budgets"]
-    _, patches, _ = geometry.demand_universe(budgets, (1, 2))
-    checks.check_sarpd(rho, budgets, patches)
+    checks.check_sarpd(rho, geometry.demand_geometry(budgets, (1, 2)))
     new_budgets = [geometry.Budget("next", 1, (Fraction(2), Fraction(1)), Fraction(1)),
                    geometry.Budget("next", 2, (Fraction(1), Fraction(2)), Fraction(1))]
     labels = [p.label for p in geometry.compute_patches(new_budgets)[0]

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from drumtest import catalog, representations
 from drumtest.errors import GeometryError, ParameterError, SchemaError, SizeError
-from drumtest.geometry import demand_universe, enumerate_demand_types
+from drumtest.geometry import demand_geometry, demand_universe, enumerate_demand_types
 from drumtest.lp import solve
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import (InequalityMatrix, LinearOrder, TypeMatrix, bm_matrix,
@@ -167,18 +167,21 @@ class TestBuildStaticA:
 
 
 def _type_rule_cases():
-    """(name, universe, patches, EU filter, hand-built per-period matrices)."""
+    """(name, universe, demand geometry, EU filter, hand-built per-period
+    matrices)."""
     for T in (1, 2):
         periods = tuple(range(1, T + 1))
         budgets = catalog.simple_budgets(periods)
-        uni, patches, _ = demand_universe(budgets, periods, index_maps=catalog.SIMPLE_INDEX_MAPS)
-        yield f"simple{T}", uni, patches, None, [
-            build_static_A(uni, t, enumerate_demand_types(patches[t], budgets[t])[0])
+        geometry = demand_geometry(budgets, periods, index_maps=catalog.SIMPLE_INDEX_MAPS)
+        uni = geometry.universe
+        yield f"simple{T}", uni, geometry, None, [
+            build_static_A(uni, t, enumerate_demand_types(geometry.patches[t], budgets[t])[0])
             for t in periods]
     budgets = catalog.demand3x3_budgets((1,))
-    uni, patches, _ = demand_universe(budgets, (1,), index_maps=catalog.DEMAND3X3_INDEX_MAPS)
-    yield "demand3x3", uni, patches, None, [
-        build_static_A(uni, 1, enumerate_demand_types(patches[1], budgets[1])[0])]
+    geometry = demand_geometry(budgets, (1,), index_maps=catalog.DEMAND3X3_INDEX_MAPS)
+    uni = geometry.universe
+    yield "demand3x3", uni, geometry, None, [
+        build_static_A(uni, 1, enumerate_demand_types(geometry.patches[1], budgets[1])[0])]
     for T in (1, 2, 3):
         uni = catalog.binary_universe(periods=tuple(range(1, T + 1)))
         yield f"binary{T}", uni, None, None, [build_static_A(uni, t, enumerate_orders(uni, t))
@@ -193,7 +196,8 @@ def _type_rule_cases():
 class TestStaticTypeMatrix:
     @pytest.mark.parametrize("case", list(_type_rule_cases()), ids=lambda case: case[0])
     def test_matches_the_hand_built_matrices(self, case):
-        _, uni, patches, eu_filter, expected = case
+        _, uni, geometry, eu_filter, expected = case
+        patches = None if geometry is None else geometry.patches
         for t, want in zip(uni.periods, expected):
             got = static_type_matrix(uni, t, patches, eu_filter=eu_filter)
             assert got.matrix.dtype == want.matrix.dtype
@@ -221,24 +225,23 @@ class TestTypeMatrix:
 
     @pytest.mark.parametrize("case", list(_type_rule_cases()), ids=lambda case: case[0])
     def test_is_the_product_of_the_static_matrices(self, case):
-        _, uni, patches, eu_filter, statics = case
+        _, uni, geometry, eu_filter, statics = case
         paths = list(itertools.product(*[uni.menu_indices(t) for t in uni.periods]))
         np.random.default_rng(len(paths)).shuffle(paths)
         want = kron_dynamic(statics, paths, uni)
-        A = type_matrix(uni, paths, patches, eu_filter)
+        A = type_matrix(uni, paths, geometry, eu_filter)
         assert A.matrix.dtype == want.matrix.dtype
         assert A.matrix.tobytes() == want.matrix.tobytes()
         assert (A.row_labels, A.col_labels) == (want.row_labels, want.col_labels)
         assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
-        assert type_matrix(uni, sorted(paths), patches, eu_filter) is A
+        assert type_matrix(uni, sorted(paths), geometry, eu_filter) is A
 
     def test_equal_arguments_share_one_build(self, simple_setup):
-        uni, patches = simple_setup["universe"], simple_setup["patches"]
+        uni, geometry = simple_setup["universe"], simple_setup["geometry"]
         paths = [(2, 1), (1, 1), (1, 2), (2, 2)]
-        A = type_matrix(uni, paths, patches)
-        # list paths and patch lists, and periods the universe lacks, key alike
-        extra = {**{t: list(p) for t, p in patches.items()}, "next": patches[1]}
-        assert type_matrix(uni, [list(p) for p in reversed(paths)], extra) is A
+        A = type_matrix(uni, paths, geometry)
+        # list paths key alike
+        assert type_matrix(uni, [list(p) for p in reversed(paths)], geometry) is A
         binary = catalog.binary_universe(("l1", "l2", "l3"), (1, 2))
         lotteries = catalog.application_lotteries()
         paths = list(itertools.product((1, 2, 3), repeat=2))
@@ -246,7 +249,6 @@ class TestTypeMatrix:
         assert type_matrix(binary, paths, eu_filter={a: list(v) for a, v in
                                                      lotteries.items()}) is E
         assert type_matrix(binary, paths) is not E
-        assert type_matrix(binary, paths, patches={}) is type_matrix(binary, paths)
 
     def test_an_empty_eu_filter_fails_as_the_static_rule_does(self):
         uni = catalog.binary_universe(("l1", "l2", "l3"), (1,))

@@ -367,8 +367,9 @@ class TestCutRule:
 
     @staticmethod
     def _frozen(kind):
-        universe, budgets, patches, _ = sim._catalog_structure(kind)
-        return universe, _frozen_demand_tables(universe, budgets, patches)
+        geometry, _ = sim._catalog_structure(kind)
+        return geometry.universe, _frozen_demand_tables(geometry.universe, geometry.budgets,
+                                                        geometry.patches)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(DEMAND_KINDS),
@@ -376,7 +377,7 @@ class TestCutRule:
     def test_positions_match_the_frozen_masks(self, data, kind, seed, agents):
         dgp = DgpSpec(kind)
         universe, frozen_tables = self._frozen(kind)
-        tables = sim._catalog_structure(kind)[3]
+        tables = sim._catalog_structure(kind)[1]
         paths = observed_menu_paths(dgp, universe)
         menus, positions, shares = sim.draw_choices(dgp, agents, seed)
         want, quantity = _frozen_demand_choices(universe, frozen_tables, menus, shares)
@@ -402,7 +403,7 @@ class TestCutRule:
         the patch below it, and the frozen masks agree everywhere."""
         dgp = DgpSpec(kind)
         universe, frozen_tables = self._frozen(kind)
-        tables = sim._catalog_structure(kind)[3]
+        tables = sim._catalog_structure(kind)[1]
         paths = observed_menu_paths(dgp, universe)
         on_line = 0
         for k, t in enumerate(universe.periods):
@@ -519,7 +520,7 @@ class TestCatalogStructure:
         assert type_matrix_for(DgpSpec(kind), universe) is A
         assert A.range_basis is type_matrix_for(dgp, universe).range_basis
         assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
-        tables = sim._catalog_structure(kind)[3]
+        tables = sim._catalog_structure(kind)[1] if kind.startswith("cobb") else None
         if tables is not None:
             for by_budget in tables.values():
                 for cuts in by_budget.values():
@@ -544,7 +545,7 @@ class TestCatalogStructure:
         built = []
         for module, name in ((representations, "kron_dynamic"),
                              (representations, "static_type_matrix"),
-                             (sim, "demand_universe")):
+                             (sim, "demand_geometry")):
             monkeypatch.setattr(module, name,
                                 lambda *args, name=name, **kwargs: built.append(name))
         monkeypatch.setattr(catalog, "binary_universe", lambda *args: built.append("binary"))

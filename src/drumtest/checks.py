@@ -613,67 +613,54 @@ def check_sarpd(rho: StochasticChoiceFunction, geometry: DemandGeometry,
 
 @lru_cache(maxsize=16)
 def _compile_sarpd(geometry: DemandGeometry, paths: tuple) -> SarpdModel:
-    """Mark the cyclic choice paths of one geometry on the menu ``paths``."""
+    """Mark the cyclic choice paths of one geometry on the menu ``paths``.
+
+    ``cells`` maps each (period, patch label) to the cell's identity (its
+    budget's exact prices and expenditure and its sorted signs against the
+    period's other budgets, so a cell that recurs in another period is one
+    node), its budget and its constraint inputs. Cell b is reachable from
+    cell a when both lie on budgets of one identity, else when b's minimum
+    spend at a's prices lies more than 1e-9 below a's wealth: a reachable
+    point must exist inside the open cell. That LP is solved once per (b's
+    identity, a's budget), in the order the paths first reach it.
+    """
+    cells = {}
+    for t, budgets in geometry.budgets.items():
+        for patch in geometry.patches[t]:
+            own = next(b for b in budgets if b.index == patch.budget)
+            others = [b for b in budgets if b is not own]
+            identity = ((own.prices, own.expenditure), tuple(sorted(
+                ((b.prices, b.expenditure), patch.sign_vector[b.index]) for b in others)))
+            cells[t, patch.label] = identity, own, others, patch.sign_vector
     uni = geometry.universe
-    patch_by_label = {t: {p.label: p.sign_vector for p in ps} for t, ps in geometry.patches.items()}
-    budget_by_index = {t: {b.index: b for b in bs} for t, bs in geometry.budgets.items()}
-    min_cache = {}
-
-    def geom_key(t, label):
-        own = budget_by_index[t][label[0]]
-        own_key = (tuple(own.prices), own.expenditure)
-        signs = tuple(sorted(((tuple(budget_by_index[t][j].prices),
-                               budget_by_index[t][j].expenditure), s)
-                             for j, s in patch_by_label[t][label].items()))
-        return (own_key, signs)
-
-    def min_spend(t_cell, label, prices_key):
-        key = (geom_key(t_cell, label), prices_key)
-        if key in min_cache:
-            return min_cache[key]
-        own = budget_by_index[t_cell][label[0]]
-        others = [b for b in geometry.budgets[t_cell] if b.index != label[0]]
-        A_eq, b_eq, A_ub, b_ub = _cell_constraints(own, others, patch_by_label[t_cell][label])
-        p = np.array(prices_key[0], dtype=float)
-        res = solve(compile_lp(A_ub, A_eq, Bounds(-np.inf, np.inf)), p, b_ub, b_eq)
-        val = res.fun if res.status == 0 else np.inf
-        min_cache[key] = val
-        return val
-
-    marked_by_path = []
-    all_cells = set()
+    spend, marked_by_path, seen = {}, [], set()
     for path in paths:
         marked = []
         for pos, cp in enumerate(uni.choice_paths(path)):
-            uniq = {}
-            for t, j, i in zip(uni.periods, path, cp):
-                uniq[geom_key(t, (j, i))] = (t, (j, i))
-            all_cells.update(uniq)
-            if len(uniq) < 2:
-                continue
-            nodes = list(uniq)
+            # a cell met in two periods keeps its first place and its last inputs
+            nodes = {cell[0]: cell for cell in (cells[t, (j, i)]
+                                                for t, j, i in zip(uni.periods, path, cp))}
+            seen.update(nodes)
             adj = {a: set() for a in nodes}
-            for a in nodes:
-                t_a, label_a = uniq[a]
-                own = budget_by_index[t_a][label_a[0]]
-                w_a = own.w()
-                prices_key = (tuple(float(v) for v in own.prices), float(own.expenditure))
-                for b in nodes:
-                    if a == b:
+            for a, (_, chooser, _, _) in nodes.items():
+                for b, (_, own, others, signs) in nodes.items():
+                    if b == a:
                         continue
-                    t_b, label_b = uniq[b]
-                    other = budget_by_index[t_b][label_b[0]]
-                    same_budget = (tuple(float(v) for v in other.prices),
-                                   float(other.expenditure)) == prices_key
-                    # a reachable point must exist inside the open cell:
-                    # strictly cheaper somewhere, or expenditure-tied on the
-                    # same hyperplane
-                    if same_budget or min_spend(t_b, label_b, prices_key) < w_a - 1e-9:
+                    if a[0] != b[0] and (b, a[0]) not in spend:
+                        A_eq, b_eq, A_ub, b_ub = _cell_constraints(own, others, signs)
+                        res = solve(compile_lp(A_ub, A_eq, Bounds(-np.inf, np.inf)),
+                                    chooser.p(), b_ub, b_eq)
+                        if res.status not in (0, 2):
+                            raise SolverError(f"reachability LP returned status {res.status}: "
+                                              f"{res.message}",
+                                              {"solver": solver_diagnostics(res)})
+                        spend[b, a[0]] = res.fun if res.status == 0 else np.inf
+                    if a[0] == b[0] or spend[b, a[0]] < chooser.w() - 1e-9:
                         adj[a].add(b)
             if _has_cycle(nodes, adj):
                 marked.append((pos, cp))
         marked_by_path.append(tuple(marked))
-    return SarpdModel(tuple(marked_by_path), len(all_cells))
+    return SarpdModel(tuple(marked_by_path), len(seen))
 
 
 # --- sequence-sum audit ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: matrices, check, test, bounds, simulate, experiment. Exit
-codes: 0 completed (and ``--help``), 2 model rejected (check/test), 1 any
-error, a usage error included. An error prints its exception class, message
+codes: 0 completed (and ``--help``), 2 model rejected (check/test/bounds),
+1 any error, a usage error and a solver failure included. An error prints its exception class, message
 and diagnostics, and a usage error the usage line too; ``--debug`` raises
 it with its traceback instead.
 """
@@ -22,7 +22,7 @@ from . import catalog, io
 from .checks import (bm_extension_feasible, check_H, check_d_monotonicity, check_sarpd,
                      check_stability, cone_membership, hierarchy_feasible)
 from .counterfactuals import CounterfactualProblem, bound_functional, kron_counterfactual_cone
-from .errors import DrumError, ModelRejectedError, UsageError
+from .errors import DrumError, ModelRejectedError, SchemaError, UsageError
 from .geometry import Budget, demand_geometry
 from .inference import TestConfig, run_test, run_test_eu
 from .model import estimate_rho
@@ -76,6 +76,25 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+_DGPS = {
+    "dgp1": DgpSpec("cobb-douglas-walk"),
+    "dgp2": DgpSpec("cobb-douglas-gaussian-copula"),
+    "binary1": DgpSpec("binary1"),
+    "binary2": DgpSpec("binary2"),
+    "binary3": DgpSpec("binary3"),
+}
+
+
+def _dgp_list(value):
+    """The generators of a comma list of ``_DGPS`` names."""
+    names = [name.strip() for name in value.split(",")]
+    unknown = [name for name in names if name not in _DGPS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown generator {unknown[0]!r}; the names are "
+                                         + ", ".join(_DGPS))
+    return [_DGPS[name] for name in names]
+
+
 def build_parser():
     ap = _Parser(prog="drum", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -118,13 +137,13 @@ def build_parser():
     _add_common(b, "out")
 
     s = sub.add_parser("simulate", help="draw a synthetic panel")
-    s.add_argument("--dgp", required=True,
-                   choices=["dgp1", "dgp2", "binary1", "binary2", "binary3"])
+    s.add_argument("--dgp", required=True, choices=list(_DGPS))
     s.add_argument("--n", type=int, required=True, help="agents per menu path")
     _add_common(s, "seed", "out")
 
     e = sub.add_parser("experiment", help="rejection-rate table over DGPs and sizes")
-    e.add_argument("--dgps", required=True, help="comma list of dgp1,dgp2,binary1..binary3")
+    e.add_argument("--dgps", required=True, type=_dgp_list,
+                   help="comma list of dgp1,dgp2,binary1..binary3")
     e.add_argument("--Ns", required=True, help="comma list of sample sizes")
     e.add_argument("--sims", type=int, default=1000)
     e.add_argument("--reps", type=int, default=999)
@@ -138,15 +157,6 @@ def _parser():
     """The parser ``main`` uses, built once per process; parsing leaves it
     unchanged, so calls cannot leak options into each other."""
     return build_parser()
-
-
-_DGPS = {
-    "dgp1": DgpSpec("cobb-douglas-walk"),
-    "dgp2": DgpSpec("cobb-douglas-gaussian-copula"),
-    "binary1": DgpSpec("binary1"),
-    "binary2": DgpSpec("binary2"),
-    "binary3": DgpSpec("binary3"),
-}
 
 
 def _cmd_matrices(args) -> int:
@@ -179,10 +189,14 @@ def _cmd_matrices(args) -> int:
 
 def _budget_geometry(path, universe):
     """The geometry of the budgets file at ``path`` on the universe's periods
-    that it has, checked against the universe; None without a file."""
+    that it has, checked against the universe; None without a file. A
+    budgets period the universe lacks is a SchemaError."""
     if not path:
         return None
     budgets = io.read_budgets(path)
+    for t in budgets:
+        if t not in universe.periods:
+            raise SchemaError(f"budgets period {t} is not a period of the universe")
     geometry = demand_geometry(budgets, tuple(t for t in universe.periods if t in budgets))
     geometry.check_universe(universe)
     return geometry
@@ -311,9 +325,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    dgps = [_DGPS[d.strip()] for d in args.dgps.split(",")]
     Ns = [int(v) for v in args.Ns.split(",")]
-    report = run_experiment(dgps, Ns, sims=args.sims, reps=args.reps,
+    report = run_experiment(args.dgps, Ns, sims=args.sims, reps=args.reps,
                             seed=args.seed, alpha=args.alpha, n_jobs=args.threads)
     print(report.to_text())
     if args.out:

@@ -27,7 +27,8 @@ from scipy.linalg import block_diag
 
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
                      stability_groups)
-from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
+from .errors import (GeometryError, ModelRejectedError, ParameterError, SchemaError,
+                     SolverError)
 from .geometry import DemandGeometry, demand_geometry
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, StochasticChoiceFunction, path_blocks, rho_vector
@@ -162,8 +163,15 @@ def _pair_lp(A_ub, A_eq) -> LinearProgram:
 
 def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
     """The compiled model of the problem's extended geometry, which warns and
-    is checked against the problem's observed universe on every call."""
+    is checked against the problem's observed universe on every call. The
+    budgets must cover exactly the universe's periods."""
     uni = problem.rho.universe
+    for t in problem.budgets:
+        if t not in uni.periods:
+            raise SchemaError(f"budgets period {t} is not a period of the universe")
+    for t in uni.periods:
+        if t not in problem.budgets:
+            raise SchemaError(f"universe period {t} has no budgets")
     geometry = demand_geometry({**problem.budgets, NEW_PERIOD: problem.new_budgets},
                                uni.periods + (NEW_PERIOD,))
     model = _compile(geometry, tuple(problem.rho.observed_paths))
@@ -215,7 +223,8 @@ def _bound_pair(pair: LinearProgram, b_eq, c_lo, c_hi, infeasible: str):
     if res.status == 2:
         raise ModelRejectedError(infeasible)
     if res.status != 0:
-        raise ModelRejectedError(f"bounding LP failed: {res.message}")
+        raise SolverError(f"bounding LP returned status {res.status}: {res.message}",
+                          {"solver": solver_diagnostics(res)})
     x_lo, x_hi = res.x[:n], res.x[n:]
     solver = solver_diagnostics(res)
     return (float(c_lo @ x_lo), float(c_hi @ x_hi), x_lo, x_hi,

@@ -21,8 +21,8 @@ from types import MappingProxyType
 import numpy as np
 from scipy.optimize import Bounds
 
-from .errors import AllocationError, GeometryError, SchemaError
-from .lp import compile_lp, solve
+from .errors import AllocationError, GeometryError, SchemaError, SolverError
+from .lp import compile_lp, solve, solver_diagnostics
 from .model import (ChoiceUniverse, Menu, PanelDataset, PanelRecord,
                     StochasticChoiceFunction, marginal_conditional_slice)
 
@@ -118,7 +118,8 @@ def _cell_program(budget: Budget, others: list, signs: dict):
     """LP maximizing the uniform slack of a sign cell on a budget.
 
     Returns (margin, point) or (None, None) when the open cell is empty:
-    the LP fails or its margin is at most ``MARGIN_TOL``. 'on' entries
+    the LP is proven infeasible or its margin is at most ``MARGIN_TOL``.
+    Any other failed solve raises SolverError. 'on' entries
     become equalities; the margin applies to strict entries scaled by the
     price norm so it is comparable across budgets.
     """
@@ -133,8 +134,11 @@ def _cell_program(budget: Budget, others: list, signs: dict):
     lp = compile_lp(A_ub, np.column_stack([A_eq, np.zeros(len(A_eq))]),
                     Bounds(np.append(np.zeros(K), -np.inf), np.inf))
     res = solve(lp, c, np.append(b_ub, 1.0), b_eq)
-    if res.status != 0:
+    if res.status == 2:
         return None, None
+    if res.status != 0:
+        raise SolverError(f"cell LP returned status {res.status}: {res.message}",
+                          {"solver": solver_diagnostics(res)})
     margin = res.x[-1]
     if margin <= MARGIN_TOL:
         return None, None
@@ -320,7 +324,8 @@ def _cell_vertices(budget: Budget, others: list, signs: dict):
 
 
 def _improvement_margin(target: np.ndarray, budget: Budget, others: list, signs: dict):
-    """max m with y in closure(cell) and y >= target + m componentwise."""
+    """max m with y in closure(cell) and y >= target + m componentwise; None
+    when the closure is proven empty, SolverError on any other failed solve."""
     A_eq, b_eq, A_ub, b_ub = _cell_constraints(budget, others, signs)
     K = budget.num_goods
     c = np.zeros(K + 1)
@@ -335,8 +340,11 @@ def _improvement_margin(target: np.ndarray, budget: Budget, others: list, signs:
     eq_rows = [np.append(row, 0.0) for row in A_eq]
     lp = compile_lp(np.array(ub_rows), np.array(eq_rows), Bounds(-np.inf, np.inf))
     res = solve(lp, c, b_ub, b_eq)
-    if res.status != 0:
+    if res.status == 2:
         return None
+    if res.status != 0:
+        raise SolverError(f"improvement-margin LP returned status {res.status}: "
+                          f"{res.message}", {"solver": solver_diagnostics(res)})
     return res.x[-1]
 
 

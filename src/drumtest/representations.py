@@ -27,9 +27,9 @@ import numpy as np
 from scipy.optimize import Bounds
 
 from . import catalog
-from .errors import GeometryError, ParameterError, SchemaError, SizeError
+from .errors import GeometryError, ParameterError, SchemaError, SizeError, SolverError
 from .geometry import enumerate_demand_types
-from .lp import compile_lp, solve
+from .lp import compile_lp, solve, solver_diagnostics
 from .model import ChoiceUniverse, Menu, StochasticChoiceFunction
 
 DENSE_ENTRY_GUARD = 100_000_000
@@ -197,7 +197,8 @@ def _eu_consistent(order: LinearOrder, lotteries: dict) -> bool:
 @lru_cache(maxsize=1024)
 def _eu_rankable(ranked: tuple) -> bool:
     """The EU filter LP for lotteries listed best to worst; each distinct
-    ranking is solved once per process."""
+    ranking is solved once per process. A proven infeasible LP means not
+    rankable; any other failed solve raises SolverError."""
     mats = [np.array([float(v) for v in lottery]) for lottery in ranked]
     n_prizes = len(mats[0])
     c = np.zeros(n_prizes + 1)
@@ -212,6 +213,9 @@ def _eu_rankable(ranked: tuple) -> bool:
     bounds = Bounds(np.append(np.full(n_prizes, -1.0), -np.inf),
                     np.append(np.ones(n_prizes), np.inf))
     res = solve(compile_lp(np.array(A_ub), None, bounds), c, np.array(b_ub))
+    if res.status not in (0, 2):
+        raise SolverError(f"EU filter LP returned status {res.status}: {res.message}",
+                          {"solver": solver_diagnostics(res)})
     return res.status == 0 and res.x[-1] > EU_MARGIN
 
 

@@ -39,28 +39,30 @@ BINARY_MARGINALS = {
     "binary2": np.array([1 / 5, 4 / 5, 1 / 2, 1 / 2, 1 / 5, 4 / 5]),
     "binary3": np.array([1, 3, 2, 2, 1, 3]) / 4.0,
 }
+DEMAND_KINDS = ("cobb-douglas-walk", "cobb-douglas-gaussian-copula")
+KINDS = (*DEMAND_KINDS, *BINARY_MARGINALS, "order-mixture")
 
 
 @dataclass(frozen=True)
 class DgpSpec:
     """A named data-generating process with its parameters.
 
-    Kinds: ``cobb-douglas-walk`` (persistence 0.9, innovation sd 5, clipped
-    to [0,1]), ``cobb-douglas-gaussian-copula`` (correlation 0.5, arctan
-    link), ``binary1``/``binary2``/``binary3`` (published binary-menu
-    marginals over three periods), and ``order-mixture`` (weights over
-    ranking profiles on a supplied universe).
+    ``kind`` is exactly one of ``KINDS``: ``cobb-douglas-walk``
+    (persistence 0.9, innovation sd 5, clipped to [0,1]),
+    ``cobb-douglas-gaussian-copula`` (correlation 0.5, arctan link),
+    ``binary1``, ``binary2`` or ``binary3`` (published binary-menu
+    marginals over three periods), or ``order-mixture`` (weights over
+    ranking profiles on a supplied universe); any other raises
+    ParameterError.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    def periods(self):
-        if self.kind.startswith("cobb"):
-            return (1, 2)
-        if self.kind.startswith("binary"):
-            return (1, 2, 3)
-        return tuple(self.params["universe"].periods)
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ParameterError(f"unknown DGP kind {self.kind!r}; the kinds are "
+                                 + ", ".join(KINDS))
 
 
 BINARY_UNIVERSE = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
@@ -68,14 +70,12 @@ BINARY_UNIVERSE = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
 
 def build_universe(dgp: DgpSpec):
     """Universe (and budgets where applicable) the generator samples on."""
-    if dgp.kind.startswith("cobb"):
+    if dgp.kind in DEMAND_KINDS:
         geometry = _catalog_structure(dgp.kind)[0]
         return geometry.universe, geometry.budgets
-    if dgp.kind.startswith("binary"):
+    if dgp.kind in BINARY_MARGINALS:
         return BINARY_UNIVERSE, None
-    if dgp.kind == "order-mixture":
-        return dgp.params["universe"], None
-    raise ParameterError(f"unknown DGP kind {dgp.kind!r}")
+    return dgp.params["universe"], None
 
 
 # shares this close to a cut are classified by the demand point itself
@@ -84,11 +84,11 @@ CUT_MARGIN = 1e-9
 
 @lru_cache(maxsize=16)
 def _catalog_structure(kind: str):
-    """(demand geometry, cut tables) of a ``cobb*`` generator, built once
-    per kind and process (the params only shape its draws) and shared: the
-    geometry is a frozen value and the tables' arrays are made read-only."""
-    periods = DgpSpec(kind).periods()
-    geometry = demand_geometry(catalog.simple_budgets(periods), periods)
+    """(demand geometry, cut tables) of a ``DEMAND_KINDS`` generator, the
+    two-period simple budgets, built once per kind and process (the params
+    only shape its draws) and shared: the geometry is a frozen value and the
+    tables' arrays are made read-only."""
+    geometry = demand_geometry(catalog.simple_budgets((1, 2)), (1, 2))
     return geometry, _demand_tables(geometry)
 
 
@@ -147,10 +147,10 @@ def _demand_tables(geometry):
 
 
 def observed_menu_paths(dgp: DgpSpec, universe):
-    if dgp.kind.startswith("cobb"):
+    if dgp.kind in DEMAND_KINDS:
         return sorted(itertools.product(*[universe.menu_indices(t)
                                           for t in universe.periods]))
-    if dgp.kind.startswith("binary"):
+    if dgp.kind in BINARY_MARGINALS:
         return sorted(itertools.permutations(universe.menu_indices(universe.periods[0])))
     paths = dgp.params.get("menu_paths")
     if paths is None:
@@ -168,8 +168,8 @@ def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
     open patch whose sign vector against the period's other budgets matches
     the demand point, read off the budget's cuts (``_demand_choices``).
 
-    Raises ParameterError when ``agents_per_path`` is below 1, the kind is
-    unknown or a copula correlation lies outside [-1, 1].
+    Raises ParameterError when ``agents_per_path`` is below 1 or a copula
+    correlation lies outside [-1, 1].
     """
     if agents_per_path < 1:
         raise ParameterError(f"agents per menu path must be at least 1, got {agents_per_path}")
@@ -179,11 +179,11 @@ def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):
     T = universe.num_periods
     menus = np.repeat(np.array(paths, dtype=np.int64).reshape(-1, T), agents_per_path, axis=0)
     shares = None
-    if dgp.kind.startswith("cobb"):
+    if dgp.kind in DEMAND_KINDS:
         shares = _draw_shares(dgp, rng, len(paths), agents_per_path)
         positions = _demand_choices(universe, _catalog_structure(dgp.kind)[1], paths,
                                     agents_per_path, shares)
-    elif dgp.kind.startswith("binary"):
+    elif dgp.kind in BINARY_MARGINALS:
         marg = dgp.params.get("marginals")
         if marg is None:
             marg = BINARY_MARGINALS[dgp.kind]
@@ -345,7 +345,7 @@ def type_matrix_for(dgp: DgpSpec, universe):
     """Restricted type matrix matching the generator's observed paths; a
     demand generator's periods take the demand types of its own patches.
     It is the shared, read-only build of ``representations.type_matrix``."""
-    geometry = _catalog_structure(dgp.kind)[0] if dgp.kind.startswith("cobb") else None
+    geometry = _catalog_structure(dgp.kind)[0] if dgp.kind in DEMAND_KINDS else None
     return type_matrix(universe, observed_menu_paths(dgp, universe), geometry)
 
 
@@ -353,7 +353,7 @@ def agents_per_path_for(dgp: DgpSpec, n: int) -> int:
     """Translate a reported sample size to agents per menu path: demand
     designs report agents per choice path (four per path), binary designs
     report agents per menu path."""
-    return 4 * n if dgp.kind.startswith("cobb") else n
+    return 4 * n if dgp.kind in DEMAND_KINDS else n
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import OptimizeResult, nnls
 
 from drumtest import catalog, inference
 from drumtest.geometry import compute_patches, demand_geometry, demand_universe, \
@@ -138,6 +138,13 @@ def solve_recorder(log):
                     "bounds": np.column_stack([lp.bounds.lb, lp.bounds.ub]), "lp": lp})
         return solve(lp, c, b_ub, b_eq)
     return record
+
+
+def failed_solve(lp, c, b_ub=None, b_eq=None):
+    """A stand-in for ``drumtest.lp.solve`` whose every solve fails without
+    a certificate: status 4, as ``solve`` reports a numerical failure."""
+    return OptimizeResult(status=4, success=False, message="numerical trouble", x=None,
+                          fun=None, max_violation=None)
 
 
 def full_bootstrap(rho, A, config):

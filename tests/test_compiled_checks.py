@@ -5,6 +5,7 @@ replaced: identical reports and identical LPs handed to the solver."""
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from scipy.sparse import csc_array
 
 from drumtest import catalog, checks, io
 from drumtest.checks import bm_extension_feasible, check_sarpd, hierarchy_feasible
-from drumtest.errors import SchemaError, SizeError
-from drumtest.geometry import demand_geometry, demand_universe, enumerate_demand_types
+from drumtest.errors import SchemaError, SizeError, SolverError
+from drumtest.geometry import (Budget, demand_geometry, demand_universe,
+                               enumerate_demand_types)
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
 from drumtest.representations import (build_static_A, bm_matrix, catalog_H, enumerate_orders,
                                       full_pair_lists, kron_dynamic, pair_vector,
                                       projection_ops, reduce_H, validate_replication,
                                       virtual_universe)
 
-from conftest import legacy_cell_constraints, rho_from_weights, solve_recorder
+from conftest import failed_solve, legacy_cell_constraints, rho_from_weights, solve_recorder
 
 # --- frozen copies of the per-call constructions ---------------------------------------
 
@@ -391,6 +393,48 @@ def test_sarpd_matches_frozen_copy(geometries, recorded, name, seed):
     _compare_sarpd(_mixture(geom, seed), geom, recorded)
 
 
+def _three_period_budgets(seed):
+    """Two-good budgets at unit expenditure drawn from a pool of four: period
+    1 takes the pool's first three, period 2 its first and fourth, period 3
+    its first three again under other indices, so the periods differ and
+    cells recur in another period."""
+    rng = np.random.default_rng(seed)
+    pool = [tuple(Fraction(int(v)) for v in rng.permutation(np.arange(1, 6))[:2])
+            for _ in range(4)]
+    layout = {1: (0, 1, 2), 2: (0, 3), 3: (2, 0, 1)}
+    return {t: [Budget(t, j + 1, pool[k], Fraction(1)) for j, k in enumerate(ks)]
+            for t, ks in layout.items()}
+
+
+@pytest.fixture(scope="module")
+def period_geometries():
+    """Geometries on which a choice path meets one cell in two periods and
+    the reachability LPs run between periods: demand3x3 in two periods and
+    a seeded three-period arrangement whose budgets differ by period."""
+    return {"demand3x3_T2": _demand(catalog.demand3x3_budgets((1, 2)), (1, 2),
+                                    catalog.DEMAND3X3_INDEX_MAPS),
+            "periods3": _demand(_three_period_budgets(0), (1, 2, 3), None)}
+
+
+def _uniform(uni):
+    """Equal mass on every choice path of every menu path, so every marked
+    path carries mass and is listed in the report."""
+    paths = itertools.product(*map(uni.menu_indices, uni.periods))
+    return StochasticChoiceFunction(uni, {path: np.full(len(uni.choice_paths(path)),
+                                                        1 / len(uni.choice_paths(path)))
+                                          for path in paths})
+
+
+@pytest.mark.parametrize("name", ["demand3x3_T2", "periods3"])
+@pytest.mark.parametrize("weights", ["mixture", "uniform"])
+def test_sarpd_matches_frozen_copy_across_periods(period_geometries, recorded, name, weights):
+    geom = period_geometries[name]
+    rho = _mixture(geom, 0) if weights == "mixture" else _uniform(geom["universe"])
+    _compare_sarpd(rho, geom, recorded)
+    labels = sum(len(geom["universe"].alternatives[t]) for t in geom["universe"].periods)
+    assert check_sarpd(rho, geom["geometry"]).diagnostics["cells"] < labels
+
+
 @pytest.mark.parametrize("name,kind,k", HIERARCHY_CASES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hierarchy_matches_frozen_copy(geometries, recorded, name, kind, k, seed):
@@ -490,6 +534,19 @@ def test_lp_checks_report_solver_diagnostics(geometries):
         assert {"variables", "inequality_rows"} <= set(report.diagnostics)
         assert report.to_dict()["diagnostics"]["solver"] == solver
     assert hier.diagnostics["variables"] == 64
+
+
+def test_a_failed_reachability_solve_raises(geometries, monkeypatch):
+    """Only a proven infeasible reachability LP means unreachable; a solve
+    that fails any other way raises SolverError and caches nothing."""
+    geom = geometries["simple2"]
+    rho = _mixture(geom, 0)
+    _clear_caches()
+    monkeypatch.setattr(checks, "solve", failed_solve)
+    with pytest.raises(SolverError, match="reachability LP returned status 4") as info:
+        check_sarpd(rho, geom["geometry"])
+    assert info.value.diagnostics["solver"]["status"] == 4
+    assert checks._compile_sarpd.cache_info().currsize == 0
 
 
 # --- the compiled models as caches ---------------------------------------------------------

@@ -11,14 +11,14 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from drumtest import catalog, geometry, representations
-from drumtest.errors import SchemaError
+from drumtest.errors import SchemaError, SolverError
 from drumtest.geometry import (ABOVE, BELOW, ON, Budget, classify_point, compute_patches,
                                demand_geometry, demand_universe, enumerate_demand_types,
                                normalize_dradm)
 from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord
 from drumtest.representations import type_matrix
 
-from conftest import legacy_cell_constraints, solve_recorder
+from conftest import failed_solve, legacy_cell_constraints, solve_recorder
 
 
 class TestComputePatches:
@@ -341,6 +341,19 @@ def test_cell_lps_keep_rows_order_and_bounds(name, monkeypatch):
             for a, b in zip(geometry._cell_constraints(budget, others, signs),
                             legacy_cell_constraints(budget, others, signs)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_only_a_proven_infeasible_cell_lp_is_a_verdict(monkeypatch):
+    """Status 2 means an empty cell or no improvement; a solve that fails
+    any other way raises SolverError with the solver's diagnostics."""
+    budget, other = catalog.simple_budgets((1,))[1]
+    monkeypatch.setattr(geometry, "solve", failed_solve)
+    with pytest.raises(SolverError, match="cell LP returned status 4") as info:
+        geometry._cell_program(budget, [other], {other.index: ABOVE})
+    assert info.value.diagnostics["solver"] == {"status": 4, "message": "numerical trouble",
+                                                "max_violation": None}
+    with pytest.raises(SolverError, match="improvement-margin LP returned status 4"):
+        geometry._improvement_margin(np.zeros(2), budget, [other], {other.index: ABOVE})
 
 
 class TestDominance:

@@ -6,8 +6,8 @@ somewhere, no parameter of one is passed the same literal by every package
 call, dense Kronecker products are built only at the known sites,
 dynamic type matrices are assembled only by ``representations.type_matrix``,
 demand geometries only by ``geometry.demand_geometry``, no warning is
-recorded to be raised again, and no name the package exports hides one of
-its modules."""
+recorded to be raised again, no ``kind`` is matched by its prefix, and no
+name the package exports hides one of its modules."""
 
 import ast
 import importlib
@@ -463,6 +463,31 @@ def test_scan_finds_a_recording_catch_warnings():
               "with catch_warnings(record=False):\n    pass\n"
               "with catch_warnings(action='ignore', record=True):\n    pass\n")
     assert _calls(source, {"catch_warnings"}, record=True) == [2, 8]
+
+
+def _kind_prefix_calls(source: str) -> list:
+    """Lines of the source's ``.startswith(...)`` calls on an attribute
+    named ``kind``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "startswith"
+                  and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "kind")
+
+
+def test_kinds_are_matched_exactly():
+    """A generator kind is one of a known set of names: a prefix test lets a
+    misspelt kind through as another generator."""
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in _kind_prefix_calls(path.read_text())]
+    assert found == []
+
+
+def test_scan_finds_a_kind_prefix():
+    source = ("if dgp.kind.startswith('cobb'):\n    pass\n"
+              "if spec.params.kind.startswith(('a', 'b')):\n    pass\n"
+              "if kind.startswith('x') or dgp.name.startswith('y'):\n    pass\n"
+              "if dgp.kind in KINDS or dgp.kind == 'binary1':\n    pass\n")
+    assert _kind_prefix_calls(source) == [1, 3]
 
 
 def test_every_module_is_the_package_attribute_of_its_name():

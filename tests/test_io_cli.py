@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 from drumtest import catalog, inference, io
 from drumtest.cli import build_parser, main
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
-from drumtest.errors import ParameterError, SchemaError, UsageError
+from drumtest.errors import ParameterError, SchemaError, SolverError, UsageError
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
 from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord, estimate_rho
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
                                       static_type_matrix)
 from drumtest.simulate import DgpSpec, simulate
 
-from conftest import rho_from_weights
+from conftest import failed_solve, rho_from_weights
 
 
 class TestIO:
@@ -468,6 +468,15 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "experiment.csv").exists()
+
+    @pytest.mark.parametrize("dgps", ["foo", "binary1,binary9", "dgp1,"])
+    def test_an_unknown_generator_name_is_a_usage_error(self, dgps, capsys):
+        assert main(["experiment", "--dgps", dgps, "--Ns", "5"]) == 1
+        err = capsys.readouterr().err
+        unknown = next(d for d in dgps.split(",") if d not in ("binary1", "dgp1"))
+        assert err.startswith(f"error: UsageError: argument --dgps: unknown generator "
+                              f"{unknown!r}; the names are dgp1, dgp2, binary1, binary2, "
+                              "binary3\nusage: drum experiment")
 
     @pytest.mark.parametrize("argv,message", [
         (["experiment", "--dgps", "binary1", "--Ns", "5", "--sims", "0"],
@@ -1015,6 +1024,81 @@ class TestCliPaths:
                                                    new_budgets, g_lower, g_upper))
         with pytest.raises(ModelRejectedError):
             main(argv + ["--debug"])
+
+
+class TestBudgetPeriods:
+    """A budgets period is a period of the universe: ``check`` and ``test``
+    refuse one the universe lacks (a universe period without budgets takes
+    the linear orders of its primitive order), and ``bounds`` needs budgets
+    for exactly the universe's periods. Each refusal is a SchemaError that
+    names the period."""
+
+    @staticmethod
+    def _inputs(tmp_path, simple_setup, periods):
+        uni = simple_setup["universe"]
+        rho = rho_from_weights(uni, simple_setup["AT"], np.full(9, 1 / 9))
+        _write_simple_inputs(tmp_path, rho)
+        io.write_budgets({t: catalog.simple_budgets((t,))[t] for t in periods},
+                         tmp_path / "budgets.csv")
+        (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                        "1,1,0,1\n1,2,0,1\n2,1,0,1\n2,2,0,1\n")
+        return ["--universe", str(tmp_path / "universe.json"),
+                "--budgets", str(tmp_path / "budgets.csv")]
+
+    @pytest.mark.parametrize("periods", [(7,), (1, 2, 7)])
+    def test_check_names_a_period_the_universe_lacks(self, simple_setup, tmp_path, capsys,
+                                                      periods):
+        files = self._inputs(tmp_path, simple_setup, periods)
+        assert main(["check", "--input", str(tmp_path / "rho.csv"), *files,
+                     "--checks", "cone"]) == 1
+        assert capsys.readouterr().err == \
+            "error: SchemaError: budgets period 7 is not a period of the universe\n"
+
+    def test_test_names_a_period_the_universe_lacks(self, simple_setup, tmp_path, capsys):
+        files = self._inputs(tmp_path, simple_setup, (1, 2, 7))
+        panel, _ = simulate(DgpSpec("cobb-douglas-walk"), 5, seed=0)
+        io.write_panel(panel, simple_setup["universe"], tmp_path / "panel.csv")
+        assert main(["test", "--panel", str(tmp_path / "panel.csv"), *files,
+                     "--reps", "19"]) == 1
+        assert capsys.readouterr().err == \
+            "error: SchemaError: budgets period 7 is not a period of the universe\n"
+
+    def test_check_keeps_a_universe_period_without_budgets(self, simple_setup, tmp_path,
+                                                          capsys):
+        files = self._inputs(tmp_path, simple_setup, (1,))
+        assert main(["check", "--input", str(tmp_path / "rho.csv"), *files,
+                     "--checks", "cone"]) == 0
+        assert json.loads(capsys.readouterr().out)["cone"]["passed"]
+
+    @pytest.mark.parametrize("periods,message", [
+        ((1,), "universe period 2 has no budgets"),
+        ((1, 2, 7), "budgets period 7 is not a period of the universe")])
+    def test_bounds_needs_budgets_for_exactly_the_universe_periods(
+            self, simple_setup, tmp_path, capsys, periods, message):
+        files = self._inputs(tmp_path, simple_setup, periods)
+        assert main(["bounds", "--input", str(tmp_path / "rho.csv"), *files,
+                     "--new-budget", "2,1;1,2", "--g", str(tmp_path / "g.csv")]) == 1
+        assert capsys.readouterr().err == f"error: SchemaError: {message}\n"
+
+
+def test_a_failed_bounds_solve_exits_1(simple_setup, tmp_path, capsys, monkeypatch):
+    """A bounding LP that fails without proving infeasibility is a solver
+    error (exit 1), not a rejected model (exit 2)."""
+    from drumtest import counterfactuals
+    rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+    _write_simple_inputs(tmp_path, rho)
+    (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n"
+                                    "1,1,0,1\n1,2,0,1\n2,1,0,1\n2,2,0,1\n")
+    argv = ["bounds", "--input", str(tmp_path / "rho.csv"),
+            "--universe", str(tmp_path / "universe.json"),
+            "--budgets", str(tmp_path / "budgets.csv"), "--new-budget", "2,1;1,2",
+            "--g", str(tmp_path / "g.csv")]
+    monkeypatch.setattr(counterfactuals, "solve", failed_solve)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: SolverError: bounding LP returned status 4: numerical trouble\n")
+    with pytest.raises(SolverError):
+        main(argv + ["--debug"])
 
 
 class TestSharedTypeMatrix:

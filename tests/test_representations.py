@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from drumtest import catalog, representations
-from drumtest.errors import GeometryError, ParameterError, SchemaError, SizeError
+from drumtest.errors import GeometryError, ParameterError, SchemaError, SizeError, SolverError
 from drumtest.geometry import demand_geometry, demand_universe, enumerate_demand_types
 from drumtest.lp import solve
 from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
@@ -142,6 +142,17 @@ class TestEnumerateOrders:
             assert enumerate_orders(uni, 2, eu_filter=lotteries) == \
                 [LinearOrder(2, o.ranking) for o in expected]
             assert len(calls) == before
+
+
+    def test_a_failed_filter_solve_raises(self, monkeypatch):
+        """Only a proven infeasible EU filter LP means not rankable; a solve
+        that fails any other way raises SolverError."""
+        from conftest import failed_solve
+        uni = catalog.binary_universe(("l1", "l2", "l3"), (1,))
+        monkeypatch.setattr(representations, "solve", failed_solve)
+        representations._eu_rankable.cache_clear()
+        with pytest.raises(SolverError, match="EU filter LP returned status 4"):
+            enumerate_orders(uni, 1, eu_filter=catalog.application_lotteries())
 
 
 class TestBuildStaticA:

@@ -458,6 +458,16 @@ class TestBinaryDgps:
         with pytest.raises(ParameterError):
             simulate(DgpSpec("nonsense"), 5)
 
+    @pytest.mark.parametrize("kind", ["cobb-douglas-wlak", "cobb", "binary9", "binary",
+                                      "order-mixtures"])
+    def test_a_kind_matches_exactly(self, kind):
+        """A kind that only starts like a known one names the known kinds."""
+        with pytest.raises(ParameterError) as info:
+            DgpSpec(kind)
+        assert str(info.value) == (
+            f"unknown DGP kind {kind!r}; the kinds are cobb-douglas-walk, "
+            "cobb-douglas-gaussian-copula, binary1, binary2, binary3, order-mixture")
+
 
 class TestExperiment:
     def test_deterministic_across_thread_counts(self):

@@ -3,35 +3,68 @@
 A ``LinearProgram`` holds the constraint matrix of one LP in compressed
 sparse column form, built once: the inequality rows first, then the
 equality rows, the order ``scipy.optimize.linprog`` stacks them in. Its row
-bounds are templates that a solve fills with the right-hand sides, so a
-compiled model hands HiGHS the same fixed matrix on every solve and pays
-for the conversion once. ``solve`` runs HiGHS through the public
-``scipy.optimize.milp`` with no integrality, which skips ``linprog``'s
-per-call input cleaning and option checks; with console output switched
-off it gives the same status, message, objective and solution bits as
+bounds are templates that a solve fills with the right-hand sides.
+
+``solve`` drives one HiGHS object per ``LinearProgram``, built on the LP's
+first solve from its matrix, row-bound templates, variable bounds and
+options and kept with it (outside the dataclass fields, so equality,
+hashing, copying and pickling see only the constraints). Each solve clears
+the solver's state, so it is a cold start that carries no basis from the
+last solve; it then sets the costs and the row bounds that changed since
+the last solve, and runs. That skips what scipy's ``linprog`` and ``milp``
+redo on every call (input checks, option checks and a fresh copy of the
+model), and gives the same status, message, objective and solution bits as
 ``linprog(method="highs")`` with the same options. An LP compiled with
 ``presolve=False`` is solved with HiGHS' presolve off and matches
 ``linprog(method="highs", options={"presolve": False})``; every other LP
-gets HiGHS' defaults. Each result carries ``max_violation``, the largest
-amount by which its ``x`` breaks a variable or row bound.
+gets HiGHS' defaults with console output off. Each result carries ``max_violation``, the largest
+amount by which its ``x`` breaks a variable or row bound, and HiGHS' dual
+information: ``row_dual`` and ``dual_objective`` at an optimum, and at
+status 2 the Farkas ray when HiGHS has one.
+
+The HiGHS object comes from ``scipy.optimize._highspy._core``, the pybind11
+bindings that scipy's own ``milp`` and ``linprog`` run on. The module is
+private to scipy and may change between releases; the installed sources
+prove every method used here in scipy 1.17, the floor in ``pyproject.toml``.
+This module is the only one that imports it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
+from scipy.optimize import Bounds, OptimizeResult
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsStatus, \
+    MatrixFormat, _Highs
 from scipy.sparse import csc_array
 
 # linprog's feasibility check of a reported optimum: sqrt(tol) * 10 at its
 # default tol of 1e-9
 _CHECK_TOL = np.sqrt(1e-9) * 10
 
-# milp forwards options it does not know to HiGHS unchanged and warns;
-# HiGHS' output_flag is the one linprog sets that milp leaves at its default
-_HIGHS_OPTIONS = {"output_flag": False}
+# HiGHS' dual feasibility tolerance at its default: a smaller dual leaves
+# its variable off its bounds in the dual objective, as HiGHS computes it
+_DUAL_TOL = 1e-7
+
+# the options scipy's milp sets on every solve (console output off), and
+# HiGHS' value for presolve off
+_HIGHS_OPTIONS = {"output_flag": False, "log_to_console": False}
+_PRESOLVE_OFF = {"presolve": "off"}
+
+# linprog's status code and message prefix per HiGHS model status
+_S = HighsModelStatus
+_STATUS = {_S.kNotset: (4, ""), _S.kLoadError: (4, ""), _S.kModelError: (2, ""),
+           _S.kPresolveError: (4, ""), _S.kSolveError: (4, ""), _S.kPostsolveError: (4, ""),
+           _S.kModelEmpty: (4, ""), _S.kObjectiveBound: (4, ""), _S.kObjectiveTarget: (4, ""),
+           _S.kOptimal: (0, "Optimization terminated successfully. "),
+           _S.kTimeLimit: (1, "Time limit reached. "),
+           _S.kIterationLimit: (1, "Iteration limit reached. "),
+           _S.kInfeasible: (2, "The problem is infeasible. "),
+           _S.kUnbounded: (3, "The problem is unbounded. "),
+           _S.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. ")}
+_UNRECOGNIZED = (4, "The HiGHS status code was not recognized. ")
 
 
 @dataclass(frozen=True)
@@ -48,15 +81,73 @@ class LinearProgram:
     bounds: Bounds
     presolve: bool = True
 
-    def with_rhs(self, b_ub=None, b_eq=None) -> LinearProgram:
-        """The same LP with right-hand sides filled into its row bounds."""
+    def row_bounds(self, b_ub=None, b_eq=None) -> tuple[np.ndarray, np.ndarray]:
+        """The row bounds with right-hand sides filled in (the templates'
+        where None), as new arrays."""
         lower, upper = self.lower.copy(), self.upper.copy()
         if b_ub is not None:
             upper[:self.n_ub] = b_ub
         if b_eq is not None:
             lower[self.n_ub:] = b_eq
             upper[self.n_ub:] = b_eq
+        return lower, upper
+
+    def with_rhs(self, b_ub=None, b_eq=None) -> LinearProgram:
+        """The same LP with right-hand sides filled into its row bounds."""
+        lower, upper = self.row_bounds(b_ub, b_eq)
         return replace(self, lower=lower, upper=upper)
+
+    @cached_property
+    def _model(self) -> _Model:
+        """This LP's HiGHS object, built on its first solve."""
+        return _Model(self)
+
+    def __getstate__(self):
+        """The fields alone: a copy or an unpickled LP builds its own HiGHS
+        object on its first solve."""
+        state = dict(self.__dict__)
+        state.pop("_model", None)
+        return state
+
+
+class _Model:
+    """The HiGHS object of one ``LinearProgram`` and the row bounds it holds."""
+
+    def __init__(self, lp: LinearProgram):
+        self.highs = _Highs()
+        options = _HIGHS_OPTIONS if lp.presolve else {**_HIGHS_OPTIONS, **_PRESOLVE_OFF}
+        for name, value in options.items():
+            self.highs.setOptionValue(name, value)
+        m, n = lp.A.shape
+        model = HighsLp()
+        model.num_col_, model.num_row_ = n, m
+        model.a_matrix_.num_col_, model.a_matrix_.num_row_ = n, m
+        model.a_matrix_.format_ = MatrixFormat.kColwise
+        model.a_matrix_.start_ = lp.A.indptr
+        model.a_matrix_.index_ = lp.A.indices
+        model.a_matrix_.value_ = lp.A.data
+        model.col_cost_ = np.zeros(n)
+        model.col_lower_, model.col_upper_ = lp.bounds.lb, lp.bounds.ub
+        model.row_lower_, model.row_upper_ = lp.lower, lp.upper
+        self.loaded = self.highs.passModel(model) != HighsStatus.kError
+        self.columns = np.arange(n, dtype=np.int32)
+        self.lower, self.upper = lp.lower, lp.upper
+
+    def run(self, c, lower, upper) -> tuple[HighsModelStatus, bool]:
+        """Solve from a cold start with costs ``c`` and row bounds
+        ``lower``/``upper``: HiGHS' model status, and whether HiGHS took
+        the model and ran without error (a model or row bound it refuses
+        reads ``kModelError``)."""
+        highs = self.highs
+        highs.clearSolver()
+        highs.changeColsCost(len(c), self.columns, c)
+        changed = np.flatnonzero((lower != self.lower) | (upper != self.upper)).tolist()
+        self.lower, self.upper = lower, upper
+        if not self.loaded or any(highs.changeRowBounds(i, lower[i], upper[i])
+                                  == HighsStatus.kError for i in changed):
+            return HighsModelStatus.kModelError, False
+        ran = highs.run() != HighsStatus.kError
+        return highs.getModelStatus(), ran
 
 
 def compile_lp(A_ub=None, A_eq=None, bounds: Bounds | None = None,
@@ -88,16 +179,51 @@ def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
     templates where None). The result carries ``status``, ``message``,
     ``fun`` and ``x`` with ``linprog``'s meanings, including its demotion
     of an optimum that violates the constraints to status 4, and
-    ``max_violation`` (None without an ``x``)."""
-    if b_ub is not None or b_eq is not None:
-        lp = lp.with_rhs(b_ub, b_eq)
-    options = dict(_HIGHS_OPTIONS) if lp.presolve else {**_HIGHS_OPTIONS, "presolve": False}
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(c, bounds=lp.bounds, constraints=LinearConstraint(lp.A, lp.lower, lp.upper),
-                   options=options)
-    res.max_violation = None if res.x is None else _max_violation(lp, res.x)
-    if res.status == 0 and (res.max_violation is None or not res.max_violation <= _CHECK_TOL):
+    ``max_violation`` (None without an ``x``). At an optimum it also
+    carries ``row_dual``, HiGHS' row duals (the sensitivity of ``fun`` to
+    each row bound), and ``dual_objective``, the dual's value at them; at
+    status 2, ``dual_ray`` is HiGHS' Farkas ray y when it has one: over
+    rows ``lower <= A x <= upper``, ``y @ A <= 0`` on the columns that
+    may be positive and ``y`` times the row bound it points at (``lower``
+    where y > 0, ``upper`` where y < 0) sums to a positive margin. Each
+    of the three is None otherwise."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (lp.A.shape[1],) or not np.isfinite(c).all():
+        raise ValueError("`c` must be a one-dimensional array of finite numbers, "
+                         "one per column of the LP.")
+    lower, upper = lp.row_bounds(b_ub, b_eq)
+    model = lp._model
+    highs_status, ran = model.run(c, lower, upper)
+    highs = model.highs
+    res = OptimizeResult(x=None, fun=None, max_violation=None, row_dual=None,
+                         dual_objective=None, dual_ray=None)
+    if not ran:
+        # a failed solve leaves nothing to reuse: the next one starts afresh
+        del lp.__dict__["_model"]
+        highs_message = highs.modelStatusToString(highs_status)
+    elif highs_status == HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        res.x, res.row_dual = np.array(solution.col_value), np.array(solution.row_dual)
+        res.fun = highs.getInfo().objective_function_value
+        row = lp.A @ res.x
+        lb, ub = lp.bounds.lb, lp.bounds.ub
+        res.dual_objective = (_dual_value(np.array(solution.col_dual), res.x, lb, ub)
+                              + _dual_value(res.row_dual, row, lower, upper))
+        res.max_violation = float(np.max(np.concatenate([lb - res.x, res.x - ub, row - upper,
+                                                         lower - row, [0.0]])))
+        highs_message = highs.modelStatusToString(highs_status)
+    else:
+        primal = highs.getInfo().primal_solution_status
+        highs_message = (f"model_status is {highs.modelStatusToString(highs_status)}; "
+                         f"primal_status is {highs.solutionStatusToString(primal)}")
+        if highs_status == HighsModelStatus.kInfeasible:
+            _, has_ray, ray = highs.getDualRay()
+            res.dual_ray = ray if has_ray else None
+    status, prefix = _STATUS.get(highs_status, _UNRECOGNIZED)
+    res.status, res.success = status, status == 0
+    res.message = f"{prefix}(HiGHS Status {int(highs_status)}: {highs_message})"
+    # linprog's check of a reported optimum; a NaN violation fails it too
+    if res.status == 0 and not res.max_violation <= _CHECK_TOL:
         res.status = 4
         res.message = ("The solution does not satisfy the constraints within the "
                        f"required tolerance of {_CHECK_TOL:.2E}, yet no errors were "
@@ -107,12 +233,15 @@ def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
     return res
 
 
-def _max_violation(lp: LinearProgram, x) -> float:
-    """The largest amount by which ``x`` breaks a variable bound or a row
-    bound of ``lp``: 0 when it meets them all, NaN when ``x`` has a NaN."""
-    row = lp.A @ x
-    return float(np.max(np.concatenate([lp.bounds.lb - x, x - lp.bounds.ub, row - lp.upper,
-                                        lp.lower - row, [0.0]])))
+def _dual_value(dual, value, lower, upper) -> float:
+    """The dual objective's share of some columns or rows, as HiGHS computes
+    it: each counts its dual times the bound that dual makes active (the
+    lower for a positive dual, the upper for a negative one, the common
+    value of equal bounds), or times its value where the dual is within
+    HiGHS' tolerance of zero. The bindings' ``getDualObjectiveValue`` takes
+    its output argument by value, so it cannot return the number itself."""
+    active = np.where(dual >= _DUAL_TOL, lower, np.where(dual <= -_DUAL_TOL, upper, value))
+    return float(np.where(lower == upper, lower, active) @ dual)
 
 
 def solver_diagnostics(res) -> dict:

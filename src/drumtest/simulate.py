@@ -41,6 +41,7 @@ BINARY_MARGINALS = {
 }
 DEMAND_KINDS = ("cobb-douglas-walk", "cobb-douglas-gaussian-copula")
 KINDS = (*DEMAND_KINDS, *BINARY_MARGINALS, "order-mixture")
+ORDER_MIXTURE_PARAMS = ("universe", "menu_paths", "profiles", "weights")
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,10 @@ class DgpSpec:
     (persistence 0.9, innovation sd 5, clipped to [0,1]),
     ``cobb-douglas-gaussian-copula`` (correlation 0.5, arctan link),
     ``binary1``, ``binary2`` or ``binary3`` (published binary-menu
-    marginals over three periods), or ``order-mixture`` (weights over
-    ranking profiles on a supplied universe); any other raises
-    ParameterError.
+    marginals over three periods), or ``order-mixture`` (``weights`` over
+    ranking ``profiles`` on a supplied ``universe`` and its ``menu_paths``,
+    all four required in ``params``); any other kind, or an
+    ``order-mixture`` without one of its params, raises ParameterError.
     """
 
     kind: str
@@ -63,6 +65,10 @@ class DgpSpec:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown DGP kind {self.kind!r}; the kinds are "
                                  + ", ".join(KINDS))
+        if self.kind == "order-mixture":
+            missing = [key for key in ORDER_MIXTURE_PARAMS if self.params.get(key) is None]
+            if missing:
+                raise ParameterError("order-mixture needs params " + ", ".join(missing))
 
 
 BINARY_UNIVERSE = catalog.binary_universe(("l1", "l2", "l3"), (1, 2, 3))
@@ -152,10 +158,7 @@ def observed_menu_paths(dgp: DgpSpec, universe):
                                           for t in universe.periods]))
     if dgp.kind in BINARY_MARGINALS:
         return sorted(itertools.permutations(universe.menu_indices(universe.periods[0])))
-    paths = dgp.params.get("menu_paths")
-    if paths is None:
-        raise ParameterError("order-mixture needs explicit menu paths")
-    return sorted(tuple(p) for p in paths)
+    return sorted(tuple(p) for p in dgp.params["menu_paths"])
 
 
 def draw_choices(dgp: DgpSpec, agents_per_path: int, seed):

@@ -3,20 +3,26 @@ bit for bit at the same options, and the rule that every LP of the package
 goes through it."""
 
 import ast
+import copy
+import itertools
+import pickle
 import re
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, OptimizeResult, linprog
+from scipy.optimize import Bounds, linprog
 
-from drumtest import checks, counterfactuals, geometry, lp
+from drumtest import catalog, checks, counterfactuals, geometry, lp
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
 from drumtest.lp import compile_lp, solve
+from drumtest.model import StochasticChoiceFunction
 
 from conftest import rho_from_weights
 
@@ -49,16 +55,22 @@ def small_lps(draw):
             "bounds": draw(st.sampled_from(sorted(BOUNDS)))}
 
 
+def _linprog(case, presolve=True):
+    """``linprog(method="highs")`` on one case, HiGHS' presolve on or off."""
+    return linprog(case["c"], A_ub=case["A_ub"], b_ub=case["b_ub"], A_eq=case["A_eq"],
+                   b_eq=case["b_eq"], bounds=BOUNDS[case["bounds"]][0], method="highs",
+                   options={} if presolve else {"presolve": False})
+
+
+def _compile(case, presolve=True):
+    return compile_lp(case["A_ub"], case["A_eq"], BOUNDS[case["bounds"]][1], presolve=presolve)
+
+
 def _solve_both(case, presolve=True):
     """``linprog`` and ``solve`` on one case, both with HiGHS' presolve on or
     both with it off."""
-    bounds_linprog, bounds = BOUNDS[case["bounds"]]
-    ref = linprog(case["c"], A_ub=case["A_ub"], b_ub=case["b_ub"], A_eq=case["A_eq"],
-                  b_eq=case["b_eq"], bounds=bounds_linprog, method="highs",
-                  options={} if presolve else {"presolve": False})
-    res = solve(compile_lp(case["A_ub"], case["A_eq"], bounds, presolve=presolve), case["c"],
-                case["b_ub"], case["b_eq"])
-    return ref, res
+    return _linprog(case, presolve), solve(_compile(case, presolve), case["c"], case["b_ub"],
+                                           case["b_eq"])
 
 
 _OPTIMAL = {"c": np.array([1.0, 1.0]), "A_ub": np.array([[-1.0, -1.0]]),
@@ -69,6 +81,10 @@ _UNBOUNDED = {**_OPTIMAL, "c": np.array([-1.0, 0.0]), "bounds": "free"}
 
 def _assert_linprog_bit_for_bit(case, presolve):
     ref, res = _solve_both(case, presolve)
+    _assert_same_bits(res, ref)
+
+
+def _assert_same_bits(res, ref):
     assert (res.status, res.message) == (ref.status, ref.message)
     assert res.fun == ref.fun
     assert (res.x is None) == (ref.x is None)
@@ -100,6 +116,113 @@ def test_the_examples_cover_every_status(case, status):
         assert _solve_both(case, presolve)[1].status == status
 
 
+@st.composite
+def solve_sequences(draw):
+    """Two LPs from ``small_lps``, whether each is presolved, and a run of
+    solves that picks one of them at random each time, with costs and
+    right-hand sides drawn afresh to its shape."""
+    cases = [draw(small_lps()), draw(small_lps())]
+    presolves = [draw(st.booleans()), draw(st.booleans())]
+
+    def redraw(v):
+        return None if v is None else np.array(draw(st.lists(_entries, min_size=len(v),
+                                                             max_size=len(v))))
+
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, 1))
+        steps.append((k, {**cases[k], **{key: redraw(cases[k][key])
+                                         for key in ("c", "b_ub", "b_eq")}}))
+    return cases, presolves, steps
+
+
+# one LP through every outcome and back, interleaved with another
+_FREE_PAIR = {"c": np.array([1.0, 1.0]), "A_ub": np.array([[-1.0, -1.0]]),
+              "b_ub": np.array([-1.0]), "A_eq": np.array([[1.0, 1.0]]), "b_eq": np.array([2.0]),
+              "bounds": "free"}
+_EVERY_OUTCOME = ([_FREE_PAIR, _OPTIMAL], [True, False],
+                  [(0, _FREE_PAIR), (1, _OPTIMAL),
+                   (0, {**_FREE_PAIR, "b_eq": np.array([0.5])}),
+                   (0, {**_FREE_PAIR, "c": np.array([-1.0, 1.0])}),
+                   (1, {**_OPTIMAL, "b_ub": np.array([-2.0])}), (0, _FREE_PAIR)])
+
+
+def _assert_duals(res, ref):
+    """At an optimum the row duals are linprog's marginals and the dual
+    objective meets ``fun``; the Farkas ray comes at status 2 alone."""
+    if res.status == 0:
+        marginals = np.concatenate([ref.ineqlin.marginals, ref.eqlin.marginals])
+        assert res.row_dual.tobytes() == marginals.tobytes()
+        assert abs(res.dual_objective - res.fun) <= 1e-8 * (1 + abs(res.fun))
+    if res.status != 2:
+        assert res.dual_ray is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequence=solve_sequences())
+@example(sequence=_EVERY_OUTCOME)
+def test_a_compiled_lp_solved_again_is_linprog_bit_for_bit(sequence):
+    """Each solve of a compiled LP, in any order and interleaved with
+    another LP's, is a fresh ``linprog`` solve bit for bit; solving leaves
+    the LP's fields, equality, hash and pickled form as they were."""
+    cases, presolves, steps = sequence
+    programs = [_compile(case, presolve) for case, presolve in zip(cases, presolves)]
+    last = {}
+    for k, step in steps:
+        res = solve(programs[k], step["c"], step["b_ub"], step["b_eq"])
+        ref = _linprog(step, presolves[k])
+        _assert_same_bits(res, ref)
+        _assert_duals(res, ref)
+        last[k] = step, res
+    for k, (step, res) in last.items():
+        program = programs[k]
+        assert "_model" in vars(program)
+        assert [f.name for f in fields(program)] == ["A", "n_ub", "lower", "upper", "bounds",
+                                                     "presolve"]
+        assert program == program
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(program)
+        assert pickle.dumps(program) == pickle.dumps(_compile(cases[k], presolves[k]))
+        for twin in (pickle.loads(pickle.dumps(program)), copy.copy(program)):
+            assert "_model" not in vars(twin)
+            _assert_same_bits(solve(twin, step["c"], step["b_ub"], step["b_eq"]), res)
+
+
+def test_the_outcome_sequence_covers_every_status():
+    cases, presolves, steps = _EVERY_OUTCOME
+    programs = [_compile(case, presolve) for case, presolve in zip(cases, presolves)]
+    assert [solve(programs[k], step["c"], step["b_ub"], step["b_eq"]).status
+            for k, step in steps] == [0, 0, 2, 3, 0, 0]
+
+
+def test_an_infeasible_extension_lp_carries_a_farkas_ray(monkeypatch):
+    """On an infeasible Block-Marschak LP of the binary T=2 universe (a
+    random rho, no mixture), HiGHS' dual ray y proves infeasibility: y'A <=
+    0 on every column that may be positive, and y times the row bounds it
+    points at is positive. No report carries it."""
+    uni = catalog.binary_universe(periods=(1, 2))
+    rng = np.random.default_rng(0)
+    rho = StochasticChoiceFunction(uni, {
+        path: rng.dirichlet(np.full(len(uni.choice_paths(path)), 0.5))
+        for path in itertools.product(uni.menu_indices(1), uni.menu_indices(2))})
+    solved = []
+
+    def recording(program, c, b_ub=None, b_eq=None):
+        solved.append((program, program.row_bounds(b_ub, b_eq), solve(program, c, b_ub, b_eq)))
+        return solved[-1][-1]
+
+    monkeypatch.setattr(checks, "solve", recording)
+    feasible, _, report = checks.bm_extension_feasible(rho)
+    program, (lower, upper), res = solved[-1]
+    assert not feasible and res.status == 2
+    assert res.x is res.row_dual is res.dual_objective is None
+    y = res.dual_ray
+    assert np.max((y @ program.A)[program.bounds.ub > 0]) <= 1e-9
+    margin = y[y > 0] @ lower[y > 0] + y[y < 0] @ upper[y < 0]
+    assert np.isfinite(margin) and margin > 0
+    assert set(report.diagnostics["solver"]) == {"status", "message", "max_violation"}
+
+
 def test_filled_right_hand_sides_leave_the_compiled_lp_alone():
     base = compile_lp(np.array([[-1.0, -1.0]]), np.array([[1.0, -1.0]]))
     filled = base.with_rhs(b_ub=[-2.0], b_eq=[0.5])
@@ -117,12 +240,26 @@ def test_solve_raises_no_option_warning_and_keeps_the_filters():
     assert warnings.filters == before
 
 
+class _OptimumAtZero(lp._Highs):
+    """A HiGHS object that reports an optimum at x = 0 without solving."""
+
+    def run(self):
+        return lp.HighsStatus.kOk
+
+    def getModelStatus(self):
+        return lp.HighsModelStatus.kOptimal
+
+    def getSolution(self):
+        n, m = self.getNumCol(), self.getNumRow()
+        return SimpleNamespace(col_value=[0.0] * n, col_dual=[0.0] * n,
+                               row_value=[0.0] * m, row_dual=[0.0] * m)
+
+
 def test_an_optimum_off_the_constraints_is_demoted(monkeypatch):
     """An optimum that breaks a row by more than linprog's check tolerance
     reads status 4, as linprog reports it."""
     program = compile_lp(np.array([[-1.0, -1.0]]), None)
-    monkeypatch.setattr(lp, "milp", lambda *a, **k: OptimizeResult(
-        status=0, message="Optimal", success=True, fun=0.0, x=np.zeros(2)))
+    monkeypatch.setattr(lp, "_Highs", _OptimumAtZero)
     res = solve(program, [1.0, 1.0], b_ub=[-1.0])
     assert res.status == 4 and not res.success
     assert "does not satisfy the constraints" in res.message
@@ -146,33 +283,42 @@ def test_every_result_reports_its_largest_violation():
 
 
 def _recorded_options(monkeypatch):
-    """Route ``lp.milp`` through a recorder of the options each call gets."""
-    seen, real = [], lp.milp
+    """Route ``lp.solve``'s HiGHS objects through a recorder that keeps, at
+    each run, the options whose values differ from a fresh object's."""
+    seen, fresh = [], lp._Highs()
+    names = [name for name in dir(fresh.getOptions()) if not name.startswith("_")]
 
-    def recording(*args, **kwargs):
-        seen.append(dict(kwargs["options"]))
-        return real(*args, **kwargs)
+    class Recording(lp._Highs):
+        def run(self):
+            seen.append({name: self.getOptionValue(name)[1] for name in names
+                         if self.getOptionValue(name) != fresh.getOptionValue(name)})
+            return super().run()
 
-    monkeypatch.setattr(lp, "milp", recording)
+    monkeypatch.setattr(lp, "_Highs", Recording)
     return seen
 
 
-def test_only_the_bound_pairs_switch_presolve_off(monkeypatch, simple_setup):
-    """Default-compiled LPs reach ``milp`` with exactly HiGHS' console
-    output off; the counterfactual bound pairs add ``presolve: False`` and
-    nothing else."""
-    defaults = {"output_flag": False}
-    seen = _recorded_options(monkeypatch)
-    assert solve(compile_lp(_OPTIMAL["A_ub"]), _OPTIMAL["c"], _OPTIMAL["b_ub"]).status == 0
-    assert solve(compile_lp(_OPTIMAL["A_ub"], presolve=False), _OPTIMAL["c"],
-                 _OPTIMAL["b_ub"]).status == 0
-    assert seen == [defaults, {**defaults, "presolve": False}]
-
-    # the package's own LPs: patch geometry, sarpd cells, then one bound pair
+def _clear_lp_caches():
     geometry._arrangement.cache_clear()
     geometry._demand_geometry.cache_clear()
     checks._compile_sarpd.cache_clear()
     counterfactuals._compile.cache_clear()
+
+
+def test_only_the_bound_pairs_switch_presolve_off(monkeypatch, simple_setup):
+    """Default-compiled LPs run with HiGHS' defaults but console output
+    off, as ``milp`` sets them; the counterfactual bound pairs add presolve
+    off and nothing else."""
+    defaults = {"output_flag": False, "log_to_console": False}
+    seen = _recorded_options(monkeypatch)
+    assert solve(compile_lp(_OPTIMAL["A_ub"]), _OPTIMAL["c"], _OPTIMAL["b_ub"]).status == 0
+    assert solve(compile_lp(_OPTIMAL["A_ub"], presolve=False), _OPTIMAL["c"],
+                 _OPTIMAL["b_ub"]).status == 0
+    assert seen == [defaults, {**defaults, "presolve": "off"}]
+
+    # the package's own LPs, built afresh: patch geometry, sarpd cells,
+    # then one bound pair
+    _clear_lp_caches()
     seen.clear()
     rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
     budgets = simple_setup["budgets"]
@@ -186,13 +332,18 @@ def test_only_the_bound_pairs_switch_presolve_off(monkeypatch, simple_setup):
     assert report.diagnostics["solver"]["lower"]["status"] == 0
     # the bound pair is the last LP solved
     assert len(seen) > 1 and all(options == defaults for options in seen[:-1])
-    assert seen[-1] == {**defaults, "presolve": False}
+    assert seen[-1] == {**defaults, "presolve": "off"}
+    # the cached LPs keep their recording HiGHS objects: let no later test
+    # solve them
+    _clear_lp_caches()
 
 
 # --- one entry point -------------------------------------------------------------------
 
 SOLVER_NAMES = {"linprog", "milp"}
-SOLVER_HOMES = {"lp.py"}
+# the one private scipy module the package may import, and the one module
+# that may import it: HiGHS' bindings, behind lp.solve
+HIGHS_MODULE, HIGHS_HOME = "scipy.optimize._highspy._core", "lp.py"
 
 
 def _imports(tree):
@@ -207,17 +358,47 @@ def _imports(tree):
                 yield alias.name, None
 
 
+def _entry_point_breaches(name: str, source: str) -> list:
+    """What the package module ``name`` with ``source`` breaks of the rule
+    that every LP goes through ``lp.solve``: an import of a private scipy
+    module or name (only ``HIGHS_HOME`` may import ``HIGHS_MODULE``), a
+    reach for ``_highspy`` outside it, or any import or use of scipy's
+    ``linprog`` or ``milp``."""
+    tree = ast.parse(source)
+    breaches = []
+    for module, imported in _imports(tree):
+        full = module if imported is None else f"{module}.{imported}"
+        if re.match(r"scipy(\.\w+)*\._", full) and (name, module) != (HIGHS_HOME, HIGHS_MODULE):
+            breaches.append(f"imports private {full}")
+        if imported in SOLVER_NAMES:
+            breaches.append(f"imports {imported}")
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    breaches += [f"reaches {attr}" for attr in sorted(used & SOLVER_NAMES)]
+    if name != HIGHS_HOME and "_highspy" in used:
+        breaches.append("reaches _highspy")
+    return breaches
+
+
 def test_every_lp_goes_through_the_entry_point():
     files = sorted(SRC.glob("*.py"))
-    assert {f.name for f in files} >= SOLVER_HOMES | {"checks.py", "counterfactuals.py",
-                                                      "geometry.py"}
+    assert {f.name for f in files} >= {HIGHS_HOME, "checks.py", "counterfactuals.py",
+                                       "geometry.py"}
     for path in files:
-        tree = ast.parse(path.read_text())
-        for module, name in _imports(tree):
-            assert not re.match(r"scipy(\.\w+)*\._", module), \
-                f"{path.name} imports private {module}"
-            if path.name not in SOLVER_HOMES:
-                assert name not in SOLVER_NAMES, f"{path.name} imports {name}"
-        if path.name not in SOLVER_HOMES:
-            used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-            assert not used & SOLVER_NAMES, f"{path.name} reaches {used & SOLVER_NAMES}"
+        assert _entry_point_breaches(path.name, path.read_text()) == [], path.name
+
+
+def test_scan_finds_a_way_around_the_entry_point():
+    bindings = "from scipy.optimize._highspy._core import _Highs\n"
+    assert _entry_point_breaches("lp.py", bindings + "import scipy.optimize._highspy._core\n") \
+        == []
+    assert _entry_point_breaches("checks.py", bindings) == \
+        ["imports private scipy.optimize._highspy._core._Highs"]
+    assert _entry_point_breaches("checks.py", "import scipy.optimize\n"
+                                 "h = scipy.optimize._highspy\n") == ["reaches _highspy"]
+    assert _entry_point_breaches("lp.py", bindings + "from scipy.optimize import _highspy\n"
+                                 "from scipy.optimize._linprog_highs import _STATUS\n") == \
+        ["imports private scipy.optimize._highspy",
+         "imports private scipy.optimize._linprog_highs._STATUS"]
+    assert _entry_point_breaches("lp.py", "from scipy.optimize import milp\n"
+                                 "import scipy.optimize\nscipy.optimize.linprog\n") == \
+        ["imports milp", "reaches linprog"]

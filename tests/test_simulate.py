@@ -458,6 +458,16 @@ class TestBinaryDgps:
         with pytest.raises(ParameterError):
             simulate(DgpSpec("nonsense"), 5)
 
+    def test_an_order_mixture_names_its_missing_params(self):
+        with pytest.raises(ParameterError) as info:
+            simulate(DgpSpec("order-mixture"), 3)
+        assert str(info.value) == "order-mixture needs params universe, menu_paths, profiles, " \
+            "weights"
+        uni = catalog.binary_universe(("a", "b", "c"), (1, 2))
+        with pytest.raises(ParameterError, match="needs params menu_paths, weights$"):
+            DgpSpec("order-mixture", {"universe": uni, "menu_paths": None,
+                                      "profiles": [(("a", "b", "c"), ("c", "b", "a"))]})
+
     @pytest.mark.parametrize("kind", ["cobb-douglas-wlak", "cobb", "binary9", "binary",
                                       "order-mixtures"])
     def test_a_kind_matches_exactly(self, kind):

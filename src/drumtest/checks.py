@@ -2,6 +2,12 @@
 stability, dominance monotonicity, H-systems, exact cone membership,
 Block-Marschak extension feasibility, projection-hierarchy feasibility,
 revealed-path-dominance, and the sequence-sum audit.
+
+Whatever a check derives from the universe, the geometry and the observed
+menu paths alone (its sums, Kronecker factors, reductions and LPs) is
+compiled once per such key into a memoised, read-only model (``lru_cache``
+of 16); a call gathers rho, does its float work, solves and reads the
+result.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from .doubledesc import _invert
 from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import DemandGeometry, _cell_constraints
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
-from .model import ChoiceUniverse, StochasticChoiceFunction, _has_cycle, rho_vector
+from .model import (ChoiceUniverse, StochasticChoiceFunction, _has_cycle, path_index,
+                    path_vector, rho_vector)
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
                               kron_apply, kron_system, pair_vector, projection_ops, reduce_H,
                               reduced_labels, static_row_labels, validate_replication,
@@ -88,34 +95,93 @@ def stability_groups(universe: ChoiceUniverse, paths):
 
 def check_stability(rho: StochasticChoiceFunction, tol: float = ESTIMATE_TOL) -> CheckReport:
     """Marginal invariance: summing out the period-t choice must not depend
-    on the period-t menu, holding the rest of the path fixed."""
-    uni = rho.universe
-    worst = 0.0
-    violations = []
-    testable = False
-    for t_pos, off_menus, group, classes in stability_groups(uni, rho.observed_paths):
-        testable = True
-        arrs = [np.asarray(rho.probs[path], dtype=float) for path in group]
-        # a set grown one key at a time, as this check always used, keeps the
-        # order of the violation list
-        for oc in {oc for oc in classes}:
-            vals = []
-            for path, arr, positions in zip(group, arrs, classes[oc]):
-                margin = 0.0
-                for pos in positions:
-                    margin += arr[pos]
-                vals.append((path[t_pos], margin))
-            for (j1, v1), (j2, v2) in itertools.combinations(vals, 2):
-                gap = abs(v1 - v2)
-                if gap > worst:
-                    worst = gap
-                if gap > tol:
-                    violations.append((uni.periods[t_pos], off_menus, oc, j1, j2, v1 - v2))
-    if not testable:
+    on the period-t menu, holding the rest of the path fixed.
+
+    The groups, classes and compared pairs depend only on the universe and
+    the observed menu paths, so they are compiled once per pair of them
+    (``_compile_stability``); a call sums every class margin at once and
+    compares the pairs."""
+    paths = tuple(rho.observed_paths)
+    model = _compile_stability(rho.universe, paths)
+    if not model.labels:
         return CheckReport("stability", True, 0.0, vacuous=True,
                            diagnostics={"note": "no menu variation off any period"})
-    return CheckReport("stability", worst <= tol, worst, tuple(violations),
-                       {"tolerance": tol})
+    margins = _term_sums(path_vector(rho, paths), model.terms)
+    diff = margins[model.first] - margins[model.second]
+    gaps = np.abs(diff)
+    worst = gaps.max()
+    if not worst > 0.0:
+        worst = 0.0
+    violations = tuple(model.labels[k] + (diff[k],) for k in np.flatnonzero(gaps > tol))
+    return CheckReport("stability", worst <= tol, worst, violations, {"tolerance": tol})
+
+
+@dataclass(frozen=True)
+class StabilityModel:
+    """The margins ``stability_groups`` compares on some menu paths: row r of
+    ``terms`` indexes (see ``_term_table``) one path's choice paths in one
+    class, and pair k compares rows ``first[k]`` and ``second[k]``, labelled
+    ``labels[k]`` = (period, off menus, off choice, j1, j2)."""
+
+    terms: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    labels: tuple
+
+
+@lru_cache(maxsize=16)
+def _compile_stability(universe: ChoiceUniverse, paths: tuple) -> StabilityModel:
+    """The stability margins and pairs of the menu ``paths``, in the order
+    the check always compared them: groups as ``stability_groups`` yields
+    them, classes in the order of a set grown one key at a time (which
+    keeps the order of the violation list), then the group's path pairs."""
+    blocks = path_index(universe, paths)
+    rows, first, second, labels = [], [], [], []
+    for t_pos, off_menus, group, classes in stability_groups(universe, paths):
+        for oc in {oc for oc in classes}:
+            start = len(rows)
+            rows += [blocks[path][positions] for path, positions in zip(group, classes[oc])]
+            for (g1, p1), (g2, p2) in itertools.combinations(enumerate(group), 2):
+                first.append(start + g1)
+                second.append(start + g2)
+                labels.append((universe.periods[t_pos], off_menus, oc, p1[t_pos], p2[t_pos]))
+    pairs = [_read_only(np.array(v, dtype=np.intp)) for v in (first, second)]
+    return StabilityModel(_term_table(rows)[0], *pairs, tuple(labels))
+
+
+def _term_table(rows, signs=None):
+    """(terms, signs) arrays of sums over a vector: row r of ``terms`` holds
+    the indices of sum r's summands in the order they are added, padded
+    with -1, which ``_term_sums`` reads as 0.0; ``signs`` (None: every sign
+    +1) holds their signs, padded with +1. Both read-only."""
+    width = max(map(len, rows), default=0)
+    terms = np.full((len(rows), width), -1, dtype=np.intp)
+    for r, row in enumerate(rows):
+        terms[r, :len(row)] = row
+    if signs is not None:
+        sign_rows = signs
+        signs = np.ones((len(rows), width))
+        for r, row in enumerate(sign_rows):
+            signs[r, :len(row)] = row
+        _read_only(signs)
+    return _read_only(terms), signs
+
+
+def _term_sums(vec: np.ndarray, terms: np.ndarray, signs: np.ndarray | None = None):
+    """Every row's sum of a ``_term_table``, all rows at once: each is added
+    up term by term from 0.0 in the table's order, so it has the bits of a
+    scalar loop over its summands (adding the padding's 0.0 changes none)."""
+    padded = np.append(vec, 0.0)
+    total = np.zeros(len(terms))
+    for k in range(terms.shape[1]):
+        term = padded[terms[:, k]]
+        total += term if signs is None else signs[:, k] * term
+    return total
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # --- dominance monotonicity --------------------------------------------------------
@@ -214,35 +280,58 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
 
     Only paths whose replaced coordinates differ enter each difference; a
     combination is skipped (and counted) when one of its menu paths is
-    unobserved.
+    unobserved. The differences depend only on the universe, the
+    replacement pairs (``dominance_from_universe`` by default) and the
+    observed menu paths, so they are compiled once per triple of them
+    (``_compile_dmono``); a call evaluates them all at once.
     """
-    uni = rho.universe
-    if dominance is None:
-        dominance = dominance_from_universe(uni)
-    probs = {path: np.asarray(rho.probs[path], dtype=float) for path in rho.observed_paths}
-    periods = uni.periods
-    worst = 0.0
-    violations = []
-    skipped = 0
-    evaluated = 0
+    paths = tuple(rho.observed_paths)
+    key = None if dominance is None else tuple((t, tuple(map(tuple, pairs)))
+                                               for t, pairs in dominance.items())
+    model = _compile_dmono(rho.universe, key, paths)
+    values = _term_sums(path_vector(rho, paths), model.terms, model.signs)
+    worst = values.min(initial=0.0)
+    if not worst < 0.0:
+        worst = 0.0
+    violations = tuple(model.labels[k] + (values[k],) for k in np.flatnonzero(values < -tol))
+    evaluated = len(model.labels)
+    return CheckReport("d-monotonicity", worst >= -tol, worst, violations,
+                       {"tolerance": tol, "evaluated": evaluated, "skipped": model.skipped},
+                       vacuous=(evaluated == 0))
+
+
+@dataclass(frozen=True)
+class DmonoModel:
+    """The iterated differences of some menu paths: row r of ``terms`` and
+    ``signs`` (see ``_term_table``) is the r-th evaluated difference,
+    labelled ``labels[r]`` = (replaced periods, replacement pairs, off
+    menus, off choices); ``skipped`` counts the combinations left out."""
+
+    terms: np.ndarray
+    signs: np.ndarray
+    labels: tuple
+    skipped: int
+
+
+@lru_cache(maxsize=16)
+def _compile_dmono(universe: ChoiceUniverse, dominance: tuple | None,
+                   paths: tuple) -> DmonoModel:
+    """The table of ``iterated_differences`` on the menu ``paths``, in its
+    order; ``dominance`` holds the (period, pairs) items of the replacement
+    pairs, or None for those of the universe's primitive order."""
+    dominance = dominance_from_universe(universe) if dominance is None else dict(dominance)
+    blocks = path_index(universe, paths)
+    rows, signs, labels, skipped = [], [], [], 0
     for subseq, combo, off_menu, off_choice, terms in iterated_differences(
-            uni, dominance, rho.observed_paths):
+            universe, dominance, paths):
         if terms is None:
             skipped += 1
             continue
-        evaluated += 1
-        value = 0.0
-        for sign, menu_path, position in terms:
-            value += sign * probs[menu_path][position]
-        if value < worst:
-            worst = value
-        if value < -tol:
-            violations.append((tuple(periods[k] for k in subseq), combo,
-                               tuple(sorted(off_menu.items())),
-                               tuple(sorted(off_choice.items())), value))
-    return CheckReport("d-monotonicity", worst >= -tol, worst, tuple(violations),
-                       {"tolerance": tol, "evaluated": evaluated, "skipped": skipped},
-                       vacuous=(evaluated == 0))
+        rows.append([blocks[menu_path][position] for _, menu_path, position in terms])
+        signs.append([sign for sign, _, _ in terms])
+        labels.append((tuple(universe.periods[k] for k in subseq), combo,
+                       tuple(sorted(off_menu.items())), tuple(sorted(off_choice.items()))))
+    return DmonoModel(*_term_table(rows, signs), tuple(labels), skipped)
 
 
 # --- linear inequality systems -----------------------------------------------------
@@ -250,8 +339,9 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
 def check_H(rho, H, tol: float = ESTIMATE_TOL) -> CheckReport:
     """Minimum of H v over the assembled vector; passes when >= -tol. ``H`` is
     one InequalityMatrix or a list of per-period ones, applied factor by factor
-    as their Kronecker product; ``rho`` is gathered at the system's labels."""
-    factors, kind = kron_system(H)
+    as their Kronecker product (the factors are built once per system,
+    ``_kron_factors``); ``rho`` is gathered at the system's labels."""
+    factors, kind = _kron_factors(H if isinstance(H, InequalityMatrix) else tuple(H))
     if not isinstance(rho, StochasticChoiceFunction):
         vec = np.asarray(rho, dtype=float)
         if vec.shape[0] != math.prod(F.shape[1] for F in factors):
@@ -266,6 +356,14 @@ def check_H(rho, H, tol: float = ESTIMATE_TOL) -> CheckReport:
     return CheckReport("h-representation", worst >= -tol, min(worst, 0.0), violations,
                        {"tolerance": tol, "min_row_value": worst, "kind": kind,
                         "inequality_rows": len(vals), "columns": len(vec)})
+
+
+@lru_cache(maxsize=16)
+def _kron_factors(H) -> tuple:
+    """``kron_system`` of one H-matrix or a tuple of per-period ones, its
+    factors read-only."""
+    factors, kind = kron_system(H)
+    return tuple(_read_only(F) for F in factors), kind
 
 
 # --- cone membership ------------------------------------------------------------------
@@ -388,17 +486,19 @@ class BmModel:
 
     ``lp`` holds the negated alternating-sum rows (right-hand side 0), then
     the simplex rows (1), the agreement rows at ``agreement``, whose
-    right-hand side is the observed distribution gathered at
-    ``agreement_labels``, and the stability rows (0); ``b_eq`` carries the
-    1s and 0s of the equality rows. ``witness_columns`` lists each virtual
-    menu path with the columns of its choice paths.
+    right-hand side is the observed distribution over the observed menu
+    paths, path-major, and the stability rows (0); ``b_eq`` carries the 1s
+    and 0s of the equality rows. ``witness`` groups the virtual menu paths
+    by their number of choice paths: each group is its paths and the
+    matrix of their columns, one row per path, and ``witness_paths`` lists
+    every virtual menu path in the LP's order.
     """
 
     lp: LinearProgram
     b_eq: np.ndarray
     agreement: slice
-    agreement_labels: tuple
-    witness_columns: tuple
+    witness: tuple
+    witness_paths: tuple
 
 
 def bm_extension_feasible(rho: StochasticChoiceFunction):
@@ -408,21 +508,18 @@ def bm_extension_feasible(rho: StochasticChoiceFunction):
     One period solves the static system; longer windows use the per-period
     Kronecker system plus stability, which characterizes consistency when
     every period's static mixture is unique (up to three alternatives). The
-    LP is compiled once per virtual universe and observed menu paths; the
-    size guard runs on every call before anything is built.
+    virtual universe and the system's size are found once per universe
+    (``_bm_layout``) and the LP is compiled once per virtual universe and
+    observed menu paths; the size guard runs on every call before the LP
+    is built or looked up.
     """
-    uni = rho.universe
-    vuni = virtual_universe(uni)
-    # the per-period system stacks the alternating-sum rows over nonnegativity
-    dims = [len(static_row_labels(vuni, t)) for t in vuni.periods]
-    n_vars = math.prod(dims)
-    n_ineq = math.prod(2 * d for d in dims)
+    vuni, n_vars, n_ineq = _bm_layout(rho.universe)
     if n_ineq * n_vars > BM_ENTRY_GUARD:
         raise SizeError("Block-Marschak system exceeds the size guard")
     paths = tuple(rho.observed_paths)
     model = _compile_bm(vuni, paths)
     b_eq = model.b_eq.copy()
-    b_eq[model.agreement] = rho_vector(rho, model.agreement_labels)
+    b_eq[model.agreement] = path_vector(rho, paths)
     res = solve(model.lp, np.zeros(n_vars), b_eq=b_eq)
     solver = solver_diagnostics(res)
     if res.status not in (0, 2):
@@ -431,16 +528,28 @@ def bm_extension_feasible(rho: StochasticChoiceFunction):
     feasible = res.status == 0
     witness = None
     if feasible:
-        probs = {}
-        for menu_path, cols in model.witness_columns:
-            v = np.clip(res.x[cols], 0.0, None)
-            probs[menu_path] = v / v.sum()
+        x = np.clip(res.x, 0.0, None)
+        probs = dict.fromkeys(model.witness_paths)
+        for group, columns in model.witness:
+            v = x[columns]
+            # a row sum has the bits of its path's own sum
+            probs.update(zip(group, v / v.sum(axis=1, keepdims=True)))
         witness = StochasticChoiceFunction._trusted(vuni, probs)
     report = CheckReport("bm-extension", feasible, 0.0 if feasible else 1.0,
                          diagnostics={"status": int(res.status), "variables": n_vars,
                                       "inequality_rows": model.lp.n_ub,
                                       "solver": solver})
     return feasible, witness, report
+
+
+@lru_cache(maxsize=16)
+def _bm_layout(universe: ChoiceUniverse) -> tuple:
+    """(virtual universe, variables, inequality rows) of the extension LP:
+    the per-period system stacks the alternating-sum rows over
+    nonnegativity."""
+    vuni = virtual_universe(universe)
+    dims = [len(static_row_labels(vuni, t)) for t in vuni.periods]
+    return vuni, math.prod(dims), math.prod(2 * d for d in dims)
 
 
 @lru_cache(maxsize=16)
@@ -460,14 +569,17 @@ def _compile_bm(vuni: ChoiceUniverse, paths: tuple) -> BmModel:
 
     # simplex per virtual menu path, in itertools.product order
     simplex = reduce(np.kron, member)
-    menu_paths = itertools.product(*[vuni.menu_indices(t) for t in vuni.periods])
-    witness_columns = tuple((path, np.flatnonzero(row)) for path, row in zip(menu_paths, simplex))
+    menu_paths = tuple(itertools.product(*[vuni.menu_indices(t) for t in vuni.periods]))
+    columns = {path: np.flatnonzero(row) for path, row in zip(menu_paths, simplex)}
+    by_size = {}
+    for path, cols in columns.items():
+        by_size.setdefault(len(cols), []).append(path)
+    witness = tuple((tuple(group), _read_only(np.array([columns[p] for p in group])))
+                    for group in by_size.values())
 
     # agreement with the observed distribution (observed menus keep their
     # indices in the virtual universe, so their choice paths are the same)
-    columns = dict(witness_columns)
     agreement_rows = np.eye(n_vars)[np.concatenate([columns[path] for path in paths])]
-    agreement_labels = tuple((path, cp) for path in paths for cp in vuni.choice_paths(path))
     agreement = slice(len(simplex), len(simplex) + len(agreement_rows))
 
     # stability across virtual menus (needed beyond one period): each menu's
@@ -489,12 +601,8 @@ def _compile_bm(vuni: ChoiceUniverse, paths: tuple) -> BmModel:
     dominated = [_iu_dominated_pairs(vuni, t) for t in vuni.periods]
     upper = reduce(np.kron, [np.array([pair not in d for pair in pairs], dtype=float)
                              for pairs, d in zip(pair_lists, dominated)])
-
-    model = BmModel(compile_lp(-big, A_eq, Bounds(0.0, upper)), b_eq,
-                    agreement, agreement_labels, witness_columns)
-    for a in (model.b_eq, *(cols for _, cols in witness_columns)):
-        a.flags.writeable = False
-    return model
+    return BmModel(compile_lp(-big, A_eq, Bounds(0.0, upper)), _read_only(b_eq),
+                   agreement, witness, menu_paths)
 
 
 def _iu_dominated_pairs(universe: ChoiceUniverse, t) -> set:
@@ -520,11 +628,11 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple):
     necessary for consistency at every k; infeasibility is a rejection
     certificate. With k = all ones the system pins z = rho* and reduces to
     the reduced Kronecker H-check. The LP is compiled once per reduced
-    system and k; validation and the size guard run on every call first.
+    system and k, the reduced system once per universe and H-matrices
+    (``_reduced_system``); validation and the size guard run on every call
+    before the LP is built or looked up.
     """
-    uni = rho.universe
-    reductions = [reduced_static_labels(uni, t) for t in uni.periods]
-    H_stars = [reduce_H(H, kept, dropped) for H, (kept, dropped) in zip(H_list, reductions)]
+    kept_lists, H_stars = _reduced_system(rho.universe, tuple(H_list))
     validate_replication(k, len(H_stars))
     # size the system from the factor shapes before building anything dense;
     # Gamma has the Kronecker system's columns and no more rows, so the
@@ -534,8 +642,8 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple):
     cols = math.prod(c ** kt for (_, c), kt in zip(shapes, k))
     if rows * cols > HIERARCHY_ENTRY_GUARD:
         raise SizeError("hierarchy system exceeds the size guard; lower k")
-    lp = _compile_hierarchy(tuple(H_stars), tuple(k))
-    rho_star = pair_vector(rho, [list(kept) for kept, _ in reductions])
+    lp = _compile_hierarchy(H_stars, tuple(k))
+    rho_star = pair_vector(rho, kept_lists)
     n_vars = int(lp.A.shape[1])
     res = solve(lp, np.zeros(n_vars), b_eq=rho_star)
     solver = solver_diagnostics(res)
@@ -560,6 +668,16 @@ def _compile_hierarchy(H_stars: tuple, k: tuple) -> LinearProgram:
     big = reduce(np.kron, [np.asarray(H_star.full(), dtype=float)
                            for H_star, kt in zip(H_stars, k) for _ in range(kt)])
     return compile_lp(-big, ops.Gamma_float(), Bounds(-np.inf, np.inf))
+
+
+@lru_cache(maxsize=16)
+def _reduced_system(universe: ChoiceUniverse, H_list: tuple) -> tuple:
+    """(kept labels per period, reduced H-matrices) of the per-period
+    ``H_list`` on the universe: ``reduce_H`` of each over its period's
+    ``reduced_static_labels``."""
+    reductions = [reduced_static_labels(universe, t) for t in universe.periods]
+    return (tuple(kept for kept, _ in reductions),
+            tuple(reduce_H(H, kept, dropped) for H, (kept, dropped) in zip(H_list, reductions)))
 
 
 def reduced_static_labels(universe: ChoiceUniverse, t):

@@ -95,6 +95,27 @@ def _dgp_list(value):
     return [_DGPS[name] for name in names]
 
 
+def _price_vectors(value):
+    """The price vectors of a semicolon list of comma lists of numbers,
+    e.g. '2,1;1,2'."""
+    try:
+        return [tuple(Fraction(v) for v in part.split(",")) for part in value.split(";")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a semicolon list of price "
+                                         "vectors such as '2,1;1,2'") from None
+
+
+def _condition(value):
+    """The (menu path, choice path) of 'menu_path:choice_path', each a
+    '|' list of integers, e.g. '1|2:1|2'."""
+    try:
+        mp, cp = value.split(":")
+        return tuple(int(v) for v in mp.split("|")), tuple(int(v) for v in cp.split("|"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not 'menu_path:choice_path' with "
+                                         "'|' lists of integers, such as '1|2:1|2'") from None
+
+
 def build_parser():
     ap = _Parser(prog="drum", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -129,10 +150,11 @@ def build_parser():
     b.add_argument("--input", required=True, help="rho.csv")
     b.add_argument("--universe", required=True)
     b.add_argument("--budgets", required=True)
-    b.add_argument("--new-budget", required=True,
+    b.add_argument("--new-budget", required=True, type=_price_vectors,
                    help="semicolon-separated price vectors, e.g. '2,1;1,2'")
     b.add_argument("--g", required=True, help="g.csv with per-patch bounds")
-    b.add_argument("--condition", default=None, help="'menu_path:choice_path' e.g. '1|2:1|2'")
+    b.add_argument("--condition", default=None, type=_condition,
+                   help="'menu_path:choice_path' e.g. '1|2:1|2'")
     b.add_argument("--target", type=int, default=None)
     _add_common(b, "out")
 
@@ -202,6 +224,17 @@ def _budget_geometry(path, universe):
     return geometry
 
 
+@lru_cache(maxsize=16)
+def _catalog_system(universe):
+    """Each period's published facet table (``catalog_H`` of its
+    ``_catalog_kind``), or None when a period has none; found once per
+    universe."""
+    kinds = [_catalog_kind(universe, t) for t in universe.periods]
+    if None in kinds:
+        return None
+    return tuple(catalog_H(k, universe, t) for k, t in zip(kinds, universe.periods))
+
+
 def _catalog_kind(universe, t):
     """The published facet table of period ``t``: ``binary`` on all pairs of
     at most five alternatives, ``simple``/``demand3x3`` on the menus and
@@ -226,11 +259,10 @@ def _cmd_check(args) -> int:
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     reports = {}
     if {"hrep", "hierarchy"} & set(wanted):
-        kinds = [_catalog_kind(uni, t) for t in uni.periods]
-        if None in kinds:
+        H_list = _catalog_system(uni)
+        if H_list is None:
             raise DrumError("no catalog H-matrix matches this geometry; "
                             "use the library convert_V_to_H")
-        H_list = [catalog_H(k, uni, t) for k, t in zip(kinds, uni.periods)]
     for name in wanted:
         if name == "stability":
             reports[name] = check_stability(rho, tol=args.tolerance)
@@ -291,17 +323,11 @@ def _cmd_bounds(args) -> int:
     uni = io.read_universe(args.universe)
     rho = io.read_rho(args.input, uni)
     budgets = io.read_budgets(args.budgets)
-    price_vecs = [tuple(Fraction(v) for v in part.split(","))
-                  for part in args.new_budget.split(";")]
-    new_budgets = [Budget("next", j + 1, pv, Fraction(1)) for j, pv in enumerate(price_vecs)]
+    new_budgets = [Budget("next", j + 1, pv, Fraction(1))
+                   for j, pv in enumerate(args.new_budget)]
     g_lower, g_upper = io.read_g(args.g)
-    condition = None
-    if args.condition:
-        mp, cp = args.condition.split(":")
-        condition = (tuple(int(v) for v in mp.split("|")),
-                     tuple(int(v) for v in cp.split("|")))
     problem = CounterfactualProblem(rho, budgets, new_budgets, g_lower, g_upper,
-                                    target_budget=args.target, condition=condition)
+                                    target_budget=args.target, condition=args.condition)
     report = bound_functional(problem)
     cross = kron_counterfactual_cone(problem)
     doc = {"lower": report.lower, "upper": report.upper,

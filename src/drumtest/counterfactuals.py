@@ -18,8 +18,10 @@ gives the lower bound on the first copy and the upper bound on the second.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -31,7 +33,8 @@ from .errors import (GeometryError, ModelRejectedError, ParameterError, SchemaEr
                      SolverError)
 from .geometry import DemandGeometry, demand_geometry
 from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
-from .model import ChoiceUniverse, StochasticChoiceFunction, path_blocks, rho_vector
+from .model import (ChoiceUniverse, StochasticChoiceFunction, path_blocks, path_index,
+                    path_vector)
 from .representations import TypeMatrix, static_type_matrix, type_matrix
 
 NEW_PERIOD = "next"
@@ -60,8 +63,17 @@ class CounterfactualProblem:
         if unpaired:
             raise SchemaError(f"patches {unpaired} need both a lower and an upper bound")
         for key, lo in self.g_lower.items():
+            if not (math.isfinite(lo) and math.isfinite(self.g_upper[key])):
+                raise SchemaError(f"g bounds on patch {key} must be finite")
             if lo > self.g_upper[key] + 1e-12:
                 raise SchemaError(f"g bounds crossed on patch {key}")
+
+    @cached_property
+    def _model(self) -> CounterfactualModel:
+        """The compiled model of this problem (``_compile_model``), found on
+        the first route's call and kept with the problem, outside its
+        fields."""
+        return _compile_model(self)
 
 
 @dataclass(frozen=True)
@@ -86,9 +98,11 @@ class CounterfactualModel:
     holds the negated monotonicity rows, then the marginal equality rows,
     whose right-hand side is the flattened observed distribution at
     ``marginal_rows``, then the stability rows. ``observed`` and
-    ``new_static`` are the observed-window and new-period type matrices;
-    the mixture LP has the equality rows of ``observed`` with the
-    new-period type index summed out. Both LPs keep x >= 0. ``extension``
+    ``new_static`` are the observed-window and new-period type matrices,
+    ``observed_float`` and ``new_float`` their float copies, and
+    ``observed_rows`` maps each observed menu path to its rows of
+    ``observed``; the mixture LP has the equality rows of ``observed`` with
+    the new-period type index summed out. Both LPs keep x >= 0. ``extension``
     and ``mixture`` store each LP as its bound pair, the block-diagonal
     [A 0; 0 A] (inequality rows still first), solved with HiGHS' presolve
     off: presolve reported some exact mixtures infeasible, and on the T=2
@@ -101,6 +115,9 @@ class CounterfactualModel:
     marginal_rows: np.ndarray
     observed: TypeMatrix
     new_static: TypeMatrix
+    observed_float: np.ndarray
+    new_float: np.ndarray
+    observed_rows: MappingProxyType
     mixture: LinearProgram
 
 
@@ -121,12 +138,12 @@ def _compile(geometry: DemandGeometry, paths: tuple) -> CounterfactualModel:
     # two new menus of two patches each (checked above): four columns per observed row
     ext_paths = [tuple(path) + (menu.index,) for path in paths for menu in new_menus]
     n = 4 * len(observed.row_labels)
-    columns = path_blocks(ext, ext_paths, np.arange(n))
+    columns = path_index(ext, ext_paths)
 
     # marginal rows: summing out the new-period choice (two patches per
     # budget, checked above) reproduces rho, at each path's block of it
     marginal = np.repeat(np.eye(n // 2), 2, axis=1)
-    blocks = path_blocks(observed_uni, sorted(paths), np.arange(len(observed.row_labels)))
+    blocks = path_index(observed_uni, sorted(paths))
     marginal_rows = np.concatenate([blocks[path] for path in paths for _ in new_menus])
     # stability rows: each class sum of a path equals the group's first path's
     stability = []
@@ -146,13 +163,14 @@ def _compile(geometry: DemandGeometry, paths: tuple) -> CounterfactualModel:
             M[r, columns[menu_path][position]] += sign
 
     new_static = static_type_matrix(ext, NEW_PERIOD, geometry.patches)
-    mixture_A_eq = np.repeat(observed.dense().astype(float), len(new_static.col_labels),
-                             axis=1)
-    for a in (marginal_rows, new_static.matrix, *columns.values()):
+    observed_float, new_float = (A.dense().astype(float) for A in (observed, new_static))
+    mixture_A_eq = np.repeat(observed_float, len(new_static.col_labels), axis=1)
+    for a in (marginal_rows, new_static.matrix, observed_float, new_float, *columns.values(),
+              *blocks.values()):
         a.flags.writeable = False
     return CounterfactualModel(geometry, MappingProxyType(columns), _pair_lp(-M, A_eq),
-                               marginal_rows, observed, new_static,
-                               _pair_lp(None, mixture_A_eq))
+                               marginal_rows, observed, new_static, observed_float, new_float,
+                               MappingProxyType(blocks), _pair_lp(None, mixture_A_eq))
 
 
 def _pair_lp(A_ub, A_eq) -> LinearProgram:
@@ -162,9 +180,20 @@ def _pair_lp(A_ub, A_eq) -> LinearProgram:
 
 
 def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
+    """The compiled model of the problem's extended geometry, looked up once
+    per problem (``CounterfactualProblem._model``), so the two routes of
+    one problem share it; the geometry's warnings are raised on every
+    call."""
+    if "_model" in vars(problem):
+        for message in problem._model.geometry.warnings:
+            warnings.warn(message, stacklevel=3)
+    return problem._model
+
+
+def _compile_model(problem: CounterfactualProblem) -> CounterfactualModel:
     """The compiled model of the problem's extended geometry, which warns and
-    is checked against the problem's observed universe on every call. The
-    budgets must cover exactly the universe's periods."""
+    is checked against the problem's observed universe. The budgets must
+    cover exactly the universe's periods."""
     uni = problem.rho.universe
     for t in problem.budgets:
         if t not in uni.periods:
@@ -242,8 +271,7 @@ def bound_functional(problem: CounterfactualProblem,
     pair = model.extension
     n, n_ub = pair.A.shape[1] // 2, pair.n_ub // 2
     b_eq = np.zeros(pair.A.shape[0] // 2 - n_ub)
-    observed = rho_vector(rho, model.observed.row_labels)
-    b_eq[:len(model.marginal_rows)] = observed[model.marginal_rows]
+    b_eq[:len(model.marginal_rows)] = path_vector(rho, rho.observed_paths)[model.marginal_rows]
 
     def objective(g_map):
         c = np.zeros(n)
@@ -270,21 +298,19 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
     rho = problem.rho
     target, new_menu = _target_menu(problem, model)
     path, positions, mass = _averaged_paths(problem, rho)
-    obs_dense = model.observed.dense().astype(float)
-    new_dense = model.new_static.dense().astype(float)
-    obs_row = path_blocks(rho.universe, rho.observed_paths, obs_dense)[path][positions].sum(axis=0)
+    obs_row = model.observed_float[model.observed_rows[path][positions]].sum(axis=0)
     # the new period's rows run menu by menu, two patches each
     first = 2 * model.geometry.universe.menu_indices(NEW_PERIOD).index(target)
 
     def objective(g_map):
-        g_row = np.zeros(new_dense.shape[1])
+        g_row = np.zeros(model.new_float.shape[1])
         for i, item in enumerate(new_menu.items):
-            g_row += g_map[item] * new_dense[first + i]
+            g_row += g_map[item] * model.new_float[first + i]
         return np.kron(obs_row, g_row) / mass
 
     rows, types = (size // 2 for size in model.mixture.A.shape)
     *bounds, solver = _bound_pair(
-        model.mixture, rho_vector(rho, model.observed.row_labels), objective(problem.g_lower),
+        model.mixture, path_vector(rho, rho.observed_paths), objective(problem.g_lower),
         objective(problem.g_upper), "observed distribution is outside the type cone")
     return BoundsReport(*bounds, "optimal",
                         {"types": types, "route": "mixture", "variables": types,
@@ -298,7 +324,7 @@ def _projected(problem: CounterfactualProblem,
     """Replace the observed distribution by its cone projection."""
     rho = problem.rho
     _, weights, _ = cone_membership(rho, model.observed)
-    fitted = np.clip(model.observed.dense().astype(float) @ weights, 0.0, None)
+    fitted = np.clip(model.observed_float @ weights, 0.0, None)
     blocks = path_blocks(rho.universe, rho.observed_paths, fitted)
     probs = {path: block / block.sum() for path, block in blocks.items()}
     return StochasticChoiceFunction(rho.universe, probs, rho.counts, None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
@@ -170,12 +171,14 @@ def write_rho(rho: StochasticChoiceFunction, path):
 
 def read_rho(path, universe: ChoiceUniverse) -> StochasticChoiceFunction:
     """A choice path without a row has probability 0; a repeated row, a
-    choice path that its menu path lacks or rows of one menu path with
-    different counts raise SchemaError."""
+    choice path that its menu path lacks, a count that is not a
+    non-negative integer (``356.0`` reads as 356) or rows of one menu path
+    with different counts raise SchemaError."""
     table = {}
     counts = {}
     with open(path, newline="") as fh:
-        for row in _rows(csv.DictReader(fh)):
+        reader = csv.DictReader(fh)
+        for row in _rows(reader):
             menu_path = tuple(int(v) for v in row["menu_path"].split("|"))
             cp = tuple(int(v) for v in row["choice_path"].split("|"))
             if menu_path not in table:
@@ -186,13 +189,36 @@ def read_rho(path, universe: ChoiceUniverse) -> StochasticChoiceFunction:
                 raise SchemaError(f"menu path {menu_path}, choice path {cp} has two rows")
             table[menu_path][cp] = float(row["prob"])
             if row.get("count"):
-                count = int(float(row["count"]))
+                count = _count(row["count"], reader.line_num)
                 if counts.setdefault(menu_path, count) != count:
                     raise SchemaError(f"menu path {menu_path} has rows with counts "
                                       f"{counts[menu_path]} and {count}")
     probs = {menu_path: np.array([0.0 if p is None else p for p in entries.values()])
              for menu_path, entries in table.items()}
     return StochasticChoiceFunction(universe, probs, counts or None)
+
+
+def _count(text: str, line: int) -> int:
+    """A sample size read from a count field: a non-negative integer,
+    written plainly or as an integral float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0 and value.is_integer()):
+        raise SchemaError(f"line {line}: count {text!r} is not a non-negative integer")
+    return int(value)
+
+
+def _finite(text: str, name: str, line: int) -> float:
+    """A float field that must be a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SchemaError(f"line {line}: {name} {text!r} is not a finite number")
+    return value
 
 
 def read_budgets(path) -> dict:
@@ -242,15 +268,17 @@ def read_lotteries(path) -> dict:
 
 def read_g(path):
     """budget_id,patch_id,g_lower,g_upper -> (lower, upper) by patch label;
-    a repeated patch raises SchemaError."""
+    a repeated patch or a bound that is not a finite number raises
+    SchemaError."""
     lower, upper = {}, {}
     with open(path, newline="") as fh:
-        for row in _rows(csv.DictReader(fh)):
+        reader = csv.DictReader(fh)
+        for row in _rows(reader):
             key = (int(row["budget_id"]), int(row["patch_id"]))
             if key in lower:
                 raise SchemaError(f"budget {key[0]}, patch {key[1]} has two rows")
-            lower[key] = float(row["g_lower"])
-            upper[key] = float(row["g_upper"])
+            lower[key] = _finite(row["g_lower"], "g_lower", reader.line_num)
+            upper[key] = _finite(row["g_upper"], "g_upper", reader.line_num)
     return lower, upper
 
 

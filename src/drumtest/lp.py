@@ -10,8 +10,9 @@ first solve from its matrix, row-bound templates, variable bounds and
 options and kept with it (outside the dataclass fields, so equality,
 hashing, copying and pickling see only the constraints). Each solve clears
 the solver's state, so it is a cold start that carries no basis from the
-last solve; it then sets the costs and the row bounds that changed since
-the last solve, and runs. That skips what scipy's ``linprog`` and ``milp``
+last solve; it then sets the costs (unless they equal bit for bit those
+HiGHS holds) and the row bounds that changed since the last solve, and
+runs, and reads the solution once. That skips what scipy's ``linprog`` and ``milp``
 redo on every call (input checks, option checks and a fresh copy of the
 model), and gives the same status, message, objective and solution bits as
 ``linprog(method="highs")`` with the same options. An LP compiled with
@@ -131,20 +132,26 @@ class _Model:
         model.row_lower_, model.row_upper_ = lp.lower, lp.upper
         self.loaded = self.highs.passModel(model) != HighsStatus.kError
         self.columns = np.arange(n, dtype=np.int32)
+        self.cost = np.zeros(n)
         self.lower, self.upper = lp.lower, lp.upper
 
     def run(self, c, lower, upper) -> tuple[HighsModelStatus, bool]:
         """Solve from a cold start with costs ``c`` and row bounds
         ``lower``/``upper``: HiGHS' model status, and whether HiGHS took
         the model and ran without error (a model or row bound it refuses
-        reads ``kModelError``)."""
+        reads ``kModelError``). Costs equal bit for bit to those HiGHS
+        holds are not passed again; the rows whose bounds changed are
+        passed as Python floats."""
         highs = self.highs
         highs.clearSolver()
-        highs.changeColsCost(len(c), self.columns, c)
-        changed = np.flatnonzero((lower != self.lower) | (upper != self.upper)).tolist()
+        if c.tobytes() != self.cost.tobytes():
+            highs.changeColsCost(len(c), self.columns, c)
+            self.cost = c.copy()
+        changed = np.flatnonzero((lower != self.lower) | (upper != self.upper))
         self.lower, self.upper = lower, upper
-        if not self.loaded or any(highs.changeRowBounds(i, lower[i], upper[i])
-                                  == HighsStatus.kError for i in changed):
+        if not self.loaded or any(highs.changeRowBounds(i, lo, up) == HighsStatus.kError
+                                  for i, lo, up in zip(changed.tolist(), lower[changed].tolist(),
+                                                       upper[changed].tolist())):
             return HighsModelStatus.kModelError, False
         ran = highs.run() != HighsStatus.kError
         return highs.getModelStatus(), ran
@@ -202,12 +209,15 @@ def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
         del lp.__dict__["_model"]
         highs_message = highs.modelStatusToString(highs_status)
     elif highs_status == HighsModelStatus.kOptimal:
+        # the bindings hand vectors over as lists of floats
         solution = highs.getSolution()
-        res.x, res.row_dual = np.array(solution.col_value), np.array(solution.row_dual)
-        res.fun = highs.getInfo().objective_function_value
+        res.x, res.row_dual, col_dual = (np.array(v, dtype=float) for v in (
+            solution.col_value, solution.row_dual, solution.col_dual))
+        # HiGHS' info field objective_function_value, without copying the info
+        res.fun = highs.getObjectiveValue()
         row = lp.A @ res.x
         lb, ub = lp.bounds.lb, lp.bounds.ub
-        res.dual_objective = (_dual_value(np.array(solution.col_dual), res.x, lb, ub)
+        res.dual_objective = (_dual_value(col_dual, res.x, lb, ub)
                               + _dual_value(res.row_dual, row, lower, upper))
         res.max_violation = float(np.max(np.concatenate([lb - res.x, res.x - ub, row - upper,
                                                          lower - row, [0.0]])))

@@ -13,10 +13,11 @@ Index conventions used everywhere in the package:
   varying slowest (row-major), which matches the Kronecker-product row order
   of the type matrices;
 * a flat vector over ``rho`` is labelled by ``(menu_path, choice_path)``
-  pairs. ``rho_vector`` gathers ``rho`` at any such labels and
-  ``path_blocks`` splits a path-major vector (menu paths in turn, each in
-  canonical choice-path order) back into per-path blocks: these two are the
-  one place the layout between ``rho`` and the flat vectors lives.
+  pairs. ``rho_vector`` gathers ``rho`` at any such labels, ``path_vector``
+  lays it out path-major (menu paths in turn, each in canonical choice-path
+  order) and ``path_blocks`` splits a path-major vector back into per-path
+  blocks: these three are the one place the layout between ``rho`` and the
+  flat vectors lives.
 """
 
 from __future__ import annotations
@@ -246,6 +247,19 @@ def rho_vector(rho: StochasticChoiceFunction, labels) -> np.ndarray:
         position, probs = index[path]
         out[k] = probs[position[cp]]
     return out
+
+
+def path_vector(rho: StochasticChoiceFunction, paths) -> np.ndarray:
+    """``rho`` over the menu ``paths`` in path-major order: ``rho_vector`` at
+    every choice path of each path in turn, by one concatenation."""
+    return np.concatenate([np.asarray(rho.probs[path], dtype=float) for path in paths])
+
+
+def path_index(universe: ChoiceUniverse, paths) -> dict:
+    """Each menu path's block of positions in the path-major vector over
+    ``paths``: ``path_blocks`` of the positions themselves."""
+    sizes = [len(universe.choice_paths(path)) for path in paths]
+    return path_blocks(universe, paths, np.arange(sum(sizes)))
 
 
 def path_blocks(universe: ChoiceUniverse, paths, vec) -> dict:

@@ -30,7 +30,7 @@ from . import catalog
 from .errors import GeometryError, ParameterError, SchemaError, SizeError, SolverError
 from .geometry import enumerate_demand_types
 from .lp import compile_lp, solve, solver_diagnostics
-from .model import ChoiceUniverse, Menu, StochasticChoiceFunction
+from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, path_index, path_vector
 
 DENSE_ENTRY_GUARD = 100_000_000
 # the most permutations enumerate_orders walks: 9! takes about a second
@@ -465,26 +465,36 @@ def kron_labels(pair_lists) -> tuple:
 def pair_vector(rho: StochasticChoiceFunction, pair_lists: list) -> np.ndarray:
     """``rho`` flattened in the Kronecker order of ``pair_lists``, the
     entries ``rho_vector`` gathers at their ``kron_labels``, without
-    building those labels: by index arithmetic over the per-period
-    ``(menu, item-position)`` pairs. Entry (k_1, ..., k_T) of the product
-    reads the path of the pairs' menus at the choice path of their
-    positions, whose index in the path's block is mixed-radix over the
-    menus' sizes, period 1 slowest.
+    building those labels: one gather from ``path_vector`` over the
+    observed menu paths, at an index (``_pair_index``) that depends only on
+    the universe, the pair lists and those paths and is compiled once per
+    triple of them.
 
     Raises SchemaError when a menu path of the product is not observed (the
     first in the product's order is named) or a position lies outside its
     menu."""
-    universe = rho.universe
+    paths = tuple(rho.observed_paths)
+    index = _pair_index(rho.universe, tuple(map(tuple, pair_lists)), paths)
+    return path_vector(rho, paths)[index]
+
+
+@lru_cache(maxsize=16)
+def _pair_index(universe: ChoiceUniverse, pair_lists: tuple, paths: tuple) -> np.ndarray:
+    """Positions of the product of ``pair_lists`` in the path-major vector
+    over the menu ``paths``, read-only, by index arithmetic over the
+    per-period ``(menu, item-position)`` pairs. Entry (k_1, ..., k_T) of the
+    product reads the path of the pairs' menus at the choice path of their
+    positions, whose index in the path's block is mixed-radix over the
+    menus' sizes, period 1 slowest."""
+    blocks = path_index(universe, paths)
     menus = [list(dict.fromkeys(m for m, _ in pairs)) for pairs in pair_lists]
     # every path of distinct menus, in first-occurrence order, observed
-    flat, start = [], np.empty([len(m) for m in menus], dtype=np.intp)
-    offset = 0
+    start = np.empty([len(m) for m in menus], dtype=np.intp)
     for slots in itertools.product(*[range(len(m)) for m in menus]):
         path = tuple(m[slot] for m, slot in zip(menus, slots))
-        if path not in rho.probs:
+        if path not in blocks:
             raise SchemaError(f"menu path {path} is not observed in rho")
-        flat.append(np.asarray(rho.probs[path], dtype=float))
-        start[slots], offset = offset, offset + len(flat[-1])
+        start[slots] = blocks[path][0]
     # per period, along its own axis: each pair's menu slot, 0-based
     # position and menu size
     T, index, stride = len(pair_lists), 0, 1
@@ -499,7 +509,9 @@ def pair_vector(rho: StochasticChoiceFunction, pair_lists: list) -> np.ndarray:
         slots.insert(0, np.array([slot[m] for m, _ in pair_lists[axis]]).reshape(shape))
         index = index + stride * np.array([i - 1 for _, i in pair_lists[axis]]).reshape(shape)
         stride = stride * np.array([sizes[m] for m, _ in pair_lists[axis]]).reshape(shape)
-    return np.concatenate(flat)[start[tuple(slots)] + index].reshape(-1)
+    out = (start[tuple(slots)] + index).reshape(-1)
+    out.flags.writeable = False
+    return out
 
 
 def full_pair_lists(universe: ChoiceUniverse) -> list:

@@ -652,3 +652,188 @@ class TestCompiledCaches:
             hierarchy_feasible(rho, H_list, (1, 6))
         with pytest.raises(SizeError, match="size guard"):
             bm_extension_feasible(_mixture(geometries["simple2"], 0))
+
+
+# --- stability, dominance monotonicity and the H-check -----------------------------------
+
+
+def _legacy_check_stability(rho, tol=checks.ESTIMATE_TOL):
+    uni = rho.universe
+    worst, violations, testable = 0.0, [], False
+    for t_pos, off_menus, group, classes in checks.stability_groups(uni, rho.observed_paths):
+        testable = True
+        arrs = [np.asarray(rho.probs[path], dtype=float) for path in group]
+        for oc in {oc for oc in classes}:
+            vals = []
+            for path, arr, positions in zip(group, arrs, classes[oc]):
+                margin = 0.0
+                for pos in positions:
+                    margin += arr[pos]
+                vals.append((path[t_pos], margin))
+            for (j1, v1), (j2, v2) in itertools.combinations(vals, 2):
+                gap = abs(v1 - v2)
+                if gap > worst:
+                    worst = gap
+                if gap > tol:
+                    violations.append((uni.periods[t_pos], off_menus, oc, j1, j2, v1 - v2))
+    if not testable:
+        return checks.CheckReport("stability", True, 0.0, vacuous=True,
+                                  diagnostics={"note": "no menu variation off any period"})
+    return checks.CheckReport("stability", worst <= tol, worst, tuple(violations),
+                              {"tolerance": tol})
+
+
+def _legacy_check_d_monotonicity(rho, dominance=None, tol=checks.ESTIMATE_TOL):
+    uni = rho.universe
+    if dominance is None:
+        dominance = checks.dominance_from_universe(uni)
+    probs = {path: np.asarray(rho.probs[path], dtype=float) for path in rho.observed_paths}
+    worst, violations, skipped, evaluated = 0.0, [], 0, 0
+    for subseq, combo, off_menu, off_choice, terms in checks.iterated_differences(
+            uni, dominance, rho.observed_paths):
+        if terms is None:
+            skipped += 1
+            continue
+        evaluated += 1
+        value = 0.0
+        for sign, menu_path, position in terms:
+            value += sign * probs[menu_path][position]
+        if value < worst:
+            worst = value
+        if value < -tol:
+            violations.append((tuple(uni.periods[k] for k in subseq), combo,
+                               tuple(sorted(off_menu.items())),
+                               tuple(sorted(off_choice.items())), value))
+    return checks.CheckReport("d-monotonicity", worst >= -tol, worst, tuple(violations),
+                              {"tolerance": tol, "evaluated": evaluated, "skipped": skipped},
+                              vacuous=(evaluated == 0))
+
+
+def _legacy_check_H(rho, H_list, tol=checks.ESTIMATE_TOL):
+    factors = [H.full() for H in H_list]
+    vec = pair_vector(rho, [H.col_labels for H in H_list])
+    tensor = vec.reshape([F.shape[1] for F in factors])
+    for axis, F in enumerate(factors):
+        tensor = np.moveaxis(np.tensordot(F, tensor, axes=([1], [axis])), 0, axis)
+    vals = tensor.reshape(-1)
+    worst = float(vals.min()) if len(vals) else 0.0
+    violations = tuple(int(i) for i in np.nonzero(vals < -tol)[0][:50])
+    kind = "kron(" + "x".join(H.kind for H in H_list) + ")"
+    return checks.CheckReport("h-representation", worst >= -tol, min(worst, 0.0), violations,
+                              {"tolerance": tol, "min_row_value": worst, "kind": kind,
+                               "inequality_rows": len(vals), "columns": len(vec)})
+
+
+def _perturbed(rho, seed, scale):
+    """rho with every path's vector moved by noise and renormalised."""
+    rng = np.random.default_rng(seed)
+    probs = {}
+    for path, arr in rho.probs.items():
+        v = np.asarray(arr, dtype=float) + scale * rng.random(len(arr))
+        probs[path] = v / v.sum()
+    return StochasticChoiceFunction(rho.universe, probs)
+
+
+def _assert_bitwise_report(new, old):
+    assert (new.name, bool(new.passed), new.vacuous) == (old.name, bool(old.passed), old.vacuous)
+    assert np.float64(new.worst_violation).tobytes() == np.float64(old.worst_violation).tobytes()
+    assert repr(new.violations) == repr(old.violations)
+    assert new.diagnostics == old.diagnostics
+    assert new.to_dict() == old.to_dict()
+
+
+@pytest.fixture(scope="module")
+def small_geometries(geometries):
+    out = {name: geometries[name] for name in ("simple1", "simple2", "demand3x3", "binary2")}
+    uni = catalog.binary_universe(periods=(1, 2, 3))
+    out["binary3"] = _binary(uni, sorted(itertools.product(uni.menu_indices(1), repeat=3)))
+    return out
+
+
+H_KINDS = {"simple1": "simple", "simple2": "simple", "demand3x3": "demand3x3",
+           "binary2": "binary", "binary3": "binary"}
+
+
+@pytest.mark.parametrize("name", sorted(H_KINDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stability_dmono_and_H_match_frozen_copies(small_geometries, name, seed):
+    geom = small_geometries[name]
+    H_list = _catalog_H_list(geom["universe"], H_KINDS[name])
+    for rho in (_mixture(geom, seed, 0.3), _perturbed(_mixture(geom, seed), seed, 0.2),
+                _perturbed(_mixture(geom, seed), seed + 7, 2.0)):
+        _assert_bitwise_report(checks.check_stability(rho), _legacy_check_stability(rho))
+        _assert_bitwise_report(checks.check_d_monotonicity(rho),
+                               _legacy_check_d_monotonicity(rho))
+        _assert_bitwise_report(checks.check_H(rho, H_list), _legacy_check_H(rho, H_list))
+        if "geometry" in geom:
+            dominance = geom["geometry"].dominance
+            _assert_bitwise_report(checks.check_d_monotonicity(rho, dominance=dominance),
+                                   _legacy_check_d_monotonicity(rho, dominance))
+
+
+def test_perturbed_inputs_do_violate(small_geometries):
+    """The perturbed inputs above reach the violation lists."""
+    rho = _perturbed(_mixture(small_geometries["simple2"], 0), 7, 2.0)
+    assert checks.check_stability(rho).violations
+    assert checks.check_H(rho, _catalog_H_list(rho.universe, "simple")).violations
+
+
+def test_a_second_call_derives_no_structure(geometries, simple_setup, monkeypatch):
+    """With the geometry compiled, a new rho and a new problem on it pay for
+    no enumeration, virtual universe, reduction or geometry miss."""
+    from drumtest import counterfactuals, geometry
+    from drumtest.counterfactuals import (CounterfactualProblem, bound_functional,
+                                          kron_counterfactual_cone)
+
+    simple, binary = geometries["simple2"], geometries["binary2"]
+    H_simple = _catalog_H_list(simple["universe"], "simple")
+    H_binary = _catalog_H_list(binary["universe"], "binary")
+    new_budgets = [Budget("next", 1, (Fraction(2), Fraction(1)), Fraction(1)),
+                   Budget("next", 2, (Fraction(1), Fraction(2)), Fraction(1))]
+    g = {(1, 1): 0.1, (1, 2): 0.4, (2, 1): 0.2, (2, 2): 0.7}
+
+    def run(seed):
+        rho_s, rho_b = _mixture(simple, seed), _mixture(binary, seed)
+        checks.check_stability(rho_s)
+        checks.check_d_monotonicity(rho_s, dominance=simple["geometry"].dominance)
+        checks.check_H(rho_s, H_simple)
+        hierarchy_feasible(rho_s, H_simple, (1, 2))
+        check_sarpd(rho_s, simple["geometry"])
+        checks.check_stability(rho_b)
+        checks.check_H(rho_b, H_binary)
+        bm_extension_feasible(rho_b)
+        hierarchy_feasible(rho_b, H_binary, (1, 2))
+        problem = CounterfactualProblem(rho_s, simple["budgets"], new_budgets, g, g,
+                                        target_budget=1)
+        bound_functional(problem)
+        kron_counterfactual_cone(problem)
+
+    run(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("structure derived again")
+
+    for module, name in ((checks, "stability_groups"), (checks, "iterated_differences"),
+                         (checks, "virtual_universe"), (checks, "reduce_H"),
+                         (counterfactuals, "stability_groups"),
+                         (counterfactuals, "iterated_differences")):
+        monkeypatch.setattr(module, name, refuse)
+    misses = geometry._demand_geometry.cache_info().misses
+    run(1)
+    assert geometry._demand_geometry.cache_info().misses == misses
+
+
+def test_size_guards_raise_on_every_call(geometries, monkeypatch):
+    geom = geometries["binary2"]
+    rho = _mixture(geom, 0)
+    H_list = _catalog_H_list(geom["universe"], "binary")
+    _clear_caches()
+    monkeypatch.setattr(checks, "HIERARCHY_ENTRY_GUARD", 1000)
+    monkeypatch.setattr(checks, "BM_ENTRY_GUARD", 1000)
+    for _ in range(2):
+        with pytest.raises(SizeError, match="size guard"):
+            hierarchy_feasible(rho, H_list, (1, 2))
+        with pytest.raises(SizeError, match="size guard"):
+            bm_extension_feasible(rho)
+    assert checks._compile_hierarchy.cache_info().misses == 0
+    assert checks._compile_bm.cache_info().misses == 0

@@ -1,6 +1,7 @@
 """Counterfactual bounds: extension LPs and the mixture-side cross-check."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -437,7 +438,8 @@ class TestModelCache:
     def test_model_arrays_are_read_only(self, simple_setup):
         problem = self._problem(simple_setup, 0)
         model = counterfactuals._model_for(problem)
-        arrays = [model.marginal_rows, model.observed.matrix, model.new_static.matrix]
+        arrays = [model.marginal_rows, model.observed.matrix, model.new_static.matrix,
+                  model.observed_float, model.new_float, *model.observed_rows.values()]
         for lp in (model.extension, model.mixture):
             arrays += [lp.A.data, lp.A.indices, lp.A.indptr, lp.lower, lp.upper,
                        lp.bounds.lb, lp.bounds.ub]
@@ -462,7 +464,9 @@ class TestModelCache:
             _assert_frozen_bounds(a, _legacy_extension_lp(p))
             _assert_frozen_bounds(b, _legacy_mixture_lp(p))
             counterfactuals._compile.cache_clear()
-            cold = bound_functional(p)
+            # an equal problem is another problem: it compiles afresh
+            cold = bound_functional(replace(p))
+            assert counterfactuals._compile.cache_info().misses == 1
             assert (cold.lower, cold.upper) == (a.lower, a.upper)
 
     def test_mismatched_universe_raises_on_a_hit(self, simple_setup):
@@ -489,11 +493,13 @@ class TestModelCache:
         for cache in caches:
             cache.cache_clear()
         try:
-            for _ in range(2):
+            # a miss, the problem's own model, and an equal problem's hit
+            for route, p in ((kron_counterfactual_cone, problem), (bound_functional, problem),
+                             (kron_counterfactual_cone, replace(problem))):
                 with pytest.warns(UserWarning, match="conservative") as caught:
-                    kron_counterfactual_cone(problem)
+                    route(p)
                 assert len(caught) == 1
-            assert counterfactuals._compile.cache_info().hits == 1
+            assert counterfactuals._compile.cache_info()[:2] == (1, 1)  # (hits, misses)
         finally:
             for cache in caches:
                 cache.cache_clear()

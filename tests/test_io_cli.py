@@ -1151,3 +1151,62 @@ class TestSharedTypeMatrix:
         assert not A.matrix.flags.writeable and not A.range_basis.flags.writeable
         assert not built[1].matrix.flags.writeable
         assert representations.type_matrix(uni, rho.observed_paths).range_basis is A.range_basis
+
+
+# --- malformed bounds inputs and counts -------------------------------------------------
+
+
+def _bounds_argv(tmp_path, simple_setup, g_text="1,1,0.1,0.9\n1,2,0.2,0.3\n2,1,0,1\n2,2,0,1\n"):
+    rho = rho_from_weights(simple_setup["universe"], simple_setup["AT"], np.full(9, 1 / 9))
+    _write_simple_inputs(tmp_path, rho)
+    (tmp_path / "g.csv").write_text("budget_id,patch_id,g_lower,g_upper\n" + g_text)
+    return ["bounds", "--input", str(tmp_path / "rho.csv"),
+            "--universe", str(tmp_path / "universe.json"),
+            "--budgets", str(tmp_path / "budgets.csv"), "--new-budget", "2,1;1,2",
+            "--g", str(tmp_path / "g.csv")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_g_bounds_name_their_line(simple_setup, tmp_path, capsys, value):
+    g_text = f"1,1,0.1,0.9\n1,2,{value},0.3\n2,1,0,1\n2,2,0,1\n"
+    argv = _bounds_argv(tmp_path, simple_setup, g_text)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "SchemaError: line 3: g_lower" in err and "not a finite number" in err
+    with pytest.raises(SchemaError, match="must be finite"):
+        CounterfactualProblem(None, {}, [], {(1, 1): 0.0}, {(1, 1): float(value)})
+
+
+@pytest.mark.parametrize("flag,value", [("--condition", "1|2"), ("--condition", "1|x:1|2"),
+                                        ("--new-budget", "2,x;1,2"), ("--new-budget", "1/0,1")])
+def test_malformed_bounds_options_are_usage_errors(simple_setup, tmp_path, capsys, flag, value):
+    argv = _bounds_argv(tmp_path, simple_setup)
+    if flag == "--new-budget":
+        argv[argv.index("--new-budget") + 1] = value
+    else:
+        argv += [flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: UsageError: argument {flag}:" in err and "usage: drum bounds" in err
+    with pytest.raises(UsageError):
+        main(argv + ["--debug"])
+
+
+def test_bounds_options_still_parse(simple_setup, tmp_path, capsys):
+    argv = _bounds_argv(tmp_path, simple_setup) + ["--condition", "1|2:1|2"]
+    assert main(argv) == 0
+    assert build_parser().parse_args(argv).condition == ((1, 2), (1, 2))
+
+
+@pytest.mark.parametrize("count,ok", [("356", 356), ("356.0", 356), ("12.7", None),
+                                      ("-3", None), ("nan", None), ("x", None)])
+def test_rho_counts_are_non_negative_integers(tmp_path, count, ok):
+    uni = catalog.binary_universe(periods=(1,))
+    rows = "".join(f"{j},{i},{1 / m.size},{count}\n" for m in uni.menus[1] for j in [m.index]
+                   for i in range(1, m.size + 1))
+    (tmp_path / "rho.csv").write_text("menu_path,choice_path,prob,count\n" + rows)
+    if ok is None:
+        with pytest.raises(SchemaError, match="line 2: count"):
+            io.read_rho(tmp_path / "rho.csv", uni)
+    else:
+        assert set(io.read_rho(tmp_path / "rho.csv", uni).counts.values()) == {ok}

@@ -120,7 +120,7 @@ def test_the_examples_cover_every_status(case, status):
 def solve_sequences(draw):
     """Two LPs from ``small_lps``, whether each is presolved, and a run of
     solves that picks one of them at random each time, with costs and
-    right-hand sides drawn afresh to its shape."""
+    right-hand sides drawn afresh to its shape or the costs repeated."""
     cases = [draw(small_lps()), draw(small_lps())]
     presolves = [draw(st.booleans()), draw(st.booleans())]
 
@@ -128,11 +128,16 @@ def solve_sequences(draw):
         return None if v is None else np.array(draw(st.lists(_entries, min_size=len(v),
                                                              max_size=len(v))))
 
-    steps = []
+    # a cost vector may repeat the LP's last one (or its zeros), which the
+    # solver is not handed again
+    steps, last_c = [], [np.zeros(len(case["c"])) for case in cases]
     for _ in range(draw(st.integers(1, 6))):
         k = draw(st.integers(0, 1))
-        steps.append((k, {**cases[k], **{key: redraw(cases[k][key])
-                                         for key in ("c", "b_ub", "b_eq")}}))
+        step = {**cases[k], **{key: redraw(cases[k][key]) for key in ("c", "b_ub", "b_eq")}}
+        if draw(st.booleans()):
+            step["c"] = last_c[k].copy()
+        last_c[k] = step["c"]
+        steps.append((k, step))
     return cases, presolves, steps
 
 

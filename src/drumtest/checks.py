@@ -286,8 +286,9 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
     (``_compile_dmono``); a call evaluates them all at once.
     """
     paths = tuple(rho.observed_paths)
-    key = None if dominance is None else tuple((t, tuple(map(tuple, pairs)))
-                                               for t, pairs in dominance.items())
+    # the pairs as tuples down to their (menu, position) leaves key the memo
+    key = None if dominance is None else tuple(
+        (t, tuple((tuple(a), tuple(b)) for a, b in pairs)) for t, pairs in dominance.items())
     model = _compile_dmono(rho.universe, key, paths)
     values = _term_sums(path_vector(rho, paths), model.terms, model.signs)
     worst = values.min(initial=0.0)
@@ -488,17 +489,14 @@ class BmModel:
     the simplex rows (1), the agreement rows at ``agreement``, whose
     right-hand side is the observed distribution over the observed menu
     paths, path-major, and the stability rows (0); ``b_eq`` carries the 1s
-    and 0s of the equality rows. ``witness`` groups the virtual menu paths
-    by their number of choice paths: each group is its paths and the
-    matrix of their columns, one row per path, and ``witness_paths`` lists
-    every virtual menu path in the LP's order.
+    and 0s of the equality rows. ``witness_columns`` lists each virtual
+    menu path with the columns of its choice paths.
     """
 
     lp: LinearProgram
     b_eq: np.ndarray
     agreement: slice
-    witness: tuple
-    witness_paths: tuple
+    witness_columns: tuple
 
 
 def bm_extension_feasible(rho: StochasticChoiceFunction):
@@ -508,12 +506,15 @@ def bm_extension_feasible(rho: StochasticChoiceFunction):
     One period solves the static system; longer windows use the per-period
     Kronecker system plus stability, which characterizes consistency when
     every period's static mixture is unique (up to three alternatives). The
-    virtual universe and the system's size are found once per universe
-    (``_bm_layout``) and the LP is compiled once per virtual universe and
-    observed menu paths; the size guard runs on every call before the LP
-    is built or looked up.
+    LP is compiled once per virtual universe and observed menu paths; the
+    size guard runs on every call before anything is built.
     """
-    vuni, n_vars, n_ineq = _bm_layout(rho.universe)
+    uni = rho.universe
+    vuni = virtual_universe(uni)
+    # the per-period system stacks the alternating-sum rows over nonnegativity
+    dims = [len(static_row_labels(vuni, t)) for t in vuni.periods]
+    n_vars = math.prod(dims)
+    n_ineq = math.prod(2 * d for d in dims)
     if n_ineq * n_vars > BM_ENTRY_GUARD:
         raise SizeError("Block-Marschak system exceeds the size guard")
     paths = tuple(rho.observed_paths)
@@ -528,28 +529,16 @@ def bm_extension_feasible(rho: StochasticChoiceFunction):
     feasible = res.status == 0
     witness = None
     if feasible:
-        x = np.clip(res.x, 0.0, None)
-        probs = dict.fromkeys(model.witness_paths)
-        for group, columns in model.witness:
-            v = x[columns]
-            # a row sum has the bits of its path's own sum
-            probs.update(zip(group, v / v.sum(axis=1, keepdims=True)))
+        probs = {}
+        for menu_path, cols in model.witness_columns:
+            v = np.clip(res.x[cols], 0.0, None)
+            probs[menu_path] = v / v.sum()
         witness = StochasticChoiceFunction._trusted(vuni, probs)
     report = CheckReport("bm-extension", feasible, 0.0 if feasible else 1.0,
                          diagnostics={"status": int(res.status), "variables": n_vars,
                                       "inequality_rows": model.lp.n_ub,
                                       "solver": solver})
     return feasible, witness, report
-
-
-@lru_cache(maxsize=16)
-def _bm_layout(universe: ChoiceUniverse) -> tuple:
-    """(virtual universe, variables, inequality rows) of the extension LP:
-    the per-period system stacks the alternating-sum rows over
-    nonnegativity."""
-    vuni = virtual_universe(universe)
-    dims = [len(static_row_labels(vuni, t)) for t in vuni.periods]
-    return vuni, math.prod(dims), math.prod(2 * d for d in dims)
 
 
 @lru_cache(maxsize=16)
@@ -569,16 +558,12 @@ def _compile_bm(vuni: ChoiceUniverse, paths: tuple) -> BmModel:
 
     # simplex per virtual menu path, in itertools.product order
     simplex = reduce(np.kron, member)
-    menu_paths = tuple(itertools.product(*[vuni.menu_indices(t) for t in vuni.periods]))
-    columns = {path: np.flatnonzero(row) for path, row in zip(menu_paths, simplex)}
-    by_size = {}
-    for path, cols in columns.items():
-        by_size.setdefault(len(cols), []).append(path)
-    witness = tuple((tuple(group), _read_only(np.array([columns[p] for p in group])))
-                    for group in by_size.values())
+    menu_paths = itertools.product(*[vuni.menu_indices(t) for t in vuni.periods])
+    witness_columns = tuple((path, np.flatnonzero(row)) for path, row in zip(menu_paths, simplex))
 
     # agreement with the observed distribution (observed menus keep their
     # indices in the virtual universe, so their choice paths are the same)
+    columns = dict(witness_columns)
     agreement_rows = np.eye(n_vars)[np.concatenate([columns[path] for path in paths])]
     agreement = slice(len(simplex), len(simplex) + len(agreement_rows))
 
@@ -601,8 +586,12 @@ def _compile_bm(vuni: ChoiceUniverse, paths: tuple) -> BmModel:
     dominated = [_iu_dominated_pairs(vuni, t) for t in vuni.periods]
     upper = reduce(np.kron, [np.array([pair not in d for pair in pairs], dtype=float)
                              for pairs, d in zip(pair_lists, dominated)])
-    return BmModel(compile_lp(-big, A_eq, Bounds(0.0, upper)), _read_only(b_eq),
-                   agreement, witness, menu_paths)
+
+    model = BmModel(compile_lp(-big, A_eq, Bounds(0.0, upper)), b_eq,
+                    agreement, witness_columns)
+    for a in (model.b_eq, *(cols for _, cols in witness_columns)):
+        a.flags.writeable = False
+    return model
 
 
 def _iu_dominated_pairs(universe: ChoiceUniverse, t) -> set:

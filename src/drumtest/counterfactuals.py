@@ -19,9 +19,8 @@ gives the lower bound on the first copy and the upper bound on the second.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -67,13 +66,6 @@ class CounterfactualProblem:
                 raise SchemaError(f"g bounds on patch {key} must be finite")
             if lo > self.g_upper[key] + 1e-12:
                 raise SchemaError(f"g bounds crossed on patch {key}")
-
-    @cached_property
-    def _model(self) -> CounterfactualModel:
-        """The compiled model of this problem (``_compile_model``), found on
-        the first route's call and kept with the problem, outside its
-        fields."""
-        return _compile_model(self)
 
 
 @dataclass(frozen=True)
@@ -180,20 +172,9 @@ def _pair_lp(A_ub, A_eq) -> LinearProgram:
 
 
 def _model_for(problem: CounterfactualProblem) -> CounterfactualModel:
-    """The compiled model of the problem's extended geometry, looked up once
-    per problem (``CounterfactualProblem._model``), so the two routes of
-    one problem share it; the geometry's warnings are raised on every
-    call."""
-    if "_model" in vars(problem):
-        for message in problem._model.geometry.warnings:
-            warnings.warn(message, stacklevel=3)
-    return problem._model
-
-
-def _compile_model(problem: CounterfactualProblem) -> CounterfactualModel:
     """The compiled model of the problem's extended geometry, which warns and
-    is checked against the problem's observed universe. The budgets must
-    cover exactly the universe's periods."""
+    is checked against the problem's observed universe on every call. The
+    budgets must cover exactly the universe's periods."""
     uni = problem.rho.universe
     for t in problem.budgets:
         if t not in uni.periods:

@@ -474,7 +474,8 @@ def pair_vector(rho: StochasticChoiceFunction, pair_lists: list) -> np.ndarray:
     first in the product's order is named) or a position lies outside its
     menu."""
     paths = tuple(rho.observed_paths)
-    index = _pair_index(rho.universe, tuple(map(tuple, pair_lists)), paths)
+    key = tuple(tuple((m, i) for m, i in pairs) for pairs in pair_lists)
+    index = _pair_index(rho.universe, key, paths)
     return path_vector(rho, paths)[index]
 
 

@@ -23,7 +23,7 @@ from scipy.optimize import Bounds, lsq_linear, nnls
 from .doubledesc import _invert
 from .errors import GeometryError, SchemaError, SizeError, SolverError
 from .geometry import DemandGeometry, _cell_constraints
-from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
+from .lp import LinearProgram, compile_lp, optimal, solve, solver_diagnostics
 from .model import (ChoiceUniverse, StochasticChoiceFunction, _has_cycle, path_index,
                     path_vector, rho_vector)
 from .representations import (InequalityMatrix, TypeMatrix, bm_matrix, full_pair_lists,
@@ -522,11 +522,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction):
     b_eq = model.b_eq.copy()
     b_eq[model.agreement] = path_vector(rho, paths)
     res = solve(model.lp, np.zeros(n_vars), b_eq=b_eq)
-    solver = solver_diagnostics(res)
-    if res.status not in (0, 2):
-        raise SolverError(f"extension LP returned status {res.status}: {res.message}",
-                          {"solver": solver, "variables": n_vars})
-    feasible = res.status == 0
+    feasible = optimal(res, "extension", variables=n_vars)
     witness = None
     if feasible:
         probs = {}
@@ -537,7 +533,7 @@ def bm_extension_feasible(rho: StochasticChoiceFunction):
     report = CheckReport("bm-extension", feasible, 0.0 if feasible else 1.0,
                          diagnostics={"status": int(res.status), "variables": n_vars,
                                       "inequality_rows": model.lp.n_ub,
-                                      "solver": solver})
+                                      "solver": solver_diagnostics(res)})
     return feasible, witness, report
 
 
@@ -635,15 +631,11 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple):
     rho_star = pair_vector(rho, kept_lists)
     n_vars = int(lp.A.shape[1])
     res = solve(lp, np.zeros(n_vars), b_eq=rho_star)
-    solver = solver_diagnostics(res)
-    if res.status not in (0, 2):
-        raise SolverError(f"hierarchy LP returned status {res.status}: {res.message}",
-                          {"solver": solver, "k": tuple(k), "variables": n_vars})
-    feasible = res.status == 0
+    feasible = optimal(res, "hierarchy", k=tuple(k), variables=n_vars)
     report = CheckReport("hierarchy", feasible, 0.0 if feasible else 1.0,
                          diagnostics={"k": tuple(k), "variables": n_vars,
                                       "inequality_rows": lp.n_ub,
-                                      "solver": solver})
+                                      "solver": solver_diagnostics(res)})
     return feasible, (res.x if feasible else None), report
 
 
@@ -757,11 +749,7 @@ def _compile_sarpd(geometry: DemandGeometry, paths: tuple) -> SarpdModel:
                         A_eq, b_eq, A_ub, b_ub = _cell_constraints(own, others, signs)
                         res = solve(compile_lp(A_ub, A_eq, Bounds(-np.inf, np.inf)),
                                     chooser.p(), b_ub, b_eq)
-                        if res.status not in (0, 2):
-                            raise SolverError(f"reachability LP returned status {res.status}: "
-                                              f"{res.message}",
-                                              {"solver": solver_diagnostics(res)})
-                        spend[b, a[0]] = res.fun if res.status == 0 else np.inf
+                        spend[b, a[0]] = res.fun if optimal(res, "reachability") else np.inf
                     if a[0] == b[0] or spend[b, a[0]] < chooser.w() - 1e-9:
                         adj[a].add(b)
             if _has_cycle(nodes, adj):

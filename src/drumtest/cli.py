@@ -95,6 +95,19 @@ def _dgp_list(value):
     return [_DGPS[name] for name in names]
 
 
+_CHECKS = ("stability", "dmono", "hrep", "cone", "bm", "hierarchy", "sarpd")
+
+
+def _check_list(value):
+    """The names of a comma list of ``_CHECKS``, at least one."""
+    names = [name.strip() for name in value.split(",") if name.strip()]
+    unknown = [name for name in names if name not in _CHECKS]
+    if unknown or not names:
+        what = f"unknown check {unknown[0]!r}" if unknown else "no check named"
+        raise argparse.ArgumentTypeError(f"{what}; the names are " + ", ".join(_CHECKS))
+    return names
+
+
 def _price_vectors(value):
     """The price vectors of a semicolon list of comma lists of numbers,
     e.g. '2,1;1,2'."""
@@ -129,8 +142,8 @@ def build_parser():
     c.add_argument("--input", required=True, help="rho.csv")
     c.add_argument("--universe", required=True, help="universe.json")
     c.add_argument("--budgets", default=None)
-    c.add_argument("--checks", default="stability,dmono,cone",
-                   help="comma list: stability,dmono,hrep,cone,bm,hierarchy,sarpd")
+    c.add_argument("--checks", default="stability,dmono,cone", type=_check_list,
+                   help="comma list: " + ",".join(_CHECKS))
     c.add_argument("--report", default=None)
     _add_common(c, "tolerance")
 
@@ -171,6 +184,8 @@ def build_parser():
     e.add_argument("--reps", type=int, default=999)
     e.add_argument("--alpha", type=float, default=0.05)
     _add_common(e, "seed", "threads", "out")
+    # the subcommand parsers by name, for a usage error found after parsing
+    ap.commands = sub.choices
     return ap
 
 
@@ -253,17 +268,19 @@ def _catalog_kind(universe, t):
 
 
 def _cmd_check(args) -> int:
+    if "sarpd" in args.checks and args.budgets is None:
+        raise UsageError("argument --checks: sarpd needs --budgets",
+                         _parser().commands["check"].format_usage().strip())
     uni = io.read_universe(args.universe)
     rho = io.read_rho(args.input, uni)
     geometry = _budget_geometry(args.budgets, uni)
-    wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     reports = {}
-    if {"hrep", "hierarchy"} & set(wanted):
+    if {"hrep", "hierarchy"} & set(args.checks):
         H_list = _catalog_system(uni)
         if H_list is None:
             raise DrumError("no catalog H-matrix matches this geometry; "
                             "use the library convert_V_to_H")
-    for name in wanted:
+    for name in args.checks:
         if name == "stability":
             reports[name] = check_stability(rho, tol=args.tolerance)
         elif name == "dmono":
@@ -287,12 +304,8 @@ def _cmd_check(args) -> int:
             k_vec = (1,) + (2,) * (uni.num_periods - 1)
             _, _, rep = hierarchy_feasible(rho, H_list, k_vec)
             reports[name] = rep
-        elif name == "sarpd":
-            if geometry is None:
-                raise DrumError("sarpd needs --budgets")
+        else:  # sarpd
             reports[name] = check_sarpd(rho, geometry, tol=args.tolerance)
-        else:
-            raise DrumError(f"unknown check {name!r}")
     doc = {k: v.to_dict() for k, v in reports.items()}
     text = json.dumps(doc, indent=1)
     if args.report:

@@ -28,10 +28,9 @@ from scipy.linalg import block_diag
 
 from .checks import (cone_membership, dominance_from_universe, iterated_differences,
                      stability_groups)
-from .errors import (GeometryError, ModelRejectedError, ParameterError, SchemaError,
-                     SolverError)
+from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
 from .geometry import DemandGeometry, demand_geometry
-from .lp import LinearProgram, compile_lp, solve, solver_diagnostics
+from .lp import LinearProgram, compile_lp, optimal, solve, solver_diagnostics
 from .model import (ChoiceUniverse, StochasticChoiceFunction, path_blocks, path_index,
                     path_vector)
 from .representations import TypeMatrix, static_type_matrix, type_matrix
@@ -230,11 +229,8 @@ def _bound_pair(pair: LinearProgram, b_eq, c_lo, c_hi, infeasible: str):
     diagnostics, reported for both sides."""
     n = len(c_lo)
     res = solve(pair, np.concatenate([c_lo, -c_hi]), b_eq=np.tile(b_eq, 2))
-    if res.status == 2:
+    if not optimal(res, "bounding"):
         raise ModelRejectedError(infeasible)
-    if res.status != 0:
-        raise SolverError(f"bounding LP returned status {res.status}: {res.message}",
-                          {"solver": solver_diagnostics(res)})
     x_lo, x_hi = res.x[:n], res.x[n:]
     solver = solver_diagnostics(res)
     return (float(c_lo @ x_lo), float(c_hi @ x_hi), x_lo, x_hi,

@@ -21,8 +21,8 @@ from types import MappingProxyType
 import numpy as np
 from scipy.optimize import Bounds
 
-from .errors import AllocationError, GeometryError, SchemaError, SolverError
-from .lp import compile_lp, solve, solver_diagnostics
+from .errors import AllocationError, GeometryError, SchemaError
+from .lp import compile_lp, optimal, solve
 from .model import (ChoiceUniverse, Menu, PanelDataset, PanelRecord,
                     StochasticChoiceFunction, marginal_conditional_slice)
 
@@ -134,11 +134,8 @@ def _cell_program(budget: Budget, others: list, signs: dict):
     lp = compile_lp(A_ub, np.column_stack([A_eq, np.zeros(len(A_eq))]),
                     Bounds(np.append(np.zeros(K), -np.inf), np.inf))
     res = solve(lp, c, np.append(b_ub, 1.0), b_eq)
-    if res.status == 2:
+    if not optimal(res, "cell"):
         return None, None
-    if res.status != 0:
-        raise SolverError(f"cell LP returned status {res.status}: {res.message}",
-                          {"solver": solver_diagnostics(res)})
     margin = res.x[-1]
     if margin <= MARGIN_TOL:
         return None, None
@@ -340,11 +337,8 @@ def _improvement_margin(target: np.ndarray, budget: Budget, others: list, signs:
     eq_rows = [np.append(row, 0.0) for row in A_eq]
     lp = compile_lp(np.array(ub_rows), np.array(eq_rows), Bounds(-np.inf, np.inf))
     res = solve(lp, c, b_ub, b_eq)
-    if res.status == 2:
+    if not optimal(res, "improvement-margin"):
         return None
-    if res.status != 0:
-        raise SolverError(f"improvement-margin LP returned status {res.status}: "
-                          f"{res.message}", {"solver": solver_diagnostics(res)})
     return res.x[-1]
 
 

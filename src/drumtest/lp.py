@@ -23,6 +23,10 @@ amount by which its ``x`` breaks a variable or row bound, and HiGHS' dual
 information: ``row_dual`` and ``dual_objective`` at an optimum, and at
 status 2 the Farkas ray when HiGHS has one.
 
+``optimal`` is the package's one rule for reading an LP's outcome: status
+0 is an optimum, status 2 is proven infeasible and any other status raises
+``SolverError`` with the solver's diagnostics.
+
 The HiGHS object comes from ``scipy.optimize._highspy._core``, the pybind11
 bindings that scipy's own ``milp`` and ``linprog`` run on. The module is
 private to scipy and may change between releases; the installed sources
@@ -40,6 +44,8 @@ from scipy.optimize import Bounds, OptimizeResult
 from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsStatus, \
     MatrixFormat, _Highs
 from scipy.sparse import csc_array
+
+from .errors import SolverError
 
 # linprog's feasibility check of a reported optimum: sqrt(tol) * 10 at its
 # default tol of 1e-9
@@ -258,3 +264,14 @@ def solver_diagnostics(res) -> dict:
     """Status, message and largest bound or row violation of one LP."""
     return {"status": int(res.status), "message": res.message,
             "max_violation": res.get("max_violation")}
+
+
+def optimal(res, what: str, **extra) -> bool:
+    """Whether the LP result ``res`` is an optimum (status 0) rather than
+    proven infeasible (status 2). Any other status raises SolverError
+    naming the ``what`` LP, with the result's ``solver_diagnostics`` and
+    the ``extra`` diagnostics."""
+    if res.status in (0, 2):
+        return res.status == 0
+    raise SolverError(f"{what} LP returned status {res.status}: {res.message}",
+                      {"solver": solver_diagnostics(res), **extra})

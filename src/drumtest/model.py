@@ -13,11 +13,13 @@ Index conventions used everywhere in the package:
   varying slowest (row-major), which matches the Kronecker-product row order
   of the type matrices;
 * a flat vector over ``rho`` is labelled by ``(menu_path, choice_path)``
-  pairs. ``rho_vector`` gathers ``rho`` at any such labels, ``path_vector``
-  lays it out path-major (menu paths in turn, each in canonical choice-path
-  order) and ``path_blocks`` splits a path-major vector back into per-path
-  blocks: these three are the one place the layout between ``rho`` and the
-  flat vectors lives.
+  pairs. ``path_vector`` lays ``rho`` out path-major (menu paths in turn,
+  each in canonical choice-path order), ``label_index`` is the one gather
+  index, the positions of any such labels in that layout, and
+  ``path_blocks`` splits a path-major vector back into per-path blocks:
+  these three are the one place the layout between ``rho`` and the flat
+  vectors lives. ``rho_vector`` and ``representations.pair_vector`` both
+  gather ``path_vector`` at a memoised ``label_index``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -130,8 +132,8 @@ class ChoiceUniverse:
 
     def choice_paths(self, menu_path: tuple):
         """All choice paths for a menu path, period-1 index slowest."""
-        sizes = [self.menu(t, j).size for t, j in zip(self.periods, menu_path)]
-        return list(itertools.product(*[range(1, s + 1) for s in sizes]))
+        return list(itertools.product(*[range(1, self.menu(t, j).size + 1)
+                                        for t, j in zip(self.periods, menu_path)]))
 
 
 def _order_has_cycle(pairs, alternatives) -> bool:
@@ -224,29 +226,46 @@ class StochasticChoiceFunction:
 
 def rho_vector(rho: StochasticChoiceFunction, labels) -> np.ndarray:
     """``rho`` gathered at ``(menu_path, choice_path)`` labels, in the
-    labels' order. On a one-period ``rho`` a static ``(menu, item)`` label
+    labels' order: ``path_vector`` over the observed menu paths at the
+    labels' ``label_index``, memoised per universe, paths and labels.
+
+    Raises SchemaError as ``label_index`` does."""
+    paths = tuple(rho.observed_paths)
+    return path_vector(rho, paths)[_rho_index(rho.universe, paths, tuple(labels))]
+
+
+def label_index(universe: ChoiceUniverse, paths, labels) -> np.ndarray:
+    """Positions of ``(menu_path, choice_path)`` labels in the path-major
+    vector over the menu ``paths`` (``path_vector``), in the labels' order,
+    read-only. On a one-period universe a static ``(menu, item)`` label
     reads as ``((menu,), (item,))``.
 
-    Raises SchemaError when a label's menu path is not observed, or on a
-    static label of a longer ``rho``.
-    """
-    out = np.empty(len(labels))
-    index = {}
-    for k, (path, cp) in enumerate(labels):
+    Raises SchemaError when a label's menu path is not among ``paths``, its
+    choice path is not one of its menu path's, or on a static label of a
+    longer universe."""
+    one_period = universe.num_periods == 1
+    labelled = [(path, cp) for path in paths for cp in universe.choice_paths(path)]
+    index = dict(zip(labelled, range(len(labelled))))
+    if one_period:
+        index.update(((path[0], cp[0]), k) for k, (path, cp) in enumerate(labelled))
+    try:
+        out = np.array([index[label] for label in labels], dtype=np.intp)
+    except KeyError as missing:
+        path, cp = missing.args[0]
         if not isinstance(path, tuple):
-            if rho.universe.num_periods != 1:
+            if not one_period:
                 raise SchemaError(f"label {(path, cp)!r} is a one-period (menu, item) label; "
-                                  f"a {rho.universe.num_periods}-period rho is gathered at "
-                                  "(menu_path, choice_path) labels")
+                                  f"a {universe.num_periods}-period rho is gathered at "
+                                  "(menu_path, choice_path) labels") from None
             path, cp = (path,), (cp,)
-        if path not in index:
-            if path not in rho.probs:
-                raise SchemaError(f"menu path {path} is not observed in rho")
-            index[path] = ({c: i for i, c in enumerate(rho.universe.choice_paths(path))},
-                           np.asarray(rho.probs[path], dtype=float))
-        position, probs = index[path]
-        out[k] = probs[position[cp]]
+        if path not in paths:
+            raise SchemaError(f"menu path {path} is not observed in rho") from None
+        raise SchemaError(f"choice path {cp} is not a choice path of menu path {path}") from None
+    out.flags.writeable = False
     return out
+
+
+_rho_index = lru_cache(maxsize=16)(label_index)
 
 
 def path_vector(rho: StochasticChoiceFunction, paths) -> np.ndarray:
@@ -263,8 +282,8 @@ def path_index(universe: ChoiceUniverse, paths) -> dict:
 
 
 def path_blocks(universe: ChoiceUniverse, paths, vec) -> dict:
-    """Inverse of ``rho_vector`` on a path-major vector: each menu path's
-    block of ``vec`` (a view), for ``paths`` in the given order.
+    """Inverse of ``path_vector``: each menu path's block of ``vec`` (a
+    view), for ``paths`` in the given order.
 
     Raises SchemaError when the blocks do not cover ``vec`` exactly.
     """

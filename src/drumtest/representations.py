@@ -11,8 +11,12 @@ Canonical orderings, used everywhere:
   Every dynamic row or column space is labelled in one format,
   ``(menu_path, choice_path)``: ``TypeMatrix.row_labels`` of ``kron_dynamic``,
   ``convert_V_to_H`` columns and ``kron_inequalities`` columns (through
-  ``kron_labels``) alike, so ``model.rho_vector`` flattens ``rho`` against
-  any of them.
+  ``kron_labels``) alike, so ``model.label_index``, the one gather index,
+  places any of them in the path-major vector over ``rho``.
+  ``model.rho_vector`` gathers at it by the labels, ``pair_vector`` by
+  per-period pair lists, memoised on the lists.
+
+The package's LPs (the EU filter here) read their outcome by ``lp.optimal``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ import numpy as np
 from scipy.optimize import Bounds
 
 from . import catalog
-from .errors import GeometryError, ParameterError, SchemaError, SizeError, SolverError
+from .errors import GeometryError, ParameterError, SchemaError, SizeError
 from .geometry import enumerate_demand_types
-from .lp import compile_lp, solve, solver_diagnostics
-from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, path_index, path_vector
+from .lp import compile_lp, optimal, solve
+from .model import ChoiceUniverse, Menu, StochasticChoiceFunction, label_index, path_vector
 
 DENSE_ENTRY_GUARD = 100_000_000
 # the most permutations enumerate_orders walks: 9! takes about a second
@@ -213,10 +217,7 @@ def _eu_rankable(ranked: tuple) -> bool:
     bounds = Bounds(np.append(np.full(n_prizes, -1.0), -np.inf),
                     np.append(np.ones(n_prizes), np.inf))
     res = solve(compile_lp(np.array(A_ub), None, bounds), c, np.array(b_ub))
-    if res.status not in (0, 2):
-        raise SolverError(f"EU filter LP returned status {res.status}: {res.message}",
-                          {"solver": solver_diagnostics(res)})
-    return res.status == 0 and res.x[-1] > EU_MARGIN
+    return optimal(res, "EU filter") and res.x[-1] > EU_MARGIN
 
 
 # --- static and dynamic type matrices ---------------------------------------
@@ -463,56 +464,19 @@ def kron_labels(pair_lists) -> tuple:
 
 
 def pair_vector(rho: StochasticChoiceFunction, pair_lists: list) -> np.ndarray:
-    """``rho`` flattened in the Kronecker order of ``pair_lists``, the
-    entries ``rho_vector`` gathers at their ``kron_labels``, without
-    building those labels: one gather from ``path_vector`` over the
-    observed menu paths, at an index (``_pair_index``) that depends only on
-    the universe, the pair lists and those paths and is compiled once per
-    triple of them.
+    """``rho`` flattened in the Kronecker order of ``pair_lists``: the
+    entries ``rho_vector`` gathers at their ``kron_labels``, at a
+    ``label_index`` memoised on the pair lists rather than on the labels.
 
-    Raises SchemaError when a menu path of the product is not observed (the
-    first in the product's order is named) or a position lies outside its
-    menu."""
+    Raises SchemaError as ``label_index`` does."""
     paths = tuple(rho.observed_paths)
     key = tuple(tuple((m, i) for m, i in pairs) for pairs in pair_lists)
-    index = _pair_index(rho.universe, key, paths)
-    return path_vector(rho, paths)[index]
+    return path_vector(rho, paths)[_pair_index(rho.universe, key, paths)]
 
 
 @lru_cache(maxsize=16)
 def _pair_index(universe: ChoiceUniverse, pair_lists: tuple, paths: tuple) -> np.ndarray:
-    """Positions of the product of ``pair_lists`` in the path-major vector
-    over the menu ``paths``, read-only, by index arithmetic over the
-    per-period ``(menu, item-position)`` pairs. Entry (k_1, ..., k_T) of the
-    product reads the path of the pairs' menus at the choice path of their
-    positions, whose index in the path's block is mixed-radix over the
-    menus' sizes, period 1 slowest."""
-    blocks = path_index(universe, paths)
-    menus = [list(dict.fromkeys(m for m, _ in pairs)) for pairs in pair_lists]
-    # every path of distinct menus, in first-occurrence order, observed
-    start = np.empty([len(m) for m in menus], dtype=np.intp)
-    for slots in itertools.product(*[range(len(m)) for m in menus]):
-        path = tuple(m[slot] for m, slot in zip(menus, slots))
-        if path not in blocks:
-            raise SchemaError(f"menu path {path} is not observed in rho")
-        start[slots] = blocks[path][0]
-    # per period, along its own axis: each pair's menu slot, 0-based
-    # position and menu size
-    T, index, stride = len(pair_lists), 0, 1
-    slots = []
-    for axis in reversed(range(T)):
-        t, shape = universe.periods[axis], [1] * T
-        shape[axis] = -1
-        sizes = {m: universe.menu(t, m).size for m in menus[axis]}
-        if any(not 1 <= i <= sizes[m] for m, i in pair_lists[axis]):
-            raise SchemaError(f"a choice position in period {t} lies outside its menu")
-        slot = {m: k for k, m in enumerate(menus[axis])}
-        slots.insert(0, np.array([slot[m] for m, _ in pair_lists[axis]]).reshape(shape))
-        index = index + stride * np.array([i - 1 for _, i in pair_lists[axis]]).reshape(shape)
-        stride = stride * np.array([sizes[m] for m, _ in pair_lists[axis]]).reshape(shape)
-    out = (start[tuple(slots)] + index).reshape(-1)
-    out.flags.writeable = False
-    return out
+    return label_index(universe, paths, kron_labels(pair_lists))
 
 
 def full_pair_lists(universe: ChoiceUniverse) -> list:

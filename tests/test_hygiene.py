@@ -5,8 +5,8 @@ every defaulted parameter of a private package function is passed
 somewhere, no parameter of one is passed the same literal by every package
 call, dense Kronecker products are built only at the known sites,
 dynamic type matrices are assembled only by ``representations.type_matrix``,
-demand geometries only by ``geometry.demand_geometry``, no warning is
-recorded to be raised again, no ``kind`` is matched by its prefix, and no
+demand geometries only by ``geometry.demand_geometry``, an LP's outcome
+is read only by ``lp.optimal``, no warning is recorded to be raised again, no ``kind`` is matched by its prefix, and no
 name the package exports hides one of its modules."""
 
 import ast
@@ -448,6 +448,42 @@ def test_scan_finds_the_geometry_builders():
               "U = geometry.demand_universe(budgets, (1,))\n"
               "G = demand_geometry(budgets, (1,))\n")
     assert _calls(source, {"compute_patches", "demand_universe"}) == [3, 4]
+
+
+def _lp_outcome_sites(source: str) -> list:
+    """Lines of the source's comparisons of a ``status`` attribute and of
+    its strings that build the "LP returned status" message."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "status"
+                for side in (node.left, *node.comparators)):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and \
+                "LP returned status" in node.value:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_lp_outcomes_have_one_rule():
+    """Outside ``lp`` the package reads an LP result's status through
+    ``lp.optimal``: no other module compares it or builds the message of a
+    failed solve."""
+    found = [(path.name, line) for path in MODULES if path.name != "lp.py"
+             for line in _lp_outcome_sites(path.read_text())]
+    assert found == []
+
+
+def test_scan_finds_an_lp_outcome_rule():
+    source = ("res = solve(lp, c)\n"
+              "if res.status == 2:\n    pass\n"
+              "if 0 != res.status:\n    pass\n"
+              "ok = res.status in (0, 2)\n"
+              "raise SolverError(f'cell LP returned status {res.status}: {res.message}')\n"
+              "diagnostics = {'status': int(res.status)}\n"
+              "feasible = optimal(res, 'cell')\n"
+              "if status == 0:\n    pass\n")
+    assert _lp_outcome_sites(source) == [2, 4, 6, 7]
 
 
 def test_no_warning_is_recorded_to_be_raised_again():

@@ -1,7 +1,9 @@
-"""The one indexer between rho and the flat vectors (``model.rho_vector``,
-``model.path_blocks``) against frozen copies of the flatteners and inverses
-it replaced: bit-identical vectors on seeded inputs, and the same
-SchemaError on an unobserved menu path from every former caller."""
+"""The one indexer between rho and the flat vectors (``model.label_index``,
+gathered by ``rho_vector`` and ``pair_vector``, and ``model.path_blocks``)
+against frozen copies of the flatteners and inverses it replaced:
+bit-identical vectors on seeded inputs, the same SchemaError on an
+unobserved menu path from every former caller, and one SchemaError from
+both gathers on a choice path outside its menu path."""
 
 import itertools
 from fractions import Fraction
@@ -269,6 +271,15 @@ def test_former_callers_reject_unobserved_paths(simple_T2):
         _legacy_rho_vector_for(A, rho)
     with pytest.raises(SchemaError):
         _legacy_pair_vector(rho, full_pair_lists(uni))
+    # a choice path outside its observed menu path: one SchemaError from
+    # both gathers, by label and by pair lists
+    binary, _ = _case("binary", 2)
+    full = _random_rho(binary, list(itertools.product(binary.menu_indices(1), repeat=2)), 0)
+    for call in (lambda: rho_vector(full, [((1, 1), (3, 1))]),
+                 lambda: pair_vector(full, [[(1, 3)], [(1, 1)]])):
+        with pytest.raises(SchemaError, match=r"choice path \(3, 1\) is not a choice path "
+                                              r"of menu path \(1, 1\)"):
+            call()
 
 
 def test_bm_values_reject_unobserved_virtual_paths():

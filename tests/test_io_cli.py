@@ -1001,7 +1001,26 @@ class TestCliPaths:
         assert main(["check", "--input", str(tmp_path / "rho.csv"),
                      "--universe", str(tmp_path / "universe.json"),
                      "--checks", "stability,nonesuch"]) == 1
-        assert capsys.readouterr().err == "error: DrumError: unknown check 'nonesuch'\n"
+        assert capsys.readouterr().err.startswith(
+            "error: UsageError: argument --checks: unknown check 'nonesuch'; the names are "
+            "stability, dmono, hrep, cone, bm, hierarchy, sarpd\nusage: drum check")
+
+    @pytest.mark.parametrize("checks,message", [
+        ("", "no check named; the names are stability, dmono, hrep, cone, bm, hierarchy, "
+             "sarpd"),
+        (" , ", "no check named"),
+        ("cone,bogus", "unknown check 'bogus'"),
+        ("stability,sarpd", "sarpd needs --budgets")])
+    def test_a_bad_check_list_is_a_usage_error_before_any_input(self, tmp_path, capsys,
+                                                                checks, message):
+        """The check list is read before the input files: none of these
+        exists, and an empty list does not run as a consistent check."""
+        assert main(["check", "--input", str(tmp_path / "rho.csv"),
+                     "--universe", str(tmp_path / "universe.json"), "--checks", checks]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: UsageError: argument --checks: {message}")
+        assert "usage: drum check" in captured.err
 
     def test_rejected_model_exits_2(self, simple_setup, table5_rho, tmp_path, capsys):
         """``drum bounds`` on Table 5 reaches ``main``'s model-rejected exit,

@@ -4,10 +4,13 @@ Block-Marschak extension feasibility, projection-hierarchy feasibility,
 revealed-path-dominance, and the sequence-sum audit.
 
 Whatever a check derives from the universe, the geometry and the observed
-menu paths alone (its sums, Kronecker factors, reductions and LPs) is
+menu paths alone (its rows, Kronecker factors, reductions and LPs) is
 compiled once per such key into a memoised, read-only model (``lru_cache``
 of 16); a call gathers rho, does its float work, solves and reads the
-result.
+result. The stability margins and the iterated differences are one
+``RowSystem`` each, a CSR matrix over ``path_vector``'s layout: the checks
+multiply it by rho, and the counterfactual model densifies the same
+systems into its LP rows.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.optimize import Bounds, lsq_linear, nnls
+from scipy.sparse import csr_array
 
 from .doubledesc import _invert
 from .errors import GeometryError, SchemaError, SizeError, SolverError
@@ -99,42 +103,61 @@ def check_stability(rho: StochasticChoiceFunction, tol: float = ESTIMATE_TOL) ->
 
     The groups, classes and compared pairs depend only on the universe and
     the observed menu paths, so they are compiled once per pair of them
-    (``_compile_stability``); a call sums every class margin at once and
-    compares the pairs."""
+    (``_compile_stability``); a call sums every class margin in one sparse
+    product and compares the pairs."""
     paths = tuple(rho.observed_paths)
-    model = _compile_stability(rho.universe, paths)
-    if not model.labels:
+    system = _compile_stability(rho.universe, paths)
+    if not system.labels:
         return CheckReport("stability", True, 0.0, vacuous=True,
                            diagnostics={"note": "no menu variation off any period"})
-    margins = _term_sums(path_vector(rho, paths), model.terms)
-    diff = margins[model.first] - margins[model.second]
+    margins = system.matrix @ path_vector(rho, paths)
+    diff = margins[system.first] - margins[system.second]
     gaps = np.abs(diff)
     worst = gaps.max()
     if not worst > 0.0:
         worst = 0.0
-    violations = tuple(model.labels[k] + (diff[k],) for k in np.flatnonzero(gaps > tol))
+    violations = tuple(system.labels[k] + (diff[k],) for k in np.flatnonzero(gaps > tol))
     return CheckReport("stability", worst <= tol, worst, violations, {"tolerance": tol})
 
 
 @dataclass(frozen=True)
-class StabilityModel:
-    """The margins ``stability_groups`` compares on some menu paths: row r of
-    ``terms`` indexes (see ``_term_table``) one path's choice paths in one
-    class, and pair k compares rows ``first[k]`` and ``second[k]``, labelled
-    ``labels[k]`` = (period, off menus, off choice, j1, j2)."""
+class RowSystem:
+    """Linear rows over the path-major vector of some menu paths
+    (``path_vector``), read-only. ``matrix`` is CSR with each row's signed
+    terms stored in the order they are added and never canonicalised, so
+    ``matrix @ v`` adds each row up term by term from 0.0 in that order.
+    ``labels`` names what a check reports: a row of d-monotonicity, or a
+    pair of stability, which compares row ``first[k]`` with row
+    ``second[k]``. ``skipped`` counts the rows left out because a menu path
+    is not among the paths."""
 
-    terms: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
+    matrix: csr_array
     labels: tuple
+    skipped: int
+    first: np.ndarray | None = None
+    second: np.ndarray | None = None
+
+
+def _csr(rows, signs, blocks: dict) -> csr_array:
+    """Read-only CSR of ``rows`` of column indices with their ``signs`` over
+    the path-major vector split into ``blocks`` (``path_index``), each row's
+    terms stored in the given order."""
+    width = sum(map(len, blocks.values()))
+    matrix = csr_array((np.array([s for row in signs for s in row], dtype=float),
+                        np.array([i for row in rows for i in row], dtype=np.intp),
+                        np.cumsum([0, *map(len, rows)])), shape=(len(rows), width))
+    for a in (matrix.data, matrix.indices, matrix.indptr):
+        _read_only(a)
+    return matrix
 
 
 @lru_cache(maxsize=16)
-def _compile_stability(universe: ChoiceUniverse, paths: tuple) -> StabilityModel:
+def _compile_stability(universe: ChoiceUniverse, paths: tuple) -> RowSystem:
     """The stability margins and pairs of the menu ``paths``, in the order
     the check always compared them: groups as ``stability_groups`` yields
     them, classes in the order of a set grown one key at a time (which
-    keeps the order of the violation list), then the group's path pairs."""
+    keeps the order of the violation list), then the group's path pairs.
+    Row r sums one path's choice paths in one class."""
     blocks = path_index(universe, paths)
     rows, first, second, labels = [], [], [], []
     for t_pos, off_menus, group, classes in stability_groups(universe, paths):
@@ -146,37 +169,8 @@ def _compile_stability(universe: ChoiceUniverse, paths: tuple) -> StabilityModel
                 second.append(start + g2)
                 labels.append((universe.periods[t_pos], off_menus, oc, p1[t_pos], p2[t_pos]))
     pairs = [_read_only(np.array(v, dtype=np.intp)) for v in (first, second)]
-    return StabilityModel(_term_table(rows)[0], *pairs, tuple(labels))
-
-
-def _term_table(rows, signs=None):
-    """(terms, signs) arrays of sums over a vector: row r of ``terms`` holds
-    the indices of sum r's summands in the order they are added, padded
-    with -1, which ``_term_sums`` reads as 0.0; ``signs`` (None: every sign
-    +1) holds their signs, padded with +1. Both read-only."""
-    width = max(map(len, rows), default=0)
-    terms = np.full((len(rows), width), -1, dtype=np.intp)
-    for r, row in enumerate(rows):
-        terms[r, :len(row)] = row
-    if signs is not None:
-        sign_rows = signs
-        signs = np.ones((len(rows), width))
-        for r, row in enumerate(sign_rows):
-            signs[r, :len(row)] = row
-        _read_only(signs)
-    return _read_only(terms), signs
-
-
-def _term_sums(vec: np.ndarray, terms: np.ndarray, signs: np.ndarray | None = None):
-    """Every row's sum of a ``_term_table``, all rows at once: each is added
-    up term by term from 0.0 in the table's order, so it has the bits of a
-    scalar loop over its summands (adding the padding's 0.0 changes none)."""
-    padded = np.append(vec, 0.0)
-    total = np.zeros(len(terms))
-    for k in range(terms.shape[1]):
-        term = padded[terms[:, k]]
-        total += term if signs is None else signs[:, k] * term
-    return total
+    matrix = _csr(rows, [[1.0] * len(row) for row in rows], blocks)
+    return RowSystem(matrix, tuple(labels), 0, *pairs)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -283,43 +277,32 @@ def check_d_monotonicity(rho: StochasticChoiceFunction, dominance: dict | None =
     unobserved. The differences depend only on the universe, the
     replacement pairs (``dominance_from_universe`` by default) and the
     observed menu paths, so they are compiled once per triple of them
-    (``_compile_dmono``); a call evaluates them all at once.
+    (``_compile_dmono``); a call evaluates them in one sparse product.
     """
     paths = tuple(rho.observed_paths)
     # the pairs as tuples down to their (menu, position) leaves key the memo
     key = None if dominance is None else tuple(
         (t, tuple((tuple(a), tuple(b)) for a, b in pairs)) for t, pairs in dominance.items())
-    model = _compile_dmono(rho.universe, key, paths)
-    values = _term_sums(path_vector(rho, paths), model.terms, model.signs)
+    system = _compile_dmono(rho.universe, key, paths)
+    values = system.matrix @ path_vector(rho, paths)
     worst = values.min(initial=0.0)
     if not worst < 0.0:
         worst = 0.0
-    violations = tuple(model.labels[k] + (values[k],) for k in np.flatnonzero(values < -tol))
-    evaluated = len(model.labels)
+    violations = tuple(system.labels[k] + (values[k],) for k in np.flatnonzero(values < -tol))
+    evaluated = len(system.labels)
     return CheckReport("d-monotonicity", worst >= -tol, worst, violations,
-                       {"tolerance": tol, "evaluated": evaluated, "skipped": model.skipped},
+                       {"tolerance": tol, "evaluated": evaluated, "skipped": system.skipped},
                        vacuous=(evaluated == 0))
-
-
-@dataclass(frozen=True)
-class DmonoModel:
-    """The iterated differences of some menu paths: row r of ``terms`` and
-    ``signs`` (see ``_term_table``) is the r-th evaluated difference,
-    labelled ``labels[r]`` = (replaced periods, replacement pairs, off
-    menus, off choices); ``skipped`` counts the combinations left out."""
-
-    terms: np.ndarray
-    signs: np.ndarray
-    labels: tuple
-    skipped: int
 
 
 @lru_cache(maxsize=16)
 def _compile_dmono(universe: ChoiceUniverse, dominance: tuple | None,
-                   paths: tuple) -> DmonoModel:
-    """The table of ``iterated_differences`` on the menu ``paths``, in its
-    order; ``dominance`` holds the (period, pairs) items of the replacement
-    pairs, or None for those of the universe's primitive order."""
+                   paths: tuple) -> RowSystem:
+    """The rows of ``iterated_differences`` on the menu ``paths``, in its
+    order, each labelled (replaced periods, replacement pairs, off menus,
+    off choices); ``dominance`` holds the (period, pairs) items of the
+    replacement pairs, or None for those of the universe's primitive
+    order."""
     dominance = dominance_from_universe(universe) if dominance is None else dict(dominance)
     blocks = path_index(universe, paths)
     rows, signs, labels, skipped = [], [], [], 0
@@ -332,7 +315,7 @@ def _compile_dmono(universe: ChoiceUniverse, dominance: tuple | None,
         signs.append([sign for sign, _, _ in terms])
         labels.append((tuple(universe.periods[k] for k in subseq), combo,
                        tuple(sorted(off_menu.items())), tuple(sorted(off_choice.items()))))
-    return DmonoModel(*_term_table(rows, signs), tuple(labels), skipped)
+    return RowSystem(_csr(rows, signs, blocks), tuple(labels), skipped)
 
 
 # --- linear inequality systems -----------------------------------------------------

@@ -26,8 +26,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.linalg import block_diag
 
-from .checks import (cone_membership, dominance_from_universe, iterated_differences,
-                     stability_groups)
+from .checks import _compile_dmono, _compile_stability, cone_membership
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
 from .geometry import DemandGeometry, demand_geometry
 from .lp import LinearProgram, compile_lp, optimal, solve, solver_diagnostics
@@ -127,7 +126,7 @@ def _compile(geometry: DemandGeometry, paths: tuple) -> CounterfactualModel:
     observed_uni = ChoiceUniverse(periods, ext.alternatives, ext.menus, ext.primitive_order)
     observed = type_matrix(observed_uni, paths, geometry)
     # two new menus of two patches each (checked above): four columns per observed row
-    ext_paths = [tuple(path) + (menu.index,) for path in paths for menu in new_menus]
+    ext_paths = tuple(tuple(path) + (menu.index,) for path in paths for menu in new_menus)
     n = 4 * len(observed.row_labels)
     columns = path_index(ext, ext_paths)
 
@@ -136,22 +135,12 @@ def _compile(geometry: DemandGeometry, paths: tuple) -> CounterfactualModel:
     marginal = np.repeat(np.eye(n // 2), 2, axis=1)
     blocks = path_index(observed_uni, sorted(paths))
     marginal_rows = np.concatenate([blocks[path] for path in paths for _ in new_menus])
-    # stability rows: each class sum of a path equals the group's first path's
-    stability = []
-    for _, _, group, classes in stability_groups(ext, ext_paths):
-        for g, other in enumerate(group[1:], 1):
-            for oc in sorted(classes):
-                row = np.zeros(n)
-                row[columns[group[0]][classes[oc][0]]] = 1.0
-                row[columns[other][classes[oc][g]]] = -1.0
-                stability.append(row)
-    A_eq = np.vstack([marginal, *stability])
-    mono = [terms for *_, terms in iterated_differences(ext, dominance_from_universe(ext),
-                                                         ext_paths) if terms is not None]
-    M = np.zeros((len(mono), n))
-    for r, terms in enumerate(mono):
-        for sign, menu_path, position in terms:
-            M[r, columns[menu_path][position]] += sign
+    # stability rows: the check's compared margins, the first less the
+    # second; monotonicity rows: the check's iterated differences
+    stability = _compile_stability(ext, ext_paths)
+    margins = stability.matrix.toarray()
+    A_eq = np.vstack([marginal, margins[stability.first] - margins[stability.second]])
+    M = _compile_dmono(ext, None, ext_paths).matrix.toarray()
 
     new_static = static_type_matrix(ext, NEW_PERIOD, geometry.patches)
     observed_float, new_float = (A.dense().astype(float) for A in (observed, new_static))

@@ -202,12 +202,10 @@ def run_test(rho, A: TypeMatrix, config: TestConfig = TestConfig()) -> TestRepor
     if tuple(A.row_labels) != tuple((path, cp) for path in paths
                                     for cp in rho.universe.choice_paths(path)):
         raise SchemaError("A rows are not in the canonical path order")
+    vec = rho_vector(rho, A.row_labels)
     for path in paths:
-        if path not in rho.probs:
-            raise SchemaError(f"menu path {path} in A is not observed")
         if not rho.counts.get(path):
             raise SchemaError(f"menu path {path} has no recorded sample size")
-    vec = rho_vector(rho, A.row_labels)
     blocks = [(path, int(rows[0]), int(rows[-1]) + 1)
               for path, rows in path_blocks(rho.universe, paths, np.arange(len(vec))).items()]
     counts = np.array([rho.counts[path] for path in paths], dtype=int)

@@ -36,7 +36,7 @@ This module is the only one that imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,11 +98,6 @@ class LinearProgram:
             lower[self.n_ub:] = b_eq
             upper[self.n_ub:] = b_eq
         return lower, upper
-
-    def with_rhs(self, b_ub=None, b_eq=None) -> LinearProgram:
-        """The same LP with right-hand sides filled into its row bounds."""
-        lower, upper = self.row_bounds(b_ub, b_eq)
-        return replace(self, lower=lower, upper=upper)
 
     @cached_property
     def _model(self) -> _Model:

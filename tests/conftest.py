@@ -130,11 +130,10 @@ def solve_recorder(log):
     from drumtest.lp import solve
 
     def record(lp, c, b_ub=None, b_eq=None):
-        filled = lp.with_rhs(b_ub, b_eq)
-        dense = filled.A.toarray()
+        lower, upper = lp.row_bounds(b_ub, b_eq)
+        dense = lp.A.toarray()
         log.append({"c": np.array(c, dtype=float), "A_ub": dense[:lp.n_ub],
-                    "b_ub": filled.upper[:lp.n_ub], "A_eq": dense[lp.n_ub:],
-                    "b_eq": filled.lower[lp.n_ub:],
+                    "b_ub": upper[:lp.n_ub], "A_eq": dense[lp.n_ub:], "b_eq": lower[lp.n_ub:],
                     "bounds": np.column_stack([lp.bounds.lb, lp.bounds.ub]), "lp": lp})
         return solve(lp, c, b_ub, b_eq)
     return record

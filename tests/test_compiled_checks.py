@@ -21,11 +21,12 @@ from drumtest.checks import bm_extension_feasible, check_sarpd, hierarchy_feasib
 from drumtest.errors import SchemaError, SizeError, SolverError
 from drumtest.geometry import (Budget, demand_geometry, demand_universe,
                                enumerate_demand_types)
-from drumtest.model import ChoiceUniverse, Menu, StochasticChoiceFunction
+from drumtest.model import (ChoiceUniverse, Menu, StochasticChoiceFunction, label_index,
+                            path_blocks)
 from drumtest.representations import (build_static_A, bm_matrix, catalog_H, enumerate_orders,
                                       full_pair_lists, kron_dynamic, pair_vector,
-                                      projection_ops, reduce_H, validate_replication,
-                                      virtual_universe)
+                                      projection_ops, reduce_H, type_matrix,
+                                      validate_replication, virtual_universe)
 
 from conftest import failed_solve, legacy_cell_constraints, rho_from_weights, solve_recorder
 
@@ -772,6 +773,91 @@ def test_stability_dmono_and_H_match_frozen_copies(small_geometries, name, seed)
                                    _legacy_check_d_monotonicity(rho, dominance))
 
 
+# --- the compiled row systems ------------------------------------------------------------
+
+# the geometries of the row audit: simple and demand3x3 at T = 1, 2, binary at T = 1-3
+AUDITED = ["simple1", "simple2", "demand3x3_1", "demand3x3_2", "binary1", "binary2", "binary3"]
+
+
+@pytest.fixture(scope="module")
+def audited():
+    """Per audited geometry: its universe, every menu path, its type matrix
+    with rows in ``path_vector``'s layout over those paths (float), and its
+    catalog H-systems."""
+    out = {}
+    for T in (1, 2, 3):
+        periods = tuple(range(1, T + 1))
+        cases = [("binary", catalog.binary_universe(periods=periods), None)]
+        if T < 3:
+            for kind, budgets, maps in (
+                    ("simple", catalog.simple_budgets(periods), catalog.SIMPLE_INDEX_MAPS),
+                    ("demand3x3", catalog.demand3x3_budgets(periods),
+                     catalog.DEMAND3X3_INDEX_MAPS)):
+                geom = demand_geometry(budgets, periods, index_maps=maps)
+                cases.append((kind, geom.universe, geom))
+        for kind, uni, geom in cases:
+            paths = tuple(itertools.product(*[uni.menu_indices(t) for t in uni.periods]))
+            A = type_matrix(uni, paths, geom)
+            types = np.zeros(A.shape)
+            types[label_index(uni, paths, A.row_labels)] = A.dense()
+            name = f"{kind}_{T}" if kind == "demand3x3" else f"{kind}{T}"
+            out[name] = (uni, paths, types, _catalog_H_list(uni, kind))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(AUDITED), which=st.sampled_from(["stability", "dmono"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_row_sum_adds_its_stored_terms_in_order(audited, name, which, seed):
+    """``matrix @ v`` has the bits of a scalar loop that adds each row's
+    signed terms from 0.0 in their stored order (scipy does not promise
+    it), on entries of mixed magnitudes, where the order shows."""
+    uni, paths, _, _ = audited[name]
+    M = (checks._compile_stability(uni, paths) if which == "stability"
+         else checks._compile_dmono(uni, None, paths)).matrix
+    rng = np.random.default_rng(seed)
+    v = rng.random(M.shape[1]) * 10.0 ** rng.integers(-8, 9, M.shape[1])
+    expected = np.zeros(M.shape[0])
+    for r in range(M.shape[0]):
+        total = 0.0
+        for k in range(M.indptr[r], M.indptr[r + 1]):
+            total += M.data[k] * v[M.indices[k]]
+        expected[r] = total
+    assert (M @ v).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_stability_and_the_catalog_H_hold_on_every_type(audited, name):
+    """A linear condition holds on every mixture exactly when it holds on
+    every pure type: each type column has equal compared margins and
+    passes its catalog H-system with no tolerance."""
+    uni, paths, types, H_list = audited[name]
+    stability = checks._compile_stability(uni, paths)
+    margins = stability.matrix @ types
+    assert np.array_equal(margins[stability.first], margins[stability.second])
+    for column in types.T:
+        rho = StochasticChoiceFunction(uni, path_blocks(uni, paths, column))
+        assert checks.check_H(rho, H_list, tol=0).passed
+
+
+DMONO_UNSOUND = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: demand3x3's singleton dominance pairs do not "
+                        "hold on every static type")
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=DMONO_UNSOUND)
+                                  if name.startswith("demand3x3") else name
+                                  for name in AUDITED])
+def test_dmono_holds_on_every_type(audited, name):
+    """Every iterated difference is nonnegative on every type column.
+    Binary universes declare no primitive order, so they have no rows."""
+    uni, paths, types, _ = audited[name]
+    values = checks._compile_dmono(uni, None, paths).matrix @ types
+    assert (len(values) == 0) == name.startswith("binary")
+    broken = np.flatnonzero((values < 0).any(axis=0))
+    assert len(broken) == 0, f"{len(broken)} of {types.shape[1]} types break a row"
+
+
 def test_perturbed_inputs_do_violate(small_geometries):
     """The perturbed inputs above reach the violation lists."""
     rho = _perturbed(_mixture(small_geometries["simple2"], 0), 7, 2.0)
@@ -831,13 +917,10 @@ def test_a_second_call_derives_no_structure(geometries, simple_setup, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("structure derived again")
 
-    for module, name in ((checks, "stability_groups"), (checks, "iterated_differences"),
-                         (checks, "reduce_H"),
-                         (counterfactuals, "stability_groups"),
-                         (counterfactuals, "iterated_differences")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("stability_groups", "iterated_differences", "reduce_H"):
+        monkeypatch.setattr(checks, name, refuse)
     caches = (geometry._demand_geometry, checks._compile_bm, checks._compile_hierarchy,
-              counterfactuals._compile)
+              checks._compile_stability, checks._compile_dmono, counterfactuals._compile)
     misses = [cache.cache_info().misses for cache in caches]
     run(1)
     assert [cache.cache_info().misses for cache in caches] == misses

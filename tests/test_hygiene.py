@@ -434,6 +434,23 @@ def test_scan_finds_a_kron_dynamic_call():
     assert _calls(source, {"kron_dynamic"}) == [3, 4]
 
 
+def test_row_enumerations_have_one_consumer():
+    """Outside ``checks`` the package reads the stability and iterated-difference
+    rows from their compiled row systems, built once per geometry, never by
+    running the enumerations itself."""
+    assert _calls_outside("checks.py", {"stability_groups", "iterated_differences"}) == []
+
+
+def test_scan_finds_the_row_enumerations():
+    source = ("from drumtest import checks\n"
+              "from drumtest.checks import _compile_dmono, stability_groups\n"
+              "groups = list(stability_groups(uni, paths))\n"
+              "rows = checks.iterated_differences(uni, dominance, paths)\n"
+              "M = _compile_dmono(uni, None, paths).matrix\n"
+              "enumerate_rows = stability_groups\n")
+    assert _calls(source, {"stability_groups", "iterated_differences"}) == [3, 4]
+
+
 def test_demand_geometry_has_one_builder():
     """Outside ``geometry`` the package gets patches, dominance and demand
     universes from one ``demand_geometry`` value, never by calling

@@ -167,7 +167,7 @@ class TestRunTestLayoutErrors:
         three = StochasticChoiceFunction(rho.universe,
                                          {p: v for p, v in rho.probs.items() if p != (1, 2)},
                                          rho.counts)
-        with pytest.raises(SchemaError, match=r"menu path \(1, 2\) in A is not observed"):
+        with pytest.raises(SchemaError, match=r"menu path \(1, 2\) is not observed in rho"):
             run_test(three, simple_setup["AT"], TestConfig(reps=9))
 
 

@@ -8,7 +8,7 @@ import itertools
 import pickle
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -230,9 +230,11 @@ def test_an_infeasible_extension_lp_carries_a_farkas_ray(monkeypatch):
 
 def test_filled_right_hand_sides_leave_the_compiled_lp_alone():
     base = compile_lp(np.array([[-1.0, -1.0]]), np.array([[1.0, -1.0]]))
-    filled = base.with_rhs(b_ub=[-2.0], b_eq=[0.5])
-    assert filled.lower.tolist() == [-np.inf, 0.5] and filled.upper.tolist() == [-2.0, 0.5]
+    lower, upper = base.row_bounds(b_ub=[-2.0], b_eq=[0.5])
+    assert lower.tolist() == [-np.inf, 0.5] and upper.tolist() == [-2.0, 0.5]
+    assert lower is not base.lower and upper is not base.upper
     assert base.lower.tolist() == [-np.inf, 0.0] and base.upper.tolist() == [0.0, 0.0]
+    filled = replace(base, lower=lower, upper=upper)
     assert solve(filled, [1.0, 1.0]).x.tobytes() == \
         solve(base, [1.0, 1.0], b_ub=[-2.0], b_eq=[0.5]).x.tobytes()
 

@@ -473,7 +473,8 @@ class BmModel:
     right-hand side is the observed distribution over the observed menu
     paths, path-major, and the stability rows (0); ``b_eq`` carries the 1s
     and 0s of the equality rows. ``witness_columns`` lists each virtual
-    menu path with the columns of its choice paths.
+    menu path with the columns of its choice paths. ``lp`` is compiled
+    warm: a solve starts from the basis of the last.
     """
 
     lp: LinearProgram
@@ -490,7 +491,10 @@ def bm_extension_feasible(rho: StochasticChoiceFunction):
     Kronecker system plus stability, which characterizes consistency when
     every period's static mixture is unique (up to three alternatives). The
     LP is compiled once per virtual universe and observed menu paths; the
-    size guard runs on every call before anything is built.
+    size guard runs on every call before anything is built. The compiled
+    LP is warm, so in a process that solves one geometry more than once
+    the witness and the report's ``max_violation`` can depend on earlier
+    solves; the verdict and the solver status do not.
     """
     uni = rho.universe
     vuni = virtual_universe(uni)
@@ -566,7 +570,7 @@ def _compile_bm(vuni: ChoiceUniverse, paths: tuple) -> BmModel:
     upper = reduce(np.kron, [np.array([pair not in d for pair in pairs], dtype=float)
                              for pairs, d in zip(pair_lists, dominated)])
 
-    model = BmModel(compile_lp(-big, A_eq, Bounds(0.0, upper)), b_eq,
+    model = BmModel(compile_lp(-big, A_eq, Bounds(0.0, upper), warm=True), b_eq,
                     agreement, witness_columns)
     for a in (model.b_eq, *(cols for _, cols in witness_columns)):
         a.flags.writeable = False
@@ -598,7 +602,10 @@ def hierarchy_feasible(rho: StochasticChoiceFunction, H_list: list, k: tuple):
     the reduced Kronecker H-check. The LP is compiled once per reduced
     system and k, the reduced system once per universe and H-matrices
     (``_reduced_system``); validation and the size guard run on every call
-    before the LP is built or looked up.
+    before the LP is built or looked up. The compiled LP is warm, so in a
+    process that solves one system more than once the returned z and the
+    report's ``max_violation`` can depend on earlier solves; the verdict
+    and the solver status do not.
     """
     kept_lists, H_stars = _reduced_system(rho.universe, tuple(H_list))
     validate_replication(k, len(H_stars))
@@ -627,11 +634,12 @@ def _compile_hierarchy(H_stars: tuple, k: tuple) -> LinearProgram:
     """Build the level-k LP of the reduced H-matrices ``H_stars``: the
     negated Kronecker product of the replicated reduced H-matrices as
     inequality rows, the averaging operator Gamma as equality rows (the
-    reduced observed vector fills their right-hand side), free variables."""
+    reduced observed vector fills their right-hand side), free variables,
+    compiled warm."""
     ops = projection_ops(H_stars, k)
     big = reduce(np.kron, [np.asarray(H_star.full(), dtype=float)
                            for H_star, kt in zip(H_stars, k) for _ in range(kt)])
-    return compile_lp(-big, ops.Gamma_float(), Bounds(-np.inf, np.inf))
+    return compile_lp(-big, ops.Gamma_float(), Bounds(-np.inf, np.inf), warm=True)
 
 
 @lru_cache(maxsize=16)

@@ -30,8 +30,8 @@ from .checks import _compile_dmono, _compile_stability, cone_membership
 from .errors import GeometryError, ModelRejectedError, ParameterError, SchemaError
 from .geometry import DemandGeometry, demand_geometry
 from .lp import LinearProgram, compile_lp, optimal, solve, solver_diagnostics
-from .model import (ChoiceUniverse, StochasticChoiceFunction, path_blocks, path_index,
-                    path_vector)
+from .model import (ChoiceUniverse, StochasticChoiceFunction, label_index, path_blocks,
+                    path_index, path_vector)
 from .representations import TypeMatrix, static_type_matrix, type_matrix
 
 NEW_PERIOD = "next"
@@ -190,25 +190,24 @@ def _target_menu(problem: CounterfactualProblem, model: CounterfactualModel):
     return target, menu
 
 
-def _averaged_paths(problem: CounterfactualProblem, rho: StochasticChoiceFunction):
-    """The observed menu path, the positions of the choice paths the
-    functional averages over and their mass: the conditioning path, or all
+def _averaged_paths(problem: CounterfactualProblem, rho: StochasticChoiceFunction,
+                    model: CounterfactualModel):
+    """The observed menu path, the rows of ``model.observed`` of the choice
+    paths the functional averages over and their mass: the conditioning
+    path, placed by ``label_index`` and raising its SchemaError, or all
     choice paths of the first observed menu path (mass 1) for the marginal
     bound."""
     if problem.condition is None:
         ref = tuple(rho.observed_paths[0])
-        return ref, np.arange(len(rho.probs[ref])), 1.0
+        return ref, model.observed_rows[ref], 1.0
     cond_path, cond_cp = map(tuple, problem.condition)
-    if cond_path not in rho.probs:
-        raise SchemaError(f"conditioning path {cond_path} not observed")
-    choice_paths = rho.universe.choice_paths(cond_path)
-    if cond_cp not in choice_paths:
-        raise SchemaError(f"{cond_cp} is not a choice path of menu path {cond_path}")
-    mass = rho.prob(cond_path, cond_cp)
+    paths = tuple(rho.observed_paths)
+    rows = label_index(rho.universe, paths, [(cond_path, cond_cp)])
+    mass = float(path_vector(rho, paths)[rows[0]])
     if mass <= 1e-12:
         raise ParameterError("conditioning path has zero mass; "
                              "the conditional bound is undefined")
-    return cond_path, [choice_paths.index(cond_cp)], mass
+    return cond_path, rows, mass
 
 
 def _bound_pair(pair: LinearProgram, b_eq, c_lo, c_hi, infeasible: str):
@@ -233,7 +232,9 @@ def bound_functional(problem: CounterfactualProblem,
     model = _model_for(problem)
     rho = _projected(problem, model) if project_onto_cone else problem.rho
     target, new_menu = _target_menu(problem, model)
-    path, positions, mass = _averaged_paths(problem, rho)
+    path, rows, mass = _averaged_paths(problem, rho, model)
+    # the path's choice paths, in order, from its first row of the observed matrix
+    positions = rows - model.observed_rows[path][0]
     pair = model.extension
     n, n_ub = pair.A.shape[1] // 2, pair.n_ub // 2
     b_eq = np.zeros(pair.A.shape[0] // 2 - n_ub)
@@ -263,8 +264,8 @@ def kron_counterfactual_cone(problem: CounterfactualProblem) -> BoundsReport:
     model = _model_for(problem)
     rho = problem.rho
     target, new_menu = _target_menu(problem, model)
-    path, positions, mass = _averaged_paths(problem, rho)
-    obs_row = model.observed_float[model.observed_rows[path][positions]].sum(axis=0)
+    path, rows, mass = _averaged_paths(problem, rho, model)
+    obs_row = model.observed_float[rows].sum(axis=0)
     # the new period's rows run menu by menu, two patches each
     first = 2 * model.geometry.universe.menu_indices(NEW_PERIOD).index(target)
 

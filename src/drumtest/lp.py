@@ -8,20 +8,27 @@ bounds are templates that a solve fills with the right-hand sides.
 ``solve`` drives one HiGHS object per ``LinearProgram``, built on the LP's
 first solve from its matrix, row-bound templates, variable bounds and
 options and kept with it (outside the dataclass fields, so equality,
-hashing, copying and pickling see only the constraints). Each solve clears
-the solver's state, so it is a cold start that carries no basis from the
-last solve; it then sets the costs (unless they equal bit for bit those
-HiGHS holds) and the row bounds that changed since the last solve, and
-runs, and reads the solution once. That skips what scipy's ``linprog`` and ``milp``
-redo on every call (input checks, option checks and a fresh copy of the
-model), and gives the same status, message, objective and solution bits as
-``linprog(method="highs")`` with the same options. An LP compiled with
-``presolve=False`` is solved with HiGHS' presolve off and matches
+hashing, copying and pickling see only the constraints). A solve of a
+cold LP, the default, clears the solver's state, so it carries no basis
+from the last solve. An LP compiled with ``warm=True`` keeps HiGHS' basis
+after a solve that returned status 0 or 2, and the next solve starts from
+it; after any other status it clears as a cold LP does. Either way a solve
+then sets the costs (unless they equal bit for bit those HiGHS holds) and
+the row bounds that changed since the last solve, and runs, and reads the
+solution once. That skips what scipy's ``linprog`` and ``milp`` redo on
+every call (input checks, option checks and a fresh copy of the model),
+and a cold solve gives the same status, message, objective and solution
+bits as ``linprog(method="highs")`` with the same options. A warm solve
+gives the same status as a cold one, but its objective, solution and
+``max_violation`` may differ in the last bits: only the feasibility
+checks, which read the status alone, are compiled warm. An LP compiled
+with ``presolve=False`` is solved with HiGHS' presolve off and matches
 ``linprog(method="highs", options={"presolve": False})``; every other LP
-gets HiGHS' defaults with console output off. Each result carries ``max_violation``, the largest
-amount by which its ``x`` breaks a variable or row bound, and HiGHS' dual
-information: ``row_dual`` and ``dual_objective`` at an optimum, and at
-status 2 the Farkas ray when HiGHS has one.
+gets HiGHS' defaults with console output off. Each result carries
+``max_violation``, the largest amount by which its ``x`` breaks a variable
+or row bound, and HiGHS' dual information: ``row_dual`` and
+``dual_objective`` at an optimum, and at status 2 the Farkas ray when
+HiGHS has one.
 
 ``optimal`` is the package's one rule for reading an LP's outcome: status
 0 is an optimum, status 2 is proven infeasible and any other status raises
@@ -79,7 +86,8 @@ class LinearProgram:
     """Constraints of one LP: ``A`` is read-only CSC with ``n_ub`` inequality
     rows (``A_ub x <= b_ub``) above the equality rows (``A_eq x = b_eq``);
     ``lower``/``upper`` are the row bounds, ``bounds`` the variable bounds;
-    ``presolve`` is whether HiGHS presolves it."""
+    ``presolve`` is whether HiGHS presolves it, ``warm`` whether a solve
+    starts from the basis of the last one."""
 
     A: csc_array
     n_ub: int
@@ -87,6 +95,7 @@ class LinearProgram:
     upper: np.ndarray
     bounds: Bounds
     presolve: bool = True
+    warm: bool = False
 
     def row_bounds(self, b_ub=None, b_eq=None) -> tuple[np.ndarray, np.ndarray]:
         """The row bounds with right-hand sides filled in (the templates'
@@ -113,7 +122,8 @@ class LinearProgram:
 
 
 class _Model:
-    """The HiGHS object of one ``LinearProgram`` and the row bounds it holds."""
+    """The HiGHS object of one ``LinearProgram``, the costs and row bounds it
+    holds, and whether its next solve keeps the basis HiGHS holds."""
 
     def __init__(self, lp: LinearProgram):
         self.highs = _Highs()
@@ -135,16 +145,19 @@ class _Model:
         self.columns = np.arange(n, dtype=np.int32)
         self.cost = np.zeros(n)
         self.lower, self.upper = lp.lower, lp.upper
+        self.keep_basis = False
 
     def run(self, c, lower, upper) -> tuple[HighsModelStatus, bool]:
-        """Solve from a cold start with costs ``c`` and row bounds
-        ``lower``/``upper``: HiGHS' model status, and whether HiGHS took
-        the model and ran without error (a model or row bound it refuses
-        reads ``kModelError``). Costs equal bit for bit to those HiGHS
-        holds are not passed again; the rows whose bounds changed are
-        passed as Python floats."""
+        """Solve with costs ``c`` and row bounds ``lower``/``upper``, from
+        the basis HiGHS holds when ``keep_basis`` is set and from a cold
+        start otherwise: HiGHS' model status, and whether HiGHS took the
+        model and ran without error (a model or row bound it refuses reads
+        ``kModelError``). Costs equal bit for bit to those HiGHS holds are
+        not passed again; the rows whose bounds changed are passed as
+        Python floats."""
         highs = self.highs
-        highs.clearSolver()
+        if not self.keep_basis:
+            highs.clearSolver()
         if c.tobytes() != self.cost.tobytes():
             highs.changeColsCost(len(c), self.columns, c)
             self.cost = c.copy()
@@ -159,11 +172,12 @@ class _Model:
 
 
 def compile_lp(A_ub=None, A_eq=None, bounds: Bounds | None = None,
-               presolve: bool = True) -> LinearProgram:
+               presolve: bool = True, warm: bool = False) -> LinearProgram:
     """Build the LP over ``A_ub`` and ``A_eq`` (dense, either may be None)
     with zero right-hand sides; ``bounds`` defaults to x >= 0 as in
     ``linprog``. ``presolve=False`` switches HiGHS' presolve off for every
-    solve of it."""
+    solve of it; ``warm=True`` starts each solve from the basis of the last
+    one that returned status 0 or 2."""
     blocks = [np.asarray(a, dtype=float) for a in (A_ub, A_eq) if a is not None]
     n = blocks[0].shape[1]
     n_ub = 0 if A_ub is None else blocks[0].shape[0]
@@ -179,7 +193,7 @@ def compile_lp(A_ub=None, A_eq=None, bounds: Bounds | None = None,
     upper = np.zeros(A.shape[0])
     for a in (lower, upper, lb, ub):
         a.flags.writeable = False
-    return LinearProgram(A, n_ub, lower, upper, Bounds(lb, ub), presolve)
+    return LinearProgram(A, n_ub, lower, upper, Bounds(lb, ub), presolve, warm)
 
 
 def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
@@ -194,7 +208,8 @@ def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
     rows ``lower <= A x <= upper``, ``y @ A <= 0`` on the columns that
     may be positive and ``y`` times the row bound it points at (``lower``
     where y > 0, ``upper`` where y < 0) sums to a positive margin. Each
-    of the three is None otherwise."""
+    of the three is None otherwise. A warm LP's next solve keeps HiGHS'
+    basis when this one returns status 0 or 2, read after the demotion."""
     c = np.asarray(c, dtype=float)
     if c.shape != (lp.A.shape[1],) or not np.isfinite(c).all():
         raise ValueError("`c` must be a one-dimensional array of finite numbers, "
@@ -241,6 +256,7 @@ def solve(lp: LinearProgram, c, b_ub=None, b_eq=None) -> OptimizeResult:
                        "raised and there is no certificate of infeasibility or "
                        "unboundedness.")
         res.success = False
+    model.keep_basis = lp.warm and res.status in (0, 2)
     return res
 
 

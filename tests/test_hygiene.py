@@ -6,7 +6,8 @@ somewhere, no parameter of one is passed the same literal by every package
 call, dense Kronecker products are built only at the known sites,
 dynamic type matrices are assembled only by ``representations.type_matrix``,
 demand geometries only by ``geometry.demand_geometry``, an LP's outcome
-is read only by ``lp.optimal``, no warning is recorded to be raised again, no ``kind`` is matched by its prefix, and no
+is read only by ``lp.optimal``, only the feasibility LPs are compiled
+warm, no warning is recorded to be raised again, no ``kind`` is matched by its prefix, and no
 name the package exports hides one of its modules."""
 
 import ast
@@ -361,10 +362,10 @@ KRON_SITES = [
 ]
 
 
-def _kron_sites(source: str) -> set:
+def _sites(source: str, found) -> set:
     """Dotted names of the functions and classes whose own code (nested
-    definitions apart) names ``kron``, bare or as an attribute; module-level
-    code counts as ``<module>``."""
+    definitions apart) holds a node for which ``found`` is true;
+    module-level code counts as ``<module>``."""
     sites = set()
 
     def visit(node, scope):
@@ -372,13 +373,18 @@ def _kron_sites(source: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "kron") or \
-                    (isinstance(child, ast.Name) and child.id == "kron"):
+            if found(child):
                 sites.add(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return sites
+
+
+def _kron_sites(source: str) -> set:
+    """``_sites`` of the nodes that name ``kron``, bare or as an attribute."""
+    return _sites(source, lambda node: (isinstance(node, ast.Attribute) and node.attr == "kron")
+                  or (isinstance(node, ast.Name) and node.id == "kron"))
 
 
 def test_dense_kronecker_products_stay_at_their_sites():
@@ -395,6 +401,57 @@ def test_scan_finds_every_kron_site():
               "class Op:\n    def build(self):\n        return np.kron(self.a, self.a)\n"
               "def clean(x):\n    return np.dot(x, x) + kron_apply(x)\n")
     assert _kron_sites(source) == {"<module>", "dense", "outer.inner", "Op.build"}
+
+
+# The functions of the package that compile an LP warm, so that each solve
+# starts from the basis of the last. Both LPs are read for their status
+# alone; a warm bound pair would move printed bounds in their last bits.
+WARM_SITES = [
+    ("checks.py", "_compile_bm"),
+    ("checks.py", "_compile_hierarchy"),
+]
+# the calls that can build a warm LP, and the position of ``warm`` among
+# their positional parameters (``replace`` takes it by keyword alone)
+WARM_POSITION = {"compile_lp": 4, "LinearProgram": 6, "replace": None}
+
+
+def _warms(node) -> bool:
+    """Whether ``node`` is a call that may build an LP with ``warm`` set: a
+    ``WARM_POSITION`` call that passes ``warm``, by position or keyword,
+    other than as the constant False, or unpacks its arguments."""
+    name = _callee(node.func) if isinstance(node, ast.Call) else None
+    if name not in WARM_POSITION:
+        return False
+    if any(isinstance(a, ast.Starred) for a in node.args) or \
+            any(kw.arg is None for kw in node.keywords):
+        return True
+    position = WARM_POSITION[name]
+    values = [kw.value for kw in node.keywords if kw.arg == "warm"]
+    values += node.args[position:position + 1] if position is not None else []
+    return any(not (isinstance(v, ast.Constant) and v.value is False) for v in values)
+
+
+def test_only_the_feasibility_lps_are_compiled_warm():
+    """Outside ``lp`` only the Block-Marschak and hierarchy LPs are compiled
+    warm; every bound pair and geometry LP solves cold."""
+    found = sorted((path.name, site) for path in MODULES if path.name != "lp.py"
+                   for site in _sites(path.read_text(), _warms))
+    assert found == WARM_SITES
+
+
+def test_scan_finds_a_warm_compile():
+    source = ("from dataclasses import replace\n"
+              "def _pair(A):\n    return compile_lp(None, A, presolve=False, warm=True)\n"
+              "def _cold(A):\n"
+              "    return compile_lp(A, warm=False), lp.compile_lp(A, None, None, True, False)\n"
+              "def _positional(A):\n    return lp.compile_lp(A, None, None, True, True)\n"
+              "class M:\n    def warmed(self):\n        return replace(self.lp, warm=self.flag)\n"
+              "def _unpacked(A, opts):\n    return compile_lp(A, **opts)\n"
+              "def _built(f):\n    return LinearProgram(*f, True)\n"
+              "def _fields(f):\n    return LinearProgram(f.A, 0, f.lo, f.up, f.b, True, 1)\n"
+              "def _report(r):\n    return replace(r, passed=True), other(A, warm=True)\n")
+    assert _sites(source, _warms) == {"_pair", "_positional", "M.warmed", "_unpacked", "_built",
+                                      "_fields"}
 
 
 def _calls(source: str, names: set, **keywords) -> list:

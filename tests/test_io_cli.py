@@ -22,7 +22,8 @@ from drumtest.cli import build_parser, main
 from drumtest.counterfactuals import CounterfactualProblem, bound_functional
 from drumtest.errors import ParameterError, SchemaError, SolverError, UsageError
 from drumtest.geometry import Budget, demand_universe, enumerate_demand_types
-from drumtest.model import ChoiceUniverse, Menu, PanelDataset, PanelRecord, estimate_rho
+from drumtest.model import (ChoiceUniverse, Menu, PanelDataset, PanelRecord,
+                            StochasticChoiceFunction, estimate_rho)
 from drumtest.representations import (build_static_A, catalog_H, enumerate_orders, kron_dynamic,
                                       static_type_matrix)
 from drumtest.simulate import DgpSpec, simulate
@@ -1209,6 +1210,23 @@ def test_malformed_bounds_options_are_usage_errors(simple_setup, tmp_path, capsy
     assert f"error: UsageError: argument {flag}:" in err and "usage: drum bounds" in err
     with pytest.raises(UsageError):
         main(argv + ["--debug"])
+
+
+@pytest.mark.parametrize("condition,message", [
+    ("2|2:1|1", "menu path (2, 2) is not observed in rho"),
+    ("1|2:1|3", "choice path (1, 3) is not a choice path of menu path (1, 2)")])
+def test_a_conditioning_label_is_placed_by_the_gather_index(simple_setup, tmp_path, capsys,
+                                                           condition, message):
+    """``drum bounds --condition`` places its label with ``model.label_index``
+    and exits 1 with its SchemaError for an unobserved menu path and for a
+    choice path outside the menu path's."""
+    argv = _bounds_argv(tmp_path, simple_setup) + ["--condition", condition]
+    rho = io.read_rho(tmp_path / "rho.csv", simple_setup["universe"])
+    io.write_rho(StochasticChoiceFunction(rho.universe, {path: probs for path, probs
+                                                         in rho.probs.items() if path != (2, 2)}),
+                 tmp_path / "rho.csv")
+    assert main(argv) == 1
+    assert f"error: SchemaError: {message}\n" in capsys.readouterr().err
 
 
 def test_bounds_options_still_parse(simple_setup, tmp_path, capsys):

@@ -62,8 +62,9 @@ def _linprog(case, presolve=True):
                    options={} if presolve else {"presolve": False})
 
 
-def _compile(case, presolve=True):
-    return compile_lp(case["A_ub"], case["A_eq"], BOUNDS[case["bounds"]][1], presolve=presolve)
+def _compile(case, presolve=True, warm=False):
+    return compile_lp(case["A_ub"], case["A_eq"], BOUNDS[case["bounds"]][1], presolve=presolve,
+                      warm=warm)
 
 
 def _solve_both(case, presolve=True):
@@ -183,7 +184,7 @@ def test_a_compiled_lp_solved_again_is_linprog_bit_for_bit(sequence):
         program = programs[k]
         assert "_model" in vars(program)
         assert [f.name for f in fields(program)] == ["A", "n_ub", "lower", "upper", "bounds",
-                                                     "presolve"]
+                                                     "presolve", "warm"]
         assert program == program
         with pytest.raises(TypeError, match="unhashable"):
             hash(program)
@@ -198,6 +199,81 @@ def test_the_outcome_sequence_covers_every_status():
     programs = [_compile(case, presolve) for case, presolve in zip(cases, presolves)]
     assert [solve(programs[k], step["c"], step["b_ub"], step["b_eq"]).status
             for k, step in steps] == [0, 0, 2, 3, 0, 0]
+
+
+def _assert_farkas_ray(program, res, lower, upper):
+    """``res.dual_ray`` y proves the LP over rows ``lower <= A x <= upper``
+    infeasible: ``y @ A x`` stays, over the variable bounds, below the
+    positive margin y takes at the row bounds it points at (``lower``
+    where y > 0, ``upper`` where y < 0). At x >= 0 this is ``y @ A <= 0``
+    on the columns that may be positive and a positive margin. A ray is
+    fixed up to its scale, so entries of y and of ``y @ A`` within 1e-9
+    times the largest of y (or 1) count as zero."""
+    assert res.dual_ray is not None
+    y = np.array(res.dual_ray, dtype=float)
+    tol = 1e-9 * max(1.0, np.max(np.abs(y)))
+    y[np.abs(y) <= tol] = 0.0
+    reach = y @ program.A
+    reach[np.abs(reach) <= tol] = 0.0
+    with np.errstate(invalid="ignore"):
+        reach = np.where(reach > 0, reach * program.bounds.ub,
+                         np.where(reach < 0, reach * program.bounds.lb, 0.0))
+    margin = y[y > 0] @ lower[y > 0] + y[y < 0] @ upper[y < 0]
+    assert np.isfinite(margin) and margin > 0 and reach.sum() < margin
+
+
+class _Clearing(lp._Highs):
+    """A HiGHS object that counts its ``clearSolver`` calls."""
+
+    clears = 0
+
+    def clearSolver(self):
+        self.clears += 1
+        return super().clearSolver()
+
+
+@st.composite
+def warm_sequences(draw):
+    """``solve_sequences`` with each of its two LPs compiled warm or cold."""
+    cases, presolves, steps = draw(solve_sequences())
+    return cases, presolves, [draw(st.booleans()), draw(st.booleans())], steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequence=warm_sequences())
+@example(sequence=(*_EVERY_OUTCOME[:2], [True, True], _EVERY_OUTCOME[2]))
+@example(sequence=(*_EVERY_OUTCOME[:2], [True, False], _EVERY_OUTCOME[2]))
+def test_a_warm_lp_gives_a_cold_solves_outcome(sequence):
+    """Each solve of a warm LP, interleaved with another LP's, warm or cold,
+    gives the status of a cold twin's solve of the same LP and an objective
+    within 1e-9 of it. At status 2 every ray returned proves the LP
+    infeasible, and a warm solve returns one wherever the twin does (HiGHS
+    has none, cold or warm, for an empty row such as 0 x = 1/2). A warm
+    LP's first solve, and each one after a status other than 0 or 2,
+    clears HiGHS' state and is the cold twin's bit for bit; no other solve
+    of it clears."""
+    cases, presolves, warms, steps = sequence
+    programs = [_compile(case, presolve, warm)
+                for case, presolve, warm in zip(cases, presolves, warms)]
+    starts_cold = [True, True]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_Highs", _Clearing)
+        for program in programs:
+            assert program._model.highs.clears == 0
+    for k, step in steps:
+        program = programs[k]
+        clears = program._model.highs.clears
+        res = solve(program, step["c"], step["b_ub"], step["b_eq"])
+        assert program._model.highs.clears - clears == starts_cold[k]
+        twin = solve(_compile(step, presolves[k]), step["c"], step["b_ub"], step["b_eq"])
+        assert res.status == twin.status
+        if starts_cold[k]:
+            _assert_same_bits(res, twin)
+        if res.status == 0:
+            assert abs(res.fun - twin.fun) <= 1e-9 * (1 + abs(twin.fun))
+        if res.status == 2 and (res.dual_ray is not None or twin.dual_ray is not None):
+            _assert_farkas_ray(program, res, *program.row_bounds(step["b_ub"], step["b_eq"]))
+        starts_cold[k] = not warms[k] or res.status not in (0, 2)
 
 
 def test_an_infeasible_extension_lp_carries_a_farkas_ray(monkeypatch):
@@ -271,6 +347,22 @@ def test_an_optimum_off_the_constraints_is_demoted(monkeypatch):
     assert res.status == 4 and not res.success
     assert "does not satisfy the constraints" in res.message
     assert res.max_violation == 1.0
+
+
+def test_a_warm_lp_clears_after_a_demoted_optimum(monkeypatch):
+    """A warm LP keeps HiGHS' basis after an optimum that passes linprog's
+    check and clears it after one demoted to status 4."""
+    class Counted(_OptimumAtZero, _Clearing):
+        pass
+
+    program = compile_lp(np.array([[-1.0, -1.0]]), None, warm=True)
+    monkeypatch.setattr(lp, "_Highs", Counted)
+    statuses, clears = [], []
+    for b_ub in ([0.0], [0.0], [-1.0], [0.0], [0.0]):
+        statuses.append(solve(program, [1.0, 1.0], b_ub=b_ub).status)
+        clears.append(program._model.highs.clears)
+    assert statuses == [0, 0, 4, 0, 0]
+    assert clears == [1, 1, 1, 2, 2]
 
 
 def test_every_result_reports_its_largest_violation():

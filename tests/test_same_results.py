@@ -15,7 +15,10 @@ precision, since an LP optimum is only fixed up to the solver's last bit.
 The command line is pinned by the exit code and printed JSON of ``drum
 test``, ``drum test --eu`` and ``drum check`` on the two panels, and of
 ``drum check`` on seeded mixtures of the simple, binary and demand3x3
-geometries, byte for byte.
+geometries, byte for byte, as a fresh ``drum`` process prints them: each
+command line first drops the compiled feasibility LPs, which are warm and
+would otherwise start from the basis of whatever solved them before. The
+verdicts of the mixture checks are also held independent of that history.
 
 ``python tests/test_same_results.py`` prints every digest as the current
 code computes it, in the layout of the tables below, so that a change that
@@ -25,6 +28,7 @@ import contextlib
 import hashlib
 import io as textio
 import itertools
+import json
 import sys
 import tempfile
 from fractions import Fraction
@@ -39,7 +43,7 @@ if __name__ == "__main__":  # a checkout that is not installed
 from conftest import app_dgp, app_panel, rho_from_weights, simple_geometry  # noqa: E402
 
 import drumtest.simulate as sim  # noqa: E402
-from drumtest import catalog, cli, io  # noqa: E402
+from drumtest import catalog, checks, cli, io  # noqa: E402
 from drumtest.counterfactuals import (CounterfactualProblem, bound_functional,  # noqa: E402
                                       kron_counterfactual_cone)
 from drumtest.geometry import Budget, compute_patches, demand_universe  # noqa: E402
@@ -246,20 +250,40 @@ def _mixture_argvs(kind, workdir):
     return argvs
 
 
+def run_cli(argv, fresh=True):
+    """The exit code and printed output of one command line, run in-process
+    through ``cli.main``. ``fresh`` first drops the compiled feasibility
+    LPs, whose solves start from the basis of the last one, so that the
+    output is what a fresh ``drum`` process prints."""
+    if fresh:
+        checks._compile_bm.cache_clear()
+        checks._compile_hierarchy.cache_clear()
+    out = textio.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
 def cli_digest(case, workdir=None):
     """The digest of a CLI case: each command line's exit code and printed
-    JSON, in order, run in-process through ``cli.main``."""
+    JSON, in order, each as a fresh ``drum`` process prints them."""
     with contextlib.ExitStack() as stack:
         workdir = Path(workdir or stack.enter_context(tempfile.TemporaryDirectory()))
         argvs = (_mixture_argvs(case.split("-", 1)[1], workdir) if case.startswith("check-")
                  else _app_argvs(case, workdir))
         h = hashlib.sha256()
         for argv in argvs:
-            out = textio.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(argv)
-            h.update(f"{code}\n{out.getvalue()}".encode())
+            code, out = run_cli(argv)
+            h.update(f"{code}\n{out}".encode())
         return h.hexdigest()
+
+
+def check_outcomes(code, out):
+    """What decides a ``drum check`` run: its exit code and, per check, the
+    verdict, the worst violation and the LP status where an LP ran."""
+    return code, {name: (report["passed"], report["worst_violation"],
+                         report["diagnostics"].get("solver", {}).get("status"))
+                  for name, report in json.loads(out).items()}
 
 
 @pytest.mark.parametrize("kind,n,digest", VERDICT_ONLY,
@@ -283,6 +307,24 @@ def test_bounds_are_pinned(simple_setup, route, target, conditional, digest):
 @pytest.mark.parametrize("case,digest", CLI, ids=[case for case, _ in CLI])
 def test_cli_reports_are_pinned(tmp_path, case, digest):
     assert cli_digest(case, tmp_path) == digest
+
+
+def test_check_verdicts_do_not_depend_on_solve_history(tmp_path):
+    """The binary and simple mixture ``drum check`` calls, run in one process
+    forward from cold LPs and then in reverse from the bases they left,
+    give each call's exit code, verdicts, worst violations and LP statuses
+    as a fresh process does."""
+    argvs = _mixture_argvs("binary", tmp_path) + _mixture_argvs("simple", tmp_path)
+    fresh = [check_outcomes(*run_cli(argv)) for argv in argvs]
+    checks._compile_bm.cache_clear()
+    checks._compile_hierarchy.cache_clear()
+    forward = [check_outcomes(*run_cli(argv, fresh=False)) for argv in argvs]
+    backward = [check_outcomes(*run_cli(argv, fresh=False)) for argv in reversed(argvs)]
+    assert forward == fresh
+    assert backward[::-1] == fresh
+    # every call solved its hierarchy LP, and the binary calls their bm LP
+    assert [outcome["hierarchy"][2] for _, outcome in fresh] == [0] * len(argvs)
+    assert [outcome["bm"][2] for _, outcome in fresh[:CLI_MIXTURES]] == [0] * CLI_MIXTURES
 
 
 if __name__ == "__main__":
